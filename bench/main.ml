@@ -713,10 +713,10 @@ let parallel_exp () =
 
 (* -------------------------------------------------------------- engines *)
 
-(* Engine-vs-engine matrix: every Table-1 benchmark compiled under each
-   of the four reuse engines (QS, SR, Cone, GidNET) plus the no-reuse
-   baseline. Cached in a ref so the one measurement feeds both the
-   printed table and the BENCH_caqr.json "engines" section. *)
+(* Engine-vs-engine matrix: every Table-1 benchmark compiled under the
+   no-reuse baseline and each engine of the [Pipeline.engines] registry.
+   Cached in a ref so the one measurement feeds both the printed table
+   and the BENCH_caqr.json "engines" section. *)
 
 type engines_cell = {
   ec_strategy : string;
@@ -732,13 +732,7 @@ type engines_row = { eng_benchmark : string; eng_cells : engines_cell list }
 let engines_cache : engines_row list option ref = ref None
 
 let engines_strategies =
-  [
-    Caqr.Pipeline.Baseline;
-    Caqr.Pipeline.Qs_max_reuse;
-    Caqr.Pipeline.Sr;
-    Caqr.Pipeline.Cone;
-    Caqr.Pipeline.Gidnet;
-  ]
+  Caqr.Pipeline.Baseline :: List.map fst Caqr.Pipeline.engines
 
 let engines_measurements () =
   match !engines_cache with
@@ -809,10 +803,10 @@ let engines_exp () =
 
 (* ----------------------------------------------------------------- perf *)
 
-(* The incremental analysis engine must reproduce the fresh engine's
-   sweep exactly while doing a fraction of the analysis work.  The
-   comparison runs both engines over every regular benchmark and writes
-   BENCH_caqr.json (schema caqr-bench/4) for CI to archive. *)
+(* The incremental sweep must reproduce the reference sweep exactly
+   while doing a fraction of the analysis work.  The comparison runs
+   both over every regular benchmark and writes BENCH_caqr.json (schema
+   caqr-bench/4) for CI to archive. *)
 
 type engine_run = {
   er_steps : Caqr.Qs_caqr.step list;
@@ -825,20 +819,15 @@ type engine_run = {
   er_cache_misses : int;
 }
 
-(* Each engine runs three times and the timings keep the fastest
+(* Each sweep runs three times and the timings keep the fastest
    repetition: scheduler noise on a shared machine easily exceeds the
    margin being measured, and the minimum is the usual robust estimator
    for CPU-bound work. Steps and counters are deterministic, so they
    come out identical in every repetition. *)
-let run_engine engine c =
+let run_engine sweep c =
   let once () =
     Obs.Metrics.reset ();
-    let steps =
-      Obs.Metrics.time "perf.wall" @@ fun () ->
-      Caqr.Qs_caqr.sweep
-        ~opts:{ Caqr.Qs_caqr.default_opts with Caqr.Qs_caqr.engine }
-        c
-    in
+    let steps = Obs.Metrics.time "perf.wall" @@ fun () -> sweep c in
     {
       er_steps = steps;
       er_wall_s = Obs.Metrics.timing "perf.wall";
@@ -918,9 +907,9 @@ let anytime_measurements () =
             in
             {
               ap_budget_ms = ms;
-              ap_width = a.Caqr.Qs_caqr.width;
-              ap_pairs = List.length a.Caqr.Qs_caqr.pairs;
-              ap_quality = Caqr.Quality.name a.Caqr.Qs_caqr.quality;
+              ap_width = a.Caqr.Engine.width;
+              ap_pairs = a.Caqr.Engine.reuses;
+              ap_quality = Caqr.Quality.name a.Caqr.Engine.quality;
               ap_wall_s = Obs.Metrics.timing "perf.anytime";
             })
           anytime_budgets_ms
@@ -953,7 +942,7 @@ let anytime_exp () =
   Printf.printf "   (* = exact: the search completed inside the budget)\n"
 
 let perf () =
-  section "perf" "incremental vs fresh analysis engine (BENCH_caqr.json)";
+  section "perf" "incremental vs reference sweep (BENCH_caqr.json)";
   let ratio num den = num /. Float.max 1e-9 den in
   Printf.printf "%-14s %-7s %-11s %-11s %-11s %-9s %s\n" "benchmark" "gates"
     "inc wall(s)" "frs wall(s)" "work ratio" "speedup" "identical";
@@ -961,8 +950,8 @@ let perf () =
     List.map
       (fun (e : Benchmarks.Suite.entry) ->
         let c = e.Benchmarks.Suite.circuit in
-        let inc = run_engine Caqr.Qs_caqr.Incremental c in
-        let fresh = run_engine Caqr.Qs_caqr.Fresh c in
+        let inc = run_engine (fun c -> Caqr.Qs_caqr.sweep c) c in
+        let fresh = run_engine (fun c -> Caqr.Qs_caqr.reference_sweep c) c in
         let identical = inc.er_steps = fresh.er_steps in
         let work = ratio fresh.er_analyze_s inc.er_analyze_s in
         let speedup = ratio fresh.er_wall_s inc.er_wall_s in

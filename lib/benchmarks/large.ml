@@ -157,7 +157,7 @@ let rand_dyn ~seed n =
       p_measure_tail = 0.;
     }
   in
-  Fuzz.Gen.circuit cfg (Fuzz.Prng.make seed)
+  Fuzz.Gen.circuit cfg (Exec.Prng.make seed)
 
 type gen = {
   name : string;

@@ -27,10 +27,6 @@ val cuccaro_farm : int -> Quantum.Circuit.t
 val qft_layered : int -> Quantum.Circuit.t
 val rand_dyn : seed:int -> int -> Quantum.Circuit.t
 
-(** Wires per adder block (32) — [cuccaro_farm] widths must be
-    multiples of this. *)
-val adder_width : int
-
 (** Qubits per QFT block (10) — [qft_layered] widths must be multiples
     of this. *)
 val qft_block_size : int

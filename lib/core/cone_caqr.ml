@@ -21,14 +21,6 @@
    ties to the lowest wire id — the whole run is a pure function of the
    input circuit. *)
 
-type result = {
-  circuit : Quantum.Circuit.t;
-  pairs : Reuse.pair list;
-  width : int;
-  order : int list;
-  quality : Quality.t;
-}
-
 let cone_of analysis active q =
   List.filter (fun p -> Reuse.reaches analysis p q) active
 
@@ -115,10 +107,5 @@ let run c =
           frontier_left = unallocated;
         }
   in
-  {
-    circuit = Reuse.circuit !analysis;
-    pairs = List.rev !pairs;
-    width = Reuse.usage !analysis;
-    order;
-    quality;
-  }
+  Engine.of_pairs ~quality ~width:(Reuse.usage !analysis)
+    (Reuse.circuit !analysis) (List.rev !pairs)

@@ -12,30 +12,17 @@
     pool stays warm — on many circuits this reaches the true minimum
     width directly.
 
-    The engine speaks the same IR contract as {!Qs_caqr}: the result is
-    a logical circuit derived from the input by a sequence of
-    {!Reuse.pair} applications (measure + conditional-X splices), so
+    The engine speaks the same IR contract as {!Qs_caqr}: its
+    {!Engine.artifact} is a logical circuit derived from the input by a
+    sequence of {!Reuse.pair} applications (measure + conditional-X
+    splices), so
     [lib/verify]'s structural checker and the simulation-TVD oracle
     apply unchanged. *)
-
-type result = {
-  circuit : Quantum.Circuit.t;
-      (** the reuse-transformed logical circuit (retired wires left
-          empty; callers compact) *)
-  pairs : Reuse.pair list;  (** applied splices, oldest first *)
-  width : int;  (** active qubits of [circuit] *)
-  order : int list;
-      (** the cone-size measurement order the walk followed *)
-  quality : Quality.t;
-      (** {!Quality.Exact} when the walk completed; {!Quality.Anytime}
-          when a wall-clock budget trip cut it short and the committed
-          prefix is returned instead *)
-}
 
 (** [run circuit] — deterministic: the result is a pure function of the
     input circuit (ties broken by qubit id). Hot loops poll
     {!Guard.Budget} at stage ["core.cone"]; a budget trip is {e not} an
     error — the walk commits pair by pair, so the pairs applied before
-    the trip are returned as an anytime partial result (metric
-    ["cone.anytime.returns"]). *)
-val run : Quantum.Circuit.t -> result
+    the trip are returned as an anytime partial result (quality
+    {!Quality.Anytime}, metric ["cone.anytime.returns"]). *)
+val run : Quantum.Circuit.t -> Engine.artifact

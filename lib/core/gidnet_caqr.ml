@@ -18,14 +18,6 @@
    trap itself by burning a wire that a longer chain needed, while a
    chain of length m retires m - 1 qubits as one decision. *)
 
-type result = {
-  circuit : Quantum.Circuit.t;
-  pairs : Reuse.pair list;
-  width : int;
-  chains : int list list;
-  quality : Quality.t;
-}
-
 (* Longest greedy path from [s] over successor lists [succs]. *)
 let walk_from ~k ~succs ~out_deg s =
   let visited = Array.make k false in
@@ -76,7 +68,7 @@ let run c =
   Obs.Metrics.time "time.gidnet" @@ fun () ->
   let k = max 1 c.Quantum.Circuit.num_qubits in
   let analysis = ref (Reuse.analyze c) in
-  let pairs = ref [] and chains = ref [] in
+  let pairs = ref [] in
   let tick = Guard.Budget.ticker ~stage:"core.gidnet" ~site:"gidnet.chain" () in
   let pending = ref 0 in
   let rec rounds () =
@@ -86,18 +78,15 @@ let run c =
       tick ();
       match best_chain ~k cands with
       | host :: rest ->
-        let committed = ref [ host ] in
         List.iter
           (fun x ->
             let pr = { Reuse.src = host; dst = x } in
             if Reuse.valid !analysis pr then begin
               analysis := Reuse.apply_incremental !analysis pr;
               pairs := pr :: !pairs;
-              committed := x :: !committed;
               Obs.Metrics.incr "gidnet.reuses"
             end)
           rest;
-        chains := List.rev !committed :: !chains;
         rounds ()
       | [] -> ()
     end
@@ -113,10 +102,5 @@ let run c =
       Quality.Anytime
         { steps_done = List.length !pairs; frontier_left = !pending }
   in
-  {
-    circuit = Reuse.circuit !analysis;
-    pairs = List.rev !pairs;
-    width = Reuse.usage !analysis;
-    chains = List.rev !chains;
-    quality;
-  }
+  Engine.of_pairs ~quality ~width:(Reuse.usage !analysis)
+    (Reuse.circuit !analysis) (List.rev !pairs)

@@ -17,24 +17,9 @@
     circuit transformed by a sequence of {!Reuse.pair} splices, so
     [lib/verify] and the fuzz oracles apply unchanged. *)
 
-type result = {
-  circuit : Quantum.Circuit.t;
-      (** the reuse-transformed logical circuit (retired wires left
-          empty; callers compact) *)
-  pairs : Reuse.pair list;  (** applied splices, oldest first *)
-  width : int;  (** active qubits of [circuit] *)
-  chains : int list list;
-      (** the committed chains, oldest first; each starts with its host
-          wire followed by the qubits folded onto it *)
-  quality : Quality.t;
-      (** {!Quality.Exact} when every round ran to quiescence;
-          {!Quality.Anytime} when a wall-clock budget trip ended the
-          chain extraction early — the chains committed so far stand *)
-}
-
 (** [run circuit] — deterministic: a pure function of the input circuit.
     Hot loops poll {!Guard.Budget} at stage ["core.gidnet"]; a budget
     trip between rounds returns the chains committed so far as an
-    anytime partial result (metric ["gidnet.anytime.returns"]) rather
-    than raising. *)
-val run : Quantum.Circuit.t -> result
+    anytime partial result (quality {!Quality.Anytime}, metric
+    ["gidnet.anytime.returns"]) rather than raising. *)
+val run : Quantum.Circuit.t -> Engine.artifact

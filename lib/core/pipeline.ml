@@ -1,4 +1,6 @@
-type input = Regular of Quantum.Circuit.t | Commutable of Galg.Graph.t
+type input = Engine.input =
+  | Regular of Quantum.Circuit.t
+  | Commutable of Galg.Graph.t
 
 type strategy =
   | Baseline
@@ -124,38 +126,16 @@ let options_fingerprint o =
     | Qs_caqr.Chain -> "chain"
     | Qs_caqr.Both -> "both"
   in
-  let engine =
-    match o.search.Qs_caqr.engine with
-    | Qs_caqr.Incremental -> "incremental"
-    | Qs_caqr.Fresh -> "fresh"
-  in
   Printf.sprintf
-    "opts/1;verify=%s;seed=%d;objective=%s;budget=%d;order=%s;engine=%s;fallback=%b"
+    "opts/1;verify=%s;seed=%d;objective=%s;budget=%d;order=%s;fallback=%b"
     (match o.verify with
      | None -> "none"
      | Some l -> Verify.level_name l)
-    o.seed objective o.search.Qs_caqr.budget order engine o.fallback
+    o.seed objective o.search.Qs_caqr.budget order o.fallback
 
 let logical_of_input = function
   | Regular c -> c
   | Commutable g -> Commute.emit (Commute.make g)
-
-(* Route a (possibly reuse-transformed) logical circuit with the baseline
-   mapper and collect stats. *)
-let finish device strategy logical reuse_pairs =
-  let compacted, _ = Quantum.Circuit.compact_qubits logical in
-  let routed = Transpiler.Transpile.run device compacted in
-  {
-    strategy;
-    logical;
-    physical = routed.Transpiler.Transpile.physical;
-    stats = routed.Transpiler.Transpile.stats;
-    reuse_pairs;
-    quality = Quality.Exact;
-    verification = None;
-    metrics = None;
-    degraded = [];
-  }
 
 (* Reduction trajectories with the applied pairs kept — the pairs feed
    the structural translation validator. *)
@@ -171,15 +151,6 @@ let qs_steps ~search input =
         (Commute.emit s.Commute.plan, Commute.pairs s.Commute.plan))
       (Commute.sweep g)
 
-(* The sweep candidates are independent (transpile + stats each), so
-   they fan out across the pool; the candidate list keeps submission
-   order, which keeps the downstream sorts and picks deterministic. *)
-let finish_candidates ~jobs device strategy steps =
-  Exec.Pool.map ~jobs:(max 1 jobs)
-    (fun (c, pairs) ->
-      (finish device strategy c (List.length pairs), Some pairs))
-    steps
-
 (* Share of the remaining wall budget granted to the reuse engine; the
    rest is reserved for routing and verification, which must complete
    even on an anytime (partial) engine result — a budget trip *after*
@@ -188,123 +159,159 @@ let engine_share = 0.6
 
 let scoped_engine f = Guard.Budget.scoped (Guard.Budget.fraction engine_share) f
 
-let compile_unverified ~search ~jobs device strategy input ~original =
-  match strategy with
-  | Baseline -> (finish device strategy original 0, Some [])
-  | Sr ->
-    let r =
-      match input with
-      | Regular c -> Sr_caqr.regular device c
-      | Commutable g -> Sr_caqr.commutable device g
-    in
-    ( {
+let unreachable target =
+  failwith (Printf.sprintf "Pipeline.compile: cannot reach %d qubits" target)
+
+(* The pair engines run on [original], the emitted circuit of a
+   commutable input, but there the pairs transform the *emitted*
+   circuit, not the problem graph — the commutable structural checker
+   would misread them, so only regular inputs surface pairs. *)
+let pair_engine run ~original input =
+  let a = scoped_engine (fun () -> run original) in
+  match input with
+  | Regular _ -> a
+  | Commutable _ -> { a with Engine.pairs = None }
+
+(* SR's lazy mapper reuses physical qubits as a side effect of routing
+   and never names logical pairs. Its width claim is the physical qubits
+   the mapper touched, which includes the wires each inserted SWAP pulls
+   in — routing overhead the width bound must tolerate, not reuse. *)
+let sr_engine device input =
+  let r =
+    match input with
+    | Regular c -> Sr_caqr.regular device c
+    | Commutable g -> Sr_caqr.commutable device g
+  in
+  {
+    Engine.circuit = r.Sr_caqr.physical;
+    routed = true;
+    pairs = None;
+    reuses = r.Sr_caqr.reuses;
+    width = r.Sr_caqr.qubits_used;
+    slack = 2 * r.Sr_caqr.swaps_added;
+    quality = Quality.Exact;
+  }
+
+let of_step (c, pairs) =
+  Engine.of_pairs ~width:(Reuse.qubit_usage c) c pairs
+
+(* Every reuse strategy that produces one artifact, as an engine.
+   [original] is [logical_of_input input], which the caller has already
+   built. The anytime engines run under [scoped_engine]. *)
+let engine ~search ~original strategy device input =
+  match (strategy, input) with
+  | Qs_max_reuse, Regular c ->
+    scoped_engine (fun () -> Qs_caqr.max_reuse_anytime ~opts:search c)
+  | Qs_max_reuse, Commutable _ ->
+    (match List.rev (qs_steps ~search input) with
+     | step :: _ -> of_step step
+     | [] -> invalid_arg "Pipeline.compile: empty sweep")
+  | Qs_target target, Regular c ->
+    (match
+       scoped_engine (fun () -> Qs_caqr.search_anytime ~opts:search ~target c)
+     with
+     | Some a -> a
+     | None -> unreachable target)
+  | Qs_target target, Commutable _ ->
+    (match
+       List.find_opt
+         (fun (c, _) -> Reuse.qubit_usage c <= target)
+         (qs_steps ~search input)
+     with
+     | Some step -> of_step step
+     | None -> unreachable target)
+  | Sr, _ -> sr_engine device input
+  | Cone, _ -> pair_engine Cone_caqr.run ~original input
+  | Gidnet, _ -> pair_engine Gidnet_caqr.run ~original input
+  | (Baseline | Qs_min_depth | Qs_best_fidelity), _ ->
+    invalid_arg "Pipeline.engine: not a single reuse engine"
+
+let engines =
+  List.map
+    (fun s ->
+      ( s,
+        fun device input ->
+          engine ~search:Qs_caqr.default_opts
+            ~original:(logical_of_input input) s device input ))
+    [ Qs_max_reuse; Sr; Cone; Gidnet ]
+
+(* Route a logical circuit (retired wires left empty) with the baseline
+   mapper. *)
+let finish device strategy logical ~reuse_pairs ~quality =
+  let compacted, _ = Quantum.Circuit.compact_qubits logical in
+  let routed = Transpiler.Transpile.run device compacted in
+  {
+    strategy;
+    logical;
+    physical = routed.Transpiler.Transpile.physical;
+    stats = routed.Transpiler.Transpile.stats;
+    reuse_pairs;
+    quality;
+    verification = None;
+    metrics = None;
+    degraded = [];
+  }
+
+(* A pair engine's logical circuit is routed with the baseline mapper; a
+   routed artifact already is the physical circuit. *)
+let report_of_artifact device strategy ~original (a : Engine.artifact) =
+  let report =
+    if a.Engine.routed then
+      {
         strategy;
         logical = original;
-        physical = r.Sr_caqr.physical;
-        stats = Transpiler.Transpile.stats_of device r.Sr_caqr.physical;
-        reuse_pairs = r.Sr_caqr.reuses;
-        quality = Quality.Exact;
+        physical = a.Engine.circuit;
+        stats = Transpiler.Transpile.stats_of device a.Engine.circuit;
+        reuse_pairs = a.Engine.reuses;
+        quality = a.Engine.quality;
         verification = None;
         metrics = None;
         degraded = [];
-      },
-      (* SR's lazy mapper reuses physical qubits as a side effect and
-         never names logical pairs. *)
-      None )
-  | Qs_max_reuse ->
-    (match input with
-     | Regular c ->
-       let a = scoped_engine (fun () -> Qs_caqr.max_reuse_anytime ~opts:search c) in
-       let reused = a.Qs_caqr.circuit in
-       ( {
-           (finish device strategy reused
-              (Quantum.Circuit.mid_circuit_measurements reused))
-           with
-           quality = a.Qs_caqr.quality;
-         },
-         Some a.Qs_caqr.pairs )
-     | Commutable _ ->
-       (match List.rev (qs_steps ~search input) with
-        | (c, pairs) :: _ ->
-          (finish device strategy c (List.length pairs), Some pairs)
-        | [] -> invalid_arg "Pipeline.compile: empty sweep"))
+      }
+    else
+      finish device strategy a.Engine.circuit ~reuse_pairs:a.Engine.reuses
+        ~quality:a.Engine.quality
+  in
+  (report, a.Engine.pairs)
+
+(* The sweep candidates are independent (transpile + stats each), so
+   they fan out across the pool; the candidate list keeps submission
+   order, which keeps the downstream sorts and picks deterministic. *)
+let best_of_sweep ~search ~jobs device strategy input better =
+  let candidates =
+    Exec.Pool.map ~jobs:(max 1 jobs)
+      (fun (c, pairs) ->
+        ( finish device strategy c ~reuse_pairs:(List.length pairs)
+            ~quality:Quality.Exact,
+          Some pairs ))
+      (qs_steps ~search input)
+  in
+  match List.sort (fun (a, _) (b, _) -> better a b) candidates with
+  | best :: _ -> best
+  | [] -> invalid_arg "Pipeline.compile: empty sweep"
+
+let compile_unverified ~search ~jobs device strategy input ~original =
+  match strategy with
+  | Baseline ->
+    (* [original] itself, not a re-derived copy: the verifier skips the
+       logical-vs-original comparison only when they are the same
+       value. *)
+    (finish device strategy original ~reuse_pairs:0 ~quality:Quality.Exact,
+     Some [])
   | Qs_min_depth ->
-    let candidates = finish_candidates ~jobs device strategy (qs_steps ~search input) in
-    (match
-       List.sort
-         (fun (a, _) (b, _) ->
-           compare a.stats.Transpiler.Transpile.depth b.stats.Transpiler.Transpile.depth)
-         candidates
-     with
-     | best :: _ -> best
-     | [] -> invalid_arg "Pipeline.compile: empty sweep")
+    best_of_sweep ~search ~jobs device strategy input (fun a b ->
+        compare a.stats.Transpiler.Transpile.depth
+          b.stats.Transpiler.Transpile.depth)
   | Qs_best_fidelity ->
     (* The paper's tunable objective: pick the reuse level whose compiled
        circuit maximizes estimated success probability. *)
-    let candidates = finish_candidates ~jobs device strategy (qs_steps ~search input) in
-    (match
-       List.sort
-         (fun (a, _) (b, _) ->
-           compare
-             (Transpiler.Esp.of_circuit device b.physical)
-             (Transpiler.Esp.of_circuit device a.physical))
-         candidates
-     with
-     | best :: _ -> best
-     | [] -> invalid_arg "Pipeline.compile: empty sweep")
-  | Cone ->
-    let r = scoped_engine (fun () -> Cone_caqr.run original) in
-    ( {
-        (finish device strategy r.Cone_caqr.circuit
-           (List.length r.Cone_caqr.pairs))
-        with
-        quality = r.Cone_caqr.quality;
-      },
-      (* On commutable inputs the pairs transform the *emitted* circuit,
-         not the problem graph — the commutable structural checker would
-         misread them, so only regular inputs surface pairs. *)
-      match input with
-      | Regular _ -> Some r.Cone_caqr.pairs
-      | Commutable _ -> None )
-  | Gidnet ->
-    let r = scoped_engine (fun () -> Gidnet_caqr.run original) in
-    ( {
-        (finish device strategy r.Gidnet_caqr.circuit
-           (List.length r.Gidnet_caqr.pairs))
-        with
-        quality = r.Gidnet_caqr.quality;
-      },
-      match input with
-      | Regular _ -> Some r.Gidnet_caqr.pairs
-      | Commutable _ -> None )
-  | Qs_target target ->
-    (match input with
-     | Regular c ->
-       (match
-          scoped_engine (fun () -> Qs_caqr.search_anytime ~opts:search ~target c)
-        with
-        | Some a ->
-          ( {
-              (finish device strategy a.Qs_caqr.circuit
-                 (List.length a.Qs_caqr.pairs))
-              with
-              quality = a.Qs_caqr.quality;
-            },
-            Some a.Qs_caqr.pairs )
-        | None ->
-          failwith
-            (Printf.sprintf "Pipeline.compile: cannot reach %d qubits" target))
-     | Commutable _ ->
-       (match
-          List.find_opt
-            (fun (c, _) -> Reuse.qubit_usage c <= target)
-            (qs_steps ~search input)
-        with
-        | Some (c, pairs) ->
-          (finish device strategy c (List.length pairs), Some pairs)
-        | None ->
-          failwith
-            (Printf.sprintf "Pipeline.compile: cannot reach %d qubits" target)))
+    best_of_sweep ~search ~jobs device strategy input (fun a b ->
+        compare
+          (Transpiler.Esp.of_circuit device b.physical)
+          (Transpiler.Esp.of_circuit device a.physical))
+  | Qs_max_reuse | Qs_target _ | Sr | Cone | Gidnet ->
+    report_of_artifact device strategy ~original
+      (engine ~search ~original strategy device input)
 
 (* The degradation ladder (most capable first): a reuse strategy that
    blows up demotes to the cheaper reuse search, which demotes to plain
@@ -386,11 +393,10 @@ let compile_ladder ~options device strategy input ~original =
 
 let compile ?(options = default) device strategy input =
   if options.collect_metrics then Obs.Metrics.reset ();
-  (* A scoped (domain-local) budget, not the process-global deadline:
-     concurrent compiles — e.g. batched service requests fanned out over
-     the pool — each keep their own deadline. The pool re-installs the
-     scope in its worker domains, so the candidate fan-out below is
-     bounded too. *)
+  (* A scoped (domain-local) budget: concurrent compiles — e.g. batched
+     service requests fanned out over the pool — each keep their own
+     deadline. The pool re-installs the scope in its worker domains, so
+     the candidate fan-out below is bounded too. *)
   Guard.Budget.scoped (Guard.Budget.make ?ms:options.deadline_ms ())
   @@ fun () ->
   let original =

@@ -1,10 +1,9 @@
 (** The user-facing CaQR entry points: pick a strategy, get a compiled
     circuit plus the metrics the paper's evaluation reports. *)
 
-(** Input classification: regular circuits carry their dependence in the
-    gate order; commutable instances carry the problem graph whose edges
-    are freely reorderable phase gates (QAOA). *)
-type input =
+(** Re-export of {!Engine.input}: regular circuits or commutable
+    (QAOA) problem graphs. *)
+type input = Engine.input =
   | Regular of Quantum.Circuit.t
   | Commutable of Galg.Graph.t
 
@@ -174,3 +173,11 @@ val all_strategies : (string * strategy) list
     strategy: a total round-trip over every variant, pinned by test so a
     future engine cannot be added without wiring both directions. *)
 val strategy_of_name : string -> (strategy, string) result
+
+(** The reuse-engine registry: [Qs_max_reuse], [Sr], [Cone] and
+    [Gidnet], in that order, each as the function {!compile} runs for
+    that strategy (QS with {!Qs_caqr.default_opts}). The cross-engine
+    fuzz oracle and the bench's engine matrix iterate this list, so an
+    engine registered here is compiled, fuzzed and benchmarked through
+    one code path. *)
+val engines : (strategy * (Hardware.Device.t -> input -> Engine.artifact)) list

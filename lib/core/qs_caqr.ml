@@ -1,16 +1,13 @@
 type objective = Depth | Duration
 type order = Score | Chain | Both
-type engine = Incremental | Fresh
 
 type search_opts = {
   objective : objective;
   budget : int;
   order : order;
-  engine : engine;
 }
 
-let default_opts =
-  { objective = Depth; budget = 400; order = Both; engine = Incremental }
+let default_opts = { objective = Depth; budget = 400; order = Both }
 
 type step = {
   usage : int;
@@ -70,13 +67,13 @@ let make_step circuit pairs =
    greedy objective order; [Chain] reuses the earliest-finishing wire
    first, which builds serial chains (the paper's Fig. 1 construction)
    and keeps merge options open for deep reductions. *)
+let candidate_key order objective analysis p =
+  match order with
+  | Score | Both -> (score objective analysis p, 0)
+  | Chain -> (Reuse.src_finish_depth analysis p, Reuse.dst_start_depth analysis p)
+
 let ordered_candidates order objective analysis =
-  let key p =
-    match order with
-    | Score | Both -> (score objective analysis p, 0)
-    | Chain ->
-      (Reuse.src_finish_depth analysis p, Reuse.dst_start_depth analysis p)
-  in
+  let key = candidate_key order objective analysis in
   (* Decorate-sort-undecorate with a stable sort: same order as sorting
      with [key] in the comparator (ties keep [valid_pairs] order), but
      each key is computed once — the candidate lists of 100-1000 qubit
@@ -195,113 +192,106 @@ let search_incremental ?observer ~cache order objective budget target circuit =
   in
   go (root_analysis cache circuit) []
 
-(* Reference engine: rebuild circuit + closure from scratch at every DFS
-   node, exactly as the pre-incremental implementation did. Kept for
-   differential testing and for the perf baseline in bench/main.ml. *)
-let search_fresh ?observer order objective budget target circuit =
-  let nodes = ref 0 in
-  let note c rp =
-    match observer with
-    | Some o -> o.note (Reuse.qubit_usage c) c rp
-    | None -> ()
+(* Both falls back from the Score ordering to the Chain ordering. *)
+let with_order opts dfs =
+  match opts.order with
+  | (Score | Chain) as order -> dfs order
+  | Both -> (
+    match dfs Score with
+    | Found _ as r -> r
+    | first -> (
+      match dfs Chain with
+      | Found _ as r -> r
+      | Exhausted -> first (* Cut on the Score pass still means "cut" *)
+      | Cut -> Cut))
+
+let search_out ?observer ~cache opts target circuit =
+  Obs.Metrics.incr "qs.searches";
+  Obs.Metrics.time "time.search" @@ fun () ->
+  with_order opts (fun order ->
+      search_incremental ?observer ~cache order opts.objective opts.budget
+        target circuit)
+
+let found = function Found (c, pairs) -> Some (c, pairs) | Exhausted | Cut -> None
+
+let search ?(opts = default_opts) ~target circuit =
+  found (search_out ~cache:(new_cache ()) opts target circuit)
+
+(* The one descent. The tradeoff sweep re-searches from the original
+   circuit for every qubit limit (the paper: "for each application, we
+   tried different qubit limit numbers, and generate different compiled
+   circuits"). A fresh search per target avoids greedy dead ends
+   polluting deeper points: reaching k - 1 always passes through some
+   k-qubit circuit, so the descent stops at the first unreachable target
+   and returns how that search ended. [search] closes over one memo
+   cache, so each restart replays its predecessor's prefix for free. *)
+let descend ~search ~stop_at circuit on_found =
+  let rec go target =
+    if target < stop_at then Exhausted
+    else
+      match search target with
+      | Found (c, pairs) ->
+        on_found c pairs;
+        go (Reuse.qubit_usage c - 1)
+      | (Exhausted | Cut) as ending -> ending
   in
-  let frontier d =
-    match observer with Some o -> o.frontier d | None -> ()
+  go (Reuse.qubit_usage circuit - 1)
+
+let sweep_by ~search ~stop_at circuit =
+  let steps = ref [ make_step circuit [] ] in
+  ignore
+    (descend ~search ~stop_at circuit (fun c pairs ->
+         steps := make_step c pairs :: !steps));
+  List.rev !steps
+
+let sweep ?(opts = default_opts) ?(stop_at = 1) circuit =
+  let cache = new_cache () in
+  sweep_by ~stop_at circuit ~search:(fun target ->
+      search_out ~cache opts target circuit)
+
+(* Reference search: rebuild circuit + closure from scratch at every DFS
+   node and order candidates with a plain comparator sort, sharing none
+   of the incremental machinery. Kept as an independent check of
+   [sweep] for the differential tests, the engines fuzz oracle and the
+   perf bench. *)
+let reference_dfs order objective budget target circuit =
+  let nodes = ref 0 in
+  let ordered analysis =
+    let key = candidate_key order objective analysis in
+    List.stable_sort
+      (fun a b -> compare (key a) (key b))
+      (Reuse.valid_pairs analysis)
   in
   let rec go circuit pairs =
     if Reuse.qubit_usage circuit <= target then Found (circuit, List.rev pairs)
     else if !nodes > budget then Cut
     else begin
-      let analysis = Reuse.analyze circuit in
-      let cands = ordered_candidates order objective analysis in
-      frontier (List.length cands);
       let rec attempt = function
         | [] -> Exhausted
         | p :: rest ->
           incr nodes;
           Obs.Metrics.incr "qs.search.nodes";
-          Guard.Inject.hit "qs.search";
-          Guard.Budget.checkpoint ~stage:"core.qs" ~site:"qs.search";
           if !nodes > budget then Cut
           else begin
-            frontier (-1);
-            let child = Reuse.apply circuit p in
-            let pairs' = p :: pairs in
-            note child pairs';
-            match go child pairs' with
+            match go (Reuse.apply circuit p) (p :: pairs) with
             | Found _ as r -> r
             | Cut -> Cut
             | Exhausted -> attempt rest
           end
       in
-      attempt cands
+      attempt (ordered (Reuse.analyze circuit))
     end
   in
   go circuit []
 
-let search_with ?observer ~cache opts order target circuit =
-  match opts.engine with
-  | Incremental ->
-    search_incremental ?observer ~cache order opts.objective opts.budget
-      target circuit
-  | Fresh -> search_fresh ?observer order opts.objective opts.budget target circuit
-
-let search_out ?observer ~cache opts target circuit =
-  Obs.Metrics.incr "qs.searches";
-  Obs.Metrics.time "time.search" @@ fun () ->
-  match opts.order with
-  | (Score | Chain) as order ->
-    search_with ?observer ~cache opts order target circuit
-  | Both -> (
-    match search_with ?observer ~cache opts Score target circuit with
-    | Found _ as r -> r
-    | first -> (
-      match search_with ?observer ~cache opts Chain target circuit with
-      | Found _ as r -> r
-      | Exhausted -> first (* Cut on the Score pass still means "cut" *)
-      | Cut -> Cut))
-
-let found = function Found (c, pairs) -> Some (c, pairs) | Exhausted | Cut -> None
-
-let search_in ~cache opts target circuit =
-  found (search_out ~cache opts target circuit)
-
-let search ?(opts = default_opts) ~target circuit =
-  search_in ~cache:(new_cache ()) opts target circuit
-
-(* The tradeoff sweep re-searches from the original circuit for every
-   qubit limit (the paper: "for each application, we tried different qubit
-   limit numbers, and generate different compiled circuits"). A fresh
-   search per target avoids greedy dead ends polluting deeper points:
-   reaching k - 1 always passes through some k-qubit circuit, so the sweep
-   stops at the first unreachable target. The searches share one memo
-   cache, so each restart replays its predecessor's prefix for free. *)
-let sweep ?(opts = default_opts) ?(stop_at = 1) circuit =
-  let cache = new_cache () in
-  let base = make_step circuit [] in
-  let rec go target acc =
-    if target < stop_at then List.rev acc
-    else
-      match search_in ~cache opts target circuit with
-      | Some (c, pairs) ->
-        let step = make_step c pairs in
-        go (step.usage - 1) (step :: acc)
-      | None -> List.rev acc
-  in
-  go (base.usage - 1) [ base ]
+let reference_sweep circuit =
+  let opts = default_opts in
+  sweep_by ~stop_at:1 circuit ~search:(fun target ->
+      with_order opts (fun order ->
+          reference_dfs order opts.objective opts.budget target circuit))
 
 let reduce_to ?(opts = default_opts) ~target circuit =
   Option.map fst (search ~opts ~target circuit)
-
-let min_qubits ?(opts = default_opts) circuit =
-  match List.rev (sweep ~opts circuit) with
-  | last :: _ -> last.usage
-  | [] -> Reuse.qubit_usage circuit
-
-let max_reuse ?(opts = default_opts) circuit =
-  match reduce_to ~opts ~target:(min_qubits ~opts circuit) circuit with
-  | Some c -> c
-  | None -> circuit
 
 let opportunity circuit =
   let analysis = Reuse.analyze circuit in
@@ -311,13 +301,11 @@ let opportunity circuit =
 
 (* ---- Anytime search: the quality/time dial ----
 
-   The same per-target restart descent as [min_qubits] + [search]
-   (identical outputs when nothing trips — pinned by the golden suite),
-   instrumented with a best-so-far incumbent: every DFS node with fewer
-   active qubits than the incumbent snapshots (circuit, pairs). A
-   wall-clock [Guard.Budget] trip returns the incumbent tagged
-   [Anytime] instead of letting the failure escape, so the degradation
-   ladder never has to throw partial work away.
+   The descent above, instrumented with a best-so-far incumbent: every
+   DFS node with fewer active qubits than the incumbent snapshots
+   (circuit, pairs). A wall-clock [Guard.Budget] trip returns the
+   incumbent tagged [Anytime] instead of letting the failure escape, so
+   the degradation ladder never has to throw partial work away.
 
    Only the wall clock makes a result [Anytime]. The DFS node cap
    ([opts.budget]) ending the final search is the configured engine
@@ -325,72 +313,53 @@ let opportunity circuit =
    every run — so it stays [Exact]: callers (the serve cache in
    particular) rely on [Exact] meaning deadline-independent. *)
 
-type anytime = {
-  circuit : Quantum.Circuit.t;
-  pairs : Reuse.pair list;
-  width : int;
-  quality : Quality.t;
-}
-
 let incumbent_observer circuit =
   let best = ref (circuit, [], Reuse.qubit_usage circuit) in
   let steps = ref 0 and frontier = ref 0 in
   let observer =
     {
       note =
-        (fun usage c rev_pairs ->
+        (fun u c rev_pairs ->
           incr steps;
-          let _, _, bu = !best in
-          if usage < bu then best := (c, List.rev rev_pairs, usage));
+          let _, _, usage = !best in
+          if u < usage then best := (c, List.rev rev_pairs, u));
       frontier = (fun d -> frontier := !frontier + d);
     }
   in
   (best, steps, frontier, observer)
 
-let anytime_return best steps frontier =
+let anytime_return (circuit, pairs, width) steps frontier =
   Obs.Metrics.incr "qs.anytime.returns";
-  let circuit, pairs, width = best in
-  {
-    circuit;
-    pairs;
-    width;
-    quality =
-      Quality.Anytime { steps_done = steps; frontier_left = max 0 frontier };
-  }
+  Engine.of_pairs ~width circuit pairs
+    ~quality:
+      (Quality.Anytime { steps_done = steps; frontier_left = max 0 frontier })
 
 let max_reuse_anytime ?(opts = default_opts) circuit =
   let cache = new_cache () in
   let best, steps, frontier, observer = incumbent_observer circuit in
-  let rec descend target =
-    if target < 1 then Exhausted
-    else
-      match search_out ~observer ~cache opts target circuit with
-      | Found (c, _) ->
+  match
+    descend ~stop_at:1 circuit
+      ~search:(fun target -> search_out ~observer ~cache opts target circuit)
+      (fun _ _ ->
         (* Leftover branch counts from a solved search are not "space
            left unexplored" — the descent moves on to a deeper target. *)
-        frontier := 0;
-        descend (Reuse.qubit_usage c - 1)
-      | (Exhausted | Cut) as ending -> ending
-  in
-  match descend (Reuse.qubit_usage circuit - 1) with
+        frontier := 0)
+  with
   | Found _ | Exhausted | Cut ->
-    let circuit, pairs, width = !best in
-    { circuit; pairs; width; quality = Quality.Exact }
+    let c, pairs, width = !best in
+    Engine.of_pairs ~width c pairs
   | exception Guard.Error.Budget_exceeded _ ->
     anytime_return !best !steps !frontier
+
+let min_qubits ?opts circuit = (max_reuse_anytime ?opts circuit).Engine.width
+let max_reuse ?opts circuit = (max_reuse_anytime ?opts circuit).Engine.circuit
 
 let search_anytime ?(opts = default_opts) ~target circuit =
   let cache = new_cache () in
   let best, steps, frontier, observer = incumbent_observer circuit in
   match search_out ~observer ~cache opts target circuit with
   | Found (c, pairs) ->
-    Some
-      {
-        circuit = c;
-        pairs;
-        width = Reuse.qubit_usage c;
-        quality = Quality.Exact;
-      }
+    Some (Engine.of_pairs ~width:(Reuse.qubit_usage c) c pairs)
   | Exhausted | Cut -> None
   | exception Guard.Error.Budget_exceeded _ ->
     Some (anytime_return !best !steps !frontier)

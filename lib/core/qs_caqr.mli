@@ -19,15 +19,6 @@ type objective = Depth | Duration
     exposed separately so the ablation bench can compare them. *)
 type order = Score | Chain | Both
 
-(** Which analysis engine drives the search. [Incremental] (the default)
-    derives each DFS child's analysis from its parent via
-    {!Reuse.apply_incremental} and memoizes per-prefix candidate
-    orderings across a sweep's restarted searches. [Fresh] rebuilds the
-    circuit and the O(n^2) closure at every node — the pre-incremental
-    behavior, kept for differential testing and as the perf baseline.
-    Both produce identical results (regression-tested). *)
-type engine = Incremental | Fresh
-
 (** One options value shared by {!search}, {!sweep}, {!reduce_to},
     {!min_qubits}, {!max_reuse} and {!reduce_once}. Build variations with
     functional update: [{ default_opts with objective = Duration }]. *)
@@ -35,7 +26,6 @@ type search_opts = {
   objective : objective;
   budget : int;  (** DFS node budget per search (default 400) *)
   order : order;
-  engine : engine;
 }
 
 val default_opts : search_opts
@@ -56,9 +46,20 @@ val reduce_once :
 
 (** [sweep ?opts ?stop_at circuit] returns the full reduction trajectory,
     starting with the untouched circuit and ending at [stop_at] (default:
-    as low as possible). The per-target searches share one memo cache, so
-    each restart replays the previously explored prefix from cache. *)
+    as low as possible). Each DFS child's analysis derives from its
+    parent via {!Reuse.apply_incremental}, and the per-target searches
+    share one memo cache, so each restart replays the previously
+    explored prefix from cache. *)
 val sweep : ?opts:search_opts -> ?stop_at:int -> Quantum.Circuit.t -> step list
+
+(** [reference_sweep circuit] — the trajectory of [sweep circuit]
+    (default options, down to one qubit), computed independently: every DFS node rebuilds the
+    circuit and its O(n^2) closure from scratch, candidates are ordered
+    by a plain comparator sort, and nothing is memoized. It exists as
+    the differential check for {!sweep} (tests, the engines fuzz
+    oracle) and as the perf bench's baseline; it ignores wall-clock
+    budgets. *)
+val reference_sweep : Quantum.Circuit.t -> step list
 
 (** [search ?opts ~target circuit] finds a reuse sequence reaching
     [target] qubits, trying candidates best-score-first with budgeted DFS
@@ -76,40 +77,36 @@ val search :
 val reduce_to :
   ?opts:search_opts -> target:int -> Quantum.Circuit.t -> Quantum.Circuit.t option
 
-(** Fewest qubits reachable (greedy tightened by backtracking search). *)
+(** Fewest qubits reachable (greedy tightened by backtracking search):
+    the width of {!max_reuse_anytime}. Under an armed wall-clock
+    {!Guard.Budget} deadline that may be a partial incumbent's width;
+    call {!max_reuse_anytime} to see the quality marker. *)
 val min_qubits : ?opts:search_opts -> Quantum.Circuit.t -> int
 
-(** The maximal-reuse version of the circuit ([min_qubits] wires). *)
+(** The maximal-reuse version of the circuit ([min_qubits] wires): the
+    circuit of {!max_reuse_anytime}, with the same caveat under an armed
+    wall-clock deadline. *)
 val max_reuse : ?opts:search_opts -> Quantum.Circuit.t -> Quantum.Circuit.t
 
 (** Is there any reuse opportunity at all? (The paper's applicability
     test: tools report "no benefit" when this is [None].) *)
 val opportunity : Quantum.Circuit.t -> Reuse.pair option
 
-(** An anytime search result: the best (pairs, width) incumbent the
-    search had committed when it ended, plus how it ended. [pairs] is a
-    valid reuse certificate for [circuit] regardless of [quality] —
-    partial results revalidate through [Verify.Structural.check_pairs]
-    exactly like complete ones. *)
-type anytime = {
-  circuit : Quantum.Circuit.t;
-  pairs : Reuse.pair list;  (** applied splices, oldest first *)
-  width : int;  (** active qubits of [circuit] *)
-  quality : Quality.t;
-}
-
-(** [max_reuse_anytime ?opts circuit] — {!max_reuse} with the anytime
-    contract. Identical output to [max_reuse] when the wall clock does
-    not intervene (quality {!Quality.Exact} — this includes the DFS
-    node cap [opts.budget] ending the final search, which is the
-    configured engine's deterministic completion, not a deadline
-    artifact); on a wall-clock {!Guard.Budget} trip it returns the
-    deepest incumbent found so far tagged {!Quality.Anytime} and bumps
-    the ["qs.anytime.returns"] counter. The returned width is
+(** [max_reuse_anytime ?opts circuit] descends one qubit target at a
+    time, as {!sweep} does, and returns the deepest circuit reached with
+    its pair certificate. The result is {!Quality.Exact} when the wall
+    clock does not intervene — this includes the DFS node cap
+    [opts.budget] ending the final search, which is the configured
+    search's deterministic completion, not a deadline artifact. On a
+    wall-clock {!Guard.Budget} trip it returns the deepest incumbent
+    found so far tagged {!Quality.Anytime} and bumps the
+    ["qs.anytime.returns"] counter; its pairs still revalidate through
+    [Verify.Structural.check_pairs]. The returned width is
     monotonically non-increasing in both the wall budget and
     [opts.budget]: a bigger budget explores a superset of the same
     deterministic DFS order. *)
-val max_reuse_anytime : ?opts:search_opts -> Quantum.Circuit.t -> anytime
+val max_reuse_anytime :
+  ?opts:search_opts -> Quantum.Circuit.t -> Engine.artifact
 
 (** [search_anytime ?opts ~target circuit] — {!search} with the anytime
     contract: [Some {quality = Exact; _}] when [target] is reached,
@@ -118,4 +115,4 @@ val max_reuse_anytime : ?opts:search_opts -> Quantum.Circuit.t -> anytime
     trip, [Some {quality = Anytime _; _}] carrying the best incumbent
     (whose width may still be above [target]). *)
 val search_anytime :
-  ?opts:search_opts -> target:int -> Quantum.Circuit.t -> anytime option
+  ?opts:search_opts -> target:int -> Quantum.Circuit.t -> Engine.artifact option

@@ -72,7 +72,7 @@ let run_array ?jobs f arr =
     (* Worker domains start with a fresh (disarmed) budget scope, so the
        caller's scoped deadline is captured here and re-installed in each
        spawned domain: a per-request budget bounds the request's fan-out
-       too, without touching the process-global deadline. *)
+       too. *)
     let budget = Guard.Budget.current () in
     let work d =
       let t0 = Unix.gettimeofday () in

@@ -20,8 +20,7 @@
 
     Budgets: the caller's scoped deadline ({!Guard.Budget.current}) is
     captured at submission and installed in every worker domain, so a
-    per-request budget bounds the request's fan-out too. The
-    process-global deadline is shared by construction.
+    per-request budget bounds the request's fan-out too.
 
     Resilience: a task failing with a RECOVERABLE guard error (a
     transient fault — see {!Guard.Inject}) is retried in place, at most

@@ -119,7 +119,8 @@ let run_cell ~seed ?deadline_ms site (bench, input) =
     { site; bench; fired; outcome }
   in
   match
-    Guard.Budget.with_deadline ?ms:deadline_ms (fun () -> workload input)
+    Guard.Budget.scoped (Guard.Budget.make ?ms:deadline_ms ()) (fun () ->
+        workload input)
   with
   | reports -> finish (classify reports)
   | exception (Guard.Error.Guard_error e | Guard.Error.Budget_exceeded e) ->

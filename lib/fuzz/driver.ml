@@ -17,7 +17,7 @@ type summary = {
 
 let run ?(config = Gen.default) ?(oracles = Oracle.all) ?corpus_dir ?jobs ~seed
     ~cases () =
-  let master = Prng.make seed in
+  let master = Exec.Prng.make seed in
   (* Each case is a pure function of (master seed, index): generation
      uses [split master i], oracle simulation a sibling stream — so the
      batch fans out across the pool and the summary is byte-identical
@@ -25,12 +25,12 @@ let run ?(config = Gen.default) ?(oracles = Oracle.all) ?corpus_dir ?jobs ~seed
      the workers; corpus writes happen afterwards, sequentially and in
      submission order, so two failures never race on the manifest. *)
   let check_case i =
-    let rng = Prng.split master i in
+    let rng = Exec.Prng.split master i in
     (* A stable per-case seed for the oracles' simulators and probes,
        drawn from a sibling stream so it never perturbs generation. *)
     let case_seed =
       Int64.to_int
-        (Int64.logand (Prng.bits64 (Prng.split master (-i - 1))) 0x3FFFFFFFL)
+        (Int64.logand (Exec.Prng.bits64 (Exec.Prng.split master (-i - 1))) 0x3FFFFFFFL)
     in
     let c = Gen.circuit config rng in
     Obs.Metrics.incr "fuzz.cases";

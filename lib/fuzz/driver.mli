@@ -1,6 +1,6 @@
 (** The fuzzing campaign driver.
 
-    Case [i] of a run is generated from [Prng.split master i], so the
+    Case [i] of a run is generated from [Exec.Prng.split master i], so the
     case stream is a pure function of the master seed: the same
     [(seed, cases)] always produces the same circuits, the same oracle
     verdicts and the same summary, and any single case replays in

@@ -32,8 +32,8 @@ let default =
 let one_q_gate rng =
   (* Angles are free floats on purpose: the QASM printer truncates them,
      so the round-trip oracle must hold under truncation, not avoid it. *)
-  let angle () = Prng.float rng (4. *. Float.pi) -. (2. *. Float.pi) in
-  match Prng.int rng 13 with
+  let angle () = Exec.Prng.float rng (4. *. Float.pi) -. (2. *. Float.pi) in
+  match Exec.Prng.int rng 13 with
   | 0 -> Quantum.Gate.H
   | 1 -> Quantum.Gate.X
   | 2 -> Quantum.Gate.Y
@@ -49,15 +49,15 @@ let one_q_gate rng =
   | _ -> Quantum.Gate.Phase (angle ())
 
 let circuit cfg rng =
-  let n = cfg.min_qubits + Prng.int rng (cfg.max_qubits - cfg.min_qubits + 1) in
+  let n = cfg.min_qubits + Exec.Prng.int rng (cfg.max_qubits - cfg.min_qubits + 1) in
   let num_clbits = n in
-  let gates = cfg.min_gates + Prng.int rng (cfg.max_gates - cfg.min_gates + 1) in
+  let gates = cfg.min_gates + Exec.Prng.int rng (cfg.max_gates - cfg.min_gates + 1) in
   let written = Array.make num_clbits false in
   let any_written () = Array.exists Fun.id written in
-  let qubit () = Prng.int rng n in
+  let qubit () = Exec.Prng.int rng n in
   let distinct_pair () =
     let a = qubit () in
-    let b = (a + 1 + Prng.int rng (n - 1)) mod n in
+    let b = (a + 1 + Exec.Prng.int rng (n - 1)) mod n in
     (a, b)
   in
   let measure () =
@@ -65,16 +65,16 @@ let circuit cfg rng =
     let already = Array.to_list (Array.mapi (fun c w -> (c, w)) written)
                   |> List.filter_map (fun (c, w) -> if w then Some c else None) in
     let cb =
-      if already <> [] && Prng.float rng 1. < cfg.p_share_clbit then
-        List.nth already (Prng.int rng (List.length already))
-      else Prng.int rng num_clbits
+      if already <> [] && Exec.Prng.float rng 1. < cfg.p_share_clbit then
+        List.nth already (Exec.Prng.int rng (List.length already))
+      else Exec.Prng.int rng num_clbits
     in
     written.(cb) <- true;
     Quantum.Gate.Measure (q, cb)
   in
   let gate () =
     match
-      Prng.weighted rng
+      Exec.Prng.weighted rng
         [
           (cfg.w_one_q, `One_q);
           (cfg.w_two_q, `Two_q);
@@ -87,11 +87,11 @@ let circuit cfg rng =
     | `One_q -> Quantum.Gate.One_q (one_q_gate rng, qubit ())
     | `Two_q ->
       let a, b = distinct_pair () in
-      (match Prng.int rng 4 with
+      (match Exec.Prng.int rng 4 with
        | 0 -> Quantum.Gate.Cx (a, b)
        | 1 -> Quantum.Gate.Cz (a, b)
        | 2 -> Quantum.Gate.Swap (a, b)
-       | _ -> Quantum.Gate.Rzz (Prng.float rng Float.pi, a, b))
+       | _ -> Quantum.Gate.Rzz (Exec.Prng.float rng Float.pi, a, b))
     | `Measure -> measure ()
     | `Reset -> Quantum.Gate.Reset (qubit ())
     | `If_x ->
@@ -101,16 +101,16 @@ let circuit cfg rng =
           Array.to_list (Array.mapi (fun c w -> (c, w)) written)
           |> List.filter_map (fun (c, w) -> if w then Some c else None)
         in
-        let cb = List.nth candidates (Prng.int rng (List.length candidates)) in
+        let cb = List.nth candidates (Exec.Prng.int rng (List.length candidates)) in
         Quantum.Gate.If_x (cb, qubit ())
       end
     | `Barrier ->
-      let width = 1 + Prng.int rng (min 4 n) in
-      let start = Prng.int rng n in
+      let width = 1 + Exec.Prng.int rng (min 4 n) in
+      let start = Exec.Prng.int rng n in
       Quantum.Gate.Barrier
         (List.init width (fun i -> (start + i) mod n) |> List.sort_uniq compare)
   in
   let body = List.init gates (fun _ -> gate ()) in
   let c = Quantum.Circuit.of_kinds ~num_qubits:n ~num_clbits body in
-  if Prng.float rng 1. < cfg.p_measure_tail then Quantum.Circuit.measure_all c
+  if Exec.Prng.float rng 1. < cfg.p_measure_tail then Quantum.Circuit.measure_all c
   else c

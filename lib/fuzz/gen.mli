@@ -31,4 +31,4 @@ type config = {
 (** 2–6 qubits, 4–40 gates, dynamic operations at realistic rates. *)
 val default : config
 
-val circuit : config -> Prng.t -> Quantum.Circuit.t
+val circuit : config -> Exec.Prng.t -> Quantum.Circuit.t

@@ -49,15 +49,12 @@ let tvd_threshold a b =
 
 (* ---- engines: the cross-engine differential oracle ---- *)
 
-let sweep_with engine c =
-  Caqr.Qs_caqr.sweep ~opts:{ Caqr.Qs_caqr.default_opts with engine } c
-
-(* Fresh-vs-incremental sweep identity — the original [engines] check,
-   kept as the first leg of the cross-engine battery. *)
+(* Incremental-vs-reference sweep identity — the original [engines]
+   check, kept as the first leg of the cross-engine battery. *)
 let check_sweep_identity c =
-  let inc = sweep_with Caqr.Qs_caqr.Incremental c in
-  let fresh = sweep_with Caqr.Qs_caqr.Fresh c in
-  if inc = fresh then Pass
+  let inc = Caqr.Qs_caqr.sweep c in
+  let reference = Caqr.Qs_caqr.reference_sweep c in
+  if inc = reference then Pass
   else begin
     let rec first_diff i = function
       | a :: ar, b :: br -> if a = b then first_diff (i + 1) (ar, br) else i
@@ -65,59 +62,21 @@ let check_sweep_identity c =
     in
     Fail
       (Printf.sprintf
-         "incremental and fresh sweeps diverge (lengths %d vs %d, first \
+         "incremental and reference sweeps diverge (lengths %d vs %d, first \
           differing step %d)"
-         (List.length inc) (List.length fresh)
-         (first_diff 0 (inc, fresh)))
+         (List.length inc) (List.length reference)
+         (first_diff 0 (inc, reference)))
   end
 
-type engine_artifact = {
-  ea_circuit : Quantum.Circuit.t;
-  ea_pairs : Caqr.Reuse.pair list option;
-  ea_width : int;
-  ea_slack : int;
-}
-
-let pair_artifact circuit pairs =
-  {
-    ea_circuit = circuit;
-    ea_pairs = Some pairs;
-    ea_width = List.length (Quantum.Circuit.active_qubits circuit);
-    ea_slack = 0;
-  }
-
 let cross_engines =
-  [
-    ( "qs",
-      fun c ->
-        match List.rev (Caqr.Qs_caqr.sweep c) with
-        | last :: _ ->
-          pair_artifact last.Caqr.Qs_caqr.circuit last.Caqr.Qs_caqr.pairs
-        | [] -> pair_artifact c [] );
-    ("cone", fun c ->
-        let r = Caqr.Cone_caqr.run c in
-        pair_artifact r.Caqr.Cone_caqr.circuit r.Caqr.Cone_caqr.pairs);
-    ("gidnet", fun c ->
-        let r = Caqr.Gidnet_caqr.run c in
-        pair_artifact r.Caqr.Gidnet_caqr.circuit r.Caqr.Gidnet_caqr.pairs);
-    ("sr", fun c ->
-        let device =
-          Hardware.Device.heavy_hex_for c.Quantum.Circuit.num_qubits
-        in
-        let r = Caqr.Sr_caqr.regular device c in
-        {
-          ea_circuit = r.Caqr.Sr_caqr.physical;
-          ea_pairs = None;
-          (* SR reuses physical wires as a side effect; its width claim
-             is the physical qubits its mapper actually touched. That
-             count includes *routing* wires — each inserted SWAP can pull
-             in up to two otherwise-unused physicals — which are overhead
-             the logical width bound must tolerate, not reuse gone
-             wrong. *)
-          ea_width = r.Caqr.Sr_caqr.qubits_used;
-          ea_slack = 2 * r.Caqr.Sr_caqr.swaps_added;
-        });
-  ]
+  List.map
+    (fun (strategy, run) ->
+      ( Caqr.Pipeline.strategy_name strategy,
+        fun c ->
+          run
+            (Hardware.Device.heavy_hex_for c.Quantum.Circuit.num_qubits)
+            (Caqr.Pipeline.Regular c) ))
+    Caqr.Pipeline.engines
 
 (* Every engine must (a) emit a well-formed circuit whose pair
    certificate (when it names one) revalidates against the original,
@@ -128,7 +87,7 @@ let cross_engines =
 let check_engines_with ~seed engines c =
   let baseline = List.length (Quantum.Circuit.active_qubits c) in
   let artifacts = List.map (fun (name, f) -> (name, f c)) engines in
-  let widths = List.map (fun (_, a) -> a.ea_width) artifacts in
+  let widths = List.map (fun (_, a) -> a.Caqr.Engine.width) artifacts in
   let min_width = List.fold_left min max_int widths in
   let d0 =
     if c.Quantum.Circuit.num_qubits <= sim_max_qubits then
@@ -137,12 +96,12 @@ let check_engines_with ~seed engines c =
   in
   let check_one i (name, a) =
     let structural =
-      match Verify.Structural.check_wellformed a.ea_circuit with
+      match Verify.Structural.check_wellformed a.Caqr.Engine.circuit with
       | Verify.Verdict.Inequivalent ce ->
         Fail (Printf.sprintf "%s: artifact is malformed: %s" name
                 ce.Verify.Verdict.detail)
       | _ ->
-        (match a.ea_pairs with
+        (match a.Caqr.Engine.pairs with
          | None -> Pass
          | Some pairs ->
            (match
@@ -161,32 +120,33 @@ let check_engines_with ~seed engines c =
     in
     if structural <> Pass then structural
     else if
-      a.ea_width <> List.length (Quantum.Circuit.active_qubits a.ea_circuit)
+      a.Caqr.Engine.width
+      <> List.length (Quantum.Circuit.active_qubits a.Caqr.Engine.circuit)
     then
       Fail
         (Printf.sprintf "%s: claims width %d but its artifact uses %d wires"
-           name a.ea_width
-           (List.length (Quantum.Circuit.active_qubits a.ea_circuit)))
-    else if a.ea_width > baseline + a.ea_slack then
+           name a.Caqr.Engine.width
+           (List.length (Quantum.Circuit.active_qubits a.Caqr.Engine.circuit)))
+    else if a.Caqr.Engine.width > baseline + a.Caqr.Engine.slack then
       Fail
         (Printf.sprintf "%s: width %d exceeds the baseline width %d%s" name
-           a.ea_width baseline
-           (if a.ea_slack > 0 then
-              Printf.sprintf " (+%d routing slack)" a.ea_slack
+           a.Caqr.Engine.width baseline
+           (if a.Caqr.Engine.slack > 0 then
+              Printf.sprintf " (+%d routing slack)" a.Caqr.Engine.slack
             else ""))
-    else if a.ea_width < min_width then
+    else if a.Caqr.Engine.width < min_width then
       Fail (Printf.sprintf "%s: width fell below the engine minimum" name)
     else
       match d0 with
       | Some d0
-        when List.length (Quantum.Circuit.active_qubits a.ea_circuit)
+        when List.length (Quantum.Circuit.active_qubits a.Caqr.Engine.circuit)
              <= sim_max_qubits + 2 ->
         (* +2: SR routing may touch a couple of extra physical wires;
            the executor compacts, so the state stays small. *)
         let d1 =
           marginal ~num_clbits:c.Quantum.Circuit.num_clbits
             (Sim.Executor.run ~seed:(seed + i + 1) ~shots:sim_shots
-               a.ea_circuit)
+               a.Caqr.Engine.circuit)
         in
         let tvd = Sim.Counts.tvd d0 d1 in
         let threshold = tvd_threshold d0 d1 in
@@ -283,10 +243,11 @@ let check_roundtrip c =
 let check_simulation ~seed c =
   if c.Quantum.Circuit.num_qubits > sim_max_qubits then Pass
   else
-    match List.rev (Caqr.Qs_caqr.sweep c) with
-    | [] | [ _ ] -> Pass (* no reuse opportunity: nothing to compare *)
-    | last :: _ ->
-      let t = last.Caqr.Qs_caqr.circuit in
+    let a = Caqr.Qs_caqr.max_reuse_anytime c in
+    if a.Caqr.Engine.reuses = 0 then
+      Pass (* no reuse opportunity: nothing to compare *)
+    else
+      let t = a.Caqr.Engine.circuit in
       let d0 = Sim.Executor.run ~seed ~shots:sim_shots c in
       let d1 =
         marginal ~num_clbits:c.Quantum.Circuit.num_clbits
@@ -300,8 +261,7 @@ let check_simulation ~seed c =
           (Printf.sprintf
              "reuse transform shifted the output distribution: TVD %.3f > \
               %.3f after %d reuses"
-             tvd threshold
-             (List.length last.Caqr.Qs_caqr.pairs))
+             tvd threshold a.Caqr.Engine.reuses)
 
 let check oracle ~seed c =
   let verdict =

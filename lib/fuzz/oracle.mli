@@ -3,23 +3,24 @@
     Each oracle checks one equivalence the compiler promises, by running
     two independent implementations of it and comparing:
 
-    - [Engines]: the cross-engine battery. First the QS-CaQR sweeps
-      under the [Incremental] and [Fresh] analysis engines must be
+    - [Engines]: the cross-engine battery. First {!Caqr.Qs_caqr.sweep}
+      and the independent {!Caqr.Qs_caqr.reference_sweep} must be
       structurally identical; then the circuit is compiled under every
-      engine in {!cross_engines} (QS, Cone, GidNET, SR) and each
-      artifact must be well-formed, its pair certificate must revalidate
-      against the original, its sampled output distribution must match
-      the original's on the program clbits, and the claimed widths must
-      satisfy [min over engines <= each engine <= baseline width] — one
-      buggy engine is outvoted by the other three;
+      engine of the {!Caqr.Pipeline.engines} registry ({!cross_engines})
+      and each artifact must be well-formed, its pair certificate must
+      revalidate against the original, its sampled output distribution
+      must match the original's on the program clbits, and the claimed
+      widths must satisfy [min over engines <= each engine <= baseline
+      width + slack] — one buggy engine is outvoted by the others;
     - [Verified]: [Pipeline.compile] output must pass [Verify.run]
       (structural conditions + exact-or-probe distribution equivalence);
     - [Roundtrip]: OpenQASM printing must reach a print→parse fixpoint
       in one trip, and the reparse must preserve the gate stream (angles
       up to the printer's truncation);
     - [Simulation]: the shot-sampled output distribution of the
-      reuse-transformed circuit must agree (TVD under an adaptive
-      threshold) with the original's on the program clbits.
+      circuit {!Caqr.Qs_caqr.max_reuse_anytime} ships must agree (TVD
+      under an adaptive threshold) with the original's on the program
+      clbits.
 
     An uncaught exception inside an oracle is itself a failure — crashes
     are bugs too. Every run bumps [Obs.Metrics]
@@ -35,31 +36,18 @@ val name : t -> string
 (** Parses the output of {!name}. *)
 val of_name : string -> (t, string) result
 
-(** What one engine reports for one generated circuit: the transformed
-    circuit (logical for the pair-IR engines, physical for SR), the
-    reuse-pair certificate when the engine emits one, and its width
-    claim. *)
-type engine_artifact = {
-  ea_circuit : Quantum.Circuit.t;
-  ea_pairs : Caqr.Reuse.pair list option;
-  ea_width : int;
-  ea_slack : int;
-      (** routing wires the width bound tolerates on top of the baseline
-          width — 0 for the pair-IR engines, [2 * swaps] for SR, whose
-          physical footprint counts SWAP-touched wires that are routing
-          overhead, not reuse *)
-}
-
-(** The production engine roster the [Engines] oracle cross-checks:
-    [qs] (full reduction sweep), [cone], [gidnet], and [sr]. *)
-val cross_engines : (string * (Quantum.Circuit.t -> engine_artifact)) list
+(** The {!Caqr.Pipeline.engines} registry as the [Engines] oracle runs
+    it: each entry is named by {!Caqr.Pipeline.strategy_name} and
+    compiles a regular circuit for [Hardware.Device.heavy_hex_for] its
+    width. *)
+val cross_engines : (string * (Quantum.Circuit.t -> Caqr.Engine.artifact)) list
 
 (** [check_engines_with ~seed engines c] runs the cross-engine battery
     over an explicit roster — tests inject a deliberately buggy engine
     here and assert it is caught and shrunk. *)
 val check_engines_with :
   seed:int ->
-  (string * (Quantum.Circuit.t -> engine_artifact)) list ->
+  (string * (Quantum.Circuit.t -> Caqr.Engine.artifact)) list ->
   Quantum.Circuit.t ->
   verdict
 

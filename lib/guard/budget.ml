@@ -1,22 +1,16 @@
-(* Cooperative budgets. Two deadline carriers, and every checkpoint
-   honors the tighter one:
-
-   - [deadline]: one process-global atomic absolute time. A timeout set
-     around a whole run bounds work in every domain, including what the
-     execution pool fanned out.
-   - [scope]: a domain-local absolute time (Domain.DLS). A long-lived
-     server gives each request its own deadline here, so requests
-     compiled on different domains never clobber each other the way a
-     shared atomic would. [Exec.Pool] captures the caller's scope with
-     [current] and re-installs it in each worker domain.
+(* Cooperative budgets. The one deadline carrier is [scope], a
+   domain-local absolute time (Domain.DLS). A long-lived server gives
+   each request its own deadline here, so requests compiled on different
+   domains never clobber each other the way a shared atomic would.
+   [Exec.Pool] (at each call) and [Exec.Crew] (at creation) capture the
+   caller's scope with [current] and re-install it in each worker
+   domain, so fanned-out work is bounded too.
 
    [infinity] means disarmed, which keeps the disarmed checkpoint down
-   to one DLS load, one atomic load and a float compare — no clock
-   syscall. *)
+   to one DLS load and a float compare — no clock syscall. *)
 
 type t = float (* absolute Unix time; infinity = no deadline *)
 
-let deadline = Atomic.make infinity
 let scope = Domain.DLS.new_key (fun () -> infinity)
 
 let unlimited = infinity
@@ -32,7 +26,7 @@ let scoped b f =
   Domain.DLS.set scope (Float.min saved b);
   Fun.protect ~finally:(fun () -> Domain.DLS.set scope saved) f
 
-let current () = Float.min (Domain.DLS.get scope) (Atomic.get deadline)
+let current () = Domain.DLS.get scope
 
 let has_deadline () = current () < infinity
 
@@ -46,16 +40,6 @@ let fraction f =
   | None -> infinity
   | Some rem ->
     Unix.gettimeofday () +. (Float.max 0. (Float.min 1. f) *. rem)
-
-let with_deadline ?ms f =
-  match ms with
-  | None -> f ()
-  | Some ms ->
-    let saved = Atomic.get deadline in
-    let mine = make ~ms () in
-    (* Nested deadlines tighten, never extend. *)
-    Atomic.set deadline (Float.min saved mine);
-    Fun.protect ~finally:(fun () -> Atomic.set deadline saved) f
 
 let trip ~stage ~site detail =
   Obs.Metrics.incr "guard.budget.trips";

@@ -7,22 +7,16 @@
     diverge. Every trip bumps the ["guard.budget.trips"] counter in
     {!Obs.Metrics}.
 
-    Two deadline mechanisms coexist and a checkpoint honors whichever is
-    tighter:
+    Deadlines are {b scoped} budgets ({!t}, {!scoped}), which are
+    domain-local: two requests compiled on different domains each carry
+    their own deadline without clobbering one another. This is what
+    lets a long-lived server give every request its own budget.
+    {!Exec.Pool} (at each call) and {!Exec.Crew} (at creation) capture
+    the caller's scope ({!current}) and install it in each worker
+    domain, so fan-out inherits the deadline.
 
-    - the legacy {b process-global} deadline ({!with_deadline}), one
-      atomic visible to every domain — right for a whole-process bound
-      such as the CLI's [--timeout-ms];
-    - {b scoped} budgets ({!t}, {!scoped}), which are domain-local: two
-      requests compiled on different domains each carry their own
-      deadline without clobbering one another. This is what lets a
-      long-lived server give every request its own budget.
-      {!Exec.Pool} captures the caller's scope ({!current}) and installs
-      it in each worker domain, so fan-out inherits the request's
-      deadline.
-
-    When nothing is armed a checkpoint costs one domain-local load, one
-    atomic load and a float compare — no clock read. *)
+    When nothing is armed a checkpoint costs one domain-local load and a
+    float compare — no clock read. *)
 
 (** An immutable budget value: an absolute wall-clock deadline that can
     be created in one domain and installed ({!scoped}) in another. *)
@@ -41,18 +35,11 @@ val make : ?ms:int -> unit -> t
     scope is restored on exit, exceptions included. *)
 val scoped : t -> (unit -> 'a) -> 'a
 
-(** The deadline in effect for this domain: the tighter of the scoped
-    and the process-global deadline. Capture it before handing work to
-    another domain, then install it there with {!scoped}. *)
+(** The deadline in effect for this domain. Capture it before handing
+    work to another domain, then install it there with {!scoped}. *)
 val current : unit -> t
 
-(** [with_deadline ?ms f] runs [f] under a {b process-global} wall-clock
-    deadline of [ms] milliseconds from now ([None] = no change). Nested
-    deadlines tighten, never extend; the previous deadline is restored
-    on exit, exceptions included. *)
-val with_deadline : ?ms:int -> (unit -> 'a) -> 'a
-
-(** Is any deadline (scoped or global) currently armed? *)
+(** Is a deadline currently armed? *)
 val has_deadline : unit -> bool
 
 (** Seconds left on the tightest armed deadline (clamped at 0), or

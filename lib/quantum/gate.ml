@@ -64,11 +64,6 @@ let map_qubits f = function
        behind — a duplicated wire reads as a self-dependence downstream. *)
     Barrier (List.sort_uniq compare (List.map f qs))
 
-let map_clbits f = function
-  | Measure (q, c) -> Measure (q, f c)
-  | If_x (c, q) -> If_x (f c, q)
-  | (One_q _ | Cx _ | Cz _ | Rzz _ | Swap _ | Reset _ | Barrier _) as k -> k
-
 let diagonal_one_q = function
   | Z | S | Sdg | T | Tdg | Rz _ | Phase _ -> true
   | H | X | Y | Sx | Rx _ | Ry _ -> false

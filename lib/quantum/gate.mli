@@ -51,9 +51,6 @@ val is_barrier : kind -> bool
 (** [map_qubits f kind] renames qubit operands. *)
 val map_qubits : (int -> int) -> kind -> kind
 
-(** [map_clbits f kind] renames classical bit operands. *)
-val map_clbits : (int -> int) -> kind -> kind
-
 (** Do two gate kinds commute as operators? Conservative: true only for
     structurally evident cases — disjoint supports, diagonal gates (Rz,
     Phase, Z, S, T, Cz, Rzz) sharing qubits, equal-axis rotations. This is

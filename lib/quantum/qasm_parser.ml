@@ -107,8 +107,7 @@ let split_head tok =
 
 (* Dispatch one statement. Declarations report their widths through
    [decl_qubits]/[decl_clbits]; every parsed gate kind flows through
-   [add], in program order. Shared by the materializing and the
-   streaming entry points. *)
+   [add], in program order. *)
 let handle_stmt ~decl_qubits ~decl_clbits ~add (pos, stmt) =
   let one_q pos name angle q =
     let g =
@@ -258,18 +257,6 @@ let parse_exn text =
         ~add (pos, stmt));
   Circuit.of_kind_array ~num_qubits:!num_qubits ~num_clbits:!num_clbits
     (Array.sub !kinds 0 !len)
-
-let fold_gates text ~init ~gate =
-  Guard.Error.protect ~stage ~site:"parse.stmt" (fun () ->
-      let num_qubits = ref 0 and num_clbits = ref 0 in
-      let acc = ref init in
-      iter_statements text (fun pos stmt ->
-          handle_stmt
-            ~decl_qubits:(fun n -> num_qubits := max !num_qubits n)
-            ~decl_clbits:(fun n -> num_clbits := max !num_clbits n)
-            ~add:(fun k -> acc := gate !acc k)
-            (pos, stmt));
-      (!acc, !num_qubits, !num_clbits))
 
 (* [Circuit.of_kind_array] validates operand ranges, so the boundary
    also converts its [Invalid_argument] (e.g. a gate on an undeclared

@@ -20,21 +20,6 @@
     bad input. *)
 val parse : string -> (Circuit.t, Guard.Error.t) result
 
-(** [fold_gates text ~init ~gate] streams the program without building
-    a circuit: statements are scanned in one pass, each parsed gate
-    kind is folded through [gate] in program order, and the result is
-    [(acc, num_qubits, num_clbits)] with the declared register widths.
-    Use it to size-check or summarize a large import before paying for
-    circuit construction — nothing beyond the current statement is
-    materialized. Diagnostics are the same positioned errors as
-    {!parse}; operand ranges are {e not} checked against the declared
-    widths (that validation happens at circuit construction). *)
-val fold_gates :
-  string ->
-  init:'a ->
-  gate:('a -> Gate.kind -> 'a) ->
-  ('a * int * int, Guard.Error.t) result
-
 (** Thin raising wrapper over {!parse} for legacy callers: raises
     [Failure] with the same line/column-numbered message. *)
 val of_string : string -> Circuit.t

@@ -67,9 +67,6 @@ val strategy_of_string :
     unknown fields are ignored (forward compatibility). *)
 val of_line : string -> (request, string) result
 
-(** [error_body e] is the [error] object of a failure response. *)
-val error_body : Guard.Error.t -> Json.t
-
 (** [response ~id fields] / [error_response ~id e] assemble one response
     line (no trailing newline). *)
 val response : id:Json.t -> (string * Json.t) list -> string

@@ -1,7 +1,7 @@
 (* The anytime contract of the QS search (the quality/time dial):
 
    - with no wall-clock deadline the result is [Exact] and identical to
-     the plain [max_reuse] path;
+     the deepest step of the sweep;
    - the returned width is monotonically non-increasing in the DFS node
      budget (a bigger budget explores a superset of the same
      deterministic DFS order) — checked over generated circuits;
@@ -25,9 +25,9 @@ let small_cfg =
     max_gates = 24;
   }
 
-let gen_circuit seed = Fuzz.Gen.circuit small_cfg (Fuzz.Prng.make seed)
+let gen_circuit seed = Fuzz.Gen.circuit small_cfg (Exec.Prng.make seed)
 
-let quality_name a = Caqr.Quality.name a.Caqr.Qs_caqr.quality
+let quality_name a = Caqr.Quality.name a.Caqr.Engine.quality
 
 (* ---- Exact under unlimited budget ---- *)
 
@@ -38,16 +38,17 @@ let test_exact_without_deadline () =
     check bool
       (Printf.sprintf "seed %d: exact" seed)
       true
-      (Caqr.Quality.is_exact a.Caqr.Qs_caqr.quality);
-    let plain = Caqr.Qs_caqr.max_reuse c in
+      (Caqr.Quality.is_exact a.Caqr.Engine.quality);
+    (* The sweep's deepest step is the independent witness. *)
+    let plain = (List.hd (List.rev (Caqr.Qs_caqr.sweep c))).Caqr.Qs_caqr.circuit in
     check int
-      (Printf.sprintf "seed %d: same width as max_reuse" seed)
+      (Printf.sprintf "seed %d: same width as the sweep" seed)
       (Caqr.Reuse.qubit_usage plain)
-      a.Caqr.Qs_caqr.width;
+      a.Caqr.Engine.width;
     check bool
-      (Printf.sprintf "seed %d: same circuit as max_reuse" seed)
+      (Printf.sprintf "seed %d: same circuit as the sweep" seed)
       true
-      (Quantum.Circuit.digest plain = Quantum.Circuit.digest a.Caqr.Qs_caqr.circuit)
+      (Quantum.Circuit.digest plain = Quantum.Circuit.digest a.Caqr.Engine.circuit)
   done
 
 (* A node cap ending the search is the configured engine's deterministic
@@ -58,7 +59,7 @@ let test_node_cap_still_exact () =
   let opts = { Caqr.Qs_caqr.default_opts with Caqr.Qs_caqr.budget = 1 } in
   let a = Caqr.Qs_caqr.max_reuse_anytime ~opts c in
   check bool "node-capped run is exact" true
-    (Caqr.Quality.is_exact a.Caqr.Qs_caqr.quality)
+    (Caqr.Quality.is_exact a.Caqr.Engine.quality)
 
 (* ---- width monotone in the node budget (property) ---- *)
 
@@ -74,7 +75,7 @@ let prop_width_monotone =
         List.map
           (fun budget ->
             let opts = { Caqr.Qs_caqr.default_opts with Caqr.Qs_caqr.budget } in
-            (Caqr.Qs_caqr.max_reuse_anytime ~opts c).Caqr.Qs_caqr.width)
+            (Caqr.Qs_caqr.max_reuse_anytime ~opts c).Caqr.Engine.width)
           budgets
       in
       let rec non_increasing = function
@@ -90,7 +91,7 @@ let prop_width_never_above_baseline =
     (fun seed ->
       let c = gen_circuit seed in
       let a = Caqr.Qs_caqr.max_reuse_anytime c in
-      a.Caqr.Qs_caqr.width <= Caqr.Reuse.qubit_usage c)
+      a.Caqr.Engine.width <= Caqr.Reuse.qubit_usage c)
 
 (* ---- wall-clock trips: quality marker, metric, certificate ---- *)
 
@@ -118,19 +119,19 @@ let test_wall_trip_is_anytime () =
   Obs.Metrics.reset ();
   let _, a = anytime_run () in
   check bool "quality is anytime" false
-    (Caqr.Quality.is_exact a.Caqr.Qs_caqr.quality);
+    (Caqr.Quality.is_exact a.Caqr.Engine.quality);
   check bool "qs.anytime.returns bumped" true
     (Obs.Metrics.count "qs.anytime.returns" >= 1);
   check Alcotest.string "wire spelling" "anytime" (quality_name a)
 
 let test_anytime_certificate_revalidates () =
   let original, a = anytime_run () in
-  (match a.Caqr.Qs_caqr.quality with
+  (match a.Caqr.Engine.quality with
    | Caqr.Quality.Anytime { steps_done; frontier_left } ->
      check bool "steps counted" true (steps_done >= 0);
      check bool "frontier non-negative" true (frontier_left >= 0)
    | Caqr.Quality.Exact -> Alcotest.fail "expected an anytime return");
-  match certify ~original a.Caqr.Qs_caqr.pairs with
+  match certify ~original (Option.get a.Caqr.Engine.pairs) with
   | Verify.Verdict.Equivalent -> ()
   | Verify.Verdict.Inequivalent x ->
     Alcotest.fail ("anytime certificate refuted: " ^ x.Verify.Verdict.detail)
@@ -140,7 +141,7 @@ let test_anytime_certificate_revalidates () =
 let test_anytime_width_below_input () =
   let c, a = anytime_run () in
   check bool "anytime width <= input width" true
-    (a.Caqr.Qs_caqr.width <= Caqr.Reuse.qubit_usage c)
+    (a.Caqr.Engine.width <= Caqr.Reuse.qubit_usage c)
 
 (* ---- search_anytime: target contract ---- *)
 
@@ -149,8 +150,8 @@ let test_search_anytime_exact_on_reachable () =
   match Caqr.Qs_caqr.search_anytime ~target:2 c with
   | Some a ->
     check bool "reached target exactly" true
-      (Caqr.Quality.is_exact a.Caqr.Qs_caqr.quality);
-    check bool "width at or under target" true (a.Caqr.Qs_caqr.width <= 2)
+      (Caqr.Quality.is_exact a.Caqr.Engine.quality);
+    check bool "width at or under target" true (a.Caqr.Engine.width <= 2)
   | None -> Alcotest.fail "BV_5 reduces to 2 qubits"
 
 let test_search_anytime_none_when_unreachable () =

@@ -10,7 +10,7 @@ let bool = Alcotest.bool
 module C = Quantum.Circuit
 module B = Quantum.Circuit.Builder
 
-let width_of c = Caqr.Cone_caqr.(run c).width
+let width_of c = (Caqr.Cone_caqr.run c).Caqr.Engine.width
 
 let certify ~original pairs =
   let claimed =
@@ -36,8 +36,8 @@ let certify ~original pairs =
    cx needs two live wires. *)
 let test_ghz3_width () =
   let r = Caqr.Cone_caqr.run (Benchmarks.Extra.ghz 3) in
-  check int "GHZ_3 -> 2 wires" 2 r.Caqr.Cone_caqr.width;
-  check int "one fold" 1 (List.length r.Caqr.Cone_caqr.pairs)
+  check int "GHZ_3 -> 2 wires" 2 r.Caqr.Engine.width;
+  check int "one fold" 1 (r.Caqr.Engine.reuses)
 
 (* BV_n is the paper's star benchmark: every data qubit interacts only
    with the target, so after its measurement each data wire hosts the
@@ -61,9 +61,9 @@ let test_dynamic_ping_width_one () =
   B.measure b 1 1;
   let c = B.build b in
   let r = Caqr.Cone_caqr.run c in
-  check int "dynamic ping -> 1 wire" 1 r.Caqr.Cone_caqr.width;
+  check int "dynamic ping -> 1 wire" 1 r.Caqr.Engine.width;
   check bool "certificate revalidates" true
-    (certify ~original:c r.Caqr.Cone_caqr.pairs)
+    (certify ~original:c (Option.get r.Caqr.Engine.pairs))
 
 (* An actual teleportation skeleton is entangled across its whole
    lifetime: the Bell half q2 receives a correction after q0 and q1
@@ -80,25 +80,37 @@ let test_teleport_skeleton_irreducible () =
   B.if_x b 1 2;
   B.measure b 2 2;
   let r = Caqr.Cone_caqr.run (B.build b) in
-  check int "teleport skeleton stays at 3" 3 r.Caqr.Cone_caqr.width;
-  check int "no pairs" 0 (List.length r.Caqr.Cone_caqr.pairs)
+  check int "teleport skeleton stays at 3" 3 r.Caqr.Engine.width;
+  check int "no pairs" 0 (r.Caqr.Engine.reuses)
 
 let test_deterministic () =
   let c = Benchmarks.Revlib.cc 8 in
-  let qasm r = Quantum.Qasm.to_string r.Caqr.Cone_caqr.circuit in
+  let qasm r = Quantum.Qasm.to_string r.Caqr.Engine.circuit in
   let a = Caqr.Cone_caqr.run c and b = Caqr.Cone_caqr.run c in
   check Alcotest.string "same circuit bytes" (qasm a) (qasm b);
-  check bool "same order" true (a.Caqr.Cone_caqr.order = b.Caqr.Cone_caqr.order);
-  check bool "same pairs" true (a.Caqr.Cone_caqr.pairs = b.Caqr.Cone_caqr.pairs)
+  check bool "same pairs" true (a.Caqr.Engine.pairs = b.Caqr.Engine.pairs)
 
-(* The cone order must cover each terminal measurement exactly once —
-   it is a permutation of the measured qubits. *)
-let test_order_is_permutation () =
-  let c = Benchmarks.Bv.circuit 6 in
-  let r = Caqr.Cone_caqr.run c in
-  let sorted = List.sort compare r.Caqr.Cone_caqr.order in
-  check bool "no duplicates" true
-    (List.length (List.sort_uniq compare sorted) = List.length sorted)
+(* The walk allocates every cone member exactly once: each qubit is
+   folded onto a recycled wire at most once, and a folded qubit's own
+   wire never rejoins the pool (its host's wire does). *)
+let test_allocated_once () =
+  List.iter
+    (fun (e : Benchmarks.Suite.entry) ->
+      let pairs =
+        Option.get (Caqr.Cone_caqr.run e.Benchmarks.Suite.circuit).Caqr.Engine.pairs
+      in
+      let folded = List.map (fun (p : Caqr.Reuse.pair) -> p.Caqr.Reuse.dst) pairs in
+      check int
+        (e.Benchmarks.Suite.name ^ " folded once")
+        (List.length folded)
+        (List.length (List.sort_uniq compare folded));
+      check bool
+        (e.Benchmarks.Suite.name ^ " folded wires never host")
+        true
+        (List.for_all
+           (fun (p : Caqr.Reuse.pair) -> not (List.mem p.Caqr.Reuse.src folded))
+           pairs))
+    (Benchmarks.Suite.regular ())
 
 let test_regular_benchmarks_certify () =
   (* On every Table 1 regular benchmark the engine's pair certificate
@@ -110,12 +122,12 @@ let test_regular_benchmarks_certify () =
       let r = Caqr.Cone_caqr.run c in
       check int
         (e.Benchmarks.Suite.name ^ " width claim")
-        (Caqr.Reuse.qubit_usage r.Caqr.Cone_caqr.circuit)
-        r.Caqr.Cone_caqr.width;
+        (Caqr.Reuse.qubit_usage r.Caqr.Engine.circuit)
+        r.Caqr.Engine.width;
       check bool
         (e.Benchmarks.Suite.name ^ " certificate")
         true
-        (certify ~original:c r.Caqr.Cone_caqr.pairs))
+        (certify ~original:c (Option.get r.Caqr.Engine.pairs)))
     (Benchmarks.Suite.regular ())
 
 (* Width never exceeds the baseline on arbitrary generated circuits —
@@ -125,9 +137,9 @@ let prop_width_le_baseline =
   QCheck.Test.make ~name:"cone width <= baseline" ~count:100
     QCheck.(int_bound 10_000)
     (fun seed ->
-      let c = Fuzz.Gen.circuit Fuzz.Gen.default (Fuzz.Prng.make seed) in
+      let c = Fuzz.Gen.circuit Fuzz.Gen.default (Exec.Prng.make seed) in
       let r = Caqr.Cone_caqr.run c in
-      r.Caqr.Cone_caqr.width <= Caqr.Reuse.qubit_usage c)
+      r.Caqr.Engine.width <= Caqr.Reuse.qubit_usage c)
 
 let () =
   Alcotest.run "cone_caqr"
@@ -143,8 +155,7 @@ let () =
       ( "structure",
         [
           Alcotest.test_case "deterministic" `Quick test_deterministic;
-          Alcotest.test_case "order permutation" `Quick
-            test_order_is_permutation;
+          Alcotest.test_case "allocated once" `Quick test_allocated_once;
           Alcotest.test_case "all regular certify" `Slow
             test_regular_benchmarks_certify;
         ] );

@@ -14,52 +14,52 @@ let qasm = Quantum.Qasm.to_string
 (* ---- Prng ---- *)
 
 let test_prng_deterministic () =
-  let draws t = List.init 16 (fun _ -> Fuzz.Prng.bits64 t) in
-  let a = draws (Fuzz.Prng.make 42) and b = draws (Fuzz.Prng.make 42) in
+  let draws t = List.init 16 (fun _ -> Exec.Prng.bits64 t) in
+  let a = draws (Exec.Prng.make 42) and b = draws (Exec.Prng.make 42) in
   check bool "same seed, same stream" true (a = b);
-  let c = draws (Fuzz.Prng.make 43) in
+  let c = draws (Exec.Prng.make 43) in
   check bool "different seed, different stream" true (a <> c)
 
 let test_prng_split_independent () =
   (* Child [i] must not depend on how many draws the parent made. *)
-  let t1 = Fuzz.Prng.make 7 in
-  let child_before = Fuzz.Prng.bits64 (Fuzz.Prng.split t1 3) in
-  let t2 = Fuzz.Prng.make 7 in
+  let t1 = Exec.Prng.make 7 in
+  let child_before = Exec.Prng.bits64 (Exec.Prng.split t1 3) in
+  let t2 = Exec.Prng.make 7 in
   for _ = 1 to 100 do
-    ignore (Fuzz.Prng.bits64 t2)
+    ignore (Exec.Prng.bits64 t2)
   done;
-  let child_after = Fuzz.Prng.bits64 (Fuzz.Prng.split t2 3) in
+  let child_after = Exec.Prng.bits64 (Exec.Prng.split t2 3) in
   check bool "split ignores parent draws" true (child_before = child_after);
-  let c0 = Fuzz.Prng.bits64 (Fuzz.Prng.split t1 0) in
-  let c1 = Fuzz.Prng.bits64 (Fuzz.Prng.split t1 1) in
+  let c0 = Exec.Prng.bits64 (Exec.Prng.split t1 0) in
+  let c1 = Exec.Prng.bits64 (Exec.Prng.split t1 1) in
   check bool "children differ" true (c0 <> c1)
 
 let test_prng_ranges () =
-  let t = Fuzz.Prng.make 1 in
+  let t = Exec.Prng.make 1 in
   for _ = 1 to 1000 do
-    let n = Fuzz.Prng.int t 7 in
+    let n = Exec.Prng.int t 7 in
     check bool "int in bounds" true (n >= 0 && n < 7);
-    let f = Fuzz.Prng.float t 2.5 in
+    let f = Exec.Prng.float t 2.5 in
     check bool "float in bounds" true (f >= 0.0 && f < 2.5)
   done;
-  (match Fuzz.Prng.int t 0 with
+  (match Exec.Prng.int t 0 with
    | _ -> Alcotest.fail "expected Invalid_argument"
    | exception Invalid_argument _ -> ());
   for _ = 1 to 200 do
-    let v = Fuzz.Prng.weighted t [ (0, `Never); (3, `A); (1, `B) ] in
+    let v = Exec.Prng.weighted t [ (0, `Never); (3, `A); (1, `B) ] in
     check bool "zero weight never wins" true (v <> `Never)
   done
 
 (* ---- Gen ---- *)
 
 let test_gen_deterministic () =
-  let mk () = Fuzz.Gen.circuit Fuzz.Gen.default (Fuzz.Prng.make 123) in
+  let mk () = Fuzz.Gen.circuit Fuzz.Gen.default (Exec.Prng.make 123) in
   check Alcotest.string "same rng, same circuit" (qasm (mk ())) (qasm (mk ()))
 
 let test_gen_well_formed () =
   let cfg = Fuzz.Gen.default in
   for seed = 0 to 199 do
-    let c = Fuzz.Gen.circuit cfg (Fuzz.Prng.make seed) in
+    let c = Fuzz.Gen.circuit cfg (Exec.Prng.make seed) in
     check bool "qubits in range" true
       (c.C.num_qubits >= cfg.Fuzz.Gen.min_qubits
       && c.C.num_qubits <= cfg.Fuzz.Gen.max_qubits);
@@ -85,7 +85,7 @@ let test_gen_has_dynamic_ops () =
      dynamic alphabet, or the oracles test nothing interesting. *)
   let seen = Hashtbl.create 4 in
   for seed = 0 to 99 do
-    let c = Fuzz.Gen.circuit Fuzz.Gen.default (Fuzz.Prng.make seed) in
+    let c = Fuzz.Gen.circuit Fuzz.Gen.default (Exec.Prng.make seed) in
     Array.iter
       (fun g ->
         match g.G.kind with
@@ -174,28 +174,44 @@ let test_corpus_missing_dir () =
 (* ---- Engines oracle: the cross-engine battery ---- *)
 
 let test_engines_clean_roster () =
-  (* The production roster (QS, Cone, GidNET, SR) must agree on
+  (* The production roster (the Pipeline.engines registry) must agree on
      generated circuits: every artifact well-formed, every certificate
      revalidating, every width inside [min engines, baseline]. *)
   for seed = 0 to 24 do
-    let c = Fuzz.Gen.circuit Fuzz.Gen.default (Fuzz.Prng.make seed) in
+    let c = Fuzz.Gen.circuit Fuzz.Gen.default (Exec.Prng.make seed) in
     match Fuzz.Oracle.check_engines_with ~seed Fuzz.Oracle.cross_engines c with
     | Fuzz.Oracle.Pass -> ()
     | Fuzz.Oracle.Fail why -> Alcotest.failf "seed %d: %s" seed why
   done
 
+(* The oracle's roster is the pipeline's engine registry, in registry
+   order and under the strategy names: an engine registered once is
+   fuzzed without a second hand-written list. *)
+let test_engines_roster_is_registry () =
+  check
+    Alcotest.(list string)
+    "roster names"
+    (List.map
+       (fun (s, _) -> Caqr.Pipeline.strategy_name s)
+       Caqr.Pipeline.engines)
+    (List.map fst Fuzz.Oracle.cross_engines);
+  let c = Fuzz.Gen.circuit Fuzz.Gen.default (Exec.Prng.make 3) in
+  List.iter2
+    (fun (s, run) (name, check_run) ->
+      let device = Hardware.Device.heavy_hex_for c.C.num_qubits in
+      check bool (name ^ " runs the registry engine") true
+        (run device (Caqr.Pipeline.Regular c) = check_run c
+        && name = Caqr.Pipeline.strategy_name s))
+    Caqr.Pipeline.engines Fuzz.Oracle.cross_engines
+
 (* A deliberately buggy engine: it claims one wire fewer than its
    artifact actually uses. The battery's width-claim cross-check must
-   outvote it against the three honest engines. *)
+   outvote it against the honest engines. *)
 let buggy_engine =
   ( "buggy",
     fun c ->
-      {
-        Fuzz.Oracle.ea_circuit = c;
-        ea_pairs = Some [];
-        ea_width = max 0 (Caqr.Reuse.qubit_usage c - 1);
-        ea_slack = 0;
-      } )
+      let lie = max 0 (Caqr.Reuse.qubit_usage c - 1) in
+      Caqr.Engine.of_pairs ~width:lie c [] )
 
 let test_engines_buggy_caught_and_shrunk () =
   let roster = Fuzz.Oracle.cross_engines @ [ buggy_engine ] in
@@ -204,7 +220,7 @@ let test_engines_buggy_caught_and_shrunk () =
     | Fuzz.Oracle.Fail _ -> true
     | Fuzz.Oracle.Pass -> false
   in
-  let c = Fuzz.Gen.circuit Fuzz.Gen.default (Fuzz.Prng.make 11) in
+  let c = Fuzz.Gen.circuit Fuzz.Gen.default (Exec.Prng.make 11) in
   check bool "buggy engine caught" true (fails c);
   (match Fuzz.Oracle.check_engines_with ~seed:11 roster c with
   | Fuzz.Oracle.Fail why ->
@@ -270,6 +286,8 @@ let () =
             test_engines_clean_roster;
           Alcotest.test_case "buggy engine caught and shrunk" `Quick
             test_engines_buggy_caught_and_shrunk;
+          Alcotest.test_case "roster is the registry" `Quick
+            test_engines_roster_is_registry;
         ] );
       ( "driver",
         [ Alcotest.test_case "battery" `Quick test_driver_battery ] );

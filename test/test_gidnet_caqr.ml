@@ -8,7 +8,7 @@ let bool = Alcotest.bool
 
 module B = Quantum.Circuit.Builder
 
-let width_of c = Caqr.Gidnet_caqr.(run c).width
+let width_of c = (Caqr.Gidnet_caqr.run c).Caqr.Engine.width
 
 let certify ~original pairs =
   let claimed =
@@ -30,8 +30,8 @@ let certify ~original pairs =
    is (0, 2), one fold, width 2. *)
 let test_ghz3_width () =
   let r = Caqr.Gidnet_caqr.run (Benchmarks.Extra.ghz 3) in
-  check int "GHZ_3 -> 2 wires" 2 r.Caqr.Gidnet_caqr.width;
-  check int "one fold" 1 (List.length r.Caqr.Gidnet_caqr.pairs)
+  check int "GHZ_3 -> 2 wires" 2 r.Caqr.Engine.width;
+  check int "one fold" 1 (r.Caqr.Engine.reuses)
 
 (* BV is the chain engine's best case: the candidate graph over the data
    qubits is complete (they never interact), so one chain folds them all
@@ -44,10 +44,15 @@ let test_bv_min_is_two () =
         (width_of (Benchmarks.Bv.circuit n)))
     [ 3; 5; 10 ]
 
+let hosts r =
+  List.sort_uniq compare
+    (List.map
+       (fun (p : Caqr.Reuse.pair) -> p.Caqr.Reuse.src)
+       (Option.get r.Caqr.Engine.pairs))
+
 let test_bv_single_chain () =
   let r = Caqr.Gidnet_caqr.run (Benchmarks.Bv.circuit 8) in
-  check int "one chain suffices for BV_8" 1
-    (List.length r.Caqr.Gidnet_caqr.chains)
+  check int "one host wire suffices for BV_8" 1 (List.length (hosts r))
 
 let test_dynamic_ping_width_one () =
   let b = B.create ~num_qubits:2 ~num_clbits:2 in
@@ -57,9 +62,9 @@ let test_dynamic_ping_width_one () =
   B.measure b 1 1;
   let c = B.build b in
   let r = Caqr.Gidnet_caqr.run c in
-  check int "dynamic ping -> 1 wire" 1 r.Caqr.Gidnet_caqr.width;
+  check int "dynamic ping -> 1 wire" 1 r.Caqr.Engine.width;
   check bool "certificate revalidates" true
-    (certify ~original:c r.Caqr.Gidnet_caqr.pairs)
+    (certify ~original:c (Option.get r.Caqr.Engine.pairs))
 
 let test_teleport_skeleton_irreducible () =
   let b = B.create ~num_qubits:3 ~num_clbits:3 in
@@ -72,41 +77,33 @@ let test_teleport_skeleton_irreducible () =
   B.if_x b 1 2;
   B.measure b 2 2;
   let r = Caqr.Gidnet_caqr.run (B.build b) in
-  check int "teleport skeleton stays at 3" 3 r.Caqr.Gidnet_caqr.width;
-  check int "no chains" 0 (List.length r.Caqr.Gidnet_caqr.chains)
+  check int "teleport skeleton stays at 3" 3 r.Caqr.Engine.width;
+  check int "no pairs" 0 r.Caqr.Engine.reuses
 
 let test_deterministic () =
   let c = Benchmarks.Revlib.multiply_13 () in
-  let qasm r = Quantum.Qasm.to_string r.Caqr.Gidnet_caqr.circuit in
+  let qasm r = Quantum.Qasm.to_string r.Caqr.Engine.circuit in
   let a = Caqr.Gidnet_caqr.run c and b = Caqr.Gidnet_caqr.run c in
   check Alcotest.string "same circuit bytes" (qasm a) (qasm b);
-  check bool "same chains" true
-    (a.Caqr.Gidnet_caqr.chains = b.Caqr.Gidnet_caqr.chains)
+  check bool "same pairs" true (a.Caqr.Engine.pairs = b.Caqr.Engine.pairs)
 
-(* Chain accounting: every committed chain is host + at least one folded
-   qubit, no qubit appears in two chains, and the folds sum to exactly
-   the pair count (each link is one splice). *)
+(* Chain accounting: every link folds a qubit onto its chain's host
+   wire, so each qubit is folded at most once and a folded qubit never
+   hosts a chain itself — the chains partition the folded qubits. *)
 let test_chain_accounting () =
   List.iter
     (fun (e : Benchmarks.Suite.entry) ->
       let r = Caqr.Gidnet_caqr.run e.Benchmarks.Suite.circuit in
-      let chains = r.Caqr.Gidnet_caqr.chains in
-      List.iter
-        (fun ch ->
-          check bool
-            (e.Benchmarks.Suite.name ^ " chain has a link")
-            true
-            (List.length ch >= 2))
-        chains;
-      let members = List.concat chains in
+      let pairs = Option.get r.Caqr.Engine.pairs in
+      let folded = List.map (fun (p : Caqr.Reuse.pair) -> p.Caqr.Reuse.dst) pairs in
       check int
+        (e.Benchmarks.Suite.name ^ " folded once")
+        (List.length folded)
+        (List.length (List.sort_uniq compare folded));
+      check bool
         (e.Benchmarks.Suite.name ^ " chains are disjoint")
-        (List.length members)
-        (List.length (List.sort_uniq compare members));
-      check int
-        (e.Benchmarks.Suite.name ^ " folds = pairs")
-        (List.length r.Caqr.Gidnet_caqr.pairs)
-        (List.fold_left (fun acc ch -> acc + List.length ch - 1) 0 chains))
+        true
+        (List.for_all (fun h -> not (List.mem h folded)) (hosts r)))
     (Benchmarks.Suite.regular ())
 
 let test_regular_benchmarks_certify () =
@@ -116,21 +113,21 @@ let test_regular_benchmarks_certify () =
       let r = Caqr.Gidnet_caqr.run c in
       check int
         (e.Benchmarks.Suite.name ^ " width claim")
-        (Caqr.Reuse.qubit_usage r.Caqr.Gidnet_caqr.circuit)
-        r.Caqr.Gidnet_caqr.width;
+        (Caqr.Reuse.qubit_usage r.Caqr.Engine.circuit)
+        r.Caqr.Engine.width;
       check bool
         (e.Benchmarks.Suite.name ^ " certificate")
         true
-        (certify ~original:c r.Caqr.Gidnet_caqr.pairs))
+        (certify ~original:c (Option.get r.Caqr.Engine.pairs)))
     (Benchmarks.Suite.regular ())
 
 let prop_width_le_baseline =
   QCheck.Test.make ~name:"gidnet width <= baseline" ~count:100
     QCheck.(int_bound 10_000)
     (fun seed ->
-      let c = Fuzz.Gen.circuit Fuzz.Gen.default (Fuzz.Prng.make seed) in
+      let c = Fuzz.Gen.circuit Fuzz.Gen.default (Exec.Prng.make seed) in
       let r = Caqr.Gidnet_caqr.run c in
-      r.Caqr.Gidnet_caqr.width <= Caqr.Reuse.qubit_usage c)
+      r.Caqr.Engine.width <= Caqr.Reuse.qubit_usage c)
 
 let () =
   Alcotest.run "gidnet_caqr"

@@ -74,7 +74,8 @@ let test_deadline_trips_matching () =
     [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 0) ];
   let e =
     expect_budget_trip "blossom under 0ms deadline" (fun () ->
-        Guard.Budget.with_deadline ~ms:0 (fun () -> Galg.Matching.blossom g))
+        Guard.Budget.scoped (Guard.Budget.make ~ms:0 ()) (fun () ->
+            Galg.Matching.blossom g))
   in
   check string "site" "match.augment" e.Guard.Error.site
 
@@ -83,7 +84,7 @@ let test_deadline_trips_router () =
   let device = device_of "Multiply_13" in
   let err =
     expect_budget_trip "router under 0ms deadline" (fun () ->
-        Guard.Budget.with_deadline ~ms:0 (fun () ->
+        Guard.Budget.scoped (Guard.Budget.make ~ms:0 ()) (fun () ->
             Transpiler.Transpile.run device e.Benchmarks.Suite.circuit))
   in
   check string "site" "route.swap" err.Guard.Error.site
@@ -98,7 +99,7 @@ let test_deadline_trips_sim () =
   let c = B.build b in
   let err =
     expect_budget_trip "executor under 0ms deadline" (fun () ->
-        Guard.Budget.with_deadline ~ms:0 (fun () ->
+        Guard.Budget.scoped (Guard.Budget.make ~ms:0 ()) (fun () ->
             Sim.Executor.run ~jobs:1 ~seed:1 ~shots:16 c))
   in
   check string "site" "sim.shot" err.Guard.Error.site
@@ -106,7 +107,7 @@ let test_deadline_trips_sim () =
 let test_deadline_restored () =
   check bool "disarmed before" false (Guard.Budget.has_deadline ());
   (try
-     Guard.Budget.with_deadline ~ms:0 (fun () ->
+     Guard.Budget.scoped (Guard.Budget.make ~ms:0 ()) (fun () ->
          check bool "armed inside" true (Guard.Budget.has_deadline ());
          Guard.Budget.checkpoint ~stage:"t" ~site:"s")
    with Guard.Error.Budget_exceeded _ -> ());

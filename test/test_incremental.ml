@@ -1,7 +1,7 @@
 (* The incremental analysis engine must be invisible from the outside:
    [Reuse.apply_incremental] has to agree with a fresh [Reuse.analyze]
-   of the transformed circuit on every observable, and the Incremental
-   search engine has to reproduce the Fresh engine's sweeps exactly. *)
+   of the transformed circuit on every observable, and [Qs_caqr.sweep]
+   has to reproduce [Qs_caqr.reference_sweep] exactly. *)
 
 (* Per-property seeded state, as in test_properties.ml: seeding from the
    name keeps runs reproducible without correlating the properties. *)
@@ -99,12 +99,10 @@ let prop_incremental_matches_fresh =
       in
       go (Caqr.Reuse.analyze (build_measured cspec)) choices)
 
-(* ---- engine regression: sweeps must be byte-identical ---- *)
+(* ---- search regression: the incremental sweep must be identical to
+   the reference sweep ---- *)
 
-let sweep_with engine c =
-  Caqr.Qs_caqr.sweep
-    ~opts:{ Caqr.Qs_caqr.default_opts with Caqr.Qs_caqr.engine }
-    c
+let sweeps_agree c = Caqr.Qs_caqr.sweep c = Caqr.Qs_caqr.reference_sweep c
 
 let prop_sweep_engines_agree =
   QCheck.Test.make ~name:"qs: engines produce identical sweeps" ~count:40
@@ -112,26 +110,21 @@ let prop_sweep_engines_agree =
          Printf.sprintf "n=%d gates=%d" n (List.length gs)))
     (fun spec ->
       let c = build_measured spec in
-      sweep_with Caqr.Qs_caqr.Incremental c = sweep_with Caqr.Qs_caqr.Fresh c)
+      sweeps_agree c)
 
 let test_suite_sweep_identical name () =
   let c = (Benchmarks.Suite.find name).Benchmarks.Suite.circuit in
   Alcotest.(check bool)
-    (name ^ ": incremental sweep = fresh sweep")
-    true
-    (sweep_with Caqr.Qs_caqr.Incremental c = sweep_with Caqr.Qs_caqr.Fresh c)
+    (name ^ ": incremental sweep = reference sweep")
+    true (sweeps_agree c)
 
 let test_max_reuse_identical () =
   List.iter
     (fun name ->
       let c = (Benchmarks.Suite.find name).Benchmarks.Suite.circuit in
-      let with_engine engine =
-        Caqr.Qs_caqr.max_reuse
-          ~opts:{ Caqr.Qs_caqr.default_opts with Caqr.Qs_caqr.engine }
-          c
-      in
+      let last = List.hd (List.rev (Caqr.Qs_caqr.reference_sweep c)) in
       Alcotest.(check bool) name true
-        (with_engine Caqr.Qs_caqr.Incremental = with_engine Caqr.Qs_caqr.Fresh))
+        (Caqr.Qs_caqr.max_reuse c = last.Caqr.Qs_caqr.circuit))
     [ "BV_10"; "XOR_5"; "RD-32" ]
 
 let () =

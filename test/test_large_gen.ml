@@ -88,18 +88,7 @@ let roundtrip ?(exact = true) name c =
     (C.mid_circuit_measurements c)
     (C.mid_circuit_measurements c');
   if exact then
-    check bool (name ^ ": bit-exact digest") true (C.digest c = C.digest c');
-  (* The streaming fold sees exactly the same stream of gates and the
-     same declared widths, without building a circuit. *)
-  match
-    Quantum.Qasm_parser.fold_gates text ~init:0 ~gate:(fun n _ -> n + 1)
-  with
-  | Ok (gates, nq, nc) ->
-    check int (name ^ ": fold gate count") (C.gate_count c) gates;
-    check int (name ^ ": fold qubits") c.C.num_qubits nq;
-    check int (name ^ ": fold clbits") c.C.num_clbits nc
-  | Error e ->
-    Alcotest.fail (name ^ ": fold_gates failed: " ^ e.Guard.Error.detail)
+    check bool (name ^ ": bit-exact digest") true (C.digest c = C.digest c')
 
 let test_roundtrip_100 () =
   roundtrip "qaoa-powerlaw-100" (L.qaoa_powerlaw ~seed:107 100);

@@ -120,14 +120,14 @@ let test_strategy_roundtrip () =
         true
         (Caqr.Pipeline.strategy_name s = name))
     Caqr.Pipeline.all_strategies;
+  (* Every registered engine and the unnamed [Qs_target] family. *)
   List.iter
-    (fun n ->
-      let s = Caqr.Pipeline.Qs_target n in
-      check bool
-        (Printf.sprintf "qs-target-%d round-trips" n)
-        true
-        (Caqr.Pipeline.strategy_of_name (Caqr.Pipeline.strategy_name s) = Ok s))
-    [ 1; 4; 17 ];
+    (fun s ->
+      let name = Caqr.Pipeline.strategy_name s in
+      check bool (name ^ " round-trips") true
+        (Caqr.Pipeline.strategy_of_name name = Ok s))
+    (List.map fst Caqr.Pipeline.engines
+    @ List.map (fun n -> Caqr.Pipeline.Qs_target n) [ 1; 4; 17 ]);
   check bool "bare int is target sugar" true
     (Caqr.Pipeline.strategy_of_name "6" = Ok (Caqr.Pipeline.Qs_target 6));
   match Caqr.Pipeline.strategy_of_name "qs-fastest" with
@@ -165,6 +165,55 @@ let test_physical_semantics_end_to_end () =
       Caqr.Pipeline.Gidnet;
     ]
 
+(* ---- the engine registry ---- *)
+
+let small_qaoa () =
+  let g = Galg.Graph.create 6 in
+  List.iter
+    (fun (u, v) -> Galg.Graph.add_edge g u v)
+    [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5) ];
+  Caqr.Pipeline.Commutable g
+
+(* [compile] reports exactly what the registered engine hands back: the
+   reuse count and the quality marker pass through untouched, on a
+   regular input, a commutable one, and a generated circuit whose input
+   already carries mid-circuit measurements. *)
+let test_registry_matches_compile () =
+  let generated =
+    Caqr.Pipeline.Regular
+      (Fuzz.Gen.circuit Fuzz.Gen.default (Exec.Prng.make 1))
+  in
+  List.iter
+    (fun (s, run) ->
+      List.iter
+        (fun (label, input) ->
+          let a = run mumbai input in
+          let r = Caqr.Pipeline.compile mumbai s input in
+          let what = Caqr.Pipeline.strategy_name s ^ " on " ^ label in
+          check int (what ^ ": reuse_pairs") a.Caqr.Engine.reuses
+            r.Caqr.Pipeline.reuse_pairs;
+          check bool (what ^ ": quality") true
+            (a.Caqr.Engine.quality = r.Caqr.Pipeline.quality))
+        [ ("BV_8", bv 8); ("a 6-vertex path", small_qaoa ()); ("seed 1", generated) ])
+    Caqr.Pipeline.engines
+
+(* [reuse_pairs] counts the pairs the engine applied, not the mid-circuit
+   measurements of the result: generated seed 1 already measures
+   mid-circuit and admits no reuse, so both QS strategies report 0 at
+   the same width. *)
+let test_reuse_pairs_counts_applied () =
+  let c = Fuzz.Gen.circuit Fuzz.Gen.default (Exec.Prng.make 1) in
+  let device = Hardware.Device.heavy_hex_for c.Quantum.Circuit.num_qubits in
+  let compile s = Caqr.Pipeline.compile device s (Caqr.Pipeline.Regular c) in
+  let max_reuse = compile Caqr.Pipeline.Qs_max_reuse in
+  let width = Caqr.Reuse.qubit_usage max_reuse.Caqr.Pipeline.logical in
+  let target = compile (Caqr.Pipeline.Qs_target width) in
+  check bool "input measures mid-circuit" true
+    (Quantum.Circuit.mid_circuit_measurements c > 0);
+  check int "qs-max-reuse applies no pair" 0 max_reuse.Caqr.Pipeline.reuse_pairs;
+  check int "qs-target at the same width agrees"
+    target.Caqr.Pipeline.reuse_pairs max_reuse.Caqr.Pipeline.reuse_pairs
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -182,6 +231,13 @@ let () =
           Alcotest.test_case "commutable" `Quick test_commutable_input;
           Alcotest.test_case "names" `Quick test_strategy_names;
           Alcotest.test_case "name round-trip" `Quick test_strategy_roundtrip;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "compile matches engine" `Quick
+            test_registry_matches_compile;
+          Alcotest.test_case "reuse_pairs counts applied pairs" `Quick
+            test_reuse_pairs_counts_applied;
         ] );
       ( "applicability",
         [
