@@ -198,7 +198,7 @@ let table1_versions (e : Benchmarks.Suite.entry) =
   | Benchmarks.Suite.Commutable g ->
     List.map
       (fun (s : Caqr.Commute.step) ->
-        (s.Caqr.Commute.usage, compiled_stats mumbai (Caqr.Commute.emit s.Caqr.Commute.plan)))
+        (s.Caqr.Commute.usage, compiled_stats mumbai s.Caqr.Commute.circuit))
       (Caqr.Commute.sweep g)
 
 let table1 () =

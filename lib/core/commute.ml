@@ -84,23 +84,35 @@ let valid_merge p ~src ~dst =
   independent p a b
   && pairs_acyclic p.g ({ Reuse.src; dst } :: p.pairs_rev)
 
-let merge p ~src ~dst =
-  if not (valid_merge p ~src ~dst) then invalid_arg "Commute.merge: invalid pair";
+let link p ~src ~dst =
   let next = Array.copy p.next and prev = Array.copy p.prev in
   next.(src) <- dst;
   prev.(dst) <- src;
   { p with pairs_rev = { Reuse.src; dst } :: p.pairs_rev; next; prev }
 
+let merge p ~src ~dst =
+  if not (valid_merge p ~src ~dst) then invalid_arg "Commute.merge: invalid pair";
+  link p ~src ~dst
+
 (* ---- The 3-step matching scheduler (paper §3.2.2) ---- *)
 
-(* Runs the round-by-round schedule, invoking [on_round] with each round's
-   matched edges and [on_finish] whenever a vertex completes its gates.
-   Returns the number of rounds. *)
-let run_schedule ?(exact = false) p ~on_round ~on_finish =
-  let g = p.g in
-  let n = Galg.Graph.order g in
-  let remaining = Galg.Graph.copy g in
-  let rem_deg = Array.init n (Galg.Graph.degree g) in
+(* Wire hand-off: a vertex is done once its gates have run AND its chain
+   predecessor is done, so the wire has passed through every earlier
+   occupant. A gateless vertex therefore finishes right after its
+   predecessor, never at time 0 while an earlier occupant still holds
+   the wire, and a vertex's gates are blocked until its predecessor is
+   done: a chain's vertices run strictly one after another.
+
+   Runs the round-by-round schedule on flat adjacency, invoking [on_gate]
+   on each gate of a round (ascending) and then [on_finish] on each vertex
+   as it becomes done (cascading down its chain). Returns the number of
+   rounds. *)
+let run_schedule ~exact p ~on_gate ~on_finish =
+  let n = Galg.Graph.order p.g in
+  let remaining = Galg.Matching.adj_of_graph p.g in
+  let work = Galg.Matching.work remaining in
+  let rem_deg = remaining.Galg.Matching.len in
+  let edges_left = ref (Galg.Graph.size p.g) in
   let src_of = Array.make n (-1) in
   let has_dependent = Array.make n false in
   List.iter
@@ -108,62 +120,92 @@ let run_schedule ?(exact = false) p ~on_round ~on_finish =
       src_of.(dst) <- src;
       has_dependent.(src) <- true)
     p.pairs_rev;
-  (* Vertices with no gates at all finish immediately. *)
+  let done_ = Array.make n false in
+  let rec finish q =
+    if
+      (not done_.(q))
+      && rem_deg.(q) = 0
+      && (src_of.(q) < 0 || done_.(src_of.(q)))
+    then begin
+      done_.(q) <- true;
+      on_finish q;
+      if p.next.(q) >= 0 then finish p.next.(q)
+    end
+  in
   for q = 0 to n - 1 do
-    if rem_deg.(q) = 0 then on_finish q
+    finish q
   done;
-  let blocked q =
-    let s = src_of.(q) in
-    s >= 0 && rem_deg.(s) > 0
+  (* Step 2: gates whose reuse dependence is unresolved are not eligible. *)
+  let eligible u v =
+    let s = src_of.(u) and t = src_of.(v) in
+    (s < 0 || done_.(s)) && (t < 0 || done_.(t))
+  in
+  (* Step 3: maximum-weight matching; edges touching a pending reuse
+     source carry priority weight, and among those the longest queues go
+     first (LPT) — the heaviest wire bounds the makespan, so letting a hub
+     idle for a round directly stretches the circuit. *)
+  let priority u v = has_dependent.(u) || has_dependent.(v) in
+  let weight u v =
+    (if priority u v then 10000. else 0.)
+    +. float_of_int (rem_deg.(u) + rem_deg.(v))
+  in
+  let remove u v =
+    let { Galg.Matching.start; len; nbr } = remaining in
+    let k = ref start.(u) in
+    while nbr.(!k) <> v do
+      incr k
+    done;
+    Array.blit nbr (!k + 1) nbr !k (start.(u) + len.(u) - 1 - !k);
+    len.(u) <- len.(u) - 1
   in
   let rounds = ref 0 in
-  let stuck = ref 0 in
-  while Galg.Graph.size remaining > 0 && !stuck < 3 do
-    (* Step 2: drop gates whose reuse dependence is unresolved. *)
-    let eligible = Galg.Graph.create n in
-    List.iter
-      (fun (u, v) ->
-        if (not (blocked u)) && not (blocked v) then Galg.Graph.add_edge eligible u v)
-      (Galg.Graph.edges remaining);
-    (* Step 3: maximum-weight matching; edges touching a pending reuse
-       source carry priority weight, and among those the longest queues
-       go first (LPT) — the heaviest wire bounds the makespan, so letting
-       a hub idle for a round directly stretches the circuit. *)
-    let priority u v = has_dependent.(u) || has_dependent.(v) in
+  while !edges_left > 0 do
     let mate =
-      if exact then Galg.Matching.priority_matching ~priority eligible
-      else
-        Galg.Matching.greedy
-          ~weight:(fun u v ->
-            (if priority u v then 10000. else 0.)
-            +. float_of_int (rem_deg.(u) + rem_deg.(v)))
-          eligible
+      if exact then
+        Galg.Matching.priority_into work remaining ~keep:eligible ~priority
+      else Galg.Matching.greedy_into work remaining ~keep:eligible ~weight
     in
-    let matched = Galg.Matching.edges mate in
-    if matched = [] then incr stuck
-    else begin
-      stuck := 0;
-      incr rounds;
-      on_round matched;
-      List.iter
-        (fun (u, v) ->
-          Galg.Graph.remove_edge remaining u v;
-          rem_deg.(u) <- rem_deg.(u) - 1;
-          rem_deg.(v) <- rem_deg.(v) - 1;
-          if rem_deg.(u) = 0 then on_finish u;
-          if rem_deg.(v) = 0 then on_finish v)
-        matched
-    end
+    let before = !edges_left in
+    for u = 0 to n - 1 do
+      if mate.(u) > u then begin
+        on_gate u mate.(u);
+        decr edges_left
+      end
+    done;
+    if !edges_left = before then
+      failwith "Commute.run_schedule: stuck (invalid reuse plan)";
+    incr rounds;
+    for u = 0 to n - 1 do
+      let v = mate.(u) in
+      if v > u then begin
+        remove u v;
+        remove v u;
+        finish u;
+        finish v
+      end
+    done
   done;
-  if Galg.Graph.size remaining > 0 then
-    failwith "Commute.run_schedule: stuck (invalid reuse plan)";
   !rounds
 
 let schedule_rounds ?exact p =
   let exact =
     match exact with Some e -> e | None -> Galg.Graph.order p.g <= 32
   in
-  run_schedule ~exact p ~on_round:(fun _ -> ()) ~on_finish:(fun _ -> ())
+  Obs.Metrics.incr "commute.schedule.runs";
+  run_schedule ~exact p ~on_gate:(fun _ _ -> ()) ~on_finish:(fun _ -> ())
+
+(* The chain-load lemma: a chain's vertices run one after another (the
+   hand-off rule) and a vertex joins at most one gate per round, so every
+   schedule of [p] needs at least max over chains of the chain's summed
+   degrees in rounds. *)
+let rounds_lower_bound p =
+  List.fold_left
+    (fun acc head ->
+      max acc
+        (List.fold_left
+           (fun load v -> load + Galg.Graph.degree p.g v)
+           0 (chain p head)))
+    0 (wires p)
 
 let emit ?(gamma = 0.7) ?(beta = 0.3) p =
   let n = Galg.Graph.order p.g in
@@ -183,15 +225,12 @@ let emit ?(gamma = 0.7) ?(beta = 0.3) p =
        driven by the measurement just taken (Fig. 2 (b)). *)
     if p.next.(q) >= 0 then Quantum.Circuit.Builder.if_x b q q
   in
-  let on_round matched =
-    List.iter
-      (fun (u, v) ->
-        start u;
-        start v;
-        Quantum.Circuit.Builder.rzz b gamma u v)
-      matched
+  let on_gate u v =
+    start u;
+    start v;
+    Quantum.Circuit.Builder.rzz b gamma u v
   in
-  let _rounds = run_schedule ~exact:false p ~on_round ~on_finish:finish in
+  let _rounds = run_schedule ~exact:false p ~on_gate ~on_finish:finish in
   let circuit = Quantum.Circuit.Builder.build b in
   (* Collapse each chain onto its head wire. *)
   let wire = Array.init n (fun q -> head_of p q) in
@@ -228,7 +267,9 @@ let reduce_once ?(mode = `Auto) p =
     | m -> m
   in
   let cands =
-    List.sort (fun a b -> compare (merge_cost p a) (merge_cost p b)) (candidates p)
+    List.map (fun c -> (merge_cost p c, c)) (candidates p)
+    |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
   in
   match mode with
   | `Heuristic | `Auto ->
@@ -237,21 +278,30 @@ let reduce_once ?(mode = `Auto) p =
     let rec first = function
       | [] -> None
       | (src, dst) :: rest ->
-        if valid_merge p ~src ~dst then Some (merge p ~src ~dst) else first rest
+        if valid_merge p ~src ~dst then Some (link p ~src ~dst) else first rest
     in
     first cands
   | `Exact ->
-    (* Evaluate up to 48 valid candidates by scheduler rounds. *)
+    (* Evaluate up to 48 valid candidates by scheduler rounds; the first
+       best wins ties. A candidate whose chain-load bound already reaches
+       the incumbent's rounds cannot displace it, so its schedule is
+       skipped — it still spends its slot, which keeps the choice exactly
+       that of scheduling every candidate. *)
     let rec eval best budget = function
       | [] -> best
       | _ when budget = 0 -> best
       | (src, dst) :: rest ->
         if valid_merge p ~src ~dst then begin
-          let p' = merge p ~src ~dst in
-          let r = schedule_rounds p' in
+          let p' = link p ~src ~dst in
           match best with
-          | Some (_, r') when r' <= r -> eval best (budget - 1) rest
-          | _ -> eval (Some (p', r)) (budget - 1) rest
+          | Some (_, r') when rounds_lower_bound p' >= r' ->
+            Obs.Metrics.incr "commute.schedule.pruned";
+            eval best (budget - 1) rest
+          | _ ->
+            let r = schedule_rounds p' in
+            (match best with
+             | Some (_, r') when r' <= r -> eval best (budget - 1) rest
+             | _ -> eval (Some (p', r)) (budget - 1) rest)
         end
         else eval best budget rest
     in
@@ -414,6 +464,7 @@ let plan_with_budget g ~budget =
 type step = {
   usage : int;
   plan : plan;
+  circuit : Quantum.Circuit.t;
   depth : int;
   duration : int;
   two_q : int;
@@ -426,6 +477,7 @@ let make_step ?gamma ?beta plan =
   {
     usage = usage plan;
     plan;
+    circuit = c;
     depth = Quantum.Circuit.depth c;
     duration = Quantum.Circuit.duration model c;
     two_q = Quantum.Circuit.two_q_count c;
@@ -439,6 +491,7 @@ let make_step ?gamma ?beta plan =
    savings, where incremental merging dead-ends on frozen chain
    orders). Duplicate usages are dropped. *)
 let sweep ?(mode = `Auto) ?(stop_at = 1) ?gamma ?beta g =
+  Obs.Metrics.time "time.commute" @@ fun () ->
   let base = make_step ?gamma ?beta (make g) in
   (* Merge trajectory, indexed by usage. *)
   let merge_path =

@@ -48,8 +48,16 @@ val merge : plan -> src:int -> dst:int -> plan
 (** Number of scheduler rounds (parallel two-qubit-gate layers) the plan
     needs — the paper's pair-impact metric. [exact] (default when the
     graph has at most 32 vertices) uses blossom matching; otherwise a
-    two-pass greedy. *)
+    greedy matching. A vertex's gates wait until its chain predecessor is
+    done: all its gates run and, recursively, its own predecessor done.
+    Counts [commute.schedule.runs]. *)
 val schedule_rounds : ?exact:bool -> plan -> int
+
+(** The chain-load bound: the largest summed degree over the plan's
+    chains. Chain occupants run one after another and a vertex joins at
+    most one gate per round, so [schedule_rounds p >= rounds_lower_bound p]
+    for either matching. *)
+val rounds_lower_bound : plan -> int
 
 (** Emit the transformed single-layer QAOA circuit: H walls, scheduled
     [Rzz gamma] gates, [Rx (2 beta)] mixers, per-vertex measurement into
@@ -59,8 +67,13 @@ val schedule_rounds : ?exact:bool -> plan -> int
 val emit : ?gamma:float -> ?beta:float -> plan -> Quantum.Circuit.t
 
 (** One greedy reduction step: merge the candidate with the best score
-    ([`Exact] = scheduler rounds, used for small graphs; [`Heuristic] =
-    lowest combined wire load). [None] when no valid merge exists. *)
+    ([`Exact] = fewest scheduler rounds among the first 48 valid
+    candidates by combined wire load, earliest on ties, used for small
+    graphs; [`Heuristic] = lowest combined wire load). [`Exact] skips the
+    schedule of a candidate whose {!rounds_lower_bound} already reaches
+    the incumbent's rounds (counted as [commute.schedule.pruned]); that
+    candidate could not win, so the choice is unchanged. [None] when no
+    valid merge exists. *)
 val reduce_once : ?mode:[ `Exact | `Heuristic | `Auto ] -> plan -> plan option
 
 (** [plan_with_budget g ~budget] builds a reuse plan that fits in
@@ -74,6 +87,7 @@ val plan_with_budget : Galg.Graph.t -> budget:int -> plan option
 type step = {
   usage : int;
   plan : plan;
+  circuit : Quantum.Circuit.t;  (** [emit plan] at the sweep's gamma, beta *)
   depth : int;
   duration : int;
   two_q : int;
@@ -81,7 +95,7 @@ type step = {
 
 (** Full reduction trajectory from [n] wires down to [stop_at] (or the
     minimum reachable), with emitted-circuit metrics at each point —
-    the data behind Figs. 3 and 14. *)
+    the data behind Figs. 3 and 14. Timed as [time.commute]. *)
 val sweep :
   ?mode:[ `Exact | `Heuristic | `Auto ] ->
   ?stop_at:int ->

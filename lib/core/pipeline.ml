@@ -148,7 +148,7 @@ let qs_steps ~search input =
   | Commutable g ->
     List.map
       (fun (s : Commute.step) ->
-        (Commute.emit s.Commute.plan, Commute.pairs s.Commute.plan))
+        (s.Commute.circuit, Commute.pairs s.Commute.plan))
       (Commute.sweep g)
 
 (* Share of the remaining wall budget granted to the reuse engine; the
@@ -451,7 +451,7 @@ let sweep_stats ?(jobs = 1) ?(search = Qs_caqr.default_opts) device input =
     | Commutable g ->
       List.map
         (fun (s : Commute.step) ->
-          (s.Commute.usage, s.Commute.depth, Commute.emit s.Commute.plan))
+          (s.Commute.usage, s.Commute.depth, s.Commute.circuit))
         (Commute.sweep g)
   in
   Exec.Pool.map ~jobs:(max 1 jobs)

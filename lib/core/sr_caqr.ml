@@ -418,8 +418,7 @@ let commutable ?gamma ?beta device problem_graph =
   in
   let compiled =
     List.map
-      (fun (s : Commute.step) ->
-        regular device (Commute.emit ?gamma ?beta s.Commute.plan))
+      (fun (s : Commute.step) -> regular device s.Commute.circuit)
       candidates
   in
   List.fold_left

@@ -3,5 +3,5 @@
    folds [engine] into every key, so entries written by an older build
    become unreachable instead of being served stale. *)
 
-let string = "1.8.0"
+let string = "1.9.0"
 let engine = "caqr-" ^ string

@@ -36,3 +36,36 @@ val is_valid : Graph.t -> t -> bool
 
 (** A maximal matching admits no free edge (both endpoints unmatched). *)
 val is_maximal : Graph.t -> t -> bool
+
+(** {2 Flat kernel}
+
+    {!blossom}, {!greedy} and {!priority_matching} are adapters over this
+    one implementation. Callers that match many rounds of a shrinking
+    graph (the commutable scheduler) drive it directly, without building
+    a {!Graph.t} per round. *)
+
+(** Flat adjacency: the neighbours of [v] are
+    [nbr.(start.(v)) .. nbr.(start.(v) + len.(v) - 1)], in increasing
+    order. Owners may shrink a list in place (decrement [len] after
+    closing the gap) to delete edges. *)
+type adj = { start : int array; len : int array; nbr : int array }
+
+val adj_of_graph : Graph.t -> adj
+
+(** Scratch buffers for matching graphs with the vertex count and at
+    most the adjacency entries of the given {!adj}. *)
+type work
+
+val work : adj -> work
+
+(** [priority_into w a ~keep ~priority] is {!priority_matching} on the
+    edges of [a] that satisfy [keep]. Both predicates are called with
+    [u < v]. The result is owned by [w] and overwritten by the next
+    call. *)
+val priority_into :
+  work -> adj -> keep:(int -> int -> bool) -> priority:(int -> int -> bool) -> t
+
+(** [greedy_into w a ~keep ~weight] is {!greedy} on the edges of [a]
+    that satisfy [keep]; same ownership as {!priority_into}. *)
+val greedy_into :
+  work -> adj -> keep:(int -> int -> bool) -> weight:(int -> int -> float) -> t

@@ -74,6 +74,20 @@ let test_schedule_rounds_with_reuse_serializes () =
     (Caqr.Commute.schedule_rounds p
     >= Caqr.Commute.schedule_rounds (Caqr.Commute.make (square ())))
 
+let test_handoff_through_gateless_vertex () =
+  (* Chain 0 -> 2 -> 3 where 2 has no gates: 3's gate must wait until 2
+     (and so 0) has handed the wire over, not start beside 0's gate. *)
+  let g = Galg.Graph.of_edges 5 [ (0, 1); (3, 4) ] in
+  let p = Caqr.Commute.merge (Caqr.Commute.make g) ~src:0 ~dst:2 in
+  let p = Caqr.Commute.merge p ~src:2 ~dst:3 in
+  check int "chain serializes the gates" 2 (Caqr.Commute.schedule_rounds p);
+  check int "chain-load bound" 2 (Caqr.Commute.rounds_lower_bound p);
+  check bool "exactly equivalent" true
+    (Verify.Equiv.check
+       ~original:(Caqr.Commute.emit (Caqr.Commute.make g))
+       ~transformed:(Caqr.Commute.emit p) ()
+    = Verify.Verdict.Equivalent)
+
 let test_emit_structure () =
   let g = square () in
   let c = Caqr.Commute.emit (Caqr.Commute.make g) in
@@ -163,6 +177,8 @@ let () =
         [
           Alcotest.test_case "parallelism" `Quick test_schedule_rounds_parallelism;
           Alcotest.test_case "reuse serializes" `Quick test_schedule_rounds_with_reuse_serializes;
+          Alcotest.test_case "hand-off through gateless vertex" `Quick
+            test_handoff_through_gateless_vertex;
         ] );
       ( "emit",
         [

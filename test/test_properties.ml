@@ -134,6 +134,25 @@ let prop_priority_valid =
       let m = Galg.Matching.priority_matching ~priority:(fun u v -> (u + v) mod 2 = 0) g in
       Galg.Matching.is_valid g m)
 
+let prop_flat_kernel_filters =
+  QCheck.Test.make ~name:"matching: flat kernel = adapters on the kept subgraph"
+    ~count:100 arb_graph (fun spec ->
+      let g = build_graph spec in
+      let keep u v = (u + (2 * v)) mod 3 <> 0 in
+      let priority u v = (u * v) mod 2 = 0 in
+      let weight u v = float_of_int ((u + v) mod 4) in
+      let kept =
+        Galg.Graph.of_edges (Galg.Graph.order g)
+          (List.filter (fun (u, v) -> keep u v) (Galg.Graph.edges g))
+      in
+      let a = Galg.Matching.adj_of_graph g in
+      let w = Galg.Matching.work a in
+      (* Two calls on one workspace: scratch reuse must not leak state. *)
+      let m1 = Array.copy (Galg.Matching.priority_into w a ~keep ~priority) in
+      let m2 = Array.copy (Galg.Matching.greedy_into w a ~keep ~weight) in
+      m1 = Galg.Matching.priority_matching ~priority kept
+      && m2 = Galg.Matching.greedy ~weight kept)
+
 (* ---- Circuit / DAG properties ---- *)
 
 let prop_depth_bounds =
@@ -317,6 +336,100 @@ let prop_commute_emit_reuse_complete =
       let c = Caqr.Commute.emit last.Caqr.Commute.plan in
       Quantum.Circuit.two_q_count c = Galg.Graph.size g)
 
+(* A random problem graph on [lo .. hi] vertices at a random density;
+   sparse draws leave gateless (isolated) vertices, which chains must
+   hand the wire through. *)
+let arb_problem lo hi =
+  QCheck.make
+    ~print:(Format.asprintf "%a" Galg.Graph.pp)
+    QCheck.Gen.(
+      int_range lo hi >>= fun n ->
+      int_range 0 60 >>= fun pct ->
+      int_bound 100_000 >|= fun seed ->
+      Galg.Gen.random ~seed n ~density:(float_of_int pct /. 100.))
+
+let prop_commute_sweep_equivalent =
+  QCheck.Test.make ~name:"commute: sweep steps exactly equivalent (n <= 8)"
+    ~count:80 (arb_problem 2 8) (fun g ->
+      let original = Caqr.Commute.emit (Caqr.Commute.make g) in
+      List.for_all
+        (fun (s : Caqr.Commute.step) ->
+          Verify.Equiv.check ~original ~transformed:s.Caqr.Commute.circuit ()
+          = Verify.Verdict.Equivalent)
+        (Caqr.Commute.sweep g))
+
+(* Every plan a merge trajectory or the budget planner produces. *)
+let plans_of g =
+  let rec path p acc =
+    match Caqr.Commute.reduce_once ~mode:`Heuristic p with
+    | Some p' -> path p' (p' :: acc)
+    | None -> acc
+  in
+  let n = Galg.Graph.order g in
+  path (Caqr.Commute.make g) [ Caqr.Commute.make g ]
+  @ List.filter_map
+      (fun budget -> Caqr.Commute.plan_with_budget g ~budget)
+      (List.init n (fun k -> k + 1))
+
+let prop_commute_rounds_geq_chain_load =
+  QCheck.Test.make ~name:"commute: schedule_rounds >= chain-load bound"
+    ~count:40 (arb_problem 2 30) (fun g ->
+      List.for_all
+        (fun p ->
+          let bound = Caqr.Commute.rounds_lower_bound p in
+          Caqr.Commute.schedule_rounds ~exact:true p >= bound
+          && Caqr.Commute.schedule_rounds ~exact:false p >= bound)
+        (plans_of g))
+
+(* The unpruned [`Exact] step: schedule every valid candidate among the
+   first 48 in combined-wire-load order, keep the first with the fewest
+   rounds. *)
+let reference_reduce_once p =
+  let g = Caqr.Commute.graph p in
+  let heads = Caqr.Commute.wires p in
+  let load head =
+    List.fold_left
+      (fun acc v -> acc + Galg.Graph.degree g v + 2)
+      0 (Caqr.Commute.chain p head)
+  in
+  let tail head = List.hd (List.rev (Caqr.Commute.chain p head)) in
+  let candidates =
+    List.concat_map
+      (fun ha ->
+        List.filter_map
+          (fun hb ->
+            if hb = ha then None else Some (load ha + load hb, (tail ha, hb)))
+          heads)
+      heads
+    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
+    |> List.filter (fun (src, dst) -> Caqr.Commute.valid_merge p ~src ~dst)
+    |> List.filteri (fun i _ -> i < 48)
+  in
+  List.fold_left
+    (fun best (src, dst) ->
+      let p' = Caqr.Commute.merge p ~src ~dst in
+      let r = Caqr.Commute.schedule_rounds p' in
+      match best with
+      | Some (_, r') when r' <= r -> best
+      | _ -> Some (p', r))
+    None candidates
+  |> Option.map fst
+
+let prop_commute_pruned_exact_matches_reference =
+  QCheck.Test.make ~name:"commute: pruned Exact step = unpruned reference"
+    ~count:25 (arb_problem 2 30) (fun g ->
+      let rec walk p =
+        match
+          (Caqr.Commute.reduce_once ~mode:`Exact p, reference_reduce_once p)
+        with
+        | None, None -> true
+        | Some a, Some b ->
+          Caqr.Commute.pairs a = Caqr.Commute.pairs b && walk a
+        | _ -> false
+      in
+      walk (Caqr.Commute.make g))
+
 (* ---- Optimizer properties ---- *)
 
 let prop_optimize_never_grows =
@@ -421,6 +534,7 @@ let () =
             prop_blossom_valid;
             prop_blossom_geq_greedy;
             prop_priority_valid;
+            prop_flat_kernel_filters;
           ] );
       ( "quantum",
         List.map to_alcotest
@@ -451,6 +565,9 @@ let () =
             prop_budget_plan_chains_independent;
             prop_budget_plan_emit_complete;
             prop_budget_floor_geq_coloring;
+            prop_commute_sweep_equivalent;
+            prop_commute_rounds_geq_chain_load;
+            prop_commute_pruned_exact_matches_reference;
           ] );
       ( "optimize",
         List.map to_alcotest
