@@ -30,6 +30,11 @@ let check_artifact device ~logical ~physical =
     Printf.printf "!! STRUCTURAL VIOLATION: %s\n%!" cex.Verify.Verdict.detail
   | _ -> ()
 
+let input_of (e : Benchmarks.Suite.entry) =
+  match e.Benchmarks.Suite.kind with
+  | Benchmarks.Suite.Regular -> Caqr.Pipeline.Regular e.Benchmarks.Suite.circuit
+  | Benchmarks.Suite.Commutable g -> Caqr.Pipeline.Commutable g
+
 let compiled_stats device circuit =
   let compacted, _ = Quantum.Circuit.compact_qubits circuit in
   let routed = Transpiler.Transpile.run device compacted in
@@ -81,30 +86,30 @@ let qaoa_tradeoff_series ~label g =
     (Galg.Graph.order g) (Galg.Graph.size g) (Caqr.Commute.min_qubits g);
   Printf.printf "%-8s %-10s %-14s %-10s\n" "qubits" "depth" "duration(dt)" "2q-gates";
   let steps = Caqr.Commute.sweep ~mode:`Heuristic g in
+  (* Every sweep point emits one Rzz per edge. *)
   List.iter
-    (fun (s : Caqr.Commute.step) ->
-      Printf.printf "%-8d %-10d %-14d %-10d\n" s.Caqr.Commute.usage s.Caqr.Commute.depth
-        s.Caqr.Commute.duration s.Caqr.Commute.two_q)
+    (fun (s : Caqr.Engine.step) ->
+      Printf.printf "%-8d %-10d %-14d %-10d\n" s.usage s.depth s.duration
+        (Galg.Graph.size g))
     steps;
   (* Headline summary: qubit saving at <= 25% duration growth. *)
   match steps with
   | base :: _ ->
     let within =
       List.filter
-        (fun (s : Caqr.Commute.step) ->
-          float_of_int s.Caqr.Commute.duration
-          <= 1.25 *. float_of_int base.Caqr.Commute.duration)
+        (fun (s : Caqr.Engine.step) ->
+          float_of_int s.duration <= 1.25 *. float_of_int base.duration)
         steps
     in
     let best =
       List.fold_left
-        (fun acc (s : Caqr.Commute.step) -> min acc s.Caqr.Commute.usage)
-        base.Caqr.Commute.usage within
+        (fun acc (s : Caqr.Engine.step) -> min acc s.usage)
+        base.usage within
     in
     Printf.printf
-      "=> within +25%% duration: %d -> %d qubits (%.0f%% saving)\n" base.Caqr.Commute.usage
+      "=> within +25%% duration: %d -> %d qubits (%.0f%% saving)\n" base.usage
       best
-      (100. *. (1. -. (float_of_int best /. float_of_int base.Caqr.Commute.usage)))
+      (100. *. (1. -. (float_of_int best /. float_of_int base.usage)))
   | [] -> ()
 
 (* "Density 30%" is ambiguous in the paper. Read as 30% of all vertex
@@ -149,12 +154,12 @@ let fig13 () =
       Printf.printf "%-8s %-12s %-14s %-14s %-8s\n" "qubits" "log.depth"
         "compiled.depth" "duration(dt)" "swaps";
       List.iter
-        (fun (s : Caqr.Qs_caqr.step) ->
-          let st = compiled_stats mumbai s.Caqr.Qs_caqr.circuit in
-          Printf.printf "%-8d %-12d %-14d %-14d %-8d\n" s.Caqr.Qs_caqr.usage
-            s.Caqr.Qs_caqr.logical_depth st.Transpiler.Transpile.depth
-            st.Transpiler.Transpile.duration_dt st.Transpiler.Transpile.swaps)
-        (Caqr.Qs_caqr.sweep e.Benchmarks.Suite.circuit))
+        (fun (s : Caqr.Engine.step) ->
+          let st = compiled_stats mumbai s.circuit in
+          Printf.printf "%-8d %-12d %-14d %-14d %-8d\n" s.usage s.depth
+            st.Transpiler.Transpile.depth st.Transpiler.Transpile.duration_dt
+            st.Transpiler.Transpile.swaps)
+        (Caqr.Pipeline.steps (input_of e)))
     [ "Multiply_13"; "System_9"; "BV_10" ]
 
 (* --------------------------------------------------------------- table1 *)
@@ -189,17 +194,9 @@ let print_t1_block title rows =
 
 (* Every reuse level of a benchmark, compiled onto Mumbai. *)
 let table1_versions (e : Benchmarks.Suite.entry) =
-  match e.Benchmarks.Suite.kind with
-  | Benchmarks.Suite.Regular ->
-    List.map
-      (fun (s : Caqr.Qs_caqr.step) ->
-        (s.Caqr.Qs_caqr.usage, compiled_stats mumbai s.Caqr.Qs_caqr.circuit))
-      (Caqr.Qs_caqr.sweep e.Benchmarks.Suite.circuit)
-  | Benchmarks.Suite.Commutable g ->
-    List.map
-      (fun (s : Caqr.Commute.step) ->
-        (s.Caqr.Commute.usage, compiled_stats mumbai s.Caqr.Commute.circuit))
-      (Caqr.Commute.sweep g)
+  List.map
+    (fun (s : Caqr.Engine.step) -> (s.usage, compiled_stats mumbai s.circuit))
+    (Caqr.Pipeline.steps (input_of e))
 
 let table1 () =
   section "table1" "QS-CaQR versions vs baseline (paper Table 1)";
@@ -553,11 +550,7 @@ let verify_exp () =
   let bad = ref 0 in
   List.iter
     (fun (e : Benchmarks.Suite.entry) ->
-      let input =
-        match e.Benchmarks.Suite.kind with
-        | Benchmarks.Suite.Regular -> Caqr.Pipeline.Regular e.Benchmarks.Suite.circuit
-        | Benchmarks.Suite.Commutable g -> Caqr.Pipeline.Commutable g
-      in
+      let input = input_of e in
       (* Semantic probing of a 2^20+ state vector costs minutes per
          strategy; past 16 program qubits the structural pass carries
          the experiment. *)
@@ -741,12 +734,7 @@ let engines_measurements () =
     let rows =
       List.map
         (fun (e : Benchmarks.Suite.entry) ->
-          let input =
-            match e.Benchmarks.Suite.kind with
-            | Benchmarks.Suite.Regular ->
-              Caqr.Pipeline.Regular e.Benchmarks.Suite.circuit
-            | Benchmarks.Suite.Commutable g -> Caqr.Pipeline.Commutable g
-          in
+          let input = input_of e in
           let cells =
             List.map
               (fun strategy ->
@@ -809,7 +797,7 @@ let engines_exp () =
    caqr-bench/4) for CI to archive. *)
 
 type engine_run = {
-  er_steps : Caqr.Qs_caqr.step list;
+  er_steps : Caqr.Engine.step list;
   er_wall_s : float;
   er_analyze_s : float;
   er_analyze_fresh : int;

@@ -244,10 +244,10 @@ let sweep_cmd =
       "compiled.depth" "duration(dt)" "swaps";
     List.iter
       (fun (r : Caqr.Pipeline.sweep_row) ->
-        Printf.printf "%-8d %-12d %-14d %-14d %-8d\n" r.Caqr.Pipeline.usage
-          r.Caqr.Pipeline.logical_depth r.Caqr.Pipeline.stats.Transpiler.Transpile.depth
-          r.Caqr.Pipeline.stats.Transpiler.Transpile.duration_dt
-          r.Caqr.Pipeline.stats.Transpiler.Transpile.swaps)
+        Printf.printf "%-8d %-12d %-14d %-14d %-8d\n" r.step.usage r.step.depth
+          r.stats.Transpiler.Transpile.depth
+          r.stats.Transpiler.Transpile.duration_dt
+          r.stats.Transpiler.Transpile.swaps)
       (Caqr.Pipeline.sweep_stats ~jobs device (input_of_entry entry))
   in
   Cmdliner.Cmd.v

@@ -16,15 +16,17 @@ let () =
 
   (* Reuse sweep: qubits vs depth tradeoff for this instance. *)
   Printf.printf "%-8s %-8s %-10s %s\n" "qubits" "depth" "duration" "2q-gates";
+  let fewest_qubits steps = List.nth steps (List.length steps - 1) in
   let steps = Caqr.Commute.sweep g in
   List.iter
-    (fun (s : Caqr.Commute.step) ->
-      Printf.printf "%-8d %-8d %-10d %d\n" s.Caqr.Commute.usage s.Caqr.Commute.depth
-        s.Caqr.Commute.duration s.Caqr.Commute.two_q)
+    (fun (s : Caqr.Engine.step) ->
+      Printf.printf "%-8d %-8d %-10d %d\n" s.usage s.depth s.duration
+        (Galg.Graph.size g))
     steps;
 
-  (* Pick the last (fewest qubits) plan and compare optimization runs. *)
-  let last = List.nth steps (List.length steps - 1) in
+  (* Pick the last (fewest qubits) sweep point and compare optimization
+     runs. *)
+  let last = fewest_qubits steps in
   let device = Hardware.Device.mumbai in
   let compile circuit =
     (Transpiler.Transpile.run device circuit).Transpiler.Transpile.physical
@@ -55,13 +57,15 @@ let () =
   let plain_emit gamma beta =
     Qaoa.Ansatz.circuit problem ~gammas:[| gamma |] ~betas:[| beta |]
   in
+  (* The sweep's plan choices never depend on the angles, so a sweep at
+     (gamma, beta) ends at the same plan, emitted at those angles. *)
   let reused_emit gamma beta =
-    Caqr.Commute.emit ~gamma ~beta last.Caqr.Commute.plan
+    (fewest_qubits (Caqr.Commute.sweep ~gamma ~beta g)).Caqr.Engine.circuit
   in
   let t_plain = optimize "plain" plain_emit in
   let t_reused =
     optimize
-      (Printf.sprintf "reused(%dq)" last.Caqr.Commute.usage)
+      (Printf.sprintf "reused(%dq)" last.Caqr.Engine.usage)
       reused_emit
   in
   Printf.printf "\nConvergence (best-so-far energy per round):\n";

@@ -6,34 +6,6 @@
    where <benchmark> is a Table 1 name (default: Multiply_13), e.g.
    BV_10, CC_10, System_9, QAOA10-0.3. *)
 
-let explore_regular device (circuit : Quantum.Circuit.t) =
-  Printf.printf "%-8s %-12s %-14s %-14s %-8s\n" "qubits" "log.depth"
-    "compiled.depth" "duration(dt)" "swaps";
-  List.iter
-    (fun (s : Caqr.Qs_caqr.step) ->
-      let compacted, _ = Quantum.Circuit.compact_qubits s.Caqr.Qs_caqr.circuit in
-      let routed = Transpiler.Transpile.run device compacted in
-      let st = routed.Transpiler.Transpile.stats in
-      Printf.printf "%-8d %-12d %-14d %-14d %-8d\n" s.Caqr.Qs_caqr.usage
-        s.Caqr.Qs_caqr.logical_depth st.Transpiler.Transpile.depth
-        st.Transpiler.Transpile.duration_dt st.Transpiler.Transpile.swaps)
-    (Caqr.Qs_caqr.sweep circuit)
-
-let explore_commutable device g =
-  Printf.printf "coloring bound: %d qubits\n" (Caqr.Commute.min_qubits g);
-  Printf.printf "%-8s %-12s %-14s %-14s %-8s\n" "qubits" "log.depth"
-    "compiled.depth" "duration(dt)" "swaps";
-  List.iter
-    (fun (s : Caqr.Commute.step) ->
-      let emitted = Caqr.Commute.emit s.Caqr.Commute.plan in
-      let compacted, _ = Quantum.Circuit.compact_qubits emitted in
-      let routed = Transpiler.Transpile.run device compacted in
-      let st = routed.Transpiler.Transpile.stats in
-      Printf.printf "%-8d %-12d %-14d %-14d %-8d\n" s.Caqr.Commute.usage
-        s.Caqr.Commute.depth st.Transpiler.Transpile.depth
-        st.Transpiler.Transpile.duration_dt st.Transpiler.Transpile.swaps)
-    (Caqr.Commute.sweep g)
-
 let () =
   let name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "Multiply_13" in
   let entry =
@@ -45,12 +17,24 @@ let () =
         (Benchmarks.Suite.table1 ());
       exit 1
   in
-  let device = Hardware.Device.mumbai in
   Printf.printf "Tradeoff sweep for %s (%s)\n\n" entry.Benchmarks.Suite.name
     entry.Benchmarks.Suite.description;
-  (match entry.Benchmarks.Suite.kind with
-   | Benchmarks.Suite.Regular -> explore_regular device entry.Benchmarks.Suite.circuit
-   | Benchmarks.Suite.Commutable g -> explore_commutable device g);
+  let input =
+    match entry.Benchmarks.Suite.kind with
+    | Benchmarks.Suite.Regular -> Caqr.Pipeline.Regular entry.Benchmarks.Suite.circuit
+    | Benchmarks.Suite.Commutable g ->
+      Printf.printf "coloring bound: %d qubits\n" (Caqr.Commute.min_qubits g);
+      Caqr.Pipeline.Commutable g
+  in
+  Printf.printf "%-8s %-12s %-14s %-14s %-8s\n" "qubits" "log.depth"
+    "compiled.depth" "duration(dt)" "swaps";
+  List.iter
+    (fun (r : Caqr.Pipeline.sweep_row) ->
+      Printf.printf "%-8d %-12d %-14d %-14d %-8d\n" r.step.usage r.step.depth
+        r.stats.Transpiler.Transpile.depth
+        r.stats.Transpiler.Transpile.duration_dt
+        r.stats.Transpiler.Transpile.swaps)
+    (Caqr.Pipeline.sweep_stats Hardware.Device.mumbai input);
   Printf.printf
     "\nReading the table: the sweet spot (paper §4.2.1) is usually a middle\n\
      row — moderate qubit saving with the lowest compiled depth.\n"

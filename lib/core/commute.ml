@@ -461,27 +461,8 @@ let plan_with_budget g ~budget =
     end
   end
 
-type step = {
-  usage : int;
-  plan : plan;
-  circuit : Quantum.Circuit.t;
-  depth : int;
-  duration : int;
-  two_q : int;
-}
-
-let model = Quantum.Duration.default
-
 let make_step ?gamma ?beta plan =
-  let c = emit ?gamma ?beta plan in
-  {
-    usage = usage plan;
-    plan;
-    circuit = c;
-    depth = Quantum.Circuit.depth c;
-    duration = Quantum.Circuit.duration model c;
-    two_q = Quantum.Circuit.two_q_count c;
-  }
+  Engine.make_step (emit ?gamma ?beta plan) (pairs plan)
 
 (* One plan per qubit limit, exactly the paper's per-limit query. Two
    generators compete at every limit and the shallower emitted circuit
@@ -490,7 +471,7 @@ let make_step ?gamma ?beta plan =
    and the budget-constrained separation planner (strong for deep
    savings, where incremental merging dead-ends on frozen chain
    orders). Duplicate usages are dropped. *)
-let sweep ?(mode = `Auto) ?(stop_at = 1) ?gamma ?beta g =
+let sweep ?(mode = `Auto) ?gamma ?beta g =
   Obs.Metrics.time "time.commute" @@ fun () ->
   let base = make_step ?gamma ?beta (make g) in
   (* Merge trajectory, indexed by usage. *)
@@ -507,7 +488,7 @@ let sweep ?(mode = `Auto) ?(stop_at = 1) ?gamma ?beta g =
     List.find_opt (fun (u, _) -> u <= k) merge_path |> Option.map snd
   in
   let rec go budget last_usage acc =
-    if budget < stop_at || budget < 1 then List.rev acc
+    if budget < 1 then List.rev acc
     else begin
       let candidates =
         List.filter_map Fun.id [ plan_with_budget g ~budget; merge_at budget ]
@@ -515,15 +496,17 @@ let sweep ?(mode = `Auto) ?(stop_at = 1) ?gamma ?beta g =
       let steps = List.map (make_step ?gamma ?beta) candidates in
       let best =
         List.fold_left
-          (fun best s ->
+          (fun best (s : Engine.step) ->
             match best with
-            | Some b when (b.depth, b.usage) <= (s.depth, s.usage) -> best
+            | Some (b : Engine.step)
+              when (b.depth, b.usage) <= (s.depth, s.usage) ->
+              best
             | _ -> Some s)
           None steps
       in
       match best with
       | None -> List.rev acc
-      | Some step ->
+      | Some (step : Engine.step) ->
         if step.usage < last_usage then
           go (min (budget - 1) (step.usage - 1)) step.usage (step :: acc)
         else go (budget - 1) last_usage acc

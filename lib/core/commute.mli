@@ -84,22 +84,13 @@ val reduce_once : ?mode:[ `Exact | `Heuristic | `Auto ] -> plan -> plan option
     early. [None] when the greedy schedule deadlocks at this budget. *)
 val plan_with_budget : Galg.Graph.t -> budget:int -> plan option
 
-type step = {
-  usage : int;
-  plan : plan;
-  circuit : Quantum.Circuit.t;  (** [emit plan] at the sweep's gamma, beta *)
-  depth : int;
-  duration : int;
-  two_q : int;
-}
-
-(** Full reduction trajectory from [n] wires down to [stop_at] (or the
-    minimum reachable), with emitted-circuit metrics at each point —
-    the data behind Figs. 3 and 14. Timed as [time.commute]. *)
+(** Full reduction trajectory from [n] wires down to the minimum
+    reachable — the data behind Figs. 3 and 14. Each step's [circuit] is
+    [emit plan] at the sweep's gamma, beta and its [pairs] are
+    [pairs plan]. Timed as [time.commute]. *)
 val sweep :
   ?mode:[ `Exact | `Heuristic | `Auto ] ->
-  ?stop_at:int ->
   ?gamma:float ->
   ?beta:float ->
   Galg.Graph.t ->
-  step list
+  Engine.step list

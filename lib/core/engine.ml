@@ -1,5 +1,22 @@
 type input = Regular of Quantum.Circuit.t | Commutable of Galg.Graph.t
 
+type step = {
+  usage : int;
+  circuit : Quantum.Circuit.t;
+  pairs : Reuse.pair list;
+  depth : int;
+  duration : int;
+}
+
+let make_step circuit pairs =
+  {
+    usage = Reuse.qubit_usage circuit;
+    circuit;
+    pairs;
+    depth = Quantum.Circuit.depth circuit;
+    duration = Quantum.Circuit.duration Quantum.Duration.default circuit;
+  }
+
 type artifact = {
   circuit : Quantum.Circuit.t;
   routed : bool;

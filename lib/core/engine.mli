@@ -14,6 +14,23 @@ type input =
   | Regular of Quantum.Circuit.t
   | Commutable of Galg.Graph.t
 
+(** One point of a QS-CaQR tradeoff sweep — the same record for regular
+    circuits ({!Qs_caqr.sweep}) and commutable instances
+    ({!Commute.sweep}). Figs. 3, 13 and 14, Table 1 and the
+    [Qs_min_depth] / [Qs_best_fidelity] picks all read this trajectory. *)
+type step = {
+  usage : int;  (** active qubits of [circuit] *)
+  circuit : Quantum.Circuit.t;
+      (** the reuse-transformed logical circuit (retired wires empty) *)
+  pairs : Reuse.pair list;  (** applied so far, oldest first *)
+  depth : int;  (** logical depth of [circuit] *)
+  duration : int;  (** logical duration of [circuit], default model *)
+}
+
+(** [make_step circuit pairs] computes the step's metrics from
+    [circuit]. *)
+val make_step : Quantum.Circuit.t -> Reuse.pair list -> step
+
 type artifact = {
   circuit : Quantum.Circuit.t;
       (** the reuse-transformed logical circuit (retired wires left

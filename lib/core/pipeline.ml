@@ -137,19 +137,11 @@ let logical_of_input = function
   | Regular c -> c
   | Commutable g -> Commute.emit (Commute.make g)
 
-(* Reduction trajectories with the applied pairs kept — the pairs feed
-   the structural translation validator. *)
-let qs_steps ~search input =
-  match input with
-  | Regular c ->
-    List.map
-      (fun (s : Qs_caqr.step) -> (s.Qs_caqr.circuit, s.Qs_caqr.pairs))
-      (Qs_caqr.sweep ~opts:search c)
-  | Commutable g ->
-    List.map
-      (fun (s : Commute.step) ->
-        (s.Commute.circuit, Commute.pairs s.Commute.plan))
-      (Commute.sweep g)
+(* The tradeoff sweep of either input kind. The steps keep their
+   applied pairs, which feed the structural translation validator. *)
+let steps ?(search = Qs_caqr.default_opts) = function
+  | Regular c -> Qs_caqr.sweep ~opts:search c
+  | Commutable g -> Commute.sweep g
 
 (* Share of the remaining wall budget granted to the reuse engine; the
    rest is reserved for routing and verification, which must complete
@@ -192,8 +184,7 @@ let sr_engine device input =
     quality = Quality.Exact;
   }
 
-let of_step (c, pairs) =
-  Engine.of_pairs ~width:(Reuse.qubit_usage c) c pairs
+let of_step (s : Engine.step) = Engine.of_pairs ~width:s.usage s.circuit s.pairs
 
 (* Every reuse strategy that produces one artifact, as an engine.
    [original] is [logical_of_input input], which the caller has already
@@ -203,7 +194,7 @@ let engine ~search ~original strategy device input =
   | Qs_max_reuse, Regular c ->
     scoped_engine (fun () -> Qs_caqr.max_reuse_anytime ~opts:search c)
   | Qs_max_reuse, Commutable _ ->
-    (match List.rev (qs_steps ~search input) with
+    (match List.rev (steps ~search input) with
      | step :: _ -> of_step step
      | [] -> invalid_arg "Pipeline.compile: empty sweep")
   | Qs_target target, Regular c ->
@@ -215,8 +206,8 @@ let engine ~search ~original strategy device input =
   | Qs_target target, Commutable _ ->
     (match
        List.find_opt
-         (fun (c, _) -> Reuse.qubit_usage c <= target)
-         (qs_steps ~search input)
+         (fun (s : Engine.step) -> s.usage <= target)
+         (steps ~search input)
      with
      | Some step -> of_step step
      | None -> unreachable target)
@@ -235,16 +226,12 @@ let engines =
             ~original:(logical_of_input input) s device input ))
     [ Qs_max_reuse; Sr; Cone; Gidnet ]
 
-(* Route a logical circuit (retired wires left empty) with the baseline
-   mapper. *)
-let finish device strategy logical ~reuse_pairs ~quality =
-  let compacted, _ = Quantum.Circuit.compact_qubits logical in
-  let routed = Transpiler.Transpile.run device compacted in
+let make_report strategy logical ~physical ~stats ~reuse_pairs ~quality =
   {
     strategy;
     logical;
-    physical = routed.Transpiler.Transpile.physical;
-    stats = routed.Transpiler.Transpile.stats;
+    physical;
+    stats;
     reuse_pairs;
     quality;
     verification = None;
@@ -252,42 +239,60 @@ let finish device strategy logical ~reuse_pairs ~quality =
     degraded = [];
   }
 
+(* Route a logical circuit (retired wires left empty) with the baseline
+   mapper. *)
+let route device logical =
+  let compacted, _ = Quantum.Circuit.compact_qubits logical in
+  Transpiler.Transpile.run device compacted
+
+let finish device strategy logical ~reuse_pairs ~quality =
+  let r = route device logical in
+  make_report strategy logical ~physical:r.Transpiler.Transpile.physical
+    ~stats:r.Transpiler.Transpile.stats ~reuse_pairs ~quality
+
 (* A pair engine's logical circuit is routed with the baseline mapper; a
    routed artifact already is the physical circuit. *)
 let report_of_artifact device strategy ~original (a : Engine.artifact) =
   let report =
     if a.Engine.routed then
-      {
-        strategy;
-        logical = original;
-        physical = a.Engine.circuit;
-        stats = Transpiler.Transpile.stats_of device a.Engine.circuit;
-        reuse_pairs = a.Engine.reuses;
-        quality = a.Engine.quality;
-        verification = None;
-        metrics = None;
-        degraded = [];
-      }
+      make_report strategy original ~physical:a.Engine.circuit
+        ~stats:(Transpiler.Transpile.stats_of device a.Engine.circuit)
+        ~reuse_pairs:a.Engine.reuses ~quality:a.Engine.quality
     else
       finish device strategy a.Engine.circuit ~reuse_pairs:a.Engine.reuses
         ~quality:a.Engine.quality
   in
   (report, a.Engine.pairs)
 
-(* The sweep candidates are independent (transpile + stats each), so
-   they fan out across the pool; the candidate list keeps submission
-   order, which keeps the downstream sorts and picks deterministic. *)
+(* One row per reuse level of the tradeoff sweep. *)
+type sweep_row = {
+  step : Engine.step;
+  physical : Quantum.Circuit.t;
+  stats : Transpiler.Transpile.stats;
+}
+
+(* The sweep points are independent (transpile + stats each), so they
+   fan out across the pool; rows keep sweep order, which keeps the
+   downstream picks deterministic. *)
+let sweep_stats ?(jobs = 1) ?search device input =
+  Exec.Pool.map ~jobs:(max 1 jobs)
+    (fun (step : Engine.step) ->
+      let r = route device step.circuit in
+      {
+        step;
+        physical = r.Transpiler.Transpile.physical;
+        stats = r.Transpiler.Transpile.stats;
+      })
+    (steps ?search input)
+
+(* [better] orders rows; the stable sort keeps the earliest sweep point
+   among equals. *)
 let best_of_sweep ~search ~jobs device strategy input better =
-  let candidates =
-    Exec.Pool.map ~jobs:(max 1 jobs)
-      (fun (c, pairs) ->
-        ( finish device strategy c ~reuse_pairs:(List.length pairs)
-            ~quality:Quality.Exact,
-          Some pairs ))
-      (qs_steps ~search input)
-  in
-  match List.sort (fun (a, _) (b, _) -> better a b) candidates with
-  | best :: _ -> best
+  match List.stable_sort better (sweep_stats ~jobs ~search device input) with
+  | r :: _ ->
+    ( make_report strategy r.step.circuit ~physical:r.physical ~stats:r.stats
+        ~reuse_pairs:(List.length r.step.pairs) ~quality:Quality.Exact,
+      Some r.step.pairs )
   | [] -> invalid_arg "Pipeline.compile: empty sweep"
 
 let compile_unverified ~search ~jobs device strategy input ~original =
@@ -431,37 +436,6 @@ let compile_all ?(options = default) device strategies input =
   Exec.Pool.map ~jobs:(max 1 options.jobs)
     (fun strategy -> compile ~options:inner device strategy input)
     strategies
-
-(* One row per reuse level of the tradeoff sweep, with the per-point
-   transpile work spread over the pool. *)
-type sweep_row = {
-  usage : int;
-  logical_depth : int;
-  stats : Transpiler.Transpile.stats;
-}
-
-let sweep_stats ?(jobs = 1) ?(search = Qs_caqr.default_opts) device input =
-  let points =
-    match input with
-    | Regular c ->
-      List.map
-        (fun (s : Qs_caqr.step) ->
-          (s.Qs_caqr.usage, s.Qs_caqr.logical_depth, s.Qs_caqr.circuit))
-        (Qs_caqr.sweep ~opts:search c)
-    | Commutable g ->
-      List.map
-        (fun (s : Commute.step) ->
-          (s.Commute.usage, s.Commute.depth, s.Commute.circuit))
-        (Commute.sweep g)
-  in
-  Exec.Pool.map ~jobs:(max 1 jobs)
-    (fun (usage, logical_depth, circuit) ->
-      let compacted, _ = Quantum.Circuit.compact_qubits circuit in
-      let stats =
-        (Transpiler.Transpile.run device compacted).Transpiler.Transpile.stats
-      in
-      { usage; logical_depth; stats })
-    points
 
 let beneficial device input =
   match input with

@@ -140,16 +140,26 @@ val compile_all :
   input ->
   report list
 
-(** One reuse level of the qubit/depth tradeoff sweep, transpiled. *)
+(** [steps ?search input] is the QS-CaQR tradeoff sweep of either input
+    kind: {!Qs_caqr.sweep} (with [search], default
+    {!Qs_caqr.default_opts}) for a regular circuit, {!Commute.sweep} for
+    a commutable one. The first step is the untouched input; usages
+    strictly decrease. *)
+val steps : ?search:Qs_caqr.search_opts -> input -> Engine.step list
+
+(** One reuse level of the qubit/depth tradeoff sweep, routed. *)
 type sweep_row = {
-  usage : int;  (** logical wires at this reuse level *)
-  logical_depth : int;
-  stats : Transpiler.Transpile.stats;
+  step : Engine.step;  (** the logical sweep point *)
+  physical : Quantum.Circuit.t;
+      (** [step.circuit], compacted, laid out and routed *)
+  stats : Transpiler.Transpile.stats;  (** of [physical] *)
 }
 
 (** [sweep_stats ?jobs ?search device input] — the full tradeoff table
-    (paper Figs. 3/13/14), with the per-point transpile work spread over
-    [jobs] domains. Rows keep sweep order. *)
+    (paper Figs. 3/13/14): every point of {!steps} routed onto [device],
+    with the per-point transpile work spread over [jobs] domains. Rows
+    keep sweep order and are identical for every [jobs]. [Qs_min_depth]
+    and [Qs_best_fidelity] pick their report from these rows. *)
 val sweep_stats :
   ?jobs:int ->
   ?search:Qs_caqr.search_opts ->

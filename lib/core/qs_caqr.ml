@@ -9,14 +9,6 @@ type search_opts = {
 
 let default_opts = { objective = Depth; budget = 400; order = Both }
 
-type step = {
-  usage : int;
-  circuit : Quantum.Circuit.t;
-  pairs : Reuse.pair list;
-  logical_depth : int;
-  logical_duration : int;
-}
-
 let score objective analysis pair =
   match objective with
   | Depth -> Reuse.predict_depth analysis pair
@@ -45,17 +37,6 @@ let reduce_once ?(opts = default_opts) circuit =
   match best_pair opts.objective circuit with
   | None -> None
   | Some pair -> Some (pair, Reuse.apply circuit pair)
-
-let model = Quantum.Duration.default
-
-let make_step circuit pairs =
-  {
-    usage = Reuse.qubit_usage circuit;
-    circuit;
-    pairs;
-    logical_depth = Quantum.Circuit.depth circuit;
-    logical_duration = Quantum.Circuit.duration model circuit;
-  }
 
 (* Greedy-by-score reduction can paint itself into a corner (e.g. two
    parallel reuse chains whose gates interleave on a shared partner can
@@ -225,9 +206,9 @@ let search ?(opts = default_opts) ~target circuit =
    k-qubit circuit, so the descent stops at the first unreachable target
    and returns how that search ended. [search] closes over one memo
    cache, so each restart replays its predecessor's prefix for free. *)
-let descend ~search ~stop_at circuit on_found =
+let descend ~search circuit on_found =
   let rec go target =
-    if target < stop_at then Exhausted
+    if target < 1 then Exhausted
     else
       match search target with
       | Found (c, pairs) ->
@@ -237,16 +218,16 @@ let descend ~search ~stop_at circuit on_found =
   in
   go (Reuse.qubit_usage circuit - 1)
 
-let sweep_by ~search ~stop_at circuit =
-  let steps = ref [ make_step circuit [] ] in
+let sweep_by ~search circuit =
+  let steps = ref [ Engine.make_step circuit [] ] in
   ignore
-    (descend ~search ~stop_at circuit (fun c pairs ->
-         steps := make_step c pairs :: !steps));
+    (descend ~search circuit (fun c pairs ->
+         steps := Engine.make_step c pairs :: !steps));
   List.rev !steps
 
-let sweep ?(opts = default_opts) ?(stop_at = 1) circuit =
+let sweep ?(opts = default_opts) circuit =
   let cache = new_cache () in
-  sweep_by ~stop_at circuit ~search:(fun target ->
+  sweep_by circuit ~search:(fun target ->
       search_out ~cache opts target circuit)
 
 (* Reference search: rebuild circuit + closure from scratch at every DFS
@@ -286,12 +267,9 @@ let reference_dfs order objective budget target circuit =
 
 let reference_sweep circuit =
   let opts = default_opts in
-  sweep_by ~stop_at:1 circuit ~search:(fun target ->
+  sweep_by circuit ~search:(fun target ->
       with_order opts (fun order ->
           reference_dfs order opts.objective opts.budget target circuit))
-
-let reduce_to ?(opts = default_opts) ~target circuit =
-  Option.map fst (search ~opts ~target circuit)
 
 let opportunity circuit =
   let analysis = Reuse.analyze circuit in
@@ -338,7 +316,7 @@ let max_reuse_anytime ?(opts = default_opts) circuit =
   let cache = new_cache () in
   let best, steps, frontier, observer = incumbent_observer circuit in
   match
-    descend ~stop_at:1 circuit
+    descend circuit
       ~search:(fun target -> search_out ~observer ~cache opts target circuit)
       (fun _ _ ->
         (* Leftover branch counts from a solved search are not "space

@@ -7,8 +7,8 @@
     maximal-reuse or minimal-depth point (Table 1) or plot the
     qubit-vs-depth tradeoff (Figs. 3, 13, 14).
 
-    Every entry point takes one {!search_opts} value, so a sweep, a
-    targeted search, and a reduction query can share a configuration. *)
+    Every entry point takes one {!search_opts} value, so a sweep and a
+    targeted search can share a configuration. *)
 
 type objective = Depth | Duration
 
@@ -19,8 +19,8 @@ type objective = Depth | Duration
     exposed separately so the ablation bench can compare them. *)
 type order = Score | Chain | Both
 
-(** One options value shared by {!search}, {!sweep}, {!reduce_to},
-    {!min_qubits}, {!max_reuse} and {!reduce_once}. Build variations with
+(** One options value shared by {!search}, {!sweep}, {!min_qubits},
+    {!max_reuse} and {!reduce_once}. Build variations with
     functional update: [{ default_opts with objective = Duration }]. *)
 type search_opts = {
   objective : objective;
@@ -30,39 +30,31 @@ type search_opts = {
 
 val default_opts : search_opts
 
-(** One point of the reduction sweep. *)
-type step = {
-  usage : int;  (** active qubits after the reuses so far *)
-  circuit : Quantum.Circuit.t;
-  pairs : Reuse.pair list;  (** applied so far, oldest first *)
-  logical_depth : int;
-  logical_duration : int;
-}
-
 (** [reduce_once ?opts circuit] applies the best single reuse, or [None]
     when no valid pair exists. Only [opts.objective] is consulted. *)
 val reduce_once :
   ?opts:search_opts -> Quantum.Circuit.t -> (Reuse.pair * Quantum.Circuit.t) option
 
-(** [sweep ?opts ?stop_at circuit] returns the full reduction trajectory,
-    starting with the untouched circuit and ending at [stop_at] (default:
-    as low as possible). Each DFS child's analysis derives from its
-    parent via {!Reuse.apply_incremental}, and the per-target searches
-    share one memo cache, so each restart replays the previously
-    explored prefix from cache. *)
-val sweep : ?opts:search_opts -> ?stop_at:int -> Quantum.Circuit.t -> step list
+(** [sweep ?opts circuit] returns the full reduction trajectory,
+    starting with the untouched circuit and descending one qubit target
+    at a time as low as the search reaches. Each DFS child's analysis
+    derives from its parent via {!Reuse.apply_incremental}, and the
+    per-target searches share one memo cache, so each restart replays
+    the previously explored prefix from cache. *)
+val sweep : ?opts:search_opts -> Quantum.Circuit.t -> Engine.step list
 
 (** [reference_sweep circuit] — the trajectory of [sweep circuit]
-    (default options, down to one qubit), computed independently: every DFS node rebuilds the
+    (default options), computed independently: every DFS node rebuilds the
     circuit and its O(n^2) closure from scratch, candidates are ordered
     by a plain comparator sort, and nothing is memoized. It exists as
     the differential check for {!sweep} (tests, the engines fuzz
     oracle) and as the perf bench's baseline; it ignores wall-clock
     budgets. *)
-val reference_sweep : Quantum.Circuit.t -> step list
+val reference_sweep : Quantum.Circuit.t -> Engine.step list
 
-(** [search ?opts ~target circuit] finds a reuse sequence reaching
-    [target] qubits, trying candidates best-score-first with budgeted DFS
+(** [search ?opts ~target circuit] answers the paper's user query "can
+    this circuit run on [target] qubits?": it finds a reuse sequence
+    reaching [target] qubits, trying candidates best-score-first with budgeted DFS
     backtracking — greedy alone can trap itself (two parallel chains
     interleaved on a shared partner can never merge later). Returns the
     transformed circuit and the applied pairs. *)
@@ -71,11 +63,6 @@ val search :
   target:int ->
   Quantum.Circuit.t ->
   (Quantum.Circuit.t * Reuse.pair list) option
-
-(** [reduce_to ?opts ~target circuit] answers the paper's user query:
-    "can this circuit run on [target] qubits?" — [Some circuit'] or [None]. *)
-val reduce_to :
-  ?opts:search_opts -> target:int -> Quantum.Circuit.t -> Quantum.Circuit.t option
 
 (** Fewest qubits reachable (greedy tightened by backtracking search):
     the width of {!max_reuse_anytime}. Under an armed wall-clock

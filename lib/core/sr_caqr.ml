@@ -395,14 +395,14 @@ let regular device circuit = run (init device circuit)
 let commutable ?gamma ?beta device problem_graph =
   (* Paper §3.3.2 Step 1: let QS-CaQR propose reuse sweet spots, then
      compile each with the lazy mapper and keep the cheapest result. *)
-  let steps = Commute.sweep ?gamma ?beta ~mode:`Auto problem_graph in
+  let steps = Commute.sweep ?gamma ?beta problem_graph in
   if steps = [] then invalid_arg "Sr_caqr.commutable: empty sweep";
   let arr = Array.of_list steps in
   let min_depth =
     Array.fold_left
-      (fun best (s : Commute.step) ->
+      (fun best (s : Engine.step) ->
         match best with
-        | Some (b : Commute.step) when b.Commute.depth <= s.Commute.depth -> best
+        | Some (b : Engine.step) when b.depth <= s.depth -> best
         | _ -> Some s)
       None arr
     |> Option.get
@@ -417,9 +417,7 @@ let commutable ?gamma ?beta device problem_graph =
     else min_depth :: candidates
   in
   let compiled =
-    List.map
-      (fun (s : Commute.step) -> regular device s.Commute.circuit)
-      candidates
+    List.map (fun (s : Engine.step) -> regular device s.circuit) candidates
   in
   List.fold_left
     (fun best r ->

@@ -40,7 +40,7 @@ let test_exact_without_deadline () =
       true
       (Caqr.Quality.is_exact a.Caqr.Engine.quality);
     (* The sweep's deepest step is the independent witness. *)
-    let plain = (List.hd (List.rev (Caqr.Qs_caqr.sweep c))).Caqr.Qs_caqr.circuit in
+    let plain = (List.hd (List.rev (Caqr.Qs_caqr.sweep c))).Caqr.Engine.circuit in
     check int
       (Printf.sprintf "seed %d: same width as the sweep" seed)
       (Caqr.Reuse.qubit_usage plain)

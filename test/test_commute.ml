@@ -115,7 +115,7 @@ let test_emit_energy_preserved () =
   let plain = Caqr.Commute.emit (Caqr.Commute.make g) in
   let steps = Caqr.Commute.sweep g in
   let last = List.nth steps (List.length steps - 1) in
-  let reused = Caqr.Commute.emit last.Caqr.Commute.plan in
+  let reused = last.Caqr.Engine.circuit in
   check bool "wires saved" true
     (Caqr.Reuse.qubit_usage reused < Caqr.Reuse.qubit_usage plain);
   let e c seed =
@@ -127,7 +127,7 @@ let test_emit_energy_preserved () =
 let test_sweep_trajectory () =
   let g = Galg.Gen.random ~seed:5 10 ~density:0.3 in
   let steps = Caqr.Commute.sweep g in
-  let usages = List.map (fun s -> s.Caqr.Commute.usage) steps in
+  let usages = List.map (fun (s : Caqr.Engine.step) -> s.usage) steps in
   check int "starts at n" 10 (List.hd usages);
   let rec decreasing = function
     | a :: (b :: _ as r) -> a > b && decreasing r
@@ -143,7 +143,7 @@ let test_sweep_modes_agree_on_floor () =
   let g = Galg.Gen.random ~seed:6 8 ~density:0.3 in
   let floor mode =
     let steps = Caqr.Commute.sweep ~mode g in
-    (List.nth steps (List.length steps - 1)).Caqr.Commute.usage
+    (List.nth steps (List.length steps - 1)).Caqr.Engine.usage
   in
   check bool "heuristic close to exact" true
     (abs (floor `Exact - floor `Heuristic) <= 2)

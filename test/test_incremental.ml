@@ -124,7 +124,7 @@ let test_max_reuse_identical () =
       let c = (Benchmarks.Suite.find name).Benchmarks.Suite.circuit in
       let last = List.hd (List.rev (Caqr.Qs_caqr.reference_sweep c)) in
       Alcotest.(check bool) name true
-        (Caqr.Qs_caqr.max_reuse c = last.Caqr.Qs_caqr.circuit))
+        (Caqr.Qs_caqr.max_reuse c = last.Caqr.Engine.circuit))
     [ "BV_10"; "XOR_5"; "RD-32" ]
 
 let () =

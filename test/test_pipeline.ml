@@ -214,6 +214,39 @@ let test_reuse_pairs_counts_applied () =
   check int "qs-target at the same width agrees"
     target.Caqr.Pipeline.reuse_pairs max_reuse.Caqr.Pipeline.reuse_pairs
 
+(* qs-min-depth picks its report from the same routed rows the
+   tradeoff table prints: the first row of minimal compiled depth. *)
+let test_min_depth_is_sweep_row () =
+  List.iter
+    (fun name ->
+      let e = Benchmarks.Suite.find name in
+      let input =
+        match e.Benchmarks.Suite.kind with
+        | Benchmarks.Suite.Regular -> Caqr.Pipeline.Regular e.Benchmarks.Suite.circuit
+        | Benchmarks.Suite.Commutable g -> Caqr.Pipeline.Commutable g
+      in
+      let best =
+        List.fold_left
+          (fun best (r : Caqr.Pipeline.sweep_row) ->
+            match best with
+            | Some (b : Caqr.Pipeline.sweep_row)
+              when b.stats.Transpiler.Transpile.depth
+                   <= r.stats.Transpiler.Transpile.depth ->
+              best
+            | _ -> Some r)
+          None
+          (Caqr.Pipeline.sweep_stats mumbai input)
+        |> Option.get
+      in
+      let report = Caqr.Pipeline.compile mumbai Caqr.Pipeline.Qs_min_depth input in
+      check bool (name ^ ": logical is the min-depth row") true
+        (report.Caqr.Pipeline.logical = best.step.circuit);
+      check bool (name ^ ": physical is the row's") true
+        (report.Caqr.Pipeline.physical = best.physical);
+      check int (name ^ ": reuse pairs") (List.length best.step.pairs)
+        report.Caqr.Pipeline.reuse_pairs)
+    [ "Multiply_13"; "QAOA10-0.3" ]
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -223,6 +256,7 @@ let () =
           Alcotest.test_case "max reuse" `Quick test_max_reuse_minimizes;
           Alcotest.test_case "min depth range" `Quick test_min_depth_between;
           Alcotest.test_case "min depth optimal" `Quick test_min_depth_no_worse_than_extremes;
+          Alcotest.test_case "min depth is a sweep row" `Quick test_min_depth_is_sweep_row;
           Alcotest.test_case "target reachable" `Quick test_target_reachable;
           Alcotest.test_case "target unreachable" `Quick test_target_unreachable;
           Alcotest.test_case "sr" `Quick test_sr_strategy;

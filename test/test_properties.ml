@@ -292,8 +292,7 @@ let prop_sweep_usage_decreases =
       let c = build_measured spec in
       let steps = Caqr.Qs_caqr.sweep c in
       let rec ok = function
-        | a :: (b :: _ as r) ->
-          a.Caqr.Qs_caqr.usage > b.Caqr.Qs_caqr.usage && ok r
+        | (a : Caqr.Engine.step) :: (b :: _ as r) -> a.usage > b.usage && ok r
         | _ -> true
       in
       ok steps)
@@ -305,19 +304,32 @@ let prop_commute_chains_independent =
     arb_graph (fun spec ->
       let g = build_graph spec in
       let steps = Caqr.Commute.sweep ~mode:`Heuristic g in
+      let n = Galg.Graph.order g in
+      (* A pair src -> dst hands src's wire to dst: following the pairs
+         from every vertex no pair hands a wire to rebuilds the chains. *)
+      let chains (s : Caqr.Engine.step) =
+        let next = Array.make n (-1) and fed = Array.make n false in
+        List.iter
+          (fun (p : Caqr.Reuse.pair) ->
+            next.(p.src) <- p.dst;
+            fed.(p.dst) <- true)
+          s.pairs;
+        let rec chain v = if v < 0 then [] else v :: chain next.(v) in
+        List.filter_map
+          (fun v -> if fed.(v) then None else Some (chain v))
+          (List.init n Fun.id)
+      in
       List.for_all
-        (fun (s : Caqr.Commute.step) ->
-          let plan = s.Caqr.Commute.plan in
+        (fun s ->
           List.for_all
-            (fun head ->
-              let members = Caqr.Commute.chain plan head in
+            (fun members ->
               List.for_all
                 (fun a ->
                   List.for_all
                     (fun b -> a = b || not (Galg.Graph.has_edge g a b))
                     members)
                 members)
-            (Caqr.Commute.wires plan))
+            (chains s))
         steps)
 
 let prop_commute_emit_complete =
@@ -333,8 +345,7 @@ let prop_commute_emit_reuse_complete =
       let g = build_graph spec in
       let steps = Caqr.Commute.sweep ~mode:`Heuristic g in
       let last = List.nth steps (List.length steps - 1) in
-      let c = Caqr.Commute.emit last.Caqr.Commute.plan in
-      Quantum.Circuit.two_q_count c = Galg.Graph.size g)
+      Quantum.Circuit.two_q_count last.Caqr.Engine.circuit = Galg.Graph.size g)
 
 (* A random problem graph on [lo .. hi] vertices at a random density;
    sparse draws leave gateless (isolated) vertices, which chains must
@@ -353,10 +364,39 @@ let prop_commute_sweep_equivalent =
     ~count:80 (arb_problem 2 8) (fun g ->
       let original = Caqr.Commute.emit (Caqr.Commute.make g) in
       List.for_all
-        (fun (s : Caqr.Commute.step) ->
-          Verify.Equiv.check ~original ~transformed:s.Caqr.Commute.circuit ()
+        (fun (s : Caqr.Engine.step) ->
+          Verify.Equiv.check ~original ~transformed:s.circuit ()
           = Verify.Verdict.Equivalent)
         (Caqr.Commute.sweep g))
+
+(* Both sweeps return the same step record: its fields agree with its
+   circuit, usages strictly decrease, and each step adds exactly one
+   pair. *)
+let sweep_steps_consistent steps =
+  let rec decreasing = function
+    | (a : Caqr.Engine.step) :: (b :: _ as r) -> a.usage > b.usage && decreasing r
+    | _ -> true
+  in
+  match steps with
+  | [] -> false
+  | (first : Caqr.Engine.step) :: _ ->
+    decreasing steps
+    && List.for_all
+         (fun (s : Caqr.Engine.step) ->
+           s.usage = Caqr.Reuse.qubit_usage s.circuit
+           && s.depth = Quantum.Circuit.depth s.circuit
+           && List.length s.pairs = first.usage - s.usage)
+         steps
+
+let prop_shared_sweep_steps =
+  QCheck.Test.make ~name:"sweep: shared steps consistent (regular, commutable)"
+    ~count:30
+    (QCheck.pair arb_circuit (arb_problem 2 12))
+    (fun (spec, g) ->
+      sweep_steps_consistent
+        (Caqr.Pipeline.steps (Caqr.Pipeline.Regular (build_measured spec)))
+      && sweep_steps_consistent
+           (Caqr.Pipeline.steps (Caqr.Pipeline.Commutable g)))
 
 (* Every plan a merge trajectory or the budget planner produces. *)
 let plans_of g =
@@ -554,6 +594,7 @@ let () =
             prop_apply_drops_usage;
             prop_apply_preserves_distribution;
             prop_sweep_usage_decreases;
+            prop_shared_sweep_steps;
           ] );
       ( "commute",
         List.map to_alcotest

@@ -20,7 +20,7 @@ let test_reduce_once_none_on_dense () =
 
 let test_sweep_monotone_usage () =
   let steps = Caqr.Qs_caqr.sweep (Benchmarks.Bv.circuit 8) in
-  let usages = List.map (fun s -> s.Caqr.Qs_caqr.usage) steps in
+  let usages = List.map (fun (s : Caqr.Engine.step) -> s.usage) steps in
   let rec strictly_decreasing = function
     | a :: (b :: _ as rest) -> a > b && strictly_decreasing rest
     | _ -> true
@@ -32,24 +32,18 @@ let test_sweep_depth_never_shrinks_much () =
   (* Logical depth is nondecreasing along the sweep (each reuse only adds
      constraints). *)
   let steps = Caqr.Qs_caqr.sweep (Benchmarks.Bv.circuit 8) in
-  let depths = List.map (fun s -> s.Caqr.Qs_caqr.logical_depth) steps in
+  let depths = List.map (fun (s : Caqr.Engine.step) -> s.depth) steps in
   let rec nondecreasing = function
     | a :: (b :: _ as rest) -> a <= b && nondecreasing rest
     | _ -> true
   in
   check bool "depth nondecreasing" true (nondecreasing depths)
 
-let test_sweep_stop_at () =
-  let steps = Caqr.Qs_caqr.sweep ~stop_at:6 (Benchmarks.Bv.circuit 8) in
-  match List.rev steps with
-  | last :: _ -> check int "stops at target" 6 last.Caqr.Qs_caqr.usage
-  | [] -> Alcotest.fail "empty sweep"
-
 let test_sweep_records_pairs () =
   let steps = Caqr.Qs_caqr.sweep (Benchmarks.Bv.circuit 5) in
   List.iteri
-    (fun i (s : Caqr.Qs_caqr.step) ->
-      check int "pair per step" i (List.length s.Caqr.Qs_caqr.pairs))
+    (fun i (s : Caqr.Engine.step) ->
+      check int "pair per step" i (List.length s.pairs))
     steps
 
 let test_bv_min_is_two () =
@@ -72,10 +66,10 @@ let test_search_impossible_target () =
   check bool "cannot reach 1" true
     (Caqr.Qs_caqr.search ~target:1 (Benchmarks.Bv.circuit 5) = None)
 
-let test_reduce_to_semantics () =
+let test_target_query_semantics () =
   let c = Benchmarks.Bv.circuit 8 in
-  match Caqr.Qs_caqr.reduce_to ~target:3 c with
-  | Some c' ->
+  match Caqr.Qs_caqr.search ~target:3 c with
+  | Some (c', _) ->
     check bool "at most 3" true (Caqr.Reuse.qubit_usage c' <= 3);
     let d0 = Sim.Executor.run ~seed:1 ~shots:64 c in
     let d1 = Sim.Executor.run ~seed:2 ~shots:64 c' in
@@ -123,7 +117,6 @@ let () =
           Alcotest.test_case "dense has none" `Quick test_reduce_once_none_on_dense;
           Alcotest.test_case "usage monotone" `Quick test_sweep_monotone_usage;
           Alcotest.test_case "depth monotone" `Quick test_sweep_depth_never_shrinks_much;
-          Alcotest.test_case "stop at" `Quick test_sweep_stop_at;
           Alcotest.test_case "pairs recorded" `Quick test_sweep_records_pairs;
         ] );
       ( "search",
@@ -131,7 +124,7 @@ let () =
           Alcotest.test_case "bv min 2" `Quick test_bv_min_is_two;
           Alcotest.test_case "reaches target" `Quick test_search_reaches_target;
           Alcotest.test_case "impossible target" `Quick test_search_impossible_target;
-          Alcotest.test_case "reduce_to semantics" `Quick test_reduce_to_semantics;
+          Alcotest.test_case "target query semantics" `Quick test_target_query_semantics;
           Alcotest.test_case "objectives" `Quick test_max_reuse_objectives;
         ] );
       ( "applicability",

@@ -104,7 +104,7 @@ let test_structural_pairs_accept_compiler () =
       List.map
         (fun (p : Caqr.Reuse.pair) ->
           { Verify.Structural.src = p.Caqr.Reuse.src; dst = p.Caqr.Reuse.dst })
-        last.Caqr.Qs_caqr.pairs
+        last.Caqr.Engine.pairs
     in
     check bool "some pairs claimed" true (pairs <> []);
     check bool "compiler pairs satisfy conditions 1-2" true
