@@ -794,7 +794,10 @@ let engines_exp () =
 (* The incremental sweep must reproduce the reference sweep exactly
    while doing a fraction of the analysis work.  The comparison runs
    both over every regular benchmark and writes BENCH_caqr.json (schema
-   caqr-bench/4) for CI to archive. *)
+   caqr-bench/4) for CI to archive. Next to the timer ratio each row
+   carries counted work, which repeats exactly from run to run: the
+   analyses derived per sweep (fresh + incremental) and the minor words
+   allocated per sweep. *)
 
 type engine_run = {
   er_steps : Caqr.Engine.step list;
@@ -805,7 +808,10 @@ type engine_run = {
   er_search_nodes : int;
   er_cache_hits : int;
   er_cache_misses : int;
+  er_minor_words : float;
 }
+
+let analyses r = r.er_analyze_fresh + r.er_analyze_incremental
 
 (* Each sweep runs three times and the timings keep the fastest
    repetition: scheduler noise on a shared machine easily exceeds the
@@ -815,7 +821,9 @@ type engine_run = {
 let run_engine sweep c =
   let once () =
     Obs.Metrics.reset ();
+    let words0 = Gc.minor_words () in
     let steps = Obs.Metrics.time "perf.wall" @@ fun () -> sweep c in
+    let minor_words = Gc.minor_words () -. words0 in
     {
       er_steps = steps;
       er_wall_s = Obs.Metrics.timing "perf.wall";
@@ -825,6 +833,7 @@ let run_engine sweep c =
       er_search_nodes = Obs.Metrics.count "qs.search.nodes";
       er_cache_hits = Obs.Metrics.count "qs.cache.hit";
       er_cache_misses = Obs.Metrics.count "qs.cache.miss";
+      er_minor_words = minor_words;
     }
   in
   let r = ref (once ()) in
@@ -842,9 +851,10 @@ let run_engine sweep c =
 let engine_json b r =
   Buffer.add_string b
     (Printf.sprintf
-       "{\"wall_s\":%.6f,\"analyze_s\":%.6f,\"analyze_fresh\":%d,\"analyze_incremental\":%d,\"search_nodes\":%d,\"cache_hits\":%d,\"cache_misses\":%d}"
+       "{\"wall_s\":%.6f,\"analyze_s\":%.6f,\"analyze_fresh\":%d,\"analyze_incremental\":%d,\"analyses\":%d,\"search_nodes\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"minor_words\":%.0f}"
        r.er_wall_s r.er_analyze_s r.er_analyze_fresh r.er_analyze_incremental
-       r.er_search_nodes r.er_cache_hits r.er_cache_misses)
+       (analyses r) r.er_search_nodes r.er_cache_hits r.er_cache_misses
+       r.er_minor_words)
 
 (* -------------------------------------------------------------- anytime *)
 
@@ -932,8 +942,9 @@ let anytime_exp () =
 let perf () =
   section "perf" "incremental vs reference sweep (BENCH_caqr.json)";
   let ratio num den = num /. Float.max 1e-9 den in
-  Printf.printf "%-14s %-7s %-11s %-11s %-11s %-9s %s\n" "benchmark" "gates"
-    "inc wall(s)" "frs wall(s)" "work ratio" "speedup" "identical";
+  Printf.printf "%-14s %-7s %-11s %-11s %-11s %-9s %-9s %-9s %-10s %s\n"
+    "benchmark" "gates" "inc wall(s)" "frs wall(s)" "work ratio" "speedup"
+    "inc anl" "frs anl" "inc Mword" "identical";
   let rows =
     List.map
       (fun (e : Benchmarks.Suite.entry) ->
@@ -943,10 +954,12 @@ let perf () =
         let identical = inc.er_steps = fresh.er_steps in
         let work = ratio fresh.er_analyze_s inc.er_analyze_s in
         let speedup = ratio fresh.er_wall_s inc.er_wall_s in
-        Printf.printf "%-14s %-7d %-11.4f %-11.4f %-11.2f %-9.2f %b\n%!"
+        Printf.printf
+          "%-14s %-7d %-11.4f %-11.4f %-11.2f %-9.2f %-9d %-9d %-10.3f %b\n%!"
           e.Benchmarks.Suite.name
           (Quantum.Circuit.gate_count c)
-          inc.er_wall_s fresh.er_wall_s work speedup identical;
+          inc.er_wall_s fresh.er_wall_s work speedup (analyses inc)
+          (analyses fresh) (inc.er_minor_words /. 1e6) identical;
         (e, inc, fresh, identical, work, speedup))
       (Benchmarks.Suite.regular ())
   in

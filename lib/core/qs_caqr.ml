@@ -59,13 +59,74 @@ let ordered_candidates order objective analysis =
      with [key] in the comparator (ties keep [valid_pairs] order), but
      each key is computed once — the candidate lists of 100-1000 qubit
      circuits run to ~k^2 entries, where comparator-side key evaluation
-     dominated the whole search. *)
+     dominated the whole search. The comparator is the lexicographic
+     order of the int key pair, specialised to ints. *)
   let decorated =
-    Array.of_list
-      (List.map (fun p -> (key p, p)) (Reuse.valid_pairs analysis))
+    Array.map
+      (fun p ->
+        let k1, k2 = key p in
+        (k1, k2, p))
+      (Array.of_list (Reuse.valid_pairs analysis))
   in
-  Array.stable_sort (fun (ka, _) (kb, _) -> compare ka kb) decorated;
-  Array.fold_right (fun (_, p) acc -> p :: acc) decorated []
+  Array.stable_sort
+    (fun ((a1 : int), (a2 : int), _) (b1, b2, _) ->
+      if a1 <> b1 then Int.compare a1 b1 else Int.compare a2 b2)
+    decorated;
+  Array.fold_right (fun (_, _, p) acc -> p :: acc) decorated []
+
+(* ---- Width floor ----
+
+   Two active qubits that reach each other (some gate on each reaches a
+   gate on the other) can never share a wire: a pair between them fails
+   Condition 2 in either direction, and {!Reuse.apply_incremental} only
+   grows reach — merging dst into src unions their rows and columns — so
+   once mutual, the wires hosting them stay mutual. Every clique of the
+   mutual-reach relation therefore needs that many distinct wires, and
+   any search for fewer qubits must fail. The largest clique is found by
+   branch and bound (vertices by descending degree, pruned on
+   [size + candidates <= best]); the first, greedy descent always runs
+   to the end, and past [floor_work_cap] adjacency tests no further
+   branch is tried. Any clique found is a valid floor, so the cap only
+   weakens the bound. *)
+let floor_work_cap = 200_000
+
+let floor_of_analysis analysis =
+  let vs = Array.of_list (Reuse.active_qubits analysis) in
+  let mutual i j =
+    i <> j
+    && Reuse.reaches analysis vs.(i) vs.(j)
+    && Reuse.reaches analysis vs.(j) vs.(i)
+  in
+  let k = Array.length vs in
+  let degree =
+    Array.init k (fun i ->
+        let d = ref 0 in
+        for j = 0 to k - 1 do
+          if mutual i j then incr d
+        done;
+        !d)
+  in
+  let order = List.init k Fun.id in
+  let order =
+    List.stable_sort (fun a b -> Int.compare degree.(b) degree.(a)) order
+  in
+  let best = ref 0 and work = ref 0 in
+  let rec expand size cands ncands =
+    if size > !best then best := size;
+    match cands with
+    | [] -> ()
+    | v :: rest ->
+      if size + ncands > !best then begin
+        let next = List.filter (mutual v) rest in
+        work := !work + ncands;
+        expand (size + 1) next (List.length next);
+        if !work <= floor_work_cap then expand size rest (ncands - 1)
+      end
+  in
+  expand 0 order k;
+  !best
+
+let width_floor circuit = floor_of_analysis (Reuse.analyze circuit)
 
 (* ---- The memoizing incremental engine ----
 
@@ -73,24 +134,46 @@ let ordered_candidates order objective analysis =
    the applied-pair sequence, so when the sweep restarts the search for a
    deeper qubit target, the shared prefix (the greedy spine plus every
    backtracked branch already explored) replays from the cache instead of
-   re-deriving analyses and re-sorting candidates. *)
+   re-deriving analyses and re-sorting candidates. Each prefix is
+   interned once as an int id — the root is [root_prefix], and a child
+   is looked up by its parent's id and the applied pair — so a memo
+   lookup hashes three ints rather than the whole pair sequence. The
+   width floor of the cache's circuit is computed on first use. *)
 type cache = {
-  analyses : (string, Reuse.analysis) Hashtbl.t;
-  candidates : (string, Reuse.pair list) Hashtbl.t;
+  prefixes : (int * int * int, int) Hashtbl.t;
+  mutable next_prefix : int;
+  analyses : (int, Reuse.analysis) Hashtbl.t;
+  candidates : (int, Reuse.pair list) Hashtbl.t;
+  mutable floor : int option;
 }
 
 (* Caps the tables on degenerate inputs (enormous sweeps); entries past
    the cap are simply recomputed on demand. *)
 let cache_capacity = 20_000
 
-let new_cache () =
-  { analyses = Hashtbl.create 256; candidates = Hashtbl.create 256 }
+let root_prefix = 0
 
-let key_of_rev_pairs rev_pairs =
-  String.concat ";"
-    (List.rev_map
-       (fun (p : Reuse.pair) -> Printf.sprintf "%d>%d" p.Reuse.src p.Reuse.dst)
-       rev_pairs)
+let new_cache () =
+  {
+    prefixes = Hashtbl.create 256;
+    next_prefix = root_prefix;
+    analyses = Hashtbl.create 256;
+    candidates = Hashtbl.create 256;
+    floor = None;
+  }
+
+(* A prefix past the cap gets a fresh id that is never stored, so its
+   entries miss and are recomputed, as they would be anyway. *)
+let child_prefix cache parent (p : Reuse.pair) =
+  let key = (parent, p.Reuse.src, p.Reuse.dst) in
+  match Hashtbl.find_opt cache.prefixes key with
+  | Some id -> id
+  | None ->
+    cache.next_prefix <- cache.next_prefix + 1;
+    let id = cache.next_prefix in
+    if Hashtbl.length cache.prefixes < cache_capacity then
+      Hashtbl.add cache.prefixes key id;
+    id
 
 let cached tbl key compute =
   match Hashtbl.find_opt tbl key with
@@ -104,18 +187,24 @@ let cached tbl key compute =
     v
 
 let root_analysis cache circuit =
-  cached cache.analyses "" (fun () -> Reuse.analyze circuit)
+  cached cache.analyses root_prefix (fun () -> Reuse.analyze circuit)
 
-let child_analysis cache parent pair rev_pairs =
-  cached cache.analyses (key_of_rev_pairs rev_pairs) (fun () ->
-      Reuse.apply_incremental parent pair)
+let child_analysis cache parent pair id =
+  cached cache.analyses id (fun () -> Reuse.apply_incremental parent pair)
 
-let candidates_for cache order objective analysis rev_pairs =
-  let tag = match order with Score | Both -> "s" | Chain -> "c" in
-  let obj = match objective with Depth -> "d" | Duration -> "t" in
-  let key = tag ^ obj ^ "|" ^ key_of_rev_pairs rev_pairs in
-  cached cache.candidates key (fun () ->
+let candidates_for cache order objective analysis id =
+  let tag = match order with Score | Both -> 0 | Chain -> 2 in
+  let obj = match objective with Depth -> 0 | Duration -> 1 in
+  cached cache.candidates ((4 * id) + tag + obj) (fun () ->
       ordered_candidates order objective analysis)
+
+let width_floor_cached cache circuit =
+  match cache.floor with
+  | Some f -> f
+  | None ->
+    let f = floor_of_analysis (root_analysis cache circuit) in
+    cache.floor <- Some f;
+    f
 
 (* The anytime layer watches the DFS through this hook: [note] fires on
    every node (usage, transformed circuit, reversed pair prefix) so an
@@ -142,12 +231,12 @@ let search_incremental ?observer ~cache order objective budget target circuit =
   let frontier d =
     match observer with Some o -> o.frontier d | None -> ()
   in
-  let rec go analysis rev_pairs =
+  let rec go analysis id rev_pairs =
     if Reuse.usage analysis <= target then
       Found (Reuse.circuit analysis, List.rev rev_pairs)
     else if !nodes > budget then Cut
     else begin
-      let cands = candidates_for cache order objective analysis rev_pairs in
+      let cands = candidates_for cache order objective analysis id in
       frontier (List.length cands);
       let rec attempt = function
         | [] -> Exhausted
@@ -160,9 +249,10 @@ let search_incremental ?observer ~cache order objective budget target circuit =
           else begin
             frontier (-1);
             let rev_pairs' = p :: rev_pairs in
-            let child = child_analysis cache analysis p rev_pairs' in
+            let id' = child_prefix cache id p in
+            let child = child_analysis cache analysis p id' in
             note (Reuse.usage child) (Reuse.circuit child) rev_pairs';
-            match go child rev_pairs' with
+            match go child id' rev_pairs' with
             | Found _ as r -> r
             | Cut -> Cut
             | Exhausted -> attempt rest
@@ -171,7 +261,7 @@ let search_incremental ?observer ~cache order objective budget target circuit =
       attempt cands
     end
   in
-  go (root_analysis cache circuit) []
+  go (root_analysis cache circuit) root_prefix []
 
 (* Both falls back from the Score ordering to the Chain ordering. *)
 let with_order opts dfs =
@@ -186,12 +276,19 @@ let with_order opts dfs =
       | Exhausted -> first (* Cut on the Score pass still means "cut" *)
       | Cut -> Cut))
 
+(* A target below the width floor cannot be reached, so the search ends
+   [Exhausted] before expanding a single node. *)
 let search_out ?observer ~cache opts target circuit =
   Obs.Metrics.incr "qs.searches";
   Obs.Metrics.time "time.search" @@ fun () ->
-  with_order opts (fun order ->
-      search_incremental ?observer ~cache order opts.objective opts.budget
-        target circuit)
+  if target < width_floor_cached cache circuit then begin
+    Obs.Metrics.incr "qs.search.floor_skips";
+    Exhausted
+  end
+  else
+    with_order opts (fun order ->
+        search_incremental ?observer ~cache order opts.objective opts.budget
+          target circuit)
 
 let found = function Found (c, pairs) -> Some (c, pairs) | Exhausted | Cut -> None
 

@@ -75,6 +75,14 @@ val min_qubits : ?opts:search_opts -> Quantum.Circuit.t -> int
     wall-clock deadline. *)
 val max_reuse : ?opts:search_opts -> Quantum.Circuit.t -> Quantum.Circuit.t
 
+(** [width_floor circuit] is a lower bound on the qubits any reuse
+    sequence can reach: the size of a clique of mutually reaching active
+    qubits, which no reuse can ever put on one wire. Every search entry
+    point fails at once, without expanding a DFS node, for a target
+    below it, bumping ["qs.search.floor_skips"]. [reference_sweep]
+    ignores it, so comparing the two also checks it is sound. *)
+val width_floor : Quantum.Circuit.t -> int
+
 (** Is there any reuse opportunity at all? (The paper's applicability
     test: tools report "no benefit" when this is [None].) *)
 val opportunity : Quantum.Circuit.t -> Reuse.pair option

@@ -46,48 +46,48 @@ and qsummary = {
 }
 
 (* Earliest-finish and longest-tail schedules in unit depth and in dt,
-   one forward and one backward sweep over the DAG for both weightings. *)
+   one forward and one backward sweep over the DAG for both weightings.
+   This runs once per search node, so it loops over the DAG's flat
+   adjacency in place and allocates only the four result arrays. *)
 let schedules circuit dag model =
   let gates = circuit.Quantum.Circuit.gates in
+  let { Quantum.Dag.pred_start; pred_ids; succ_start; succ_ids } =
+    Quantum.Dag.adjacency dag
+  in
   let n = Quantum.Dag.num_nodes dag in
-  let wd i =
-    if Quantum.Gate.is_barrier gates.(i).Quantum.Gate.kind then 0 else 1
-  in
-  let wu i = Quantum.Duration.of_kind model gates.(i).Quantum.Gate.kind in
   let ef_depth = Array.make n 0 and ef_dur = Array.make n 0 in
+  let tail_depth = Array.make n 0 and tail_dur = Array.make n 0 in
   let cp_depth = ref 0 and cp_dur = ref 0 in
-  (* unboxed accumulator loops: this runs once per search node, so the
-     per-node ref cells and iterator closures show up in profiles *)
-  let rec fwd sd su = function
-    | [] -> (sd, su)
-    | p :: tl ->
-      fwd
-        (if ef_depth.(p) > sd then ef_depth.(p) else sd)
-        (if ef_dur.(p) > su then ef_dur.(p) else su)
-        tl
-  in
   for i = 0 to n - 1 do
-    let sd, su = fwd 0 0 (Quantum.Dag.preds dag i) in
-    ef_depth.(i) <- sd + wd i;
-    ef_dur.(i) <- su + wu i;
+    let kind = gates.(i).Quantum.Gate.kind in
+    let sd = ref 0 and su = ref 0 in
+    for e = pred_start.(i) to pred_start.(i + 1) - 1 do
+      let p = pred_ids.(e) in
+      if ef_depth.(p) > !sd then sd := ef_depth.(p);
+      if ef_dur.(p) > !su then su := ef_dur.(p)
+    done;
+    ef_depth.(i) <- (!sd + if Quantum.Gate.is_barrier kind then 0 else 1);
+    ef_dur.(i) <- !su + Quantum.Duration.of_kind model kind;
     if ef_depth.(i) > !cp_depth then cp_depth := ef_depth.(i);
     if ef_dur.(i) > !cp_dur then cp_dur := ef_dur.(i)
   done;
-  let tail_depth = Array.make n 0 and tail_dur = Array.make n 0 in
-  let rec bwd sd su = function
-    | [] -> (sd, su)
-    | s :: tl ->
-      bwd
-        (if tail_depth.(s) > sd then tail_depth.(s) else sd)
-        (if tail_dur.(s) > su then tail_dur.(s) else su)
-        tl
-  in
   for i = n - 1 downto 0 do
-    let sd, su = bwd 0 0 (Quantum.Dag.succs dag i) in
-    tail_depth.(i) <- sd + wd i;
-    tail_dur.(i) <- su + wu i
+    let kind = gates.(i).Quantum.Gate.kind in
+    let sd = ref 0 and su = ref 0 in
+    for e = succ_start.(i) to succ_start.(i + 1) - 1 do
+      let s = succ_ids.(e) in
+      if tail_depth.(s) > !sd then sd := tail_depth.(s);
+      if tail_dur.(s) > !su then su := tail_dur.(s)
+    done;
+    tail_depth.(i) <- (!sd + if Quantum.Gate.is_barrier kind then 0 else 1);
+    tail_dur.(i) <- !su + Quantum.Duration.of_kind model kind
   done;
   (ef_depth, ef_dur, tail_depth, tail_dur, !cp_depth, !cp_dur)
+
+let rec last_gate = function
+  | [] -> None
+  | [ g ] -> Some g
+  | _ :: tl -> last_gate tl
 
 (* Assemble an analysis from its precomputed set-level parts plus the
    O(n+e) schedules, shared by the fresh and incremental constructions. *)
@@ -138,13 +138,13 @@ let finish_analysis circuit dag qreach ~inter ~active ~barriers =
            tail_d.(q) <- !td;
            tail_u.(q) <- !tu;
            start_d.(q) <- !sd;
-           (match List.rev gates with
-            | last :: _ ->
+           (match last_gate gates with
+            | Some last ->
               (match circuit.Quantum.Circuit.gates.(last).Quantum.Gate.kind with
                | Quantum.Gate.Measure (_, c) ->
                  ends_meas.(q) <- (Lazy.force clbit_users).(c) = 1
                | _ -> ())
-            | [] -> ())
+            | None -> ())
        done;
        { fin_depth; fin_dur; tail_d; tail_u; start_d; ends_meas })
   in
@@ -213,8 +213,11 @@ let valid a ({ src; dst } as p) =
   && dst < Array.length a.active
   && a.active.(src)
   && a.active.(dst)
-  && condition1 a p
+  (* Condition 2 first: an array read, and it already fails every
+     coupled pair (a shared gate reaches itself), so the interaction-set
+     lookup of Condition 1 only runs on pairs that pass it. *)
   && condition2 a p
+  && condition1 a p
 
 let valid_pairs a =
   let k = Array.length a.active in
@@ -235,9 +238,9 @@ let valid_pairs a =
    would then read the wrong value. With no reusable clbit a fresh
    measure + X pair is spliced onto a fresh clbit instead. *)
 let reusable_final_clbit a src =
-  match List.rev (Quantum.Dag.gates_on_qubit a.dag src) with
-  | [] -> None
-  | last :: _ ->
+  match last_gate (Quantum.Dag.gates_on_qubit a.dag src) with
+  | None -> None
+  | Some last ->
     (match a.circuit.Quantum.Circuit.gates.(last).Quantum.Gate.kind with
      | Quantum.Gate.Measure (_, c) ->
        if (Lazy.force a.clbit_users).(c) = 1 then Some c else None
@@ -275,85 +278,138 @@ type emission = {
 }
 
 (* Kahn topological emission with min-gate-id priority, honoring the extra
-   [src gates -> reset node -> dst gates] constraints. *)
+   [src gates -> reset node -> dst gates] constraints. The ready queue is
+   an int min-heap on one preallocated array, and the parent DAG's
+   successor lists are read in place: popping the least ready id is what
+   the order depends on, and a heap pops the same minimum a sorted set
+   would, so the emitted gate order is unchanged. The reset node takes id
+   [n], above every gate, so it leaves the queue only once no ready gate
+   precedes it. *)
 let emit (a : analysis) ({ src; dst } as p) =
   let circuit = a.circuit in
   if not (valid a p) then invalid_arg "Reuse.apply: invalid pair";
-  let n = Quantum.Dag.num_nodes a.dag in
+  let dag = a.dag in
+  let gates = circuit.Quantum.Circuit.gates in
+  let n = Quantum.Dag.num_nodes dag in
   let dummy = n in
-  let s_gates = Quantum.Dag.gates_on_qubit a.dag src in
-  let d_gates = Quantum.Dag.gates_on_qubit a.dag dst in
   (* Does src end in a measurement whose clbit the reset may safely
      drive? Then no new measure (or clbit) is needed. *)
   let existing_clbit = reusable_final_clbit a src in
-  let num_clbits =
+  let base_clbits = circuit.Quantum.Circuit.num_clbits in
+  let num_clbits, reset_clbit, m =
     match existing_clbit with
-    | Some _ -> circuit.Quantum.Circuit.num_clbits
-    | None -> circuit.Quantum.Circuit.num_clbits + 1
+    | Some c -> (base_clbits, c, n + 1)
+    | None -> (base_clbits + 1, base_clbits, n + 2)
   in
-  let reset_clbit =
-    match existing_clbit with
-    | Some c -> c
-    | None -> circuit.Quantum.Circuit.num_clbits
+  (* In-degrees including the dummy reset node's edges; [on_src] marks
+     the gates whose completion also counts towards the reset. *)
+  let { Quantum.Dag.pred_start; succ_start; succ_ids; _ } =
+    Quantum.Dag.adjacency dag
   in
-  (* Successor lists including the dummy node. *)
-  let succs = Array.make (n + 1) [] in
   let indeg = Array.make (n + 1) 0 in
-  let add_edge u v =
-    succs.(u) <- v :: succs.(u);
-    indeg.(v) <- indeg.(v) + 1
-  in
   for i = 0 to n - 1 do
-    List.iter (fun j -> add_edge i j) (Quantum.Dag.succs a.dag i)
+    indeg.(i) <- pred_start.(i + 1) - pred_start.(i)
   done;
-  List.iter (fun g -> add_edge g dummy) s_gates;
-  List.iter (fun g -> add_edge dummy g) d_gates;
-  let module Iset = Set.Make (Int) in
-  let ready = ref Iset.empty in
+  let on_src = Bytes.make n '\000' in
+  List.iter
+    (fun g ->
+      Bytes.unsafe_set on_src g '\001';
+      indeg.(dummy) <- indeg.(dummy) + 1)
+    (Quantum.Dag.gates_on_qubit dag src);
+  let d_gates = Quantum.Dag.gates_on_qubit dag dst in
+  List.iter (fun g -> indeg.(g) <- indeg.(g) + 1) d_gates;
+  let heap = Array.make (n + 1) 0 in
+  let size = ref 0 in
+  let push v =
+    let i = ref !size in
+    incr size;
+    while !i > 0 && heap.((!i - 1) / 2) > v do
+      heap.(!i) <- heap.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    heap.(!i) <- v
+  in
+  let pop () =
+    let top = heap.(0) in
+    decr size;
+    let last = heap.(!size) in
+    let i = ref 0 and continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= !size then continue := false
+      else begin
+        let c = if l + 1 < !size && heap.(l + 1) < heap.(l) then l + 1 else l in
+        if heap.(c) < last then begin
+          heap.(!i) <- heap.(c);
+          i := c
+        end
+        else continue := false
+      end
+    done;
+    heap.(!i) <- last;
+    top
+  in
+  let release j =
+    indeg.(j) <- indeg.(j) - 1;
+    if indeg.(j) = 0 then push j
+  in
   for i = 0 to n do
-    if indeg.(i) = 0 then ready := Iset.add i !ready
+    if indeg.(i) = 0 then push i
   done;
+  (* Only kinds on dst change under the rename; the rest are shared.
+     Barriers always go through [map_qubits], which normalises their
+     wire set. *)
+  let on_dst = function
+    | Quantum.Gate.One_q (_, q)
+    | Quantum.Gate.Reset q
+    | Quantum.Gate.Measure (q, _)
+    | Quantum.Gate.If_x (_, q) ->
+      q = dst
+    | Quantum.Gate.Cx (x, y)
+    | Quantum.Gate.Cz (x, y)
+    | Quantum.Gate.Rzz (_, x, y)
+    | Quantum.Gate.Swap (x, y) ->
+      x = dst || y = dst
+    | Quantum.Gate.Barrier _ -> true
+  in
   let rename q = if q = dst then src else q in
-  let rev_kinds = ref [] in
-  let emitted = ref 0 in
+  let kinds = Array.make m (Quantum.Gate.Reset src) in
   let pos = Array.make n (-1) in
   let measure_id = ref None in
   let if_x_id = ref (-1) in
   let next = ref 0 in
-  while not (Iset.is_empty !ready) do
-    let i = Iset.min_elt !ready in
-    ready := Iset.remove i !ready;
-    incr emitted;
+  while !size > 0 do
+    let i = pop () in
     if i = dummy then begin
       (match existing_clbit with
        | Some _ -> ()
        | None ->
-         rev_kinds := Quantum.Gate.Measure (src, reset_clbit) :: !rev_kinds;
+         kinds.(!next) <- Quantum.Gate.Measure (src, reset_clbit);
          measure_id := Some !next;
          incr next);
-      rev_kinds := Quantum.Gate.If_x (reset_clbit, src) :: !rev_kinds;
+      kinds.(!next) <- Quantum.Gate.If_x (reset_clbit, src);
       if_x_id := !next;
-      incr next
+      incr next;
+      List.iter release d_gates
     end
     else begin
-      let kind = circuit.Quantum.Circuit.gates.(i).Quantum.Gate.kind in
-      rev_kinds := Quantum.Gate.map_qubits rename kind :: !rev_kinds;
+      let kind = gates.(i).Quantum.Gate.kind in
+      kinds.(!next) <-
+        (if on_dst kind then Quantum.Gate.map_qubits rename kind else kind);
       pos.(i) <- !next;
-      incr next
-    end;
-    List.iter
-      (fun j ->
-        indeg.(j) <- indeg.(j) - 1;
-        if indeg.(j) = 0 then ready := Iset.add j !ready)
-      succs.(i)
+      incr next;
+      for e = succ_start.(i) to succ_start.(i + 1) - 1 do
+        release succ_ids.(e)
+      done;
+      if Bytes.unsafe_get on_src i <> '\000' then release dummy
+    end
   done;
-  if !emitted <> n + 1 then
+  if !next <> m then
     invalid_arg "Reuse.apply: reuse would create a dependence cycle";
   {
     em_circuit =
-      Quantum.Circuit.of_kinds ~num_qubits:circuit.Quantum.Circuit.num_qubits
-        ~num_clbits
-        (List.rev !rev_kinds);
+      Quantum.Circuit.of_kind_array
+        ~num_qubits:circuit.Quantum.Circuit.num_qubits ~num_clbits kinds;
     em_pos = pos;
     em_measure = !measure_id;
     em_if_x = !if_x_id;
@@ -362,49 +418,94 @@ let emit (a : analysis) ({ src; dst } as p) =
 let apply_circuit a p = (emit a p).em_circuit
 let apply circuit p = apply_circuit (analyze circuit) p
 
+(* [relabel pos tail ids]: [ids] mapped through [pos], then [tail],
+   built directly without an intermediate list. *)
+let rec relabel pos tail = function
+  | [] -> tail
+  | g :: tl -> pos.(g) :: relabel pos tail tl
+
 (* Chain DAG of an emitted circuit, derived from the parent's without a
    rebuild: emission preserves each wire's (and clbit's) gate order, so
    every parent chain edge relabels through [em_pos], and the only new
    edges are the reset splice's on wire src. Exact only when the splice
-   is local (see {!splice_is_local}) — callers must check first. *)
+   is local (see {!splice_is_local}) — callers must check first. The
+   child's flat adjacency is filled in one pass over the parent's: each
+   node's relabelled neighbours, then a splice edge in the last slot of
+   the two gates the splice attaches to. *)
 let derived_dag (a : analysis) ~src ~dst em =
-  let n = Quantum.Dag.num_nodes a.dag in
+  let dag = a.dag in
+  let parent = Quantum.Dag.adjacency dag in
+  let n = Quantum.Dag.num_nodes dag in
   let pos = em.em_pos in
   let m = Array.length em.em_circuit.Quantum.Circuit.gates in
-  let preds = Array.make m [] and succs = Array.make m [] in
-  let add u v =
-    preds.(v) <- u :: preds.(v);
-    succs.(u) <- v :: succs.(u)
-  in
-  for i = 0 to n - 1 do
-    List.iter (fun j -> add pos.(i) pos.(j)) (Quantum.Dag.succs a.dag i)
-  done;
-  let s_gates = Quantum.Dag.gates_on_qubit a.dag src in
-  let d_gates = Quantum.Dag.gates_on_qubit a.dag dst in
+  let s_gates = Quantum.Dag.gates_on_qubit dag src in
+  let d_gates = Quantum.Dag.gates_on_qubit dag dst in
   let last_s = pos.(List.fold_left max (-1) s_gates) in
   let first_d = pos.(List.hd d_gates) in
+  let if_x = em.em_if_x in
+  (* the splice chain: last_s -> [measure ->] if_x -> first_d *)
+  let head = match em.em_measure with Some d1 -> d1 | None -> if_x in
+  (* Degrees go one slot up, then prefix sums turn them into offsets. *)
+  let pred_start = Array.make (m + 1) 0 and succ_start = Array.make (m + 1) 0 in
+  for i = 0 to n - 1 do
+    pred_start.(pos.(i) + 1) <- Quantum.Dag.in_degree dag i;
+    succ_start.(pos.(i) + 1) <- Quantum.Dag.out_degree dag i
+  done;
+  succ_start.(last_s + 1) <- succ_start.(last_s + 1) + 1;
+  pred_start.(first_d + 1) <- pred_start.(first_d + 1) + 1;
   (match em.em_measure with
    | Some d1 ->
-     add last_s d1;
-     add d1 em.em_if_x
-   | None -> add last_s em.em_if_x);
-  add em.em_if_x first_d;
+     pred_start.(d1 + 1) <- 1;
+     succ_start.(d1 + 1) <- 1
+   | None -> ());
+  pred_start.(if_x + 1) <- 1;
+  succ_start.(if_x + 1) <- 1;
+  for v = 1 to m do
+    pred_start.(v) <- pred_start.(v) + pred_start.(v - 1);
+    succ_start.(v) <- succ_start.(v) + succ_start.(v - 1)
+  done;
+  let pred_ids = Array.make pred_start.(m) 0
+  and succ_ids = Array.make succ_start.(m) 0 in
+  for i = 0 to n - 1 do
+    let pi = pos.(i) in
+    let lo = parent.Quantum.Dag.pred_start.(i) in
+    for e = lo to parent.Quantum.Dag.pred_start.(i + 1) - 1 do
+      pred_ids.(pred_start.(pi) + e - lo) <- pos.(parent.Quantum.Dag.pred_ids.(e))
+    done;
+    let lo = parent.Quantum.Dag.succ_start.(i) in
+    for e = lo to parent.Quantum.Dag.succ_start.(i + 1) - 1 do
+      succ_ids.(succ_start.(pi) + e - lo) <- pos.(parent.Quantum.Dag.succ_ids.(e))
+    done
+  done;
+  succ_ids.(succ_start.(last_s + 1) - 1) <- head;
+  pred_ids.(pred_start.(first_d + 1) - 1) <- if_x;
+  (match em.em_measure with
+   | Some d1 ->
+     pred_ids.(pred_start.(d1)) <- last_s;
+     succ_ids.(succ_start.(d1)) <- if_x;
+     pred_ids.(pred_start.(if_x)) <- d1
+   | None -> pred_ids.(pred_start.(if_x)) <- last_s);
+  succ_ids.(succ_start.(if_x)) <- first_d;
   let k = em.em_circuit.Quantum.Circuit.num_qubits in
   let on_qubit = Array.make (max 1 k) [] in
   for q = 0 to k - 1 do
     if q <> src && q <> dst then
-      on_qubit.(q) <-
-        List.map (fun g -> pos.(g)) (Quantum.Dag.gates_on_qubit a.dag q)
+      on_qubit.(q) <- relabel pos [] (Quantum.Dag.gates_on_qubit dag q)
   done;
+  let reset_then_dst = if_x :: relabel pos [] d_gates in
   on_qubit.(src) <-
-    List.map (fun g -> pos.(g)) s_gates
-    @ (match em.em_measure with Some d1 -> [ d1 ] | None -> [])
-    @ em.em_if_x :: List.map (fun g -> pos.(g)) d_gates;
+    relabel pos
+      (match em.em_measure with
+       | Some d1 -> d1 :: reset_then_dst
+       | None -> reset_then_dst)
+      s_gates;
   (* [~check:false]: this is the per-apply hot path of the incremental
      engine, and its analyses are cross-validated byte-for-byte against
      fresh ones by the property suites and the fuzz [engines] oracle, so
      the deep shape checks would only re-verify what those already pin. *)
-  Quantum.Dag.of_parts ~check:false em.em_circuit ~preds ~succs ~on_qubit
+  Quantum.Dag.of_parts ~check:false em.em_circuit
+    { Quantum.Dag.pred_start; pred_ids; succ_start; succ_ids }
+    ~on_qubit
 
 (* The incremental algebra models the reset splice as nodes wired only to
    src's and dst's gates. That is the whole story exactly when the

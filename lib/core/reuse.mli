@@ -75,6 +75,24 @@ val dst_start_depth : analysis -> pair -> int
     Raises [Invalid_argument] on an invalid pair. *)
 val apply : Quantum.Circuit.t -> pair -> Quantum.Circuit.t
 
+(** An emitted transform: the circuit of {!apply}, together with where
+    each parent gate landed ([em_pos]: parent gate id -> emitted id) and
+    where the reset splice landed — the spliced measure, when a fresh
+    clbit was needed, and the conditional X. *)
+type emission = {
+  em_circuit : Quantum.Circuit.t;
+  em_pos : int array;
+  em_measure : int option;
+  em_if_x : int;
+}
+
+(** [emit analysis pair] emits the reuse transform in Kahn topological
+    order, always taking the least ready gate id; the reset splice runs
+    after every [src] gate and before every [dst] gate. [apply c p] is
+    [(emit (analyze c) p).em_circuit]. Raises [Invalid_argument] on an
+    invalid pair. *)
+val emit : analysis -> pair -> emission
+
 (** [apply_incremental analysis pair] is the analysis of
     [apply (circuit analysis) pair], but derived incrementally: the reset
     node is the only new dependence, so the qubit-level closure update is

@@ -181,11 +181,11 @@ let map_gate_qubits st i =
     List.iter (fun q -> if st.l2p.(q) < 0 then map_fresh st q) qs
 
 let complete st i =
-  List.iter
+  Quantum.Dag.iter_succs
     (fun j ->
       st.indeg.(j) <- st.indeg.(j) - 1;
       if st.indeg.(j) = 0 then st.frontier <- j :: st.frontier)
-    (Quantum.Dag.succs st.dag i)
+    st.dag i
 
 (* Emit gate [i] (operands mapped and, for 2q, adjacent). *)
 let emit st i =
@@ -255,7 +255,7 @@ let extended_set st =
          acc := pair :: !acc;
          incr count
        | _ -> ());
-      List.iter (fun j -> Queue.add j q) (Quantum.Dag.succs st.dag i)
+      Quantum.Dag.iter_succs (fun j -> Queue.add j q) st.dag i
     end
   done;
   !acc

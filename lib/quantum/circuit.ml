@@ -1,14 +1,31 @@
 type t = { num_qubits : int; num_clbits : int; gates : Gate.t array }
 
+let in_range n x = x >= 0 && x < n
+
+(* Allocation-free except on barriers: emission builds every child
+   circuit of the QS search through here, one check per gate. *)
 let check_kind ~num_qubits ~num_clbits kind =
-  let ok_q q = q >= 0 && q < num_qubits in
-  let ok_c c = c >= 0 && c < num_clbits in
-  if not (List.for_all ok_q (Gate.qubits kind)) then
+  let qubits_ok =
+    match kind with
+    | Gate.One_q (_, q) | Gate.Reset q | Gate.Measure (q, _) | Gate.If_x (_, q)
+      ->
+      in_range num_qubits q
+    | Gate.Cx (a, b) | Gate.Cz (a, b) | Gate.Rzz (_, a, b) | Gate.Swap (a, b) ->
+      in_range num_qubits a && in_range num_qubits b
+    | Gate.Barrier qs -> List.for_all (in_range num_qubits) qs
+  in
+  if not qubits_ok then
     invalid_arg
       (Format.asprintf "Circuit: qubit out of range in %a" Gate.pp
          { Gate.id = -1; kind });
-  if not (List.for_all ok_c (Gate.clbits kind)) then
-    invalid_arg "Circuit: classical bit out of range"
+  let clbits_ok =
+    match kind with
+    | Gate.Measure (_, c) | Gate.If_x (c, _) -> in_range num_clbits c
+    | Gate.One_q _ | Gate.Cx _ | Gate.Cz _ | Gate.Rzz _ | Gate.Swap _
+    | Gate.Reset _ | Gate.Barrier _ ->
+      true
+  in
+  if not clbits_ok then invalid_arg "Circuit: classical bit out of range"
 
 let empty ~num_qubits ~num_clbits =
   if num_qubits < 0 || num_clbits < 0 then invalid_arg "Circuit.empty";

@@ -1,27 +1,57 @@
+(* Adjacency in compressed form: the predecessors of node [i] are
+   [pred_ids.(pred_start.(i)) .. pred_ids.(pred_start.(i + 1) - 1)], and
+   likewise for successors. Two flat int arrays per direction instead of
+   one list cell per edge: the incremental reuse engine derives one DAG
+   per search node, so its size is paid on every node, and again by the
+   major heap for every node the search memo keeps. *)
+type adjacency = {
+  pred_start : int array;
+  pred_ids : int array;
+  succ_start : int array;
+  succ_ids : int array;
+}
+
 type t = {
   circuit : Circuit.t;
-  preds : int list array;
-  succs : int list array;
+  adj : adjacency;
   on_qubit : int list array;  (* reversed during build, stored in order *)
 }
 
+(* Predecessors are appended gate by gate into one growing buffer (a
+   gate's dependences all point at earlier gates, so gate [i]'s slice is
+   complete once [i] is read), deduplicated within the slice. Successor
+   slices are filled from the last gate down, so each lists its
+   successors latest first: the router and SR-CaQR visit successors in
+   that order. *)
 let build (c : Circuit.t) =
   let n = Array.length c.gates in
-  let preds = Array.make n [] in
-  let succs = Array.make n [] in
   let on_qubit = Array.make (max 1 c.num_qubits) [] in
   let last_q = Array.make (max 1 c.num_qubits) (-1) in
   let last_c = Array.make (max 1 c.num_clbits) (-1) in
+  let pred_start = Array.make (n + 1) 0 in
+  let buf = ref (Array.make (max 16 (2 * n)) 0) and len = ref 0 in
   let add_dep src dst =
-    if src >= 0 && src <> dst && not (List.mem src preds.(dst)) then begin
-      preds.(dst) <- src :: preds.(dst);
-      succs.(src) <- dst :: succs.(src)
+    if src >= 0 && src <> dst then begin
+      let dup = ref false in
+      for e = pred_start.(dst) to !len - 1 do
+        if !buf.(e) = src then dup := true
+      done;
+      if not !dup then begin
+        if !len = Array.length !buf then begin
+          let bigger = Array.make (2 * !len) 0 in
+          Array.blit !buf 0 bigger 0 !len;
+          buf := bigger
+        end;
+        !buf.(!len) <- src;
+        incr len
+      end
     end
   in
   Array.iter
     (fun g ->
       let i = g.Gate.id in
       let k = g.Gate.kind in
+      pred_start.(i) <- !len;
       if Gate.is_barrier k then
         (* Barriers order every wire they span but are not nodes we weight:
            model them as ordinary nodes with zero cost downstream. *)
@@ -44,69 +74,99 @@ let build (c : Circuit.t) =
           (Gate.clbits k)
       end)
     c.gates;
-  let on_qubit = Array.map List.rev on_qubit in
-  { circuit = c; preds; succs; on_qubit }
+  pred_start.(n) <- !len;
+  let pred_ids = Array.sub !buf 0 !len in
+  let succ_start = Array.make (n + 1) 0 in
+  Array.iter (fun p -> succ_start.(p + 1) <- succ_start.(p + 1) + 1) pred_ids;
+  for i = 1 to n do
+    succ_start.(i) <- succ_start.(i) + succ_start.(i - 1)
+  done;
+  let succ_ids = Array.make !len 0 in
+  let fill = Array.sub succ_start 0 (max 1 n) in
+  for i = n - 1 downto 0 do
+    for e = pred_start.(i) to pred_start.(i + 1) - 1 do
+      let p = pred_ids.(e) in
+      succ_ids.(fill.(p)) <- i;
+      fill.(p) <- fill.(p) + 1
+    done
+  done;
+  {
+    circuit = c;
+    adj = { pred_start; pred_ids; succ_start; succ_ids };
+    on_qubit = Array.map List.rev on_qubit;
+  }
 
 (* [of_parts] trusts its caller for *content* (that the adjacency is the
    one [build] would derive) but not for *shape*: a relabelling bug shows
    up as an out-of-range id, a duplicate, a backward edge, or a wire list
    that disagrees with the circuit — all cheap to detect here and
    miserable to debug downstream where they surface as phantom cycles.
-   The length checks are free and unconditional; the per-edge checks are
-   O(edges) and can be skipped with [~check:false] by a hot caller whose
-   output is independently cross-validated (the incremental engine, whose
-   analyses the property suites and the fuzz [engines] oracle compare
-   byte-for-byte against fresh ones). *)
-let of_parts ?(check = true) circuit ~preds ~succs ~on_qubit =
+   The length checks (offset arrays one longer than the gate count,
+   spanning their id arrays) are free and unconditional; the per-edge
+   checks are O(edges) and can be skipped with [~check:false] by a hot
+   caller whose output is independently cross-validated (the incremental
+   engine, whose analyses the property suites and the fuzz [engines]
+   oracle compare byte-for-byte against fresh ones). *)
+let of_parts ?(check = true) circuit adj ~on_qubit =
+  let { pred_start; pred_ids; succ_start; succ_ids } = adj in
   let fail fmt = Format.kasprintf invalid_arg ("Dag.of_parts: " ^^ fmt) in
   let n = Array.length circuit.Circuit.gates in
-  if Array.length preds <> n then
-    fail "preds has %d entries for %d gates" (Array.length preds) n;
-  if Array.length succs <> n then
-    fail "succs has %d entries for %d gates" (Array.length succs) n;
+  let check_lengths what start ids =
+    if Array.length start <> n + 1 then
+      fail "%s has %d offsets for %d gates" what (Array.length start) n;
+    if start.(0) <> 0 || start.(n) <> Array.length ids then
+      fail "%s offsets do not span its %d ids" what (Array.length ids)
+  in
+  check_lengths "preds" pred_start pred_ids;
+  check_lengths "succs" succ_start succ_ids;
   let expected_wires = max 1 circuit.Circuit.num_qubits in
   if Array.length on_qubit <> expected_wires then
     fail "on_qubit has %d wires for %d qubits" (Array.length on_qubit)
       circuit.Circuit.num_qubits;
-  if not check then { circuit; preds; succs; on_qubit }
+  let t = { circuit; adj; on_qubit } in
+  if not check then t
   else begin
-  (* Allocation-free: adjacency lists are short (wire degree), so a list
-     scan beats building any set. *)
-  let check_adj what forward i ids =
-    let rec go = function
-      | [] -> ()
-      | j :: rest ->
+  for i = 0 to n - 1 do
+    if pred_start.(i) > pred_start.(i + 1) || succ_start.(i) > succ_start.(i + 1)
+    then fail "offsets of gate %d decrease" i
+  done;
+  let mem j ids lo hi =
+    let rec go e = e < hi && (ids.(e) = j || go (e + 1)) in
+    go lo
+  in
+  (* Allocation-free: adjacency slices are short (wire degree), so a
+     linear scan beats building any set. *)
+  let check_adj what forward start ids =
+    for i = 0 to n - 1 do
+      for e = start.(i) to start.(i + 1) - 1 do
+        let j = ids.(e) in
         if j < 0 || j >= n then
           fail "%s.(%d) mentions dangling gate %d" what i j;
-        if List.memq j rest then fail "%s.(%d) lists gate %d twice" what i j;
+        if mem j ids (e + 1) start.(i + 1) then
+          fail "%s.(%d) lists gate %d twice" what i j;
         (* Gates are stored in execution order, so every dependence must
            point forward — a backward edge breaks [topo_order]. *)
         if forward && j <= i then
           fail "%s.(%d) edge from %d is not topological" what i j;
         if (not forward) && j >= i then
-          fail "%s.(%d) edge from %d is not topological" what i j;
-        go rest
-    in
-    go ids
+          fail "%s.(%d) edge from %d is not topological" what i j
+      done
+    done
   in
-  Array.iteri (fun i ids -> check_adj "preds" false i ids) preds;
-  Array.iteri (fun i ids -> check_adj "succs" true i ids) succs;
-  Array.iteri
-    (fun i ids ->
-      List.iter
-        (fun j ->
-          if not (List.memq i succs.(j)) then
-            fail "preds.(%d) lists %d but succs.(%d) does not mirror it" i j j)
-        ids)
-    preds;
-  Array.iteri
-    (fun i ids ->
-      List.iter
-        (fun j ->
-          if not (List.memq i preds.(j)) then
-            fail "succs.(%d) lists %d but preds.(%d) does not mirror it" i j j)
-        ids)
-    succs;
+  check_adj "preds" false pred_start pred_ids;
+  check_adj "succs" true succ_start succ_ids;
+  let check_mirror what start ids other_what ostart oids =
+    for i = 0 to n - 1 do
+      for e = start.(i) to start.(i + 1) - 1 do
+        let j = ids.(e) in
+        if not (mem i oids ostart.(j) ostart.(j + 1)) then
+          fail "%s.(%d) lists %d but %s.(%d) does not mirror it" what i j
+            other_what j
+      done
+    done
+  in
+  check_mirror "preds" pred_start pred_ids "succs" succ_start succ_ids;
+  check_mirror "succs" succ_start succ_ids "preds" pred_start pred_ids;
   (* Non-allocating [Gate.qubits] membership — on the same hot path. *)
   let acts_on q = function
     | Gate.One_q (_, a) | Gate.Reset a | Gate.Measure (a, _) | Gate.If_x (_, a)
@@ -133,45 +193,62 @@ let of_parts ?(check = true) circuit ~preds ~succs ~on_qubit =
             fail "on_qubit.(%d) lists gate %d which does not act on it" q g)
         ids)
     on_qubit;
-  { circuit; preds; succs; on_qubit }
+  t
   end
 
 let circuit t = t.circuit
-let num_nodes t = Array.length t.preds
-let preds t i = t.preds.(i)
-let succs t i = t.succs.(i)
-let in_degree t i = List.length t.preds.(i)
+let adjacency t = t.adj
+let num_nodes t = Array.length t.adj.pred_start - 1
+let in_degree t i = t.adj.pred_start.(i + 1) - t.adj.pred_start.(i)
+let out_degree t i = t.adj.succ_start.(i + 1) - t.adj.succ_start.(i)
+
+let slice ids lo hi =
+  let rec go e acc = if e < lo then acc else go (e - 1) (ids.(e) :: acc) in
+  go (hi - 1) []
+
+let preds t i = slice t.adj.pred_ids t.adj.pred_start.(i) t.adj.pred_start.(i + 1)
+let succs t i = slice t.adj.succ_ids t.adj.succ_start.(i) t.adj.succ_start.(i + 1)
+
+let iter_succs f t i =
+  for e = t.adj.succ_start.(i) to t.adj.succ_start.(i + 1) - 1 do
+    f t.adj.succ_ids.(e)
+  done
+
 let topo_order t = List.init (num_nodes t) Fun.id
 
-let frontier t =
-  List.filter (fun i -> t.preds.(i) = []) (topo_order t)
+let frontier t = List.filter (fun i -> in_degree t i = 0) (topo_order t)
 
-let longest_path ~weight t =
-  let n = num_nodes t in
-  let finish = Array.make n 0 in
-  let best = ref 0 in
-  for i = 0 to n - 1 do
-    let start = List.fold_left (fun acc p -> max acc finish.(p)) 0 t.preds.(i) in
-    finish.(i) <- start + weight i;
-    if finish.(i) > !best then best := finish.(i)
-  done;
-  !best
-
-let critical_nodes ~weight t =
+(* Earliest finish per node under [weight], and the largest of them. *)
+let finish_times ~weight t =
+  let { pred_start; pred_ids; _ } = t.adj in
   let n = num_nodes t in
   let finish = Array.make n 0 in
   let total = ref 0 in
   for i = 0 to n - 1 do
-    let start = List.fold_left (fun acc p -> max acc finish.(p)) 0 t.preds.(i) in
-    finish.(i) <- start + weight i;
+    let start = ref 0 in
+    for e = pred_start.(i) to pred_start.(i + 1) - 1 do
+      if finish.(pred_ids.(e)) > !start then start := finish.(pred_ids.(e))
+    done;
+    finish.(i) <- !start + weight i;
     if finish.(i) > !total then total := finish.(i)
   done;
+  (finish, !total)
+
+let longest_path ~weight t = snd (finish_times ~weight t)
+
+let critical_nodes ~weight t =
+  let { pred_start; pred_ids; _ } = t.adj in
+  let n = num_nodes t in
+  let finish, total = finish_times ~weight t in
   (* Latest finish allowed without stretching the schedule. *)
   let late = Array.make n max_int in
   for i = n - 1 downto 0 do
-    if late.(i) = max_int then late.(i) <- !total;
+    if late.(i) = max_int then late.(i) <- total;
     let start = late.(i) - weight i in
-    List.iter (fun p -> if start < late.(p) then late.(p) <- start) t.preds.(i)
+    for e = pred_start.(i) to pred_start.(i + 1) - 1 do
+      let p = pred_ids.(e) in
+      if start < late.(p) then late.(p) <- start
+    done
   done;
   Array.init n (fun i -> finish.(i) = late.(i))
 

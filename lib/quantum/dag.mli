@@ -9,30 +9,49 @@ type t
 
 val build : Circuit.t -> t
 
-(** [of_parts circuit ~preds ~succs ~on_qubit] assembles a DAG from
-    precomputed adjacency, for callers that can derive it cheaper than
-    {!build} (e.g. by relabelling a parent DAG). The arrays must describe
-    exactly what [build circuit] would produce, up to neighbour-list
-    order. Shape invariants are checked — array lengths matching the
-    circuit, ids in range and listed once, edges pointing forward in
-    emission order with [preds]/[succs] mirrored, and [on_qubit] listing
+(** Adjacency in compressed form: the predecessors of gate [i] are
+    [pred_ids.(pred_start.(i))] up to [pred_ids.(pred_start.(i + 1) - 1)],
+    likewise the successors, each in the order of {!preds} and
+    {!succs}. *)
+type adjacency = {
+  pred_start : int array;
+  pred_ids : int array;
+  succ_start : int array;
+  succ_ids : int array;
+}
+
+(** [of_parts circuit adj ~on_qubit] assembles a DAG from precomputed
+    adjacency, for callers that can derive it cheaper than {!build}
+    (e.g. by relabelling a parent DAG). The arrays are kept, not copied.
+    They must describe exactly what [build circuit] would produce, up to
+    neighbour order. Shape invariants are checked — offset arrays of one
+    more than the gate count spanning their id arrays, ids in range and
+    listed once per gate, edges pointing forward in emission order with
+    predecessors and successors mirrored, and [on_qubit] listing
     non-barrier gates of that wire in execution order — and a violation
     raises [Invalid_argument]; semantic agreement with [build] is the
     caller's burden. [~check:false] skips the per-edge checks (the array
     length checks always run) — reserve it for hot callers whose output
     is cross-validated elsewhere. *)
 val of_parts :
-  ?check:bool ->
-  Circuit.t ->
-  preds:int list array ->
-  succs:int list array ->
-  on_qubit:int list array ->
-  t
+  ?check:bool -> Circuit.t -> adjacency -> on_qubit:int list array -> t
+
 val circuit : t -> Circuit.t
 val num_nodes : t -> int
+
+(** The DAG's adjacency, shared rather than copied: hot loops read it in
+    place, and it must never be written. *)
+val adjacency : t -> adjacency
+
+(** Neighbour lists, built on each call. *)
 val preds : t -> int -> int list
 val succs : t -> int -> int list
 val in_degree : t -> int -> int
+val out_degree : t -> int -> int
+
+(** [iter_succs f t i] applies [f] to each successor of [i], in the
+    order of [succs t i]. *)
+val iter_succs : (int -> unit) -> t -> int -> unit
 
 (** A topological order of the gate ids (gates are stored in execution
     order, so this is [0 .. n-1], kept explicit for clarity). *)

@@ -23,7 +23,7 @@ let build dag =
      successors before each node. *)
   for i = n - 1 downto 0 do
     set bits.(i) i;
-    List.iter (fun j -> union bits.(i) bits.(j)) (Dag.succs dag i)
+    Dag.iter_succs (fun j -> union bits.(i) bits.(j)) dag i
   done;
   { words; bits }
 

@@ -23,11 +23,11 @@ let route device layout (circuit : Quantum.Circuit.t) =
   let gate_kind i = circuit.gates.(i).Quantum.Gate.kind in
   let complete i =
     done_.(i) <- true;
-    List.iter
+    Quantum.Dag.iter_succs
       (fun j ->
         indeg.(j) <- indeg.(j) - 1;
         if indeg.(j) = 0 then frontier := j :: !frontier)
-      (Quantum.Dag.succs dag i)
+      dag i
   in
   let phys q = layout.Layout.l2p.(q) in
   let executable i =
@@ -58,7 +58,7 @@ let route device layout (circuit : Quantum.Circuit.t) =
            acc := (a, b) :: !acc;
            incr count
          | _ -> ());
-        List.iter (fun j -> Queue.add j q) (Quantum.Dag.succs dag i)
+        Quantum.Dag.iter_succs (fun j -> Queue.add j q) dag i
       end
     done;
     !acc

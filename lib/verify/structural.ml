@@ -53,7 +53,7 @@ let apply_pair (c : Quantum.Circuit.t) { src; dst } =
     indeg.(v) <- indeg.(v) + 1
   in
   for i = 0 to n - 1 do
-    List.iter (add_edge i) (Quantum.Dag.succs dag i)
+    Quantum.Dag.iter_succs (add_edge i) dag i
   done;
   List.iter (fun g -> add_edge g dummy) (Quantum.Dag.gates_on_qubit dag src);
   List.iter (fun g -> add_edge dummy g) (Quantum.Dag.gates_on_qubit dag dst);

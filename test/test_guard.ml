@@ -294,13 +294,13 @@ let test_no_faults_no_degradation () =
 (* A wall-clock trip inside the reuse engine is NOT a ladder event: the
    engine commits its incumbent and returns it tagged Anytime, so the
    compile succeeds on the original rung with zero demotions — the
-   ladder only demotes on hard errors. cuccaro-128 needs several
+   ladder only demotes on hard errors. cuccaro-256 needs several
    seconds of search to run exact, so the 2 s deadline always trips the
    engine phase while leaving routing ample headroom. *)
 let test_budget_trip_with_incumbent_is_not_demotion () =
   Obs.Metrics.reset ();
-  let device = device_of "cuccaro-128" in
-  let input = input_of "cuccaro-128" in
+  let device = device_of "cuccaro-256" in
+  let input = input_of "cuccaro-256" in
   let r =
     Guard.Budget.scoped
       (Guard.Budget.make ~ms:2000 ())

@@ -99,6 +99,117 @@ let prop_incremental_matches_fresh =
       in
       go (Caqr.Reuse.analyze (build_measured cspec)) choices)
 
+(* ---- emission: the heap-driven [Reuse.emit] against the sorted-set
+   Kahn emission it replaced ----
+
+   The goldens cannot catch an emission-order change on their own: the
+   reference sweep calls the same [Reuse.emit]. This reference shares
+   nothing with it but the DAG: its ready queue is a functional [Set],
+   and it copies every successor list, the dummy reset node's edges
+   included, into a table of its own. *)
+
+module Iset = Set.Make (Int)
+
+let reference_emit circuit ({ Caqr.Reuse.src; dst } : Caqr.Reuse.pair) =
+  let dag = Quantum.Dag.build circuit in
+  let gates = circuit.Quantum.Circuit.gates in
+  let n = Quantum.Dag.num_nodes dag in
+  let dummy = n in
+  let s_gates = Quantum.Dag.gates_on_qubit dag src in
+  let d_gates = Quantum.Dag.gates_on_qubit dag dst in
+  (* src's final measure drives the reset when that clbit has no other
+     user; otherwise a fresh measure writes a fresh clbit. *)
+  let existing_clbit =
+    match List.rev s_gates with
+    | last :: _ -> (
+      match gates.(last).Quantum.Gate.kind with
+      | Quantum.Gate.Measure (_, c) ->
+        let users =
+          Array.fold_left
+            (fun k g ->
+              if List.mem c (Quantum.Gate.clbits g.Quantum.Gate.kind) then k + 1
+              else k)
+            0 gates
+        in
+        if users = 1 then Some c else None
+      | _ -> None)
+    | [] -> None
+  in
+  let base = circuit.Quantum.Circuit.num_clbits in
+  let num_clbits, reset_clbit =
+    match existing_clbit with Some c -> (base, c) | None -> (base + 1, base)
+  in
+  let succs = Array.make (n + 1) [] and indeg = Array.make (n + 1) 0 in
+  let add_edge u v =
+    succs.(u) <- v :: succs.(u);
+    indeg.(v) <- indeg.(v) + 1
+  in
+  for i = 0 to n - 1 do
+    List.iter (add_edge i) (Quantum.Dag.succs dag i)
+  done;
+  List.iter (fun g -> add_edge g dummy) s_gates;
+  List.iter (add_edge dummy) d_gates;
+  let ready = ref Iset.empty in
+  for i = 0 to n do
+    if indeg.(i) = 0 then ready := Iset.add i !ready
+  done;
+  let rename q = if q = dst then src else q in
+  let rev_kinds = ref [] and next = ref 0 in
+  let pos = Array.make n (-1) and measure_id = ref None and if_x_id = ref (-1) in
+  let emit_kind k =
+    rev_kinds := k :: !rev_kinds;
+    incr next
+  in
+  while not (Iset.is_empty !ready) do
+    let i = Iset.min_elt !ready in
+    ready := Iset.remove i !ready;
+    if i = dummy then begin
+      if existing_clbit = None then begin
+        measure_id := Some !next;
+        emit_kind (Quantum.Gate.Measure (src, reset_clbit))
+      end;
+      if_x_id := !next;
+      emit_kind (Quantum.Gate.If_x (reset_clbit, src))
+    end
+    else begin
+      pos.(i) <- !next;
+      emit_kind (Quantum.Gate.map_qubits rename gates.(i).Quantum.Gate.kind)
+    end;
+    List.iter
+      (fun j ->
+        indeg.(j) <- indeg.(j) - 1;
+        if indeg.(j) = 0 then ready := Iset.add j !ready)
+      succs.(i)
+  done;
+  ( Quantum.Circuit.of_kinds ~num_qubits:circuit.Quantum.Circuit.num_qubits
+      ~num_clbits (List.rev !rev_kinds),
+    pos,
+    !measure_id,
+    !if_x_id )
+
+let kinds c = Array.map (fun g -> g.Quantum.Gate.kind) c.Quantum.Circuit.gates
+
+(* Every valid pair of a generated dynamic circuit (mid-circuit
+   measures, shared clbits, conditional X, barriers) emits identically:
+   same gate kinds, same clbit count, same relabelling. *)
+let prop_emit_matches_reference =
+  QCheck.Test.make ~name:"reuse: emit = sorted-set reference emission"
+    ~count:150 (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let c = Fuzz.Gen.circuit Fuzz.Gen.default (Exec.Prng.make seed) in
+      let a = Caqr.Reuse.analyze c in
+      List.for_all
+        (fun p ->
+          let em = Caqr.Reuse.emit a p in
+          let circuit, pos, measure, if_x = reference_emit c p in
+          kinds em.Caqr.Reuse.em_circuit = kinds circuit
+          && em.Caqr.Reuse.em_circuit.Quantum.Circuit.num_clbits
+             = circuit.Quantum.Circuit.num_clbits
+          && em.Caqr.Reuse.em_pos = pos
+          && em.Caqr.Reuse.em_measure = measure
+          && em.Caqr.Reuse.em_if_x = if_x)
+        (Caqr.Reuse.valid_pairs a))
+
 (* ---- search regression: the incremental sweep must be identical to
    the reference sweep ---- *)
 
@@ -131,7 +242,10 @@ let () =
   Alcotest.run "incremental"
     [
       ( "analysis",
-        [ to_alcotest prop_incremental_matches_fresh ] );
+        [
+          to_alcotest prop_incremental_matches_fresh;
+          to_alcotest prop_emit_matches_reference;
+        ] );
       ( "engines",
         [
           to_alcotest prop_sweep_engines_agree;

@@ -246,6 +246,21 @@ let of_parts_fixture () =
   let on_qubit = [| [ 0; 1 ]; [ 1; 2 ] |] in
   (c, preds, succs, on_qubit)
 
+(* [Dag.of_parts] takes compressed adjacency; the fixtures stay readable
+   as per-gate lists and are flattened here, keeping each list's order. *)
+let compress lists =
+  let n = Array.length lists in
+  let start = Array.make (n + 1) 0 in
+  Array.iteri (fun i l -> start.(i + 1) <- start.(i) + List.length l) lists;
+  (start, Array.of_list (List.concat (Array.to_list lists)))
+
+let of_parts ?check c ~preds ~succs ~on_qubit =
+  let pred_start, pred_ids = compress preds in
+  let succ_start, succ_ids = compress succs in
+  Quantum.Dag.of_parts ?check c
+    { Quantum.Dag.pred_start; pred_ids; succ_start; succ_ids }
+    ~on_qubit
+
 let expect_invalid name f =
   match f () with
   | _ -> Alcotest.failf "%s: expected Invalid_argument" name
@@ -253,7 +268,7 @@ let expect_invalid name f =
 
 let test_of_parts_accepts_valid () =
   let c, preds, succs, on_qubit = of_parts_fixture () in
-  let dag = Quantum.Dag.of_parts c ~preds ~succs ~on_qubit in
+  let dag = of_parts c ~preds ~succs ~on_qubit in
   check (Alcotest.list int) "preds kept" [ 1 ] (Quantum.Dag.preds dag 2);
   check (Alcotest.list int) "wire kept" [ 1; 2 ]
     (Quantum.Dag.gates_on_qubit dag 1)
@@ -263,18 +278,18 @@ let test_of_parts_duplicate_ids () =
   let succs = Array.copy succs in
   succs.(0) <- [ 1; 1 ];
   expect_invalid "duplicate succ" (fun () ->
-      Quantum.Dag.of_parts c ~preds ~succs ~on_qubit)
+      of_parts c ~preds ~succs ~on_qubit)
 
 let test_of_parts_dangling_edge () =
   let c, preds, succs, on_qubit = of_parts_fixture () in
   let succs = Array.copy succs in
   succs.(2) <- [ 7 ];
   expect_invalid "dangling succ" (fun () ->
-      Quantum.Dag.of_parts c ~preds ~succs ~on_qubit);
+      of_parts c ~preds ~succs ~on_qubit);
   let _, preds, succs, _ = of_parts_fixture () in
   let on_qubit = [| [ 0; 1 ]; [ 1; 9 ] |] in
   expect_invalid "dangling wire gate" (fun () ->
-      Quantum.Dag.of_parts c ~preds ~succs ~on_qubit)
+      of_parts c ~preds ~succs ~on_qubit)
 
 let test_of_parts_non_topological () =
   let c, preds, succs, on_qubit = of_parts_fixture () in
@@ -284,37 +299,37 @@ let test_of_parts_non_topological () =
   preds.(1) <- [ 2 ];
   succs.(2) <- [ 1 ];
   expect_invalid "backward edge" (fun () ->
-      Quantum.Dag.of_parts c ~preds ~succs ~on_qubit)
+      of_parts c ~preds ~succs ~on_qubit)
 
 let test_of_parts_unmirrored () =
   let c, preds, _, on_qubit = of_parts_fixture () in
   let succs = [| [ 1 ]; [] ; [] |] in
   (* preds.(2) still lists 1, succs.(1) no longer does. *)
   expect_invalid "unmirrored" (fun () ->
-      Quantum.Dag.of_parts c ~preds ~succs ~on_qubit)
+      of_parts c ~preds ~succs ~on_qubit)
 
 let test_of_parts_bad_shapes () =
   let c, preds, succs, on_qubit = of_parts_fixture () in
   expect_invalid "short preds" (fun () ->
-      Quantum.Dag.of_parts c ~preds:[| []; [ 0 ] |] ~succs ~on_qubit);
+      of_parts c ~preds:[| []; [ 0 ] |] ~succs ~on_qubit);
   expect_invalid "wrong wire count" (fun () ->
-      Quantum.Dag.of_parts c ~preds ~succs ~on_qubit:[| [ 0; 1 ] |]);
+      of_parts c ~preds ~succs ~on_qubit:[| [ 0; 1 ] |]);
   expect_invalid "wire out of order" (fun () ->
-      Quantum.Dag.of_parts c ~preds ~succs ~on_qubit:[| [ 1; 0 ]; [ 1; 2 ] |]);
+      of_parts c ~preds ~succs ~on_qubit:[| [ 1; 0 ]; [ 1; 2 ] |]);
   expect_invalid "wire lists foreign gate" (fun () ->
-      Quantum.Dag.of_parts c ~preds ~succs ~on_qubit:[| [ 0; 1 ]; [ 0; 2 ] |])
+      of_parts c ~preds ~succs ~on_qubit:[| [ 0; 1 ]; [ 0; 2 ] |])
 
 let test_of_parts_unchecked_keeps_length_checks () =
   let c, preds, succs, on_qubit = of_parts_fixture () in
   (* ~check:false skips only the per-edge scans; the O(1) array-length
      checks stay on even for hot callers. *)
-  let dag = Quantum.Dag.of_parts ~check:false c ~preds ~succs ~on_qubit in
+  let dag = of_parts ~check:false c ~preds ~succs ~on_qubit in
   check (Alcotest.list int) "preds kept" [ 1 ] (Quantum.Dag.preds dag 2);
   expect_invalid "short preds still rejected" (fun () ->
-      Quantum.Dag.of_parts ~check:false c ~preds:[| []; [ 0 ] |] ~succs
+      of_parts ~check:false c ~preds:[| []; [ 0 ] |] ~succs
         ~on_qubit);
   expect_invalid "wrong wire count still rejected" (fun () ->
-      Quantum.Dag.of_parts ~check:false c ~preds ~succs
+      of_parts ~check:false c ~preds ~succs
         ~on_qubit:[| [ 0; 1 ] |])
 
 let test_gates_on_qubit () =
