@@ -1,12 +1,18 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (see DESIGN.md experiment index and EXPERIMENTS.md for the
-   recorded outcomes).
+   recorded outcomes) and writes BENCH_caqr.json from the perf, parallel,
+   engines and anytime experiments.
 
    Usage:
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- --only fig3  # one experiment
      dune exec bench/main.exe -- --list       # experiment ids
      dune exec bench/main.exe -- --fast       # skip the micro-benchmarks
+
+   Exits 1 if any experiment counts a violation: a structural check that
+   fails, jobs > 1 changing an artifact, the two sweep engines
+   disagreeing, or the perf minor-words ratio below 3x. The compilation
+   service is checked by test/test_serve.ml and measured by caqrbench/.
 
    Absolute numbers are simulator-relative; the shapes (who wins, by what
    factor, where crossovers sit) are the reproduction target. *)
@@ -35,12 +41,18 @@ let input_of (e : Benchmarks.Suite.entry) =
   | Benchmarks.Suite.Regular -> Caqr.Pipeline.Regular e.Benchmarks.Suite.circuit
   | Benchmarks.Suite.Commutable g -> Caqr.Pipeline.Commutable g
 
-let compiled_stats device circuit =
-  let compacted, _ = Quantum.Circuit.compact_qubits circuit in
-  let routed = Transpiler.Transpile.run device compacted in
-  check_artifact device ~logical:compacted
-    ~physical:routed.Transpiler.Transpile.physical;
-  routed.Transpiler.Transpile.stats
+(* The routed tradeoff sweep of one benchmark (paper Tables 1-2, Fig. 13):
+   every reuse level compiled onto Mumbai, each row structurally checked
+   against its compacted logical circuit. *)
+let sweep_rows (e : Benchmarks.Suite.entry) =
+  let rows = Caqr.Pipeline.sweep_stats mumbai (input_of e) in
+  List.iter
+    (fun (r : Caqr.Pipeline.sweep_row) ->
+      check_artifact mumbai
+        ~logical:(fst (Quantum.Circuit.compact_qubits r.step.circuit))
+        ~physical:r.physical)
+    rows;
+  rows
 
 (* ---------------------------------------------------------------- fig1 *)
 
@@ -154,85 +166,61 @@ let fig13 () =
       Printf.printf "%-8s %-12s %-14s %-14s %-8s\n" "qubits" "log.depth"
         "compiled.depth" "duration(dt)" "swaps";
       List.iter
-        (fun (s : Caqr.Engine.step) ->
-          let st = compiled_stats mumbai s.circuit in
-          Printf.printf "%-8d %-12d %-14d %-14d %-8d\n" s.usage s.depth
+        (fun ({ step; stats = st; _ } : Caqr.Pipeline.sweep_row) ->
+          Printf.printf "%-8d %-12d %-14d %-14d %-8d\n" step.usage step.depth
             st.Transpiler.Transpile.depth st.Transpiler.Transpile.duration_dt
             st.Transpiler.Transpile.swaps)
-        (Caqr.Pipeline.steps (input_of e)))
+        (sweep_rows e))
     [ "Multiply_13"; "System_9"; "BV_10" ]
 
 (* --------------------------------------------------------------- table1 *)
 
-type t1_row = {
-  name : string;
-  qubit : int;
-  depth : int;
-  duration : int;
-  swap : int;
-}
-
 (* Qubit column = logical wires of the program (the paper's metric);
    [stats.qubits_used] would also count physical qubits touched only by
    routing SWAPs. *)
-let t1_row name (usage, (st : Transpiler.Transpile.stats)) =
-  {
-    name;
-    qubit = usage;
-    depth = st.Transpiler.Transpile.depth;
-    duration = st.Transpiler.Transpile.duration_dt;
-    swap = st.Transpiler.Transpile.swaps;
-  }
-
 let print_t1_block title rows =
   Printf.printf "\n-- %s --\n" title;
   Printf.printf "%-14s %-7s %-7s %-13s %-5s\n" "Benchmark" "Qubit" "Depth" "Duration(dt)" "SWAP";
   List.iter
-    (fun r ->
-      Printf.printf "%-14s %-7d %-7d %-13d %-5d\n" r.name r.qubit r.depth r.duration r.swap)
+    (fun (name, ({ step; stats = st; _ } : Caqr.Pipeline.sweep_row)) ->
+      Printf.printf "%-14s %-7d %-7d %-13d %-5d\n" name step.usage
+        st.Transpiler.Transpile.depth st.Transpiler.Transpile.duration_dt
+        st.Transpiler.Transpile.swaps)
     rows
 
-(* Every reuse level of a benchmark, compiled onto Mumbai. *)
-let table1_versions (e : Benchmarks.Suite.entry) =
-  List.map
-    (fun (s : Caqr.Engine.step) -> (s.usage, compiled_stats mumbai s.circuit))
-    (Caqr.Pipeline.steps (input_of e))
+(* The earliest sweep row minimal under [key]. *)
+let first_min key rows =
+  List.fold_left
+    (fun best r -> if key r < key best then r else best)
+    (List.hd rows) rows
 
 let table1 () =
   section "table1" "QS-CaQR versions vs baseline (paper Table 1)";
-  let entries = Benchmarks.Suite.table1 () in
   let per_entry =
     List.map
       (fun (e : Benchmarks.Suite.entry) ->
-        let versions = table1_versions e in
-        let baseline = List.hd versions in
-        let max_reuse = List.nth versions (List.length versions - 1) in
-        let min_depth =
-          List.fold_left
-            (fun acc ((_, (st : Transpiler.Transpile.stats)) as v) ->
-              match acc with
-              | Some (_, (b : Transpiler.Transpile.stats))
-                when b.Transpiler.Transpile.depth <= st.Transpiler.Transpile.depth ->
-                acc
-              | _ -> Some v)
-            None versions
-          |> Option.get
-        in
-        (e.Benchmarks.Suite.name, baseline, max_reuse, min_depth))
-      entries
+        let rows = sweep_rows e in
+        let depth (r : Caqr.Pipeline.sweep_row) = r.stats.Transpiler.Transpile.depth in
+        ( e.Benchmarks.Suite.name,
+          List.hd rows,
+          List.nth rows (List.length rows - 1),
+          first_min depth rows ))
+      (Benchmarks.Suite.table1 ())
   in
   print_t1_block "Baseline (No Reuse)"
-    (List.map (fun (n, b, _, _) -> t1_row n b) per_entry);
+    (List.map (fun (n, b, _, _) -> (n, b)) per_entry);
   print_t1_block "Ours with Maximal Reuse"
-    (List.map (fun (n, _, m, _) -> t1_row n m) per_entry);
+    (List.map (fun (n, _, m, _) -> (n, m)) per_entry);
   print_t1_block "Ours with Minimal Depth"
-    (List.map (fun (n, _, _, d) -> t1_row n d) per_entry);
+    (List.map (fun (n, _, _, d) -> (n, d)) per_entry);
   (* Headline: average duration overhead of maximal reuse vs baseline. *)
+  let duration (r : Caqr.Pipeline.sweep_row) =
+    r.stats.Transpiler.Transpile.duration_dt
+  in
   let overheads =
     List.map
-      (fun (_, (_, (b : Transpiler.Transpile.stats)), (_, (m : Transpiler.Transpile.stats)), _) ->
-        float_of_int m.Transpiler.Transpile.duration_dt
-        /. float_of_int (max 1 b.Transpiler.Transpile.duration_dt))
+      (fun (_, b, m, _) ->
+        float_of_int (duration m) /. float_of_int (max 1 (duration b)))
       per_entry
   in
   let avg = List.fold_left ( +. ) 0. overheads /. float_of_int (List.length overheads) in
@@ -250,19 +238,11 @@ let table2 () =
   let wins = ref 0 and total = ref 0 in
   List.iter
     (fun (e : Benchmarks.Suite.entry) ->
-      let versions = table1_versions e in
-      let qs_usage, qs_min_swap =
-        List.fold_left
-          (fun acc (u, (st : Transpiler.Transpile.stats)) ->
-            match acc with
-            | Some (_, (b : Transpiler.Transpile.stats))
-              when (b.Transpiler.Transpile.swaps, b.Transpiler.Transpile.duration_dt)
-                   <= (st.Transpiler.Transpile.swaps, st.Transpiler.Transpile.duration_dt)
-              ->
-              acc
-            | _ -> Some (u, st))
-          None versions
-        |> Option.get
+      let ({ step; stats = qs_min_swap; _ } : Caqr.Pipeline.sweep_row) =
+        first_min
+          (fun (r : Caqr.Pipeline.sweep_row) ->
+            (r.stats.Transpiler.Transpile.swaps, r.stats.Transpiler.Transpile.duration_dt))
+          (sweep_rows e)
       in
       let sr =
         match e.Benchmarks.Suite.kind with
@@ -274,7 +254,7 @@ let table2 () =
       if sr_stats.Transpiler.Transpile.swaps <= qs_min_swap.Transpiler.Transpile.swaps
       then incr wins;
       Printf.printf "%-14s | %-7d %-6d %-7.0f | %-7d %-6d %-7.0f\n"
-        e.Benchmarks.Suite.name qs_usage qs_min_swap.Transpiler.Transpile.swaps
+        e.Benchmarks.Suite.name step.usage qs_min_swap.Transpiler.Transpile.swaps
         (float_of_int qs_min_swap.Transpiler.Transpile.duration_dt /. 1000.)
         sr.Caqr.Sr_caqr.qubits_used sr_stats.Transpiler.Transpile.swaps
         (float_of_int sr_stats.Transpiler.Transpile.duration_dt /. 1000.))
@@ -535,17 +515,6 @@ let ablation_matching () =
    in the tables above comes from a circuit the validator accepts. *)
 let verify_exp () =
   section "verify" "translation validation of every strategy's output";
-  let strategies =
-    [
-      ("baseline", Caqr.Pipeline.Baseline);
-      ("qs-max-reuse", Caqr.Pipeline.Qs_max_reuse);
-      ("qs-min-depth", Caqr.Pipeline.Qs_min_depth);
-      ("qs-best-fidelity", Caqr.Pipeline.Qs_best_fidelity);
-      ("sr", Caqr.Pipeline.Sr);
-      ("cone", Caqr.Pipeline.Cone);
-      ("gidnet", Caqr.Pipeline.Gidnet);
-    ]
-  in
   Printf.printf "%-14s %-18s %-8s %s\n" "benchmark" "strategy" "level" "verdict";
   let bad = ref 0 in
   List.iter
@@ -574,7 +543,7 @@ let verify_exp () =
           Printf.printf "%-14s %-18s %-8s %s\n%!" e.Benchmarks.Suite.name name
             (Verify.level_name level)
             (Verify.Verdict.to_string verdict))
-        strategies)
+        Caqr.Pipeline.all_strategies)
     (Benchmarks.Suite.table1 ());
   Printf.printf "\n=> inequivalent artifacts: %d (target 0)\n" !bad
 
@@ -963,22 +932,23 @@ let perf () =
         (e, inc, fresh, identical, work, speedup))
       (Benchmarks.Suite.regular ())
   in
-  let largest =
-    List.fold_left
-      (fun acc ((e, _, _, _, _, _) as row) ->
-        match acc with
-        | Some ((b, _, _, _, _, _) : Benchmarks.Suite.entry * _ * _ * _ * _ * _)
-          when Quantum.Circuit.gate_count b.Benchmarks.Suite.circuit
-               >= Quantum.Circuit.gate_count e.Benchmarks.Suite.circuit ->
-          acc
-        | _ -> Some row)
-      None rows
-    |> Option.get
+  let le = largest_regular () in
+  let _, linc, lfresh, _, lwork, lspeed =
+    List.find
+      (fun ((e : Benchmarks.Suite.entry), _, _, _, _, _) ->
+        e.Benchmarks.Suite.name = le.Benchmarks.Suite.name)
+      rows
   in
-  let le, _, _, _, lwork, lspeed = largest in
+  (* The gate counts work: minor words repeat exactly from run to run,
+     while the timer ratios move with the host's load. *)
+  let lwords = ratio lfresh.er_minor_words linc.er_minor_words in
   Printf.printf
-    "\n=> largest benchmark %s: %.1fx less analyze time, %.1fx wall speedup (target >= 3x)\n"
-    le.Benchmarks.Suite.name lwork lspeed;
+    "\n=> largest benchmark %s: %.1fx fewer minor words (target >= 3x), %.1fx less analyze time, %.1fx wall speedup\n"
+    le.Benchmarks.Suite.name lwords lwork lspeed;
+  if lwords < 3. then begin
+    incr structural_violations;
+    Printf.printf "!! PERF VIOLATION: minor-words ratio below 3x\n%!"
+  end;
   let all_identical = List.for_all (fun (_, _, _, id, _, _) -> id) rows in
   Printf.printf "=> engines agree on every sweep: %b\n" all_identical;
   if not all_identical then incr structural_violations;
@@ -1001,8 +971,8 @@ let perf () =
     rows;
   Buffer.add_string b
     (Printf.sprintf
-       "],\"headline\":{\"largest_benchmark\":%S,\"analyze_work_ratio\":%.3f,\"wall_speedup\":%.3f}"
-       le.Benchmarks.Suite.name lwork lspeed);
+       "],\"headline\":{\"largest_benchmark\":%S,\"analyze_work_ratio\":%.3f,\"wall_speedup\":%.3f,\"minor_words_ratio\":%.3f}"
+       le.Benchmarks.Suite.name lwork lspeed lwords);
   (* caqr-bench/2: the execution-pool section (jobs sweep on the largest
      circuit, byte-identity check, speedups vs jobs=1). *)
   let par = parallel_measurements () in
@@ -1069,236 +1039,6 @@ let perf () =
   close_out oc;
   Printf.printf "=> wrote BENCH_caqr.json\n"
 
-(* ---------------------------------------------------------------- serve *)
-
-(* The compilation service (lib/serve): the same request handled cold
-   (full compile, cache miss) and warm (content-addressed hit replaying
-   the stored bytes). The interesting numbers are the warm latency —
-   the floor a daemon can answer repeat compiles at — and the identity
-   of the two result objects, which is the cache's correctness
-   contract. Uses handle_line directly, so no socket noise. *)
-
-let contains_sub hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
-let serve_result_part line =
-  let needle = "\"result\":" in
-  let nh = String.length line and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then line
-    else if String.sub line i nn = needle then String.sub line i (nh - i)
-    else go (i + 1)
-  in
-  go 0
-
-let serve_exp () =
-  section "serve" "compilation service: cold vs warm request latency (lib/serve)";
-  let t = Serve.Server.create Serve.Server.default_config in
-  Printf.printf "%-14s %12s %12s %10s %10s\n" "benchmark" "cold (ms)"
-    "warm (ms)" "speedup" "identical";
-  let total_cold = ref 0.0 and total_warm = ref 0.0 in
-  List.iter
-    (fun name ->
-      let req =
-        Printf.sprintf {|{"op":"compile","bench":%S,"strategy":"qs-max-reuse"}|}
-          name
-      in
-      let probe () =
-        let t0 = Unix.gettimeofday () in
-        let r, _ = Serve.Server.handle_line t req in
-        (Unix.gettimeofday () -. t0, r)
-      in
-      let cold_s, cold = probe () in
-      (* Warm: best of 3, the replay path has no variance worth keeping. *)
-      let best = ref (probe ()) in
-      for _ = 1 to 2 do
-        let m = probe () in
-        if fst m < fst !best then best := m
-      done;
-      let warm_s, warm = !best in
-      let identical =
-        serve_result_part cold = serve_result_part warm
-        && contains_sub warm "\"cache\":\"hit\""
-      in
-      if not identical then incr structural_violations;
-      total_cold := !total_cold +. cold_s;
-      total_warm := !total_warm +. warm_s;
-      Printf.printf "%-14s %12.3f %12.3f %9.0fx %10b\n" name (1000. *. cold_s)
-        (1000. *. warm_s)
-        (cold_s /. warm_s)
-        identical)
-    [ "BV_10"; "CC_10"; "Multiply_13"; "RD-32" ];
-  Printf.printf "=> aggregate warm speedup: %.0fx (cold %.1f ms, warm %.2f ms)\n"
-    (!total_cold /. !total_warm)
-    (1000. *. !total_cold) (1000. *. !total_warm);
-
-  (* Back-pressure: a max_inflight=1 daemon whose one slot is held must
-     shed further work instantly with a structured overload rejection —
-     the latency of saying no is part of the service's contract. *)
-  let counter name =
-    let s = Obs.Metrics.snapshot () in
-    try List.assoc name s.Obs.Metrics.counters with Not_found -> 0
-  in
-  let t1 =
-    Serve.Server.create
-      { Serve.Server.default_config with Serve.Server.max_inflight = 1 }
-  in
-  let before = counter "serve.rejected.overload" in
-  assert (Guard.Gate.try_enter (Serve.Server.gate t1));
-  let n_shed = 50 in
-  let t0 = Unix.gettimeofday () in
-  let rejected = ref 0 in
-  for i = 1 to n_shed do
-    let r, _ =
-      Serve.Server.handle_line t1
-        (Printf.sprintf {|{"id":%d,"op":"compile","bench":"BV_10"}|} i)
-    in
-    if contains_sub r "\"site\":\"request.overload\"" then incr rejected
-  done;
-  let shed_s = Unix.gettimeofday () -. t0 in
-  Guard.Gate.leave (Serve.Server.gate t1);
-  let overload_metric = counter "serve.rejected.overload" - before in
-  Printf.printf
-    "=> back-pressure: %d/%d requests shed in %.2f ms (%.1f us/rejection), \
-     serve.rejected.overload +%d\n"
-    !rejected n_shed (1000. *. shed_s)
-    (1_000_000. *. shed_s /. float_of_int n_shed)
-    overload_metric;
-  if !rejected <> n_shed || overload_metric < n_shed then
-    incr structural_violations;
-
-  (* Disk budget: warm compiles under a deliberately tiny byte budget
-     must evict (serve.cache.disk.evict > 0) while staying under it. *)
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "caqr-bench-cache-%d" (Unix.getpid ()))
-  in
-  let t2 =
-    Serve.Server.create
-      {
-        Serve.Server.default_config with
-        Serve.Server.cache_dir = Some dir;
-        disk_budget_bytes = Some 600;
-      }
-  in
-  let evict_before = counter "serve.cache.disk.evict" in
-  List.iter
-    (fun name ->
-      ignore
-        (Serve.Server.handle_line t2
-           (Printf.sprintf {|{"op":"compile","bench":%S}|} name)))
-    [ "BV_10"; "CC_10"; "Multiply_13"; "RD-32"; "XOR_5" ];
-  let evictions = counter "serve.cache.disk.evict" - evict_before in
-  let disk_bytes =
-    try List.assoc "disk_bytes" (Serve.Cache.stats (Serve.Server.cache t2))
-    with Not_found -> -1
-  in
-  Printf.printf
-    "=> disk budget: 600 bytes forced %d eviction(s), tier now %d bytes\n"
-    evictions disk_bytes;
-  if evictions < 1 || disk_bytes > 600 then incr structural_violations;
-  (try
-     Sys.readdir dir |> Array.iter (fun f -> Sys.remove (Filename.concat dir f));
-     Unix.rmdir dir
-   with Sys_error _ | Unix.Unix_error _ -> ());
-
-  (* Concurrency over TCP: 4 clients against a 4-handler daemon on an
-     ephemeral loopback port; every response must be byte-identical to
-     the sequential handler. *)
-  let t3 =
-    Serve.Server.create
-      {
-        Serve.Server.default_config with
-        Serve.Server.addr = Serve.Transport.Tcp ("127.0.0.1", 0);
-        handler_domains = 4;
-      }
-  in
-  let bound = Atomic.make None in
-  let daemon =
-    Domain.spawn (fun () ->
-        Serve.Server.run t3 ~ready:(fun a -> Atomic.set bound (Some a)))
-  in
-  let rec await k =
-    match Atomic.get bound with
-    | Some a -> a
-    | None when k > 0 ->
-      Unix.sleepf 0.01;
-      await (k - 1)
-    | None -> failwith "bench serve: daemon never became ready"
-  in
-  let addr = await 500 in
-  let reqs k =
-    [
-      Printf.sprintf {|{"id":%d,"op":"compile","bench":"BV_10"}|} (10 * k);
-      Printf.sprintf {|{"id":%d,"op":"compile","bench":"XOR_5"}|}
-        ((10 * k) + 1);
-      Printf.sprintf
-        {|{"id":%d,"op":"simulate","bench":"BV_10","shots":64,"seed":3}|}
-        ((10 * k) + 2);
-    ]
-  in
-  let t0 = Unix.gettimeofday () in
-  let clients =
-    List.init 4 (fun k ->
-        Domain.spawn (fun () -> Serve.Client.call_retry ~addr (reqs k)))
-  in
-  let answers = List.map Domain.join clients in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  ignore (Serve.Client.call ~addr [ {|{"op":"shutdown"}|} ]);
-  Domain.join daemon;
-  let baseline = Serve.Server.create Serve.Server.default_config in
-  let mismatches = ref 0 in
-  List.iteri
-    (fun k responses ->
-      List.iter2
-        (fun req resp ->
-          let seq, _ = Serve.Server.handle_line baseline req in
-          if serve_result_part seq <> serve_result_part resp then
-            incr mismatches)
-        (reqs k) responses)
-    answers;
-  Printf.printf
-    "=> tcp concurrency: 4 clients x 3 requests in %.1f ms over %s, %d \
-     mismatch(es) vs sequential\n"
-    (1000. *. wall_s)
-    (Serve.Transport.addr_to_string addr)
-    !mismatches;
-  if !mismatches > 0 then incr structural_violations
-
-(* ------------------------------------------------------------ wirechaos *)
-
-(* Wire-level survival: the seeded attack campaign from lib/wirefuzz
-   against an in-process daemon on each transport. Structural check:
-   zero broken promises — the daemon never crashes, never hangs past
-   its connection deadline, and still answers a well-formed follow-up
-   byte-identically to the pre-attack reference. *)
-let wirechaos_exp () =
-  section "wirechaos"
-    "wire-level fault injection: daemon survival under hostile bytes \
-     (lib/wirefuzz)";
-  List.iter
-    (fun transport ->
-      let t0 = Unix.gettimeofday () in
-      let s = Wirefuzz.selftest ~seed:7 ~cases:25 ~transport () in
-      let wall_s = Unix.gettimeofday () -. t0 in
-      Printf.printf
-        "=> %s: %d attack cases in %.1f ms, %d timeout rejection(s), %d \
-         broken promise(s)\n"
-        s.Wirefuzz.addr s.Wirefuzz.cases (1000. *. wall_s)
-        s.Wirefuzz.timeouts_seen
-        (List.length s.Wirefuzz.failures);
-      List.iter
-        (fun (f : Wirefuzz.failure) ->
-          Printf.printf "   case %d (%s): %s\n" f.Wirefuzz.case_index
-            (Wirefuzz.attack_name f.Wirefuzz.attack)
-            f.Wirefuzz.message)
-        s.Wirefuzz.failures;
-      if s.Wirefuzz.failures <> [] then incr structural_violations)
-    [ `Unix; `Tcp ]
-
 (* ----------------------------------------------------------------- main *)
 
 let experiments =
@@ -1319,8 +1059,6 @@ let experiments =
     ("ablation:matching", ablation_matching);
     ("ablation:noise", ablation_noise);
     ("verify", verify_exp);
-    ("serve", serve_exp);
-    ("wirechaos", wirechaos_exp);
     ("parallel", parallel_exp);
     ("engines", engines_exp);
     ("perf", perf);
@@ -1354,5 +1092,6 @@ let () =
     if !structural_violations > 0 then
       Printf.printf "\n!! %d structural violation(s) — see above\n"
         !structural_violations;
-    Printf.printf "\n(total cpu: %.1f s)\n" (Sys.time () -. t0)
+    Printf.printf "\n(total cpu: %.1f s)\n" (Sys.time () -. t0);
+    if !structural_violations > 0 then exit 1
   end

@@ -553,20 +553,9 @@ let addr_flag =
            $(b,tcp:)$(i,HOST):$(i,PORT) (length-prefixed frames; port 0 \
            picks an ephemeral port), or a bare Unix-socket path.")
 
-let socket_flag =
-  Cmdliner.Arg.(
-    value
-    & opt (some string) None
-    & info [ "socket" ] ~docv:"PATH"
-        ~doc:"Deprecated alias for $(b,--addr unix:)$(i,PATH).")
-
-(* --addr wins over the deprecated --socket; with neither, the config
-   default (unix:caqr.sock). *)
-let resolve_addr addr socket =
-  match (addr, socket) with
-  | Some a, _ -> a
-  | None, Some path -> Serve.Transport.Unix path
-  | None, None -> Serve.Server.default_config.Serve.Server.addr
+(* Without --addr, the config default (unix:caqr.sock). *)
+let resolve_addr addr =
+  Option.value addr ~default:Serve.Server.default_config.Serve.Server.addr
 
 let serve_cmd =
   let cache_dir_flag =
@@ -654,10 +643,10 @@ let serve_cmd =
              connections finish for at most this long, flushes the disk \
              cache index and exits 0.")
   in
-  let run addr socket cache_dir mem_capacity jobs handler_domains max_inflight
+  let run addr cache_dir mem_capacity jobs handler_domains max_inflight
       disk_budget_bytes default_deadline_ms max_deadline_ms max_batch
       conn_timeout_ms drain_deadline_ms =
-    let addr = resolve_addr addr socket in
+    let addr = resolve_addr addr in
     let server =
       Serve.Server.create
         {
@@ -697,7 +686,7 @@ let serve_cmd =
           back-pressure, batching pipelined requests onto the execution \
           pool and answering repeats from a content-addressed cache")
     Cmdliner.Term.(
-      const run $ addr_flag $ socket_flag $ cache_dir_flag $ cache_mem_flag
+      const run $ addr_flag $ cache_dir_flag $ cache_mem_flag
       $ jobs_flag $ handler_domains_flag $ max_inflight_flag
       $ disk_budget_flag $ default_deadline_flag $ max_deadline_flag
       $ max_batch_flag $ conn_timeout_flag $ drain_deadline_flag)
@@ -724,8 +713,8 @@ let call_cmd =
             "Seeds the jittered connect backoff, so a scripted retry \
              schedule is reproducible.")
   in
-  let run addr socket seed requests =
-    let addr = resolve_addr addr socket in
+  let run addr seed requests =
+    let addr = resolve_addr addr in
     let responses = Serve.Client.call_retry ~addr ~seed requests in
     List.iter print_endline responses;
     (* Responses are single-line JSON objects; a failure always carries
@@ -745,7 +734,7 @@ let call_cmd =
           line; exits 5 if any response is an overload rejection, 1 if \
           any other response is ok:false")
     Cmdliner.Term.(
-      const run $ addr_flag $ socket_flag $ call_seed_flag $ requests_pos)
+      const run $ addr_flag $ call_seed_flag $ requests_pos)
 
 (* ---- chaos-serve: wire-level fault injection against a live daemon ---- *)
 
@@ -799,14 +788,13 @@ let chaos_serve_cmd =
     output_string oc (Buffer.contents buf);
     close_out oc
   in
-  let run addr socket seed cases stall_s artifact =
+  let run addr seed cases stall_s artifact =
     let summaries =
-      match (addr, socket) with
-      | Some _, _ | _, Some _ ->
+      match addr with
+      | Some addr ->
         (* Attack an external daemon the operator already started. *)
-        let addr = resolve_addr addr socket in
         [ (seed, Wirefuzz.run ~stall_s ~seed ~cases ~addr ()) ]
-      | None, None ->
+      | None ->
         (* Self-contained: spawn an in-process daemon per transport and
            split the case budget across both framings. *)
         let per = max 1 (cases / 2) in
@@ -840,7 +828,7 @@ let chaos_serve_cmd =
           transport and the case budget split across both. Exits 1 on \
           any broken promise.")
     Cmdliner.Term.(
-      const run $ addr_flag $ socket_flag $ seed_flag $ cases_flag
+      const run $ addr_flag $ seed_flag $ cases_flag
       $ stall_flag $ artifact_flag)
 
 (* ---- cache-warm: precompile the registry into a disk cache ---- *)
@@ -876,7 +864,7 @@ let cache_warm_cmd =
        usage error, not N per-benchmark failures. *)
     List.iter
       (fun s ->
-        match Serve.Protocol.strategy_of_string s with
+        match Caqr.Pipeline.strategy_of_name s with
         | Ok _ -> ()
         | Error msg ->
           Printf.eprintf "caqr_cli cache-warm: %s\n" msg;

@@ -27,10 +27,6 @@ val cuccaro_farm : int -> Quantum.Circuit.t
 val qft_layered : int -> Quantum.Circuit.t
 val rand_dyn : seed:int -> int -> Quantum.Circuit.t
 
-(** Qubits per QFT block (10) — [qft_layered] widths must be multiples
-    of this. *)
-val qft_block_size : int
-
 (** One registered large benchmark. [build] constructs the circuit on
     demand so listing names never pays for 1000-qubit construction. *)
 type gen = {

@@ -76,9 +76,6 @@ let entry_of_gen (g : Large.gen) =
     description = g.Large.description;
   }
 
-let large () = List.map entry_of_gen (Large.generators ())
-let all () = table1 () @ large ()
-
 let find name =
   match List.find_opt (fun e -> e.name = name) (table1 ()) with
   | Some e -> e

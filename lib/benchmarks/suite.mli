@@ -18,24 +18,13 @@ type entry = {
     System_9, BV_10, CC_10, XOR_5. *)
 val regular : unit -> entry list
 
-(** [qaoa ~seed n ~density] — "QAOA<n>-<density>" on a random graph. *)
-val qaoa : seed:int -> int -> density:float -> entry
-
-(** The QAOA entries of Table 1: sizes 5, 10, 15, 20, 25 at density 0.3. *)
-val qaoa_table1 : unit -> entry list
-
-(** All of Table 1: [regular () @ qaoa_table1 ()]. *)
+(** All of Table 1: [regular ()], then the QAOA entries
+    "QAOA<n>-0.3" (max-cut on a random graph at density 0.3) for sizes
+    5, 10, 15, 20, 25. *)
 val table1 : unit -> entry list
 
-(** The large-circuit corpus ({!Large}: qaoa-powerlaw, cuccaro,
-    qft-layered, rand-dyn at 100–256 qubits) as registry entries —
-    all [Regular]. Building the list constructs every circuit; prefer
-    {!find} (lazy per-name) when only one is needed. *)
-val large : unit -> entry list
-
-(** Everything the registry knows: [table1 () @ large ()]. *)
-val all : unit -> entry list
-
 (** [find name] looks an entry up in [table1], then in the large
-    corpus (built on demand). Raises [Not_found]. *)
+    corpus ({!Large}: qaoa-powerlaw, cuccaro, qft-layered, rand-dyn at
+    100–256 qubits, all [Regular], built on demand). Raises
+    [Not_found]. *)
 val find : string -> entry

@@ -16,7 +16,6 @@ type options = {
   verify : Verify.level option;
   seed : int;
   collect_metrics : bool;
-  search : Qs_caqr.search_opts;
   jobs : int;
       (* Domains for the candidate fan-out (Exec.Pool). Any value
          produces byte-identical reports; >1 only changes wall clock. *)
@@ -32,7 +31,6 @@ let default =
     verify = None;
     seed = 1;
     collect_metrics = false;
-    search = Qs_caqr.default_opts;
     jobs = 1;
     fallback = false;
     deadline_ms = None;
@@ -115,23 +113,11 @@ let strategy_of_name s =
    ladder are never cached (the service skips storing degraded
    reports). *)
 let options_fingerprint o =
-  let objective =
-    match o.search.Qs_caqr.objective with
-    | Qs_caqr.Depth -> "depth"
-    | Qs_caqr.Duration -> "duration"
-  in
-  let order =
-    match o.search.Qs_caqr.order with
-    | Qs_caqr.Score -> "score"
-    | Qs_caqr.Chain -> "chain"
-    | Qs_caqr.Both -> "both"
-  in
-  Printf.sprintf
-    "opts/1;verify=%s;seed=%d;objective=%s;budget=%d;order=%s;fallback=%b"
+  Printf.sprintf "opts/2;verify=%s;seed=%d;fallback=%b"
     (match o.verify with
      | None -> "none"
      | Some l -> Verify.level_name l)
-    o.seed objective o.search.Qs_caqr.budget order o.fallback
+    o.seed o.fallback
 
 let logical_of_input = function
   | Regular c -> c
@@ -139,8 +125,8 @@ let logical_of_input = function
 
 (* The tradeoff sweep of either input kind. The steps keep their
    applied pairs, which feed the structural translation validator. *)
-let steps ?(search = Qs_caqr.default_opts) = function
-  | Regular c -> Qs_caqr.sweep ~opts:search c
+let steps = function
+  | Regular c -> Qs_caqr.sweep c
   | Commutable g -> Commute.sweep g
 
 (* Share of the remaining wall budget granted to the reuse engine; the
@@ -189,17 +175,17 @@ let of_step (s : Engine.step) = Engine.of_pairs ~width:s.usage s.circuit s.pairs
 (* Every reuse strategy that produces one artifact, as an engine.
    [original] is [logical_of_input input], which the caller has already
    built. The anytime engines run under [scoped_engine]. *)
-let engine ~search ~original strategy device input =
+let engine ~original strategy device input =
   match (strategy, input) with
   | Qs_max_reuse, Regular c ->
-    scoped_engine (fun () -> Qs_caqr.max_reuse_anytime ~opts:search c)
+    scoped_engine (fun () -> Qs_caqr.max_reuse_anytime c)
   | Qs_max_reuse, Commutable _ ->
-    (match List.rev (steps ~search input) with
+    (match List.rev (steps input) with
      | step :: _ -> of_step step
      | [] -> invalid_arg "Pipeline.compile: empty sweep")
   | Qs_target target, Regular c ->
     (match
-       scoped_engine (fun () -> Qs_caqr.search_anytime ~opts:search ~target c)
+       scoped_engine (fun () -> Qs_caqr.search_anytime ~target c)
      with
      | Some a -> a
      | None -> unreachable target)
@@ -207,7 +193,7 @@ let engine ~search ~original strategy device input =
     (match
        List.find_opt
          (fun (s : Engine.step) -> s.usage <= target)
-         (steps ~search input)
+         (steps input)
      with
      | Some step -> of_step step
      | None -> unreachable target)
@@ -222,8 +208,7 @@ let engines =
     (fun s ->
       ( s,
         fun device input ->
-          engine ~search:Qs_caqr.default_opts
-            ~original:(logical_of_input input) s device input ))
+          engine ~original:(logical_of_input input) s device input ))
     [ Qs_max_reuse; Sr; Cone; Gidnet ]
 
 let make_report strategy logical ~physical ~stats ~reuse_pairs ~quality =
@@ -274,7 +259,7 @@ type sweep_row = {
 (* The sweep points are independent (transpile + stats each), so they
    fan out across the pool; rows keep sweep order, which keeps the
    downstream picks deterministic. *)
-let sweep_stats ?(jobs = 1) ?search device input =
+let sweep_stats ?(jobs = 1) device input =
   Exec.Pool.map ~jobs:(max 1 jobs)
     (fun (step : Engine.step) ->
       let r = route device step.circuit in
@@ -283,19 +268,19 @@ let sweep_stats ?(jobs = 1) ?search device input =
         physical = r.Transpiler.Transpile.physical;
         stats = r.Transpiler.Transpile.stats;
       })
-    (steps ?search input)
+    (steps input)
 
 (* [better] orders rows; the stable sort keeps the earliest sweep point
    among equals. *)
-let best_of_sweep ~search ~jobs device strategy input better =
-  match List.stable_sort better (sweep_stats ~jobs ~search device input) with
+let best_of_sweep ~jobs device strategy input better =
+  match List.stable_sort better (sweep_stats ~jobs device input) with
   | r :: _ ->
     ( make_report strategy r.step.circuit ~physical:r.physical ~stats:r.stats
         ~reuse_pairs:(List.length r.step.pairs) ~quality:Quality.Exact,
       Some r.step.pairs )
   | [] -> invalid_arg "Pipeline.compile: empty sweep"
 
-let compile_unverified ~search ~jobs device strategy input ~original =
+let compile_unverified ~jobs device strategy input ~original =
   match strategy with
   | Baseline ->
     (* [original] itself, not a re-derived copy: the verifier skips the
@@ -304,19 +289,19 @@ let compile_unverified ~search ~jobs device strategy input ~original =
     (finish device strategy original ~reuse_pairs:0 ~quality:Quality.Exact,
      Some [])
   | Qs_min_depth ->
-    best_of_sweep ~search ~jobs device strategy input (fun a b ->
+    best_of_sweep ~jobs device strategy input (fun a b ->
         compare a.stats.Transpiler.Transpile.depth
           b.stats.Transpiler.Transpile.depth)
   | Qs_best_fidelity ->
     (* The paper's tunable objective: pick the reuse level whose compiled
        circuit maximizes estimated success probability. *)
-    best_of_sweep ~search ~jobs device strategy input (fun a b ->
+    best_of_sweep ~jobs device strategy input (fun a b ->
         compare
           (Transpiler.Esp.of_circuit device b.physical)
           (Transpiler.Esp.of_circuit device a.physical))
   | Qs_max_reuse | Qs_target _ | Sr | Cone | Gidnet ->
     report_of_artifact device strategy ~original
-      (engine ~search ~original strategy device input)
+      (engine ~original strategy device input)
 
 (* The degradation ladder (most capable first): a reuse strategy that
    blows up demotes to the cheaper reuse search, which demotes to plain
@@ -386,8 +371,7 @@ let compile_ladder ~options device strategy input ~original =
       (match
          Guard.Error.protect_bt ~stage:("pipeline." ^ strategy_name s)
            (fun () ->
-             compile_unverified ~search:options.search ~jobs:options.jobs
-               device s input ~original)
+             compile_unverified ~jobs:options.jobs device s input ~original)
        with
        | Ok (report, pairs) ->
          ({ report with degraded = List.rev trail }, pairs)
@@ -419,8 +403,7 @@ let compile ?(options = default) device strategy input =
   let report, pairs =
     if options.fallback then compile_ladder ~options device strategy input ~original
     else
-      compile_unverified ~search:options.search ~jobs:options.jobs device
-        strategy input ~original
+      compile_unverified ~jobs:options.jobs device strategy input ~original
   in
   let report = verify_report ~options ~original device input pairs report in
   if options.collect_metrics then

@@ -33,7 +33,6 @@ type options = {
   collect_metrics : bool;
       (** reset {!Obs.Metrics} before compiling and attach a snapshot to
           the report *)
-  search : Qs_caqr.search_opts;  (** QS-CaQR search configuration *)
   jobs : int;
       (** domains for the candidate fan-out via {!Exec.Pool}
           (default 1). The report is byte-identical for every value;
@@ -140,12 +139,11 @@ val compile_all :
   input ->
   report list
 
-(** [steps ?search input] is the QS-CaQR tradeoff sweep of either input
-    kind: {!Qs_caqr.sweep} (with [search], default
-    {!Qs_caqr.default_opts}) for a regular circuit, {!Commute.sweep} for
-    a commutable one. The first step is the untouched input; usages
-    strictly decrease. *)
-val steps : ?search:Qs_caqr.search_opts -> input -> Engine.step list
+(** [steps input] is the QS-CaQR tradeoff sweep of either input kind:
+    {!Qs_caqr.sweep} (with {!Qs_caqr.default_opts}) for a regular
+    circuit, {!Commute.sweep} for a commutable one. The first step is
+    the untouched input; usages strictly decrease. *)
+val steps : input -> Engine.step list
 
 (** One reuse level of the qubit/depth tradeoff sweep, routed. *)
 type sweep_row = {
@@ -155,17 +153,12 @@ type sweep_row = {
   stats : Transpiler.Transpile.stats;  (** of [physical] *)
 }
 
-(** [sweep_stats ?jobs ?search device input] — the full tradeoff table
+(** [sweep_stats ?jobs device input] — the full tradeoff table
     (paper Figs. 3/13/14): every point of {!steps} routed onto [device],
     with the per-point transpile work spread over [jobs] domains. Rows
     keep sweep order and are identical for every [jobs]. [Qs_min_depth]
     and [Qs_best_fidelity] pick their report from these rows. *)
-val sweep_stats :
-  ?jobs:int ->
-  ?search:Qs_caqr.search_opts ->
-  Hardware.Device.t ->
-  input ->
-  sweep_row list
+val sweep_stats : ?jobs:int -> Hardware.Device.t -> input -> sweep_row list
 
 (** The paper's applicability test: does reuse help this input at all?
     Returns a human-readable verdict along with the boolean. *)

@@ -33,8 +33,6 @@ let int t bound =
 let float t hi =
   hi *. Int64.to_float (Int64.shift_right_logical (bits64 t) 11) /. 9007199254740992.
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let weighted t choices =
   let total = List.fold_left (fun acc (w, _) -> acc + max 0 w) 0 choices in
   if total <= 0 then invalid_arg "Prng.weighted: no positive weight";

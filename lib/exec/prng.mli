@@ -27,8 +27,6 @@ val int : t -> int -> int
 (** [float t hi] draws uniformly from [0, hi). *)
 val float : t -> float -> float
 
-val bool : t -> bool
-
 (** [weighted t choices] picks among [(weight, value)] pairs with
     probability proportional to [weight]; non-positive weights never
     win. Raises [Invalid_argument] on an empty or all-zero list. *)

@@ -26,9 +26,6 @@ val greedy : weight:(int -> int -> float) -> Graph.t -> t
     bias the paper wants — while remaining polynomial. *)
 val priority_matching : priority:(int -> int -> bool) -> Graph.t -> t
 
-(** Matched edges [(u, v)], [u < v]. *)
-val edges : t -> (int * int) list
-
 val cardinality : t -> int
 
 (** Check symmetry, range, and that matched pairs are actual edges. *)

@@ -42,10 +42,6 @@ val current : unit -> t
 (** Is a deadline currently armed? *)
 val has_deadline : unit -> bool
 
-(** Seconds left on the tightest armed deadline (clamped at 0), or
-    [None] when nothing is armed. *)
-val remaining_s : unit -> float option
-
 (** [fraction f] is a budget expiring after share [f] (clamped to
     [0..1]) of the time left on the current deadline — {!unlimited} when
     nothing is armed. This is how a pipeline phase reserves headroom for

@@ -9,8 +9,6 @@ type t = private {
   dist : int array array;
 }
 
-val make : Galg.Graph.t -> Calibration.t -> t
-
 (** Synthetic IBM Mumbai: 27-qubit Falcon heavy-hex with seeded calibration. *)
 val mumbai : t
 

@@ -160,12 +160,6 @@ let measure_all c =
   in
   of_gate_kinds ~num_qubits:c.num_qubits ~num_clbits:nc kinds
 
-let pp ppf c =
-  Format.fprintf ppf "@[<v>circuit %d qubits, %d clbits, %d gates:" c.num_qubits
-    c.num_clbits (Array.length c.gates);
-  Array.iter (fun g -> Format.fprintf ppf "@,  %a" Gate.pp g) c.gates;
-  Format.fprintf ppf "@]"
-
 (* ---- content digest ----
 
    The serialization below is the circuit's semantic content and nothing

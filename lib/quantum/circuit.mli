@@ -64,8 +64,6 @@ val compact_qubits : t -> t * int array
 (** Append measurement of every active qubit [q] into classical bit [q]. *)
 val measure_all : t -> t
 
-val pp : Format.formatter -> t -> unit
-
 (** Canonical content digest (hex): a hash of the widths and the ordered
     gate kinds — the same information the canonical QASM-3 emission
     carries — with rotation angles taken bit-exact. Equal iff the

@@ -196,7 +196,6 @@ let of_parts ?(check = true) circuit adj ~on_qubit =
   t
   end
 
-let circuit t = t.circuit
 let adjacency t = t.adj
 let num_nodes t = Array.length t.adj.pred_start - 1
 let in_degree t i = t.adj.pred_start.(i + 1) - t.adj.pred_start.(i)

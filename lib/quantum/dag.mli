@@ -36,7 +36,6 @@ type adjacency = {
 val of_parts :
   ?check:bool -> Circuit.t -> adjacency -> on_qubit:int list array -> t
 
-val circuit : t -> Circuit.t
 val num_nodes : t -> int
 
 (** The DAG's adjacency, shared rather than copied: hot loops read it in

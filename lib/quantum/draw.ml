@@ -79,5 +79,3 @@ let to_string (c : Circuit.t) =
     Buffer.add_char buf '\n'
   done;
   Buffer.contents buf
-
-let pp ppf c = Format.pp_print_string ppf (to_string c)

@@ -3,4 +3,3 @@
     column per scheduling layer. *)
 
 val to_string : Circuit.t -> string
-val pp : Format.formatter -> Circuit.t -> unit

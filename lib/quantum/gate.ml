@@ -133,5 +133,3 @@ let pp ppf { id = _; kind } =
          ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
          (fun ppf q -> Format.fprintf ppf "q[%d]" q))
       qs
-
-let to_string g = Format.asprintf "%a" pp g

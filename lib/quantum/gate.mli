@@ -58,4 +58,3 @@ val map_qubits : (int -> int) -> kind -> kind
 val commutes : kind -> kind -> bool
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -3,4 +3,3 @@
     operations use the OpenQASM 3 [if (c) x q;] form. *)
 
 val to_string : Circuit.t -> string
-val pp : Format.formatter -> Circuit.t -> unit

@@ -39,10 +39,6 @@ type request = {
   no_cache : bool;
 }
 
-(* Same grammar as the CLI's --strategy flag — both delegate to the one
-   name map in Pipeline, so an engine wired there is reachable here. *)
-let strategy_of_string = Caqr.Pipeline.strategy_of_name
-
 let ( let* ) = Result.bind
 
 (* A present-but-wrong-typed field is a hard error; an absent field
@@ -90,7 +86,8 @@ let of_line line =
   let* strategy =
     match Json.member "strategy" j with
     | None -> Ok Caqr.Pipeline.Sr
-    | Some (Json.String s) -> strategy_of_string s
+    (* The CLI's --strategy grammar: one name map in Pipeline. *)
+    | Some (Json.String s) -> Caqr.Pipeline.strategy_of_name s
     | Some (Json.Int n) -> Ok (Caqr.Pipeline.Qs_target n)
     | Some _ -> Error "field \"strategy\" has the wrong type"
   in

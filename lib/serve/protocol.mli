@@ -56,12 +56,6 @@ type request = {
   no_cache : bool;
 }
 
-(** Parses ["baseline" | "qs-max-reuse" | "qs-min-depth" |
-    "qs-best-fidelity" | "sr" | "<int>"] — the CLI's strategy
-    grammar. *)
-val strategy_of_string :
-  string -> (Caqr.Pipeline.strategy, string) result
-
 (** [of_line line] parses one request line. Unknown [op]s, malformed
     JSON and wrong-typed fields are reported with the offending token;
     unknown fields are ignored (forward compatibility). *)

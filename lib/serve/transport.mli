@@ -5,8 +5,7 @@
     {b Addresses.} [unix:PATH] is a Unix-domain socket; [tcp:HOST:PORT]
     is a TCP socket ([PORT] 0 asks the kernel for an ephemeral port —
     read it back with {!bound_addr}). A bare string with no scheme is a
-    Unix-socket path, which keeps every PR 6 [--socket] invocation
-    valid.
+    Unix-socket path.
 
     {b Framing} is implied by the transport. Unix sockets keep the
     original newline-delimited JSON framing, so version-1 clients keep

@@ -1,7 +1,6 @@
 type t = { num_clbits : int; table : (int, int) Hashtbl.t; mutable total : int }
 
 let create ~num_clbits = { num_clbits; table = Hashtbl.create 64; total = 0 }
-let num_clbits t = t.num_clbits
 
 let add t outcome =
   let cur = Option.value ~default:0 (Hashtbl.find_opt t.table outcome) in

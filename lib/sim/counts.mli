@@ -5,7 +5,6 @@
 type t
 
 val create : num_clbits:int -> t
-val num_clbits : t -> int
 val add : t -> int -> unit
 val total : t -> int
 val get : t -> int -> int

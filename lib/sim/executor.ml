@@ -105,6 +105,3 @@ let distribution ~seed circuit =
     Counts.of_probs ~num_clbits:circuit.num_clbits ~shots:1_000_000
       (Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [])
   end
-
-let expectation ~seed ~shots circuit f =
-  Counts.expectation (run ~seed ~shots circuit) f

@@ -18,6 +18,3 @@ val run : ?jobs:int -> seed:int -> shots:int -> Quantum.Circuit.t -> Counts.t
 (** Exact outcome distribution for circuits whose only dynamic operations
     are final measurements; falls back to 4096-shot sampling otherwise. *)
 val distribution : seed:int -> Quantum.Circuit.t -> Counts.t
-
-(** Expectation of [f register] under [run]. *)
-val expectation : seed:int -> shots:int -> Quantum.Circuit.t -> (int -> float) -> float

@@ -47,8 +47,6 @@ let norm2 st =
   done;
   !acc
 
-let amplitude st i = (st.re.(i), st.im.(i))
-
 let probability st i = (st.re.(i) *. st.re.(i)) +. (st.im.(i) *. st.im.(i))
 
 let probabilities st = Array.init (Array.length st.re) (probability st)

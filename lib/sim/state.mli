@@ -27,8 +27,6 @@ val num_qubits : t -> int
 (** Squared norm (should stay 1 up to rounding). *)
 val norm2 : t -> float
 
-(** Amplitude of basis state [i] as [(re, im)]. *)
-val amplitude : t -> int -> float * float
 
 (** Probability of measuring basis state [i]. *)
 val probability : t -> int -> float

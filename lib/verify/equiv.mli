@@ -23,14 +23,6 @@ type config = {
   tolerance : float;  (** L1 slack for float accumulation (default 1e-6) *)
 }
 
-val default : config
-
-(** [distribution ?config c] is the exact outcome distribution of [c]
-    over its classical register (array of length [2^num_clbits]), or
-    [Error reason] when the circuit exceeds the configured budgets. *)
-val distribution :
-  ?config:config -> Quantum.Circuit.t -> (float array, string) result
-
 (** [check ?config ~original ~transformed ()] compares exact
     distributions on the shared clbits. [Inconclusive] when either side
     exceeds the budgets. *)

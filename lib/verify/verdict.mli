@@ -34,7 +34,5 @@ val is_inequivalent : t -> bool
     then any [Inconclusive], else [Equivalent]. *)
 val combine : t list -> t
 
-val pp : Format.formatter -> t -> unit
-
 (** One-line rendering, e.g. for CLI tables. *)
 val to_string : t -> string

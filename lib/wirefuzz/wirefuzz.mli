@@ -41,11 +41,6 @@ type summary = {
   failures : failure list;  (** empty = the daemon kept all three promises *)
 }
 
-(** The well-formed request every follow-up check replays (a cacheable
-    [compile] of a small benchmark) — its cache-hit response is the
-    byte-identity reference. *)
-val reference_request : string
-
 (** [run ?stall_s ?follow_up_timeout_s ~seed ~cases ~addr ()] attacks a
     daemon already listening on [addr]. [stall_s] (default 0.6) is how
     long the slow-loris holds a partial frame — set it past the
@@ -76,14 +71,11 @@ val selftest :
   unit ->
   summary
 
-(** A two-message loopback exchange over a {!Serve.Transport.pair}
-    socketpair — read, frame-decode and write each run at least twice,
-    so an armed wire.* injection site fires whether the seed picked hit
-    1 or 2. *)
-val chaos_probe : unit -> unit
-
-(** Register {!chaos_probe} with {!Fuzz.Chaos.set_wire_probe}. The
-    chaos matrix can only cover the wire.* catalog sites after this has
+(** Register a wire probe with {!Fuzz.Chaos.set_wire_probe}: a
+    two-message loopback exchange over a {!Serve.Transport.pair}
+    socketpair, in which read, frame-decode and write each run at least
+    twice, so an armed wire.* injection site fires whether the seed
+    picked hit 1 or 2. The chaos matrix can only cover the wire.* catalog sites after this has
     run; the guard test suite and the chaos CLI both call it first.
     (It lives here, not in fuzz, because fuzz sits below serve in the
     dependency order.) *)

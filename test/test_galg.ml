@@ -200,19 +200,6 @@ let test_matching_empty_graph () =
   let m = Galg.Matching.blossom g in
   check int "no edges, no matches" 0 (Galg.Matching.cardinality m)
 
-(* ---- Union-find ---- *)
-
-let test_union_find () =
-  let u = Galg.Union_find.create 5 in
-  check int "initial classes" 5 (Galg.Union_find.count u);
-  Galg.Union_find.union u 0 1;
-  Galg.Union_find.union u 1 2;
-  check bool "same" true (Galg.Union_find.same u 0 2);
-  check bool "different" false (Galg.Union_find.same u 0 3);
-  check int "classes" 3 (Galg.Union_find.count u);
-  Galg.Union_find.union u 0 2;
-  check int "redundant union" 3 (Galg.Union_find.count u)
-
 (* ---- Generators ---- *)
 
 let test_random_edge_budget () =
@@ -282,8 +269,6 @@ let () =
           Alcotest.test_case "priority kept" `Quick test_priority_matching_keeps_priority;
           Alcotest.test_case "empty graph" `Quick test_matching_empty_graph;
         ] );
-      ( "union_find",
-        [ Alcotest.test_case "union and find" `Quick test_union_find ] );
       ( "generators",
         [
           Alcotest.test_case "random edge budget" `Quick test_random_edge_budget;

@@ -198,14 +198,6 @@ let test_fingerprint () =
   let fp = Caqr.Pipeline.options_fingerprint in
   let d = Caqr.Pipeline.default in
   check string "deterministic" (fp d) (fp d);
-  let tighter =
-    {
-      d with
-      Caqr.Pipeline.search =
-        { d.Caqr.Pipeline.search with Caqr.Qs_caqr.budget = 17 };
-    }
-  in
-  check bool "search budget is semantic" true (fp d <> fp tighter);
   check bool "verify level is semantic" true
     (fp d <> fp { d with Caqr.Pipeline.verify = Some Verify.Auto });
   check bool "fallback is semantic" true
@@ -833,7 +825,31 @@ let test_cache_disk_budget () =
   Serve.Cache.store c "huge" (String.make 100 'h');
   check bool "oversized value skipped" true
     (Serve.Cache.find c "huge" = None);
-  check int "tier untouched by oversized store" 2 (entry_count dir)
+  check int "tier untouched by oversized store" 2 (entry_count dir);
+  (* The same budget through a daemon's config: real compile responses
+     overflow a 600-byte tier, which evicts and stays under the cap. *)
+  let t =
+    Serve.Server.create
+      {
+        Serve.Server.default_config with
+        Serve.Server.cache_dir = Some (fresh_dir "server-budget");
+        disk_budget_bytes = Some 600;
+      }
+  in
+  List.iter
+    (fun name ->
+      let r, _ =
+        Serve.Server.handle_line t
+          (Printf.sprintf {|{"op":"compile","bench":%S}|} name)
+      in
+      check bool (name ^ " compiles") true (contains r "\"ok\":true"))
+    [ "BV_10"; "CC_10"; "Multiply_13"; "RD-32"; "XOR_5" ];
+  let server_stat name =
+    List.assoc name (Serve.Cache.stats (Serve.Server.cache t))
+  in
+  check bool "server tier evicted" true (server_stat "disk_evictions" >= 1);
+  check bool "server tier under its budget" true
+    (server_stat "disk_bytes" <= 600)
 
 (* A restart rebuilds the index by mtime, so the budget keeps holding
    across processes and the LRU order survives as recorded on disk. *)
