@@ -138,12 +138,35 @@ let width_floor circuit = floor_of_analysis (Reuse.analyze circuit)
    interned once as an int id — the root is [root_prefix], and a child
    is looked up by its parent's id and the applied pair — so a memo
    lookup hashes three ints rather than the whole pair sequence. The
-   width floor of the cache's circuit is computed on first use. *)
+   width floor of the cache's circuit is computed on first use.
+
+   Pair sequences that apply the same links in another order reach the
+   same node, so the cache also keeps a transposition table: see
+   "Transposition replay" below. *)
+
+(* A DFS node's wire-chain state: [next.(q)] is the original qubit that
+   follows [q] on its wire, or -1, under one candidate ordering
+   ([order]). [hash] is maintained incrementally by the DFS; equality
+   compares the whole state, so a hash collision never aliases. *)
+module State = struct
+  type t = { order : int; hash : int; next : int array }
+
+  let equal a b = a.hash = b.hash && a.order = b.order && a.next = b.next
+  let hash s = s.hash
+end
+
+module Transpositions = Hashtbl.Make (State)
+
+(* What a subtree that ended [Exhausted] did: the DFS nodes it counted
+   below its root, and the least usage any of its nodes reached. *)
+type replay = { counted : int; least : int }
+
 type cache = {
   prefixes : (int * int * int, int) Hashtbl.t;
   mutable next_prefix : int;
   analyses : (int, Reuse.analysis) Hashtbl.t;
   candidates : (int, Reuse.pair list) Hashtbl.t;
+  replays : replay Transpositions.t;
   mutable floor : int option;
 }
 
@@ -159,6 +182,7 @@ let new_cache () =
     next_prefix = root_prefix;
     analyses = Hashtbl.create 256;
     candidates = Hashtbl.create 256;
+    replays = Transpositions.create 256;
     floor = None;
   }
 
@@ -192,10 +216,13 @@ let root_analysis cache circuit =
 let child_analysis cache parent pair id =
   cached cache.analyses id (fun () -> Reuse.apply_incremental parent pair)
 
+(* The candidate ordering a memo entry belongs to ([Both] searches
+   with [Score] first, then [Chain]). *)
+let order_tag = function Score | Both -> 0 | Chain -> 1
+
 let candidates_for cache order objective analysis id =
-  let tag = match order with Score | Both -> 0 | Chain -> 2 in
   let obj = match objective with Depth -> 0 | Duration -> 1 in
-  cached cache.candidates ((4 * id) + tag + obj) (fun () ->
+  cached cache.candidates ((4 * id) + (2 * order_tag order) + obj) (fun () ->
       ordered_candidates order objective analysis)
 
 let width_floor_cached cache circuit =
@@ -225,11 +252,54 @@ type outcome =
   | Exhausted
   | Cut
 
+(* ---- Transposition replay ----
+
+   A reuse solution is a set of wire chains, not a sequence: applying
+   the same links in another order reaches the same node. On a
+   barrier-free circuit ({!Reuse.splice_is_local}) the links fix the
+   node's DAG up to gate renumbering — each wire's and clbit's gate
+   order, and whether each reset splice reuses a final measurement — so
+   the reach relation, interaction graph, schedules, scores and
+   candidate order are fixed too, and with them the node's whole
+   subtree under one candidate ordering. The DFS keys each node by
+   [next] (see {!State}), with a hash updated in O(1) per applied link
+   and undone on backtrack, and stores every subtree that ended
+   [Exhausted]. Met again with its least usage above the target, such a
+   subtree is exhausted again after exactly as many nodes, so the DFS
+   credits that count to the node cap instead of deriving it. Entries
+   are capped like the memo tables; past the cap subtrees are simply
+   explored. *)
+
+(* One link's hash contribution: a multiply-xorshift mix of the pair. *)
+let link_hash tail dst =
+  let x = (tail * 0x2545_f491_4f6c_dd1d) lxor dst in
+  let x = (x lxor (x lsr 29)) * 0x1b87_3593_9e37_79b9 in
+  x lxor (x lsr 32)
+
 let search_incremental ?observer ~cache order objective budget target circuit =
   let nodes = ref 0 in
   let note u c rp = match observer with Some o -> o.note u c rp | None -> () in
   let frontier d =
     match observer with Some o -> o.frontier d | None -> ()
+  in
+  let root = root_analysis cache circuit in
+  let transpose = Reuse.splice_is_local root in
+  let k = (Reuse.circuit root).Quantum.Circuit.num_qubits in
+  (* [tail.(w)]: the last original qubit on wire [w]'s chain *)
+  let next = Array.make k (-1) and tail = Array.init k Fun.id in
+  let hash = ref 0 in
+  (* least usage reached in the subtree being explored *)
+  let least = ref max_int in
+  let tag = order_tag order in
+  let key () = { State.order = tag; hash = !hash; next } in
+  let replay r =
+    Obs.Metrics.incr "qs.search.replays";
+    let credit = min r.counted (budget + 1 - !nodes) in
+    Obs.Metrics.incr ~by:credit "qs.search.nodes";
+    Obs.Metrics.incr ~by:credit "qs.search.replayed_nodes";
+    nodes := !nodes + credit;
+    least := min !least r.least;
+    if !nodes > budget then Cut else Exhausted
   in
   let rec go analysis id rev_pairs =
     if Reuse.usage analysis <= target then
@@ -248,11 +318,25 @@ let search_incremental ?observer ~cache order objective budget target circuit =
           if !nodes > budget then Cut
           else begin
             frontier (-1);
-            let rev_pairs' = p :: rev_pairs in
-            let id' = child_prefix cache id p in
-            let child = child_analysis cache analysis p id' in
-            note (Reuse.usage child) (Reuse.circuit child) rev_pairs';
-            match go child id' rev_pairs' with
+            let src = p.Reuse.src and dst = p.Reuse.dst in
+            let t = tail.(src) in
+            let link = link_hash t dst in
+            next.(t) <- dst;
+            tail.(src) <- tail.(dst);
+            hash := !hash lxor link;
+            let stored =
+              if transpose then Transpositions.find_opt cache.replays (key ())
+              else None
+            in
+            let r =
+              match stored with
+              | Some r when r.least > target -> replay r
+              | _ -> expand analysis id p rev_pairs
+            in
+            next.(t) <- -1;
+            tail.(src) <- t;
+            hash := !hash lxor link;
+            match r with
             | Found _ as r -> r
             | Cut -> Cut
             | Exhausted -> attempt rest
@@ -260,8 +344,26 @@ let search_incremental ?observer ~cache order objective budget target circuit =
       in
       attempt cands
     end
+  and expand analysis id p rev_pairs =
+    let rev_pairs' = p :: rev_pairs in
+    let id' = child_prefix cache id p in
+    let child = child_analysis cache analysis p id' in
+    let usage = Reuse.usage child in
+    note usage (Reuse.circuit child) rev_pairs';
+    let outer = !least and start = !nodes in
+    least := usage;
+    let r = go child id' rev_pairs' in
+    (match r with
+     | Exhausted
+       when transpose && Transpositions.length cache.replays < cache_capacity ->
+       Transpositions.add cache.replays
+         { (key ()) with State.next = Array.copy next }
+         { counted = !nodes - start; least = !least }
+     | _ -> ());
+    least := min outer !least;
+    r
   in
-  go (root_analysis cache circuit) root_prefix []
+  go root root_prefix []
 
 (* Both falls back from the Score ordering to the Chain ordering. *)
 let with_order opts dfs =
@@ -362,8 +464,7 @@ let reference_dfs order objective budget target circuit =
   in
   go circuit []
 
-let reference_sweep circuit =
-  let opts = default_opts in
+let reference_sweep ?(opts = default_opts) circuit =
   sweep_by circuit ~search:(fun target ->
       with_order opts (fun order ->
           reference_dfs order opts.objective opts.budget target circuit))

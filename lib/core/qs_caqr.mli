@@ -40,17 +40,23 @@ val reduce_once :
     at a time as low as the search reaches. Each DFS child's analysis
     derives from its parent via {!Reuse.apply_incremental}, and the
     per-target searches share one memo cache, so each restart replays
-    the previously explored prefix from cache. *)
+    the previously explored prefix from cache. On a barrier-free circuit
+    the cache is also a transposition table: a subtree already exhausted
+    through any pair order that applies the same reuse links is credited
+    to the node cap by its node count instead of being explored again
+    (["qs.search.replays"], ["qs.search.replayed_nodes"]).
+    ["qs.search.nodes"] still counts every node of the plain DFS. *)
 val sweep : ?opts:search_opts -> Quantum.Circuit.t -> Engine.step list
 
-(** [reference_sweep circuit] — the trajectory of [sweep circuit]
-    (default options), computed independently: every DFS node rebuilds the
-    circuit and its O(n^2) closure from scratch, candidates are ordered
-    by a plain comparator sort, and nothing is memoized. It exists as
-    the differential check for {!sweep} (tests, the engines fuzz
+(** [reference_sweep ?opts circuit] — the trajectory of
+    [sweep ?opts circuit], computed independently: every DFS node
+    rebuilds the circuit and its O(n^2) closure from scratch, candidates
+    are ordered by a plain comparator sort, and nothing is memoized —
+    no prefix memo, no transposition replay, no width floor. It exists
+    as the differential check for {!sweep} (tests, the engines fuzz
     oracle) and as the perf bench's baseline; it ignores wall-clock
     budgets. *)
-val reference_sweep : Quantum.Circuit.t -> Engine.step list
+val reference_sweep : ?opts:search_opts -> Quantum.Circuit.t -> Engine.step list
 
 (** [search ?opts ~target circuit] answers the paper's user query "can
     this circuit run on [target] qubits?": it finds a reuse sequence

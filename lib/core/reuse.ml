@@ -514,7 +514,7 @@ let derived_dag (a : analysis) ~src ~dst em =
    reuses src's final-measure clbit when that measure is its sole user
    (see {!reusable_final_clbit}), and otherwise the splice runs on a
    fresh clbit nothing else touches. *)
-let splice_is_local a _src = not a.barriers
+let splice_is_local a = not a.barriers
 
 (* The incremental engine. The reset node D sits (transitively) after
    every src gate and before every dst gate, and — when the splice is
@@ -544,7 +544,7 @@ let splice_is_local a _src = not a.barriers
    emission is transform work that {!apply} does not time either, so the
    timer draws the same boundary for both engines. *)
 let apply_incremental a ({ src; dst } as p) =
-  if not (splice_is_local a src) then
+  if not (splice_is_local a) then
     analyze (apply_circuit a p)
   else begin
     Obs.Metrics.incr "reuse.analyze.incremental";

@@ -108,5 +108,12 @@ val emit : analysis -> pair -> emission
     pair. *)
 val apply_incremental : analysis -> pair -> analysis
 
+(** [splice_is_local a]: the circuit has no barriers, so a reset splice
+    adds dependences through src's and dst's gates only. It is then the
+    fast path of {!apply_incremental}, and the set of applied reuse
+    links fixes a descendant's DAG up to gate renumbering. Every
+    analysis derived from a barrier-free one is barrier-free. *)
+val splice_is_local : analysis -> bool
+
 (** Number of active qubits (the "qubit usage" the paper reports). *)
 val qubit_usage : Quantum.Circuit.t -> int

@@ -294,16 +294,20 @@ let test_no_faults_no_degradation () =
 (* A wall-clock trip inside the reuse engine is NOT a ladder event: the
    engine commits its incumbent and returns it tagged Anytime, so the
    compile succeeds on the original rung with zero demotions — the
-   ladder only demotes on hard errors. cuccaro-256 needs several
-   seconds of search to run exact, so the 2 s deadline always trips the
-   engine phase while leaving routing ample headroom. *)
+   ladder only demotes on hard errors. The trip is made deterministic
+   rather than left to host speed: a 2 s sleep injected at the fifth
+   QS node outlasts the engine's share (0.6) of the 3 s deadline, so the
+   checkpoint right after it trips, with four nodes already noted, while
+   Multiply_13 leaves routing ample headroom in the time that remains. *)
 let test_budget_trip_with_incumbent_is_not_demotion () =
   Obs.Metrics.reset ();
-  let device = device_of "cuccaro-256" in
-  let input = input_of "cuccaro-256" in
+  let device = device_of "Multiply_13" in
+  let input = input_of "Multiply_13" in
+  Guard.Inject.arm ~at_hit:5 ~mode:(Guard.Inject.Delay_ms 2000) "qs.search";
   let r =
+    Fun.protect ~finally:Guard.Inject.disarm @@ fun () ->
     Guard.Budget.scoped
-      (Guard.Budget.make ~ms:2000 ())
+      (Guard.Budget.make ~ms:3000 ())
       (fun () ->
         Caqr.Pipeline.compile
           ~options:{ Caqr.Pipeline.default with Caqr.Pipeline.fallback = true }

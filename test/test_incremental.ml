@@ -238,6 +238,108 @@ let test_max_reuse_identical () =
         (Caqr.Qs_caqr.max_reuse c = last.Caqr.Engine.circuit))
     [ "BV_10"; "XOR_5"; "RD-32" ]
 
+(* ---- the identity where the node cap binds ----
+
+   At the default 400-node budget generated circuits rarely reach the
+   cap, so a wrong node credit for a replayed subtree would go unseen
+   there. At budgets 3, 10 and 40 the cap ends most searches. The
+   generator's default mix includes barriers (no replay); its
+   barrier-free variant exercises the transposition table. *)
+
+let with_budget budget = { Caqr.Qs_caqr.default_opts with Caqr.Qs_caqr.budget }
+
+(* [cap_check budget c] is whether the engines agree on [c] at node
+   budget [budget], with the sweep's replay count. Agreement is the same
+   steps and — unless the width floor skipped a search the reference
+   runs — the same DFS node count: a replay that ends [Cut] must credit
+   exactly the nodes the explored subtree would have counted up to the
+   cap. *)
+let cap_check budget c =
+  let opts = with_budget budget in
+  let counted f =
+    Obs.Metrics.reset ();
+    let steps = f () in
+    let count = Obs.Metrics.count in
+    (steps, count "qs.search.nodes", count "qs.search.floor_skips",
+     count "qs.search.replays")
+  in
+  let inc, inc_nodes, skips, replays =
+    counted (fun () -> Caqr.Qs_caqr.sweep ~opts c)
+  in
+  let reference, ref_nodes, _, _ =
+    counted (fun () -> Caqr.Qs_caqr.reference_sweep ~opts c)
+  in
+  (inc = reference && (skips > 0 || inc_nodes = ref_nodes), replays)
+
+let barrier_free = { Fuzz.Gen.default with Fuzz.Gen.w_barrier = 0; max_qubits = 8 }
+
+let prop_sweep_agree_at_cap ~cfg ~label budget =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "qs: engines agree at budget %d (%s)" budget label)
+    ~count:60
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      fst (cap_check budget (Fuzz.Gen.circuit cfg (Exec.Prng.make seed))))
+
+let cap_props =
+  List.concat_map
+    (fun budget ->
+      [
+        prop_sweep_agree_at_cap ~cfg:Fuzz.Gen.default ~label:"with barriers"
+          budget;
+        prop_sweep_agree_at_cap ~cfg:barrier_free ~label:"barrier-free" budget;
+      ])
+    [ 3; 10; 40 ]
+
+(* The properties above only bite if the cap-binding searches replay:
+   over the barrier-free seeds, replays must fire at budgets 10 and 40.
+   (At budget 3 a search rarely exhausts a subtree before the cap.) *)
+let test_replays_fire_at_cap () =
+  List.iter
+    (fun budget ->
+      let fired = ref 0 in
+      for seed = 1 to 60 do
+        let c = Fuzz.Gen.circuit barrier_free (Exec.Prng.make seed) in
+        let agree, replays = cap_check budget c in
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d budget %d agrees" seed budget)
+          true agree;
+        if replays > 0 then incr fired
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "replays fire at budget %d" budget)
+        true (!fired > 0))
+    [ 10; 40 ]
+
+let test_table1_agree_at_budget_50 () =
+  List.iter
+    (fun (e : Benchmarks.Suite.entry) ->
+      Alcotest.(check bool)
+        (e.Benchmarks.Suite.name ^ ": sweep = reference at budget 50")
+        true
+        (fst (cap_check 50 e.Benchmarks.Suite.circuit)))
+    (Benchmarks.Suite.regular ())
+
+(* A barrier breaks the "links fix the DAG" argument, so the table is
+   off: one single-wire barrier on Multiply_13 (which changes no reach)
+   turns hundreds of replays into none, and the sweep is still the
+   reference's. *)
+let test_barrier_disables_replay () =
+  let c = (Benchmarks.Suite.find "Multiply_13").Benchmarks.Suite.circuit in
+  let agree, replays = cap_check 400 c in
+  Alcotest.(check bool) "barrier-free: sweep = reference" true agree;
+  Alcotest.(check bool) "barrier-free: replays" true (replays > 0);
+  let barred =
+    Quantum.Circuit.of_kinds ~num_qubits:c.Quantum.Circuit.num_qubits
+      ~num_clbits:c.Quantum.Circuit.num_clbits
+      (Quantum.Gate.Barrier [ 0 ]
+       :: Array.to_list
+            (Array.map (fun g -> g.Quantum.Gate.kind) c.Quantum.Circuit.gates))
+  in
+  let agree, replays = cap_check 400 barred in
+  Alcotest.(check bool) "with a barrier: sweep = reference" true agree;
+  Alcotest.(check int) "with a barrier: no replay" 0 replays
+
 let () =
   Alcotest.run "incremental"
     [
@@ -251,7 +353,14 @@ let () =
           to_alcotest prop_sweep_engines_agree;
           Alcotest.test_case "max_reuse identical" `Quick
             test_max_reuse_identical;
+          Alcotest.test_case "replays fire where the cap binds" `Quick
+            test_replays_fire_at_cap;
+          Alcotest.test_case "Table 1 at budget 50" `Quick
+            test_table1_agree_at_budget_50;
+          Alcotest.test_case "a barrier disables replay" `Quick
+            test_barrier_disables_replay;
         ]
+        @ List.map to_alcotest cap_props
         @ List.map
             (fun name ->
               Alcotest.test_case (name ^ " sweep") `Quick
