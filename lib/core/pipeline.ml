@@ -270,11 +270,15 @@ let sweep_stats ?(jobs = 1) device input =
       })
     (steps input)
 
-(* [better] orders rows; the stable sort keeps the earliest sweep point
-   among equals. *)
-let best_of_sweep ~jobs device strategy input better =
-  match List.stable_sort better (sweep_stats ~jobs device input) with
-  | r :: _ ->
+(* [key] ranks a row once; [better] orders the keys, and the first row
+   with the best key wins, as in a stable sort. *)
+let best_of_sweep ~jobs device strategy input key better =
+  let ranked = List.map (fun r -> (key r, r)) (sweep_stats ~jobs device input) in
+  match ranked with
+  | first :: rest ->
+    let _, r =
+      List.fold_left (fun b c -> if better (fst c) (fst b) < 0 then c else b) first rest
+    in
     ( make_report strategy r.step.circuit ~physical:r.physical ~stats:r.stats
         ~reuse_pairs:(List.length r.step.pairs) ~quality:Quality.Exact,
       Some r.step.pairs )
@@ -289,16 +293,15 @@ let compile_unverified ~jobs device strategy input ~original =
     (finish device strategy original ~reuse_pairs:0 ~quality:Quality.Exact,
      Some [])
   | Qs_min_depth ->
-    best_of_sweep ~jobs device strategy input (fun a b ->
-        compare a.stats.Transpiler.Transpile.depth
-          b.stats.Transpiler.Transpile.depth)
+    best_of_sweep ~jobs device strategy input
+      (fun r -> r.stats.Transpiler.Transpile.depth)
+      compare
   | Qs_best_fidelity ->
     (* The paper's tunable objective: pick the reuse level whose compiled
        circuit maximizes estimated success probability. *)
-    best_of_sweep ~jobs device strategy input (fun a b ->
-        compare
-          (Transpiler.Esp.of_circuit device b.physical)
-          (Transpiler.Esp.of_circuit device a.physical))
+    best_of_sweep ~jobs device strategy input
+      (fun r -> Transpiler.Esp.of_circuit device r.physical)
+      (fun a b -> compare b a)
   | Qs_max_reuse | Qs_target _ | Sr | Cone | Gidnet ->
     report_of_artifact device strategy ~original
       (engine ~original strategy device input)

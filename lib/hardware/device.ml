@@ -2,10 +2,46 @@ type t = {
   coupling : Galg.Graph.t;
   calibration : Calibration.t;
   dist : int array array;
+  nbrs : int array array;
+  nbr_error : float array array;
+  nbr_duration : int array array;
+  quality : float array;
 }
 
+(* The calibration-dependent tables: link data aligned with [nbrs], and
+   the per-qubit placement score. *)
+let with_calibration calibration nbrs =
+  let link f =
+    Array.mapi (fun u -> Array.map (fun v -> f (Calibration.link calibration u v))) nbrs
+  in
+  let nbr_error = link (fun l -> l.Calibration.cx_error) in
+  let nbr_duration = link (fun l -> l.Calibration.cx_duration_dt) in
+  let quality =
+    Array.mapi
+      (fun p errs ->
+        let best_link = Array.fold_left (fun acc e -> Float.max acc (1. -. e)) 0. errs in
+        let connectivity = float_of_int (Array.length errs) in
+        let readout = (Calibration.qubit calibration p).Calibration.readout_error in
+        (0.5 *. connectivity) +. (1. -. readout) +. best_link)
+      nbr_error
+  in
+  (nbr_error, nbr_duration, quality)
+
 let make coupling calibration =
-  { coupling; calibration; dist = Galg.Graph.all_pairs_dist coupling }
+  let nbrs =
+    Array.init (Galg.Graph.order coupling) (fun v ->
+        Array.of_list (Galg.Graph.neighbors coupling v))
+  in
+  let nbr_error, nbr_duration, quality = with_calibration calibration nbrs in
+  {
+    coupling;
+    calibration;
+    dist = Galg.Graph.all_pairs_dist coupling;
+    nbrs;
+    nbr_error;
+    nbr_duration;
+    quality;
+  }
 
 let mumbai =
   make Topology.falcon_27 (Calibration.synthetic ~seed:27 Topology.falcon_27)
@@ -19,28 +55,28 @@ let heavy_hex_for n =
 let ideal g = make g (Calibration.ideal g)
 
 let with_noise_scale factor t =
-  { t with calibration = Calibration.scale ~factor t.calibration }
+  let calibration = Calibration.scale ~factor t.calibration in
+  let nbr_error, nbr_duration, quality = with_calibration calibration t.nbrs in
+  { t with calibration; nbr_error; nbr_duration; quality }
 
 let num_qubits t = Galg.Graph.order t.coupling
 let adjacent t u v = Galg.Graph.has_edge t.coupling u v
 let distance t u v = t.dist.(u).(v)
 let neighbors t v = Galg.Graph.neighbors t.coupling v
 
+(* Position of [v] in [u]'s neighbour table, or -1. *)
+let link_index t u v =
+  let ns = t.nbrs.(u) in
+  let rec go i = if i = Array.length ns then -1 else if ns.(i) = v then i else go (i + 1) in
+  go 0
+
 let cx_duration t u v =
-  if adjacent t u v then (Calibration.link t.calibration u v).Calibration.cx_duration_dt
-  else Quantum.Duration.(default.cx)
+  match link_index t u v with
+  | -1 -> Quantum.Duration.(default.cx)
+  | i -> t.nbr_duration.(u).(i)
 
 let cx_error t u v =
-  if adjacent t u v then (Calibration.link t.calibration u v).Calibration.cx_error
-  else 1.
+  match link_index t u v with -1 -> 1. | i -> t.nbr_error.(u).(i)
 
 let readout_error t q = (Calibration.qubit t.calibration q).Calibration.readout_error
-
-let qubit_quality t p =
-  let best_link =
-    List.fold_left
-      (fun acc n -> Float.max acc (1. -. cx_error t p n))
-      0. (neighbors t p)
-  in
-  let connectivity = float_of_int (Galg.Graph.degree t.coupling p) in
-  (0.5 *. connectivity) +. (1. -. readout_error t p) +. best_link
+let qubit_quality t p = t.quality.(p)

@@ -1,12 +1,23 @@
 (** A device bundles a coupling map with calibration and distance data —
     everything SR-CaQR and the baseline transpiler query: adjacency,
     distances, per-link CNOT cost, per-qubit readout quality (paper
-    §3.3.1 Step 2). *)
+    §3.3.1 Step 2).
+
+    The routing hot loops read flat tables built once per device (and
+    rebuilt by {!with_noise_scale}) instead of the graph and the
+    calibration maps: [nbrs.(u)] lists [u]'s neighbours in increasing
+    order, [nbr_error.(u).(i)] and [nbr_duration.(u).(i)] are the CNOT
+    error and duration of the link [u]–[nbrs.(u).(i)], and [quality.(p)]
+    is {!qubit_quality}[ t p]. *)
 
 type t = private {
   coupling : Galg.Graph.t;
   calibration : Calibration.t;
   dist : int array array;
+  nbrs : int array array;
+  nbr_error : float array array;
+  nbr_duration : int array array;
+  quality : float array;
 }
 
 (** Synthetic IBM Mumbai: 27-qubit Falcon heavy-hex with seeded calibration. *)

@@ -7,12 +7,35 @@ type result = {
 let lookahead_window = 12
 let lookahead_weight = 0.5
 
+(* SWAPs without a routed gate, per device qubit, after which the release
+   valve fires. The longest stall on any registered circuit or engine
+   artifact is 44 SWAPs, so the valve only ever fires on a livelock. *)
+let stall_factor = 10
+
 let route device layout (circuit : Quantum.Circuit.t) =
   let layout = Layout.copy layout in
+  (* [apply_swap] updates these arrays in place. *)
+  let l2p = layout.Layout.l2p and p2l = layout.Layout.p2l in
+  let dist = device.Hardware.Device.dist in
+  let nbrs = device.Hardware.Device.nbrs in
+  let nbr_error = device.Hardware.Device.nbr_error in
   let dag = Quantum.Dag.build circuit in
+  let adj = Quantum.Dag.adjacency dag in
   let n = Quantum.Dag.num_nodes dag in
+  let nl = circuit.num_qubits in
+  (* Logical endpoints of each two-qubit gate; -1 for the other gates. *)
+  let qa = Array.make n (-1) and qb = Array.make n (-1) in
+  Array.iteri
+    (fun i g ->
+      let k = g.Quantum.Gate.kind in
+      if Quantum.Gate.is_two_q k then
+        match Quantum.Gate.qubits k with
+        | [ a; b ] ->
+          qa.(i) <- a;
+          qb.(i) <- b
+        | _ -> ())
+    circuit.gates;
   let indeg = Array.init n (Quantum.Dag.in_degree dag) in
-  let done_ = Array.make n false in
   let frontier = ref (List.filter (fun i -> indeg.(i) = 0) (List.init n Fun.id)) in
   let out =
     Quantum.Circuit.Builder.create
@@ -20,52 +43,156 @@ let route device layout (circuit : Quantum.Circuit.t) =
       ~num_clbits:circuit.num_clbits
   in
   let swaps = ref 0 in
-  let gate_kind i = circuit.gates.(i).Quantum.Gate.kind in
   let complete i =
-    done_.(i) <- true;
-    Quantum.Dag.iter_succs
-      (fun j ->
-        indeg.(j) <- indeg.(j) - 1;
-        if indeg.(j) = 0 then frontier := j :: !frontier)
-      dag i
+    for e = adj.succ_start.(i) to adj.succ_start.(i + 1) - 1 do
+      let j = adj.succ_ids.(e) in
+      indeg.(j) <- indeg.(j) - 1;
+      if indeg.(j) = 0 then frontier := j :: !frontier
+    done
   in
-  let phys q = layout.Layout.l2p.(q) in
-  let executable i =
-    let k = gate_kind i in
-    if Quantum.Gate.is_two_q k then
-      match Quantum.Gate.qubits k with
-      | [ a; b ] -> Hardware.Device.adjacent device (phys a) (phys b)
-      | _ -> true
-    else true
-  in
+  let executable i = qa.(i) < 0 || dist.(l2p.(qa.(i))).(l2p.(qb.(i))) = 1 in
   let emit i =
-    let k = Quantum.Gate.map_qubits phys (gate_kind i) in
+    let k = Quantum.Gate.map_qubits (fun q -> l2p.(q)) circuit.gates.(i).Quantum.Gate.kind in
     Quantum.Circuit.Builder.add out k;
     complete i
   in
-  (* Two-qubit gates beyond the frontier, for lookahead scoring. *)
-  let extended_set () =
-    let acc = ref [] and count = ref 0 in
-    let q = Queue.create () in
-    List.iter (fun i -> Queue.add i q) !frontier;
-    let seen = Hashtbl.create 32 in
-    while (not (Queue.is_empty q)) && !count < lookahead_window do
-      let i = Queue.pop q in
-      if not (Hashtbl.mem seen i) then begin
-        Hashtbl.add seen i ();
-        (match Quantum.Gate.qubits (gate_kind i) with
-         | [ a; b ] when Quantum.Gate.is_two_q (gate_kind i) ->
-           acc := (a, b) :: !acc;
-           incr count
-         | _ -> ());
-        Quantum.Dag.iter_succs (fun j -> Queue.add j q) dag i
-      end
-    done;
-    !acc
+  (* The pairs a candidate SWAP is scored on: the blocked front pairs and
+     the first [lookahead_window] two-qubit gates of a breadth-first walk
+     from the frontier. Both depend on the frontier alone, so they are
+     collected once per stall. [inc_*] is a per-logical-qubit incidence
+     list over both: entry [e] of qubit [l] names the pair's other qubit
+     [inc_other.(e)] and whether it is a front pair. *)
+  let front_a = Array.make (max 1 nl) 0 and front_b = Array.make (max 1 nl) 0 in
+  let look_a = Array.make lookahead_window 0 and look_b = Array.make lookahead_window 0 in
+  let n_front = ref 0 and n_look = ref 0 in
+  let inc_cap = (2 * nl) + (2 * lookahead_window) in
+  let inc_head = Array.make (max 1 nl) (-1) in
+  let inc_other = Array.make inc_cap 0 and inc_next = Array.make inc_cap 0 in
+  let inc_front = Array.make inc_cap false in
+  let n_inc = ref 0 in
+  let seen = Array.make n (-1) and bfs = Queue.create () in
+  let collections = ref 0 in
+  let link a b front =
+    let add l other =
+      let e = !n_inc in
+      inc_other.(e) <- other;
+      inc_front.(e) <- front;
+      inc_next.(e) <- inc_head.(l);
+      inc_head.(l) <- e;
+      n_inc := e + 1
+    in
+    add a b;
+    add b a
   in
-  let dist a b = Hardware.Device.distance device a b in
-  let last_swap = ref (-1, -1) in
-  let progress = ref true in
+  let collect () =
+    for k = 0 to !n_front - 1 do
+      inc_head.(front_a.(k)) <- -1;
+      inc_head.(front_b.(k)) <- -1
+    done;
+    for k = 0 to !n_look - 1 do
+      inc_head.(look_a.(k)) <- -1;
+      inc_head.(look_b.(k)) <- -1
+    done;
+    n_inc := 0;
+    n_front := 0;
+    List.iter
+      (fun i ->
+        if qa.(i) >= 0 then begin
+          front_a.(!n_front) <- qa.(i);
+          front_b.(!n_front) <- qb.(i);
+          incr n_front;
+          link qa.(i) qb.(i) true
+        end)
+      !frontier;
+    (* Nodes are marked seen when popped, as a node reached along two
+       paths is queued twice. *)
+    incr collections;
+    n_look := 0;
+    Queue.clear bfs;
+    List.iter (fun i -> Queue.add i bfs) !frontier;
+    while (not (Queue.is_empty bfs)) && !n_look < lookahead_window do
+      let i = Queue.pop bfs in
+      if seen.(i) <> !collections then begin
+        seen.(i) <- !collections;
+        if qa.(i) >= 0 then begin
+          look_a.(!n_look) <- qa.(i);
+          look_b.(!n_look) <- qb.(i);
+          incr n_look;
+          link qa.(i) qb.(i) false
+        end;
+        for e = adj.succ_start.(i) to adj.succ_start.(i + 1) - 1 do
+          Queue.add adj.succ_ids.(e) bfs
+        done
+      end
+    done
+  in
+  let sum_dist a b len =
+    let s = ref 0 in
+    for k = 0 to len - 1 do
+      s := !s + dist.(l2p.(a.(k))).(l2p.(b.(k)))
+    done;
+    !s
+  in
+  (* Summed front and lookahead distances under the current layout. *)
+  let base_front = ref 0 and base_look = ref 0 in
+  let pair_scores = ref 0 in
+  let delta_front = ref 0 and delta_look = ref 0 in
+  (* Adds to [delta_*] the change of every pair of logical [l], moving
+     from distance row [from_row] to [to_row], whose other qubit is
+     neither [l1] nor [l2] (a pair on both moves keeps its distance). *)
+  let accumulate l l1 l2 from_row to_row =
+    let e = ref inc_head.(l) in
+    while !e >= 0 do
+      let x = inc_other.(!e) in
+      if x <> l1 && x <> l2 then begin
+        let px = l2p.(x) in
+        let d = to_row.(px) - from_row.(px) in
+        if inc_front.(!e) then delta_front := !delta_front + d
+        else delta_look := !delta_look + d;
+        incr pair_scores
+      end;
+      e := inc_next.(!e)
+    done
+  in
+  (* Stalled SWAPs, newest first: emitted once a gate routes, undone if
+     the release valve fires. *)
+  let pending = ref [] and stalled = ref 0 in
+  let swap p1 p2 =
+    Guard.Inject.hit "route.swap";
+    Layout.apply_swap layout p1 p2;
+    pending := (p1, p2) :: !pending
+  in
+  let flush () =
+    List.iter (fun (p1, p2) -> Quantum.Circuit.Builder.swap out p1 p2) (List.rev !pending);
+    swaps := !swaps + List.length !pending;
+    pending := [];
+    stalled := 0
+  in
+  let stall_limit = stall_factor * Hardware.Device.num_qubits device in
+  let valves = ref 0 in
+  (* SABRE's release valve: undo the stalled SWAPs, then walk the closest
+     blocked front pair together along a shortest path. *)
+  let release () =
+    incr valves;
+    List.iter (fun (p1, p2) -> Layout.apply_swap layout p1 p2) !pending;
+    pending := [];
+    stalled := 0;
+    let pair_dist k = dist.(l2p.(front_a.(k))).(l2p.(front_b.(k))) in
+    let closest = ref 0 in
+    for k = 1 to !n_front - 1 do
+      if pair_dist k < pair_dist !closest then closest := k
+    done;
+    let a = front_a.(!closest) and b = front_b.(!closest) in
+    while dist.(l2p.(a)).(l2p.(b)) > 1 do
+      let pa = l2p.(a) and pb = l2p.(b) in
+      let closer = dist.(pa).(pb) - 1 in
+      match List.find_opt (fun p -> dist.(p).(pb) = closer) (Array.to_list nbrs.(pa)) with
+      | Some p -> swap pa p
+      | None -> invalid_arg "Router.route: front pair on disconnected qubits"
+    done
+  in
+  let last1 = ref (-1) and last2 = ref (-1) in
+  let progress = ref true and dirty = ref true in
   (* A diverging search trips the step budget as a typed, recoverable
      error instead of an untyped failwith; the same ticker also honours
      any cooperative wall-clock deadline. *)
@@ -77,79 +204,79 @@ let route device layout (circuit : Quantum.Circuit.t) =
   while !frontier <> [] do
     tick ();
     if not !progress then begin
-      (* Blocked: every frontier gate is a non-adjacent two-qubit gate.
-         Choose the best swap among edges incident to frontier qubits. *)
-      let front_pairs =
-        List.filter_map
-          (fun i ->
-            match Quantum.Gate.qubits (gate_kind i) with
-            | [ a; b ] when Quantum.Gate.is_two_q (gate_kind i) -> Some (a, b)
-            | _ -> None)
-          !frontier
-      in
-      let ext = extended_set () in
-      let score_mapping phys_of =
-        let front =
-          List.fold_left
-            (fun acc (a, b) -> acc + dist (phys_of a) (phys_of b))
-            0 front_pairs
+      (* Blocked: every frontier gate is a non-adjacent two-qubit gate. *)
+      if !dirty then begin
+        collect ();
+        base_front := sum_dist front_a front_b !n_front;
+        base_look := sum_dist look_a look_b !n_look;
+        dirty := false
+      end;
+      if !stalled >= stall_limit then release ()
+      else begin
+        (* Candidates are the edges at each front pair's qubits, in
+           frontier order; the first strictly best score wins. *)
+        let best1 = ref (-1) and best2 = ref (-1) and best_s = ref 0. in
+        let best_front = ref 0 and best_look = ref 0 in
+        let consider l1 =
+          let p1 = l2p.(l1) in
+          let ns = nbrs.(p1) in
+          for j = 0 to Array.length ns - 1 do
+            let p2 = ns.(j) in
+            if not ((p1 = !last1 && p2 = !last2) || (p2 = !last1 && p1 = !last2)) then begin
+              let l2 = p2l.(p2) in
+              delta_front := 0;
+              delta_look := 0;
+              accumulate l1 l1 l2 dist.(p1) dist.(p2);
+              if l2 >= 0 then accumulate l2 l1 l2 dist.(p2) dist.(p1);
+              let front = !base_front + !delta_front in
+              let look = !base_look + !delta_look in
+              let s =
+                float_of_int front
+                +. (lookahead_weight *. float_of_int look)
+                (* error-aware tie-break: prefer low-error links *)
+                +. (0.01 *. nbr_error.(p1).(j))
+              in
+              if !best1 < 0 || s < !best_s then begin
+                best1 := p1;
+                best2 := p2;
+                best_s := s;
+                best_front := front;
+                best_look := look
+              end
+            end
+          done
         in
-        let look =
-          List.fold_left
-            (fun acc (a, b) -> acc + dist (phys_of a) (phys_of b))
-            0 ext
-        in
-        float_of_int front +. (lookahead_weight *. float_of_int look)
-      in
-      let candidates =
-        List.concat_map
-          (fun (a, b) ->
-            let edges_of q =
-              List.map (fun nb -> (phys q, nb)) (Hardware.Device.neighbors device (phys q))
-            in
-            edges_of a @ edges_of b)
-          front_pairs
-      in
-      let best = ref None in
-      List.iter
-        (fun (p1, p2) ->
-          if (p1, p2) <> !last_swap && (p2, p1) <> !last_swap then begin
-            let phys_of q =
-              let p = phys q in
-              if p = p1 then p2 else if p = p2 then p1 else p
-            in
-            let s =
-              score_mapping phys_of
-              (* error-aware tie-break: prefer low-error links *)
-              +. (0.01 *. Hardware.Device.cx_error device p1 p2)
-            in
-            match !best with
-            | Some (_, _, s') when s' <= s -> ()
-            | _ -> best := Some (p1, p2, s)
-          end)
-        candidates;
-      (match !best with
-       | Some (p1, p2, _) ->
-         Guard.Inject.hit "route.swap";
-         Quantum.Circuit.Builder.swap out p1 p2;
-         Layout.apply_swap layout p1 p2;
-         incr swaps;
-         last_swap := (p1, p2)
-       | None ->
-         (* Only the undone inverse of the last swap remains; allow it. *)
-         last_swap := (-1, -1))
+        for k = 0 to !n_front - 1 do
+          consider front_a.(k);
+          consider front_b.(k)
+        done;
+        if !best1 >= 0 then begin
+          swap !best1 !best2;
+          incr stalled;
+          base_front := !best_front;
+          base_look := !best_look;
+          last1 := !best1;
+          last2 := !best2
+        end
+        else begin
+          (* Only the undone inverse of the last swap remains; allow it. *)
+          last1 := -1;
+          last2 := -1
+        end
+      end
     end;
     progress := false;
-    let rec drain () =
+    while List.exists executable !frontier do
       let ready, blocked = List.partition executable !frontier in
-      if ready <> [] then begin
-        progress := true;
-        last_swap := (-1, -1);
-        frontier := blocked;
-        List.iter emit ready;
-        drain ()
-      end
-    in
-    drain ()
+      progress := true;
+      dirty := true;
+      last1 := -1;
+      last2 := -1;
+      flush ();
+      frontier := blocked;
+      List.iter emit ready
+    done
   done;
+  Obs.Metrics.incr ~by:!pair_scores "route.pair_scores";
+  if !valves > 0 then Obs.Metrics.incr ~by:!valves "route.release_valve";
   { physical = Quantum.Circuit.Builder.build out; swaps_added = !swaps; final_layout = layout }

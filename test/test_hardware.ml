@@ -101,6 +101,51 @@ let test_device_quality_prefers_connectivity () =
   check bool "middle better" true
     (Hardware.Device.qubit_quality line 2 > Hardware.Device.qubit_quality line 0)
 
+(* The flat link and quality tables agree with the calibration they were
+   built from, link by link and qubit by qubit. Floats are compared
+   exactly: the router's scores depend on every bit. *)
+let test_device_tables () =
+  let exact = Alcotest.float 0. in
+  List.iter
+    (fun (name, d) ->
+      let cal = d.Hardware.Device.calibration and g = d.Hardware.Device.coupling in
+      for u = 0 to Hardware.Device.num_qubits d - 1 do
+        let ns = Galg.Graph.neighbors g u in
+        check (Alcotest.list int) (name ^ ": neighbours") ns
+          (Array.to_list d.Hardware.Device.nbrs.(u));
+        List.iteri
+          (fun i v ->
+            let l = Hardware.Calibration.link cal u v in
+            check exact (name ^ ": error table") l.Hardware.Calibration.cx_error
+              d.Hardware.Device.nbr_error.(u).(i);
+            check int (name ^ ": duration table") l.Hardware.Calibration.cx_duration_dt
+              d.Hardware.Device.nbr_duration.(u).(i);
+            check exact (name ^ ": cx_error") l.Hardware.Calibration.cx_error
+              (Hardware.Device.cx_error d u v);
+            check int (name ^ ": cx_duration") l.Hardware.Calibration.cx_duration_dt
+              (Hardware.Device.cx_duration d u v))
+          ns;
+        let best_link =
+          List.fold_left
+            (fun acc v ->
+              Float.max acc (1. -. (Hardware.Calibration.link cal u v).Hardware.Calibration.cx_error))
+            0. ns
+        in
+        let quality =
+          (0.5 *. float_of_int (Galg.Graph.degree g u))
+          +. (1. -. (Hardware.Calibration.qubit cal u).Hardware.Calibration.readout_error)
+          +. best_link
+        in
+        check exact (name ^ ": quality") quality (Hardware.Device.qubit_quality d u)
+      done)
+    [
+      ("mumbai", Hardware.Device.mumbai);
+      ("heavy hex 64", Hardware.Device.heavy_hex_for 64);
+      ("heavy hex 130", Hardware.Device.heavy_hex_for 130);
+      ("ideal", Hardware.Device.ideal (Hardware.Topology.grid ~rows:3 ~cols:4));
+      ("noise x2", Hardware.Device.with_noise_scale 2. Hardware.Device.mumbai);
+    ]
+
 let test_heavy_hex_for () =
   let d = Hardware.Device.heavy_hex_for 64 in
   check bool ">= 64" true (Hardware.Device.num_qubits d >= 64);
@@ -130,5 +175,6 @@ let () =
           Alcotest.test_case "queries" `Quick test_device_queries;
           Alcotest.test_case "quality" `Quick test_device_quality_prefers_connectivity;
           Alcotest.test_case "heavy hex for" `Quick test_heavy_hex_for;
+          Alcotest.test_case "flat tables" `Quick test_device_tables;
         ] );
     ]
