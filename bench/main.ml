@@ -36,16 +36,11 @@ let check_artifact device ~logical ~physical =
     Printf.printf "!! STRUCTURAL VIOLATION: %s\n%!" cex.Verify.Verdict.detail
   | _ -> ()
 
-let input_of (e : Benchmarks.Suite.entry) =
-  match e.Benchmarks.Suite.kind with
-  | Benchmarks.Suite.Regular -> Caqr.Pipeline.Regular e.Benchmarks.Suite.circuit
-  | Benchmarks.Suite.Commutable g -> Caqr.Pipeline.Commutable g
-
 (* The routed tradeoff sweep of one benchmark (paper Tables 1-2, Fig. 13):
    every reuse level compiled onto Mumbai, each row structurally checked
    against its compacted logical circuit. *)
 let sweep_rows (e : Benchmarks.Suite.entry) =
-  let rows = Caqr.Pipeline.sweep_stats mumbai (input_of e) in
+  let rows = Caqr.Pipeline.sweep_stats mumbai (Benchmarks.Suite.input e) in
   List.iter
     (fun (r : Caqr.Pipeline.sweep_row) ->
       check_artifact mumbai
@@ -519,7 +514,7 @@ let verify_exp () =
   let bad = ref 0 in
   List.iter
     (fun (e : Benchmarks.Suite.entry) ->
-      let input = input_of e in
+      let input = Benchmarks.Suite.input e in
       (* Semantic probing of a 2^20+ state vector costs minutes per
          strategy; past 16 program qubits the structural pass carries
          the experiment. *)
@@ -703,7 +698,7 @@ let engines_measurements () =
     let rows =
       List.map
         (fun (e : Benchmarks.Suite.entry) ->
-          let input = input_of e in
+          let input = Benchmarks.Suite.input e in
           let cells =
             List.map
               (fun strategy ->
@@ -919,7 +914,7 @@ let perf () =
       (fun (e : Benchmarks.Suite.entry) ->
         let c = e.Benchmarks.Suite.circuit in
         let inc = run_engine (fun c -> Caqr.Qs_caqr.sweep c) c in
-        let fresh = run_engine (fun c -> Caqr.Qs_caqr.reference_sweep c) c in
+        let fresh = run_engine (fun c -> Fuzz.Qs_ref.sweep c) c in
         let identical = inc.er_steps = fresh.er_steps in
         let work = ratio fresh.er_analyze_s inc.er_analyze_s in
         let speedup = ratio fresh.er_wall_s inc.er_wall_s in

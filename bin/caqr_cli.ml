@@ -19,10 +19,11 @@
 
 let all_strategies = Caqr.Pipeline.all_strategies
 
-let input_of_entry (e : Benchmarks.Suite.entry) =
-  match e.Benchmarks.Suite.kind with
-  | Benchmarks.Suite.Regular -> Caqr.Pipeline.Regular e.Benchmarks.Suite.circuit
-  | Benchmarks.Suite.Commutable g -> Caqr.Pipeline.Commutable g
+(* [contains r needle]: [needle] occurs in the response line [r]. *)
+let contains r needle =
+  let n = String.length needle and m = String.length r in
+  let rec go i = i + n <= m && (String.sub r i n = needle || go (i + 1)) in
+  go 0
 
 let find_entry name =
   try Ok (Benchmarks.Suite.find name)
@@ -216,7 +217,7 @@ let compile_cmd =
     let r =
       Caqr.Pipeline.compile
         ~options:(options_for ~jobs ?deadline_ms ~fallback timings)
-        device strategy (input_of_entry entry)
+        device strategy (Benchmarks.Suite.input entry)
     in
     Format.printf "%s / %s:@.  %a@.  reuse pairs: %d@.  quality: %s@."
       entry.Benchmarks.Suite.name
@@ -248,7 +249,7 @@ let sweep_cmd =
           r.stats.Transpiler.Transpile.depth
           r.stats.Transpiler.Transpile.duration_dt
           r.stats.Transpiler.Transpile.swaps)
-      (Caqr.Pipeline.sweep_stats ~jobs device (input_of_entry entry))
+      (Caqr.Pipeline.sweep_stats ~jobs device (Benchmarks.Suite.input entry))
   in
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "sweep" ~doc:"Print the qubit/depth tradeoff table")
@@ -258,7 +259,9 @@ let sweep_cmd =
 
 let check_cmd =
   let run entry =
-    let yes, why = Caqr.Pipeline.beneficial (device_for entry) (input_of_entry entry) in
+    let yes, why =
+      Caqr.Pipeline.beneficial (device_for entry) (Benchmarks.Suite.input entry)
+    in
     Printf.printf "%s: %s — %s\n" entry.Benchmarks.Suite.name
       (if yes then "reuse is beneficial" else "no reuse benefit")
       why;
@@ -323,7 +326,7 @@ let simulate_cmd =
     let device = device_for entry in
     let r =
       Caqr.Pipeline.compile ~options:(options_for ~jobs false) device strategy
-        (input_of_entry entry)
+        (Benchmarks.Suite.input entry)
     in
     let counts =
       (* The noise model keeps one monolithic RNG stream per run, so it
@@ -347,7 +350,7 @@ let simulate_cmd =
 let verify_cmd =
   let run entry level seed jobs =
     let device = device_for entry in
-    let input = input_of_entry entry in
+    let input = Benchmarks.Suite.input entry in
     let options =
       { Caqr.Pipeline.default with verify = Some level; seed; jobs }
     in
@@ -425,7 +428,7 @@ let fuzz_cmd =
       & info [ "oracle" ] ~docv:"NAME"
           ~doc:
             "Restrict to one oracle (repeatable): engines, verified, \
-             roundtrip, simulation. Default: all of them.")
+             roundtrip. Default: all of them.")
   in
   let corpus_flag =
     Cmdliner.Arg.(
@@ -502,7 +505,7 @@ let chaos_cmd =
     let workloads =
       List.map
         (fun (e : Benchmarks.Suite.entry) ->
-          (e.Benchmarks.Suite.name, input_of_entry e))
+          (e.Benchmarks.Suite.name, Benchmarks.Suite.input e))
         benches
     in
     let cells = Fuzz.Chaos.run ~seed ?deadline_ms workloads in
@@ -700,11 +703,6 @@ let call_cmd =
       & info [] ~docv:"REQUEST"
           ~doc:"JSON request objects, one per argument, sent as one batch.")
   in
-  let contains r needle =
-    let n = String.length needle and m = String.length r in
-    let rec go i = i + n <= m && (String.sub r i n = needle || go (i + 1)) in
-    go 0
-  in
   let call_seed_flag =
     Cmdliner.Arg.(
       value & opt int 1
@@ -892,17 +890,7 @@ let cache_warm_cmd =
         (Benchmarks.Suite.table1 ())
     in
     let responses, _ = Serve.Server.handle_batch server lines in
-    let failed =
-      List.filter
-        (fun r ->
-          let needle = {|"ok":false|} in
-          let n = String.length needle and m = String.length r in
-          let rec go i =
-            i + n <= m && (String.sub r i n = needle || go (i + 1))
-          in
-          go 0)
-        responses
-    in
+    let failed = List.filter (fun r -> contains r {|"ok":false|}) responses in
     Printf.printf "caqr_cli cache-warm: %d of %d entries compiled into %s\n%!"
       (List.length responses - List.length failed)
       (List.length responses) cache_dir;

@@ -15,11 +15,7 @@ let () =
   in
   let circuit = entry.Benchmarks.Suite.circuit in
   let device = Hardware.Device.mumbai in
-  let input =
-    match entry.Benchmarks.Suite.kind with
-    | Benchmarks.Suite.Regular -> Caqr.Pipeline.Regular circuit
-    | Benchmarks.Suite.Commutable g -> Caqr.Pipeline.Commutable g
-  in
+  let input = Benchmarks.Suite.input entry in
   (* The ideal outcome, for success-rate scoring. *)
   let ideal = Sim.Executor.distribution ~seed:1 circuit in
   let target = Sim.Counts.top ideal in

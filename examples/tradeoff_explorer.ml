@@ -19,13 +19,11 @@ let () =
   in
   Printf.printf "Tradeoff sweep for %s (%s)\n\n" entry.Benchmarks.Suite.name
     entry.Benchmarks.Suite.description;
-  let input =
-    match entry.Benchmarks.Suite.kind with
-    | Benchmarks.Suite.Regular -> Caqr.Pipeline.Regular entry.Benchmarks.Suite.circuit
-    | Benchmarks.Suite.Commutable g ->
-      Printf.printf "coloring bound: %d qubits\n" (Caqr.Commute.min_qubits g);
-      Caqr.Pipeline.Commutable g
-  in
+  let input = Benchmarks.Suite.input entry in
+  (match input with
+   | Caqr.Pipeline.Commutable g ->
+     Printf.printf "coloring bound: %d qubits\n" (Caqr.Commute.min_qubits g)
+   | Caqr.Pipeline.Regular _ -> ());
   Printf.printf "%-8s %-12s %-14s %-14s %-8s\n" "qubits" "log.depth"
     "compiled.depth" "duration(dt)" "swaps";
   List.iter

@@ -7,6 +7,11 @@ type entry = {
   description : string;
 }
 
+let input e =
+  match e.kind with
+  | Regular -> Caqr.Engine.Regular e.circuit
+  | Commutable g -> Caqr.Engine.Commutable g
+
 let regular () =
   [
     {

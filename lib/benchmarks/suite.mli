@@ -14,6 +14,10 @@ type entry = {
   description : string;
 }
 
+(** [input e] is the engine input of [e]: its circuit when [Regular],
+    its problem graph when [Commutable]. *)
+val input : entry -> Caqr.Engine.input
+
 (** The regular benchmarks of Table 1: RD-32, 4mod5, Multiply_13,
     System_9, BV_10, CC_10, XOR_5. *)
 val regular : unit -> entry list

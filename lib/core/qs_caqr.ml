@@ -1,60 +1,21 @@
-type objective = Depth | Duration
 type order = Score | Chain | Both
+type search_opts = { budget : int; order : order }
 
-type search_opts = {
-  objective : objective;
-  budget : int;
-  order : order;
-}
+let default_opts = { budget = 400; order = Both }
 
-let default_opts = { objective = Depth; budget = 400; order = Both }
-
-let score objective analysis pair =
-  match objective with
-  | Depth -> Reuse.predict_depth analysis pair
-  | Duration -> Reuse.predict_duration analysis pair
-
-let best_pair objective circuit =
-  let analysis = Reuse.analyze circuit in
-  let candidates = Reuse.valid_pairs analysis in
-  List.fold_left
-    (fun best pair ->
-      let s = score objective analysis pair in
-      (* Tie-break on the other metric to keep choices deterministic and
-         sensible. *)
-      let s2 =
-        match objective with
-        | Depth -> Reuse.predict_duration analysis pair
-        | Duration -> Reuse.predict_depth analysis pair
-      in
-      match best with
-      | Some (_, s', s2') when (s', s2') <= (s, s2) -> best
-      | _ -> Some (pair, s, s2))
-    None candidates
-  |> Option.map (fun (pair, _, _) -> pair)
-
-let reduce_once ?(opts = default_opts) circuit =
-  match best_pair opts.objective circuit with
-  | None -> None
-  | Some pair -> Some (pair, Reuse.apply circuit pair)
-
-(* Greedy-by-score reduction can paint itself into a corner (e.g. two
-   parallel reuse chains whose gates interleave on a shared partner can
-   never merge afterwards), so budget-bounded DFS backtracking is used
-   when a hard qubit target must be reached. Candidates are still tried
-   best-score-first, so the first solution found is the greedy one
-   whenever greedy succeeds. *)
-(* Candidate orderings for the backtracking search. [Score] is the
-   greedy objective order; [Chain] reuses the earliest-finishing wire
-   first, which builds serial chains (the paper's Fig. 1 construction)
-   and keeps merge options open for deep reductions. *)
-let candidate_key order objective analysis p =
+(* Candidate orderings for the backtracking search. [Score] is greedy
+   on the predicted depth ({!Reuse.predict_depth}), the paper's
+   critical-path rule; [Chain] reuses the earliest-finishing wire first,
+   which builds serial chains (the paper's Fig. 1 construction) and
+   keeps merge options open for deep reductions. *)
+let candidate_key order analysis p =
   match order with
-  | Score | Both -> (score objective analysis p, 0)
-  | Chain -> (Reuse.src_finish_depth analysis p, Reuse.dst_start_depth analysis p)
+  | Score | Both -> (Reuse.predict_depth analysis p, 0)
+  | Chain ->
+    (Reuse.src_finish_depth analysis p, Reuse.dst_start_depth analysis p)
 
-let ordered_candidates order objective analysis =
-  let key = candidate_key order objective analysis in
+let ordered_candidates order analysis =
+  let key = candidate_key order analysis in
   (* Decorate-sort-undecorate with a stable sort: same order as sorting
      with [key] in the comparator (ties keep [valid_pairs] order), but
      each key is computed once — the candidate lists of 100-1000 qubit
@@ -220,10 +181,9 @@ let child_analysis cache parent pair id =
    with [Score] first, then [Chain]). *)
 let order_tag = function Score | Both -> 0 | Chain -> 1
 
-let candidates_for cache order objective analysis id =
-  let obj = match objective with Depth -> 0 | Duration -> 1 in
-  cached cache.candidates ((4 * id) + (2 * order_tag order) + obj) (fun () ->
-      ordered_candidates order objective analysis)
+let candidates_for cache order analysis id =
+  cached cache.candidates ((2 * id) + order_tag order) (fun () ->
+      ordered_candidates order analysis)
 
 let width_floor_cached cache circuit =
   match cache.floor with
@@ -276,7 +236,7 @@ let link_hash tail dst =
   let x = (x lxor (x lsr 29)) * 0x1b87_3593_9e37_79b9 in
   x lxor (x lsr 32)
 
-let search_incremental ?observer ~cache order objective budget target circuit =
+let search_incremental ?observer ~cache order budget target circuit =
   let nodes = ref 0 in
   let note u c rp = match observer with Some o -> o.note u c rp | None -> () in
   let frontier d =
@@ -306,7 +266,7 @@ let search_incremental ?observer ~cache order objective budget target circuit =
       Found (Reuse.circuit analysis, List.rev rev_pairs)
     else if !nodes > budget then Cut
     else begin
-      let cands = candidates_for cache order objective analysis id in
+      let cands = candidates_for cache order analysis id in
       frontier (List.length cands);
       let rec attempt = function
         | [] -> Exhausted
@@ -389,8 +349,7 @@ let search_out ?observer ~cache opts target circuit =
   end
   else
     with_order opts (fun order ->
-        search_incremental ?observer ~cache order opts.objective opts.budget
-          target circuit)
+        search_incremental ?observer ~cache order opts.budget target circuit)
 
 let found = function Found (c, pairs) -> Some (c, pairs) | Exhausted | Cut -> None
 
@@ -417,57 +376,22 @@ let descend ~search circuit on_found =
   in
   go (Reuse.qubit_usage circuit - 1)
 
-let sweep_by ~search circuit =
-  let steps = ref [ Engine.make_step circuit [] ] in
-  ignore
-    (descend ~search circuit (fun c pairs ->
-         steps := Engine.make_step c pairs :: !steps));
-  List.rev !steps
-
 let sweep ?(opts = default_opts) circuit =
   let cache = new_cache () in
-  sweep_by circuit ~search:(fun target ->
-      search_out ~cache opts target circuit)
+  let steps = ref [ Engine.make_step circuit [] ] in
+  ignore
+    (descend circuit
+       ~search:(fun target -> search_out ~cache opts target circuit)
+       (fun c pairs -> steps := Engine.make_step c pairs :: !steps));
+  List.rev !steps
 
-(* Reference search: rebuild circuit + closure from scratch at every DFS
-   node and order candidates with a plain comparator sort, sharing none
-   of the incremental machinery. Kept as an independent check of
-   [sweep] for the differential tests, the engines fuzz oracle and the
-   perf bench. *)
-let reference_dfs order objective budget target circuit =
-  let nodes = ref 0 in
-  let ordered analysis =
-    let key = candidate_key order objective analysis in
-    List.stable_sort
-      (fun a b -> compare (key a) (key b))
-      (Reuse.valid_pairs analysis)
-  in
-  let rec go circuit pairs =
-    if Reuse.qubit_usage circuit <= target then Found (circuit, List.rev pairs)
-    else if !nodes > budget then Cut
-    else begin
-      let rec attempt = function
-        | [] -> Exhausted
-        | p :: rest ->
-          incr nodes;
-          Obs.Metrics.incr "qs.search.nodes";
-          if !nodes > budget then Cut
-          else begin
-            match go (Reuse.apply circuit p) (p :: pairs) with
-            | Found _ as r -> r
-            | Cut -> Cut
-            | Exhausted -> attempt rest
-          end
-      in
-      attempt (ordered (Reuse.analyze circuit))
-    end
-  in
-  go circuit []
-
-let reference_sweep ?(opts = default_opts) circuit =
-  sweep_by circuit ~search:(fun target ->
-      with_order opts (fun order ->
-          reference_dfs order opts.objective opts.budget target circuit))
+(* The greedy step is the first search of the descent: one qubit fewer
+   is reached by the best-scored valid pair, so this is row 1 of
+   [sweep]. *)
+let reduce_once circuit =
+  match search ~target:(Reuse.qubit_usage circuit - 1) circuit with
+  | Some (c, [ pair ]) -> Some (pair, c)
+  | Some _ | None -> None
 
 let opportunity circuit =
   let analysis = Reuse.analyze circuit in

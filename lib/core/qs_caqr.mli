@@ -7,33 +7,33 @@
     maximal-reuse or minimal-depth point (Table 1) or plot the
     qubit-vs-depth tradeoff (Figs. 3, 13, 14).
 
-    Every entry point takes one {!search_opts} value, so a sweep and a
-    targeted search can share a configuration. *)
-
-type objective = Depth | Duration
+    Every search entry point but {!reduce_once} takes one {!search_opts}
+    value, so a sweep and a targeted search can share a configuration. *)
 
 (** Candidate ordering for the backtracking search. [Score] is pure
-    greedy on the objective; [Chain] pairs the earliest-finishing wire
-    with the earliest-starting qubit (the paper's Fig. 1 serial
-    construction); [Both] falls back from the first to the second —
-    exposed separately so the ablation bench can compare them. *)
+    greedy on {!Reuse.predict_depth}, the critical-path impact the paper
+    ranks pairs by; [Chain] pairs the earliest-finishing wire with the
+    earliest-starting qubit (the paper's Fig. 1 serial construction);
+    [Both] falls back from the first to the second — exposed separately
+    so the ablation bench can compare them. *)
 type order = Score | Chain | Both
 
-(** One options value shared by {!search}, {!sweep}, {!min_qubits},
-    {!max_reuse} and {!reduce_once}. Build variations with
-    functional update: [{ default_opts with objective = Duration }]. *)
+(** One options value shared by {!search}, {!sweep}, {!min_qubits} and
+    {!max_reuse}. Build variations with functional update:
+    [{ default_opts with budget = 40 }]. *)
 type search_opts = {
-  objective : objective;
   budget : int;  (** DFS node budget per search (default 400) *)
   order : order;
 }
 
 val default_opts : search_opts
 
-(** [reduce_once ?opts circuit] applies the best single reuse, or [None]
-    when no valid pair exists. Only [opts.objective] is consulted. *)
-val reduce_once :
-  ?opts:search_opts -> Quantum.Circuit.t -> (Reuse.pair * Quantum.Circuit.t) option
+(** [reduce_once circuit] applies the best single reuse — the valid
+    pair of least predicted depth, ties to the first in
+    {!Reuse.valid_pairs} order — or [None] when no valid pair exists.
+    It is [search ~target:(usage - 1) circuit], the first step of
+    {!sweep}: row 1 of [sweep circuit] is its pair and circuit. *)
+val reduce_once : Quantum.Circuit.t -> (Reuse.pair * Quantum.Circuit.t) option
 
 (** [sweep ?opts circuit] returns the full reduction trajectory,
     starting with the untouched circuit and descending one qubit target
@@ -47,16 +47,6 @@ val reduce_once :
     (["qs.search.replays"], ["qs.search.replayed_nodes"]).
     ["qs.search.nodes"] still counts every node of the plain DFS. *)
 val sweep : ?opts:search_opts -> Quantum.Circuit.t -> Engine.step list
-
-(** [reference_sweep ?opts circuit] — the trajectory of
-    [sweep ?opts circuit], computed independently: every DFS node
-    rebuilds the circuit and its O(n^2) closure from scratch, candidates
-    are ordered by a plain comparator sort, and nothing is memoized —
-    no prefix memo, no transposition replay, no width floor. It exists
-    as the differential check for {!sweep} (tests, the engines fuzz
-    oracle) and as the perf bench's baseline; it ignores wall-clock
-    budgets. *)
-val reference_sweep : ?opts:search_opts -> Quantum.Circuit.t -> Engine.step list
 
 (** [search ?opts ~target circuit] answers the paper's user query "can
     this circuit run on [target] qubits?": it finds a reuse sequence
@@ -85,8 +75,9 @@ val max_reuse : ?opts:search_opts -> Quantum.Circuit.t -> Quantum.Circuit.t
     sequence can reach: the size of a clique of mutually reaching active
     qubits, which no reuse can ever put on one wire. Every search entry
     point fails at once, without expanding a DFS node, for a target
-    below it, bumping ["qs.search.floor_skips"]. [reference_sweep]
-    ignores it, so comparing the two also checks it is sound. *)
+    below it, bumping ["qs.search.floor_skips"]. The reference search
+    in [Fuzz.Qs_ref] ignores it, so comparing the two also checks it is
+    sound. *)
 val width_floor : Quantum.Circuit.t -> int
 
 (** Is there any reuse opportunity at all? (The paper's applicability

@@ -15,74 +15,59 @@ type analysis = {
      incremental algebra cannot track them; their presence forces
      {!apply_incremental} onto the fresh-rebuild path. *)
   barriers : bool;
-  (* earliest finish / longest tail per gate, in unit depth and in dt *)
-  ef_depth : int array;
-  tail_depth : int array;
-  ef_dur : int array;
-  tail_dur : int array;
-  cp_depth : int;
-  cp_dur : int;
-  model : Quantum.Duration.t;
+  cp_depth : int;  (* critical path, in unit depth *)
   (* Gates touching each clbit, for the reset splice's sole-user test.
      Lazy: predictions consult it on every candidate pair, but only wires
      ending in a measurement ever force it. *)
   clbit_users : int array Lazy.t;
   (* Per-qubit prediction summaries (max/min over the wire's gates of the
-     gate-level schedules above). Scoring a candidate pair is then O(1),
-     which is what makes sorting the ~k^2 candidate lists of 100-1000
-     qubit circuits affordable; one O(gates) pass amortizes over every
-     pair scored against this analysis. Lazy: [valid]/[valid_pairs]
-     never force it. *)
+     gate-level earliest-finish and longest-tail depths). Scoring a
+     candidate pair is then O(1), which is what makes sorting the ~k^2
+     candidate lists of 100-1000 qubit circuits affordable; one O(gates)
+     pass amortizes over every pair scored against this analysis. Lazy:
+     [valid]/[valid_pairs] never force it. *)
   q_summary : qsummary Lazy.t;
 }
 
 and qsummary = {
   fin_depth : int array;  (* max ef_depth over gates on q; 0 if none *)
-  fin_dur : int array;
   tail_d : int array;  (* max tail_depth over gates on q; 0 if none *)
-  tail_u : int array;
   start_d : int array;  (* min ef_depth over gates on q; 0 if none *)
   ends_meas : bool array;  (* wire ends in a sole-user measurement *)
 }
 
-(* Earliest-finish and longest-tail schedules in unit depth and in dt,
-   one forward and one backward sweep over the DAG for both weightings.
-   This runs once per search node, so it loops over the DAG's flat
-   adjacency in place and allocates only the four result arrays. *)
-let schedules circuit dag model =
+(* Earliest-finish and longest-tail schedules in unit depth, one
+   forward and one backward sweep over the DAG. This runs once per
+   search node, so it loops over the DAG's flat adjacency in place and
+   allocates only the two result arrays. *)
+let schedules circuit dag =
   let gates = circuit.Quantum.Circuit.gates in
   let { Quantum.Dag.pred_start; pred_ids; succ_start; succ_ids } =
     Quantum.Dag.adjacency dag
   in
   let n = Quantum.Dag.num_nodes dag in
-  let ef_depth = Array.make n 0 and ef_dur = Array.make n 0 in
-  let tail_depth = Array.make n 0 and tail_dur = Array.make n 0 in
-  let cp_depth = ref 0 and cp_dur = ref 0 in
+  let ef_depth = Array.make n 0 and tail_depth = Array.make n 0 in
+  let cp_depth = ref 0 in
   for i = 0 to n - 1 do
     let kind = gates.(i).Quantum.Gate.kind in
-    let sd = ref 0 and su = ref 0 in
+    let sd = ref 0 in
     for e = pred_start.(i) to pred_start.(i + 1) - 1 do
       let p = pred_ids.(e) in
-      if ef_depth.(p) > !sd then sd := ef_depth.(p);
-      if ef_dur.(p) > !su then su := ef_dur.(p)
+      if ef_depth.(p) > !sd then sd := ef_depth.(p)
     done;
     ef_depth.(i) <- (!sd + if Quantum.Gate.is_barrier kind then 0 else 1);
-    ef_dur.(i) <- !su + Quantum.Duration.of_kind model kind;
-    if ef_depth.(i) > !cp_depth then cp_depth := ef_depth.(i);
-    if ef_dur.(i) > !cp_dur then cp_dur := ef_dur.(i)
+    if ef_depth.(i) > !cp_depth then cp_depth := ef_depth.(i)
   done;
   for i = n - 1 downto 0 do
     let kind = gates.(i).Quantum.Gate.kind in
-    let sd = ref 0 and su = ref 0 in
+    let sd = ref 0 in
     for e = succ_start.(i) to succ_start.(i + 1) - 1 do
       let s = succ_ids.(e) in
-      if tail_depth.(s) > !sd then sd := tail_depth.(s);
-      if tail_dur.(s) > !su then su := tail_dur.(s)
+      if tail_depth.(s) > !sd then sd := tail_depth.(s)
     done;
-    tail_depth.(i) <- (!sd + if Quantum.Gate.is_barrier kind then 0 else 1);
-    tail_dur.(i) <- !su + Quantum.Duration.of_kind model kind
+    tail_depth.(i) <- (!sd + if Quantum.Gate.is_barrier kind then 0 else 1)
   done;
-  (ef_depth, ef_dur, tail_depth, tail_dur, !cp_depth, !cp_dur)
+  (ef_depth, tail_depth, !cp_depth)
 
 let rec last_gate = function
   | [] -> None
@@ -92,10 +77,7 @@ let rec last_gate = function
 (* Assemble an analysis from its precomputed set-level parts plus the
    O(n+e) schedules, shared by the fresh and incremental constructions. *)
 let finish_analysis circuit dag qreach ~inter ~active ~barriers =
-  let model = Quantum.Duration.default in
-  let ef_depth, ef_dur, tail_depth, tail_dur, cp_depth, cp_dur =
-    schedules circuit dag model
-  in
+  let ef_depth, tail_depth, cp_depth = schedules circuit dag in
   let clbit_users =
     lazy
       (let users = Array.make circuit.Quantum.Circuit.num_clbits 0 in
@@ -111,32 +93,22 @@ let finish_analysis circuit dag qreach ~inter ~active ~barriers =
     lazy
       (let k = circuit.Quantum.Circuit.num_qubits in
        let fin_depth = Array.make k 0
-       and fin_dur = Array.make k 0
        and tail_d = Array.make k 0
-       and tail_u = Array.make k 0
        and start_d = Array.make k 0
        and ends_meas = Array.make k false in
        for q = 0 to k - 1 do
          match Quantum.Dag.gates_on_qubit dag q with
          | [] -> ()
          | gates ->
-           let fd = ref 0
-           and fu = ref 0
-           and td = ref 0
-           and tu = ref 0
-           and sd = ref max_int in
+           let fd = ref 0 and td = ref 0 and sd = ref max_int in
            List.iter
              (fun g ->
                if ef_depth.(g) > !fd then fd := ef_depth.(g);
-               if ef_dur.(g) > !fu then fu := ef_dur.(g);
                if tail_depth.(g) > !td then td := tail_depth.(g);
-               if tail_dur.(g) > !tu then tu := tail_dur.(g);
                if ef_depth.(g) < !sd then sd := ef_depth.(g))
              gates;
            fin_depth.(q) <- !fd;
-           fin_dur.(q) <- !fu;
            tail_d.(q) <- !td;
-           tail_u.(q) <- !tu;
            start_d.(q) <- !sd;
            (match last_gate gates with
             | Some last ->
@@ -146,7 +118,7 @@ let finish_analysis circuit dag qreach ~inter ~active ~barriers =
                | _ -> ())
             | None -> ())
        done;
-       { fin_depth; fin_dur; tail_d; tail_u; start_d; ends_meas })
+       { fin_depth; tail_d; start_d; ends_meas })
   in
   {
     circuit;
@@ -155,13 +127,7 @@ let finish_analysis circuit dag qreach ~inter ~active ~barriers =
     inter;
     active;
     barriers;
-    ef_depth;
-    tail_depth;
-    ef_dur;
-    tail_dur;
     cp_depth;
-    cp_dur;
-    model;
     clbit_users;
     q_summary;
   }
@@ -257,15 +223,6 @@ let predict_depth a { src; dst } =
      spliced measure + conditional X costs 2. *)
   let reset_cost = if s.ends_meas.(src) then 1 else 2 in
   max a.cp_depth (s.fin_depth.(src) + reset_cost + s.tail_d.(dst))
-
-let predict_duration ?model a { src; dst } =
-  let model = Option.value ~default:a.model model in
-  let s = Lazy.force a.q_summary in
-  let reset_cost =
-    if s.ends_meas.(src) then model.Quantum.Duration.if_x
-    else Quantum.Duration.measure_cond_x model
-  in
-  max a.cp_dur (s.fin_dur.(src) + reset_cost + s.tail_u.(dst))
 
 (* An emitted transform, together with the relabelling data the
    incremental engine needs to derive the child DAG without rebuilding:

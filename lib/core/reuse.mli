@@ -53,11 +53,10 @@ val valid_pairs : analysis -> pair list
     [pair], computed exactly on the DAG (the spliced reset node only adds
     paths through itself, so the new critical path is
     [max original (max EF(src gates) + reset + max tail(dst gates))])
-    without rebuilding the circuit. *)
+    without rebuilding the circuit. This is QS-CaQR's only candidate
+    score; an analysis schedules in unit depth alone (durations in dt
+    are measured on finished circuits, see {!Engine.make_step}). *)
 val predict_depth : analysis -> pair -> int
-
-(** Same, weighted by gate durations in dt. *)
-val predict_duration : ?model:Quantum.Duration.t -> analysis -> pair -> int
 
 (** Depth layer at which [pair.src]'s last gate completes — chains built
     by always retiring the earliest-finishing wire stay serial. *)
@@ -101,7 +100,7 @@ val emit : analysis -> pair -> emission
 
     followed by merging [dst]'s row and column into [src]'s — O(k^2)
     instead of the O(n^2) gate-closure rebuild. The linear-cost parts
-    (DAG, depth/duration schedules, interaction graph) are recomputed
+    (DAG, unit-depth schedules, interaction graph) are recomputed
     exactly, so the result is observably identical to a fresh {!analyze}
     of the transformed circuit (property-tested in
     [test/test_incremental.ml]). Raises [Invalid_argument] on an invalid

@@ -1,13 +1,12 @@
-type t = Engines | Verified | Roundtrip | Simulation
+type t = Engines | Verified | Roundtrip
 type verdict = Pass | Fail of string
 
-let all = [ Engines; Verified; Roundtrip; Simulation ]
+let all = [ Engines; Verified; Roundtrip ]
 
 let name = function
   | Engines -> "engines"
   | Verified -> "verified"
   | Roundtrip -> "roundtrip"
-  | Simulation -> "simulation"
 
 let of_name s =
   match List.find_opt (fun o -> name o = s) all with
@@ -17,7 +16,7 @@ let of_name s =
       (Printf.sprintf "unknown oracle %S (expected %s)" s
          (String.concat " | " (List.map name all)))
 
-(* ---- shared sampled-distribution machinery ---- *)
+(* ---- sampled-distribution machinery ---- *)
 
 (* Project a histogram onto the low [num_clbits] program bits — the
    transforms may have appended scratch clbits for conditional resets. *)
@@ -53,7 +52,7 @@ let tvd_threshold a b =
    check, kept as the first leg of the cross-engine battery. *)
 let check_sweep_identity c =
   let inc = Caqr.Qs_caqr.sweep c in
-  let reference = Caqr.Qs_caqr.reference_sweep c in
+  let reference = Qs_ref.sweep c in
   if inc = reference then Pass
   else begin
     let rec first_diff i = function
@@ -238,31 +237,6 @@ let check_roundtrip c =
     then Fail "reparse changed a gate"
     else Pass
 
-(* ---- simulation: sampled-distribution agreement after reuse ---- *)
-
-let check_simulation ~seed c =
-  if c.Quantum.Circuit.num_qubits > sim_max_qubits then Pass
-  else
-    let a = Caqr.Qs_caqr.max_reuse_anytime c in
-    if a.Caqr.Engine.reuses = 0 then
-      Pass (* no reuse opportunity: nothing to compare *)
-    else
-      let t = a.Caqr.Engine.circuit in
-      let d0 = Sim.Executor.run ~seed ~shots:sim_shots c in
-      let d1 =
-        marginal ~num_clbits:c.Quantum.Circuit.num_clbits
-          (Sim.Executor.run ~seed:(seed + 1) ~shots:sim_shots t)
-      in
-      let tvd = Sim.Counts.tvd d0 d1 in
-      let threshold = tvd_threshold d0 d1 in
-      if tvd <= threshold then Pass
-      else
-        Fail
-          (Printf.sprintf
-             "reuse transform shifted the output distribution: TVD %.3f > \
-              %.3f after %d reuses"
-             tvd threshold a.Caqr.Engine.reuses)
-
 let check oracle ~seed c =
   let verdict =
     try
@@ -270,7 +244,6 @@ let check oracle ~seed c =
       | Engines -> check_engines ~seed c
       | Verified -> check_verified ~seed c
       | Roundtrip -> check_roundtrip c
-      | Simulation -> check_simulation ~seed c
     with e -> Fail ("uncaught exception: " ^ Printexc.to_string e)
   in
   (match verdict with

@@ -4,29 +4,27 @@
     two independent implementations of it and comparing:
 
     - [Engines]: the cross-engine battery. First {!Caqr.Qs_caqr.sweep}
-      and the independent {!Caqr.Qs_caqr.reference_sweep} must be
+      and the independent reference {!Qs_ref.sweep} must be
       structurally identical; then the circuit is compiled under every
       engine of the {!Caqr.Pipeline.engines} registry ({!cross_engines})
       and each artifact must be well-formed, its pair certificate must
       revalidate against the original, its sampled output distribution
-      must match the original's on the program clbits, and the claimed
+      must match the original's on the program clbits (inputs of at
+      most 6 qubits; for QS that is the circuit
+      {!Caqr.Qs_caqr.max_reuse_anytime} ships), and the claimed
       widths must satisfy [min over engines <= each engine <= baseline
       width + slack] — one buggy engine is outvoted by the others;
     - [Verified]: [Pipeline.compile] output must pass [Verify.run]
       (structural conditions + exact-or-probe distribution equivalence);
     - [Roundtrip]: OpenQASM printing must reach a print→parse fixpoint
       in one trip, and the reparse must preserve the gate stream (angles
-      up to the printer's truncation);
-    - [Simulation]: the shot-sampled output distribution of the
-      circuit {!Caqr.Qs_caqr.max_reuse_anytime} ships must agree (TVD
-      under an adaptive threshold) with the original's on the program
-      clbits.
+      up to the printer's truncation).
 
     An uncaught exception inside an oracle is itself a failure — crashes
     are bugs too. Every run bumps [Obs.Metrics]
     (["fuzz.oracle.<name>.pass" | ".fail"]). *)
 
-type t = Engines | Verified | Roundtrip | Simulation
+type t = Engines | Verified | Roundtrip
 
 type verdict = Pass | Fail of string
 

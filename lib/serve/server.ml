@@ -108,12 +108,6 @@ let resolve_input (req : Protocol.request) =
   | Some name, None ->
     (match Benchmarks.Suite.find name with
      | e ->
-       let input =
-         match e.Benchmarks.Suite.kind with
-         | Benchmarks.Suite.Regular ->
-           Caqr.Pipeline.Regular e.Benchmarks.Suite.circuit
-         | Benchmarks.Suite.Commutable g -> Caqr.Pipeline.Commutable g
-       in
        (* A commutable entry and a hypothetical regular entry with the
           same emitted circuit are different compile problems — tag the
           digest with the input kind. *)
@@ -124,7 +118,7 @@ let resolve_input (req : Protocol.request) =
        in
        Ok
          ( name,
-           input,
+           Benchmarks.Suite.input e,
            e.Benchmarks.Suite.circuit,
            tag ^ Quantum.Circuit.digest e.Benchmarks.Suite.circuit )
      | exception Not_found ->
@@ -248,7 +242,7 @@ let result_of_report ~name ~emit_qasm (r : Caqr.Pipeline.report) =
    scoped budget; the caller wraps with Guard.Error.protect. Returns the
    result object and whether it may be cached (degraded and anytime
    reports are deadline-dependent, so they are not). *)
-let compute ~name ~input ~circuit:_ (req : Protocol.request) options device =
+let compute ~name ~input (req : Protocol.request) options device =
   let r = Caqr.Pipeline.compile ~options device req.strategy input in
   let body = result_of_report ~name ~emit_qasm:req.emit_qasm r in
   let body =
@@ -314,7 +308,7 @@ let handle_work t (req : Protocol.request) =
                  simulation; Exec.Pool re-installs it in any domain this
                  request fans out to. *)
               Guard.Budget.scoped (Guard.Budget.make ?ms:deadline_ms ())
-                (fun () -> compute ~name ~input ~circuit req options device))
+                (fun () -> compute ~name ~input req options device))
         with
         | Ok (body, cacheable) ->
           let result = Json.to_string body in

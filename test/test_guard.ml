@@ -9,11 +9,7 @@ let string = Alcotest.string
 
 let entry name = Benchmarks.Suite.find name
 
-let input_of name =
-  let e = entry name in
-  match e.Benchmarks.Suite.kind with
-  | Benchmarks.Suite.Regular -> Caqr.Pipeline.Regular e.Benchmarks.Suite.circuit
-  | Benchmarks.Suite.Commutable g -> Caqr.Pipeline.Commutable g
+let input_of name = Benchmarks.Suite.input (entry name)
 
 let device_of name =
   let e = entry name in

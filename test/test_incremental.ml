@@ -1,7 +1,7 @@
 (* The incremental analysis engine must be invisible from the outside:
    [Reuse.apply_incremental] has to agree with a fresh [Reuse.analyze]
    of the transformed circuit on every observable, and [Qs_caqr.sweep]
-   has to reproduce [Qs_caqr.reference_sweep] exactly. *)
+   has to reproduce the reference search [Fuzz.Qs_ref.sweep] exactly. *)
 
 (* Per-property seeded state, as in test_properties.ml: seeding from the
    name keeps runs reproducible without correlating the properties. *)
@@ -75,8 +75,6 @@ let same_analysis inc fresh =
   && List.for_all
        (fun p ->
          Caqr.Reuse.predict_depth inc p = Caqr.Reuse.predict_depth fresh p
-         && Caqr.Reuse.predict_duration inc p
-            = Caqr.Reuse.predict_duration fresh p
          && Caqr.Reuse.src_finish_depth inc p
             = Caqr.Reuse.src_finish_depth fresh p
          && Caqr.Reuse.dst_start_depth inc p
@@ -213,7 +211,7 @@ let prop_emit_matches_reference =
 (* ---- search regression: the incremental sweep must be identical to
    the reference sweep ---- *)
 
-let sweeps_agree c = Caqr.Qs_caqr.sweep c = Caqr.Qs_caqr.reference_sweep c
+let sweeps_agree c = Caqr.Qs_caqr.sweep c = Fuzz.Qs_ref.sweep c
 
 let prop_sweep_engines_agree =
   QCheck.Test.make ~name:"qs: engines produce identical sweeps" ~count:40
@@ -233,7 +231,7 @@ let test_max_reuse_identical () =
   List.iter
     (fun name ->
       let c = (Benchmarks.Suite.find name).Benchmarks.Suite.circuit in
-      let last = List.hd (List.rev (Caqr.Qs_caqr.reference_sweep c)) in
+      let last = List.hd (List.rev (Fuzz.Qs_ref.sweep c)) in
       Alcotest.(check bool) name true
         (Caqr.Qs_caqr.max_reuse c = last.Caqr.Engine.circuit))
     [ "BV_10"; "XOR_5"; "RD-32" ]
@@ -267,7 +265,7 @@ let cap_check budget c =
     counted (fun () -> Caqr.Qs_caqr.sweep ~opts c)
   in
   let reference, ref_nodes, _, _ =
-    counted (fun () -> Caqr.Qs_caqr.reference_sweep ~opts c)
+    counted (fun () -> Fuzz.Qs_ref.sweep ~opts c)
   in
   (inc = reference && (skips > 0 || inc_nodes = ref_nodes), replays)
 

@@ -220,11 +220,7 @@ let test_min_depth_is_sweep_row () =
   List.iter
     (fun name ->
       let e = Benchmarks.Suite.find name in
-      let input =
-        match e.Benchmarks.Suite.kind with
-        | Benchmarks.Suite.Regular -> Caqr.Pipeline.Regular e.Benchmarks.Suite.circuit
-        | Benchmarks.Suite.Commutable g -> Caqr.Pipeline.Commutable g
-      in
+      let input = Benchmarks.Suite.input e in
       let best =
         List.fold_left
           (fun best (r : Caqr.Pipeline.sweep_row) ->

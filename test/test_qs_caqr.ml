@@ -18,6 +18,19 @@ let test_reduce_once_none_on_dense () =
   Quantum.Circuit.Builder.cx b 0 2;
   check bool "no reuse" true (Caqr.Qs_caqr.reduce_once (Quantum.Circuit.Builder.build b) = None)
 
+(* The greedy step is the sweep's first step: same pair, same circuit,
+   and no step exactly when the sweep stops at the input. *)
+let prop_reduce_once_is_sweep_row_1 =
+  QCheck.Test.make ~name:"reduce_once = row 1 of sweep" ~count:300
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let c = Fuzz.Gen.circuit Fuzz.Gen.default (Exec.Prng.make seed) in
+      match (Caqr.Qs_caqr.reduce_once c, Caqr.Qs_caqr.sweep c) with
+      | None, [ _ ] -> true
+      | Some (pair, c'), _ :: (row : Caqr.Engine.step) :: _ ->
+        row.pairs = [ pair ] && row.circuit = c'
+      | _ -> false)
+
 let test_sweep_monotone_usage () =
   let steps = Caqr.Qs_caqr.sweep (Benchmarks.Bv.circuit 8) in
   let usages = List.map (fun (s : Caqr.Engine.step) -> s.usage) steps in
@@ -76,14 +89,6 @@ let test_target_query_semantics () =
     check (Alcotest.float 1e-9) "secret preserved" 0. (Sim.Counts.tvd d0 d1)
   | None -> Alcotest.fail "target 3 reachable"
 
-let test_max_reuse_objectives () =
-  let c = Benchmarks.Revlib.cc 8 in
-  let opts obj = { Caqr.Qs_caqr.default_opts with Caqr.Qs_caqr.objective = obj } in
-  let by_depth = Caqr.Qs_caqr.max_reuse ~opts:(opts Caqr.Qs_caqr.Depth) c in
-  let by_duration = Caqr.Qs_caqr.max_reuse ~opts:(opts Caqr.Qs_caqr.Duration) c in
-  check bool "both reduce" true
-    (Caqr.Reuse.qubit_usage by_depth < 8 && Caqr.Reuse.qubit_usage by_duration < 8)
-
 let test_opportunity () =
   check bool "BV has opportunity" true
     (Caqr.Qs_caqr.opportunity (Benchmarks.Bv.circuit 4) <> None);
@@ -118,6 +123,9 @@ let () =
           Alcotest.test_case "usage monotone" `Quick test_sweep_monotone_usage;
           Alcotest.test_case "depth monotone" `Quick test_sweep_depth_never_shrinks_much;
           Alcotest.test_case "pairs recorded" `Quick test_sweep_records_pairs;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 0x5eed |])
+            prop_reduce_once_is_sweep_row_1;
         ] );
       ( "search",
         [
@@ -125,7 +133,6 @@ let () =
           Alcotest.test_case "reaches target" `Quick test_search_reaches_target;
           Alcotest.test_case "impossible target" `Quick test_search_impossible_target;
           Alcotest.test_case "target query semantics" `Quick test_target_query_semantics;
-          Alcotest.test_case "objectives" `Quick test_max_reuse_objectives;
         ] );
       ( "applicability",
         [

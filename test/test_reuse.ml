@@ -69,17 +69,6 @@ let test_predict_depth_matches_apply () =
         predicted actual)
     (Caqr.Reuse.valid_pairs a)
 
-let test_predict_duration_matches_apply () =
-  let c = bv5 () in
-  let a = Caqr.Reuse.analyze c in
-  let model = Quantum.Duration.default in
-  List.iter
-    (fun p ->
-      let predicted = Caqr.Reuse.predict_duration a p in
-      let actual = Quantum.Circuit.duration model (Caqr.Reuse.apply c p) in
-      check int "duration prediction" predicted actual)
-    (Caqr.Reuse.valid_pairs a)
-
 let test_apply_reduces_usage () =
   let c = bv5 () in
   let c' = Caqr.Reuse.apply c { Caqr.Reuse.src = 0; dst = 1 } in
@@ -199,7 +188,6 @@ let () =
       ( "prediction",
         [
           Alcotest.test_case "depth exact" `Quick test_predict_depth_matches_apply;
-          Alcotest.test_case "duration exact" `Quick test_predict_duration_matches_apply;
           Alcotest.test_case "finish/start keys" `Quick test_src_finish_and_dst_start;
         ] );
       ( "transform",

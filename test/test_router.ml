@@ -65,11 +65,6 @@ let prop_matches_reference =
 
 (* ---- Fixed leg: everything Table 1 and the large corpus route ---- *)
 
-let input_of (e : Benchmarks.Suite.entry) =
-  match e.kind with
-  | Benchmarks.Suite.Regular -> Caqr.Pipeline.Regular e.circuit
-  | Benchmarks.Suite.Commutable g -> Caqr.Pipeline.Commutable g
-
 let device_for (e : Benchmarks.Suite.entry) =
   Hardware.Device.heavy_hex_for e.circuit.Quantum.Circuit.num_qubits
 
@@ -83,7 +78,7 @@ let test_table1_sweeps () =
       List.iteri
         (fun i (s : Caqr.Engine.step) ->
           check_logical (Printf.sprintf "%s step %d" e.name i) device s.circuit)
-        (Caqr.Pipeline.steps (input_of e)))
+        (Caqr.Pipeline.steps (Benchmarks.Suite.input e)))
     (Benchmarks.Suite.table1 ())
 
 let test_table1_engines () =
@@ -92,7 +87,7 @@ let test_table1_engines () =
       let device = device_for e in
       List.iter
         (fun (s, run) ->
-          let a = run device (input_of e) in
+          let a = run device (Benchmarks.Suite.input e) in
           if not a.Caqr.Engine.routed then
             check_logical
               (Printf.sprintf "%s/%s" e.name (Caqr.Pipeline.strategy_name s))
@@ -117,7 +112,7 @@ let test_cuccaro_valve () =
   let device = device_for e in
   let options = { Caqr.Pipeline.default with collect_metrics = true } in
   let report =
-    Caqr.Pipeline.compile ~options device Caqr.Pipeline.Qs_max_reuse (input_of e)
+    Caqr.Pipeline.compile ~options device Caqr.Pipeline.Qs_max_reuse (Benchmarks.Suite.input e)
   in
   Alcotest.(check bool) "no demotion" true (report.degraded = []);
   let counters =

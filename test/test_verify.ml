@@ -251,11 +251,6 @@ let test_compile_options_reproducible () =
 
 (* ----------------------------------------------------------- suite sweep *)
 
-let input_of_entry (e : Benchmarks.Suite.entry) =
-  match e.Benchmarks.Suite.kind with
-  | Benchmarks.Suite.Regular -> Caqr.Pipeline.Regular e.Benchmarks.Suite.circuit
-  | Benchmarks.Suite.Commutable g -> Caqr.Pipeline.Commutable g
-
 let sweep_strategies =
   [ Caqr.Pipeline.Qs_max_reuse; Caqr.Pipeline.Qs_min_depth; Caqr.Pipeline.Sr ]
 
@@ -265,7 +260,7 @@ let assert_strategies_verify ~level ~expect e =
       let options =
         { Caqr.Pipeline.default with verify = Some level; seed = 11 }
       in
-      let r = Caqr.Pipeline.compile ~options mumbai s (input_of_entry e) in
+      let r = Caqr.Pipeline.compile ~options mumbai s (Benchmarks.Suite.input e) in
       let name =
         Printf.sprintf "%s / %s" e.Benchmarks.Suite.name
           (Caqr.Pipeline.strategy_name s)
@@ -308,7 +303,7 @@ let test_qaoa25_never_inequivalent () =
   let r =
     Caqr.Pipeline.compile
       ~options:{ Caqr.Pipeline.default with verify = Some Verify.Auto; seed = 11 }
-      mumbai Caqr.Pipeline.Qs_min_depth (input_of_entry e)
+      mumbai Caqr.Pipeline.Qs_min_depth (Benchmarks.Suite.input e)
   in
   match r.Caqr.Pipeline.verification with
   | Some v -> check bool "qaoa25 degrades honestly" false (is_inequivalent v)
