@@ -903,6 +903,73 @@ let anytime_exp () =
     (anytime_measurements ());
   Printf.printf "   (* = exact: the search completed inside the budget)\n"
 
+(* The commutable sweep kernel on Table 1's QAOA graphs from 10
+   vertices up: [time.commute] per sweep (fastest of three) and the
+   minor words the last sweep allocates, which repeat exactly. The words are
+   gated on QAOA25-0.3: at most [commute_words_budget] per sweep. *)
+
+type commute_row = {
+  cr_benchmark : string;
+  cr_vertices : int;
+  cr_rows : int;
+  cr_time_s : float;
+  cr_minor_words : float;
+}
+
+let commute_gate_benchmark = "QAOA25-0.3"
+let commute_words_budget = 750_000.
+
+let commute_measurements () =
+  List.filter_map
+    (fun (e : Benchmarks.Suite.entry) ->
+      match e.Benchmarks.Suite.kind with
+      | Benchmarks.Suite.Commutable g when Galg.Graph.order g >= 10 ->
+        let once () =
+          Obs.Metrics.reset ();
+          let words0 = Gc.minor_words () in
+          let steps = Caqr.Commute.sweep g in
+          let words = Gc.minor_words () -. words0 in
+          (List.length steps, Obs.Metrics.timing "time.commute", words)
+        in
+        let _, t1, _ = once () in
+        let _, t2, _ = once () in
+        let rows, t3, words = once () in
+        Some
+          {
+            cr_benchmark = e.Benchmarks.Suite.name;
+            cr_vertices = Galg.Graph.order g;
+            cr_rows = rows;
+            cr_time_s = Float.min t1 (Float.min t2 t3);
+            cr_minor_words = words;
+          }
+      | _ -> None)
+    (Benchmarks.Suite.table1 ())
+
+let commute_report () =
+  Printf.printf "\n%-12s %-8s %-5s %-14s %s\n" "commutable" "vertices" "rows"
+    "time.commute" "minor words/sweep";
+  let rows = commute_measurements () in
+  List.iter
+    (fun r ->
+      Printf.printf "%-12s %-8d %-5d %-14s %.0f\n" r.cr_benchmark r.cr_vertices
+        r.cr_rows
+        (Printf.sprintf "%.3f ms" (r.cr_time_s *. 1000.))
+        r.cr_minor_words)
+    rows;
+  (match List.find_opt (fun r -> r.cr_benchmark = commute_gate_benchmark) rows with
+   | Some r when r.cr_minor_words <= commute_words_budget ->
+     Printf.printf "=> %s sweep: %.0f minor words (budget %.0f)\n"
+       commute_gate_benchmark r.cr_minor_words commute_words_budget
+   | Some r ->
+     incr structural_violations;
+     Printf.printf "!! PERF VIOLATION: %s sweep allocates %.0f minor words (budget %.0f)\n%!"
+       commute_gate_benchmark r.cr_minor_words commute_words_budget
+   | None ->
+     incr structural_violations;
+     Printf.printf "!! PERF VIOLATION: no %s sweep measured\n%!"
+       commute_gate_benchmark);
+  rows
+
 let perf () =
   section "perf" "incremental vs reference sweep (BENCH_caqr.json)";
   let ratio num den = num /. Float.max 1e-9 den in
@@ -947,8 +1014,9 @@ let perf () =
   let all_identical = List.for_all (fun (_, _, _, id, _, _) -> id) rows in
   Printf.printf "=> engines agree on every sweep: %b\n" all_identical;
   if not all_identical then incr structural_violations;
+  let commute = commute_report () in
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"caqr-bench/4\",\"suite\":[";
+  Buffer.add_string b "{\"schema\":\"caqr-bench/5\",\"suite\":[";
   List.iteri
     (fun i (e, inc, fresh, identical, work, speedup) ->
       if i > 0 then Buffer.add_char b ',';
@@ -968,6 +1036,19 @@ let perf () =
     (Printf.sprintf
        "],\"headline\":{\"largest_benchmark\":%S,\"analyze_work_ratio\":%.3f,\"wall_speedup\":%.3f,\"minor_words_ratio\":%.3f}"
        le.Benchmarks.Suite.name lwork lspeed lwords);
+  (* caqr-bench/5: the commutable sweep kernel per QAOA graph. *)
+  Buffer.add_string b ",\"commute\":[";
+  List.iteri
+    (fun i r ->
+      if i > 0 then Buffer.add_char b ',';
+      Buffer.add_string b
+        (Printf.sprintf
+           "{\"benchmark\":%S,\"vertices\":%d,\"rows\":%d,\"time_commute_s\":%.6f,\"minor_words\":%.0f}"
+           r.cr_benchmark r.cr_vertices r.cr_rows r.cr_time_s r.cr_minor_words))
+    commute;
+  Buffer.add_string b
+    (Printf.sprintf "],\"commute_words_budget\":{\"benchmark\":%S,\"minor_words\":%.0f}"
+       commute_gate_benchmark commute_words_budget);
   (* caqr-bench/2: the execution-pool section (jobs sweep on the largest
      circuit, byte-identity check, speedups vs jobs=1). *)
   let par = parallel_measurements () in

@@ -1,23 +1,110 @@
 let min_qubits g = (Galg.Coloring.best g).Galg.Coloring.count
 
-type plan = {
+(* ---- Flat graph tables ----
+
+   Built once per graph and shared, read-only, by every plan derived from
+   it: degrees, the flat adjacency the scheduler matches on (neighbours
+   ascending) and one adjacency bitset row per vertex. *)
+
+let word = Sys.int_size
+
+type tables = {
   g : Galg.Graph.t;
-  pairs_rev : Reuse.pair list;
-  next : int array;  (* chain successor, -1 at tail *)
-  prev : int array;  (* chain predecessor, -1 at head *)
+  n : int;
+  deg : int array;
+  adj : Galg.Matching.adj;  (* never mutated; schedules work on a copy *)
+  words : int;  (* ints per bitset row *)
+  bits : int array;  (* row v: the neighbours of v *)
 }
 
-let make g =
+let set_bit rows words row v =
+  let i = (row * words) + (v / word) in
+  rows.(i) <- rows.(i) lor (1 lsl (v mod word))
+
+let has_bit rows words row v =
+  rows.((row * words) + (v / word)) land (1 lsl (v mod word)) <> 0
+
+let tables g =
   let n = Galg.Graph.order g in
-  { g; pairs_rev = []; next = Array.make n (-1); prev = Array.make n (-1) }
+  let adj = Galg.Matching.adj_of_graph g in
+  let words = (n + word - 1) / word in
+  let bits = Array.make (n * words) 0 in
+  for v = 0 to n - 1 do
+    for k = adj.start.(v) to adj.start.(v) + adj.len.(v) - 1 do
+      set_bit bits words v adj.nbr.(k)
+    done
+  done;
+  { g; n; deg = adj.len; adj; words; bits }
 
-let graph p = p.g
+(* A plan is its chain links plus per-chain summaries, indexed by the
+   chain's head (entries of non-heads are stale): tail, summed degree,
+   length, and the member and neighbourhood bitset rows. Plans are
+   immutable; [link] copies. *)
+type plan = {
+  t : tables;
+  pairs_rev : Reuse.pair list;
+  usage : int;  (* number of chains *)
+  next : int array;  (* chain successor, -1 at tail *)
+  prev : int array;  (* chain predecessor, -1 at head *)
+  head : int array;  (* chain head of every vertex *)
+  tail : int array;
+  load : int array;  (* summed degree *)
+  size : int array;
+  members : int array;
+  nbhd : int array;
+  lb : int;  (* largest chain load: the chain-load bound *)
+}
+
+(* The plan whose chains are the given links. *)
+let of_links t ~pairs_rev ~next ~prev =
+  let n = t.n and words = t.words in
+  let head = Array.make n 0 and tail = Array.make n 0 in
+  let load = Array.make n 0 and size = Array.make n 0 in
+  let members = Array.make (n * words) 0 and nbhd = Array.make (n * words) 0 in
+  let usage = ref 0 and lb = ref 0 in
+  for h = 0 to n - 1 do
+    if prev.(h) < 0 then begin
+      incr usage;
+      let q = ref h in
+      while !q >= 0 do
+        let v = !q in
+        head.(v) <- h;
+        tail.(h) <- v;
+        load.(h) <- load.(h) + t.deg.(v);
+        size.(h) <- size.(h) + 1;
+        set_bit members words h v;
+        for i = 0 to words - 1 do
+          nbhd.((h * words) + i) <-
+            nbhd.((h * words) + i) lor t.bits.((v * words) + i)
+        done;
+        q := next.(v)
+      done;
+      if load.(h) > !lb then lb := load.(h)
+    end
+  done;
+  {
+    t;
+    pairs_rev;
+    usage = !usage;
+    next;
+    prev;
+    head;
+    tail;
+    load;
+    size;
+    members;
+    nbhd;
+    lb = !lb;
+  }
+
+let make_t t =
+  of_links t ~pairs_rev:[] ~next:(Array.make t.n (-1))
+    ~prev:(Array.make t.n (-1))
+
+let make g = make_t (tables g)
+let graph p = p.t.g
 let pairs p = List.rev p.pairs_rev
-
-let usage p =
-  let c = ref 0 in
-  Array.iter (fun pr -> if pr < 0 then incr c) p.prev;
-  !c
+let usage p = p.usage
 
 let chain p head =
   let rec go q acc = if q < 0 then List.rev acc else go p.next.(q) (q :: acc) in
@@ -25,70 +112,172 @@ let chain p head =
 
 let wires p =
   let acc = ref [] in
-  for q = Galg.Graph.order p.g - 1 downto 0 do
+  for q = p.t.n - 1 downto 0 do
     if p.prev.(q) < 0 then acc := q :: !acc
   done;
   !acc
 
-let rec head_of p q = if p.prev.(q) < 0 then q else head_of p p.prev.(q)
-
-(* Pair digraph acyclicity (paper Condition 2 for commuting circuits):
-   pair p1 = (s1, d1) must precede p2 = (s2, d2) when d1 = s2 or d1
-   interacts with s2 — then a gate carries the dependence across. A cycle
-   means no gate order satisfies all reuses. *)
-let pairs_acyclic g pair_list =
-  let pairs = Array.of_list pair_list in
-  let np = Array.length pairs in
-  let links d s = d = s || Galg.Graph.has_edge g d s in
-  let succ i =
-    let d = pairs.(i).Reuse.dst in
-    let acc = ref [] in
-    for j = 0 to np - 1 do
-      if j <> i && links d pairs.(j).Reuse.src then acc := j :: !acc
-    done;
-    !acc
-  in
-  (* Standard three-color DFS. *)
-  let color = Array.make np 0 in
-  let rec dfs i =
-    if color.(i) = 1 then false
-    else if color.(i) = 2 then true
-    else begin
-      color.(i) <- 1;
-      let ok = List.for_all dfs (succ i) in
-      color.(i) <- 2;
-      ok
-    end
-  in
-  let ok = ref true in
-  for i = 0 to np - 1 do
-    if !ok && color.(i) = 0 then ok := dfs i
-  done;
-  !ok
-
-let independent p members_a members_b =
-  not
-    (List.exists
-       (fun a -> List.exists (fun b -> Galg.Graph.has_edge p.g a b) members_b)
-       members_a)
-
-let valid_merge p ~src ~dst =
-  src >= 0 && dst >= 0
-  && src < Galg.Graph.order p.g
-  && dst < Galg.Graph.order p.g
-  && p.next.(src) < 0 (* src is a tail *)
-  && p.prev.(dst) < 0 (* dst is a head *)
-  && head_of p src <> dst
-  &&
-  let a = chain p (head_of p src) and b = chain p dst in
-  independent p a b
-  && pairs_acyclic p.g ({ Reuse.src; dst } :: p.pairs_rev)
-
+(* Chain [hb] appended to chain [ha] (its tail [src], its head [dst]):
+   the summaries of the union are those of the parts combined. *)
 let link p ~src ~dst =
+  let ha = p.head.(src) and hb = dst and words = p.t.words in
   let next = Array.copy p.next and prev = Array.copy p.prev in
   next.(src) <- dst;
   prev.(dst) <- src;
-  { p with pairs_rev = { Reuse.src; dst } :: p.pairs_rev; next; prev }
+  let head = Array.copy p.head in
+  let q = ref dst in
+  while !q >= 0 do
+    head.(!q) <- ha;
+    q := next.(!q)
+  done;
+  let tail = Array.copy p.tail and load = Array.copy p.load in
+  let size = Array.copy p.size in
+  tail.(ha) <- p.tail.(hb);
+  load.(ha) <- p.load.(ha) + p.load.(hb);
+  size.(ha) <- p.size.(ha) + p.size.(hb);
+  let members = Array.copy p.members and nbhd = Array.copy p.nbhd in
+  for i = 0 to words - 1 do
+    let a = (ha * words) + i and b = (hb * words) + i in
+    members.(a) <- members.(a) lor members.(b);
+    nbhd.(a) <- nbhd.(a) lor nbhd.(b)
+  done;
+  {
+    p with
+    pairs_rev = { Reuse.src; dst } :: p.pairs_rev;
+    usage = p.usage - 1;
+    next;
+    prev;
+    head;
+    tail;
+    load;
+    size;
+    members;
+    nbhd;
+    lb = max p.lb load.(ha);
+  }
+
+(* ---- Per-sweep workspace ----
+
+   Scratch for the cycle query and the scheduler, sized by the tables
+   and refilled in place: the remaining-edge adjacency (a copy of the
+   tables' adjacency, restored by blit), the matching work arrays, the
+   scheduled plan's links and the emission dry run's wire fronts. *)
+
+(* Cycle-query scratch: visit stamps and the search stack. *)
+type query = {
+  seen : int array;
+  mutable stamp : int;
+  stack : int array;
+  mutable top : int;
+}
+
+let query n = { seen = Array.make n 0; stamp = 0; stack = Array.make n 0; top = 0 }
+
+type workspace = {
+  wt : tables;
+  cq : query;
+  rem : Galg.Matching.adj;
+  work : Galg.Matching.work;
+  snext : int array;
+  sprev : int array;
+  cid : int array;  (* head of each vertex's chain *)
+  cload : int array;  (* gates left per chain *)
+  done_ : bool array;
+  elig : bool array;  (* the vertex's reuse dependence is met *)
+  prio : bool array;  (* the vertex is a reuse source *)
+  started : bool array;
+  front : int array;
+  events : int array;  (* the dry run's event record *)
+}
+
+let workspace t =
+  let n = t.n in
+  let rem =
+    {
+      Galg.Matching.start = t.adj.start;
+      len = Array.copy t.adj.len;
+      nbr = Array.copy t.adj.nbr;
+    }
+  in
+  {
+    wt = t;
+    cq = query n;
+    rem;
+    work = Galg.Matching.work rem;
+    snext = Array.make n (-1);
+    sprev = Array.make n (-1);
+    cid = Array.make n 0;
+    cload = Array.make n 0;
+    done_ = Array.make n false;
+    elig = Array.make n false;
+    prio = Array.make n false;
+    started = Array.make n false;
+    front = Array.make n 0;
+    events = Array.make (n + Galg.Graph.size t.g) 0;
+  }
+
+(* ---- Validity (paper Condition 2 for commuting circuits) ----
+
+   Pair p1 = (s1, d1) must precede p2 = (s2, d2) when d1 = s2 or d1
+   interacts with s2 — then a gate carries the dependence across. A cycle
+   means no gate order satisfies all reuses. A plan's pairs are its chain
+   links, so a pair is named by its source [q] ([next.(q) >= 0]). *)
+
+let independent p ha hb =
+  let words = p.t.words in
+  let ok = ref true in
+  for i = 0 to words - 1 do
+    if p.nbhd.((ha * words) + i) land p.members.((hb * words) + i) <> 0 then
+      ok := false
+  done;
+  !ok
+
+(* Stack the unvisited pairs a pair ending at [x] precedes: those whose
+   source is [x] or a neighbour of [x]. *)
+let visit cq p y =
+  if p.next.(y) >= 0 && cq.seen.(y) <> cq.stamp then begin
+    cq.seen.(y) <- cq.stamp;
+    cq.stack.(cq.top) <- y;
+    cq.top <- cq.top + 1
+  end
+
+let push_successors cq p x =
+  visit cq p x;
+  let adj = p.t.adj in
+  for k = adj.start.(x) to adj.start.(x) + adj.len.(x) - 1 do
+    visit cq p adj.nbr.(k)
+  done
+
+(* The pairs of [p] are acyclic, so adding (src, dst) closes a cycle iff
+   the cycle runs through the new pair: some pair reachable from its
+   successors precedes it, i.e. ends at [src] or at a neighbour of
+   [src]. One search over the existing pairs answers that. *)
+let closes_cycle cq p ~src ~dst =
+  cq.stamp <- cq.stamp + 1;
+  cq.top <- 0;
+  push_successors cq p dst;
+  let t = p.t in
+  let found = ref false in
+  while (not !found) && cq.top > 0 do
+    cq.top <- cq.top - 1;
+    let x = p.next.(cq.stack.(cq.top)) in
+    if x = src || has_bit t.bits t.words src x then found := true
+    else push_successors cq p x
+  done;
+  !found
+
+(* [src] is the tail of chain [ha], [dst] the head of another chain. *)
+let valid cq p ~ha ~src ~dst =
+  independent p ha dst && not (closes_cycle cq p ~src ~dst)
+
+let valid_merge p ~src ~dst =
+  src >= 0 && dst >= 0
+  && src < p.t.n
+  && dst < p.t.n
+  && p.next.(src) < 0 (* src is a tail *)
+  && p.prev.(dst) < 0 (* dst is a head *)
+  && p.head.(src) <> dst
+  && valid (query p.t.n) p ~ha:p.head.(src) ~src ~dst
 
 let merge p ~src ~dst =
   if not (valid_merge p ~src ~dst) then invalid_arg "Commute.merge: invalid pair";
@@ -103,24 +292,37 @@ let merge p ~src ~dst =
    the wire, and a vertex's gates are blocked until its predecessor is
    done: a chain's vertices run strictly one after another.
 
-   Runs the round-by-round schedule on flat adjacency, invoking [on_gate]
-   on each gate of a round (ascending) and then [on_finish] on each vertex
-   as it becomes done (cascading down its chain). Returns the number of
-   rounds. *)
-let run_schedule ~exact p ~on_gate ~on_finish =
-  let n = Galg.Graph.order p.g in
-  let remaining = Galg.Matching.adj_of_graph p.g in
-  let work = Galg.Matching.work remaining in
-  let rem_deg = remaining.Galg.Matching.len in
-  let edges_left = ref (Galg.Graph.size p.g) in
-  let src_of = Array.make n (-1) in
-  let has_dependent = Array.make n false in
-  List.iter
-    (fun { Reuse.src; dst } ->
-      src_of.(dst) <- src;
-      has_dependent.(src) <- true)
-    p.pairs_rev;
-  let done_ = Array.make n false in
+   Runs the round-by-round schedule of the links in [ws.snext]/[ws.sprev]
+   on the remaining-edge adjacency, invoking [on_gate] on each gate of a
+   round (ascending) and then [on_finish] on each vertex as it becomes
+   done (cascading down its chain). Returns the number of rounds.
+
+   With a finite [limit] the run stops, returning [limit], once the
+   rounds run plus the gates left on the busiest chain reach it: a
+   chain's occupants run one after another, so a chain runs at most one
+   gate per round and the schedule cannot end sooner. *)
+let run_schedule ws ~exact ~limit ~on_gate ~on_finish =
+  let t = ws.wt in
+  let n = t.n in
+  let remaining = ws.rem in
+  Array.blit t.adj.len 0 remaining.len 0 n;
+  Array.blit t.adj.nbr 0 remaining.nbr 0 (Array.length t.adj.nbr);
+  let rem_deg = remaining.len in
+  let next = ws.snext and src_of = ws.sprev and done_ = ws.done_ in
+  let elig = ws.elig and prio = ws.prio and cid = ws.cid and cload = ws.cload in
+  Array.fill done_ 0 n false;
+  Array.fill cload 0 n 0;
+  for h = 0 to n - 1 do
+    if src_of.(h) < 0 then begin
+      let q = ref h in
+      while !q >= 0 do
+        cid.(!q) <- h;
+        cload.(h) <- cload.(h) + t.deg.(!q);
+        q := next.(!q)
+      done
+    end
+  done;
+  let edges_left = ref (Galg.Graph.size t.g) in
   let rec finish q =
     if
       (not done_.(q))
@@ -129,22 +331,23 @@ let run_schedule ~exact p ~on_gate ~on_finish =
     then begin
       done_.(q) <- true;
       on_finish q;
-      if p.next.(q) >= 0 then finish p.next.(q)
+      if next.(q) >= 0 then finish next.(q)
     end
   in
   for q = 0 to n - 1 do
     finish q
   done;
-  (* Step 2: gates whose reuse dependence is unresolved are not eligible. *)
-  let eligible u v =
-    let s = src_of.(u) and t = src_of.(v) in
-    (s < 0 || done_.(s)) && (t < 0 || done_.(t))
-  in
-  (* Step 3: maximum-weight matching; edges touching a pending reuse
-     source carry priority weight, and among those the longest queues go
-     first (LPT) — the heaviest wire bounds the makespan, so letting a hub
-     idle for a round directly stretches the circuit. *)
-  let priority u v = has_dependent.(u) || has_dependent.(v) in
+  (* Step 2: gates whose reuse dependence is unresolved are not eligible
+     ([elig], refreshed every round). Step 3: maximum-weight matching;
+     edges touching a pending reuse source ([prio]) carry priority
+     weight, and among those the longest queues go first (LPT) — the
+     heaviest wire bounds the makespan, so letting a hub idle for a round
+     directly stretches the circuit. *)
+  for v = 0 to n - 1 do
+    prio.(v) <- next.(v) >= 0
+  done;
+  let eligible u v = elig.(u) && elig.(v) in
+  let priority u v = prio.(u) || prio.(v) in
   let weight u v =
     (if priority u v then 10000. else 0.)
     +. float_of_int (rem_deg.(u) + rem_deg.(v))
@@ -158,12 +361,15 @@ let run_schedule ~exact p ~on_gate ~on_finish =
     Array.blit nbr (!k + 1) nbr !k (start.(u) + len.(u) - 1 - !k);
     len.(u) <- len.(u) - 1
   in
-  let rounds = ref 0 in
-  while !edges_left > 0 do
+  let rounds = ref 0 and cut = ref false in
+  while !edges_left > 0 && not !cut do
+    for v = 0 to n - 1 do
+      elig.(v) <- src_of.(v) < 0 || done_.(src_of.(v))
+    done;
     let mate =
       if exact then
-        Galg.Matching.priority_into work remaining ~keep:eligible ~priority
-      else Galg.Matching.greedy_into work remaining ~keep:eligible ~weight
+        Galg.Matching.priority_into ws.work remaining ~keep:eligible ~priority
+      else Galg.Matching.greedy_into ws.work remaining ~keep:eligible ~weight
     in
     let before = !edges_left in
     for u = 0 to n - 1 do
@@ -180,35 +386,89 @@ let run_schedule ~exact p ~on_gate ~on_finish =
       if v > u then begin
         remove u v;
         remove v u;
+        cload.(cid.(u)) <- cload.(cid.(u)) - 1;
+        cload.(cid.(v)) <- cload.(cid.(v)) - 1;
         finish u;
         finish v
       end
-    done
+    done;
+    if limit < max_int then begin
+      let busiest = ref 0 in
+      for h = 0 to n - 1 do
+        if cload.(h) > !busiest then busiest := cload.(h)
+      done;
+      if !rounds + !busiest >= limit then cut := true
+    end
   done;
-  !rounds
+  if !cut then limit else !rounds
+
+let load_links ws p =
+  Array.blit p.next 0 ws.snext 0 p.t.n;
+  Array.blit p.prev 0 ws.sprev 0 p.t.n
+
+let no_gate _ _ = ()
+let no_finish _ = ()
+let exact_default t = t.n <= 32
 
 let schedule_rounds ?exact p =
-  let exact =
-    match exact with Some e -> e | None -> Galg.Graph.order p.g <= 32
-  in
+  let exact = match exact with Some e -> e | None -> exact_default p.t in
   Obs.Metrics.incr "commute.schedule.runs";
-  run_schedule ~exact p ~on_gate:(fun _ _ -> ()) ~on_finish:(fun _ -> ())
+  let ws = workspace p.t in
+  load_links ws p;
+  run_schedule ws ~exact ~limit:max_int ~on_gate:no_gate ~on_finish:no_finish
 
-(* The chain-load lemma: a chain's vertices run one after another (the
-   hand-off rule) and a vertex joins at most one gate per round, so every
-   schedule of [p] needs at least max over chains of the chain's summed
-   degrees in rounds. *)
-let rounds_lower_bound p =
-  List.fold_left
-    (fun acc head ->
-      max acc
-        (List.fold_left
-           (fun load v -> load + Galg.Graph.degree p.g v)
-           0 (chain p head)))
-    0 (wires p)
+let rounds_lower_bound p = p.lb
 
-let emit ?(gamma = 0.7) ?(beta = 0.3) p =
-  let n = Galg.Graph.order p.g in
+(* ---- Emission ----
+
+   A plan's emit schedule runs once, as a dry run that records its
+   events in order — [q < n]: vertex [q] finishes; [n + u * n + v]: the
+   gate (u, v) — and advances each wire's ASAP front by the gates [emit]
+   places on it: H on a vertex's first use, Rzz on both wires, then Rx,
+   measure and (mid-chain) the conditional X. A measurement's clbit is
+   its vertex's own, so it never delays a wire. The circuit is built by
+   replaying the events. *)
+
+type shape = { depth : int; used : int; events : int array }
+
+let shape_with ws p =
+  let n = p.t.n in
+  let started = ws.started and front = ws.front and head = p.head in
+  Array.fill started 0 n false;
+  Array.fill front 0 n 0;
+  let events = ws.events and count = ref 0 in
+  let start q =
+    if not started.(q) then begin
+      started.(q) <- true;
+      front.(head.(q)) <- front.(head.(q)) + 1
+    end
+  in
+  let on_gate u v =
+    events.(!count) <- n + (u * n) + v;
+    incr count;
+    start u;
+    start v;
+    let f = 1 + max front.(head.(u)) front.(head.(v)) in
+    front.(head.(u)) <- f;
+    front.(head.(v)) <- f
+  in
+  let on_finish q =
+    events.(!count) <- q;
+    incr count;
+    start q;
+    front.(head.(q)) <- front.(head.(q)) + if p.next.(q) >= 0 then 3 else 2
+  in
+  load_links ws p;
+  let _rounds = run_schedule ws ~exact:false ~limit:max_int ~on_gate ~on_finish in
+  let depth = ref 0 and used = ref 0 in
+  for w = 0 to n - 1 do
+    if front.(w) > !depth then depth := front.(w);
+    if front.(w) > 0 then incr used
+  done;
+  { depth = !depth; used = !used; events = Array.sub events 0 !count }
+
+let emit_events ?(gamma = 0.7) ?(beta = 0.3) p events =
+  let n = p.t.n in
   let b = Quantum.Circuit.Builder.create ~num_qubits:n ~num_clbits:n in
   let started = Array.make n false in
   let start q =
@@ -225,87 +485,128 @@ let emit ?(gamma = 0.7) ?(beta = 0.3) p =
        driven by the measurement just taken (Fig. 2 (b)). *)
     if p.next.(q) >= 0 then Quantum.Circuit.Builder.if_x b q q
   in
-  let on_gate u v =
+  let gate u v =
     start u;
     start v;
     Quantum.Circuit.Builder.rzz b gamma u v
   in
-  let _rounds = run_schedule ~exact:false p ~on_gate ~on_finish:finish in
+  Array.iter
+    (fun e -> if e < n then finish e else gate ((e - n) / n) ((e - n) mod n))
+    events;
   let circuit = Quantum.Circuit.Builder.build b in
   (* Collapse each chain onto its head wire. *)
-  let wire = Array.init n (fun q -> head_of p q) in
-  Quantum.Circuit.map_qubits ~num_qubits:n (fun q -> wire.(q)) circuit
+  Quantum.Circuit.map_qubits ~num_qubits:n (fun q -> p.head.(q)) circuit
+
+let emit ?gamma ?beta p =
+  emit_events ?gamma ?beta p (shape_with (workspace p.t) p).events
+
+let emit_shape p =
+  let s = shape_with (workspace p.t) p in
+  (s.depth, s.used)
 
 (* ---- Greedy reduction ---- *)
 
-let candidates p =
-  let heads = wires p in
-  let tail_of h = List.nth (chain p h) (List.length (chain p h) - 1) in
-  List.concat_map
-    (fun ha ->
-      let s = tail_of ha in
-      List.filter_map
-        (fun hb -> if hb <> ha then Some (s, hb) else None)
-        heads)
-    heads
+let resolve_mode t = function
+  | `Auto -> if t.n <= 30 then `Exact else `Heuristic
+  | (`Exact | `Heuristic) as m -> m
 
 (* Gate load a wire must run serially: the degrees of every hosted vertex
    plus the per-handoff reset overhead. The schedule can never beat the
    max wire load, so merges are ranked by the load of the merged wire —
    this builds many balanced chains instead of one ever-growing chain. *)
-let chain_load p head =
-  List.fold_left
-    (fun acc v -> acc + Galg.Graph.degree p.g v + 2)
-    0 (chain p head)
+let chain_load p head = p.load.(head) + (2 * p.size.(head))
 
-let merge_cost p (s, d_head) = chain_load p (head_of p s) + chain_load p d_head
+(* Rounds of [p] plus the pair (src, dst), cut at [limit]. *)
+let candidate_rounds ws ~exact p ~src ~dst ~limit =
+  load_links ws p;
+  ws.snext.(src) <- dst;
+  ws.sprev.(dst) <- src;
+  run_schedule ws ~exact ~limit ~on_gate:no_gate ~on_finish:no_finish
 
-let reduce_once ?(mode = `Auto) p =
-  let mode =
-    match mode with
-    | `Auto -> if Galg.Graph.order p.g <= 30 then `Exact else `Heuristic
-    | m -> m
-  in
-  let cands =
-    List.map (fun c -> (merge_cost p c, c)) (candidates p)
-    |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.map snd
-  in
-  match mode with
-  | `Heuristic | `Auto ->
+let reduce ws ~mode p =
+  let k = p.usage in
+  (* Candidates (tail of chain i, head of chain j), i <> j, over heads in
+     ascending order, stably sorted by merge cost: a counting sort of the
+     enumeration indices i * k + j. A cost is at most the total load,
+     2 * edges + 2 * vertices. *)
+  let heads = Array.make k 0 in
+  let c = ref 0 in
+  for q = 0 to p.t.n - 1 do
+    if p.prev.(q) < 0 then begin
+      heads.(!c) <- q;
+      incr c
+    end
+  done;
+  let cost i j = chain_load p heads.(i) + chain_load p heads.(j) in
+  let count = Array.make ((2 * Galg.Graph.size p.t.g) + (2 * p.t.n) + 2) 0 in
+  let order = Array.make ((k * k) - k) 0 in
+  for i = 0 to k - 1 do
+    for j = 0 to k - 1 do
+      if i <> j then count.(cost i j + 1) <- count.(cost i j + 1) + 1
+    done
+  done;
+  for c = 1 to Array.length count - 1 do
+    count.(c) <- count.(c) + count.(c - 1)
+  done;
+  for i = 0 to k - 1 do
+    for j = 0 to k - 1 do
+      if i <> j then begin
+        order.(count.(cost i j)) <- (i * k) + j;
+        count.(cost i j) <- count.(cost i j) + 1
+      end
+    done
+  done;
+  let nkeys = Array.length order in
+  match resolve_mode p.t mode with
+  | `Heuristic ->
     (* First valid candidate in ascending combined-degree order: low-degree
        qubits are the ones reusable without hurting depth (§4.2.2). *)
-    let rec first = function
-      | [] -> None
-      | (src, dst) :: rest ->
-        if valid_merge p ~src ~dst then Some (link p ~src ~dst) else first rest
+    let rec first i =
+      if i >= nkeys then None
+      else begin
+        let ha = heads.(order.(i) / k) and dst = heads.(order.(i) mod k) in
+        let src = p.tail.(ha) in
+        if valid ws.cq p ~ha ~src ~dst then Some (link p ~src ~dst)
+        else first (i + 1)
+      end
     in
-    first cands
+    first 0
   | `Exact ->
     (* Evaluate up to 48 valid candidates by scheduler rounds; the first
        best wins ties. A candidate whose chain-load bound already reaches
        the incumbent's rounds cannot displace it, so its schedule is
-       skipped — it still spends its slot, which keeps the choice exactly
-       that of scheduling every candidate. *)
-    let rec eval best budget = function
-      | [] -> best
-      | _ when budget = 0 -> best
-      | (src, dst) :: rest ->
-        if valid_merge p ~src ~dst then begin
-          let p' = link p ~src ~dst in
-          match best with
-          | Some (_, r') when rounds_lower_bound p' >= r' ->
-            Obs.Metrics.incr "commute.schedule.pruned";
-            eval best (budget - 1) rest
-          | _ ->
-            let r = schedule_rounds p' in
-            (match best with
-             | Some (_, r') when r' <= r -> eval best (budget - 1) rest
-             | _ -> eval (Some (p', r)) (budget - 1) rest)
+       skipped; a schedule that runs is cut once the same bound on its
+       remaining gates shows it cannot finish below the incumbent. Either
+       candidate still spends its slot, which keeps the choice exactly
+       that of scheduling every candidate in full. *)
+    let exact = exact_default p.t in
+    let best_src = ref (-1) and best_dst = ref (-1) and best_r = ref max_int in
+    let budget = ref 48 and i = ref 0 and runs = ref 0 and pruned = ref 0 in
+    while !budget > 0 && !i < nkeys do
+      let ha = heads.(order.(!i) / k) and dst = heads.(order.(!i) mod k) in
+      let src = p.tail.(ha) in
+      if valid ws.cq p ~ha ~src ~dst then begin
+        decr budget;
+        if !best_src >= 0 && max p.lb (p.load.(ha) + p.load.(dst)) >= !best_r
+        then incr pruned
+        else begin
+          incr runs;
+          let r = candidate_rounds ws ~exact p ~src ~dst ~limit:!best_r in
+          if r < !best_r then begin
+            best_src := src;
+            best_dst := dst;
+            best_r := r
+          end
         end
-        else eval best budget rest
-    in
-    eval None 48 cands |> Option.map fst
+      end;
+      incr i
+    done;
+    if !runs > 0 then Obs.Metrics.incr ~by:!runs "commute.schedule.runs";
+    if !pruned > 0 then Obs.Metrics.incr ~by:!pruned "commute.schedule.pruned";
+    if !best_src < 0 then None
+    else Some (link p ~src:!best_src ~dst:!best_dst)
+
+let reduce_once ?(mode = `Auto) p = reduce (workspace p.t) ~mode p
 
 (* ---- Capacity-constrained planning ----
 
@@ -318,9 +619,8 @@ let reduce_once ?(mode = `Auto) p =
    (their order IS a valid schedule). This matches the paper's §2.2 tool:
    "generate transformed circuit ... for any qubit reuse count". *)
 
-let plan_of_wires g wires =
-  let n = Galg.Graph.order g in
-  let next = Array.make n (-1) and prev = Array.make n (-1) in
+let plan_of_wires t wires =
+  let next = Array.make t.n (-1) and prev = Array.make t.n (-1) in
   let pairs_rev = ref [] in
   List.iter
     (fun hosts ->
@@ -334,7 +634,7 @@ let plan_of_wires g wires =
       in
       link hosts)
     wires;
-  { g; pairs_rev = !pairs_rev; next; prev }
+  of_links t ~pairs_rev:!pairs_rev ~next ~prev
 
 (* Wire demand is a vertex-separation problem: once an activation order
    sigma is fixed, qubit [q] must hold a wire from its activation until
@@ -343,56 +643,61 @@ let plan_of_wires g wires =
    optimum over orders is pathwidth + 1. Greedy width-minimizing ordering
    with a budget cap replaces round-based scheduling: feasibility is a
    simple width check, so there is nothing to deadlock. *)
-let order_for_budget g ~budget =
-  let n = Galg.Graph.order g in
+let order_for_budget t ~budget =
+  let n = t.n and adj = t.adj in
   let opened = Array.make n false in
   (* Unopened-neighbor count: a vertex closes when this hits 0. *)
-  let pending = Array.init n (Galg.Graph.degree g) in
+  let pending = Array.copy t.deg in
   let open_now = Array.make n false in
+  (* Open-neighbor count: the gates a vertex could run on opening. *)
+  let open_nbrs = Array.make n 0 in
   let width = ref 0 and max_width = ref 0 in
-  let sigma = ref [] in
+  let sigma = Array.make n 0 in
+  let bump_nbrs v d =
+    for k = adj.start.(v) to adj.start.(v) + adj.len.(v) - 1 do
+      open_nbrs.(adj.nbr.(k)) <- open_nbrs.(adj.nbr.(k)) + d
+    done
+  in
+  let close w =
+    open_now.(w) <- false;
+    decr width;
+    bump_nbrs w (-1)
+  in
   let closes_after v =
     (* How many currently-open vertices (v included) close once v opens? *)
-    let closed = ref 0 in
-    if pending.(v) = 0 then incr closed;
-    List.iter
-      (fun w -> if open_now.(w) && pending.(w) = 1 then incr closed)
-      (Galg.Graph.neighbors g v);
+    let closed = ref (if pending.(v) = 0 then 1 else 0) in
+    for k = adj.start.(v) to adj.start.(v) + adj.len.(v) - 1 do
+      let w = adj.nbr.(k) in
+      if open_now.(w) && pending.(w) = 1 then incr closed
+    done;
     !closed
   in
-  let edges_to_open v =
-    List.length (List.filter (fun w -> open_now.(w)) (Galg.Graph.neighbors g v))
-  in
-  let do_open v =
+  let do_open i v =
     opened.(v) <- true;
     open_now.(v) <- true;
+    bump_nbrs v 1;
     incr width;
-    sigma := v :: !sigma;
+    sigma.(i) <- v;
     (* Peak overlap is measured before the closures triggered by this
        opening: a vertex closing right now still holds its wire at this
        instant, and so does a vertex whose whole life is this instant. *)
     if !width > !max_width then max_width := !width;
-    List.iter
-      (fun w ->
-        pending.(w) <- pending.(w) - 1;
-        if open_now.(w) && pending.(w) = 0 then begin
-          open_now.(w) <- false;
-          decr width
-        end)
-      (Galg.Graph.neighbors g v);
-    if pending.(v) = 0 then begin
-      open_now.(v) <- false;
-      decr width
-    end
+    for k = adj.start.(v) to adj.start.(v) + adj.len.(v) - 1 do
+      let w = adj.nbr.(k) in
+      pending.(w) <- pending.(w) - 1;
+      if open_now.(w) && pending.(w) = 0 then close w
+    done;
+    if pending.(v) = 0 then close v
   in
-  for _ = 1 to n do
+  for i = 0 to n - 1 do
     (* Next vertex: stay within budget if possible; keep the open set as
        large as the budget allows (a big open set is what gives the
        matching scheduler parallel work, hence depth); tie-break toward
        vertices with more runnable gates. When nothing fits the budget,
-       take the width-minimizing choice and let the final check fail. *)
+       take the width-minimizing choice and let the final check fail.
+       Keys compare lexicographically; the first least key wins. *)
     let best = ref (-1) in
-    let best_key = ref (max_int, max_int, max_int) in
+    let k0 = ref max_int and k1 = ref max_int and k2 = ref max_int in
     for v = 0 to n - 1 do
       if not opened.(v) then begin
         let closes = closes_after v in
@@ -400,44 +705,45 @@ let order_for_budget g ~budget =
         (* A handoff instant needs both wires live, so the peak must stay
            within budget AND the settled width must leave one wire of
            headroom for the next opening. *)
-        let over =
-          if !width + 1 > budget || new_width > budget - 1 then 1 else 0
-        in
-        let key =
-          if over = 1 then (1, new_width, -edges_to_open v)
-          else (0, closes, -edges_to_open v)
-        in
-        if key < !best_key then begin
-          best_key := key;
+        let over = !width + 1 > budget || new_width > budget - 1 in
+        let a = if over then 1 else 0
+        and b = if over then new_width else closes
+        and c = - open_nbrs.(v) in
+        if a < !k0 || (a = !k0 && (b < !k1 || (b = !k1 && c < !k2))) then begin
+          k0 := a;
+          k1 := b;
+          k2 := c;
           best := v
         end
       end
     done;
-    do_open !best
+    do_open i !best
   done;
-  (List.rev !sigma, !max_width)
+  (sigma, !max_width)
 
-let plan_with_budget g ~budget =
+let plan_with_budget_t t ~budget =
   if budget < 1 then None
   else begin
-    let n = Galg.Graph.order g in
-    let sigma, width = order_for_budget g ~budget in
+    let n = t.n and adj = t.adj in
+    let sigma, width = order_for_budget t ~budget in
     if width > budget || n = 0 then None
     else begin
       (* Replay sigma, binding wires first-fit on open and recycling on
          close; chain = host sequence per wire. *)
       let rank = Array.make n 0 in
-      List.iteri (fun i v -> rank.(v) <- i) sigma;
+      Array.iteri (fun i v -> rank.(v) <- i) sigma;
       let close_rank =
         Array.init n (fun v ->
-            List.fold_left
-              (fun acc w -> max acc rank.(w))
-              rank.(v) (Galg.Graph.neighbors g v))
+            let r = ref rank.(v) in
+            for k = adj.start.(v) to adj.start.(v) + adj.len.(v) - 1 do
+              r := max !r rank.(adj.nbr.(k))
+            done;
+            !r)
       in
       let hosts = Array.make (max 1 budget) [] in
       let wire_free_at = Array.make (max 1 budget) (-1) in
       let wire_load = Array.make (max 1 budget) 0 in
-      List.iter
+      Array.iter
         (fun v ->
           (* Among wires free before v opens, pick the least loaded: a
              wire's hosted gates run serially, so balance decides depth. *)
@@ -451,18 +757,17 @@ let plan_with_budget g ~budget =
           if !best < 0 then invalid_arg "plan_with_budget: width check lied";
           let w = !best in
           hosts.(w) <- v :: hosts.(w);
-          wire_load.(w) <- wire_load.(w) + Galg.Graph.degree g v + 4;
+          wire_load.(w) <- wire_load.(w) + t.deg.(v) + 4;
           wire_free_at.(w) <- close_rank.(v))
         sigma;
       let wires =
         List.filter (fun l -> l <> []) (Array.to_list (Array.map List.rev hosts))
       in
-      Some (plan_of_wires g wires)
+      Some (plan_of_wires t wires)
     end
   end
 
-let make_step ?gamma ?beta plan =
-  Engine.make_step (emit ?gamma ?beta plan) (pairs plan)
+let plan_with_budget g ~budget = plan_with_budget_t (tables g) ~budget
 
 (* One plan per qubit limit, exactly the paper's per-limit query. Two
    generators compete at every limit and the shallower emitted circuit
@@ -470,46 +775,62 @@ let make_step ?gamma ?beta plan =
    strong for gentle savings because it picks the least-harmful pair)
    and the budget-constrained separation planner (strong for deep
    savings, where incremental merging dead-ends on frozen chain
-   orders). Duplicate usages are dropped. *)
+   orders). The competition reads each plan's dry-run shape; only a
+   winner that lowers the usage is emitted, so duplicate usages cost no
+   circuit. *)
 let sweep ?(mode = `Auto) ?gamma ?beta g =
   Obs.Metrics.time "time.commute" @@ fun () ->
-  let base = make_step ?gamma ?beta (make g) in
-  (* Merge trajectory, indexed by usage. *)
+  let t = tables g in
+  let ws = workspace t in
+  let emitted = ref 0 in
+  let make_step plan shape =
+    incr emitted;
+    Engine.make_step (emit_events ?gamma ?beta plan shape.events) (pairs plan)
+  in
+  let base =
+    let plan = make_t t in
+    make_step plan (shape_with ws plan)
+  in
+  (* Merge trajectory, deepest first, each plan's shape computed once on
+     first use. *)
   let merge_path =
     let rec go plan acc =
-      match reduce_once ~mode plan with
-      | Some plan' -> go plan' ((usage plan', plan') :: acc)
+      match reduce ws ~mode plan with
+      | Some plan' ->
+        go plan' ((plan'.usage, plan', lazy (shape_with ws plan')) :: acc)
       | None -> acc
     in
-    go (make g) []
+    go (make_t t) []
   in
   let merge_at k =
-    (* Deepest merge-path plan with usage <= k (list is deepest-first). *)
-    List.find_opt (fun (u, _) -> u <= k) merge_path |> Option.map snd
+    (* Deepest merge-path plan with usage <= k. *)
+    List.find_opt (fun (u, _, _) -> u <= k) merge_path
   in
   let rec go budget last_usage acc =
     if budget < 1 then List.rev acc
     else begin
-      let candidates =
-        List.filter_map Fun.id [ plan_with_budget g ~budget; merge_at budget ]
-      in
-      let steps = List.map (make_step ?gamma ?beta) candidates in
+      (* The budget plan wins ties on (depth, usage). *)
       let best =
-        List.fold_left
-          (fun best (s : Engine.step) ->
-            match best with
-            | Some (b : Engine.step)
-              when (b.depth, b.usage) <= (s.depth, s.usage) ->
-              best
-            | _ -> Some s)
-          None steps
+        match (plan_with_budget_t t ~budget, merge_at budget) with
+        | None, None -> None
+        | Some p, None -> Some (p, shape_with ws p)
+        | None, Some (_, p, shape) -> Some (p, Lazy.force shape)
+        | Some p1, Some (_, p2, shape2) ->
+          let s1 = shape_with ws p1 and s2 = Lazy.force shape2 in
+          if s1.depth < s2.depth || (s1.depth = s2.depth && s1.used <= s2.used)
+          then Some (p1, s1)
+          else Some (p2, s2)
       in
       match best with
       | None -> List.rev acc
-      | Some (step : Engine.step) ->
-        if step.usage < last_usage then
-          go (min (budget - 1) (step.usage - 1)) step.usage (step :: acc)
+      | Some (plan, shape) ->
+        if shape.used < last_usage then begin
+          let step = make_step plan shape in
+          go (min (budget - 1) (shape.used - 1)) shape.used (step :: acc)
+        end
         else go (budget - 1) last_usage acc
     end
   in
-  go (base.usage - 1) base.usage [ base ]
+  let steps = go (base.usage - 1) base.usage [ base ] in
+  Obs.Metrics.incr ~by:!emitted "commute.emits";
+  steps

@@ -38,7 +38,10 @@ val wires : plan -> int list
 
 (** [valid_merge plan ~src ~dst]: [src] is a chain tail, [dst] a chain
     head of a different chain, the union stays independent, and the pair
-    digraph stays acyclic. *)
+    digraph stays acyclic. Independence is a bitset test against the
+    plan's per-chain neighbourhood rows; since the plan's own pairs are
+    acyclic, acyclicity is one reachability query from the new pair's
+    successors back to its predecessors. *)
 val valid_merge : plan -> src:int -> dst:int -> bool
 
 (** [merge plan ~src ~dst] applies the pair (copy-on-write; the original
@@ -56,7 +59,8 @@ val schedule_rounds : ?exact:bool -> plan -> int
 (** The chain-load bound: the largest summed degree over the plan's
     chains. Chain occupants run one after another and a vertex joins at
     most one gate per round, so [schedule_rounds p >= rounds_lower_bound p]
-    for either matching. *)
+    for either matching. Kept with the plan: a merge's bound is the
+    larger of its parent's and the merged chain's summed degree. *)
 val rounds_lower_bound : plan -> int
 
 (** Emit the transformed single-layer QAOA circuit: H walls, scheduled
@@ -66,14 +70,20 @@ val rounds_lower_bound : plan -> int
     identity so max-cut scoring is unchanged. *)
 val emit : ?gamma:float -> ?beta:float -> plan -> Quantum.Circuit.t
 
+(** [emit_shape plan] is [(depth, usage)] of [emit plan] — its
+    {!Quantum.Circuit.depth} and {!Reuse.qubit_usage} — from a dry run of
+    the emit schedule that builds no circuit. *)
+val emit_shape : plan -> int * int
+
 (** One greedy reduction step: merge the candidate with the best score
     ([`Exact] = fewest scheduler rounds among the first 48 valid
     candidates by combined wire load, earliest on ties, used for small
     graphs; [`Heuristic] = lowest combined wire load). [`Exact] skips the
     schedule of a candidate whose {!rounds_lower_bound} already reaches
-    the incumbent's rounds (counted as [commute.schedule.pruned]); that
-    candidate could not win, so the choice is unchanged. [None] when no
-    valid merge exists. *)
+    the incumbent's rounds (counted as [commute.schedule.pruned]) and
+    cuts a schedule once its rounds plus the gates left on its busiest
+    chain reach the incumbent's; such a candidate could not win, so the
+    choice is unchanged. [None] when no valid merge exists. *)
 val reduce_once : ?mode:[ `Exact | `Heuristic | `Auto ] -> plan -> plan option
 
 (** [plan_with_budget g ~budget] builds a reuse plan that fits in
@@ -87,7 +97,10 @@ val plan_with_budget : Galg.Graph.t -> budget:int -> plan option
 (** Full reduction trajectory from [n] wires down to the minimum
     reachable — the data behind Figs. 3 and 14. Each step's [circuit] is
     [emit plan] at the sweep's gamma, beta and its [pairs] are
-    [pairs plan]. Timed as [time.commute]. *)
+    [pairs plan]. At every budget the budget planner's and the merge
+    path's plans compete on {!emit_shape}; only a winner that lowers the
+    usage is emitted, one per returned step (counted as
+    [commute.emits]). Timed as [time.commute]. *)
 val sweep :
   ?mode:[ `Exact | `Heuristic | `Auto ] ->
   ?gamma:float ->

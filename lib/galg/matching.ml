@@ -32,10 +32,18 @@ type work = {
   sub : adj;
   first : int array;  (* phase-1 matching of [priority_into] *)
   result : int array;
+  cls : int array;  (* [priority_into]'s class of each adjacency entry *)
+  (* [greedy_into]'s kept edges (endpoints, weight) and the two index
+     buffers of its merge sort. *)
+  eu : int array;
+  ev : int array;
+  ew : float array;
+  ord : int array;
+  tmp : int array;
 }
 
 let work (a : adj) =
-  let n = Array.length a.start in
+  let n = Array.length a.start and m = Array.length a.nbr in
   {
     n;
     mate = Array.make n (-1);
@@ -53,22 +61,30 @@ let work (a : adj) =
       };
     first = Array.make n (-1);
     result = Array.make n (-1);
+    cls = Array.make m 0;
+    eu = Array.make m 0;
+    ev = Array.make m 0;
+    ew = Array.make m 0.;
+    ord = Array.make m 0;
+    tmp = Array.make m 0;
   }
 
-(* [filter_into dst a keep] copies the edges [(u, v)], [u < v], of [a]
-   that satisfy [keep u v] into [dst], neighbours still ascending. *)
-let filter_into (dst : adj) (a : adj) keep =
-  let pos = ref 0 in
-  for v = 0 to Array.length a.start - 1 do
-    dst.start.(v) <- !pos;
+(* [select_into w a c ~free] copies the entries of [a] of class [c] (in
+   [w.cls]) into [w.sub], neighbours still ascending; with [free], only
+   those between vertices phase 1 left unmatched. *)
+let select_into w (a : adj) c ~free =
+  let sub = w.sub and pos = ref 0 in
+  for v = 0 to w.n - 1 do
+    sub.start.(v) <- !pos;
     for k = a.start.(v) to a.start.(v) + a.len.(v) - 1 do
-      let w = a.nbr.(k) in
-      if (if v < w then keep v w else keep w v) then begin
-        dst.nbr.(!pos) <- w;
+      let u = a.nbr.(k) in
+      if w.cls.(k) = c && ((not free) || (w.first.(v) < 0 && w.first.(u) < 0))
+      then begin
+        sub.nbr.(!pos) <- u;
         incr pos
       end
     done;
-    dst.len.(v) <- !pos - dst.start.(v)
+    sub.len.(v) <- !pos - sub.start.(v)
   done
 
 (* Edmonds' blossom algorithm for maximum-cardinality matching, the classic
@@ -190,15 +206,23 @@ let blossom_into w (g : adj) =
     end
   done
 
-let priority_into w a ~keep ~priority =
-  filter_into w.sub a (fun u v -> keep u v && priority u v);
+let priority_into w (a : adj) ~keep ~priority =
+  (* Classify every entry once, calling the predicates with [u < v]:
+     0 dropped, 1 a kept priority edge, 2 another kept edge. *)
+  for v = 0 to w.n - 1 do
+    for k = a.start.(v) to a.start.(v) + a.len.(v) - 1 do
+      let u = a.nbr.(k) in
+      let x = min u v and y = max u v in
+      w.cls.(k) <- (if not (keep x y) then 0 else if priority x y then 1 else 2)
+    done
+  done;
+  select_into w a 1 ~free:false;
   blossom_into w w.sub;
   let first = w.first in
   Array.blit w.mate 0 first 0 w.n;
   (* Restrict the non-priority edges to vertices still free after phase 1,
      then match those at maximum cardinality too. *)
-  filter_into w.sub a (fun u v ->
-      keep u v && (not (priority u v)) && first.(u) < 0 && first.(v) < 0);
+  select_into w a 2 ~free:true;
   blossom_into w w.sub;
   for v = 0 to w.n - 1 do
     w.result.(v) <- (if first.(v) >= 0 then first.(v) else w.mate.(v))
@@ -207,26 +231,56 @@ let priority_into w a ~keep ~priority =
 
 let greedy_into w (a : adj) ~keep ~weight =
   (* Kept edges [u < v] in lexicographic order, then a stable sort by
-     decreasing weight: ties keep lexicographic order. *)
-  let es = ref [] in
-  for u = w.n - 1 downto 0 do
-    for k = a.start.(u) + a.len.(u) - 1 downto a.start.(u) do
+     decreasing weight: ties keep lexicographic order. The sort is a
+     bottom-up merge sort of edge indices between [ord] and [tmp]. *)
+  let m = ref 0 in
+  for u = 0 to w.n - 1 do
+    for k = a.start.(u) to a.start.(u) + a.len.(u) - 1 do
       let v = a.nbr.(k) in
-      if u < v && keep u v then es := (weight u v, u, v) :: !es
+      if u < v && keep u v then begin
+        w.eu.(!m) <- u;
+        w.ev.(!m) <- v;
+        w.ew.(!m) <- weight u v;
+        w.ord.(!m) <- !m;
+        incr m
+      end
     done
   done;
-  let es =
-    List.stable_sort (fun (w1, _, _) (w2, _, _) -> Float.compare w2 w1) !es
-  in
-  let mate = w.result in
+  let m = !m and ew = w.ew in
+  let src = ref w.ord and dst = ref w.tmp and run = ref 1 in
+  while !run < m do
+    let s = !src and d = !dst in
+    let lo = ref 0 in
+    while !lo < m do
+      let mid = min m (!lo + !run) and hi = min m (!lo + (2 * !run)) in
+      let i = ref !lo and j = ref mid in
+      for o = !lo to hi - 1 do
+        (* The right run's edge goes first only when strictly heavier. *)
+        if !i < mid && (!j >= hi || ew.(s.(!j)) <= ew.(s.(!i))) then begin
+          d.(o) <- s.(!i);
+          incr i
+        end
+        else begin
+          d.(o) <- s.(!j);
+          incr j
+        end
+      done;
+      lo := hi
+    done;
+    src := d;
+    dst := s;
+    run := 2 * !run
+  done;
+  let mate = w.result and sorted = !src in
   Array.fill mate 0 w.n (-1);
-  List.iter
-    (fun (_, u, v) ->
-      if mate.(u) < 0 && mate.(v) < 0 then begin
-        mate.(u) <- v;
-        mate.(v) <- u
-      end)
-    es;
+  for i = 0 to m - 1 do
+    let e = sorted.(i) in
+    let u = w.eu.(e) and v = w.ev.(e) in
+    if mate.(u) < 0 && mate.(v) < 0 then begin
+      mate.(u) <- v;
+      mate.(v) <- u
+    end
+  done;
   mate
 
 let all _ _ = true

@@ -153,6 +153,37 @@ let prop_flat_kernel_filters =
       m1 = Galg.Matching.priority_matching ~priority kept
       && m2 = Galg.Matching.greedy ~weight kept)
 
+(* The flat kernel against references built without it: the
+   array-sorting greedy picks what the list-sorting one (kept in
+   Commute_ref) picks, ties included, and the two-phase priority
+   matching is blossom on the kept priority edges, then blossom on the
+   other kept edges between the vertices phase 1 left free. *)
+let prop_kernels_match_references =
+  QCheck.Test.make ~name:"matching: greedy and priority kernels = references"
+    ~count:100 arb_graph (fun spec ->
+      let g = build_graph spec in
+      let n = Galg.Graph.order g in
+      let keep u v = (u * 7) mod 5 <> 0 && (v * 7) mod 5 <> 0 in
+      let priority u v = u mod 3 = 0 || v mod 3 = 0 in
+      let weight u v = float_of_int ((u * v) mod 3) in
+      let a = Galg.Matching.adj_of_graph g in
+      let w = Galg.Matching.work a in
+      let greedy = Array.copy (Galg.Matching.greedy_into w a ~keep ~weight) in
+      let prio = Array.copy (Galg.Matching.priority_into w a ~keep ~priority) in
+      let sub p =
+        Galg.Graph.of_edges n
+          (List.filter (fun (u, v) -> keep u v && p u v) (Galg.Graph.edges g))
+      in
+      let first = Galg.Matching.blossom (sub priority) in
+      let second =
+        Galg.Matching.blossom
+          (sub (fun u v ->
+               (not (priority u v)) && first.(u) < 0 && first.(v) < 0))
+      in
+      greedy = Commute_ref.greedy_into a ~keep ~weight
+      && prio
+         = Array.init n (fun v -> if first.(v) >= 0 then first.(v) else second.(v)))
+
 (* ---- Circuit / DAG properties ---- *)
 
 let prop_depth_bounds =
@@ -421,11 +452,31 @@ let prop_commute_rounds_geq_chain_load =
           && Caqr.Commute.schedule_rounds ~exact:false p >= bound)
         (plans_of g))
 
+(* [emit_shape]'s dry run against the circuit [emit] builds, on every
+   plan of [plans_of g] and every plan the sweep's budget loop compares
+   (the [`Exact] merge path and the budget planner's plans). *)
+let prop_commute_emit_shape_exact =
+  QCheck.Test.make ~name:"commute: emit_shape = depth and usage of emit"
+    ~count:40 (arb_problem 2 30) (fun g ->
+      let rec exact_path p acc =
+        match Caqr.Commute.reduce_once ~mode:`Exact p with
+        | Some p' -> exact_path p' (p' :: acc)
+        | None -> acc
+      in
+      List.for_all
+        (fun p ->
+          let c = Caqr.Commute.emit p in
+          Caqr.Commute.emit_shape p
+          = (Quantum.Circuit.depth c, Caqr.Reuse.qubit_usage c))
+        (plans_of g @ exact_path (Caqr.Commute.make g) []))
+
 (* The unpruned [`Exact] step: schedule every valid candidate among the
    first 48 in combined-wire-load order, keep the first with the fewest
-   rounds. *)
+   rounds. Validity is the list-based reference's, so this oracle shares
+   no validity code with the kernel under test. *)
 let reference_reduce_once p =
   let g = Caqr.Commute.graph p in
+  let reference = Commute_ref.of_pairs g (Caqr.Commute.pairs p) in
   let heads = Caqr.Commute.wires p in
   let load head =
     List.fold_left
@@ -443,7 +494,8 @@ let reference_reduce_once p =
       heads
     |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
     |> List.map snd
-    |> List.filter (fun (src, dst) -> Caqr.Commute.valid_merge p ~src ~dst)
+    |> List.filter (fun (src, dst) ->
+           Commute_ref.valid_merge reference ~src ~dst)
     |> List.filteri (fun i _ -> i < 48)
   in
   List.fold_left
@@ -575,6 +627,7 @@ let () =
             prop_blossom_geq_greedy;
             prop_priority_valid;
             prop_flat_kernel_filters;
+            prop_kernels_match_references;
           ] );
       ( "quantum",
         List.map to_alcotest
@@ -608,6 +661,7 @@ let () =
             prop_budget_floor_geq_coloring;
             prop_commute_sweep_equivalent;
             prop_commute_rounds_geq_chain_load;
+            prop_commute_emit_shape_exact;
             prop_commute_pruned_exact_matches_reference;
           ] );
       ( "optimize",
