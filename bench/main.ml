@@ -758,7 +758,7 @@ let engines_exp () =
 (* The incremental sweep must reproduce the reference sweep exactly
    while doing a fraction of the analysis work.  The comparison runs
    both over every regular benchmark and writes BENCH_caqr.json (schema
-   caqr-bench/4) for CI to archive. Next to the timer ratio each row
+   caqr-bench/6) for CI to archive. Next to the timer ratio each row
    carries counted work, which repeats exactly from run to run: the
    analyses derived per sweep (fresh + incremental) and the minor words
    allocated per sweep. *)
@@ -970,6 +970,11 @@ let commute_report () =
        commute_gate_benchmark);
   rows
 
+(* The QS search's counted-work gate: minor words per incremental
+   [Qs_caqr.sweep] of Multiply_13, at most [qs_words_budget]. *)
+let qs_gate_benchmark = "Multiply_13"
+let qs_words_budget = 830_000.
+
 let perf () =
   section "perf" "incremental vs reference sweep (BENCH_caqr.json)";
   let ratio num den = num /. Float.max 1e-9 den in
@@ -1011,12 +1016,30 @@ let perf () =
     incr structural_violations;
     Printf.printf "!! PERF VIOLATION: minor-words ratio below 3x\n%!"
   end;
+  (match
+     List.find_opt
+       (fun ((e : Benchmarks.Suite.entry), _, _, _, _, _) ->
+         e.Benchmarks.Suite.name = qs_gate_benchmark)
+       rows
+   with
+   | Some (_, inc, _, _, _, _) when inc.er_minor_words <= qs_words_budget ->
+     Printf.printf "=> %s sweep: %.0f minor words (budget %.0f)\n"
+       qs_gate_benchmark inc.er_minor_words qs_words_budget
+   | Some (_, inc, _, _, _, _) ->
+     incr structural_violations;
+     Printf.printf
+       "!! PERF VIOLATION: %s sweep allocates %.0f minor words (budget %.0f)\n%!"
+       qs_gate_benchmark inc.er_minor_words qs_words_budget
+   | None ->
+     incr structural_violations;
+     Printf.printf "!! PERF VIOLATION: no %s sweep measured\n%!"
+       qs_gate_benchmark);
   let all_identical = List.for_all (fun (_, _, _, id, _, _) -> id) rows in
   Printf.printf "=> engines agree on every sweep: %b\n" all_identical;
   if not all_identical then incr structural_violations;
   let commute = commute_report () in
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"caqr-bench/5\",\"suite\":[";
+  Buffer.add_string b "{\"schema\":\"caqr-bench/6\",\"suite\":[";
   List.iteri
     (fun i (e, inc, fresh, identical, work, speedup) ->
       if i > 0 then Buffer.add_char b ',';
@@ -1036,6 +1059,10 @@ let perf () =
     (Printf.sprintf
        "],\"headline\":{\"largest_benchmark\":%S,\"analyze_work_ratio\":%.3f,\"wall_speedup\":%.3f,\"minor_words_ratio\":%.3f}"
        le.Benchmarks.Suite.name lwork lspeed lwords);
+  (* caqr-bench/6: the QS search's minor-words gate. *)
+  Buffer.add_string b
+    (Printf.sprintf ",\"qs_words_budget\":{\"benchmark\":%S,\"minor_words\":%.0f}"
+       qs_gate_benchmark qs_words_budget);
   (* caqr-bench/5: the commutable sweep kernel per QAOA graph. *)
   Buffer.add_string b ",\"commute\":[";
   List.iteri

@@ -7,33 +7,11 @@ let default_opts = { budget = 400; order = Both }
    on the predicted depth ({!Reuse.predict_depth}), the paper's
    critical-path rule; [Chain] reuses the earliest-finishing wire first,
    which builds serial chains (the paper's Fig. 1 construction) and
-   keeps merge options open for deep reductions. *)
-let candidate_key order analysis p =
-  match order with
-  | Score | Both -> (Reuse.predict_depth analysis p, 0)
-  | Chain ->
-    (Reuse.src_finish_depth analysis p, Reuse.dst_start_depth analysis p)
-
+   keeps merge options open for deep reductions. Either way a node's
+   candidates are one flat array of pair codes ({!Reuse.ranked}). *)
 let ordered_candidates order analysis =
-  let key = candidate_key order analysis in
-  (* Decorate-sort-undecorate with a stable sort: same order as sorting
-     with [key] in the comparator (ties keep [valid_pairs] order), but
-     each key is computed once — the candidate lists of 100-1000 qubit
-     circuits run to ~k^2 entries, where comparator-side key evaluation
-     dominated the whole search. The comparator is the lexicographic
-     order of the int key pair, specialised to ints. *)
-  let decorated =
-    Array.map
-      (fun p ->
-        let k1, k2 = key p in
-        (k1, k2, p))
-      (Array.of_list (Reuse.valid_pairs analysis))
-  in
-  Array.stable_sort
-    (fun ((a1 : int), (a2 : int), _) (b1, b2, _) ->
-      if a1 <> b1 then Int.compare a1 b1 else Int.compare a2 b2)
-    decorated;
-  Array.fold_right (fun (_, _, p) acc -> p :: acc) decorated []
+  Reuse.ranked analysis
+    (match order with Score | Both -> Reuse.By_depth | Chain -> Reuse.By_chain)
 
 (* ---- Width floor ----
 
@@ -126,7 +104,7 @@ type cache = {
   prefixes : (int * int * int, int) Hashtbl.t;
   mutable next_prefix : int;
   analyses : (int, Reuse.analysis) Hashtbl.t;
-  candidates : (int, Reuse.pair list) Hashtbl.t;
+  candidates : (int, int array) Hashtbl.t;
   replays : replay Transpositions.t;
   mutable floor : int option;
 }
@@ -194,12 +172,13 @@ let width_floor_cached cache circuit =
     f
 
 (* The anytime layer watches the DFS through this hook: [note] fires on
-   every node (usage, transformed circuit, reversed pair prefix) so an
-   incumbent can be maintained, and [frontier] tracks how many counted
-   candidate branches were never tried — positive deltas when a node's
-   candidate list is generated, -1 as each is attempted. *)
+   every node (usage, analysis, reversed pair prefix) so an incumbent can
+   be maintained without building a circuit per node, and [frontier]
+   tracks how many counted candidate branches were never tried —
+   positive deltas when a node's candidate list is generated, -1 as each
+   is attempted. *)
 type observer = {
-  note : int -> Quantum.Circuit.t -> Reuse.pair list -> unit;
+  note : int -> Reuse.analysis -> Reuse.pair list -> unit;
   frontier : int -> unit;
 }
 
@@ -208,7 +187,7 @@ type observer = {
    candidate ordering) was explored, [Cut] means the node cap ended it
    early — more budget could still find a solution. *)
 type outcome =
-  | Found of Quantum.Circuit.t * Reuse.pair list
+  | Found of Reuse.analysis * Reuse.pair list
   | Exhausted
   | Cut
 
@@ -238,7 +217,7 @@ let link_hash tail dst =
 
 let search_incremental ?observer ~cache order budget target circuit =
   let nodes = ref 0 in
-  let note u c rp = match observer with Some o -> o.note u c rp | None -> () in
+  let note u a rp = match observer with Some o -> o.note u a rp | None -> () in
   let frontier d =
     match observer with Some o -> o.frontier d | None -> ()
   in
@@ -263,14 +242,14 @@ let search_incremental ?observer ~cache order budget target circuit =
   in
   let rec go analysis id rev_pairs =
     if Reuse.usage analysis <= target then
-      Found (Reuse.circuit analysis, List.rev rev_pairs)
+      Found (analysis, List.rev rev_pairs)
     else if !nodes > budget then Cut
     else begin
       let cands = candidates_for cache order analysis id in
-      frontier (List.length cands);
-      let rec attempt = function
-        | [] -> Exhausted
-        | p :: rest ->
+      frontier (Array.length cands);
+      let rec attempt i =
+        if i = Array.length cands then Exhausted
+        else begin
           incr nodes;
           Obs.Metrics.incr "qs.search.nodes";
           Guard.Inject.hit "qs.search";
@@ -278,7 +257,7 @@ let search_incremental ?observer ~cache order budget target circuit =
           if !nodes > budget then Cut
           else begin
             frontier (-1);
-            let src = p.Reuse.src and dst = p.Reuse.dst in
+            let src = cands.(i) / k and dst = cands.(i) mod k in
             let t = tail.(src) in
             let link = link_hash t dst in
             next.(t) <- dst;
@@ -291,7 +270,7 @@ let search_incremental ?observer ~cache order budget target circuit =
             let r =
               match stored with
               | Some r when r.least > target -> replay r
-              | _ -> expand analysis id p rev_pairs
+              | _ -> expand analysis id { Reuse.src; dst } rev_pairs
             in
             next.(t) <- -1;
             tail.(src) <- t;
@@ -299,17 +278,18 @@ let search_incremental ?observer ~cache order budget target circuit =
             match r with
             | Found _ as r -> r
             | Cut -> Cut
-            | Exhausted -> attempt rest
+            | Exhausted -> attempt (i + 1)
           end
+        end
       in
-      attempt cands
+      attempt 0
     end
   and expand analysis id p rev_pairs =
     let rev_pairs' = p :: rev_pairs in
     let id' = child_prefix cache id p in
     let child = child_analysis cache analysis p id' in
     let usage = Reuse.usage child in
-    note usage (Reuse.circuit child) rev_pairs';
+    note usage child rev_pairs';
     let outer = !least and start = !nodes in
     least := usage;
     let r = go child id' rev_pairs' in
@@ -351,7 +331,9 @@ let search_out ?observer ~cache opts target circuit =
     with_order opts (fun order ->
         search_incremental ?observer ~cache order opts.budget target circuit)
 
-let found = function Found (c, pairs) -> Some (c, pairs) | Exhausted | Cut -> None
+let found = function
+  | Found (a, pairs) -> Some (Reuse.circuit a, pairs)
+  | Exhausted | Cut -> None
 
 let search ?(opts = default_opts) ~target circuit =
   found (search_out ~cache:(new_cache ()) opts target circuit)
@@ -369,9 +351,9 @@ let descend ~search circuit on_found =
     if target < 1 then Exhausted
     else
       match search target with
-      | Found (c, pairs) ->
-        on_found c pairs;
-        go (Reuse.qubit_usage c - 1)
+      | Found (a, pairs) ->
+        on_found a pairs;
+        go (Reuse.usage a - 1)
       | (Exhausted | Cut) as ending -> ending
   in
   go (Reuse.qubit_usage circuit - 1)
@@ -382,7 +364,8 @@ let sweep ?(opts = default_opts) circuit =
   ignore
     (descend circuit
        ~search:(fun target -> search_out ~cache opts target circuit)
-       (fun c pairs -> steps := Engine.make_step c pairs :: !steps));
+       (fun a pairs ->
+         steps := Engine.make_step (Reuse.circuit a) pairs :: !steps));
   List.rev !steps
 
 (* The greedy step is the first search of the descent: one qubit fewer
@@ -413,24 +396,30 @@ let opportunity circuit =
    every run — so it stays [Exact]: callers (the serve cache in
    particular) rely on [Exact] meaning deadline-independent. *)
 
+(* The incumbent is the best node's analysis ([None]: the input itself);
+   its circuit is built only when the incumbent is returned. *)
 let incumbent_observer circuit =
-  let best = ref (circuit, [], Reuse.qubit_usage circuit) in
+  let best = ref (None, [], Reuse.qubit_usage circuit) in
   let steps = ref 0 and frontier = ref 0 in
   let observer =
     {
       note =
-        (fun u c rev_pairs ->
+        (fun u a rev_pairs ->
           incr steps;
           let _, _, usage = !best in
-          if u < usage then best := (c, List.rev rev_pairs, u));
+          if u < usage then best := (Some a, List.rev rev_pairs, u));
       frontier = (fun d -> frontier := !frontier + d);
     }
   in
   (best, steps, frontier, observer)
 
-let anytime_return (circuit, pairs, width) steps frontier =
+let incumbent ?quality circuit (a, pairs, width) =
+  let c = match a with Some a -> Reuse.circuit a | None -> circuit in
+  Engine.of_pairs ?quality ~width c pairs
+
+let anytime_return circuit best steps frontier =
   Obs.Metrics.incr "qs.anytime.returns";
-  Engine.of_pairs ~width circuit pairs
+  incumbent circuit best
     ~quality:
       (Quality.Anytime { steps_done = steps; frontier_left = max 0 frontier })
 
@@ -445,11 +434,9 @@ let max_reuse_anytime ?(opts = default_opts) circuit =
            left unexplored" — the descent moves on to a deeper target. *)
         frontier := 0)
   with
-  | Found _ | Exhausted | Cut ->
-    let c, pairs, width = !best in
-    Engine.of_pairs ~width c pairs
+  | Found _ | Exhausted | Cut -> incumbent circuit !best
   | exception Guard.Error.Budget_exceeded _ ->
-    anytime_return !best !steps !frontier
+    anytime_return circuit !best !steps !frontier
 
 let min_qubits ?opts circuit = (max_reuse_anytime ?opts circuit).Engine.width
 let max_reuse ?opts circuit = (max_reuse_anytime ?opts circuit).Engine.circuit
@@ -458,8 +445,8 @@ let search_anytime ?(opts = default_opts) ~target circuit =
   let cache = new_cache () in
   let best, steps, frontier, observer = incumbent_observer circuit in
   match search_out ~observer ~cache opts target circuit with
-  | Found (c, pairs) ->
-    Some (Engine.of_pairs ~width:(Reuse.qubit_usage c) c pairs)
+  | Found (a, pairs) ->
+    Some (Engine.of_pairs ~width:(Reuse.usage a) (Reuse.circuit a) pairs)
   | Exhausted | Cut -> None
   | exception Guard.Error.Budget_exceeded _ ->
-    Some (anytime_return !best !steps !frontier)
+    Some (anytime_return circuit !best !steps !frontier)

@@ -38,7 +38,9 @@ val reduce_once : Quantum.Circuit.t -> (Reuse.pair * Quantum.Circuit.t) option
 (** [sweep ?opts circuit] returns the full reduction trajectory,
     starting with the untouched circuit and descending one qubit target
     at a time as low as the search reaches. Each DFS child's analysis
-    derives from its parent via {!Reuse.apply_incremental}, and the
+    derives from its parent via {!Reuse.apply_incremental}, which builds
+    no circuit (only each row's circuit is built, by
+    {!Reuse.circuit}), and the
     per-target searches share one memo cache, so each restart replays
     the previously explored prefix from cache. On a barrier-free circuit
     the cache is also a transposition table: a subtree already exhausted

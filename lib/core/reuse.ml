@@ -1,548 +1,593 @@
 type pair = { src : int; dst : int }
 
-type analysis = {
+(* The root circuit's flat tables: built once by [analyze] and shared,
+   read-only, by every analysis derived from it. *)
+type root = {
   circuit : Quantum.Circuit.t;
-  dag : Quantum.Dag.t;
-  (* qreach.(a).(b): some gate on qubit a reaches (reflexively) some gate
-     on qubit b. This qubit-level projection of the O(n^2) gate closure is
-     all Condition 2 ever consults, and — unlike the gate-level closure —
-     it admits an exact O(k^2) update under a reuse application. *)
-  qreach : bool array array;
+  n : int;  (* gate count *)
+  k : int;  (* qubit count *)
+  adj : Quantum.Dag.adjacency;
+  (* [qa.(g)], [qb.(g)]: gate g's qubits, -1 where it has fewer (and for
+     barriers) — how a gate finds the splices attached to it. *)
+  qa : int array;
+  qb : int array;
+  (* each original qubit's first and last non-barrier gate, -1 if none *)
+  first : int array;
+  last : int array;
+  (* The clbit of the qubit's final measurement when that measurement is
+     the clbit's sole user, else -1. The reset splice after such a wire
+     is a lone conditional X driven by that clbit. *)
+  final_clbit : int array;
   inter : Galg.Graph.t;
-  active : bool array;
-  (* Does the circuit contain barrier pseudo-gates? Barriers chain on
-     their wires without appearing in [active]/[inter]/[on_qubit], so the
-     incremental algebra cannot track them; their presence forces
-     {!apply_incremental} onto the fresh-rebuild path. *)
+  (* Barrier pseudo-gates chain on their wires without appearing in
+     [first]/[last]/[inter], so the splice algebra below cannot track
+     them; their presence forces {!apply_incremental} onto the
+     fresh-rebuild path. *)
   barriers : bool;
+  words : int;  (* words per [qreach] row *)
+}
+
+(* A node of the reuse search: the root plus the links applied since.
+   Linking [dst] after wire [src] chains original qubit [dst] behind the
+   wire's last qubit [t]; on a barrier-free circuit its only new edges
+   are the splice [last t -> (measure ->) conditional X -> first dst], so
+   the chains fix the whole DAG. Node ids: root gate g is g, and the
+   splice of the link into qubit q is [measure_node q], [if_x_node q]. *)
+type analysis = {
+  root : root;
+  rev_pairs : pair list;  (* links applied since the root, latest first *)
+  prev : int array;  (* chain predecessor of each original qubit, or -1 *)
+  next : int array;  (* chain successor, or -1 *)
+  tail : int array;  (* last original qubit of the chain headed by a wire *)
+  (* unit-depth earliest-finish and longest-tail schedules per node id *)
+  ef : int array;
+  tl : int array;
   cp_depth : int;  (* critical path, in unit depth *)
-  (* Gates touching each clbit, for the reset splice's sole-user test.
-     Lazy: predictions consult it on every candidate pair, but only wires
-     ending in a measurement ever force it. *)
-  clbit_users : int array Lazy.t;
-  (* Per-qubit prediction summaries (max/min over the wire's gates of the
-     gate-level earliest-finish and longest-tail depths). Scoring a
-     candidate pair is then O(1), which is what makes sorting the ~k^2
-     candidate lists of 100-1000 qubit circuits affordable; one O(gates)
-     pass amortizes over every pair scored against this analysis. Lazy:
-     [valid]/[valid_pairs] never force it. *)
-  q_summary : qsummary Lazy.t;
+  (* Bitset rows: bit b of row a says some gate on wire a reaches
+     (reflexively) some gate on wire b. This qubit-level projection of
+     the O(n^2) gate closure is all Condition 2 ever consults, and it
+     admits an exact O(k^2 / 63) update under a reuse link. *)
+  qreach : int array;
+  usage : int;
+  (* The circuit, built on the first read ({!circuit}): a plain field, not
+     a [Lazy.t], so two domains reading at once build it twice at worst. *)
+  mutable built : Quantum.Circuit.t option;
 }
 
-and qsummary = {
-  fin_depth : int array;  (* max ef_depth over gates on q; 0 if none *)
-  tail_d : int array;  (* max tail_depth over gates on q; 0 if none *)
-  start_d : int array;  (* min ef_depth over gates on q; 0 if none *)
-  ends_meas : bool array;  (* wire ends in a sole-user measurement *)
-}
+let bits = Sys.int_size
 
-(* Earliest-finish and longest-tail schedules in unit depth, one
-   forward and one backward sweep over the DAG. This runs once per
-   search node, so it loops over the DAG's flat adjacency in place and
-   allocates only the two result arrays. *)
-let schedules circuit dag =
+let get_bit q w x y = (q.((x * w) + (y / bits)) lsr (y mod bits)) land 1 = 1
+
+let set_bit q w x y =
+  let i = (x * w) + (y / bits) in
+  q.(i) <- q.(i) lor (1 lsl (y mod bits))
+
+let measure_node r q = r.n + (2 * q)
+let if_x_node r q = r.n + (2 * q) + 1
+
+(* The first node of the splice into q: its measure, or the conditional X
+   when the wire before it ends in a reusable measurement. *)
+let splice_head r ~prev q =
+  if r.final_clbit.(prev.(q)) >= 0 then if_x_node r q else measure_node r q
+
+(* Successors and predecessors of a node under the links [prev]/[next]:
+   the root's edges, plus the splice chains. A two-qubit gate can open or
+   close two wires, hence the two checks. *)
+let iter_succs r ~prev ~next v f =
+  if v < r.n then begin
+    let { Quantum.Dag.succ_start; succ_ids; _ } = r.adj in
+    for e = succ_start.(v) to succ_start.(v + 1) - 1 do
+      f succ_ids.(e)
+    done;
+    let q = r.qa.(v) in
+    if q >= 0 && r.last.(q) = v && next.(q) >= 0 then
+      f (splice_head r ~prev next.(q));
+    let q = r.qb.(v) in
+    if q >= 0 && r.last.(q) = v && next.(q) >= 0 then
+      f (splice_head r ~prev next.(q))
+  end
+  else
+    let q = (v - r.n) / 2 in
+    if v = measure_node r q then f (if_x_node r q) else f r.first.(q)
+
+let iter_preds r ~prev v f =
+  if v < r.n then begin
+    let { Quantum.Dag.pred_start; pred_ids; _ } = r.adj in
+    for e = pred_start.(v) to pred_start.(v + 1) - 1 do
+      f pred_ids.(e)
+    done;
+    let q = r.qa.(v) in
+    if q >= 0 && r.first.(q) = v && prev.(q) >= 0 then f (if_x_node r q);
+    let q = r.qb.(v) in
+    if q >= 0 && r.first.(q) = v && prev.(q) >= 0 then f (if_x_node r q)
+  end
+  else
+    let q = (v - r.n) / 2 in
+    if v = if_x_node r q && splice_head r ~prev q <> v then
+      f (measure_node r q)
+    else f r.last.(prev.(q))
+
+(* Earliest-finish and longest-tail schedules of the root in unit depth,
+   one forward and one backward sweep over the DAG. The arrays leave two
+   slots per qubit for the splices of later links. *)
+let root_schedules circuit (adj : Quantum.Dag.adjacency) ~size =
   let gates = circuit.Quantum.Circuit.gates in
-  let { Quantum.Dag.pred_start; pred_ids; succ_start; succ_ids } =
-    Quantum.Dag.adjacency dag
-  in
-  let n = Quantum.Dag.num_nodes dag in
-  let ef_depth = Array.make n 0 and tail_depth = Array.make n 0 in
+  let { Quantum.Dag.pred_start; pred_ids; succ_start; succ_ids } = adj in
+  let n = Array.length gates in
+  let ef = Array.make size 0 and tl = Array.make size 0 in
   let cp_depth = ref 0 in
+  let cost i = if Quantum.Gate.is_barrier gates.(i).Quantum.Gate.kind then 0 else 1 in
   for i = 0 to n - 1 do
-    let kind = gates.(i).Quantum.Gate.kind in
     let sd = ref 0 in
     for e = pred_start.(i) to pred_start.(i + 1) - 1 do
-      let p = pred_ids.(e) in
-      if ef_depth.(p) > !sd then sd := ef_depth.(p)
+      if ef.(pred_ids.(e)) > !sd then sd := ef.(pred_ids.(e))
     done;
-    ef_depth.(i) <- (!sd + if Quantum.Gate.is_barrier kind then 0 else 1);
-    if ef_depth.(i) > !cp_depth then cp_depth := ef_depth.(i)
+    ef.(i) <- !sd + cost i;
+    if ef.(i) > !cp_depth then cp_depth := ef.(i)
   done;
   for i = n - 1 downto 0 do
-    let kind = gates.(i).Quantum.Gate.kind in
     let sd = ref 0 in
     for e = succ_start.(i) to succ_start.(i + 1) - 1 do
-      let s = succ_ids.(e) in
-      if tail_depth.(s) > !sd then sd := tail_depth.(s)
+      if tl.(succ_ids.(e)) > !sd then sd := tl.(succ_ids.(e))
     done;
-    tail_depth.(i) <- (!sd + if Quantum.Gate.is_barrier kind then 0 else 1)
+    tl.(i) <- !sd + cost i
   done;
-  (ef_depth, tail_depth, !cp_depth)
-
-let rec last_gate = function
-  | [] -> None
-  | [ g ] -> Some g
-  | _ :: tl -> last_gate tl
-
-(* Assemble an analysis from its precomputed set-level parts plus the
-   O(n+e) schedules, shared by the fresh and incremental constructions. *)
-let finish_analysis circuit dag qreach ~inter ~active ~barriers =
-  let ef_depth, tail_depth, cp_depth = schedules circuit dag in
-  let clbit_users =
-    lazy
-      (let users = Array.make circuit.Quantum.Circuit.num_clbits 0 in
-       Array.iter
-         (fun g ->
-           List.iter
-             (fun c -> users.(c) <- users.(c) + 1)
-             (Quantum.Gate.clbits g.Quantum.Gate.kind))
-         circuit.Quantum.Circuit.gates;
-       users);
-  in
-  let q_summary =
-    lazy
-      (let k = circuit.Quantum.Circuit.num_qubits in
-       let fin_depth = Array.make k 0
-       and tail_d = Array.make k 0
-       and start_d = Array.make k 0
-       and ends_meas = Array.make k false in
-       for q = 0 to k - 1 do
-         match Quantum.Dag.gates_on_qubit dag q with
-         | [] -> ()
-         | gates ->
-           let fd = ref 0 and td = ref 0 and sd = ref max_int in
-           List.iter
-             (fun g ->
-               if ef_depth.(g) > !fd then fd := ef_depth.(g);
-               if tail_depth.(g) > !td then td := tail_depth.(g);
-               if ef_depth.(g) < !sd then sd := ef_depth.(g))
-             gates;
-           fin_depth.(q) <- !fd;
-           tail_d.(q) <- !td;
-           start_d.(q) <- !sd;
-           (match last_gate gates with
-            | Some last ->
-              (match circuit.Quantum.Circuit.gates.(last).Quantum.Gate.kind with
-               | Quantum.Gate.Measure (_, c) ->
-                 ends_meas.(q) <- (Lazy.force clbit_users).(c) = 1
-               | _ -> ())
-            | None -> ())
-       done;
-       { fin_depth; tail_d; start_d; ends_meas })
-  in
-  {
-    circuit;
-    dag;
-    qreach;
-    inter;
-    active;
-    barriers;
-    cp_depth;
-    clbit_users;
-    q_summary;
-  }
+  (ef, tl, !cp_depth)
 
 let analyze circuit =
   Obs.Metrics.incr "reuse.analyze.fresh";
   Obs.Metrics.time "time.analyze" @@ fun () ->
   let dag = Quantum.Dag.build circuit in
+  let gates = circuit.Quantum.Circuit.gates in
+  let n = Array.length gates and k = circuit.Quantum.Circuit.num_qubits in
+  let qa = Array.make n (-1) and qb = Array.make n (-1) in
+  let users = Array.make circuit.Quantum.Circuit.num_clbits 0 in
+  let barriers = ref false in
+  Array.iteri
+    (fun i g ->
+      let kind = g.Quantum.Gate.kind in
+      if Quantum.Gate.is_barrier kind then barriers := true
+      else begin
+        (match Quantum.Gate.qubits kind with
+         | [ a ] -> qa.(i) <- a
+         | [ a; b ] ->
+           qa.(i) <- a;
+           qb.(i) <- b
+         | _ -> ());
+        List.iter (fun c -> users.(c) <- users.(c) + 1) (Quantum.Gate.clbits kind)
+      end)
+    gates;
+  let first = Array.make k (-1)
+  and last = Array.make k (-1)
+  and final_clbit = Array.make k (-1) in
+  for q = 0 to k - 1 do
+    match Quantum.Dag.gates_on_qubit dag q with
+    | [] -> ()
+    | g :: _ as on_q ->
+      first.(q) <- g;
+      let l = List.fold_left (fun _ g -> g) g on_q in
+      last.(q) <- l;
+      (match gates.(l).Quantum.Gate.kind with
+       | Quantum.Gate.Measure (_, c) when users.(c) = 1 -> final_clbit.(q) <- c
+       | _ -> ())
+  done;
+  let words = (k + bits - 1) / bits in
   let reach = Quantum.Reachability.build dag in
-  let k = circuit.Quantum.Circuit.num_qubits in
-  let qreach = Array.make_matrix k k false in
+  let qreach = Array.make (k * words) 0 in
+  let usage = ref 0 in
   for a = 0 to k - 1 do
     let a_gates = Quantum.Dag.gates_on_qubit dag a in
+    if a_gates <> [] then incr usage;
     for b = 0 to k - 1 do
-      qreach.(a).(b) <-
+      if
         Quantum.Reachability.any_path reach a_gates
           (Quantum.Dag.gates_on_qubit dag b)
+      then set_bit qreach words a b
     done
   done;
-  let active = Array.make k false in
-  List.iter (fun q -> active.(q) <- true) (Quantum.Circuit.active_qubits circuit);
-  finish_analysis circuit dag qreach
-    ~inter:(Quantum.Circuit.interaction_graph circuit)
-    ~active
-    ~barriers:
-      (Array.exists
-         (fun g -> Quantum.Gate.is_barrier g.Quantum.Gate.kind)
-         circuit.Quantum.Circuit.gates)
+  let adj = Quantum.Dag.adjacency dag in
+  let ef, tl, cp_depth = root_schedules circuit adj ~size:(n + (2 * k)) in
+  {
+    root =
+      {
+        circuit;
+        n;
+        k;
+        adj;
+        qa;
+        qb;
+        first;
+        last;
+        final_clbit;
+        inter = Quantum.Circuit.interaction_graph circuit;
+        barriers = !barriers;
+        words;
+      };
+    rev_pairs = [];
+    prev = Array.make k (-1);
+    next = Array.make k (-1);
+    tail = Array.init k Fun.id;
+    ef;
+    tl;
+    cp_depth;
+    qreach;
+    usage = !usage;
+    built = Some circuit;
+  }
+
+(* A wire is active when it carries gates: its head qubit had some, and
+   has not been linked behind another wire. *)
+let active a w = a.root.first.(w) >= 0 && a.prev.(w) < 0
 
 let active_qubits a =
   let acc = ref [] in
-  for q = Array.length a.active - 1 downto 0 do
-    if a.active.(q) then acc := q :: !acc
+  for q = a.root.k - 1 downto 0 do
+    if active a q then acc := q :: !acc
   done;
   !acc
 
-let reaches a p q = a.qreach.(p).(q)
+let reaches a p q = get_bit a.qreach a.root.words p q
 
-let condition1 a { src; dst } = not (Galg.Graph.has_edge a.inter src dst)
+(* No gate couples a qubit of src's chain with one of dst's: the root's
+   interaction graph contracted along the chains. Only a wire's head
+   carries its chain; any other wire is empty. *)
+let condition1 a { src; dst } =
+  let chain w = if a.prev.(w) < 0 then w else -1 in
+  let rec apart u v =
+    v < 0 || ((not (Galg.Graph.has_edge a.root.inter u v)) && apart u a.next.(v))
+  in
+  let rec go u = u < 0 || (apart u (chain dst) && go a.next.(u)) in
+  go (chain src)
 
 (* No gate on dst may reach a gate on src. *)
-let condition2 a { src; dst } = not a.qreach.(dst).(src)
+let condition2 a { src; dst } = not (reaches a dst src)
 
-let valid a ({ src; dst } as p) =
+(* Condition 2 implies Condition 1: a gate coupling src and dst is a
+   gate on dst that reaches (reflexively) a gate on src. So validity is
+   one bit test past the range and activity checks. *)
+let valid a { src; dst } =
   src <> dst
   && src >= 0
   && dst >= 0
-  && src < Array.length a.active
-  && dst < Array.length a.active
-  && a.active.(src)
-  && a.active.(dst)
-  (* Condition 2 first: an array read, and it already fails every
-     coupled pair (a shared gate reaches itself), so the interaction-set
-     lookup of Condition 1 only runs on pairs that pass it. *)
-  && condition2 a p
-  && condition1 a p
+  && src < a.root.k
+  && dst < a.root.k
+  && active a src
+  && active a dst
+  && not (reaches a dst src)
+
+(* [f src dst] on every valid pair, in descending order. Column src of
+   the reach rows is one word index and mask for the whole inner loop. *)
+let iter_valid a f =
+  let k = a.root.k and w = a.root.words in
+  for src = k - 1 downto 0 do
+    if active a src then begin
+      let wi = src / bits and mask = 1 lsl (src mod bits) in
+      for dst = k - 1 downto 0 do
+        if dst <> src && active a dst && a.qreach.((dst * w) + wi) land mask = 0
+        then f src dst
+      done
+    end
+  done
 
 let valid_pairs a =
-  let k = Array.length a.active in
   let acc = ref [] in
-  for src = k - 1 downto 0 do
-    for dst = k - 1 downto 0 do
-      let p = { src; dst } in
-      if valid a p then acc := p :: !acc
-    done
-  done;
+  iter_valid a (fun src dst -> acc := { src; dst } :: !acc);
   !acc
 
-(* When the wire already ends in a measurement, the reset can be a single
-   conditional X driven by that measure's clbit — but only if that measure
-   is the clbit's sole user. Emission orders the splice after every src
-   gate and before every dst gate and nothing else, so another writer of a
-   shared clbit can land between the measure and the conditional X, which
-   would then read the wrong value. With no reusable clbit a fresh
-   measure + X pair is spliced onto a fresh clbit instead. *)
-let reusable_final_clbit a src =
-  match last_gate (Quantum.Dag.gates_on_qubit a.dag src) with
-  | None -> None
-  | Some last ->
-    (match a.circuit.Quantum.Circuit.gates.(last).Quantum.Gate.kind with
-     | Quantum.Gate.Measure (_, c) ->
-       if (Lazy.force a.clbit_users).(c) = 1 then Some c else None
-     | _ -> None)
+(* Wire summaries. Depth rises along every wire, so a wire's finish is
+   the earliest finish of its last gate (the last gate of its chain's
+   tail qubit), its start that of its first gate, and its tail that of
+   its first gate: O(1) each. An empty wire reads 0. *)
+let finish a w = if active a w then a.ef.(a.root.last.(a.tail.(w))) else 0
+let start a w = if active a w then a.ef.(a.root.first.(w)) else 0
+let tail_depth a w = if active a w then a.tl.(a.root.first.(w)) else 0
 
-let src_finish_depth a { src; dst = _ } =
-  (Lazy.force a.q_summary).fin_depth.(src)
+let src_finish_depth a { src; dst = _ } = finish a src
+let dst_start_depth a { src = _; dst } = start a dst
 
-let dst_start_depth a { src = _; dst } = (Lazy.force a.q_summary).start_d.(dst)
+(* The splice after a wire ending in a reusable measurement is one
+   conditional X (1 layer); otherwise a measure and a conditional X (2). *)
+let predict_ij a src dst =
+  let reset_cost = if a.root.final_clbit.(a.tail.(src)) >= 0 then 1 else 2 in
+  max a.cp_depth (finish a src + reset_cost + tail_depth a dst)
 
-let predict_depth a { src; dst } =
-  let s = Lazy.force a.q_summary in
-  (* A measured wire only needs the conditional X (1 layer); otherwise the
-     spliced measure + conditional X costs 2. *)
-  let reset_cost = if s.ends_meas.(src) then 1 else 2 in
-  max a.cp_depth (s.fin_depth.(src) + reset_cost + s.tail_d.(dst))
+let predict_depth a { src; dst } = predict_ij a src dst
 
-(* An emitted transform, together with the relabelling data the
-   incremental engine needs to derive the child DAG without rebuilding:
-   where each parent gate landed, and where the reset splice landed. *)
-type emission = {
-  em_circuit : Quantum.Circuit.t;
-  em_pos : int array;      (* parent gate id -> id in the emitted circuit *)
-  em_measure : int option; (* spliced measure's id, when a clbit was added *)
-  em_if_x : int;           (* conditional X's id *)
-}
+type rank = By_depth | By_chain
 
-(* Kahn topological emission with min-gate-id priority, honoring the extra
-   [src gates -> reset node -> dst gates] constraints. The ready queue is
-   an int min-heap on one preallocated array, and the parent DAG's
-   successor lists are read in place: popping the least ready id is what
-   the order depends on, and a heap pops the same minimum a sorted set
-   would, so the emitted gate order is unchanged. The reset node takes id
-   [n], above every gate, so it leaves the queue only once no ready gate
-   precedes it. *)
-let emit (a : analysis) ({ src; dst } as p) =
-  let circuit = a.circuit in
-  if not (valid a p) then invalid_arg "Reuse.apply: invalid pair";
-  let dag = a.dag in
-  let gates = circuit.Quantum.Circuit.gates in
-  let n = Quantum.Dag.num_nodes dag in
-  let dummy = n in
-  (* Does src end in a measurement whose clbit the reset may safely
-     drive? Then no new measure (or clbit) is needed. *)
-  let existing_clbit = reusable_final_clbit a src in
-  let base_clbits = circuit.Quantum.Circuit.num_clbits in
-  let num_clbits, reset_clbit, m =
-    match existing_clbit with
-    | Some c -> (base_clbits, c, n + 1)
-    | None -> (base_clbits + 1, base_clbits, n + 2)
-  in
-  (* In-degrees including the dummy reset node's edges; [on_src] marks
-     the gates whose completion also counts towards the reset. *)
-  let { Quantum.Dag.pred_start; succ_start; succ_ids; _ } =
-    Quantum.Dag.adjacency dag
-  in
-  let indeg = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    indeg.(i) <- pred_start.(i + 1) - pred_start.(i)
+(* Each valid pair is packed as [key * k^2 + src * k + dst]: codes are
+   distinct, so one unstable in-place int sort yields key order with
+   ties in [valid_pairs] order, and stripping the key leaves the code.
+   Keys are below (depth + 1)^2, so the packing fits while
+   (depth + 1)^2 * k^2 < 2^62. *)
+let ranked a rank =
+  let k = a.root.k in
+  let kk = k * k in
+  let count = ref 0 in
+  iter_valid a (fun _ _ -> incr count);
+  let codes = Array.make !count 0 in
+  let i = ref 0 and span = a.cp_depth + 1 in
+  iter_valid a (fun src dst ->
+      let key =
+        match rank with
+        | By_depth -> predict_ij a src dst
+        | By_chain -> (finish a src * span) + start a dst
+      in
+      codes.(!i) <- (key * kk) + (src * k) + dst;
+      incr i);
+  Array.sort Int.compare codes;
+  Array.map_inplace (fun c -> c mod kk) codes;
+  codes
+
+(* ---- Circuits ----
+
+   Emission is Kahn's algorithm with least-id priority, the reset splice
+   ordered after every src gate and before every dst gate. The parent's
+   ids are topological and the splice's id is above every gate, so Kahn
+   emits every gate that does not descend from dst's first gate in
+   parent order, then the splice, then the descendants in parent order:
+   a stable partition, no priority queue. [replay] applies that rule
+   link by link from the root's order, so one rule builds both an
+   {!emit}ted child and a derived analysis's circuit. *)
+
+let replay r pairs =
+  let k = r.k in
+  let size = r.n + (2 * k) in
+  let prev = Array.make k (-1)
+  and next = Array.make k (-1)
+  and tail = Array.init k Fun.id in
+  let order = Array.make size 0 and moved = Array.make size 0 in
+  for i = 0 to r.n - 1 do
+    order.(i) <- i
   done;
-  let on_src = Bytes.make n '\000' in
+  let len = ref r.n in
+  let in_b = Bytes.make size '\000' in
+  let mark v = Bytes.unsafe_set in_b v '\001' in
+  let marked v = Bytes.unsafe_get in_b v <> '\000' in
+  let clbit = Array.make k (-1) in
+  let clbits = ref r.circuit.Quantum.Circuit.num_clbits in
   List.iter
-    (fun g ->
-      Bytes.unsafe_set on_src g '\001';
-      indeg.(dummy) <- indeg.(dummy) + 1)
-    (Quantum.Dag.gates_on_qubit dag src);
-  let d_gates = Quantum.Dag.gates_on_qubit dag dst in
-  List.iter (fun g -> indeg.(g) <- indeg.(g) + 1) d_gates;
-  let heap = Array.make (n + 1) 0 in
-  let size = ref 0 in
-  let push v =
-    let i = ref !size in
-    incr size;
-    while !i > 0 && heap.((!i - 1) / 2) > v do
-      heap.(!i) <- heap.((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done;
-    heap.(!i) <- v
-  in
-  let pop () =
-    let top = heap.(0) in
-    decr size;
-    let last = heap.(!size) in
-    let i = ref 0 and continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 in
-      if l >= !size then continue := false
-      else begin
-        let c = if l + 1 < !size && heap.(l + 1) < heap.(l) then l + 1 else l in
-        if heap.(c) < last then begin
-          heap.(!i) <- heap.(c);
-          i := c
-        end
-        else continue := false
-      end
-    done;
-    heap.(!i) <- last;
-    top
-  in
-  let release j =
-    indeg.(j) <- indeg.(j) - 1;
-    if indeg.(j) = 0 then push j
-  in
-  for i = 0 to n do
-    if indeg.(i) = 0 then push i
-  done;
-  (* Only kinds on dst change under the rename; the rest are shared.
-     Barriers always go through [map_qubits], which normalises their
-     wire set. *)
-  let on_dst = function
-    | Quantum.Gate.One_q (_, q)
-    | Quantum.Gate.Reset q
-    | Quantum.Gate.Measure (q, _)
-    | Quantum.Gate.If_x (_, q) ->
-      q = dst
-    | Quantum.Gate.Cx (x, y)
-    | Quantum.Gate.Cz (x, y)
-    | Quantum.Gate.Rzz (_, x, y)
-    | Quantum.Gate.Swap (x, y) ->
-      x = dst || y = dst
-    | Quantum.Gate.Barrier _ -> true
-  in
-  let rename q = if q = dst then src else q in
-  let kinds = Array.make m (Quantum.Gate.Reset src) in
-  let pos = Array.make n (-1) in
-  let measure_id = ref None in
-  let if_x_id = ref (-1) in
-  let next = ref 0 in
-  while !size > 0 do
-    let i = pop () in
-    if i = dummy then begin
-      (match existing_clbit with
-       | Some _ -> ()
-       | None ->
-         kinds.(!next) <- Quantum.Gate.Measure (src, reset_clbit);
-         measure_id := Some !next;
-         incr next);
-      kinds.(!next) <- Quantum.Gate.If_x (reset_clbit, src);
-      if_x_id := !next;
-      incr next;
-      List.iter release d_gates
-    end
-    else begin
-      let kind = gates.(i).Quantum.Gate.kind in
-      kinds.(!next) <-
-        (if on_dst kind then Quantum.Gate.map_qubits rename kind else kind);
-      pos.(i) <- !next;
-      incr next;
-      for e = succ_start.(i) to succ_start.(i + 1) - 1 do
-        release succ_ids.(e)
+    (fun { src; dst } ->
+      let t = tail.(src) in
+      Bytes.fill in_b 0 size '\000';
+      mark r.first.(dst);
+      (* [order] is topological: the scan reaches a node after all its
+         predecessors, so marking the successors of every marked node
+         marks every descendant *)
+      for i = 0 to !len - 1 do
+        let v = order.(i) in
+        if marked v then iter_succs r ~prev ~next v mark
       done;
-      if Bytes.unsafe_get on_src i <> '\000' then release dummy
+      let j = ref 0 in
+      let put v =
+        moved.(!j) <- v;
+        incr j
+      in
+      for i = 0 to !len - 1 do
+        if not (marked order.(i)) then put order.(i)
+      done;
+      if r.final_clbit.(t) >= 0 then clbit.(dst) <- r.final_clbit.(t)
+      else begin
+        clbit.(dst) <- !clbits;
+        incr clbits;
+        put (measure_node r dst)
+      end;
+      put (if_x_node r dst);
+      for i = 0 to !len - 1 do
+        if marked order.(i) then put order.(i)
+      done;
+      Array.blit moved 0 order 0 !j;
+      len := !j;
+      prev.(dst) <- t;
+      next.(t) <- dst;
+      tail.(src) <- tail.(dst))
+    pairs;
+  (* Every original qubit ends on the wire of its chain's head. *)
+  let head = Array.init k Fun.id in
+  for w = 0 to k - 1 do
+    if prev.(w) < 0 then begin
+      let q = ref next.(w) in
+      while !q >= 0 do
+        head.(!q) <- w;
+        q := next.(!q)
+      done
     end
   done;
-  if !next <> m then
-    invalid_arg "Reuse.apply: reuse would create a dependence cycle";
-  {
-    em_circuit =
-      Quantum.Circuit.of_kind_array
-        ~num_qubits:circuit.Quantum.Circuit.num_qubits ~num_clbits kinds;
-    em_pos = pos;
-    em_measure = !measure_id;
-    em_if_x = !if_x_id;
-  }
+  let gates = r.circuit.Quantum.Circuit.gates in
+  let rename q = head.(q) in
+  let kind v =
+    if v < r.n then
+      let kind = gates.(v).Quantum.Gate.kind in
+      let moves q = q >= 0 && head.(q) <> q in
+      (* Barriers always go through [map_qubits], which normalises their
+         wire set; other kinds off the moved wires are shared. *)
+      if Quantum.Gate.is_barrier kind || moves r.qa.(v) || moves r.qb.(v) then
+        Quantum.Gate.map_qubits rename kind
+      else kind
+    else
+      let q = (v - r.n) / 2 in
+      if v = measure_node r q then Quantum.Gate.Measure (head.(q), clbit.(q))
+      else Quantum.Gate.If_x (clbit.(q), head.(q))
+  in
+  Obs.Metrics.incr "reuse.materialized";
+  Quantum.Circuit.of_kind_array ~num_qubits:k ~num_clbits:!clbits
+    (Array.init !len (fun i -> kind order.(i)))
 
-let apply_circuit a p = (emit a p).em_circuit
-let apply circuit p = apply_circuit (analyze circuit) p
+let circuit a =
+  match a.built with
+  | Some c -> c
+  | None ->
+    let c = replay a.root (List.rev a.rev_pairs) in
+    a.built <- Some c;
+    c
 
-(* [relabel pos tail ids]: [ids] mapped through [pos], then [tail],
-   built directly without an intermediate list. *)
-let rec relabel pos tail = function
-  | [] -> tail
-  | g :: tl -> pos.(g) :: relabel pos tail tl
+let emit a p =
+  if not (valid a p) then invalid_arg "Reuse.apply: invalid pair";
+  replay a.root (List.rev (p :: a.rev_pairs))
 
-(* Chain DAG of an emitted circuit, derived from the parent's without a
-   rebuild: emission preserves each wire's (and clbit's) gate order, so
-   every parent chain edge relabels through [em_pos], and the only new
-   edges are the reset splice's on wire src. Exact only when the splice
-   is local (see {!splice_is_local}) — callers must check first. The
-   child's flat adjacency is filled in one pass over the parent's: each
-   node's relabelled neighbours, then a splice edge in the last slot of
-   the two gates the splice attaches to. *)
-let derived_dag (a : analysis) ~src ~dst em =
-  let dag = a.dag in
-  let parent = Quantum.Dag.adjacency dag in
-  let n = Quantum.Dag.num_nodes dag in
-  let pos = em.em_pos in
-  let m = Array.length em.em_circuit.Quantum.Circuit.gates in
-  let s_gates = Quantum.Dag.gates_on_qubit dag src in
-  let d_gates = Quantum.Dag.gates_on_qubit dag dst in
-  let last_s = pos.(List.fold_left max (-1) s_gates) in
-  let first_d = pos.(List.hd d_gates) in
-  let if_x = em.em_if_x in
-  (* the splice chain: last_s -> [measure ->] if_x -> first_d *)
-  let head = match em.em_measure with Some d1 -> d1 | None -> if_x in
-  (* Degrees go one slot up, then prefix sums turn them into offsets. *)
-  let pred_start = Array.make (m + 1) 0 and succ_start = Array.make (m + 1) 0 in
-  for i = 0 to n - 1 do
-    pred_start.(pos.(i) + 1) <- Quantum.Dag.in_degree dag i;
-    succ_start.(pos.(i) + 1) <- Quantum.Dag.out_degree dag i
+let apply circuit p = emit (analyze circuit) p
+
+(* ---- The incremental engine ---- *)
+
+(* A growable binary min-heap of ints. *)
+type heap = { mutable data : int array; mutable size : int }
+
+let push h v =
+  if h.size = Array.length h.data then begin
+    let bigger = Array.make (2 * h.size) 0 in
+    Array.blit h.data 0 bigger 0 h.size;
+    h.data <- bigger
+  end;
+  let i = ref h.size in
+  h.size <- h.size + 1;
+  while !i > 0 && h.data.((!i - 1) / 2) > v do
+    h.data.(!i) <- h.data.((!i - 1) / 2);
+    i := (!i - 1) / 2
   done;
-  succ_start.(last_s + 1) <- succ_start.(last_s + 1) + 1;
-  pred_start.(first_d + 1) <- pred_start.(first_d + 1) + 1;
-  (match em.em_measure with
-   | Some d1 ->
-     pred_start.(d1 + 1) <- 1;
-     succ_start.(d1 + 1) <- 1
-   | None -> ());
-  pred_start.(if_x + 1) <- 1;
-  succ_start.(if_x + 1) <- 1;
-  for v = 1 to m do
-    pred_start.(v) <- pred_start.(v) + pred_start.(v - 1);
-    succ_start.(v) <- succ_start.(v) + succ_start.(v - 1)
+  h.data.(!i) <- v
+
+let pop h =
+  let d = h.data in
+  let top = d.(0) in
+  h.size <- h.size - 1;
+  let last = d.(h.size) in
+  let i = ref 0 and continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    if l >= h.size then continue := false
+    else begin
+      let c = if l + 1 < h.size && d.(l + 1) < d.(l) then l + 1 else l in
+      if d.(c) < last then begin
+        d.(!i) <- d.(c);
+        i := c
+      end
+      else continue := false
+    end
   done;
-  let pred_ids = Array.make pred_start.(m) 0
-  and succ_ids = Array.make succ_start.(m) 0 in
-  for i = 0 to n - 1 do
-    let pi = pos.(i) in
-    let lo = parent.Quantum.Dag.pred_start.(i) in
-    for e = lo to parent.Quantum.Dag.pred_start.(i + 1) - 1 do
-      pred_ids.(pred_start.(pi) + e - lo) <- pos.(parent.Quantum.Dag.pred_ids.(e))
-    done;
-    let lo = parent.Quantum.Dag.succ_start.(i) in
-    for e = lo to parent.Quantum.Dag.succ_start.(i + 1) - 1 do
-      succ_ids.(succ_start.(pi) + e - lo) <- pos.(parent.Quantum.Dag.succ_ids.(e))
-    done
+  d.(!i) <- last;
+  top
+
+(* The schedules after linking [dst] behind wire qubit [t]: the splice
+   chain [ls -> (m ->) x -> fd] is the only new path. Earliest finishes
+   can rise only on descendants of fd, longest tails only on ancestors
+   of ls, and no node is both (Condition 2). Each side relaxes outward
+   from its end of the splice, visiting only the nodes whose value
+   rises, in parent-schedule order: a parent edge u -> v has
+   ef(u) < ef(v), so popping by increasing parent ef settles every
+   predecessor of a node before the node (decreasing, for tails). A node
+   enters the heap the first time its value rises. *)
+let spliced_schedules a ~prev ~next t dst =
+  let r = a.root in
+  let ef = Array.copy a.ef and tl = Array.copy a.tl in
+  let size = Array.length ef in
+  let ls = r.last.(t) and fd = r.first.(dst) in
+  let x = if_x_node r dst and h = splice_head r ~prev dst in
+  if h <> x then ef.(h) <- ef.(ls) + 1;
+  ef.(x) <- ef.(if h = x then ls else h) + 1;
+  tl.(x) <- tl.(fd) + 1;
+  if h <> x then tl.(h) <- tl.(x) + 1;
+  let heap = { data = Array.make 16 0; size = 0 } in
+  let cp = ref a.cp_depth and cur = ref 0 in
+  let raise_ef v =
+    if !cur + 1 > ef.(v) then begin
+      if ef.(v) = a.ef.(v) then push heap ((a.ef.(v) * size) + v);
+      ef.(v) <- !cur + 1
+    end
+  in
+  cur := ef.(x);
+  raise_ef fd;
+  while heap.size > 0 do
+    let v = pop heap mod size in
+    if ef.(v) > !cp then cp := ef.(v);
+    cur := ef.(v);
+    iter_succs r ~prev ~next v raise_ef
   done;
-  succ_ids.(succ_start.(last_s + 1) - 1) <- head;
-  pred_ids.(pred_start.(first_d + 1) - 1) <- if_x;
-  (match em.em_measure with
-   | Some d1 ->
-     pred_ids.(pred_start.(d1)) <- last_s;
-     succ_ids.(succ_start.(d1)) <- if_x;
-     pred_ids.(pred_start.(if_x)) <- d1
-   | None -> pred_ids.(pred_start.(if_x)) <- last_s);
-  succ_ids.(succ_start.(if_x)) <- first_d;
-  let k = em.em_circuit.Quantum.Circuit.num_qubits in
-  let on_qubit = Array.make (max 1 k) [] in
-  for q = 0 to k - 1 do
-    if q <> src && q <> dst then
-      on_qubit.(q) <- relabel pos [] (Quantum.Dag.gates_on_qubit dag q)
+  let raise_tl v =
+    if !cur + 1 > tl.(v) then begin
+      if tl.(v) = a.tl.(v) then
+        push heap (((a.cp_depth - a.ef.(v)) * size) + v);
+      tl.(v) <- !cur + 1
+    end
+  in
+  cur := tl.(h);
+  raise_tl ls;
+  while heap.size > 0 do
+    let v = pop heap mod size in
+    cur := tl.(v);
+    iter_preds r ~prev v raise_tl
   done;
-  let reset_then_dst = if_x :: relabel pos [] d_gates in
-  on_qubit.(src) <-
-    relabel pos
-      (match em.em_measure with
-       | Some d1 -> d1 :: reset_then_dst
-       | None -> reset_then_dst)
-      s_gates;
-  (* [~check:false]: this is the per-apply hot path of the incremental
-     engine, and its analyses are cross-validated byte-for-byte against
-     fresh ones by the property suites and the fuzz [engines] oracle, so
-     the deep shape checks would only re-verify what those already pin. *)
-  Quantum.Dag.of_parts ~check:false em.em_circuit
-    { Quantum.Dag.pred_start; pred_ids; succ_start; succ_ids }
-    ~on_qubit
+  (ef, tl, !cp)
 
-(* The incremental algebra models the reset splice as nodes wired only to
-   src's and dst's gates. That is the whole story exactly when the
-   circuit has no barriers (they chain on wires without appearing in the
-   analysis sets). Clbits no longer threaten locality: the reset only
-   reuses src's final-measure clbit when that measure is its sole user
-   (see {!reusable_final_clbit}), and otherwise the splice runs on a
-   fresh clbit nothing else touches. *)
-let splice_is_local a = not a.barriers
+(* The reach update. The reset splice sits after every src gate and
+   before every dst gate and, on a barrier-free circuit, is the only new
+   dependence, so projected to wires
 
-(* The incremental engine. The reset node D sits (transitively) after
-   every src gate and before every dst gate, and — when the splice is
-   local — it is the only new dependence, so the new gate-level closure
-   is
+     R'(a, b) = R(a, b) \/ (R(a, src) /\ R(dst, b)),
 
-     reach'(g, h) = reach(g, h) \/ (reach(g, D) /\ reach(D, h))
-
-   where reach(g, D) iff g reaches some src gate and reach(D, h) iff some
-   dst gate reaches h. Projected to qubits:
-
-     R'(a, b) = R(a, b) \/ (R(a, src) /\ R(dst, b)).
-
-   Rewiring dst's gates onto src then merges dst's row and column into
-   src's; dst keeps no gates, so its row and column go empty — exactly
-   what a fresh projection of the transformed circuit yields.
-
-   The interaction graph updates the same way: the reset adds no
-   two-qubit gate, and Condition 1 guarantees no gate couples src with
-   dst, so renaming dst to src in the edge set is exact (no self-loops
-   can appear). The active set just retires dst, and the chain DAG is
-   relabelled via {!derived_dag}. Only the O(n+e) schedules are
-   recomputed. When the splice is not local the whole derivation falls
-   back to a fresh analysis of the transformed circuit.
-
-   [time.analyze] covers the analysis derivation only — the circuit
-   emission is transform work that {!apply} does not time either, so the
-   timer draws the same boundary for both engines. *)
-let apply_incremental a ({ src; dst } as p) =
-  if not (splice_is_local a) then
-    analyze (apply_circuit a p)
-  else begin
-    Obs.Metrics.incr "reuse.analyze.incremental";
-    let em = emit a p in
-    Obs.Metrics.time "time.analyze" @@ fun () ->
-    let dag = derived_dag a ~src ~dst em in
-    let k = Array.length a.active in
-    let q = Array.make_matrix k k false in
-    for x = 0 to k - 1 do
-      let row = a.qreach.(x) and out = q.(x) in
-      let via_d = row.(src) in
-      let d_row = a.qreach.(dst) in
-      for y = 0 to k - 1 do
-        out.(y) <- row.(y) || (via_d && d_row.(y))
+   row ORs on the bitset (in place is exact: R(dst, src) is false, so
+   neither row dst nor column src changes). Rewiring dst's gates onto src
+   then merges dst's row and column into src's, and dst's go empty —
+   exactly what a fresh projection of the transformed circuit yields. *)
+let merged_reach a src dst =
+  let k = a.root.k and w = a.root.words in
+  let q = Array.copy a.qreach in
+  let sbase = src * w and dbase = dst * w in
+  let swi = src / bits and smask = 1 lsl (src mod bits) in
+  let dwi = dst / bits and dmask = 1 lsl (dst mod bits) in
+  for x = 0 to k - 1 do
+    if q.((x * w) + swi) land smask <> 0 then
+      for i = 0 to w - 1 do
+        q.((x * w) + i) <- q.((x * w) + i) lor q.(dbase + i)
       done
-    done;
-    for y = 0 to k - 1 do
-      q.(src).(y) <- q.(src).(y) || q.(dst).(y)
-    done;
-    for x = 0 to k - 1 do
-      q.(x).(src) <- q.(x).(src) || q.(x).(dst)
-    done;
-    for i = 0 to k - 1 do
-      q.(dst).(i) <- false;
-      q.(i).(dst) <- false
-    done;
-    (* Renaming dst to src in the edge set is exactly a contraction of
-       the pair (paper Fig. 5): O(deg dst) set updates on a copy instead
-       of reifying and rebuilding the whole edge list. *)
-    let inter = Galg.Graph.copy a.inter in
-    Galg.Graph.contract inter src dst;
-    let active = Array.copy a.active in
-    active.(dst) <- false;
-    (* the fast path is only taken on barrier-free circuits, and the
-       emission adds no barriers *)
-    finish_analysis em.em_circuit dag q ~inter ~active ~barriers:false
+  done;
+  for i = 0 to w - 1 do
+    q.(sbase + i) <- q.(sbase + i) lor q.(dbase + i);
+    q.(dbase + i) <- 0
+  done;
+  for x = 0 to k - 1 do
+    let d = (x * w) + dwi in
+    if q.(d) land dmask <> 0 then begin
+      q.(d) <- q.(d) land lnot dmask;
+      q.((x * w) + swi) <- q.((x * w) + swi) lor smask
+    end
+  done;
+  q
+
+let splice_is_local a = not a.root.barriers
+
+(* On a barrier-free circuit the child is the parent's chains plus one
+   link, its schedules and reach updated along the splice; no circuit is
+   emitted. Otherwise the child is a fresh analysis of the emitted
+   circuit. *)
+let apply_incremental a ({ src; dst } as p) =
+  if not (splice_is_local a) then analyze (emit a p)
+  else begin
+    if not (valid a p) then invalid_arg "Reuse.apply: invalid pair";
+    Obs.Metrics.incr "reuse.analyze.incremental";
+    Obs.Metrics.time "time.analyze" @@ fun () ->
+    let t = a.tail.(src) in
+    let prev = Array.copy a.prev
+    and next = Array.copy a.next
+    and tail = Array.copy a.tail in
+    prev.(dst) <- t;
+    next.(t) <- dst;
+    tail.(src) <- tail.(dst);
+    let ef, tl, cp_depth = spliced_schedules a ~prev ~next t dst in
+    {
+      root = a.root;
+      rev_pairs = p :: a.rev_pairs;
+      prev;
+      next;
+      tail;
+      ef;
+      tl;
+      cp_depth;
+      qreach = merged_reach a src dst;
+      usage = a.usage - 1;
+      built = None;
+    }
   end
 
-let circuit a = a.circuit
-
-let usage a =
-  Array.fold_left (fun n active -> if active then n + 1 else n) 0 a.active
+let usage a = a.usage
 
 let qubit_usage circuit = List.length (Quantum.Circuit.active_qubits circuit)

@@ -11,15 +11,25 @@
 
 type pair = { src : int; dst : int }
 
-(** Everything the analyses need. Built from scratch by {!analyze} —
-    paying the paper's §3.4 O(n^2) dependence-closure cost once — or
-    derived from a previous analysis by {!apply_incremental}, which
-    updates the closure in O(k^2) for k qubits instead of rebuilding it. *)
+(** A node of the reuse search: a root circuit plus the reuse links
+    applied to it since. {!analyze} builds a root, paying the paper's
+    §3.4 O(n^2) dependence-closure cost once, together with the root's
+    flat tables (gate kinds, DAG adjacency, each qubit's first and last
+    gate, which final measurements may drive a reset), which every
+    analysis derived from it shares
+    read-only. {!apply_incremental} derives a child that owns only what
+    a link changes: the wire chains, the unit-depth schedules and the
+    qubit-level reach relation as bitset rows. No circuit is built for
+    it until {!circuit} is read. *)
 type analysis
 
 val analyze : Quantum.Circuit.t -> analysis
 
-(** The circuit an analysis describes. *)
+(** The circuit an analysis describes. A root returns its input; a
+    derived analysis builds its circuit on the first read, by replaying
+    the emission rule of {!emit} link by link from the root (bumping
+    ["reuse.materialized"]), and keeps it. The result equals iterated
+    {!apply} along the same pairs. *)
 val circuit : analysis -> Quantum.Circuit.t
 
 (** Number of active qubits, read off the analysis. Equals
@@ -42,7 +52,10 @@ val condition1 : analysis -> pair -> bool
 (** Condition 2 for a pair. *)
 val condition2 : analysis -> pair -> bool
 
-(** [valid analysis pair]: both qubits active, distinct, Conditions 1–2. *)
+(** [valid analysis pair]: both qubits active, distinct, Conditions 1–2.
+    Condition 2 implies Condition 1 (a gate coupling the two wires is a
+    gate on [dst] that reaches itself on [src]), so only Condition 2 is
+    tested. *)
 val valid : analysis -> pair -> bool
 
 (** All valid pairs over active qubits. O(k^2) validity checks backed by
@@ -74,37 +87,33 @@ val dst_start_depth : analysis -> pair -> int
     Raises [Invalid_argument] on an invalid pair. *)
 val apply : Quantum.Circuit.t -> pair -> Quantum.Circuit.t
 
-(** An emitted transform: the circuit of {!apply}, together with where
-    each parent gate landed ([em_pos]: parent gate id -> emitted id) and
-    where the reset splice landed — the spliced measure, when a fresh
-    clbit was needed, and the conditional X. *)
-type emission = {
-  em_circuit : Quantum.Circuit.t;
-  em_pos : int array;
-  em_measure : int option;
-  em_if_x : int;
-}
-
-(** [emit analysis pair] emits the reuse transform in Kahn topological
-    order, always taking the least ready gate id; the reset splice runs
-    after every [src] gate and before every [dst] gate. [apply c p] is
-    [(emit (analyze c) p).em_circuit]. Raises [Invalid_argument] on an
-    invalid pair. *)
-val emit : analysis -> pair -> emission
-
-(** [apply_incremental analysis pair] is the analysis of
-    [apply (circuit analysis) pair], but derived incrementally: the reset
-    node is the only new dependence, so the qubit-level closure update is
-
-    [R'(a,b) = R(a,b) or (R(a,src) and R(dst,b))]
-
-    followed by merging [dst]'s row and column into [src]'s — O(k^2)
-    instead of the O(n^2) gate-closure rebuild. The linear-cost parts
-    (DAG, unit-depth schedules, interaction graph) are recomputed
-    exactly, so the result is observably identical to a fresh {!analyze}
-    of the transformed circuit (property-tested in
-    [test/test_incremental.ml]). Raises [Invalid_argument] on an invalid
+(** [emit analysis pair] is the circuit of [analysis] with [pair]
+    applied, as {!apply} builds it: Kahn's topological order with
+    least-id priority, the reset splice after every [src] gate and before
+    every [dst] gate. Parent ids are topological and the splice's id is
+    above every gate, so that order is: every gate not descending from
+    [dst]'s first gate, in parent order; the splice; the descendants, in
+    parent order. The same rule builds {!circuit}. [apply c p] is
+    [emit (analyze c) p]. Raises [Invalid_argument] on an invalid
     pair. *)
+val emit : analysis -> pair -> Quantum.Circuit.t
+
+(** [apply_incremental analysis pair] is an analysis of
+    [apply (circuit analysis) pair] that builds no circuit. On a
+    barrier-free circuit the reset splice [last src gate -> (measure ->)
+    conditional X -> first dst gate] is the only new dependence, so:
+    - the qubit-level closure updates in O(k^2 / 63) word operations,
+      [R'(a,b) = R(a,b) or (R(a,src) and R(dst,b))], then merges [dst]'s
+      row and column into [src]'s;
+    - earliest finishes rise only below the splice and longest tails
+      only above it, and each side is relaxed outward from the splice
+      over just the gates whose value changes;
+    - depth rises along every wire, so a wire's finish, start and tail
+      read off its first and last gate in O(1).
+    The result is observably identical to a fresh {!analyze} of the
+    transformed circuit (property-tested in [test/test_incremental.ml]).
+    With barriers it is that fresh analysis. Raises [Invalid_argument]
+    on an invalid pair. *)
 val apply_incremental : analysis -> pair -> analysis
 
 (** [splice_is_local a]: the circuit has no barriers, so a reset splice
@@ -113,6 +122,16 @@ val apply_incremental : analysis -> pair -> analysis
     links fixes a descendant's DAG up to gate renumbering. Every
     analysis derived from a barrier-free one is barrier-free. *)
 val splice_is_local : analysis -> bool
+
+(** Candidate orders for {!ranked}: [By_depth] by {!predict_depth};
+    [By_chain] by {!src_finish_depth}, then {!dst_start_depth}. *)
+type rank = By_depth | By_chain
+
+(** [ranked analysis rank] is every valid pair, encoded as
+    [src * num_qubits + dst], in ascending key order with ties in
+    {!valid_pairs} order — the search's candidate list as one flat int
+    array, with no tuple or record per pair. *)
+val ranked : analysis -> rank -> int array
 
 (** Number of active qubits (the "qubit usage" the paper reports). *)
 val qubit_usage : Quantum.Circuit.t -> int

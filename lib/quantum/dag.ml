@@ -1,9 +1,9 @@
 (* Adjacency in compressed form: the predecessors of node [i] are
    [pred_ids.(pred_start.(i)) .. pred_ids.(pred_start.(i + 1) - 1)], and
    likewise for successors. Two flat int arrays per direction instead of
-   one list cell per edge: the incremental reuse engine derives one DAG
-   per search node, so its size is paid on every node, and again by the
-   major heap for every node the search memo keeps. *)
+   one list cell per edge: the router and the incremental reuse engine
+   walk them in place on every step, and the reuse engine shares one
+   root's arrays across every search node it derives. *)
 type adjacency = {
   pred_start : int array;
   pred_ids : int array;
@@ -199,7 +199,6 @@ let of_parts ?(check = true) circuit adj ~on_qubit =
 let adjacency t = t.adj
 let num_nodes t = Array.length t.adj.pred_start - 1
 let in_degree t i = t.adj.pred_start.(i + 1) - t.adj.pred_start.(i)
-let out_degree t i = t.adj.succ_start.(i + 1) - t.adj.succ_start.(i)
 
 let slice ids lo hi =
   let rec go e acc = if e < lo then acc else go (e - 1) (ids.(e) :: acc) in

@@ -46,7 +46,6 @@ val adjacency : t -> adjacency
 val preds : t -> int -> int list
 val succs : t -> int -> int list
 val in_degree : t -> int -> int
-val out_degree : t -> int -> int
 
 (** [iter_succs f t i] applies [f] to each successor of [i], in the
     order of [succs t i]. *)

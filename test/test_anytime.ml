@@ -104,10 +104,14 @@ let certify ~original pairs =
   in
   Verify.Structural.check_pairs ~original claimed
 
-(* cuccaro-128 needs well over a second of search to run exact (see the
-   bench anytime curves), so a sub-second deadline always trips. *)
+(* qaoa-powerlaw-250 does not run exact inside 2.5 s (see the bench
+   anytime curves), so a sub-second deadline always trips, after the
+   search has found some pairs. *)
 let anytime_run () =
-  let c = Benchmarks.Large.cuccaro_farm 128 in
+  let c =
+    (Option.get (Benchmarks.Large.find_opt "qaoa-powerlaw-250"))
+      .Benchmarks.Large.build ()
+  in
   let a =
     Guard.Budget.scoped
       (Guard.Budget.make ~ms:300 ())
@@ -142,6 +146,33 @@ let test_anytime_width_below_input () =
   let c, a = anytime_run () in
   check bool "anytime width <= input width" true
     (a.Caqr.Engine.width <= Caqr.Reuse.qubit_usage c)
+
+(* The incumbent's circuit is built only when it is returned, so on a
+   trip it is built on the exception path. To trip at a known node the
+   armed ["qs.search"] site sleeps past the wall budget at its [hit]-th
+   DFS node, and the checkpoint right after it raises. The returned
+   circuit must be iterated [Reuse.apply] of the returned pairs. *)
+let test_tripped_incumbent_is_iterated_apply () =
+  let c = (Benchmarks.Suite.find "Multiply_13").Benchmarks.Suite.circuit in
+  List.iter
+    (fun hit ->
+      Guard.Inject.arm ~at_hit:hit ~mode:(Guard.Inject.Delay_ms 250) "qs.search";
+      let a =
+        Fun.protect ~finally:Guard.Inject.disarm (fun () ->
+            Guard.Budget.scoped
+              (Guard.Budget.make ~ms:150 ())
+              (fun () -> Caqr.Qs_caqr.max_reuse_anytime c))
+      in
+      let label = Printf.sprintf "trip at node %d" hit in
+      check bool (label ^ ": anytime") false
+        (Caqr.Quality.is_exact a.Caqr.Engine.quality);
+      let pairs = Option.get a.Caqr.Engine.pairs in
+      check bool (label ^ ": incumbent has pairs") true (pairs <> []);
+      check Alcotest.string
+        (label ^ ": circuit = iterated apply")
+        (Quantum.Qasm.to_string (List.fold_left Caqr.Reuse.apply c pairs))
+        (Quantum.Qasm.to_string a.Caqr.Engine.circuit))
+    [ 20; 100; 300 ]
 
 (* ---- search_anytime: target contract ---- *)
 
@@ -188,6 +219,8 @@ let () =
             test_anytime_certificate_revalidates;
           Alcotest.test_case "width never above the input" `Quick
             test_anytime_width_below_input;
+          Alcotest.test_case "tripped incumbent = iterated apply" `Quick
+            test_tripped_incumbent_is_iterated_apply;
         ] );
       ( "search",
         [

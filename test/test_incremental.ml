@@ -64,7 +64,9 @@ let same_analysis inc fresh =
       (List.init n Fun.id)
   in
   let valid = Caqr.Reuse.valid_pairs fresh in
-  Caqr.Reuse.circuit inc = Caqr.Reuse.circuit fresh
+  (* [valid] tests Condition 2 alone, which implies Condition 1 *)
+  List.for_all (Caqr.Reuse.condition1 fresh) valid
+  && Caqr.Reuse.circuit inc = Caqr.Reuse.circuit fresh
   && Caqr.Reuse.usage inc = Caqr.Reuse.usage fresh
   && Caqr.Reuse.valid_pairs inc = valid
   && List.for_all
@@ -97,8 +99,101 @@ let prop_incremental_matches_fresh =
       in
       go (Caqr.Reuse.analyze (build_measured cspec)) choices)
 
-(* ---- emission: the heap-driven [Reuse.emit] against the sorted-set
-   Kahn emission it replaced ----
+(* ---- derived circuits: barrier-free dynamic circuits ----
+
+   Generated barrier-free circuits carry mid-circuit measures, shared
+   clbits, conditional X and resets, so both splice kinds occur: a fresh
+   measure on a fresh clbit, and a lone conditional X driven by a wire's
+   sole-user final measure. Each chain runs until no valid pair remains,
+   and every derived analysis must match a fresh one while its circuit,
+   built from the root's tables, prints the same QASM-3 as iterated
+   [Reuse.apply]. *)
+
+let barrier_free = { Fuzz.Gen.default with Fuzz.Gen.w_barrier = 0; max_qubits = 8 }
+
+(* One chain to the end: the derived analyses, root first, each with the
+   pair that produced it. [pick] chooses among the valid pairs. *)
+let chain_to_end pick c =
+  let rec go a acc =
+    match Caqr.Reuse.valid_pairs a with
+    | [] -> List.rev acc
+    | pairs ->
+      let p = List.nth pairs (pick (List.length pairs)) in
+      let a' = Caqr.Reuse.apply_incremental a p in
+      go a' ((a', p) :: acc)
+  in
+  go (Caqr.Reuse.analyze c) []
+
+let generated seed =
+  let rng = Exec.Prng.make seed in
+  (Fuzz.Gen.circuit barrier_free rng, Exec.Prng.int rng)
+
+let qasm = Quantum.Qasm.to_string
+
+(* [iterated c pairs]: the circuits of [Reuse.apply] along [pairs]. *)
+let iterated c pairs =
+  List.rev
+    (snd
+       (List.fold_left
+          (fun (c, acc) p ->
+            let c' = Caqr.Reuse.apply c p in
+            (c', c' :: acc))
+          (c, []) pairs))
+
+let prop_generated_incremental_matches_fresh =
+  QCheck.Test.make
+    ~name:"reuse: apply_incremental = fresh analyze (barrier-free fuzz)"
+    ~count:80 (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let c, pick = generated seed in
+      let rec check parent = function
+        | [] -> true
+        | (a', p) :: rest ->
+          let child = Caqr.Reuse.apply parent p in
+          same_analysis a' (Caqr.Reuse.analyze child)
+          && qasm (Caqr.Reuse.circuit a') = qasm child
+          && check child rest
+      in
+      check c (chain_to_end pick c))
+
+(* The properties above read each parent's circuit before its child's.
+   A circuit is built from the root along the node's links, so reading a
+   descendant first, then every ancestor back to the root, gives the
+   same circuits; each is built once, and read again from its cache. *)
+let test_descendant_before_ancestor () =
+  let fresh_links = ref 0 and reused_links = ref 0 in
+  for seed = 1 to 60 do
+    let c, pick = generated seed in
+    let steps = chain_to_end pick c in
+    let expected = iterated c (List.map snd steps) in
+    Obs.Metrics.reset ();
+    List.iter2
+      (fun (a, _) e ->
+        Alcotest.(check string)
+          (Printf.sprintf "seed %d: circuit" seed)
+          (qasm e) (qasm (Caqr.Reuse.circuit a)))
+      (List.rev steps) (List.rev expected);
+    List.iter (fun (a, _) -> ignore (Caqr.Reuse.circuit a)) steps;
+    Alcotest.(check int)
+      (Printf.sprintf "seed %d: each circuit built once" seed)
+      (List.length steps)
+      (Obs.Metrics.count "reuse.materialized");
+    ignore
+      (List.fold_left
+         (fun (prev : Quantum.Circuit.t) (e : Quantum.Circuit.t) ->
+           if e.Quantum.Circuit.num_clbits > prev.Quantum.Circuit.num_clbits
+           then incr fresh_links
+           else incr reused_links;
+           e)
+         c expected)
+  done;
+  Alcotest.(check bool) "some splices measure onto a fresh clbit" true
+    (!fresh_links > 0);
+  Alcotest.(check bool) "some splices reuse a final measurement" true
+    (!reused_links > 0)
+
+(* ---- emission: the stable-partition [Reuse.emit] against a Kahn
+   emission on a sorted set ----
 
    The goldens cannot catch an emission-order change on their own: the
    reference sweep calls the same [Reuse.emit]. This reference shares
@@ -152,44 +247,31 @@ let reference_emit circuit ({ Caqr.Reuse.src; dst } : Caqr.Reuse.pair) =
     if indeg.(i) = 0 then ready := Iset.add i !ready
   done;
   let rename q = if q = dst then src else q in
-  let rev_kinds = ref [] and next = ref 0 in
-  let pos = Array.make n (-1) and measure_id = ref None and if_x_id = ref (-1) in
-  let emit_kind k =
-    rev_kinds := k :: !rev_kinds;
-    incr next
-  in
+  let rev_kinds = ref [] in
+  let emit_kind k = rev_kinds := k :: !rev_kinds in
   while not (Iset.is_empty !ready) do
     let i = Iset.min_elt !ready in
     ready := Iset.remove i !ready;
     if i = dummy then begin
-      if existing_clbit = None then begin
-        measure_id := Some !next;
-        emit_kind (Quantum.Gate.Measure (src, reset_clbit))
-      end;
-      if_x_id := !next;
+      if existing_clbit = None then
+        emit_kind (Quantum.Gate.Measure (src, reset_clbit));
       emit_kind (Quantum.Gate.If_x (reset_clbit, src))
     end
-    else begin
-      pos.(i) <- !next;
-      emit_kind (Quantum.Gate.map_qubits rename gates.(i).Quantum.Gate.kind)
-    end;
+    else emit_kind (Quantum.Gate.map_qubits rename gates.(i).Quantum.Gate.kind);
     List.iter
       (fun j ->
         indeg.(j) <- indeg.(j) - 1;
         if indeg.(j) = 0 then ready := Iset.add j !ready)
       succs.(i)
   done;
-  ( Quantum.Circuit.of_kinds ~num_qubits:circuit.Quantum.Circuit.num_qubits
-      ~num_clbits (List.rev !rev_kinds),
-    pos,
-    !measure_id,
-    !if_x_id )
+  Quantum.Circuit.of_kinds ~num_qubits:circuit.Quantum.Circuit.num_qubits
+    ~num_clbits (List.rev !rev_kinds)
 
 let kinds c = Array.map (fun g -> g.Quantum.Gate.kind) c.Quantum.Circuit.gates
 
 (* Every valid pair of a generated dynamic circuit (mid-circuit
    measures, shared clbits, conditional X, barriers) emits identically:
-   same gate kinds, same clbit count, same relabelling. *)
+   same gate kinds, same clbit count. *)
 let prop_emit_matches_reference =
   QCheck.Test.make ~name:"reuse: emit = sorted-set reference emission"
     ~count:150 (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
@@ -199,13 +281,9 @@ let prop_emit_matches_reference =
       List.for_all
         (fun p ->
           let em = Caqr.Reuse.emit a p in
-          let circuit, pos, measure, if_x = reference_emit c p in
-          kinds em.Caqr.Reuse.em_circuit = kinds circuit
-          && em.Caqr.Reuse.em_circuit.Quantum.Circuit.num_clbits
-             = circuit.Quantum.Circuit.num_clbits
-          && em.Caqr.Reuse.em_pos = pos
-          && em.Caqr.Reuse.em_measure = measure
-          && em.Caqr.Reuse.em_if_x = if_x)
+          let circuit = reference_emit c p in
+          kinds em = kinds circuit
+          && em.Quantum.Circuit.num_clbits = circuit.Quantum.Circuit.num_clbits)
         (Caqr.Reuse.valid_pairs a))
 
 (* ---- search regression: the incremental sweep must be identical to
@@ -268,8 +346,6 @@ let cap_check budget c =
     counted (fun () -> Fuzz.Qs_ref.sweep ~opts c)
   in
   (inc = reference && (skips > 0 || inc_nodes = ref_nodes), replays)
-
-let barrier_free = { Fuzz.Gen.default with Fuzz.Gen.w_barrier = 0; max_qubits = 8 }
 
 let prop_sweep_agree_at_cap ~cfg ~label budget =
   QCheck.Test.make
@@ -344,6 +420,9 @@ let () =
       ( "analysis",
         [
           to_alcotest prop_incremental_matches_fresh;
+          to_alcotest prop_generated_incremental_matches_fresh;
+          Alcotest.test_case "descendant circuit before ancestor's" `Quick
+            test_descendant_before_ancestor;
           to_alcotest prop_emit_matches_reference;
         ] );
       ( "engines",
