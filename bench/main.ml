@@ -758,7 +758,7 @@ let engines_exp () =
 (* The incremental sweep must reproduce the reference sweep exactly
    while doing a fraction of the analysis work.  The comparison runs
    both over every regular benchmark and writes BENCH_caqr.json (schema
-   caqr-bench/6) for CI to archive. Next to the timer ratio each row
+   caqr-bench/7) for CI to archive. Next to the timer ratio each row
    carries counted work, which repeats exactly from run to run: the
    analyses derived per sweep (fresh + incremental) and the minor words
    allocated per sweep. *)
@@ -975,6 +975,30 @@ let commute_report () =
 let qs_gate_benchmark = "Multiply_13"
 let qs_words_budget = 830_000.
 
+(* The root analysis's counted-work gate: minor words of one
+   [Reuse.analyze] of cuccaro-256, at most [root_words_budget]. The
+   qubit reach rows come from one reverse sweep over the DAG; the
+   gate-level O(n^2) closure it replaced allocated about 8.06M words. *)
+let root_gate_benchmark = "cuccaro-256"
+let root_words_budget = 1_000_000.
+
+let root_analyze_words () =
+  let g = Option.get (Benchmarks.Large.find_opt root_gate_benchmark) in
+  let c = g.Benchmarks.Large.build () in
+  let words0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Caqr.Reuse.analyze c));
+  let words = Gc.minor_words () -. words0 in
+  if words <= root_words_budget then
+    Printf.printf "=> %s root Reuse.analyze: %.0f minor words (budget %.0f)\n"
+      root_gate_benchmark words root_words_budget
+  else begin
+    incr structural_violations;
+    Printf.printf
+      "!! PERF VIOLATION: %s root Reuse.analyze allocates %.0f minor words (budget %.0f)\n%!"
+      root_gate_benchmark words root_words_budget
+  end;
+  words
+
 let perf () =
   section "perf" "incremental vs reference sweep (BENCH_caqr.json)";
   let ratio num den = num /. Float.max 1e-9 den in
@@ -1034,12 +1058,13 @@ let perf () =
      incr structural_violations;
      Printf.printf "!! PERF VIOLATION: no %s sweep measured\n%!"
        qs_gate_benchmark);
+  let root_words = root_analyze_words () in
   let all_identical = List.for_all (fun (_, _, _, id, _, _) -> id) rows in
   Printf.printf "=> engines agree on every sweep: %b\n" all_identical;
   if not all_identical then incr structural_violations;
   let commute = commute_report () in
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"caqr-bench/6\",\"suite\":[";
+  Buffer.add_string b "{\"schema\":\"caqr-bench/7\",\"suite\":[";
   List.iteri
     (fun i (e, inc, fresh, identical, work, speedup) ->
       if i > 0 then Buffer.add_char b ',';
@@ -1059,6 +1084,11 @@ let perf () =
     (Printf.sprintf
        "],\"headline\":{\"largest_benchmark\":%S,\"analyze_work_ratio\":%.3f,\"wall_speedup\":%.3f,\"minor_words_ratio\":%.3f}"
        le.Benchmarks.Suite.name lwork lspeed lwords);
+  (* caqr-bench/7: one root analysis's minor words and their gate. *)
+  Buffer.add_string b
+    (Printf.sprintf
+       ",\"root_analyze\":{\"benchmark\":%S,\"minor_words\":%.0f,\"budget\":%.0f}"
+       root_gate_benchmark root_words root_words_budget);
   (* caqr-bench/6: the QS search's minor-words gate. *)
   Buffer.add_string b
     (Printf.sprintf ",\"qs_words_budget\":{\"benchmark\":%S,\"minor_words\":%.0f}"

@@ -6,7 +6,7 @@ type root = {
   circuit : Quantum.Circuit.t;
   n : int;  (* gate count *)
   k : int;  (* qubit count *)
-  adj : Quantum.Dag.adjacency;
+  adj : Quantum.Dag.t;
   (* [qa.(g)], [qb.(g)]: gate g's qubits, -1 where it has fewer (and for
      barriers) — how a gate finds the splices attached to it. *)
   qa : int array;
@@ -18,9 +18,8 @@ type root = {
      the clbit's sole user, else -1. The reset splice after such a wire
      is a lone conditional X driven by that clbit. *)
   final_clbit : int array;
-  inter : Galg.Graph.t;
   (* Barrier pseudo-gates chain on their wires without appearing in
-     [first]/[last]/[inter], so the splice algebra below cannot track
+     [qa]/[qb]/[first]/[last], so the splice algebra below cannot track
      them; their presence forces {!apply_incremental} onto the
      fresh-rebuild path. *)
   barriers : bool;
@@ -44,9 +43,10 @@ type analysis = {
   tl : int array;
   cp_depth : int;  (* critical path, in unit depth *)
   (* Bitset rows: bit b of row a says some gate on wire a reaches
-     (reflexively) some gate on wire b. This qubit-level projection of
-     the O(n^2) gate closure is all Condition 2 ever consults, and it
-     admits an exact O(k^2 / 63) update under a reuse link. *)
+     (reflexively) some gate on wire b. This qubit-level relation is all
+     Condition 2 ever consults: the root derives it in one reverse sweep
+     ({!reach_rows}), and it admits an exact O(k^2 / 63) update under a
+     reuse link. *)
   qreach : int array;
   usage : int;
   (* The circuit, built on the first read ({!circuit}): a plain field, not
@@ -110,7 +110,7 @@ let iter_preds r ~prev v f =
 (* Earliest-finish and longest-tail schedules of the root in unit depth,
    one forward and one backward sweep over the DAG. The arrays leave two
    slots per qubit for the splices of later links. *)
-let root_schedules circuit (adj : Quantum.Dag.adjacency) ~size =
+let root_schedules circuit (adj : Quantum.Dag.t) ~size =
   let gates = circuit.Quantum.Circuit.gates in
   let { Quantum.Dag.pred_start; pred_ids; succ_start; succ_ids } = adj in
   let n = Array.length gates in
@@ -134,58 +134,75 @@ let root_schedules circuit (adj : Quantum.Dag.adjacency) ~size =
   done;
   (ef, tl, !cp_depth)
 
+(* The qubit reach rows in one reverse sweep. Gate g's row is its own
+   wires OR'd with its successors' rows, so bit b says g reaches
+   (reflexively) a gate on wire b; wire a's row ORs the rows of a's
+   gates. Barriers carry reach through their successors without adding
+   wires of their own. O(edges * words). *)
+let reach_rows (adj : Quantum.Dag.t) ~qa ~qb ~k ~words =
+  let { Quantum.Dag.succ_start; succ_ids; _ } = adj in
+  let n = Array.length qa in
+  let rows = Array.make (n * words) 0 and qreach = Array.make (k * words) 0 in
+  let or_row dst d src s =
+    for i = 0 to words - 1 do
+      dst.(d + i) <- dst.(d + i) lor src.(s + i)
+    done
+  in
+  for g = n - 1 downto 0 do
+    let base = g * words in
+    for e = succ_start.(g) to succ_start.(g + 1) - 1 do
+      or_row rows base rows (succ_ids.(e) * words)
+    done;
+    if qa.(g) >= 0 then set_bit rows words g qa.(g);
+    if qb.(g) >= 0 then set_bit rows words g qb.(g);
+    if qa.(g) >= 0 then or_row qreach (qa.(g) * words) rows base;
+    if qb.(g) >= 0 then or_row qreach (qb.(g) * words) rows base
+  done;
+  qreach
+
 let analyze circuit =
   Obs.Metrics.incr "reuse.analyze.fresh";
   Obs.Metrics.time "time.analyze" @@ fun () ->
-  let dag = Quantum.Dag.build circuit in
+  let adj = Quantum.Dag.build circuit in
   let gates = circuit.Quantum.Circuit.gates in
   let n = Array.length gates and k = circuit.Quantum.Circuit.num_qubits in
   let qa = Array.make n (-1) and qb = Array.make n (-1) in
+  let first = Array.make k (-1) and last = Array.make k (-1) in
   let users = Array.make circuit.Quantum.Circuit.num_clbits 0 in
   let barriers = ref false in
+  let touch i q =
+    if first.(q) < 0 then first.(q) <- i;
+    last.(q) <- i
+  in
   Array.iteri
     (fun i g ->
       let kind = g.Quantum.Gate.kind in
       if Quantum.Gate.is_barrier kind then barriers := true
       else begin
         (match Quantum.Gate.qubits kind with
-         | [ a ] -> qa.(i) <- a
+         | [ a ] ->
+           qa.(i) <- a;
+           touch i a
          | [ a; b ] ->
            qa.(i) <- a;
-           qb.(i) <- b
+           qb.(i) <- b;
+           touch i a;
+           touch i b
          | _ -> ());
         List.iter (fun c -> users.(c) <- users.(c) + 1) (Quantum.Gate.clbits kind)
       end)
     gates;
-  let first = Array.make k (-1)
-  and last = Array.make k (-1)
-  and final_clbit = Array.make k (-1) in
+  let final_clbit = Array.make k (-1) in
+  let usage = ref 0 in
   for q = 0 to k - 1 do
-    match Quantum.Dag.gates_on_qubit dag q with
-    | [] -> ()
-    | g :: _ as on_q ->
-      first.(q) <- g;
-      let l = List.fold_left (fun _ g -> g) g on_q in
-      last.(q) <- l;
-      (match gates.(l).Quantum.Gate.kind with
-       | Quantum.Gate.Measure (_, c) when users.(c) = 1 -> final_clbit.(q) <- c
-       | _ -> ())
+    if last.(q) >= 0 then begin
+      incr usage;
+      match gates.(last.(q)).Quantum.Gate.kind with
+      | Quantum.Gate.Measure (_, c) when users.(c) = 1 -> final_clbit.(q) <- c
+      | _ -> ()
+    end
   done;
   let words = (k + bits - 1) / bits in
-  let reach = Quantum.Reachability.build dag in
-  let qreach = Array.make (k * words) 0 in
-  let usage = ref 0 in
-  for a = 0 to k - 1 do
-    let a_gates = Quantum.Dag.gates_on_qubit dag a in
-    if a_gates <> [] then incr usage;
-    for b = 0 to k - 1 do
-      if
-        Quantum.Reachability.any_path reach a_gates
-          (Quantum.Dag.gates_on_qubit dag b)
-      then set_bit qreach words a b
-    done
-  done;
-  let adj = Quantum.Dag.adjacency dag in
   let ef, tl, cp_depth = root_schedules circuit adj ~size:(n + (2 * k)) in
   {
     root =
@@ -199,7 +216,6 @@ let analyze circuit =
         first;
         last;
         final_clbit;
-        inter = Quantum.Circuit.interaction_graph circuit;
         barriers = !barriers;
         words;
       };
@@ -210,7 +226,7 @@ let analyze circuit =
     ef;
     tl;
     cp_depth;
-    qreach;
+    qreach = reach_rows adj ~qa ~qb ~k ~words;
     usage = !usage;
     built = Some circuit;
   }
@@ -228,16 +244,20 @@ let active_qubits a =
 
 let reaches a p q = get_bit a.qreach a.root.words p q
 
-(* No gate couples a qubit of src's chain with one of dst's: the root's
-   interaction graph contracted along the chains. Only a wire's head
+(* No gate couples a qubit of src's chain with one of dst's: mark both
+   chains, then scan the root's two-qubit gates. Only a wire's head
    carries its chain; any other wire is empty. *)
 let condition1 a { src; dst } =
-  let chain w = if a.prev.(w) < 0 then w else -1 in
-  let rec apart u v =
-    v < 0 || ((not (Galg.Graph.has_edge a.root.inter u v)) && apart u a.next.(v))
+  let r = a.root in
+  let side = Array.make r.k 0 in
+  let rec mark v q = if q >= 0 then (side.(q) <- v; mark v a.next.(q)) in
+  if a.prev.(src) < 0 then mark 1 src;
+  if a.prev.(dst) < 0 then mark 2 dst;
+  let rec apart g =
+    g >= r.n
+    || ((r.qb.(g) < 0 || side.(r.qa.(g)) lor side.(r.qb.(g)) <> 3) && apart (g + 1))
   in
-  let rec go u = u < 0 || (apart u (chain dst) && go a.next.(u)) in
-  go (chain src)
+  apart 0
 
 (* No gate on dst may reach a gate on src. *)
 let condition2 a { src; dst } = not (reaches a dst src)

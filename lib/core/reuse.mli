@@ -12,15 +12,18 @@
 type pair = { src : int; dst : int }
 
 (** A node of the reuse search: a root circuit plus the reuse links
-    applied to it since. {!analyze} builds a root, paying the paper's
-    §3.4 O(n^2) dependence-closure cost once, together with the root's
-    flat tables (gate kinds, DAG adjacency, each qubit's first and last
-    gate, which final measurements may drive a reset), which every
-    analysis derived from it shares
-    read-only. {!apply_incremental} derives a child that owns only what
-    a link changes: the wire chains, the unit-depth schedules and the
-    qubit-level reach relation as bitset rows. No circuit is built for
-    it until {!circuit} is read. *)
+    applied to it since. {!analyze} builds a root: the root's flat
+    tables (gate kinds, DAG adjacency, each qubit's first and last gate,
+    which final measurements may drive a reset), which every analysis
+    derived from it shares read-only, and the qubit-level reach relation
+    as bitset rows. Those rows come from one reverse sweep over the DAG
+    — a gate's row is its own wires OR'd with its successors' rows, a
+    wire's row the OR of its gates' rows — in O(n·k/63) word operations
+    for n gates on k qubits, where the paper's §3.4 gate-level closure
+    costs O(n^2). {!apply_incremental} derives a child that owns only
+    what a link changes: the wire chains, the unit-depth schedules and
+    the reach rows. No circuit is built for it until {!circuit} is
+    read. *)
 type analysis
 
 val analyze : Quantum.Circuit.t -> analysis
@@ -40,13 +43,15 @@ val usage : analysis -> int
 val active_qubits : analysis -> int list
 
 (** [reaches a p q]: some gate on qubit [p] reaches (reflexively) some
-    gate on qubit [q]. This is the qubit-level projection of the gate
-    closure that Condition 2 consults; the causal-cone and GidNET
-    engines read it directly — the causal cone of a measurement on [q]
-    is exactly [{ p | reaches a p q }]. *)
+    gate on qubit [q], along wire, barrier or classical-bit edges. This
+    qubit-level relation is all Condition 2 consults; the causal-cone
+    and GidNET engines read it directly — the causal cone of a
+    measurement on [q] is exactly [{ p | reaches a p q }]. *)
 val reaches : analysis -> int -> int -> bool
 
-(** Condition 1 for a pair. *)
+(** Condition 1 for a pair: no gate of the root couples a qubit of
+    [src]'s chain with one of [dst]'s (one O(n) scan of the root's gate
+    tables). *)
 val condition1 : analysis -> pair -> bool
 
 (** Condition 2 for a pair. *)
@@ -58,8 +63,9 @@ val condition2 : analysis -> pair -> bool
     tested. *)
 val valid : analysis -> pair -> bool
 
-(** All valid pairs over active qubits. O(k^2) validity checks backed by
-    the O(n^2) reachability closure, matching the paper's §3.4 analysis. *)
+(** All valid pairs over active qubits: O(k^2) bit tests on the reach
+    rows, which {!analyze} derives in O(n·k/63) rather than the paper's
+    §3.4 O(n^2) closure. *)
 val valid_pairs : analysis -> pair list
 
 (** [predict_depth analysis pair] is the circuit depth after applying
@@ -102,7 +108,7 @@ val emit : analysis -> pair -> Quantum.Circuit.t
     [apply (circuit analysis) pair] that builds no circuit. On a
     barrier-free circuit the reset splice [last src gate -> (measure ->)
     conditional X -> first dst gate] is the only new dependence, so:
-    - the qubit-level closure updates in O(k^2 / 63) word operations,
+    - the reach rows update in O(k^2 / 63) word operations,
       [R'(a,b) = R(a,b) or (R(a,src) and R(dst,b))], then merges [dst]'s
       row and column into [src]'s;
     - earliest finishes rise only below the splice and longest tails

@@ -2,8 +2,8 @@
     {!Caqr.Qs_caqr.sweep}.
 
     It shares none of the incremental machinery. Every DFS node rebuilds
-    the circuit ({!Caqr.Reuse.apply}) and its O(n^2) closure
-    ({!Caqr.Reuse.analyze}) from scratch, and candidates are ordered by
+    the circuit ({!Caqr.Reuse.apply}) and a fresh analysis of it
+    ({!Caqr.Reuse.analyze}, reach rows included) from scratch, and candidates are ordered by
     a plain comparator sort. Nothing is memoized: no prefix memo, no
     transposition replay, no width floor. Its descent and its [Both]
     fallback are its own, written on the public {!Caqr.Reuse} and

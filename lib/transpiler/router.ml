@@ -19,9 +19,8 @@ let route device layout (circuit : Quantum.Circuit.t) =
   let dist = device.Hardware.Device.dist in
   let nbrs = device.Hardware.Device.nbrs in
   let nbr_error = device.Hardware.Device.nbr_error in
-  let dag = Quantum.Dag.build circuit in
-  let adj = Quantum.Dag.adjacency dag in
-  let n = Quantum.Dag.num_nodes dag in
+  let adj = Quantum.Dag.build circuit in
+  let n = Quantum.Dag.num_nodes adj in
   let nl = circuit.num_qubits in
   (* Logical endpoints of each two-qubit gate; -1 for the other gates. *)
   let qa = Array.make n (-1) and qb = Array.make n (-1) in
@@ -35,7 +34,7 @@ let route device layout (circuit : Quantum.Circuit.t) =
           qb.(i) <- b
         | _ -> ())
     circuit.gates;
-  let indeg = Array.init n (Quantum.Dag.in_degree dag) in
+  let indeg = Array.init n (Quantum.Dag.in_degree adj) in
   let frontier = ref (List.filter (fun i -> indeg.(i) = 0) (List.init n Fun.id)) in
   let out =
     Quantum.Circuit.Builder.create

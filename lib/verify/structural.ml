@@ -37,13 +37,26 @@ let check_wellformed (c : Quantum.Circuit.t) =
 
 (* ------------------------------------------------------ regular pairs *)
 
+(* The non-barrier gates on wires [src] and [dst], in execution order,
+   from one scan of the gate array. *)
+let wire_gates (c : Quantum.Circuit.t) src dst =
+  let on_src = ref [] and on_dst = ref [] in
+  for i = Array.length c.gates - 1 downto 0 do
+    let kind = c.gates.(i).Quantum.Gate.kind in
+    if not (Quantum.Gate.is_barrier kind) then begin
+      let qs = Quantum.Gate.qubits kind in
+      if List.mem src qs then on_src := i :: !on_src;
+      if List.mem dst qs then on_dst := i :: !on_dst
+    end
+  done;
+  (!on_src, !on_dst)
+
 (* Independent re-derivation of the transform, used only to step the
    condition checks from pair k to pair k+1. Kahn emission with a dummy
    reset node between src's gates and dst's gates; always allocates a
    fresh scratch clbit (the compiler's existing-clbit optimization does
    not change the dependence structure the conditions read). *)
-let apply_pair (c : Quantum.Circuit.t) { src; dst } =
-  let dag = Quantum.Dag.build c in
+let apply_pair (c : Quantum.Circuit.t) dag (on_src, on_dst) { src; dst } =
   let n = Quantum.Dag.num_nodes dag in
   let dummy = n in
   let succs = Array.make (n + 1) [] in
@@ -55,8 +68,8 @@ let apply_pair (c : Quantum.Circuit.t) { src; dst } =
   for i = 0 to n - 1 do
     Quantum.Dag.iter_succs (add_edge i) dag i
   done;
-  List.iter (fun g -> add_edge g dummy) (Quantum.Dag.gates_on_qubit dag src);
-  List.iter (fun g -> add_edge dummy g) (Quantum.Dag.gates_on_qubit dag dst);
+  List.iter (fun g -> add_edge g dummy) on_src;
+  List.iter (fun g -> add_edge dummy g) on_dst;
   let scratch = c.num_clbits in
   let rename q = if q = dst then src else q in
   let module Iset = Set.Make (Int) in
@@ -90,51 +103,55 @@ let apply_pair (c : Quantum.Circuit.t) { src; dst } =
       (Quantum.Circuit.of_kinds ~num_qubits:c.num_qubits
          ~num_clbits:(c.num_clbits + 1) (List.rev !rev))
 
-let check_one_pair (c : Quantum.Circuit.t) k { src; dst } =
+(* Condition 2 by one forward walk: gates are stored in execution order,
+   so a scan in gate order marks every descendant of dst's gates once
+   their predecessors are marked; then no gate on src may be marked. *)
+let depends_on dag ~on_src ~on_dst =
+  let below = Bytes.make (Quantum.Dag.num_nodes dag) '\000' in
+  let mark g = Bytes.set below g '\001' in
+  let marked g = Bytes.get below g <> '\000' in
+  List.iter mark on_dst;
+  for i = 0 to Quantum.Dag.num_nodes dag - 1 do
+    if marked i then Quantum.Dag.iter_succs mark dag i
+  done;
+  List.exists marked on_src
+
+(* Two ascending gate lists share a gate. *)
+let rec shares_gate a b =
+  match (a, b) with
+  | x :: a', y :: b' -> x = y || if x < y then shares_gate a' b else shares_gate a b'
+  | _ -> false
+
+let check_one_pair (c : Quantum.Circuit.t) dag (on_src, on_dst) k { src; dst } =
   if src = dst || src < 0 || dst < 0 || src >= c.num_qubits || dst >= c.num_qubits
   then Verdict.violationf "pair %d (q%d -> q%d): operands invalid" k src dst
-  else begin
-    let dag = Quantum.Dag.build c in
-    let on_src = Quantum.Dag.gates_on_qubit dag src in
-    let on_dst = Quantum.Dag.gates_on_qubit dag dst in
-    if on_src = [] || on_dst = [] then
-      Verdict.violationf "pair %d (q%d -> q%d): a wire carries no gate" k src dst
-    else begin
-      let couples =
-        Array.exists
-          (fun (g : Quantum.Gate.t) ->
-            (* Barriers are scheduling directives, not interactions: a
-               barrier spanning both wires constrains ordering (checked by
-               Condition 2 through the DAG below) but does not couple them. *)
-            (not (Quantum.Gate.is_barrier g.Quantum.Gate.kind))
-            &&
-            let qs = Quantum.Gate.qubits g.Quantum.Gate.kind in
-            List.mem src qs && List.mem dst qs)
-          c.gates
-      in
-      if couples then
-        Verdict.violationf
-          "pair %d (q%d -> q%d): Condition 1 fails — a gate couples both wires"
-          k src dst
-      else begin
-        let reach = Quantum.Reachability.build dag in
-        if Quantum.Reachability.any_path reach on_dst on_src then
-          Verdict.violationf
-            "pair %d (q%d -> q%d): Condition 2 fails — a gate on q%d \
-             transitively depends on a gate on q%d"
-            k src dst src dst
-        else Verdict.Equivalent
-      end
-    end
-  end
+  else if on_src = [] || on_dst = [] then
+    Verdict.violationf "pair %d (q%d -> q%d): a wire carries no gate" k src dst
+  else if
+    (* Barriers are scheduling directives, not interactions: a barrier
+       spanning both wires constrains ordering (checked by Condition 2
+       through the DAG below) but does not couple them. *)
+    shares_gate on_src on_dst
+  then
+    Verdict.violationf
+      "pair %d (q%d -> q%d): Condition 1 fails — a gate couples both wires" k
+      src dst
+  else if depends_on dag ~on_src ~on_dst then
+    Verdict.violationf
+      "pair %d (q%d -> q%d): Condition 2 fails — a gate on q%d \
+       transitively depends on a gate on q%d"
+      k src dst src dst
+  else Verdict.Equivalent
 
 let check_pairs ~(original : Quantum.Circuit.t) pairs =
   let rec go c k = function
     | [] -> Verdict.Equivalent
     | p :: rest ->
-      (match check_one_pair c k p with
+      let dag = Quantum.Dag.build c in
+      let wires = wire_gates c p.src p.dst in
+      (match check_one_pair c dag wires k p with
        | Verdict.Equivalent ->
-         (match apply_pair c p with
+         (match apply_pair c dag wires p with
           | Some c' -> go c' (k + 1) rest
           | None ->
             Verdict.violationf

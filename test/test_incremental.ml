@@ -208,8 +208,15 @@ let reference_emit circuit ({ Caqr.Reuse.src; dst } : Caqr.Reuse.pair) =
   let gates = circuit.Quantum.Circuit.gates in
   let n = Quantum.Dag.num_nodes dag in
   let dummy = n in
-  let s_gates = Quantum.Dag.gates_on_qubit dag src in
-  let d_gates = Quantum.Dag.gates_on_qubit dag dst in
+  (* the non-barrier gates on a wire, in execution order *)
+  let on_wire q =
+    List.filter
+      (fun i ->
+        let kind = gates.(i).Quantum.Gate.kind in
+        (not (Quantum.Gate.is_barrier kind)) && List.mem q (Quantum.Gate.qubits kind))
+      (List.init n Fun.id)
+  in
+  let s_gates = on_wire src and d_gates = on_wire dst in
   (* src's final measure drives the reset when that clbit has no other
      user; otherwise a fresh measure writes a fresh clbit. *)
   let existing_clbit =
@@ -238,7 +245,7 @@ let reference_emit circuit ({ Caqr.Reuse.src; dst } : Caqr.Reuse.pair) =
     indeg.(v) <- indeg.(v) + 1
   in
   for i = 0 to n - 1 do
-    List.iter (add_edge i) (Quantum.Dag.succs dag i)
+    Quantum.Dag.iter_succs (add_edge i) dag i
   done;
   List.iter (fun g -> add_edge g dummy) s_gates;
   List.iter (add_edge dummy) d_gates;

@@ -198,32 +198,50 @@ let prop_dag_edges_forward =
   QCheck.Test.make ~name:"dag: edges go forward in gate order" ~count:100
     arb_circuit (fun spec ->
       let dag = Quantum.Dag.build (build_circuit spec) in
-      List.for_all
-        (fun i -> List.for_all (fun j -> j > i) (Quantum.Dag.succs dag i))
-        (Quantum.Dag.topo_order dag))
+      let ok = ref true in
+      for i = 0 to Quantum.Dag.num_nodes dag - 1 do
+        Quantum.Dag.iter_succs (fun j -> if j <= i then ok := false) dag i
+      done;
+      !ok)
 
+(* Dynamic circuits from [Fuzz.Gen]: barriers, measurements, resets and
+   conditional X, so reach also flows through barrier and clbit edges. *)
+let arb_dynamic_circuit =
+  QCheck.make
+    QCheck.Gen.(map (fun seed -> Fuzz.Gen.circuit Fuzz.Gen.default (Exec.Prng.make seed)) int)
+    ~print:Quantum.Qasm.to_string
+
+(* [Reuse.reaches p q] against a DFS over [Dag.build] from every gate on
+   wire p, projected onto the wires of the non-barrier gates it finds. *)
 let prop_reachability_matches_dfs =
-  QCheck.Test.make ~name:"reachability: bitset closure = DFS" ~count:60 arb_circuit
-    (fun spec ->
-      let dag = Quantum.Dag.build (build_circuit spec) in
-      let r = Quantum.Reachability.build dag in
-      let n = Quantum.Dag.num_nodes dag in
-      let dfs_reach i =
-        let seen = Array.make n false in
+  QCheck.Test.make ~name:"reachability: bitset closure = DFS" ~count:200
+    arb_dynamic_circuit (fun c ->
+      let a = Caqr.Reuse.analyze c in
+      let dag = Quantum.Dag.build c in
+      let n = Quantum.Dag.num_nodes dag and k = c.Quantum.Circuit.num_qubits in
+      let wires i =
+        let kind = c.Quantum.Circuit.gates.(i).Quantum.Gate.kind in
+        if Quantum.Gate.is_barrier kind then [] else Quantum.Gate.qubits kind
+      in
+      let projection p =
+        let seen = Array.make n false and reached = Array.make k false in
         let rec go j =
           if not seen.(j) then begin
             seen.(j) <- true;
-            List.iter go (Quantum.Dag.succs dag j)
+            List.iter (fun q -> reached.(q) <- true) (wires j);
+            Quantum.Dag.iter_succs go dag j
           end
         in
-        go i;
-        seen
+        for i = 0 to n - 1 do
+          if List.mem p (wires i) then go i
+        done;
+        reached
       in
       let ok = ref true in
-      for i = 0 to n - 1 do
-        let seen = dfs_reach i in
-        for j = 0 to n - 1 do
-          if Quantum.Reachability.reaches r i j <> seen.(j) then ok := false
+      for p = 0 to k - 1 do
+        let reached = projection p in
+        for q = 0 to k - 1 do
+          if Caqr.Reuse.reaches a p q <> reached.(q) then ok := false
         done
       done;
       !ok)

@@ -194,14 +194,21 @@ let test_builder_range_check () =
 
 (* ---- DAG ---- *)
 
+(* Successors of gate [i], in [Dag.iter_succs] order. *)
+let succs dag i =
+  let acc = ref [] in
+  Quantum.Dag.iter_succs (fun j -> acc := j :: !acc) dag i;
+  List.rev !acc
+
 let test_dag_structure () =
   let c = bv3 () in
   let dag = Quantum.Dag.build c in
-  check int "node per gate" (C.gate_count c) (Quantum.Dag.num_nodes dag);
+  let n = Quantum.Dag.num_nodes dag in
+  check int "node per gate" (C.gate_count c) n;
   (* First gates have no preds. *)
   check (Alcotest.list int) "h q0 frontier"
     [ 0; 1; 2 ]
-    (List.filteri (fun i _ -> i < 3) (Quantum.Dag.frontier dag))
+    (List.filter (fun i -> Quantum.Dag.in_degree dag i = 0) (List.init n Fun.id))
 
 let test_dag_edges_follow_wires () =
   let b = B.create ~num_qubits:2 ~num_clbits:0 in
@@ -209,15 +216,9 @@ let test_dag_edges_follow_wires () =
   B.cx b 0 1;
   B.h b 1;
   let dag = Quantum.Dag.build (B.build b) in
-  check (Alcotest.list int) "h0 -> cx" [ 1 ] (Quantum.Dag.succs dag 0);
-  check (Alcotest.list int) "cx -> h1" [ 2 ] (Quantum.Dag.succs dag 1);
+  check (Alcotest.list int) "h0 -> cx" [ 1 ] (succs dag 0);
+  check (Alcotest.list int) "cx -> h1" [ 2 ] (succs dag 1);
   check int "cx indeg" 1 (Quantum.Dag.in_degree dag 1)
-
-let test_dag_longest_path () =
-  let c = bv3 () in
-  let dag = Quantum.Dag.build c in
-  check int "unit longest path = depth" (C.depth c)
-    (Quantum.Dag.longest_path ~weight:(fun _ -> 1) dag)
 
 let test_dag_critical_nodes () =
   let b = B.create ~num_qubits:3 ~num_clbits:0 in
@@ -230,136 +231,47 @@ let test_dag_critical_nodes () =
   check bool "h not critical" false crit.(0);
   check bool "cx critical" true crit.(1)
 
-(* ---- Dag.of_parts validation ---- *)
-
-(* A small circuit plus the exact parts [Dag.build] would derive, so each
-   test can corrupt one piece and expect [of_parts] to reject it. *)
-let of_parts_fixture () =
-  let b = B.create ~num_qubits:2 ~num_clbits:1 in
-  B.h b 0;
-  B.cx b 0 1;
-  B.measure b 1 0;
-  let c = B.build b in
-  (* h0 -> cx01 -> measure1 *)
-  let preds = [| []; [ 0 ]; [ 1 ] |] in
-  let succs = [| [ 1 ]; [ 2 ]; [] |] in
-  let on_qubit = [| [ 0; 1 ]; [ 1; 2 ] |] in
-  (c, preds, succs, on_qubit)
-
-(* [Dag.of_parts] takes compressed adjacency; the fixtures stay readable
-   as per-gate lists and are flattened here, keeping each list's order. *)
-let compress lists =
-  let n = Array.length lists in
-  let start = Array.make (n + 1) 0 in
-  Array.iteri (fun i l -> start.(i + 1) <- start.(i) + List.length l) lists;
-  (start, Array.of_list (List.concat (Array.to_list lists)))
-
-let of_parts ?check c ~preds ~succs ~on_qubit =
-  let pred_start, pred_ids = compress preds in
-  let succ_start, succ_ids = compress succs in
-  Quantum.Dag.of_parts ?check c
-    { Quantum.Dag.pred_start; pred_ids; succ_start; succ_ids }
-    ~on_qubit
-
-let expect_invalid name f =
-  match f () with
-  | _ -> Alcotest.failf "%s: expected Invalid_argument" name
-  | exception Invalid_argument _ -> ()
-
-let test_of_parts_accepts_valid () =
-  let c, preds, succs, on_qubit = of_parts_fixture () in
-  let dag = of_parts c ~preds ~succs ~on_qubit in
-  check (Alcotest.list int) "preds kept" [ 1 ] (Quantum.Dag.preds dag 2);
-  check (Alcotest.list int) "wire kept" [ 1; 2 ]
-    (Quantum.Dag.gates_on_qubit dag 1)
-
-let test_of_parts_duplicate_ids () =
-  let c, preds, succs, on_qubit = of_parts_fixture () in
-  let succs = Array.copy succs in
-  succs.(0) <- [ 1; 1 ];
-  expect_invalid "duplicate succ" (fun () ->
-      of_parts c ~preds ~succs ~on_qubit)
-
-let test_of_parts_dangling_edge () =
-  let c, preds, succs, on_qubit = of_parts_fixture () in
-  let succs = Array.copy succs in
-  succs.(2) <- [ 7 ];
-  expect_invalid "dangling succ" (fun () ->
-      of_parts c ~preds ~succs ~on_qubit);
-  let _, preds, succs, _ = of_parts_fixture () in
-  let on_qubit = [| [ 0; 1 ]; [ 1; 9 ] |] in
-  expect_invalid "dangling wire gate" (fun () ->
-      of_parts c ~preds ~succs ~on_qubit)
-
-let test_of_parts_non_topological () =
-  let c, preds, succs, on_qubit = of_parts_fixture () in
-  (* Gates are stored in emission order, so a backward edge 2 -> 1 (or a
-     pred pointing forward) cannot describe any build output. *)
-  let preds = Array.copy preds and succs = Array.copy succs in
-  preds.(1) <- [ 2 ];
-  succs.(2) <- [ 1 ];
-  expect_invalid "backward edge" (fun () ->
-      of_parts c ~preds ~succs ~on_qubit)
-
-let test_of_parts_unmirrored () =
-  let c, preds, _, on_qubit = of_parts_fixture () in
-  let succs = [| [ 1 ]; [] ; [] |] in
-  (* preds.(2) still lists 1, succs.(1) no longer does. *)
-  expect_invalid "unmirrored" (fun () ->
-      of_parts c ~preds ~succs ~on_qubit)
-
-let test_of_parts_bad_shapes () =
-  let c, preds, succs, on_qubit = of_parts_fixture () in
-  expect_invalid "short preds" (fun () ->
-      of_parts c ~preds:[| []; [ 0 ] |] ~succs ~on_qubit);
-  expect_invalid "wrong wire count" (fun () ->
-      of_parts c ~preds ~succs ~on_qubit:[| [ 0; 1 ] |]);
-  expect_invalid "wire out of order" (fun () ->
-      of_parts c ~preds ~succs ~on_qubit:[| [ 1; 0 ]; [ 1; 2 ] |]);
-  expect_invalid "wire lists foreign gate" (fun () ->
-      of_parts c ~preds ~succs ~on_qubit:[| [ 0; 1 ]; [ 0; 2 ] |])
-
-let test_of_parts_unchecked_keeps_length_checks () =
-  let c, preds, succs, on_qubit = of_parts_fixture () in
-  (* ~check:false skips only the per-edge scans; the O(1) array-length
-     checks stay on even for hot callers. *)
-  let dag = of_parts ~check:false c ~preds ~succs ~on_qubit in
-  check (Alcotest.list int) "preds kept" [ 1 ] (Quantum.Dag.preds dag 2);
-  expect_invalid "short preds still rejected" (fun () ->
-      of_parts ~check:false c ~preds:[| []; [ 0 ] |] ~succs
-        ~on_qubit);
-  expect_invalid "wrong wire count still rejected" (fun () ->
-      of_parts ~check:false c ~preds ~succs
-        ~on_qubit:[| [ 0; 1 ] |])
-
+(* A wire's gates, in execution order, are chained by DAG edges. *)
 let test_gates_on_qubit () =
   let c = bv3 () in
   let dag = Quantum.Dag.build c in
-  check int "q2 gates" 4 (List.length (Quantum.Dag.gates_on_qubit dag 2));
-  check int "q0 gates" 4 (List.length (Quantum.Dag.gates_on_qubit dag 0))
+  let on_qubit q =
+    List.filter
+      (fun i -> List.mem q (Quantum.Gate.qubits c.C.gates.(i).Quantum.Gate.kind))
+      (List.init (C.gate_count c) Fun.id)
+  in
+  let rec chained = function
+    | g :: (h :: _ as rest) -> List.mem h (succs dag g) && chained rest
+    | _ -> true
+  in
+  List.iter
+    (fun q ->
+      let gates = on_qubit q in
+      check int (Printf.sprintf "q%d gates" q) 4 (List.length gates);
+      check bool (Printf.sprintf "q%d chained" q) true (chained gates))
+    [ 0; 2 ]
 
-(* ---- Reachability ---- *)
+(* ---- Reachability: the qubit reach rows of [Reuse.analyze] ---- *)
 
 let test_reachability_transitive () =
-  let b = B.create ~num_qubits:3 ~num_clbits:0 in
+  let b = B.create ~num_qubits:4 ~num_clbits:0 in
   B.cx b 0 1;
   B.cx b 1 2;
   B.h b 2;
-  let dag = Quantum.Dag.build (B.build b) in
-  let r = Quantum.Reachability.build dag in
-  check bool "0 -> 2 transitively" true (Quantum.Reachability.reaches r 0 2);
-  check bool "reflexive" true (Quantum.Reachability.reaches r 1 1);
-  check bool "no back edge" false (Quantum.Reachability.reaches r 2 0)
+  B.cx b 2 3;
+  let a = Caqr.Reuse.analyze (B.build b) in
+  check bool "0 -> 3 transitively" true (Caqr.Reuse.reaches a 0 3);
+  check bool "reflexive" true (Caqr.Reuse.reaches a 1 1);
+  check bool "no back edge" false (Caqr.Reuse.reaches a 3 0)
 
 let test_reachability_any_path () =
-  let b = B.create ~num_qubits:4 ~num_clbits:0 in
+  let b = B.create ~num_qubits:5 ~num_clbits:0 in
   B.cx b 0 1;
   B.cx b 2 3;
-  let dag = Quantum.Dag.build (B.build b) in
-  let r = Quantum.Reachability.build dag in
-  check bool "disjoint components" false
-    (Quantum.Reachability.any_path r [ 0 ] [ 1 ]);
-  check bool "self component" true (Quantum.Reachability.any_path r [ 0 ] [ 0 ])
+  let a = Caqr.Reuse.analyze (B.build b) in
+  check bool "disjoint components" false (Caqr.Reuse.reaches a 0 2);
+  check bool "self component" true (Caqr.Reuse.reaches a 0 1);
+  check bool "idle wire reaches nothing" false (Caqr.Reuse.reaches a 4 4)
 
 (* ---- QASM & drawing ---- *)
 
@@ -429,22 +341,8 @@ let () =
         [
           Alcotest.test_case "structure" `Quick test_dag_structure;
           Alcotest.test_case "wire edges" `Quick test_dag_edges_follow_wires;
-          Alcotest.test_case "longest path" `Quick test_dag_longest_path;
           Alcotest.test_case "critical nodes" `Quick test_dag_critical_nodes;
           Alcotest.test_case "gates on qubit" `Quick test_gates_on_qubit;
-          Alcotest.test_case "of_parts valid" `Quick test_of_parts_accepts_valid;
-          Alcotest.test_case "of_parts duplicate ids" `Quick
-            test_of_parts_duplicate_ids;
-          Alcotest.test_case "of_parts dangling edge" `Quick
-            test_of_parts_dangling_edge;
-          Alcotest.test_case "of_parts non-topological" `Quick
-            test_of_parts_non_topological;
-          Alcotest.test_case "of_parts unmirrored" `Quick
-            test_of_parts_unmirrored;
-          Alcotest.test_case "of_parts bad shapes" `Quick
-            test_of_parts_bad_shapes;
-          Alcotest.test_case "of_parts unchecked shape" `Quick
-            test_of_parts_unchecked_keeps_length_checks;
         ] );
       ( "reachability",
         [

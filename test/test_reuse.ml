@@ -37,6 +37,43 @@ let test_condition2_fig7 () =
   check bool "q3 reused by q0 valid" true
     (Caqr.Reuse.condition2 a { Caqr.Reuse.src = 3; dst = 0 })
 
+(* dst reaches src along an edge that is neither a gate nor a wire the
+   two share: the compiler and the verifier must both refuse (src -> dst)
+   and accept the reverse. *)
+let check_indirect_dependence name c =
+  let a = Caqr.Reuse.analyze c in
+  let structural src dst =
+    Verify.Structural.check_pairs ~original:c [ { Verify.Structural.src; dst } ]
+  in
+  check bool (name ^ ": c1 holds") true
+    (Caqr.Reuse.condition1 a { Caqr.Reuse.src = 0; dst = 1 });
+  check bool (name ^ ": q1 reaches q0") true (Caqr.Reuse.reaches a 1 0);
+  check bool (name ^ ": 0->1 invalid") false
+    (Caqr.Reuse.valid a { Caqr.Reuse.src = 0; dst = 1 });
+  (match structural 0 1 with
+   | Verify.Verdict.Inequivalent { Verify.Verdict.detail; _ } ->
+     check bool (name ^ ": verifier names Condition 2") true
+       (String.starts_with ~prefix:"pair 0 (q0 -> q1): Condition 2" detail)
+   | v -> Alcotest.failf "%s: verifier accepted 0->1: %s" name (Verify.Verdict.to_string v));
+  check bool (name ^ ": 1->0 valid") true
+    (Caqr.Reuse.valid a { Caqr.Reuse.src = 1; dst = 0 });
+  check bool (name ^ ": verifier accepts 1->0") true
+    (Verify.Verdict.is_equivalent (structural 1 0))
+
+let test_reach_through_barrier () =
+  let b = B.create ~num_qubits:2 ~num_clbits:0 in
+  B.h b 1;
+  B.barrier b [ 0; 1 ];
+  B.h b 0;
+  check_indirect_dependence "barrier" (B.build b)
+
+let test_reach_through_clbit () =
+  let b = B.create ~num_qubits:2 ~num_clbits:1 in
+  B.h b 0;
+  B.measure b 1 0;
+  B.if_x b 0 0;
+  check_indirect_dependence "clbit" (B.build b)
+
 let test_valid_requires_active () =
   let b = B.create ~num_qubits:3 ~num_clbits:0 in
   B.h b 0;
@@ -182,6 +219,10 @@ let () =
         [
           Alcotest.test_case "condition 1" `Quick test_condition1_blocks_shared_gate;
           Alcotest.test_case "condition 2 (fig 7)" `Quick test_condition2_fig7;
+          Alcotest.test_case "condition 2 through a barrier" `Quick
+            test_reach_through_barrier;
+          Alcotest.test_case "condition 2 through a clbit" `Quick
+            test_reach_through_clbit;
           Alcotest.test_case "active qubits" `Quick test_valid_requires_active;
           Alcotest.test_case "valid pairs BV" `Quick test_valid_pairs_bv;
         ] );
