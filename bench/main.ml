@@ -92,26 +92,28 @@ let qaoa_tradeoff_series ~label g =
   Printf.printf "\n[%s] n=%d edges=%d coloring-bound=%d\n" label
     (Galg.Graph.order g) (Galg.Graph.size g) (Caqr.Commute.min_qubits g);
   Printf.printf "%-8s %-10s %-14s %-10s\n" "qubits" "depth" "duration(dt)" "2q-gates";
-  let steps = Caqr.Commute.sweep ~mode:`Heuristic g in
+  let steps =
+    List.map
+      (fun (s : Caqr.Engine.step) ->
+        (s, Quantum.Circuit.duration Quantum.Duration.default s.circuit))
+      (Caqr.Commute.sweep ~mode:`Heuristic g)
+  in
   (* Every sweep point emits one Rzz per edge. *)
   List.iter
-    (fun (s : Caqr.Engine.step) ->
-      Printf.printf "%-8d %-10d %-14d %-10d\n" s.usage s.depth s.duration
+    (fun ((s : Caqr.Engine.step), duration) ->
+      Printf.printf "%-8d %-10d %-14d %-10d\n" s.usage s.depth duration
         (Galg.Graph.size g))
     steps;
   (* Headline summary: qubit saving at <= 25% duration growth. *)
   match steps with
-  | base :: _ ->
-    let within =
-      List.filter
-        (fun (s : Caqr.Engine.step) ->
-          float_of_int s.duration <= 1.25 *. float_of_int base.duration)
-        steps
-    in
+  | (base, base_duration) :: _ ->
     let best =
       List.fold_left
-        (fun acc (s : Caqr.Engine.step) -> min acc s.usage)
-        base.usage within
+        (fun acc ((s : Caqr.Engine.step), duration) ->
+          if float_of_int duration <= 1.25 *. float_of_int base_duration then
+            min acc s.usage
+          else acc)
+        base.usage steps
     in
     Printf.printf
       "=> within +25%% duration: %d -> %d qubits (%.0f%% saving)\n" base.usage

@@ -133,14 +133,14 @@ let max_sim_qubits_flag =
 
 let apply_sim_cap = Option.iter Sim.State.set_max_qubits
 
-let options_for ?(jobs = 1) ?deadline_ms ?(fallback = false) timings =
-  {
-    Caqr.Pipeline.default with
-    collect_metrics = timings;
-    jobs;
-    fallback;
-    deadline_ms;
-  }
+(* [--timings] and [--timeout-ms] are this tool's policy, not the
+   compiler's: [timed] resets the process-global registry right before
+   [f], runs [f] under the deadline and snapshots the registry right
+   after. *)
+let timed ~timings ?deadline_ms f =
+  if timings then Obs.Metrics.reset ();
+  let r = Guard.Budget.scoped (Guard.Budget.make ?ms:deadline_ms ()) f in
+  (r, if timings then Some (Obs.Metrics.snapshot ()) else None)
 
 (* Exit 3: the ladder saved the run, but only by abandoning reuse
    entirely — scripts relying on a reuse strategy need to know. *)
@@ -157,10 +157,8 @@ let report_degradation requested (r : Caqr.Pipeline.report) =
     && requested <> Caqr.Pipeline.Baseline
   then exit 3
 
-let print_metrics (r : Caqr.Pipeline.report) =
-  match r.Caqr.Pipeline.metrics with
-  | Some m -> Format.printf "%a@." Obs.Metrics.pp m
-  | None -> ()
+let print_metrics =
+  Option.iter (fun m -> Format.printf "%a@." Obs.Metrics.pp m)
 
 let level_arg =
   let parse s =
@@ -214,17 +212,19 @@ let list_cmd =
 let compile_cmd =
   let run entry strategy qasm timings jobs deadline_ms fallback =
     let device = device_for entry in
-    let r =
-      Caqr.Pipeline.compile
-        ~options:(options_for ~jobs ?deadline_ms ~fallback timings)
-        device strategy (Benchmarks.Suite.input entry)
+    let input = Benchmarks.Suite.input entry in
+    let r, metrics =
+      timed ~timings ?deadline_ms (fun () ->
+          Caqr.Pipeline.compile
+            ~options:{ Caqr.Pipeline.default with jobs; fallback }
+            device strategy input)
     in
     Format.printf "%s / %s:@.  %a@.  reuse pairs: %d@.  quality: %s@."
       entry.Benchmarks.Suite.name
       (Caqr.Pipeline.strategy_name r.Caqr.Pipeline.strategy)
       Transpiler.Transpile.pp_stats r.Caqr.Pipeline.stats r.Caqr.Pipeline.reuse_pairs
       (Caqr.Quality.to_string r.Caqr.Pipeline.quality);
-    print_metrics r;
+    print_metrics metrics;
     if qasm then
       print_string
         (Quantum.Qasm.to_string (fst (Quantum.Circuit.compact_qubits r.Caqr.Pipeline.physical)));
@@ -296,16 +296,17 @@ let qasmc_cmd =
       let device =
         Hardware.Device.heavy_hex_for circuit.Quantum.Circuit.num_qubits
       in
-      let r =
-        Caqr.Pipeline.compile
-          ~options:(options_for ~jobs ?deadline_ms ~fallback timings)
-          device strategy (Caqr.Pipeline.Regular circuit)
+      let r, metrics =
+        timed ~timings ?deadline_ms (fun () ->
+            Caqr.Pipeline.compile
+              ~options:{ Caqr.Pipeline.default with jobs; fallback }
+              device strategy (Caqr.Pipeline.Regular circuit))
       in
       Format.printf "%s / %s:@.  %a@.  reuse pairs: %d@.  quality: %s@." path
         (Caqr.Pipeline.strategy_name r.Caqr.Pipeline.strategy)
         Transpiler.Transpile.pp_stats r.Caqr.Pipeline.stats r.Caqr.Pipeline.reuse_pairs
         (Caqr.Quality.to_string r.Caqr.Pipeline.quality);
-      print_metrics r;
+      print_metrics metrics;
       if qasm then
         print_string
           (Quantum.Qasm.to_string
@@ -325,7 +326,7 @@ let simulate_cmd =
     apply_sim_cap max_sim_qubits;
     let device = device_for entry in
     let r =
-      Caqr.Pipeline.compile ~options:(options_for ~jobs false) device strategy
+      Caqr.Pipeline.compile ~options:{ Caqr.Pipeline.default with jobs } device strategy
         (Benchmarks.Suite.input entry)
     in
     let counts =
@@ -443,7 +444,6 @@ let fuzz_cmd =
       & info [ "no-corpus" ] ~doc:"Do not persist counterexamples.")
   in
   let run seed cases max_qubits max_gates oracles corpus no_corpus timings jobs =
-    if timings then Obs.Metrics.reset ();
     let config =
       {
         Fuzz.Gen.default with
@@ -453,11 +453,12 @@ let fuzz_cmd =
     in
     let oracles = if oracles = [] then Fuzz.Oracle.all else oracles in
     let corpus_dir = if no_corpus then None else corpus in
-    let summary =
-      Fuzz.Driver.run ~config ~oracles ?corpus_dir ~jobs ~seed ~cases ()
+    let summary, metrics =
+      timed ~timings (fun () ->
+          Fuzz.Driver.run ~config ~oracles ?corpus_dir ~jobs ~seed ~cases ())
     in
     Format.printf "%a" Fuzz.Driver.pp_summary summary;
-    if timings then Format.printf "%a@." Obs.Metrics.pp (Obs.Metrics.snapshot ());
+    print_metrics metrics;
     if summary.Fuzz.Driver.failures <> [] then exit 1
   in
   Cmdliner.Cmd.v

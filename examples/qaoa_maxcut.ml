@@ -20,7 +20,8 @@ let () =
   let steps = Caqr.Commute.sweep g in
   List.iter
     (fun (s : Caqr.Engine.step) ->
-      Printf.printf "%-8d %-8d %-10d %d\n" s.usage s.depth s.duration
+      Printf.printf "%-8d %-8d %-10d %d\n" s.usage s.depth
+        (Quantum.Circuit.duration Quantum.Duration.default s.circuit)
         (Galg.Graph.size g))
     steps;
 

@@ -5,7 +5,6 @@ type step = {
   circuit : Quantum.Circuit.t;
   pairs : Reuse.pair list;
   depth : int;
-  duration : int;
 }
 
 let make_step circuit pairs =
@@ -14,7 +13,6 @@ let make_step circuit pairs =
     circuit;
     pairs;
     depth = Quantum.Circuit.depth circuit;
-    duration = Quantum.Circuit.duration Quantum.Duration.default circuit;
   }
 
 type artifact = {

@@ -24,7 +24,6 @@ type step = {
       (** the reuse-transformed logical circuit (retired wires empty) *)
   pairs : Reuse.pair list;  (** applied so far, oldest first *)
   depth : int;  (** logical depth of [circuit] *)
-  duration : int;  (** logical duration of [circuit], default model *)
 }
 
 (** [make_step circuit pairs] computes the step's metrics from

@@ -15,26 +15,15 @@ type strategy =
 type options = {
   verify : Verify.level option;
   seed : int;
-  collect_metrics : bool;
   jobs : int;
       (* Domains for the candidate fan-out (Exec.Pool). Any value
          produces byte-identical reports; >1 only changes wall clock. *)
   fallback : bool;
       (* Supervise the compile with the degradation ladder: a failing
          strategy demotes toward Baseline instead of raising. *)
-  deadline_ms : int option;
-      (* Cooperative wall-clock budget for the whole compile. *)
 }
 
-let default =
-  {
-    verify = None;
-    seed = 1;
-    collect_metrics = false;
-    jobs = 1;
-    fallback = false;
-    deadline_ms = None;
-  }
+let default = { verify = None; seed = 1; jobs = 1; fallback = false }
 
 type degraded = {
   from_strategy : strategy;
@@ -50,7 +39,6 @@ type report = {
   reuse_pairs : int;
   quality : Quality.t;
   verification : Verify.verdict option;
-  metrics : Obs.Metrics.snapshot option;
   degraded : degraded list;
 }
 
@@ -103,15 +91,9 @@ let strategy_of_name s =
             s
             (String.concat " | " (List.map fst all_strategies))))
 
-(* Every field that can change the compiled artifact or the report body
-   lands in the fingerprint; fields that by contract only change
-   wall-clock ([jobs] — the pool is byte-identical for any value — and
-   [collect_metrics], which only attaches a snapshot) are deliberately
-   excluded, so a warm cache survives a [--jobs] change. [deadline_ms]
-   is execution policy, not semantics: a cached artifact trivially meets
-   any deadline, and results that only exist by grace of the degradation
-   ladder are never cached (the service skips storing degraded
-   reports). *)
+(* Every field but [jobs] lands in the fingerprint: the pool is
+   byte-identical for any value, so a warm cache survives a [--jobs]
+   change. *)
 let options_fingerprint o =
   Printf.sprintf "opts/2;verify=%s;seed=%d;fallback=%b"
     (match o.verify with
@@ -220,7 +202,6 @@ let make_report strategy logical ~physical ~stats ~reuse_pairs ~quality =
     reuse_pairs;
     quality;
     verification = None;
-    metrics = None;
     degraded = [];
   }
 
@@ -383,14 +364,11 @@ let compile_ladder ~options device strategy input ~original =
   in
   walk [] (ladder strategy)
 
+(* The deadline is the caller's scoped (domain-local) budget, so
+   concurrent compiles — e.g. batched service requests fanned out over
+   the pool — each keep their own. The pool re-installs the scope in its
+   worker domains, so the candidate fan-out below is bounded too. *)
 let compile ?(options = default) device strategy input =
-  if options.collect_metrics then Obs.Metrics.reset ();
-  (* A scoped (domain-local) budget: concurrent compiles — e.g. batched
-     service requests fanned out over the pool — each keep their own
-     deadline. The pool re-installs the scope in its worker domains, so
-     the candidate fan-out below is bounded too. *)
-  Guard.Budget.scoped (Guard.Budget.make ?ms:options.deadline_ms ())
-  @@ fun () ->
   let original =
     if not options.fallback then logical_of_input input
     else
@@ -408,10 +386,7 @@ let compile ?(options = default) device strategy input =
     else
       compile_unverified ~jobs:options.jobs device strategy input ~original
   in
-  let report = verify_report ~options ~original device input pairs report in
-  if options.collect_metrics then
-    { report with metrics = Some (Obs.Metrics.snapshot ()) }
-  else report
+  verify_report ~options ~original device input pairs report
 
 (* Strategy fan-out: each strategy's compile (and its verification, when
    enabled) is an independent task. The inner compiles run with jobs=1 —

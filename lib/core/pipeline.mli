@@ -30,9 +30,6 @@ type options = {
   verify : Verify.level option;
       (** translation-validate the artifact at this level *)
   seed : int;  (** drives the verification probes (default 1) *)
-  collect_metrics : bool;
-      (** reset {!Obs.Metrics} before compiling and attach a snapshot to
-          the report *)
   jobs : int;
       (** domains for the candidate fan-out via {!Exec.Pool}
           (default 1). The report is byte-identical for every value;
@@ -50,20 +47,13 @@ type options = {
           validator degrades the verdict to [Inconclusive] instead of
           aborting. Without [fallback], failures propagate exactly as
           before. *)
-  deadline_ms : int option;
-      (** cooperative wall-clock budget for the whole compile (default
-          [None]): hot loops poll it via {!Guard.Budget} and trip a
-          typed [Budget_exceeded], which the ladder (when [fallback])
-          treats like any other rung failure *)
 }
 
 val default : options
 
 (** Stable, human-readable fingerprint of every option field that can
-    affect the compiled artifact or report body. [jobs] and
-    [collect_metrics] are excluded (byte-identity contract / snapshot
-    only), as is [deadline_ms] (execution policy — a cached result
-    trivially meets any deadline; degraded reports are never cached).
+    affect the compiled artifact or report body: every field but [jobs],
+    which by the byte-identity contract only changes wall-clock time.
     The compilation service combines this with {!Quantum.Circuit.digest}
     and {!Version.engine} to form its content-addressed cache key. *)
 val options_fingerprint : options -> string
@@ -93,9 +83,6 @@ type report = {
   verification : Verify.verdict option;
       (** translation-validation verdict, present when [compile] was
           asked to verify *)
-  metrics : Obs.Metrics.snapshot option;
-      (** counters and per-phase wall times, present when
-          [options.collect_metrics] was set *)
   degraded : degraded list;
       (** the failures that demoted the compile here, oldest first;
           [[]] unless [options.fallback] kicked in. [strategy] is the
@@ -105,9 +92,11 @@ type report = {
 (** [compile ?options device strategy input]. [Qs_target] raises
     [Failure] when the budget is unreachable.
 
-    The reuse-engine phase runs under a scoped share (60%) of the
-    remaining wall budget, reserving headroom for routing and
-    verification. An engine-phase budget trip is not a failure: the
+    The deadline is the caller's: [compile] arms none of its own and
+    runs under whatever {!Guard.Budget.scoped} budget encloses the
+    call (none means unbounded). The reuse-engine phase runs under a
+    scoped share (60%) of that budget's remaining time, reserving
+    headroom for routing and verification. An engine-phase budget trip is not a failure: the
     anytime engines ([Qs_max_reuse], [Qs_target], [Cone], [Gidnet])
     commit their best-so-far result and the report is tagged
     [quality = Anytime _] — the ladder only demotes on hard errors. A
@@ -119,7 +108,11 @@ type report = {
     conditions, device legality, and — at semantic levels — exact or
     probe-based distribution equivalence against the untransformed
     input); the verdict lands in [report.verification]. [options.seed]
-    drives the probe checker so verification is reproducible. *)
+    drives the probe checker so verification is reproducible.
+
+    [compile] neither resets nor snapshots {!Obs.Metrics}: the
+    process-global registry is the caller's to reset before the call
+    and to read after it (as [caqr_cli --timings] does). *)
 val compile :
   ?options:options ->
   Hardware.Device.t ->

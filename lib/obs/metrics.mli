@@ -8,9 +8,9 @@
 
     The compiler passes are instrumented unconditionally — a counter bump
     is two hash lookups — so callers decide only when to {!reset} and when
-    to {!snapshot}. [Pipeline.compile] does both when asked to collect
-    metrics; `caqr_cli --timings` and `bench/main.exe` print or serialize
-    the snapshot.
+    to {!snapshot}. [Pipeline.compile] does neither; `caqr_cli --timings`
+    and `bench/main.exe` reset around the work they measure and print or
+    serialize the snapshot.
 
     Conventions: counter keys are dot-separated (["reuse.analyze.fresh"],
     ["qs.search.nodes"], ["qs.cache.hit"]); timer keys start with ["time."]

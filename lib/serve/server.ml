@@ -133,7 +133,6 @@ let resolve_input (req : Protocol.request) =
 
 let options_of (req : Protocol.request) =
   {
-    Caqr.Pipeline.default with
     Caqr.Pipeline.verify =
       (match req.op with Protocol.Verify -> Some req.level | _ -> None);
     seed = req.seed;

@@ -15,6 +15,12 @@
     value (default: {!Exec.Pool.default_jobs}). *)
 val run : ?jobs:int -> seed:int -> shots:int -> Quantum.Circuit.t -> Counts.t
 
+(** [only_final_measurements circuit] holds when [circuit] has no reset
+    or conditional X and no gate acts on a qubit after that qubit is
+    measured: its outcome distribution is the same for every shot, so
+    {!distribution} computes it exactly instead of sampling. *)
+val only_final_measurements : Quantum.Circuit.t -> bool
+
 (** Exact outcome distribution for circuits whose only dynamic operations
     are final measurements; falls back to 4096-shot sampling otherwise. *)
 val distribution : seed:int -> Quantum.Circuit.t -> Counts.t

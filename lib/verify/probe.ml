@@ -9,22 +9,6 @@ type config = {
 let default =
   { probes = 4; shots = 512; tolerance = 0.; max_qubits = 22; product_inputs = [] }
 
-(* A side with only trailing measurements has a shot-independent
-   distribution, so one exact pass beats sampling (and removes the
-   sampling noise from that side of the comparison). *)
-let only_final_measurements (c : Quantum.Circuit.t) =
-  let seen = Array.make (max 1 c.num_qubits) false in
-  let ok = ref true in
-  Array.iter
-    (fun (g : Quantum.Gate.t) ->
-      match g.Quantum.Gate.kind with
-      | Quantum.Gate.Measure (q, _) -> seen.(q) <- true
-      | Quantum.Gate.Reset _ | Quantum.Gate.If_x _ -> ok := false
-      | k ->
-        List.iter (fun q -> if seen.(q) then ok := false) (Quantum.Gate.qubits k))
-    c.gates;
-  !ok
-
 let prepend prefix (c : Quantum.Circuit.t) =
   if prefix = [] then c
   else
@@ -50,8 +34,12 @@ let statistics counts shared =
     probs;
   (marg, xor)
 
+(* A side with only trailing measurements has a shot-independent
+   distribution, so one exact pass beats sampling (and removes the
+   sampling noise from that side of the comparison). *)
 let counts_of ~seed ~shots circuit =
-  if only_final_measurements circuit then Sim.Executor.distribution ~seed circuit
+  if Sim.Executor.only_final_measurements circuit then
+    Sim.Executor.distribution ~seed circuit
   else Sim.Executor.run ~seed ~shots circuit
 
 let random_prefix rng qubits =

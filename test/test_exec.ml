@@ -223,6 +223,45 @@ let test_sweep_stats_determinism () =
         (Caqr.Pipeline.sweep_stats ~jobs device input = reference))
     jobs_grid
 
+(* Metrics under parallelism: [compile] neither resets nor snapshots the
+   process-global registry, so a counter bumped before a fan-out
+   survives it, and the counter totals of a [compile_all] are the same
+   at jobs = 1 and jobs = 2 (per-task increments commute). Only the
+   pool's own [exec.*] counters depend on [jobs]. *)
+let test_metrics_under_parallelism () =
+  let sentinel = "test.metrics.sentinel" in
+  let strategies = List.map snd Caqr.Pipeline.all_strategies in
+  let counters e jobs =
+    Obs.Metrics.reset ();
+    Obs.Metrics.incr sentinel;
+    let device =
+      Hardware.Device.heavy_hex_for
+        e.Benchmarks.Suite.circuit.Quantum.Circuit.num_qubits
+    in
+    ignore
+      (Caqr.Pipeline.compile_all
+         ~options:
+           { Caqr.Pipeline.default with jobs; verify = Some Verify.Static }
+         device strategies (Benchmarks.Suite.input e));
+    check int
+      (Printf.sprintf "%s jobs=%d sentinel survives" e.Benchmarks.Suite.name jobs)
+      1 (Obs.Metrics.count sentinel);
+    List.filter
+      (fun (k, _) -> not (String.starts_with ~prefix:"exec." k))
+      (Obs.Metrics.snapshot ()).Obs.Metrics.counters
+  in
+  List.iter
+    (fun name ->
+      let e = entry name in
+      let sequential = counters e 1 in
+      check bool (name ^ " compiles count work") true
+        (List.length sequential > 1);
+      check
+        Alcotest.(list (pair string int))
+        (name ^ " counters at jobs=1 and jobs=2")
+        sequential (counters e 2))
+    [ "BV_10"; "Multiply_13"; "QAOA10-0.3" ]
+
 (* ---- hot path 2: Fuzz.Driver ---- *)
 
 let test_fuzz_driver_determinism () =
@@ -395,6 +434,7 @@ let () =
           Alcotest.test_case "pipeline jobs 1/2/4" `Quick test_pipeline_determinism;
           Alcotest.test_case "compile_all fan-out" `Quick test_compile_all_matches_sequential;
           Alcotest.test_case "sweep_stats jobs 1/2/4" `Quick test_sweep_stats_determinism;
+          Alcotest.test_case "metrics jobs 1/2" `Quick test_metrics_under_parallelism;
           Alcotest.test_case "fuzz driver jobs 1/2/4" `Quick test_fuzz_driver_determinism;
           Alcotest.test_case "executor jobs 1/2/4" `Quick test_executor_determinism;
         ] );

@@ -110,16 +110,13 @@ let test_large_baselines () =
 let test_cuccaro_valve () =
   let e = Benchmarks.Suite.find "cuccaro-128" in
   let device = device_for e in
-  let options = { Caqr.Pipeline.default with collect_metrics = true } in
+  Obs.Metrics.reset ();
   let report =
-    Caqr.Pipeline.compile ~options device Caqr.Pipeline.Qs_max_reuse (Benchmarks.Suite.input e)
+    Caqr.Pipeline.compile device Caqr.Pipeline.Qs_max_reuse (Benchmarks.Suite.input e)
   in
   Alcotest.(check bool) "no demotion" true (report.degraded = []);
-  let counters =
-    match report.metrics with Some m -> m.Obs.Metrics.counters | None -> []
-  in
-  let valves = Option.value ~default:0 (List.assoc_opt "route.release_valve" counters) in
-  Alcotest.(check bool) "valve fired" true (valves >= 1);
+  Alcotest.(check bool) "valve fired" true
+    (Obs.Metrics.count "route.release_valve" >= 1);
   Alcotest.(check int) "swaps" 1055 report.stats.Transpiler.Transpile.swaps;
   let logical = fst (Quantum.Circuit.compact_qubits report.logical) in
   Alcotest.(check bool) "reference livelocks" true

@@ -203,14 +203,9 @@ let test_fingerprint () =
   check bool "fallback is semantic" true
     (fp d <> fp { d with Caqr.Pipeline.fallback = true });
   (* Execution policy must not fragment the cache: the report is
-     byte-identical for every jobs value, and degraded (deadline-shaped)
-     reports are never cached in the first place. *)
+     byte-identical for every jobs value. *)
   check string "jobs is not semantic" (fp d)
-    (fp { d with Caqr.Pipeline.jobs = 8 });
-  check string "collect_metrics is not semantic" (fp d)
-    (fp { d with Caqr.Pipeline.collect_metrics = true });
-  check string "deadline_ms is not semantic" (fp d)
-    (fp { d with Caqr.Pipeline.deadline_ms = Some 5 })
+    (fp { d with Caqr.Pipeline.jobs = 8 })
 
 (* ---- Serve.Protocol ---- *)
 
