@@ -350,7 +350,7 @@ let micro () =
         (Staged.stage (fun () ->
              ignore (Caqr.Reuse.valid_pairs (Caqr.Reuse.analyze bv10))));
       Test.make ~name:"qs.search(BV10->2)"
-        (Staged.stage (fun () -> ignore (Caqr.Qs_caqr.search ~target:2 bv10)));
+        (Staged.stage (fun () -> ignore (Caqr.Qs_caqr.search_anytime ~target:2 bv10)));
       Test.make ~name:"commute.sweep(QAOA16)"
         (Staged.stage (fun () -> ignore (Caqr.Commute.sweep ~mode:`Heuristic qaoa16)));
       Test.make ~name:"matching.blossom(n=40,d=0.2)"
@@ -457,7 +457,7 @@ let ablation_search () =
         let rec go target =
           if target < 1 then target + 1
           else
-            match Caqr.Qs_caqr.search ~opts ~target c with
+            match Caqr.Qs_caqr.search_anytime ~opts ~target c with
             | Some _ -> go (target - 1)
             | None -> target + 1
         in

@@ -209,26 +209,32 @@ let list_cmd =
 
 (* ---- compile ---- *)
 
+(* The compile-and-print path of [compile] and [qasmc]; [label] names
+   the input (a benchmark or a file path). *)
+let compile_and_print ~label ~qasm ~timings ~jobs ?deadline_ms ~fallback
+    device strategy input =
+  let r, metrics =
+    timed ~timings ?deadline_ms (fun () ->
+        Caqr.Pipeline.compile
+          ~options:{ Caqr.Pipeline.default with jobs; fallback }
+          device strategy input)
+  in
+  Format.printf "%s / %s:@.  %a@.  reuse pairs: %d@.  quality: %s@." label
+    (Caqr.Pipeline.strategy_name r.Caqr.Pipeline.strategy)
+    Transpiler.Transpile.pp_stats r.Caqr.Pipeline.stats r.Caqr.Pipeline.reuse_pairs
+    (Caqr.Quality.to_string r.Caqr.Pipeline.quality);
+  print_metrics metrics;
+  if qasm then
+    print_string
+      (Quantum.Qasm.to_string
+         (fst (Quantum.Circuit.compact_qubits r.Caqr.Pipeline.physical)));
+  report_degradation strategy r
+
 let compile_cmd =
   let run entry strategy qasm timings jobs deadline_ms fallback =
-    let device = device_for entry in
-    let input = Benchmarks.Suite.input entry in
-    let r, metrics =
-      timed ~timings ?deadline_ms (fun () ->
-          Caqr.Pipeline.compile
-            ~options:{ Caqr.Pipeline.default with jobs; fallback }
-            device strategy input)
-    in
-    Format.printf "%s / %s:@.  %a@.  reuse pairs: %d@.  quality: %s@."
-      entry.Benchmarks.Suite.name
-      (Caqr.Pipeline.strategy_name r.Caqr.Pipeline.strategy)
-      Transpiler.Transpile.pp_stats r.Caqr.Pipeline.stats r.Caqr.Pipeline.reuse_pairs
-      (Caqr.Quality.to_string r.Caqr.Pipeline.quality);
-    print_metrics metrics;
-    if qasm then
-      print_string
-        (Quantum.Qasm.to_string (fst (Quantum.Circuit.compact_qubits r.Caqr.Pipeline.physical)));
-    report_degradation strategy r
+    compile_and_print ~label:entry.Benchmarks.Suite.name ~qasm ~timings ~jobs
+      ?deadline_ms ~fallback (device_for entry) strategy
+      (Benchmarks.Suite.input entry)
   in
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "compile" ~doc:"Compile a benchmark")
@@ -293,25 +299,10 @@ let qasmc_cmd =
       Printf.eprintf "%s: %s\n" path (Guard.Error.to_string e);
       exit 2
     | Ok circuit ->
-      let device =
-        Hardware.Device.heavy_hex_for circuit.Quantum.Circuit.num_qubits
-      in
-      let r, metrics =
-        timed ~timings ?deadline_ms (fun () ->
-            Caqr.Pipeline.compile
-              ~options:{ Caqr.Pipeline.default with jobs; fallback }
-              device strategy (Caqr.Pipeline.Regular circuit))
-      in
-      Format.printf "%s / %s:@.  %a@.  reuse pairs: %d@.  quality: %s@." path
-        (Caqr.Pipeline.strategy_name r.Caqr.Pipeline.strategy)
-        Transpiler.Transpile.pp_stats r.Caqr.Pipeline.stats r.Caqr.Pipeline.reuse_pairs
-        (Caqr.Quality.to_string r.Caqr.Pipeline.quality);
-      print_metrics metrics;
-      if qasm then
-        print_string
-          (Quantum.Qasm.to_string
-             (fst (Quantum.Circuit.compact_qubits r.Caqr.Pipeline.physical)));
-      report_degradation strategy r
+      compile_and_print ~label:path ~qasm ~timings ~jobs ?deadline_ms
+        ~fallback
+        (Hardware.Device.heavy_hex_for circuit.Quantum.Circuit.num_qubits)
+        strategy (Caqr.Pipeline.Regular circuit)
   in
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "qasmc" ~doc:"Compile an OpenQASM file with CaQR")

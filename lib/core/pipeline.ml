@@ -407,9 +407,9 @@ let beneficial device input =
       (true, Printf.sprintf "graph coloring: %d qubits suffice for %d vertices" k n)
     else (false, "interaction graph is complete: no reuse possible")
   | Regular c ->
-    (match Qs_caqr.opportunity c with
-     | None -> (false, "no valid reuse pair (conditions 1-2 fail everywhere)")
-     | Some p ->
+    (match Reuse.valid_pairs (Reuse.analyze c) with
+     | [] -> (false, "no valid reuse pair (conditions 1-2 fail everywhere)")
+     | p :: _ ->
        let baseline = compile device Baseline input in
        let sr = compile device Sr input in
        let better =

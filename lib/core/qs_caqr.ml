@@ -3,16 +3,6 @@ type search_opts = { budget : int; order : order }
 
 let default_opts = { budget = 400; order = Both }
 
-(* Candidate orderings for the backtracking search. [Score] is greedy
-   on the predicted depth ({!Reuse.predict_depth}), the paper's
-   critical-path rule; [Chain] reuses the earliest-finishing wire first,
-   which builds serial chains (the paper's Fig. 1 construction) and
-   keeps merge options open for deep reductions. Either way a node's
-   candidates are one flat array of pair codes ({!Reuse.ranked}). *)
-let ordered_candidates order analysis =
-  Reuse.ranked analysis
-    (match order with Score | Both -> Reuse.By_depth | Chain -> Reuse.By_chain)
-
 (* ---- Width floor ----
 
    Two active qubits that reach each other (some gate on each reaches a
@@ -67,21 +57,23 @@ let floor_of_analysis analysis =
 
 let width_floor circuit = floor_of_analysis (Reuse.analyze circuit)
 
-(* ---- The memoizing incremental engine ----
+(* ---- The search state ----
 
-   One cache outlives every search of a sweep: DFS prefixes are keyed by
-   the applied-pair sequence, so when the sweep restarts the search for a
-   deeper qubit target, the shared prefix (the greedy spine plus every
-   backtracked branch already explored) replays from the cache instead of
-   re-deriving analyses and re-sorting candidates. Each prefix is
-   interned once as an int id — the root is [root_prefix], and a child
-   is looked up by its parent's id and the applied pair — so a memo
-   lookup hashes three ints rather than the whole pair sequence. The
-   width floor of the cache's circuit is computed on first use.
+   One descent owns one search state, created by [new_state] and shared
+   with nothing else. Its memo tree mirrors the DFS: a node is one
+   applied-pair prefix and keeps its analysis, its path (the applied
+   pairs, newest first, whose tail is its parent's path), one candidate
+   slot per ordering, and its children by pair code. When the descent
+   restarts the search for a deeper qubit target, the shared prefix (the
+   greedy spine plus every backtracked branch already explored) replays
+   from the tree instead of re-deriving analyses and re-sorting
+   candidates.
 
    Pair sequences that apply the same links in another order reach the
-   same node, so the cache also keeps a transposition table: see
-   "Transposition replay" below. *)
+   same node, so the state also keeps a transposition table (see
+   "Transposition replay" below). It keeps the width floor of its
+   circuit, computed on first use, and the anytime incumbent, which the
+   DFS updates at every node it derives. *)
 
 (* A DFS node's wire-chain state: [next.(q)] is the original qubit that
    follows [q] on its wire, or -1, under one candidate ordering
@@ -100,96 +92,111 @@ module Transpositions = Hashtbl.Make (State)
    below its root, and the least usage any of its nodes reached. *)
 type replay = { counted : int; least : int }
 
-type cache = {
-  prefixes : (int * int * int, int) Hashtbl.t;
-  mutable next_prefix : int;
-  analyses : (int, Reuse.analysis) Hashtbl.t;
-  candidates : (int, int array) Hashtbl.t;
+type node = {
+  analysis : Reuse.analysis;
+  path : Reuse.pair list;
+  ranked : int array option array;  (* indexed by [order_tag] *)
+  mutable children : (int * node) list;  (* by pair code *)
+}
+
+type state = {
+  circuit : Quantum.Circuit.t;
+  mutable root : node option;
+  mutable stored : int;  (* tree nodes below the root *)
   replays : replay Transpositions.t;
   mutable floor : int option;
+  (* The incumbent: the derived node of least usage ([None]: the input
+     itself) and that usage, the nodes derived so far, and the counted
+     candidate branches never tried — raised by a node's candidate count
+     when its list is read, lowered by one as each is attempted. *)
+  mutable best : node option;
+  mutable width : int;
+  mutable steps : int;
+  mutable frontier : int;
 }
 
-(* Caps the tables on degenerate inputs (enormous sweeps); entries past
-   the cap are simply recomputed on demand. *)
-let cache_capacity = 20_000
+(* Caps the tree and the transposition table on degenerate inputs
+   (enormous sweeps); a node past the cap is not stored, so a later
+   visit derives it again. *)
+let node_cap = 20_000
 
-let root_prefix = 0
-
-let new_cache () =
+let new_state circuit =
   {
-    prefixes = Hashtbl.create 256;
-    next_prefix = root_prefix;
-    analyses = Hashtbl.create 256;
-    candidates = Hashtbl.create 256;
+    circuit;
+    root = None;
+    stored = 0;
     replays = Transpositions.create 256;
     floor = None;
+    best = None;
+    width = Reuse.qubit_usage circuit;
+    steps = 0;
+    frontier = 0;
   }
 
-(* A prefix past the cap gets a fresh id that is never stored, so its
-   entries miss and are recomputed, as they would be anyway. *)
-let child_prefix cache parent (p : Reuse.pair) =
-  let key = (parent, p.Reuse.src, p.Reuse.dst) in
-  match Hashtbl.find_opt cache.prefixes key with
-  | Some id -> id
+let count_lookup found =
+  Obs.Metrics.incr (if found then "qs.cache.hit" else "qs.cache.miss")
+
+let new_node analysis path =
+  { analysis; path; ranked = [| None; None |]; children = [] }
+
+let root st =
+  count_lookup (st.root <> None);
+  match st.root with
+  | Some n -> n
   | None ->
-    cache.next_prefix <- cache.next_prefix + 1;
-    let id = cache.next_prefix in
-    if Hashtbl.length cache.prefixes < cache_capacity then
-      Hashtbl.add cache.prefixes key id;
-    id
+    let n = new_node (Reuse.analyze st.circuit) [] in
+    st.root <- Some n;
+    n
 
-let cached tbl key compute =
-  match Hashtbl.find_opt tbl key with
-  | Some v ->
-    Obs.Metrics.incr "qs.cache.hit";
-    v
+let child st node code (p : Reuse.pair) =
+  let found = List.assoc_opt code node.children in
+  count_lookup (found <> None);
+  match found with
+  | Some n -> n
   | None ->
-    Obs.Metrics.incr "qs.cache.miss";
-    let v = compute () in
-    if Hashtbl.length tbl < cache_capacity then Hashtbl.add tbl key v;
-    v
+    let n =
+      new_node (Reuse.apply_incremental node.analysis p) (p :: node.path)
+    in
+    if st.stored < node_cap then begin
+      node.children <- (code, n) :: node.children;
+      st.stored <- st.stored + 1
+    end;
+    n
 
-let root_analysis cache circuit =
-  cached cache.analyses root_prefix (fun () -> Reuse.analyze circuit)
-
-let child_analysis cache parent pair id =
-  cached cache.analyses id (fun () -> Reuse.apply_incremental parent pair)
-
-(* The candidate ordering a memo entry belongs to ([Both] searches
-   with [Score] first, then [Chain]). *)
+(* Candidate orderings for the backtracking search. [Score] is greedy
+   on the predicted depth ({!Reuse.predict_depth}), the paper's
+   critical-path rule; [Chain] reuses the earliest-finishing wire first,
+   which builds serial chains (the paper's Fig. 1 construction) and
+   keeps merge options open for deep reductions. Either way a node's
+   candidates are one flat array of pair codes ({!Reuse.ranked}), kept
+   in the node's slot for that ordering ([Both] searches with [Score]
+   first, then [Chain]). *)
 let order_tag = function Score | Both -> 0 | Chain -> 1
 
-let candidates_for cache order analysis id =
-  cached cache.candidates ((2 * id) + order_tag order) (fun () ->
-      ordered_candidates order analysis)
+let candidates node order =
+  let slot = order_tag order in
+  count_lookup (node.ranked.(slot) <> None);
+  match node.ranked.(slot) with
+  | Some c -> c
+  | None ->
+    let rank = if slot = 0 then Reuse.By_depth else Reuse.By_chain in
+    let c = Reuse.ranked node.analysis rank in
+    node.ranked.(slot) <- Some c;
+    c
 
-let width_floor_cached cache circuit =
-  match cache.floor with
+let floor st =
+  match st.floor with
   | Some f -> f
   | None ->
-    let f = floor_of_analysis (root_analysis cache circuit) in
-    cache.floor <- Some f;
+    let f = floor_of_analysis (root st).analysis in
+    st.floor <- Some f;
     f
-
-(* The anytime layer watches the DFS through this hook: [note] fires on
-   every node (usage, analysis, reversed pair prefix) so an incumbent can
-   be maintained without building a circuit per node, and [frontier]
-   tracks how many counted candidate branches were never tried —
-   positive deltas when a node's candidate list is generated, -1 as each
-   is attempted. *)
-type observer = {
-  note : int -> Reuse.analysis -> Reuse.pair list -> unit;
-  frontier : int -> unit;
-}
 
 (* A search ends one of three ways, and the quality marker needs to tell
    the last two apart: [Exhausted] means the whole space (under this
    candidate ordering) was explored, [Cut] means the node cap ended it
    early — more budget could still find a solution. *)
-type outcome =
-  | Found of Reuse.analysis * Reuse.pair list
-  | Exhausted
-  | Cut
+type outcome = Found of node | Exhausted | Cut
 
 (* ---- Transposition replay ----
 
@@ -206,7 +213,7 @@ type outcome =
    [Exhausted]. Met again with its least usage above the target, such a
    subtree is exhausted again after exactly as many nodes, so the DFS
    credits that count to the node cap instead of deriving it. Entries
-   are capped like the memo tables; past the cap subtrees are simply
+   are capped like the tree; past the cap subtrees are simply
    explored. *)
 
 (* One link's hash contribution: a multiply-xorshift mix of the pair. *)
@@ -215,15 +222,11 @@ let link_hash tail dst =
   let x = (x lxor (x lsr 29)) * 0x1b87_3593_9e37_79b9 in
   x lxor (x lsr 32)
 
-let search_incremental ?observer ~cache order budget target circuit =
+let search_incremental st order budget target =
   let nodes = ref 0 in
-  let note u a rp = match observer with Some o -> o.note u a rp | None -> () in
-  let frontier d =
-    match observer with Some o -> o.frontier d | None -> ()
-  in
-  let root = root_analysis cache circuit in
-  let transpose = Reuse.splice_is_local root in
-  let k = (Reuse.circuit root).Quantum.Circuit.num_qubits in
+  let root = root st in
+  let transpose = Reuse.splice_is_local root.analysis in
+  let k = st.circuit.Quantum.Circuit.num_qubits in
   (* [tail.(w)]: the last original qubit on wire [w]'s chain *)
   let next = Array.make k (-1) and tail = Array.init k Fun.id in
   let hash = ref 0 in
@@ -240,13 +243,12 @@ let search_incremental ?observer ~cache order budget target circuit =
     least := min !least r.least;
     if !nodes > budget then Cut else Exhausted
   in
-  let rec go analysis id rev_pairs =
-    if Reuse.usage analysis <= target then
-      Found (analysis, List.rev rev_pairs)
+  let rec go node =
+    if Reuse.usage node.analysis <= target then Found node
     else if !nodes > budget then Cut
     else begin
-      let cands = candidates_for cache order analysis id in
-      frontier (Array.length cands);
+      let cands = candidates node order in
+      st.frontier <- st.frontier + Array.length cands;
       let rec attempt i =
         if i = Array.length cands then Exhausted
         else begin
@@ -256,21 +258,22 @@ let search_incremental ?observer ~cache order budget target circuit =
           Guard.Budget.checkpoint ~stage:"core.qs" ~site:"qs.search";
           if !nodes > budget then Cut
           else begin
-            frontier (-1);
-            let src = cands.(i) / k and dst = cands.(i) mod k in
+            st.frontier <- st.frontier - 1;
+            let code = cands.(i) in
+            let src = code / k and dst = code mod k in
             let t = tail.(src) in
             let link = link_hash t dst in
             next.(t) <- dst;
             tail.(src) <- tail.(dst);
             hash := !hash lxor link;
             let stored =
-              if transpose then Transpositions.find_opt cache.replays (key ())
+              if transpose then Transpositions.find_opt st.replays (key ())
               else None
             in
             let r =
               match stored with
               | Some r when r.least > target -> replay r
-              | _ -> expand analysis id { Reuse.src; dst } rev_pairs
+              | _ -> expand node code { Reuse.src; dst }
             in
             next.(t) <- -1;
             tail.(src) <- t;
@@ -284,59 +287,50 @@ let search_incremental ?observer ~cache order budget target circuit =
       in
       attempt 0
     end
-  and expand analysis id p rev_pairs =
-    let rev_pairs' = p :: rev_pairs in
-    let id' = child_prefix cache id p in
-    let child = child_analysis cache analysis p id' in
-    let usage = Reuse.usage child in
-    note usage child rev_pairs';
+  and expand node code p =
+    let child = child st node code p in
+    let usage = Reuse.usage child.analysis in
+    st.steps <- st.steps + 1;
+    if usage < st.width then begin
+      st.best <- Some child;
+      st.width <- usage
+    end;
     let outer = !least and start = !nodes in
     least := usage;
-    let r = go child id' rev_pairs' in
+    let r = go child in
     (match r with
      | Exhausted
-       when transpose && Transpositions.length cache.replays < cache_capacity ->
-       Transpositions.add cache.replays
+       when transpose && Transpositions.length st.replays < node_cap ->
+       Transpositions.add st.replays
          { (key ()) with State.next = Array.copy next }
          { counted = !nodes - start; least = !least }
      | _ -> ());
     least := min outer !least;
     r
   in
-  go root root_prefix []
-
-(* Both falls back from the Score ordering to the Chain ordering. *)
-let with_order opts dfs =
-  match opts.order with
-  | (Score | Chain) as order -> dfs order
-  | Both -> (
-    match dfs Score with
-    | Found _ as r -> r
-    | first -> (
-      match dfs Chain with
-      | Found _ as r -> r
-      | Exhausted -> first (* Cut on the Score pass still means "cut" *)
-      | Cut -> Cut))
+  go root
 
 (* A target below the width floor cannot be reached, so the search ends
-   [Exhausted] before expanding a single node. *)
-let search_out ?observer ~cache opts target circuit =
+   [Exhausted] before expanding a single node. [Both] falls back from
+   the Score ordering to the Chain ordering; a Cut on the Score pass
+   still means "cut". *)
+let search_out st opts target =
   Obs.Metrics.incr "qs.searches";
   Obs.Metrics.time "time.search" @@ fun () ->
-  if target < width_floor_cached cache circuit then begin
+  if target < floor st then begin
     Obs.Metrics.incr "qs.search.floor_skips";
     Exhausted
   end
   else
-    with_order opts (fun order ->
-        search_incremental ?observer ~cache order opts.budget target circuit)
+    let dfs order = search_incremental st order opts.budget target in
+    match opts.order with
+    | (Score | Chain) as order -> dfs order
+    | Both -> (
+      match dfs Score with
+      | Found _ as r -> r
+      | first -> (match dfs Chain with Exhausted -> first | r -> r))
 
-let found = function
-  | Found (a, pairs) -> Some (Reuse.circuit a, pairs)
-  | Exhausted | Cut -> None
-
-let search ?(opts = default_opts) ~target circuit =
-  found (search_out ~cache:(new_cache ()) opts target circuit)
+let pairs node = List.rev node.path
 
 (* The one descent. The tradeoff sweep re-searches from the original
    circuit for every qubit limit (the paper: "for each application, we
@@ -344,51 +338,61 @@ let search ?(opts = default_opts) ~target circuit =
    circuits"). A fresh search per target avoids greedy dead ends
    polluting deeper points: reaching k - 1 always passes through some
    k-qubit circuit, so the descent stops at the first unreachable target
-   and returns how that search ended. [search] closes over one memo
-   cache, so each restart replays its predecessor's prefix for free. *)
-let descend ~search circuit on_found =
+   and reports how that search ended. The descent creates its search
+   state, so each restart replays its predecessor's prefix from the
+   tree, and the tree, the transposition table and the incumbent live
+   exactly as long as the descent (what transposition replay needs; see
+   "Anytime search" below). A wall-clock trip ends the descent
+   [Error], with the state's incumbent intact. *)
+let descend opts circuit on_found =
+  let st = new_state circuit in
   let rec go target =
     if target < 1 then Exhausted
     else
-      match search target with
-      | Found (a, pairs) ->
-        on_found a pairs;
-        go (Reuse.usage a - 1)
+      match search_out st opts target with
+      | Found node ->
+        on_found node;
+        (* Leftover branch counts from a solved search are not "space
+           left unexplored" — the descent moves on to a deeper target. *)
+        st.frontier <- 0;
+        go (Reuse.usage node.analysis - 1)
       | (Exhausted | Cut) as ending -> ending
   in
-  go (Reuse.qubit_usage circuit - 1)
+  match go (Reuse.qubit_usage circuit - 1) with
+  | ending -> (st, Ok ending)
+  | exception Guard.Error.Budget_exceeded e -> (st, Error e)
 
 let sweep ?(opts = default_opts) circuit =
-  let cache = new_cache () in
   let steps = ref [ Engine.make_step circuit [] ] in
-  ignore
-    (descend circuit
-       ~search:(fun target -> search_out ~cache opts target circuit)
-       (fun a pairs ->
-         steps := Engine.make_step (Reuse.circuit a) pairs :: !steps));
-  List.rev !steps
+  match
+    descend opts circuit (fun node ->
+        let step = Engine.make_step (Reuse.circuit node.analysis) (pairs node) in
+        steps := step :: !steps)
+  with
+  | _, Ok _ -> List.rev !steps
+  | _, Error e -> raise (Guard.Error.Budget_exceeded e)
 
 (* The greedy step is the first search of the descent: one qubit fewer
    is reached by the best-scored valid pair, so this is row 1 of
    [sweep]. *)
 let reduce_once circuit =
-  match search ~target:(Reuse.qubit_usage circuit - 1) circuit with
-  | Some (c, [ pair ]) -> Some (pair, c)
-  | Some _ | None -> None
-
-let opportunity circuit =
-  let analysis = Reuse.analyze circuit in
-  match Reuse.valid_pairs analysis with
-  | [] -> None
-  | p :: _ -> Some p
+  let st = new_state circuit in
+  match search_out st default_opts (Reuse.qubit_usage circuit - 1) with
+  | Found { analysis; path = [ pair ]; _ } ->
+    Some (pair, Reuse.circuit analysis)
+  | Found _ | Exhausted | Cut -> None
 
 (* ---- Anytime search: the quality/time dial ----
 
-   The descent above, instrumented with a best-so-far incumbent: every
-   DFS node with fewer active qubits than the incumbent snapshots
-   (circuit, pairs). A wall-clock [Guard.Budget] trip returns the
-   incumbent tagged [Anytime] instead of letting the failure escape, so
-   the degradation ladder never has to throw partial work away.
+   The descent above, read through its best-so-far incumbent: every DFS
+   node with fewer active qubits than the incumbent becomes the
+   incumbent (the tree node itself, so no circuit is built per node). A
+   wall-clock [Guard.Budget] trip returns the incumbent tagged [Anytime]
+   instead of letting the failure escape, so the degradation ladder
+   never has to throw partial work away. A replayed subtree derives no
+   node and so moves no incumbent field; that is sound because the
+   table and the incumbent belong to one state: every stored subtree
+   was explored, and counted, by the same incumbent.
 
    Only the wall clock makes a result [Anytime]. The DFS node cap
    ([opts.budget]) ending the final search is the configured engine
@@ -396,57 +400,36 @@ let opportunity circuit =
    every run — so it stays [Exact]: callers (the serve cache in
    particular) rely on [Exact] meaning deadline-independent. *)
 
-(* The incumbent is the best node's analysis ([None]: the input itself);
-   its circuit is built only when the incumbent is returned. *)
-let incumbent_observer circuit =
-  let best = ref (None, [], Reuse.qubit_usage circuit) in
-  let steps = ref 0 and frontier = ref 0 in
-  let observer =
-    {
-      note =
-        (fun u a rev_pairs ->
-          incr steps;
-          let _, _, usage = !best in
-          if u < usage then best := (Some a, List.rev rev_pairs, u));
-      frontier = (fun d -> frontier := !frontier + d);
-    }
+(* The incumbent's circuit is built only when it is returned. *)
+let incumbent ?quality st =
+  let c, pairs =
+    match st.best with
+    | Some node -> (Reuse.circuit node.analysis, pairs node)
+    | None -> (st.circuit, [])
   in
-  (best, steps, frontier, observer)
+  Engine.of_pairs ?quality ~width:st.width c pairs
 
-let incumbent ?quality circuit (a, pairs, width) =
-  let c = match a with Some a -> Reuse.circuit a | None -> circuit in
-  Engine.of_pairs ?quality ~width c pairs
-
-let anytime_return circuit best steps frontier =
+let anytime_return st =
   Obs.Metrics.incr "qs.anytime.returns";
-  incumbent circuit best
+  incumbent st
     ~quality:
-      (Quality.Anytime { steps_done = steps; frontier_left = max 0 frontier })
+      (Quality.Anytime
+         { steps_done = st.steps; frontier_left = max 0 st.frontier })
 
 let max_reuse_anytime ?(opts = default_opts) circuit =
-  let cache = new_cache () in
-  let best, steps, frontier, observer = incumbent_observer circuit in
-  match
-    descend circuit
-      ~search:(fun target -> search_out ~observer ~cache opts target circuit)
-      (fun _ _ ->
-        (* Leftover branch counts from a solved search are not "space
-           left unexplored" — the descent moves on to a deeper target. *)
-        frontier := 0)
-  with
-  | Found _ | Exhausted | Cut -> incumbent circuit !best
-  | exception Guard.Error.Budget_exceeded _ ->
-    anytime_return circuit !best !steps !frontier
+  match descend opts circuit ignore with
+  | st, Ok _ -> incumbent st
+  | st, Error _ -> anytime_return st
 
 let min_qubits ?opts circuit = (max_reuse_anytime ?opts circuit).Engine.width
 let max_reuse ?opts circuit = (max_reuse_anytime ?opts circuit).Engine.circuit
 
 let search_anytime ?(opts = default_opts) ~target circuit =
-  let cache = new_cache () in
-  let best, steps, frontier, observer = incumbent_observer circuit in
-  match search_out ~observer ~cache opts target circuit with
-  | Found (a, pairs) ->
-    Some (Engine.of_pairs ~width:(Reuse.usage a) (Reuse.circuit a) pairs)
+  let st = new_state circuit in
+  match search_out st opts target with
+  | Found node ->
+    Some
+      (Engine.of_pairs ~width:(Reuse.usage node.analysis)
+         (Reuse.circuit node.analysis) (pairs node))
   | Exhausted | Cut -> None
-  | exception Guard.Error.Budget_exceeded _ ->
-    Some (anytime_return circuit !best !steps !frontier)
+  | exception Guard.Error.Budget_exceeded _ -> Some (anytime_return st)

@@ -18,8 +18,8 @@
     so the ablation bench can compare them. *)
 type order = Score | Chain | Both
 
-(** One options value shared by {!search}, {!sweep}, {!min_qubits} and
-    {!max_reuse}. Build variations with functional update:
+(** One options value shared by {!search_anytime}, {!sweep},
+    {!min_qubits} and {!max_reuse}. Build variations with functional update:
     [{ default_opts with budget = 40 }]. *)
 type search_opts = {
   budget : int;  (** DFS node budget per search (default 400) *)
@@ -31,8 +31,8 @@ val default_opts : search_opts
 (** [reduce_once circuit] applies the best single reuse — the valid
     pair of least predicted depth, ties to the first in
     {!Reuse.valid_pairs} order — or [None] when no valid pair exists.
-    It is [search ~target:(usage - 1) circuit], the first step of
-    {!sweep}: row 1 of [sweep circuit] is its pair and circuit. *)
+    It is the first search of {!sweep}'s descent: row 1 of
+    [sweep circuit] is its pair and circuit. *)
 val reduce_once : Quantum.Circuit.t -> (Reuse.pair * Quantum.Circuit.t) option
 
 (** [sweep ?opts circuit] returns the full reduction trajectory,
@@ -41,26 +41,14 @@ val reduce_once : Quantum.Circuit.t -> (Reuse.pair * Quantum.Circuit.t) option
     derives from its parent via {!Reuse.apply_incremental}, which builds
     no circuit (only each row's circuit is built, by
     {!Reuse.circuit}), and the
-    per-target searches share one memo cache, so each restart replays
-    the previously explored prefix from cache. On a barrier-free circuit
-    the cache is also a transposition table: a subtree already exhausted
+    per-target searches share one memo tree, so each restart replays
+    the previously explored prefix from the tree. On a barrier-free
+    circuit a transposition table goes with it: a subtree already exhausted
     through any pair order that applies the same reuse links is credited
     to the node cap by its node count instead of being explored again
     (["qs.search.replays"], ["qs.search.replayed_nodes"]).
     ["qs.search.nodes"] still counts every node of the plain DFS. *)
 val sweep : ?opts:search_opts -> Quantum.Circuit.t -> Engine.step list
-
-(** [search ?opts ~target circuit] answers the paper's user query "can
-    this circuit run on [target] qubits?": it finds a reuse sequence
-    reaching [target] qubits, trying candidates best-score-first with budgeted DFS
-    backtracking — greedy alone can trap itself (two parallel chains
-    interleaved on a shared partner can never merge later). Returns the
-    transformed circuit and the applied pairs. *)
-val search :
-  ?opts:search_opts ->
-  target:int ->
-  Quantum.Circuit.t ->
-  (Quantum.Circuit.t * Reuse.pair list) option
 
 (** Fewest qubits reachable (greedy tightened by backtracking search):
     the width of {!max_reuse_anytime}. Under an armed wall-clock
@@ -82,10 +70,6 @@ val max_reuse : ?opts:search_opts -> Quantum.Circuit.t -> Quantum.Circuit.t
     sound. *)
 val width_floor : Quantum.Circuit.t -> int
 
-(** Is there any reuse opportunity at all? (The paper's applicability
-    test: tools report "no benefit" when this is [None].) *)
-val opportunity : Quantum.Circuit.t -> Reuse.pair option
-
 (** [max_reuse_anytime ?opts circuit] descends one qubit target at a
     time, as {!sweep} does, and returns the deepest circuit reached with
     its pair certificate. The result is {!Quality.Exact} when the wall
@@ -102,11 +86,16 @@ val opportunity : Quantum.Circuit.t -> Reuse.pair option
 val max_reuse_anytime :
   ?opts:search_opts -> Quantum.Circuit.t -> Engine.artifact
 
-(** [search_anytime ?opts ~target circuit] — {!search} with the anytime
-    contract: [Some {quality = Exact; _}] when [target] is reached,
-    [None] when the search space (or node cap) is exhausted without
-    reaching it — exactly like [search] — and, on a wall-clock budget
-    trip, [Some {quality = Anytime _; _}] carrying the best incumbent
-    (whose width may still be above [target]). *)
+(** [search_anytime ?opts ~target circuit] answers the paper's user
+    query "can this circuit run on [target] qubits?": it looks for a
+    reuse sequence reaching [target] qubits, trying candidates
+    best-score-first with budgeted DFS backtracking — greedy alone can
+    trap itself (two parallel chains interleaved on a shared partner
+    can never merge later). It returns [Some {quality = Exact; _}], the
+    transformed circuit and its applied pairs, when [target] is
+    reached; [None] when the search space (or node cap) is exhausted
+    without reaching it; and, on a wall-clock budget trip,
+    [Some {quality = Anytime _; _}] carrying the best incumbent (whose
+    width may still be above [target]). *)
 val search_anytime :
   ?opts:search_opts -> target:int -> Quantum.Circuit.t -> Engine.artifact option

@@ -1,16 +1,11 @@
 let apply_gate rng st creg kind =
   match kind with
-  | Quantum.Gate.One_q (g, q) -> State.apply_one_q st g q
-  | Quantum.Gate.Cx (a, b) -> State.apply_cx st a b
-  | Quantum.Gate.Cz (a, b) -> State.apply_cz st a b
-  | Quantum.Gate.Rzz (th, a, b) -> State.apply_rzz st th a b
-  | Quantum.Gate.Swap (a, b) -> State.apply_swap st a b
   | Quantum.Gate.Measure (q, c) ->
     let outcome = State.measure rng st q in
     creg := (!creg land lnot (1 lsl c)) lor (outcome lsl c)
   | Quantum.Gate.Reset q -> State.reset rng st q
   | Quantum.Gate.If_x (c, q) -> if !creg land (1 lsl c) <> 0 then State.apply_one_q st Quantum.Gate.X q
-  | Quantum.Gate.Barrier _ -> ()
+  | kind -> State.apply_unitary st kind
 
 let run_shot rng (c : Quantum.Circuit.t) =
   Guard.Inject.hit "sim.shot";

@@ -66,8 +66,8 @@ let run_shot ctx (c : Quantum.Circuit.t) =
         let dur = gate_duration ctx kind in
         let finish = start + dur in
         (match kind with
-         | Quantum.Gate.One_q (gq, q) ->
-           State.apply_one_q st gq q;
+         | Quantum.Gate.One_q (_, q) ->
+           State.apply_unitary st kind;
            let p =
              (Hardware.Calibration.qubit
                 ctx.device.Hardware.Device.calibration ctx.phys_of.(q))
@@ -76,12 +76,7 @@ let run_shot ctx (c : Quantum.Circuit.t) =
            depolarize_1q ctx st q p
          | Quantum.Gate.Cx (a, b) | Quantum.Gate.Cz (a, b) | Quantum.Gate.Rzz (_, a, b) | Quantum.Gate.Swap (a, b)
            ->
-           (match kind with
-            | Quantum.Gate.Cx (a, b) -> State.apply_cx st a b
-            | Quantum.Gate.Cz (a, b) -> State.apply_cz st a b
-            | Quantum.Gate.Rzz (th, a, b) -> State.apply_rzz st th a b
-            | Quantum.Gate.Swap (a, b) -> State.apply_swap st a b
-            | _ -> ());
+           State.apply_unitary st kind;
            let p =
              Hardware.Device.cx_error ctx.device ctx.phys_of.(a) ctx.phys_of.(b)
            in

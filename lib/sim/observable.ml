@@ -88,23 +88,13 @@ let expectation_exact ~prepare obs =
       (fun g -> Quantum.Gate.is_dynamic g.Quantum.Gate.kind)
       prepare.Quantum.Circuit.gates
   then invalid_arg "Observable.expectation_exact: dynamic preparation";
-  let rng = Random.State.make [| 0 |] in
   List.fold_left
     (fun acc (basis, members) ->
       (* Rebuild the rotated state and read the full distribution. *)
       let st = State.init prepare.Quantum.Circuit.num_qubits in
-      let apply kind =
-        match kind with
-        | Quantum.Gate.One_q (g, q) -> State.apply_one_q st g q
-        | Quantum.Gate.Cx (a, b) -> State.apply_cx st a b
-        | Quantum.Gate.Cz (a, b) -> State.apply_cz st a b
-        | Quantum.Gate.Rzz (th, a, b) -> State.apply_rzz st th a b
-        | Quantum.Gate.Swap (a, b) -> State.apply_swap st a b
-        | Quantum.Gate.Barrier _ -> ()
-        | Quantum.Gate.Measure _ | Quantum.Gate.Reset _ | Quantum.Gate.If_x _ ->
-          ignore (State.measure rng st 0)
-      in
-      Array.iter (fun g -> apply g.Quantum.Gate.kind) prepare.Quantum.Circuit.gates;
+      Array.iter
+        (fun g -> State.apply_unitary st g.Quantum.Gate.kind)
+        prepare.Quantum.Circuit.gates;
       List.iter
         (fun (q, p) ->
           match p with

@@ -154,6 +154,17 @@ let apply_swap st a b =
     end
   done
 
+let apply_unitary st kind =
+  match kind with
+  | Quantum.Gate.One_q (g, q) -> apply_one_q st g q
+  | Quantum.Gate.Cx (a, b) -> apply_cx st a b
+  | Quantum.Gate.Cz (a, b) -> apply_cz st a b
+  | Quantum.Gate.Rzz (th, a, b) -> apply_rzz st th a b
+  | Quantum.Gate.Swap (a, b) -> apply_swap st a b
+  | Quantum.Gate.Barrier _ -> ()
+  | Quantum.Gate.Measure _ | Quantum.Gate.Reset _ | Quantum.Gate.If_x _ ->
+    invalid_arg "State.apply_unitary: not a unitary"
+
 let apply_pauli st p q =
   match p with
   | 0 -> ()

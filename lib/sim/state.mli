@@ -40,6 +40,11 @@ val apply_cz : t -> int -> int -> unit
 val apply_rzz : t -> float -> int -> int -> unit
 val apply_swap : t -> int -> int -> unit
 
+(** [apply_unitary st kind] applies one unitary gate; a barrier is a
+    no-op. Raises [Invalid_argument] on a measurement, reset or
+    conditional X, which need a classical register. *)
+val apply_unitary : t -> Quantum.Gate.kind -> unit
+
 (** Apply a Pauli (for noise injection): 0 = I, 1 = X, 2 = Y, 3 = Z. *)
 val apply_pauli : t -> int -> int -> unit
 

@@ -14,15 +14,6 @@ exception Budget of string
    impossible outcomes computed in floats land around 1e-16). *)
 let prune = 1e-12
 
-let apply_unitary st kind =
-  match kind with
-  | Quantum.Gate.One_q (g, q) -> Sim.State.apply_one_q st g q
-  | Quantum.Gate.Cx (a, b) -> Sim.State.apply_cx st a b
-  | Quantum.Gate.Cz (a, b) -> Sim.State.apply_cz st a b
-  | Quantum.Gate.Rzz (th, a, b) -> Sim.State.apply_rzz st th a b
-  | Quantum.Gate.Swap (a, b) -> Sim.State.apply_swap st a b
-  | _ -> invalid_arg "Equiv.apply_unitary: not a unitary"
-
 let distribution ?(config = default) circuit =
   (* Routing SWAPs cost wires, not semantics: elide them first so a
      physical circuit compacts back toward its logical width. *)
@@ -83,7 +74,6 @@ let distribution ?(config = default) circuit =
       else if suffix_final.(i) then read_off st creg weight i
       else begin
         match gates.(i).Quantum.Gate.kind with
-        | Quantum.Gate.Barrier _ -> go st creg weight (i + 1)
         | Quantum.Gate.If_x (c, q) ->
           if creg land (1 lsl c) <> 0 then Sim.State.apply_one_q st Quantum.Gate.X q;
           go st creg weight (i + 1)
@@ -99,7 +89,7 @@ let distribution ?(config = default) circuit =
               if outcome = 1 then Sim.State.apply_one_q st Quantum.Gate.X q;
               go st creg w (i + 1))
         | kind ->
-          apply_unitary st kind;
+          Sim.State.apply_unitary st kind;
           go st creg weight (i + 1)
       end
     and branch st q weight k =

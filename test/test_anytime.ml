@@ -147,22 +147,27 @@ let test_anytime_width_below_input () =
   check bool "anytime width <= input width" true
     (a.Caqr.Engine.width <= Caqr.Reuse.qubit_usage c)
 
+let multiply_13 () =
+  (Benchmarks.Suite.find "Multiply_13").Benchmarks.Suite.circuit
+
+(* To trip at a known node the armed ["qs.search"] site sleeps past the
+   wall budget at its [hit]-th DFS node, and the checkpoint right after
+   it raises. *)
+let trip_at hit c =
+  Guard.Inject.arm ~at_hit:hit ~mode:(Guard.Inject.Delay_ms 250) "qs.search";
+  Fun.protect ~finally:Guard.Inject.disarm (fun () ->
+      Guard.Budget.scoped
+        (Guard.Budget.make ~ms:150 ())
+        (fun () -> Caqr.Qs_caqr.max_reuse_anytime c))
+
 (* The incumbent's circuit is built only when it is returned, so on a
-   trip it is built on the exception path. To trip at a known node the
-   armed ["qs.search"] site sleeps past the wall budget at its [hit]-th
-   DFS node, and the checkpoint right after it raises. The returned
-   circuit must be iterated [Reuse.apply] of the returned pairs. *)
+   trip it is built on the exception path. The returned circuit must be
+   iterated [Reuse.apply] of the returned pairs. *)
 let test_tripped_incumbent_is_iterated_apply () =
-  let c = (Benchmarks.Suite.find "Multiply_13").Benchmarks.Suite.circuit in
+  let c = multiply_13 () in
   List.iter
     (fun hit ->
-      Guard.Inject.arm ~at_hit:hit ~mode:(Guard.Inject.Delay_ms 250) "qs.search";
-      let a =
-        Fun.protect ~finally:Guard.Inject.disarm (fun () ->
-            Guard.Budget.scoped
-              (Guard.Budget.make ~ms:150 ())
-              (fun () -> Caqr.Qs_caqr.max_reuse_anytime c))
-      in
+      let a = trip_at hit c in
       let label = Printf.sprintf "trip at node %d" hit in
       check bool (label ^ ": anytime") false
         (Caqr.Quality.is_exact a.Caqr.Engine.quality);
@@ -173,6 +178,30 @@ let test_tripped_incumbent_is_iterated_apply () =
         (Quantum.Qasm.to_string (List.fold_left Caqr.Reuse.apply c pairs))
         (Quantum.Qasm.to_string a.Caqr.Engine.circuit))
     [ 20; 100; 300 ]
+
+(* The incumbent bookkeeping, pinned: tripped at a known DFS node, the
+   returned width, pair count, [steps_done] (nodes the DFS derived) and
+   [frontier_left] (counted branches never tried) are fixed numbers. *)
+let test_tripped_incumbent_markers () =
+  let c = multiply_13 () in
+  List.iter
+    (fun (hit, width, pairs, steps, frontier) ->
+      let a = trip_at hit c in
+      let label = Printf.sprintf "trip at node %d" hit in
+      check int (label ^ ": width") width a.Caqr.Engine.width;
+      check int (label ^ ": pairs") pairs
+        (List.length (Option.get a.Caqr.Engine.pairs));
+      match a.Caqr.Engine.quality with
+      | Caqr.Quality.Anytime { steps_done; frontier_left } ->
+        check int (label ^ ": steps_done") steps steps_done;
+        check int (label ^ ": frontier_left") frontier frontier_left
+      | Caqr.Quality.Exact -> Alcotest.fail (label ^ ": expected anytime"))
+    [
+      (20, 8, 5, 19, 164);
+      (100, 7, 6, 74, 158);
+      (300, 7, 6, 151, 173);
+      (600, 7, 6, 313, 283);
+    ]
 
 (* ---- search_anytime: target contract ---- *)
 
@@ -221,6 +250,8 @@ let () =
             test_anytime_width_below_input;
           Alcotest.test_case "tripped incumbent = iterated apply" `Quick
             test_tripped_incumbent_is_iterated_apply;
+          Alcotest.test_case "tripped incumbent markers" `Quick
+            test_tripped_incumbent_markers;
         ] );
       ( "search",
         [

@@ -33,7 +33,7 @@ let test_qft_has_no_reuse () =
   (* Condition 1 fails for every pair: the applicability detector must
      say no. *)
   let c = Benchmarks.Extra.qft 5 in
-  check bool "no opportunity" true (Caqr.Qs_caqr.opportunity c = None);
+  check bool "no opportunity" true (Caqr.Reuse.valid_pairs (Caqr.Reuse.analyze c) = []);
   let yes, _ =
     Caqr.Pipeline.beneficial Hardware.Device.mumbai (Caqr.Pipeline.Regular c)
   in

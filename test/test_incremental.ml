@@ -421,6 +421,21 @@ let test_barrier_disables_replay () =
   Alcotest.(check bool) "with a barrier: sweep = reference" true agree;
   Alcotest.(check int) "with a barrier: no replay" 0 replays
 
+(* The memo tree's work, counted: one descent looks each analysis and
+   each ordering's candidate list up once per visit, so its hits and
+   misses are fixed numbers. A memo that lost entries would miss more. *)
+let test_memo_counts () =
+  List.iter
+    (fun (name, hits, misses) ->
+      let c = (Benchmarks.Suite.find name).Benchmarks.Suite.circuit in
+      Obs.Metrics.reset ();
+      ignore (Caqr.Qs_caqr.max_reuse_anytime c);
+      Alcotest.(check int) (name ^ ": qs.cache.hit") hits
+        (Obs.Metrics.count "qs.cache.hit");
+      Alcotest.(check int) (name ^ ": qs.cache.miss") misses
+        (Obs.Metrics.count "qs.cache.miss"))
+    [ ("Multiply_13", 50, 627); ("CC_10", 64, 161) ]
+
 let () =
   Alcotest.run "incremental"
     [
@@ -449,5 +464,6 @@ let () =
             (fun name ->
               Alcotest.test_case (name ^ " sweep") `Quick
                 (test_suite_sweep_identical name))
-            [ "RD-32"; "4mod5"; "XOR_5"; "BV_10"; "CC_10"; "System_9"; "Multiply_13" ] );
+            [ "RD-32"; "4mod5"; "XOR_5"; "BV_10"; "CC_10"; "System_9"; "Multiply_13" ]
+        @ [ Alcotest.test_case "memo hits and misses" `Quick test_memo_counts ] );
     ]

@@ -69,20 +69,20 @@ let test_bv_min_is_two () =
     [ 3; 5; 10 ]
 
 let test_search_reaches_target () =
-  match Caqr.Qs_caqr.search ~target:2 (Benchmarks.Bv.circuit 10) with
-  | Some (c, pairs) ->
+  match Caqr.Qs_caqr.search_anytime ~target:2 (Benchmarks.Bv.circuit 10) with
+  | Some { Caqr.Engine.circuit = c; pairs = Some pairs; _ } ->
     check int "2 qubits" 2 (Caqr.Reuse.qubit_usage c);
     check int "8 reuse pairs" 8 (List.length pairs)
-  | None -> Alcotest.fail "search must succeed"
+  | Some { pairs = None; _ } | None -> Alcotest.fail "search must succeed"
 
 let test_search_impossible_target () =
   check bool "cannot reach 1" true
-    (Caqr.Qs_caqr.search ~target:1 (Benchmarks.Bv.circuit 5) = None)
+    (Caqr.Qs_caqr.search_anytime ~target:1 (Benchmarks.Bv.circuit 5) = None)
 
 let test_target_query_semantics () =
   let c = Benchmarks.Bv.circuit 8 in
-  match Caqr.Qs_caqr.search ~target:3 c with
-  | Some (c', _) ->
+  match Caqr.Qs_caqr.search_anytime ~target:3 c with
+  | Some { Caqr.Engine.circuit = c'; _ } ->
     check bool "at most 3" true (Caqr.Reuse.qubit_usage c' <= 3);
     let d0 = Sim.Executor.run ~seed:1 ~shots:64 c in
     let d1 = Sim.Executor.run ~seed:2 ~shots:64 c' in
@@ -91,11 +91,11 @@ let test_target_query_semantics () =
 
 let test_opportunity () =
   check bool "BV has opportunity" true
-    (Caqr.Qs_caqr.opportunity (Benchmarks.Bv.circuit 4) <> None);
+    (Caqr.Reuse.valid_pairs (Caqr.Reuse.analyze (Benchmarks.Bv.circuit 4)) <> []);
   let b = Quantum.Circuit.Builder.create ~num_qubits:2 ~num_clbits:0 in
   Quantum.Circuit.Builder.cx b 0 1;
   check bool "2q fully coupled: none" true
-    (Caqr.Qs_caqr.opportunity (Quantum.Circuit.Builder.build b) = None)
+    (Caqr.Reuse.valid_pairs (Caqr.Reuse.analyze (Quantum.Circuit.Builder.build b)) = [])
 
 let test_regular_benchmarks_reduce () =
   (* Every Table 1 regular benchmark has at least one reuse opportunity. *)

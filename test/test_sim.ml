@@ -125,6 +125,32 @@ let test_pauli_channel () =
   Sim.State.apply_pauli st 0 0;
   check float6 "identity" 0. (Sim.State.prob_one st 0)
 
+(* The one unitary kernel: the same state as the per-gate calls (the
+   closing H turns the phase gates' work into probabilities), a barrier
+   changes nothing, and a classical-register op is refused. *)
+let test_apply_unitary () =
+  let kinds =
+    [ G.One_q (G.H, 0); G.Barrier [ 0; 1 ]; G.Cx (0, 1); G.Rzz (0.3, 1, 2);
+      G.Cz (0, 2); G.Swap (1, 2); G.One_q (G.H, 2) ]
+  in
+  let st = Sim.State.init 3 in
+  List.iter (Sim.State.apply_unitary st) kinds;
+  let by_hand = Sim.State.init 3 in
+  Sim.State.apply_one_q by_hand G.H 0;
+  Sim.State.apply_cx by_hand 0 1;
+  Sim.State.apply_rzz by_hand 0.3 1 2;
+  Sim.State.apply_cz by_hand 0 2;
+  Sim.State.apply_swap by_hand 1 2;
+  Sim.State.apply_one_q by_hand G.H 2;
+  check bool "same state" true
+    (Sim.State.probabilities st = Sim.State.probabilities by_hand);
+  List.iter
+    (fun kind ->
+      Alcotest.check_raises "not a unitary"
+        (Invalid_argument "State.apply_unitary: not a unitary") (fun () ->
+          Sim.State.apply_unitary st kind))
+    [ G.Measure (0, 0); G.Reset 0; G.If_x (0, 0) ]
+
 let test_width_guard () =
   Alcotest.check_raises "too wide"
     (Invalid_argument "State.init: unsupported width") (fun () ->
@@ -339,6 +365,7 @@ let () =
           Alcotest.test_case "reset" `Quick test_reset_forces_ground;
           Alcotest.test_case "pauli" `Quick test_pauli_channel;
           Alcotest.test_case "width guard" `Quick test_width_guard;
+          Alcotest.test_case "apply unitary" `Quick test_apply_unitary;
         ] );
       ( "counts",
         [
