@@ -46,6 +46,11 @@ type t = {
   drain_flag : bool Atomic.t;
       (** graceful: refuse new connections, finish in-flight ones *)
   active_conns : int Atomic.t;
+  named : (string, Caqr.Pipeline.input * Quantum.Circuit.t * string) Hashtbl.t;
+      (** registry name -> resolved input, circuit and tagged digest
+          (see [resolve_named]); holds only names
+          {!Benchmarks.Suite.find} resolves, so the registry bounds it. *)
+  named_lock : Mutex.t;
 }
 
 let create config =
@@ -75,6 +80,8 @@ let create config =
     stop = Atomic.make false;
     drain_flag = Atomic.make false;
     active_conns = Atomic.make 0;
+    named = Hashtbl.create 32;
+    named_lock = Mutex.create ();
   }
 
 let cache t = t.cache
@@ -95,18 +102,20 @@ let usage_error ~site fmt =
 
 (* ---- input resolution ---- *)
 
-(* A request names its circuit either by benchmark-registry name or as
-   inline QASM-3. Returns the display name, the pipeline input, the
-   circuit whose width picks the device, and the canonical digest that
-   keys the cache. *)
-let resolve_input (req : Protocol.request) =
-  match (req.bench, req.qasm3) with
-  | Some _, Some _ ->
-    Error (usage_error ~site:"request.input" "give \"bench\" or \"qasm3\", not both")
-  | None, None ->
-    Error (usage_error ~site:"request.input" "missing \"bench\" or \"qasm3\"")
-  | Some name, None ->
+(* Resolve a registry name once per server: [Suite.find] rebuilds
+   Table 1 to find one name (or builds a large circuit), and digesting
+   the circuit is O(gates), too much to repeat on every cache hit. The
+   entry is built outside the lock and the first insert wins, so every
+   request sees one value. A plain table, not a [Lazy.t]: forcing one
+   lazy from two pool domains at once raises
+   [CamlinternalLazy.Undefined]. *)
+let resolve_named t name =
+  let find () = Hashtbl.find_opt t.named name in
+  match Mutex.protect t.named_lock find with
+  | Some _ as hit -> hit
+  | None ->
     (match Benchmarks.Suite.find name with
+     | exception Not_found -> None
      | e ->
        (* A commutable entry and a hypothetical regular entry with the
           same emitted circuit are different compile problems — tag the
@@ -116,12 +125,31 @@ let resolve_input (req : Protocol.request) =
          | Benchmarks.Suite.Regular -> "regular:"
          | Benchmarks.Suite.Commutable _ -> "commutable:"
        in
-       Ok
-         ( name,
-           Benchmarks.Suite.input e,
+       let resolved =
+         ( Benchmarks.Suite.input e,
            e.Benchmarks.Suite.circuit,
            tag ^ Quantum.Circuit.digest e.Benchmarks.Suite.circuit )
-     | exception Not_found ->
+       in
+       Mutex.protect t.named_lock (fun () ->
+           if not (Hashtbl.mem t.named name) then
+             Hashtbl.add t.named name resolved;
+           find ()))
+
+(* A request names its circuit either by benchmark-registry name or as
+   inline QASM-3. Returns the display name, the pipeline input, the
+   circuit whose width picks the device, and the canonical digest that
+   keys the cache. Inline QASM is content-addressed, so it parses and
+   digests on every request. *)
+let resolve_input t (req : Protocol.request) =
+  match (req.bench, req.qasm3) with
+  | Some _, Some _ ->
+    Error (usage_error ~site:"request.input" "give \"bench\" or \"qasm3\", not both")
+  | None, None ->
+    Error (usage_error ~site:"request.input" "missing \"bench\" or \"qasm3\"")
+  | Some name, None ->
+    (match resolve_named t name with
+     | Some (input, circuit, digest) -> Ok (name, input, circuit, digest)
+     | None ->
        Error (usage_error ~site:"request.input" "unknown benchmark %S" name))
   | None, Some src ->
     (match Quantum.Qasm_parser.parse src with
@@ -283,7 +311,7 @@ let ok_fields (req : Protocol.request) ~cache_state ~key ~result =
   ]
 
 let handle_work t (req : Protocol.request) =
-  match resolve_input req with
+  match resolve_input t req with
   | Error e -> Protocol.error_response ~id:req.id e
   | Ok (name, input, circuit, digest) ->
     let options = options_of req in

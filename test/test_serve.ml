@@ -523,6 +523,79 @@ let test_handler_batch_order () =
   in
   check bool "stop flag is the disjunction" true stop
 
+(* A named-input hit reads the entry the server resolved on first
+   sight: it neither rebuilds the benchmark registry nor re-digests the
+   circuit, so what it allocates is decode, key, lookup and encode
+   alone (about 1,040 words), whatever the circuit's size. A counted
+   gate on the calling domain's minor words, not a timer; rebuilding the
+   registry costs about 25,000 words on its own. *)
+let hit_words_bound = 4_000.
+
+let counted_hits t req =
+  let cold, _ = Serve.Server.handle_line t req in
+  check bool "first sight is a miss" true (contains cold "\"cache\":\"miss\"");
+  let first, _ = Serve.Server.handle_line t req in
+  check bool "repeat is a hit" true (contains first "\"cache\":\"hit\"");
+  for i = 1 to 100 do
+    let before = Gc.minor_words () in
+    let hit, _ = Serve.Server.handle_line t req in
+    let words = Gc.minor_words () -. before in
+    if words > hit_words_bound then
+      Alcotest.failf "%s: hit %d allocated %.0f minor words (bound %.0f)" req
+        i words hit_words_bound;
+    check string "hit is byte-identical to the first hit" first hit
+  done
+
+let test_handler_hit_words () =
+  let t = server () in
+  counted_hits t {|{"id":1,"op":"compile","bench":"QAOA25-0.3","strategy":"cone"}|};
+  counted_hits t
+    {|{"id":2,"op":"compile","bench":"cuccaro-64","strategy":"baseline"}|}
+
+(* Two pool domains first-sight one large name at once: both may build
+   its entry, one insert wins, and every response equals a sequential
+   replay on a fresh server. *)
+let test_handler_first_sight_race () =
+  let lines =
+    List.concat_map
+      (fun strategy ->
+        List.map
+          (fun qasm ->
+            Printf.sprintf
+              {|{"id":"%s-%b","op":"compile","bench":"cuccaro-64","strategy":"%s","qasm":%b}|}
+              strategy qasm strategy qasm)
+          [ false; true ])
+      [ "baseline"; "sr"; "cone"; "gidnet" ]
+  in
+  let t = server ~config:{ Serve.Server.default_config with jobs = 2 } () in
+  let responses, _ = Serve.Server.handle_batch t lines in
+  let replay = server () in
+  List.iter2
+    (fun line resp ->
+      check bool "batched request succeeded" true (contains resp "\"ok\":true");
+      check string "batch equals sequential replay"
+        (fst (Serve.Server.handle_line replay line))
+        resp)
+    lines responses
+
+(* Unknown names are not remembered: each gets today's structured error,
+   and a later hit on a real name still reads its entry in O(1). *)
+let test_handler_unknown_names () =
+  let t = server () in
+  for i = 1 to 1000 do
+    let name = Printf.sprintf "NoSuch_%d" i in
+    let r, _ =
+      Serve.Server.handle_line t
+        (Printf.sprintf {|{"op":"compile","bench":"%s"}|} name)
+    in
+    check string "unknown benchmark error"
+      (Printf.sprintf
+         {|{"id":null,"proto":2,"ok":false,"error":{"stage":"serve.request","site":"request.input","detail":"unknown benchmark \"%s\"","recoverable":false}}|}
+         name)
+      r
+  done;
+  counted_hits t {|{"id":3,"op":"compile","bench":"BV_10","strategy":"sr"}|}
+
 (* ---- Serve.Transport: address grammar and framing ---- *)
 
 module T = Serve.Transport
@@ -1224,6 +1297,12 @@ let () =
           Alcotest.test_case "stats and shutdown" `Quick
             test_handler_stats_and_shutdown;
           Alcotest.test_case "batch keeps order" `Quick test_handler_batch_order;
+          Alcotest.test_case "named hit allocates O(1) words" `Quick
+            test_handler_hit_words;
+          Alcotest.test_case "first-sight race equals replay" `Quick
+            test_handler_first_sight_race;
+          Alcotest.test_case "unknown names not remembered" `Quick
+            test_handler_unknown_names;
           Alcotest.test_case "overload rejection" `Quick
             test_overload_rejection;
           Alcotest.test_case "protocol versioning" `Quick
