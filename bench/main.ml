@@ -760,9 +760,11 @@ let engines_exp () =
 (* The incremental sweep must reproduce the reference sweep exactly
    while doing a fraction of the analysis work.  The comparison runs
    both over every regular benchmark and writes BENCH_caqr.json (schema
-   caqr-bench/7) for CI to archive. Next to the timer ratio each row
+   caqr-bench/8) for CI to archive. Next to the timer ratio each row
    carries counted work, which repeats exactly from run to run: the
-   analyses derived per sweep (fresh + incremental) and the minor words
+   analyses derived per sweep (fresh + incremental), the DFS nodes and
+   the part of them credited instead of walked again at each found node
+   (always 0 for the reference, which walks them), and the minor words
    allocated per sweep. *)
 
 type engine_run = {
@@ -772,8 +774,7 @@ type engine_run = {
   er_analyze_fresh : int;
   er_analyze_incremental : int;
   er_search_nodes : int;
-  er_cache_hits : int;
-  er_cache_misses : int;
+  er_resumed_nodes : int;
   er_minor_words : float;
 }
 
@@ -797,8 +798,7 @@ let run_engine sweep c =
       er_analyze_fresh = Obs.Metrics.count "reuse.analyze.fresh";
       er_analyze_incremental = Obs.Metrics.count "reuse.analyze.incremental";
       er_search_nodes = Obs.Metrics.count "qs.search.nodes";
-      er_cache_hits = Obs.Metrics.count "qs.cache.hit";
-      er_cache_misses = Obs.Metrics.count "qs.cache.miss";
+      er_resumed_nodes = Obs.Metrics.count "qs.search.resumed_nodes";
       er_minor_words = minor_words;
     }
   in
@@ -817,10 +817,9 @@ let run_engine sweep c =
 let engine_json b r =
   Buffer.add_string b
     (Printf.sprintf
-       "{\"wall_s\":%.6f,\"analyze_s\":%.6f,\"analyze_fresh\":%d,\"analyze_incremental\":%d,\"analyses\":%d,\"search_nodes\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"minor_words\":%.0f}"
+       "{\"wall_s\":%.6f,\"analyze_s\":%.6f,\"analyze_fresh\":%d,\"analyze_incremental\":%d,\"analyses\":%d,\"search_nodes\":%d,\"resumed_nodes\":%d,\"minor_words\":%.0f}"
        r.er_wall_s r.er_analyze_s r.er_analyze_fresh r.er_analyze_incremental
-       (analyses r) r.er_search_nodes r.er_cache_hits r.er_cache_misses
-       r.er_minor_words)
+       (analyses r) r.er_search_nodes r.er_resumed_nodes r.er_minor_words)
 
 (* -------------------------------------------------------------- anytime *)
 
@@ -1066,7 +1065,7 @@ let perf () =
   if not all_identical then incr structural_violations;
   let commute = commute_report () in
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"caqr-bench/7\",\"suite\":[";
+  Buffer.add_string b "{\"schema\":\"caqr-bench/8\",\"suite\":[";
   List.iteri
     (fun i (e, inc, fresh, identical, work, speedup) ->
       if i > 0 then Buffer.add_char b ',';
@@ -1086,7 +1085,9 @@ let perf () =
     (Printf.sprintf
        "],\"headline\":{\"largest_benchmark\":%S,\"analyze_work_ratio\":%.3f,\"wall_speedup\":%.3f,\"minor_words_ratio\":%.3f}"
        le.Benchmarks.Suite.name lwork lspeed lwords);
-  (* caqr-bench/7: one root analysis's minor words and their gate. *)
+  (* caqr-bench/8: suite rows carry [resumed_nodes] where they carried
+     the memo tree's [cache_hits]/[cache_misses].
+     caqr-bench/7: one root analysis's minor words and their gate. *)
   Buffer.add_string b
     (Printf.sprintf
        ",\"root_analyze\":{\"benchmark\":%S,\"minor_words\":%.0f,\"budget\":%.0f}"

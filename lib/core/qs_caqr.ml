@@ -57,146 +57,53 @@ let floor_of_analysis analysis =
 
 let width_floor circuit = floor_of_analysis (Reuse.analyze circuit)
 
-(* ---- The search state ----
+(* ---- The search ----
 
-   One descent owns one search state, created by [new_state] and shared
-   with nothing else. Its memo tree mirrors the DFS: a node is one
-   applied-pair prefix and keeps its analysis, its path (the applied
-   pairs, newest first, whose tail is its parent's path), one candidate
-   slot per ordering, and its children by pair code. When the descent
-   restarts the search for a deeper qubit target, the shared prefix (the
-   greedy spine plus every backtracked branch already explored) replays
-   from the tree instead of re-deriving analyses and re-sorting
-   candidates.
+   The paper sweeps qubit limits: "for each application, we tried
+   different qubit limit numbers". Searched one at a time, every limit
+   would restart a DFS from the input circuit. Yet under one candidate
+   ordering and node cap, the search for [t - 1] walks exactly the
+   nodes the search for [t] walked before it found its node (none of
+   them met the higher limit, so none meets the lower one), and reaches
+   that node with the same node count. So a search runs one DFS per
+   ordering with a falling target: at a node that meets the target the
+   DFS hands it to the caller's [found], lowers the target below it and
+   carries on under it. Nothing is re-walked, so nothing is memoized.
 
-   Pair sequences that apply the same links in another order reach the
-   same node, so the state also keeps a transposition table (see
-   "Transposition replay" below). It keeps the width floor of its
-   circuit, computed on first use, and the anytime incumbent, which the
+   A search state belongs to one descent or one single search and is
+   shared with nothing else. It holds the anytime incumbent, which the
    DFS updates at every node it derives. *)
-
-(* A DFS node's wire-chain state: [next.(q)] is the original qubit that
-   follows [q] on its wire, or -1, under one candidate ordering
-   ([order]). [hash] is maintained incrementally by the DFS; equality
-   compares the whole state, so a hash collision never aliases. *)
-module State = struct
-  type t = { order : int; hash : int; next : int array }
-
-  let equal a b = a.hash = b.hash && a.order = b.order && a.next = b.next
-  let hash s = s.hash
-end
-
-module Transpositions = Hashtbl.Make (State)
-
-(* What a subtree that ended [Exhausted] did: the DFS nodes it counted
-   below its root, and the least usage any of its nodes reached. *)
-type replay = { counted : int; least : int }
-
-type node = {
-  analysis : Reuse.analysis;
-  path : Reuse.pair list;
-  ranked : int array option array;  (* indexed by [order_tag] *)
-  mutable children : (int * node) list;  (* by pair code *)
-}
 
 type state = {
   circuit : Quantum.Circuit.t;
-  mutable root : node option;
-  mutable stored : int;  (* tree nodes below the root *)
-  replays : replay Transpositions.t;
-  mutable floor : int option;
   (* The incumbent: the derived node of least usage ([None]: the input
-     itself) and that usage, the nodes derived so far, and the counted
-     candidate branches never tried — raised by a node's candidate count
-     when its list is read, lowered by one as each is attempted. *)
-  mutable best : node option;
+     itself), as its analysis and its applied pairs (newest first), and
+     that usage; the nodes derived so far; and the candidate branches
+     not yet tried on the live DFS stack. *)
+  mutable best : (Reuse.analysis * Reuse.pair list) option;
   mutable width : int;
   mutable steps : int;
   mutable frontier : int;
 }
 
-(* Caps the tree and the transposition table on degenerate inputs
-   (enormous sweeps); a node past the cap is not stored, so a later
-   visit derives it again. *)
-let node_cap = 20_000
-
 let new_state circuit =
   {
     circuit;
-    root = None;
-    stored = 0;
-    replays = Transpositions.create 256;
-    floor = None;
     best = None;
     width = Reuse.qubit_usage circuit;
     steps = 0;
     frontier = 0;
   }
 
-let count_lookup found =
-  Obs.Metrics.incr (if found then "qs.cache.hit" else "qs.cache.miss")
-
-let new_node analysis path =
-  { analysis; path; ranked = [| None; None |]; children = [] }
-
-let root st =
-  count_lookup (st.root <> None);
-  match st.root with
-  | Some n -> n
-  | None ->
-    let n = new_node (Reuse.analyze st.circuit) [] in
-    st.root <- Some n;
-    n
-
-let child st node code (p : Reuse.pair) =
-  let found = List.assoc_opt code node.children in
-  count_lookup (found <> None);
-  match found with
-  | Some n -> n
-  | None ->
-    let n =
-      new_node (Reuse.apply_incremental node.analysis p) (p :: node.path)
-    in
-    if st.stored < node_cap then begin
-      node.children <- (code, n) :: node.children;
-      st.stored <- st.stored + 1
-    end;
-    n
-
 (* Candidate orderings for the backtracking search. [Score] is greedy
    on the predicted depth ({!Reuse.predict_depth}), the paper's
    critical-path rule; [Chain] reuses the earliest-finishing wire first,
    which builds serial chains (the paper's Fig. 1 construction) and
    keeps merge options open for deep reductions. Either way a node's
-   candidates are one flat array of pair codes ({!Reuse.ranked}), kept
-   in the node's slot for that ordering ([Both] searches with [Score]
-   first, then [Chain]). *)
-let order_tag = function Score | Both -> 0 | Chain -> 1
-
-let candidates node order =
-  let slot = order_tag order in
-  count_lookup (node.ranked.(slot) <> None);
-  match node.ranked.(slot) with
-  | Some c -> c
-  | None ->
-    let rank = if slot = 0 then Reuse.By_depth else Reuse.By_chain in
-    let c = Reuse.ranked node.analysis rank in
-    node.ranked.(slot) <- Some c;
-    c
-
-let floor st =
-  match st.floor with
-  | Some f -> f
-  | None ->
-    let f = floor_of_analysis (root st).analysis in
-    st.floor <- Some f;
-    f
-
-(* A search ends one of three ways, and the quality marker needs to tell
-   the last two apart: [Exhausted] means the whole space (under this
-   candidate ordering) was explored, [Cut] means the node cap ended it
-   early — more budget could still find a solution. *)
-type outcome = Found of node | Exhausted | Cut
+   candidates are one flat array of pair codes ({!Reuse.ranked}), local
+   to its DFS frame ([Both] searches with [Score] first, then
+   [Chain]). *)
+let rank = function Score | Both -> Reuse.By_depth | Chain -> Reuse.By_chain
 
 (* ---- Transposition replay ----
 
@@ -207,14 +114,29 @@ type outcome = Found of node | Exhausted | Cut
    order, and whether each reset splice reuses a final measurement — so
    the reach relation, interaction graph, schedules, scores and
    candidate order are fixed too, and with them the node's whole
-   subtree under one candidate ordering. The DFS keys each node by
+   subtree under one candidate ordering. Each DFS keys its nodes by
    [next] (see {!State}), with a hash updated in O(1) per applied link
    and undone on backtrack, and stores every subtree that ended
-   [Exhausted]. Met again with its least usage above the target, such a
-   subtree is exhausted again after exactly as many nodes, so the DFS
-   credits that count to the node cap instead of deriving it. Entries
-   are capped like the tree; past the cap subtrees are simply
-   explored. *)
+   [Exhausted] with the nodes it counted. Every node of such a subtree
+   had a usage above the target of its time, and targets only fall, so
+   met again the subtree is exhausted again after exactly as many nodes:
+   the DFS credits that count to the node cap instead of deriving it.
+   Past [table_cap] entries subtrees are simply explored. *)
+
+(* A DFS node's wire-chain state: [next.(q)] is the original qubit that
+   follows [q] on its wire, or -1. [hash] is maintained incrementally by
+   the DFS; equality compares the whole state, so a hash collision never
+   aliases. *)
+module State = struct
+  type t = { hash : int; next : int array }
+
+  let equal a b = a.hash = b.hash && a.next = b.next
+  let hash s = s.hash
+end
+
+module Transpositions = Hashtbl.Make (State)
+
+let table_cap = 20_000
 
 (* One link's hash contribution: a multiply-xorshift mix of the pair. *)
 let link_hash tail dst =
@@ -222,41 +144,52 @@ let link_hash tail dst =
   let x = (x lxor (x lsr 29)) * 0x1b87_3593_9e37_79b9 in
   x lxor (x lsr 32)
 
-let search_incremental st order budget target =
+(* How a DFS ended: stopped by [found], [Exhausted] (the whole space
+   under its ordering explored) or [Cut] by the node cap. *)
+type outcome = Stopped | Exhausted | Cut
+
+(* [dfs st root order budget target found] searches down from [root].
+   At a node whose usage is at most [!target] it calls [found analysis
+   path nodes] ([nodes]: the DFS's node count there), which returns
+   whether to carry on below the node; [false] stops the DFS. Returns
+   how the DFS ended and its count. *)
+let dfs st root order budget target found =
   let nodes = ref 0 in
-  let root = root st in
-  let transpose = Reuse.splice_is_local root.analysis in
+  let transpose = Reuse.splice_is_local root in
+  let table = Transpositions.create 256 in
   let k = st.circuit.Quantum.Circuit.num_qubits in
   (* [tail.(w)]: the last original qubit on wire [w]'s chain *)
   let next = Array.make k (-1) and tail = Array.init k Fun.id in
   let hash = ref 0 in
-  (* least usage reached in the subtree being explored *)
-  let least = ref max_int in
-  let tag = order_tag order in
-  let key () = { State.order = tag; hash = !hash; next } in
-  let replay r =
+  let rank = rank order in
+  let replay counted =
     Obs.Metrics.incr "qs.search.replays";
-    let credit = min r.counted (budget + 1 - !nodes) in
+    let credit = min counted (budget + 1 - !nodes) in
     Obs.Metrics.incr ~by:credit "qs.search.nodes";
     Obs.Metrics.incr ~by:credit "qs.search.replayed_nodes";
     nodes := !nodes + credit;
-    least := min !least r.least;
     if !nodes > budget then Cut else Exhausted
   in
-  let rec go node =
-    if Reuse.usage node.analysis <= target then Found node
+  let rec visit analysis path =
+    if Reuse.usage analysis <= !target && not (found analysis path !nodes)
+    then Stopped
     else if !nodes > budget then Cut
     else begin
-      let cands = candidates node order in
-      st.frontier <- st.frontier + Array.length cands;
+      let cands = Reuse.ranked analysis rank in
+      let n = Array.length cands in
+      st.frontier <- st.frontier + n;
+      (* A frame that returns early takes its untried branches along. *)
       let rec attempt i =
-        if i = Array.length cands then Exhausted
+        if i = n then Exhausted
         else begin
           incr nodes;
           Obs.Metrics.incr "qs.search.nodes";
           Guard.Inject.hit "qs.search";
           Guard.Budget.checkpoint ~stage:"core.qs" ~site:"qs.search";
-          if !nodes > budget then Cut
+          if !nodes > budget then begin
+            st.frontier <- st.frontier - (n - i);
+            Cut
+          end
           else begin
             st.frontier <- st.frontier - 1;
             let code = cands.(i) in
@@ -267,132 +200,138 @@ let search_incremental st order budget target =
             tail.(src) <- tail.(dst);
             hash := !hash lxor link;
             let stored =
-              if transpose then Transpositions.find_opt st.replays (key ())
+              if transpose then
+                Transpositions.find_opt table { State.hash = !hash; next }
               else None
             in
             let r =
               match stored with
-              | Some r when r.least > target -> replay r
-              | _ -> expand node code { Reuse.src; dst }
+              | Some counted -> replay counted
+              | None -> expand analysis path { Reuse.src; dst }
             in
             next.(t) <- -1;
             tail.(src) <- t;
             hash := !hash lxor link;
             match r with
-            | Found _ as r -> r
-            | Cut -> Cut
             | Exhausted -> attempt (i + 1)
+            | Stopped | Cut ->
+              st.frontier <- st.frontier - (n - i - 1);
+              r
           end
         end
       in
       attempt 0
     end
-  and expand node code p =
-    let child = child st node code p in
-    let usage = Reuse.usage child.analysis in
+  and expand analysis path p =
+    let child = Reuse.apply_incremental analysis p and path = p :: path in
+    let usage = Reuse.usage child in
     st.steps <- st.steps + 1;
     if usage < st.width then begin
-      st.best <- Some child;
+      st.best <- Some (child, path);
       st.width <- usage
     end;
-    let outer = !least and start = !nodes in
-    least := usage;
-    let r = go child in
+    let start = !nodes in
+    let r = visit child path in
     (match r with
-     | Exhausted
-       when transpose && Transpositions.length st.replays < node_cap ->
-       Transpositions.add st.replays
-         { (key ()) with State.next = Array.copy next }
-         { counted = !nodes - start; least = !least }
-     | _ -> ());
-    least := min outer !least;
+     | Exhausted when transpose && Transpositions.length table < table_cap ->
+       Transpositions.add table
+         { State.hash = !hash; next = Array.copy next }
+         (!nodes - start)
+     | Exhausted | Stopped | Cut -> ());
     r
   in
-  go root
+  let r = visit root [] in
+  (r, !nodes)
 
-(* A target below the width floor cannot be reached, so the search ends
-   [Exhausted] before expanding a single node. [Both] falls back from
-   the Score ordering to the Chain ordering; a Cut on the Score pass
-   still means "cut". *)
-let search_out st opts target =
-  Obs.Metrics.incr "qs.searches";
+(* [search st opts ~target ~found] looks for [target] qubits. At each
+   node that meets the target it calls [found analysis path], which
+   returns whether to go on deeper: the search then looks for one qubit
+   fewer than the node uses. A target below 1 ends it, and so does one
+   below the width floor, which cannot be reached, without expanding a
+   node. [Both] runs [Score] first. Once [Score] fails at some target it
+   fails at every lower one, so [Chain] takes over from the root at that
+   target and [Score] is not tried again.
+
+   ["qs.search.nodes"] counts what one fresh search per target would
+   (the count [Fuzz.Qs_ref] keeps). Each time the search goes deeper it
+   credits the nodes that fresh search would spend to reach the found
+   node again — the DFS's count there, plus under [Chain] the count of
+   [Score]'s repeated failure — and counts the credit in
+   ["qs.search.resumed_nodes"] too. *)
+let search st opts ~target ~found =
   Obs.Metrics.time "time.search" @@ fun () ->
-  if target < floor st then begin
-    Obs.Metrics.incr "qs.search.floor_skips";
-    Exhausted
-  end
-  else
-    let dfs order = search_incremental st order opts.budget target in
+  let root = Reuse.analyze st.circuit in
+  let floor = floor_of_analysis root in
+  let opens t =
+    Obs.Metrics.incr "qs.searches";
+    t >= floor || (Obs.Metrics.incr "qs.search.floor_skips"; false)
+  in
+  let target = ref target and failed = ref 0 in
+  let on_found analysis path nodes =
+    let t = Reuse.usage analysis - 1 in
+    if found analysis path && t >= 1 && opens t then begin
+      target := t;
+      Obs.Metrics.incr ~by:(!failed + nodes) "qs.search.nodes";
+      Obs.Metrics.incr ~by:(!failed + nodes) "qs.search.resumed_nodes";
+      true
+    end
+    else false
+  in
+  if opens !target then
+    let dfs order = dfs st root order opts.budget target on_found in
     match opts.order with
-    | (Score | Chain) as order -> dfs order
+    | (Score | Chain) as order -> ignore (dfs order)
     | Both -> (
       match dfs Score with
-      | Found _ as r -> r
-      | first -> (match dfs Chain with Exhausted -> first | r -> r))
+      | Stopped, _ -> ()
+      | (Exhausted | Cut), nodes ->
+        failed := nodes;
+        ignore (dfs Chain))
 
-let pairs node = List.rev node.path
+(* The tradeoff sweep, from one qubit below the input's usage down to
+   the first target the search cannot reach. A Budget_exceeded trip
+   escapes, with the state's incumbent intact. *)
+let descend st opts on_found =
+  let first = Reuse.qubit_usage st.circuit - 1 in
+  if first >= 1 then
+    search st opts ~target:first ~found:(fun analysis path ->
+        on_found analysis path;
+        true)
 
-(* The one descent. The tradeoff sweep re-searches from the original
-   circuit for every qubit limit (the paper: "for each application, we
-   tried different qubit limit numbers, and generate different compiled
-   circuits"). A fresh search per target avoids greedy dead ends
-   polluting deeper points: reaching k - 1 always passes through some
-   k-qubit circuit, so the descent stops at the first unreachable target
-   and reports how that search ended. The descent creates its search
-   state, so each restart replays its predecessor's prefix from the
-   tree, and the tree, the transposition table and the incumbent live
-   exactly as long as the descent (what transposition replay needs; see
-   "Anytime search" below). A wall-clock trip ends the descent
-   [Error], with the state's incumbent intact. *)
-let descend opts circuit on_found =
-  let st = new_state circuit in
-  let rec go target =
-    if target < 1 then Exhausted
-    else
-      match search_out st opts target with
-      | Found node ->
-        on_found node;
-        (* Leftover branch counts from a solved search are not "space
-           left unexplored" — the descent moves on to a deeper target. *)
-        st.frontier <- 0;
-        go (Reuse.usage node.analysis - 1)
-      | (Exhausted | Cut) as ending -> ending
-  in
-  match go (Reuse.qubit_usage circuit - 1) with
-  | ending -> (st, Ok ending)
-  | exception Guard.Error.Budget_exceeded e -> (st, Error e)
+(* The first node that meets [target], as its analysis and path. *)
+let search_once st opts target =
+  let hit = ref None in
+  search st opts ~target ~found:(fun analysis path ->
+      hit := Some (analysis, path);
+      false);
+  !hit
 
 let sweep ?(opts = default_opts) circuit =
   let steps = ref [ Engine.make_step circuit [] ] in
-  match
-    descend opts circuit (fun node ->
-        let step = Engine.make_step (Reuse.circuit node.analysis) (pairs node) in
-        steps := step :: !steps)
-  with
-  | _, Ok _ -> List.rev !steps
-  | _, Error e -> raise (Guard.Error.Budget_exceeded e)
+  descend (new_state circuit) opts (fun analysis path ->
+      let step = Engine.make_step (Reuse.circuit analysis) (List.rev path) in
+      steps := step :: !steps);
+  List.rev !steps
 
 (* The greedy step is the first search of the descent: one qubit fewer
    is reached by the best-scored valid pair, so this is row 1 of
    [sweep]. *)
 let reduce_once circuit =
-  let st = new_state circuit in
-  match search_out st default_opts (Reuse.qubit_usage circuit - 1) with
-  | Found { analysis; path = [ pair ]; _ } ->
-    Some (pair, Reuse.circuit analysis)
-  | Found _ | Exhausted | Cut -> None
+  let target = Reuse.qubit_usage circuit - 1 in
+  match search_once (new_state circuit) default_opts target with
+  | Some (analysis, [ pair ]) -> Some (pair, Reuse.circuit analysis)
+  | Some _ | None -> None
 
 (* ---- Anytime search: the quality/time dial ----
 
-   The descent above, read through its best-so-far incumbent: every DFS
+   The search above, read through its best-so-far incumbent: every DFS
    node with fewer active qubits than the incumbent becomes the
-   incumbent (the tree node itself, so no circuit is built per node). A
+   incumbent (its analysis, so no circuit is built per node). A
    wall-clock [Guard.Budget] trip returns the incumbent tagged [Anytime]
    instead of letting the failure escape, so the degradation ladder
    never has to throw partial work away. A replayed subtree derives no
-   node and so moves no incumbent field; that is sound because the
-   table and the incumbent belong to one state: every stored subtree
-   was explored, and counted, by the same incumbent.
+   node and so moves no incumbent field; that is sound because every
+   stored subtree was explored, and counted, by the same incumbent.
 
    Only the wall clock makes a result [Anytime]. The DFS node cap
    ([opts.budget]) ending the final search is the configured engine
@@ -404,7 +343,7 @@ let reduce_once circuit =
 let incumbent ?quality st =
   let c, pairs =
     match st.best with
-    | Some node -> (Reuse.circuit node.analysis, pairs node)
+    | Some (analysis, path) -> (Reuse.circuit analysis, List.rev path)
     | None -> (st.circuit, [])
   in
   Engine.of_pairs ?quality ~width:st.width c pairs
@@ -413,23 +352,23 @@ let anytime_return st =
   Obs.Metrics.incr "qs.anytime.returns";
   incumbent st
     ~quality:
-      (Quality.Anytime
-         { steps_done = st.steps; frontier_left = max 0 st.frontier })
+      (Quality.Anytime { steps_done = st.steps; frontier_left = st.frontier })
 
 let max_reuse_anytime ?(opts = default_opts) circuit =
-  match descend opts circuit ignore with
-  | st, Ok _ -> incumbent st
-  | st, Error _ -> anytime_return st
+  let st = new_state circuit in
+  match descend st opts (fun _ _ -> ()) with
+  | () -> incumbent st
+  | exception Guard.Error.Budget_exceeded _ -> anytime_return st
 
 let min_qubits ?opts circuit = (max_reuse_anytime ?opts circuit).Engine.width
 let max_reuse ?opts circuit = (max_reuse_anytime ?opts circuit).Engine.circuit
 
 let search_anytime ?(opts = default_opts) ~target circuit =
   let st = new_state circuit in
-  match search_out st opts target with
-  | Found node ->
+  match search_once st opts target with
+  | Some (analysis, path) ->
     Some
-      (Engine.of_pairs ~width:(Reuse.usage node.analysis)
-         (Reuse.circuit node.analysis) (pairs node))
-  | Exhausted | Cut -> None
+      (Engine.of_pairs ~width:(Reuse.usage analysis)
+         (Reuse.circuit analysis) (List.rev path))
+  | None -> None
   | exception Guard.Error.Budget_exceeded _ -> Some (anytime_return st)

@@ -37,17 +37,21 @@ val reduce_once : Quantum.Circuit.t -> (Reuse.pair * Quantum.Circuit.t) option
 
 (** [sweep ?opts circuit] returns the full reduction trajectory,
     starting with the untouched circuit and descending one qubit target
-    at a time as low as the search reaches. Each DFS child's analysis
-    derives from its parent via {!Reuse.apply_incremental}, which builds
-    no circuit (only each row's circuit is built, by
-    {!Reuse.circuit}), and the
-    per-target searches share one memo tree, so each restart replays
-    the previously explored prefix from the tree. On a barrier-free
-    circuit a transposition table goes with it: a subtree already exhausted
-    through any pair order that applies the same reuse links is credited
-    to the node cap by its node count instead of being explored again
-    (["qs.search.replays"], ["qs.search.replayed_nodes"]).
-    ["qs.search.nodes"] still counts every node of the plain DFS. *)
+    at a time as low as the search reaches. The targets share one DFS
+    per candidate ordering: at a node that meets the target the row is
+    recorded, the target drops below it and the DFS carries on under
+    the node, since a fresh search for the lower target would walk the
+    same nodes to reach it. Each DFS child's analysis derives from its
+    parent via {!Reuse.apply_incremental}, which builds no circuit (only
+    each row's circuit is built, by {!Reuse.circuit}). On a barrier-free
+    circuit a transposition table goes with each DFS: a subtree already
+    exhausted through any pair order that applies the same reuse links
+    is credited to the node cap by its node count instead of being
+    explored again (["qs.search.replays"],
+    ["qs.search.replayed_nodes"]). ["qs.search.nodes"] still counts
+    every node of a plain DFS per target: the prefix such a search
+    would walk again to reach a found node is credited there and in
+    ["qs.search.resumed_nodes"]. *)
 val sweep : ?opts:search_opts -> Quantum.Circuit.t -> Engine.step list
 
 (** Fewest qubits reachable (greedy tightened by backtracking search):

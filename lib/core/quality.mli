@@ -4,7 +4,10 @@
     [Exact] means the engine ran to its deterministic completion under
     its configured options (search-space exhaustion or the configured
     DFS node cap): the same request reproduces the same result, so the
-    artifact is deadline-independent and safe to cache. [Anytime] means
+    artifact is deadline-independent and safe to cache. It does not
+    mean optimal: a QS search ended by its node cap, or a greedy engine,
+    can stop wider than the fewest qubits a reuse sequence reaches.
+    [Anytime] means
     a wall-clock {!Guard.Budget} trip cut the engine short and the
     result is the best incumbent found up to that point: still a valid,
     certificate-carrying artifact, just possibly wider than what the
@@ -15,10 +18,12 @@ type t =
   | Exact
   | Anytime of {
       steps_done : int;
-          (** search nodes explored before the budget ended the run *)
+          (** search steps done before the budget ended the run (QS:
+              DFS nodes derived) *)
       frontier_left : int;
-          (** candidate branches counted but never tried — a rough
-              measure of how much space was left unexplored *)
+          (** work counted but never done (QS: candidate branches not
+              yet tried on the live DFS stack) — a rough measure of how
+              much space was left unexplored *)
     }
 
 val is_exact : t -> bool

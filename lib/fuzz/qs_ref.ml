@@ -39,31 +39,27 @@ let dfs order budget target circuit =
   in
   go circuit []
 
-(* [Both]: the [Score] pass, then the [Chain] pass if it found nothing;
-   a [Score] pass that was cut keeps the search "cut". *)
-let search (opts : Caqr.Qs_caqr.search_opts) target circuit =
-  let run order = dfs order opts.budget target circuit in
+(* [Both]: the [Score] pass, then the [Chain] pass if it found nothing. *)
+let search ?(opts = Caqr.Qs_caqr.default_opts) ~target circuit =
+  let run order =
+    match dfs order opts.Caqr.Qs_caqr.budget target circuit with
+    | Found (c, pairs) -> Some (c, pairs)
+    | Exhausted | Cut -> None
+  in
   match opts.order with
   | (Score | Chain) as order -> run order
-  | Both -> (
-    match run Score with
-    | Found _ as r -> r
-    | first -> (
-      match run Chain with
-      | Found _ as r -> r
-      | Exhausted -> first
-      | Cut -> Cut))
+  | Both -> (match run Score with Some _ as r -> r | None -> run Chain)
 
-let sweep ?(opts = Caqr.Qs_caqr.default_opts) circuit =
+let sweep ?opts circuit =
   let rec descend target rows =
     if target < 1 then List.rev rows
     else
-      match search opts target circuit with
-      | Found (c, pairs) ->
+      match search ?opts ~target circuit with
+      | Some (c, pairs) ->
         descend
           (Caqr.Reuse.qubit_usage c - 1)
           (Caqr.Engine.make_step c pairs :: rows)
-      | Exhausted | Cut -> List.rev rows
+      | None -> List.rev rows
   in
   descend
     (Caqr.Reuse.qubit_usage circuit - 1)

@@ -13,7 +13,7 @@
     serialize the snapshot.
 
     Conventions: counter keys are dot-separated (["reuse.analyze.fresh"],
-    ["qs.search.nodes"], ["qs.cache.hit"]); timer keys start with ["time."]
+    ["qs.search.nodes"], ["qs.searches"]); timer keys start with ["time."]
     (["time.analyze"], ["time.search"], ["time.route"], ["time.verify"]).
     Phase timers may nest (the search timer includes analyze time), so the
     timings are a profile, not a partition. *)

@@ -421,20 +421,72 @@ let test_barrier_disables_replay () =
   Alcotest.(check bool) "with a barrier: sweep = reference" true agree;
   Alcotest.(check int) "with a barrier: no replay" 0 replays
 
-(* The memo tree's work, counted: one descent looks each analysis and
-   each ordering's candidate list up once per visit, so its hits and
-   misses are fixed numbers. A memo that lost entries would miss more. *)
-let test_memo_counts () =
+(* Single searches ride the same DFS, stopped at its first find. At
+   every target along the reference sweep, and one below its end,
+   [search_anytime] must return the reference search's circuit and
+   pairs, exact, or [None] where the reference finds none. *)
+let search_check budget c =
+  let opts = with_budget budget in
+  let usage (s : Caqr.Engine.step) = s.Caqr.Engine.usage in
+  let rows = Fuzz.Qs_ref.sweep ~opts c in
+  let first = usage (List.hd rows) and last = usage (List.hd (List.rev rows)) in
+  List.for_all
+    (fun target ->
+      let got =
+        Option.map
+          (fun (a : Caqr.Engine.artifact) ->
+            (a.Caqr.Engine.circuit, a.Caqr.Engine.pairs,
+             Caqr.Quality.is_exact a.Caqr.Engine.quality))
+          (Caqr.Qs_caqr.search_anytime ~opts ~target c)
+      in
+      let want =
+        Option.map
+          (fun (circuit, pairs) -> (circuit, Some pairs, true))
+          (Fuzz.Qs_ref.search ~opts ~target c)
+      in
+      got = want)
+    (List.filter
+       (fun t -> t >= 0)
+       (List.init (first - last + 1) (fun i -> first - 1 - i)))
+
+let prop_search_agree_at_cap ~cfg ~label budget =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "qs: single searches agree at budget %d (%s)" budget
+         label)
+    ~count:40
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      search_check budget (Fuzz.Gen.circuit cfg (Exec.Prng.make seed)))
+
+let search_props =
+  List.concat_map
+    (fun budget ->
+      [
+        prop_search_agree_at_cap ~cfg:Fuzz.Gen.default ~label:"with barriers"
+          budget;
+        prop_search_agree_at_cap ~cfg:barrier_free ~label:"barrier-free" budget;
+      ])
+    [ 3; 10; 40 ]
+
+(* The descent's work, counted: the plain DFS's node count, the part of
+   it credited at each find instead of being walked again, and the
+   incremental analyses the DFS derives. Each repeats exactly; a descent
+   that walked a prefix twice would derive more analyses. *)
+let test_descent_counts () =
   List.iter
-    (fun (name, hits, misses) ->
+    (fun (name, nodes, resumed, analyses) ->
       let c = (Benchmarks.Suite.find name).Benchmarks.Suite.circuit in
       Obs.Metrics.reset ();
       ignore (Caqr.Qs_caqr.max_reuse_anytime c);
-      Alcotest.(check int) (name ^ ": qs.cache.hit") hits
-        (Obs.Metrics.count "qs.cache.hit");
-      Alcotest.(check int) (name ^ ": qs.cache.miss") misses
-        (Obs.Metrics.count "qs.cache.miss"))
-    [ ("Multiply_13", 50, 627); ("CC_10", 64, 161) ]
+      let count = Obs.Metrics.count in
+      Alcotest.(check int) (name ^ ": qs.search.nodes") nodes
+        (count "qs.search.nodes");
+      Alcotest.(check int) (name ^ ": qs.search.resumed_nodes") resumed
+        (count "qs.search.resumed_nodes");
+      Alcotest.(check int) (name ^ ": reuse.analyze.incremental") analyses
+        (count "reuse.analyze.incremental"))
+    [ ("Multiply_13", 823, 21, 312); ("CC_10", 226, 28, 80) ]
 
 let () =
   Alcotest.run "incremental"
@@ -465,5 +517,6 @@ let () =
               Alcotest.test_case (name ^ " sweep") `Quick
                 (test_suite_sweep_identical name))
             [ "RD-32"; "4mod5"; "XOR_5"; "BV_10"; "CC_10"; "System_9"; "Multiply_13" ]
-        @ [ Alcotest.test_case "memo hits and misses" `Quick test_memo_counts ] );
+        @ [ Alcotest.test_case "descent counts" `Quick test_descent_counts ]
+        @ List.map to_alcotest search_props );
     ]
