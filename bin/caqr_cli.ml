@@ -485,9 +485,6 @@ let chaos_cmd =
              site.")
   in
   let run seed deadline_ms benches =
-    (* The wire.* sites live in Serve.Transport, above fuzz in the link
-       order — the probe that reaches them must be installed from here. *)
-    Wirefuzz.install_chaos_probe ();
     let benches =
       match benches with
       | [] ->
@@ -500,17 +497,17 @@ let chaos_cmd =
           (e.Benchmarks.Suite.name, Benchmarks.Suite.input e))
         benches
     in
-    let cells = Fuzz.Chaos.run ~seed ?deadline_ms workloads in
-    Format.printf "%a" Fuzz.Chaos.pp_matrix cells;
-    let fired = Fuzz.Chaos.sites_fired cells in
+    let cells = Chaos.run ~seed ?deadline_ms workloads in
+    Format.printf "%a" Chaos.pp_matrix cells;
+    let fired = Chaos.sites_fired cells in
     Format.printf "sites fired: %d/%d (%s)@." (List.length fired)
       (List.length Guard.Inject.sites)
       (String.concat ", " fired);
-    if Fuzz.Chaos.any_verify_failed cells then begin
+    if Chaos.any_verify_failed cells then begin
       Printf.eprintf "chaos: a fault produced a VERIFIER-REFUTED artifact\n";
       exit 1
     end;
-    if not (Fuzz.Chaos.all_contained cells) then begin
+    if not (Chaos.all_contained cells) then begin
       Printf.eprintf "chaos: a fault escaped the guard layer uncontained\n";
       exit 4
     end

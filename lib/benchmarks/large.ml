@@ -221,5 +221,4 @@ let generators () =
         })
       sizes
 
-let names () = List.map (fun g -> g.name) (generators ())
 let find_opt name = List.find_opt (fun g -> g.name = name) (generators ())

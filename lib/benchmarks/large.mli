@@ -41,5 +41,4 @@ type gen = {
     generators scale to 1000 qubits. *)
 val generators : unit -> gen list
 
-val names : unit -> string list
 val find_opt : string -> gen option

@@ -3,17 +3,11 @@ type entry = { file : string; seed : int; oracle : Oracle.t; note : string }
 let default_dir = Filename.concat "fuzz" "corpus"
 let manifest_name = "manifest.tsv"
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let load dir =
   let path = Filename.concat dir manifest_name in
   if not (Sys.file_exists path) then []
   else
-    read_file path |> String.split_on_char '\n'
+    Guard.File.read path |> String.split_on_char '\n'
     |> List.filter (fun l -> String.trim l <> "" && l.[0] <> '#')
     |> List.map (fun line ->
            match String.split_on_char '\t' line with
@@ -31,12 +25,6 @@ let load dir =
              { file; seed; oracle; note = String.concat "\t" note }
            | _ -> failwith ("Corpus.load: malformed manifest line: " ^ line))
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    (try Sys.mkdir dir 0o755 with Sys_error _ -> ())
-  end
-
 (* TSV field: no tabs or newlines allowed inside. *)
 let clean s =
   String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) s
@@ -47,18 +35,7 @@ let clean s =
    directory: a crash (or an injected [corpus.write] fault) mid-write
    leaves the corpus exactly as it was — no truncated QASM, no
    half-written manifest line. The temp file is removed on failure. *)
-let write_atomic ~dir ~file content =
-  let tmp = Filename.concat dir ("." ^ file ^ ".tmp") in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc content;
-     Guard.Inject.hit "corpus.write";
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp (Filename.concat dir file)
+let write_atomic = Guard.File.write_atomic ~site:"corpus.write"
 
 (* Each circuit file carries its own manifest metadata in a two-line
    header, so the manifest is derived state: it can always be rebuilt
@@ -107,7 +84,7 @@ let rebuild_manifest ~dir ~old =
     |> List.filter_map (fun file ->
            let from_old () = List.find_opt (fun e -> e.file = file) old in
            match
-             metadata_of_header (read_file (Filename.concat dir file))
+             metadata_of_header (Guard.File.read (Filename.concat dir file))
            with
            | Some (seed, oname, note) -> (
              match Oracle.of_name oname with
@@ -126,7 +103,7 @@ let rebuild_manifest ~dir ~old =
   write_atomic ~dir ~file:manifest_name (Buffer.contents buf)
 
 let add ~dir ~seed ~oracle ~note circuit =
-  mkdir_p dir;
+  Guard.File.mkdir_p dir;
   let base = Printf.sprintf "%s-seed%d" (Oracle.name oracle) seed in
   let rec fresh i =
     let file =
@@ -145,4 +122,4 @@ let add ~dir ~seed ~oracle ~note circuit =
   entry
 
 let read_circuit ~dir entry =
-  Quantum.Qasm_parser.of_string (read_file (Filename.concat dir entry.file))
+  Quantum.Qasm_parser.of_string (Guard.File.read (Filename.concat dir entry.file))

@@ -64,16 +64,27 @@ let adjacent t u v = Galg.Graph.has_edge t.coupling u v
 let distance t u v = t.dist.(u).(v)
 let neighbors t v = Galg.Graph.neighbors t.coupling v
 
-(* Position of [v] in [u]'s neighbour table, or -1. *)
-let link_index t u v =
-  let ns = t.nbrs.(u) in
-  let rec go i = if i = Array.length ns then -1 else if ns.(i) = v then i else go (i + 1) in
-  go 0
+(* Position of [v] in [u]'s neighbour table, or -1. A top-level loop, so
+   a lookup allocates no closure: every physical duration calls it once
+   per two-qubit gate. *)
+let rec index_of ns v i =
+  if i = Array.length ns then -1
+  else if ns.(i) = v then i
+  else index_of ns v (i + 1)
+
+let link_index t u v = index_of t.nbrs.(u) v 0
 
 let cx_duration t u v =
   match link_index t u v with
   | -1 -> Quantum.Duration.(default.cx)
   | i -> t.nbr_duration.(u).(i)
+
+let gate_duration t = function
+  | Quantum.Gate.Cx (a, b) | Quantum.Gate.Cz (a, b) | Quantum.Gate.Rzz (_, a, b)
+    ->
+    cx_duration t a b
+  | Quantum.Gate.Swap (a, b) -> 3 * cx_duration t a b
+  | k -> Quantum.Duration.(of_kind default) k
 
 let cx_error t u v =
   match link_index t u v with -1 -> 1. | i -> t.nbr_error.(u).(i)

@@ -43,6 +43,12 @@ val neighbors : t -> int -> int list
     qubits are not adjacent — callers route first). *)
 val cx_duration : t -> int -> int -> int
 
+(** Device-aware duration of a gate on physical qubits: CX, CZ and RZZ
+    take the link's {!cx_duration}, a SWAP three times that, every other
+    gate its {!Quantum.Duration.default} length. The one duration rule
+    behind physical durations, ESP and the noise model's idle windows. *)
+val gate_duration : t -> Quantum.Gate.kind -> int
+
 val cx_error : t -> int -> int -> float
 val readout_error : t -> int -> float
 

@@ -83,28 +83,46 @@ let active_qubits c =
   done;
   !acc
 
-(* Per-wire front times; a gate starts at the max front over its wires. *)
-let schedule weight c =
+let imax (a : int) b = if a >= b then a else b
+
+let rec front_of qfront acc = function
+  | [] -> acc
+  | q :: qs -> front_of qfront (imax acc qfront.(q)) qs
+
+(* Per-wire front times; a gate starts at the max front over its qubit
+   wires and clbits. Matching on the kind instead of reading
+   [Gate.qubits]/[Gate.clbits] keeps the loop free of allocation beyond
+   the two front arrays (the depth and duration of every compile go
+   through here). *)
+let schedule ?on_gate dur c =
   let qfront = Array.make (max 1 c.num_qubits) 0 in
   let cfront = Array.make (max 1 c.num_clbits) 0 in
   let total = ref 0 in
-  Array.iter
-    (fun g ->
-      let k = g.Gate.kind in
-      if not (Gate.is_barrier k) then begin
-        let qs = Gate.qubits k and cs = Gate.clbits k in
-        let start =
-          List.fold_left
-            (fun acc c -> max acc cfront.(c))
-            (List.fold_left (fun acc q -> max acc qfront.(q)) 0 qs)
-            cs
-        in
-        let finish = start + weight k in
-        List.iter (fun q -> qfront.(q) <- finish) qs;
-        List.iter (fun c -> cfront.(c) <- finish) cs;
-        if finish > !total then total := finish
-      end)
-    c.gates;
+  for i = 0 to Array.length c.gates - 1 do
+    let k = c.gates.(i).Gate.kind in
+    let start =
+      match k with
+      | Gate.One_q (_, q) | Gate.Reset q -> qfront.(q)
+      | Gate.Measure (q, b) | Gate.If_x (b, q) -> imax qfront.(q) cfront.(b)
+      | Gate.Cx (a, b) | Gate.Cz (a, b) | Gate.Rzz (_, a, b) | Gate.Swap (a, b)
+        ->
+        imax qfront.(a) qfront.(b)
+      | Gate.Barrier qs -> front_of qfront 0 qs
+    in
+    let finish = if Gate.is_barrier k then start else start + dur k in
+    (match k with
+     | Gate.One_q (_, q) | Gate.Reset q -> qfront.(q) <- finish
+     | Gate.Measure (q, b) | Gate.If_x (b, q) ->
+       qfront.(q) <- finish;
+       cfront.(b) <- finish
+     | Gate.Cx (a, b) | Gate.Cz (a, b) | Gate.Rzz (_, a, b) | Gate.Swap (a, b)
+       ->
+       qfront.(a) <- finish;
+       qfront.(b) <- finish
+     | Gate.Barrier _ -> ());
+    if finish > !total then total := finish;
+    match on_gate with None -> () | Some f -> f i start finish
+  done;
   !total
 
 let depth c = schedule (fun _ -> 1) c

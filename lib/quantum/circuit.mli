@@ -38,12 +38,25 @@ val mid_circuit_measurements : t -> int
 (** Qubits that carry at least one gate. *)
 val active_qubits : t -> int list
 
-(** Circuit depth counting every non-barrier gate as one time step on each
-    of its wires (classical bits are wires too, so an [If_x] serializes
-    after its [Measure]). *)
+(** [schedule ?on_gate dur c] is the one ASAP wire-front scheduler every
+    depth, duration and timing view is an instance of. Gates are placed
+    in order; a gate starts when all its qubit wires and classical bits
+    are free (the latest finish of the earlier gates on them, 0 if none)
+    and lasts [dur kind]. A barrier gets a zero-length slot at the front
+    of its wires and moves no front; [dur] is never called on it.
+    [on_gate i start finish] is called for every gate, barriers
+    included, in index order. Returns the makespan (latest finish; 0 for
+    an empty circuit). Allocates nothing but the two front arrays. *)
+val schedule :
+  ?on_gate:(int -> int -> int -> unit) -> (Gate.kind -> int) -> t -> int
+
+(** Circuit depth: {!schedule} with every non-barrier gate one time step
+    on each of its wires (classical bits are wires too, so an [If_x]
+    serializes after its [Measure]). *)
 val depth : t -> int
 
-(** ASAP-scheduled total duration in dt under a duration model. *)
+(** ASAP-scheduled total duration in dt under a duration model:
+    {!schedule} with [Duration.of_kind model]. *)
 val duration : Duration.t -> t -> int
 
 (** Gate-dependence-respecting qubit interaction graph: vertex per qubit,

@@ -64,44 +64,6 @@ let map_qubits f = function
        behind — a duplicated wire reads as a self-dependence downstream. *)
     Barrier (List.sort_uniq compare (List.map f qs))
 
-let diagonal_one_q = function
-  | Z | S | Sdg | T | Tdg | Rz _ | Phase _ -> true
-  | H | X | Y | Sx | Rx _ | Ry _ -> false
-
-(* Is the operator diagonal in the computational basis? *)
-let diagonal = function
-  | One_q (g, _) -> diagonal_one_q g
-  | Cz _ | Rzz _ -> true
-  | Cx _ | Swap _ | Measure _ | Reset _ | If_x _ | Barrier _ -> false
-
-let same_axis a b =
-  match (a, b) with
-  | (X | Rx _), (X | Rx _) -> true
-  | (Y | Ry _), (Y | Ry _) -> true
-  | (Z | S | Sdg | T | Tdg | Rz _ | Phase _), (Z | S | Sdg | T | Tdg | Rz _ | Phase _)
-    ->
-    true
-  | _ -> false
-
-let disjoint k1 k2 =
-  let q1 = qubits k1 and q2 = qubits k2 in
-  let c1 = clbits k1 and c2 = clbits k2 in
-  (not (List.exists (fun q -> List.mem q q2) q1))
-  && not (List.exists (fun c -> List.mem c c2) c1)
-
-let commutes k1 k2 =
-  if is_barrier k1 || is_barrier k2 then false
-  else if disjoint k1 k2 then true
-  else if diagonal k1 && diagonal k2 then true
-  else
-    match (k1, k2) with
-    | One_q (a, q), One_q (b, q') -> q = q' && same_axis a b
-    | Cx (c1, t1), Cx (c2, t2) ->
-      (* Shared control or shared target commutes; control-meets-target
-         does not. *)
-      (c1 = c2 && t1 <> c2 && t2 <> c1) || (t1 = t2 && c1 <> t2 && c2 <> t1)
-    | _ -> false
-
 let pp_one_q ppf = function
   | H -> Format.pp_print_string ppf "h"
   | X -> Format.pp_print_string ppf "x"

@@ -51,10 +51,4 @@ val is_barrier : kind -> bool
 (** [map_qubits f kind] renames qubit operands. *)
 val map_qubits : (int -> int) -> kind -> kind
 
-(** Do two gate kinds commute as operators? Conservative: true only for
-    structurally evident cases — disjoint supports, diagonal gates (Rz,
-    Phase, Z, S, T, Cz, Rzz) sharing qubits, equal-axis rotations. This is
-    what lets CaQR reorder the QAOA phase layer (paper §3.2.2). *)
-val commutes : kind -> kind -> bool
-
 val pp : Format.formatter -> t -> unit

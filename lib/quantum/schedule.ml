@@ -2,31 +2,21 @@ type entry = { gate : Gate.t; start_dt : int; finish_dt : int }
 type t = { entries : entry array; makespan : int }
 
 let asap ?(model = Duration.default) (c : Circuit.t) =
-  let qfront = Array.make (max 1 c.Circuit.num_qubits) 0 in
-  let cfront = Array.make (max 1 c.Circuit.num_clbits) 0 in
-  let makespan = ref 0 in
+  let n = Array.length c.Circuit.gates in
+  let start = Array.make n 0 and finish = Array.make n 0 in
+  let makespan =
+    Circuit.schedule
+      ~on_gate:(fun i s f ->
+        start.(i) <- s;
+        finish.(i) <- f)
+      (Duration.of_kind model) c
+  in
   let entries =
-    Array.map
-      (fun g ->
-        let k = g.Gate.kind in
-        let qs = Gate.qubits k and cs = Gate.clbits k in
-        let start =
-          List.fold_left
-            (fun acc cb -> max acc cfront.(cb))
-            (List.fold_left (fun acc q -> max acc qfront.(q)) 0 qs)
-            cs
-        in
-        let dur = if Gate.is_barrier k then 0 else Duration.of_kind model k in
-        let finish = start + dur in
-        if not (Gate.is_barrier k) then begin
-          List.iter (fun q -> qfront.(q) <- finish) qs;
-          List.iter (fun cb -> cfront.(cb) <- finish) cs;
-          if finish > !makespan then makespan := finish
-        end;
-        { gate = g; start_dt = start; finish_dt = finish })
+    Array.mapi
+      (fun i gate -> { gate; start_dt = start.(i); finish_dt = finish.(i) })
       c.Circuit.gates
   in
-  { entries; makespan = !makespan }
+  { entries; makespan }
 
 let busy t ~num_qubits =
   let acc = Array.make (max 1 num_qubits) 0 in

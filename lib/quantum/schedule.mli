@@ -1,10 +1,10 @@
 (** ASAP gate scheduling: start/finish times for every gate under a
-    duration model — the timing view behind the duration numbers reported
-    everywhere, plus an ASCII timeline for inspection.
+    duration model, plus an ASCII timeline for inspection.
 
-    Uses the same wire-front semantics as {!Circuit.duration}: a gate
-    starts when all its qubit wires and classical bits are free, so
-    [makespan] always equals [Circuit.duration]. *)
+    The entries are recorded from {!Circuit.schedule}, the one wire-front
+    scheduler behind every depth and duration number: a gate starts when
+    all its qubit wires and classical bits are free, so [makespan]
+    always equals [Circuit.duration]. *)
 
 type entry = {
   gate : Gate.t;

@@ -49,12 +49,6 @@ let publish_disk_gauges t =
     Obs.Metrics.set_gauge "serve.cache.disk.entries" (Hashtbl.length t.disk)
   end
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Rebuild the disk index from the directory. A flushed index file (one
    key per line, oldest first) pins the exact LRU order the previous
    process ended with; entries it doesn't mention were written after
@@ -69,7 +63,7 @@ let scan_disk t =
       let rank = Hashtbl.create 64 in
       let index_path = Filename.concat dir index_file in
       if Sys.file_exists index_path then begin
-        (match read_file index_path with
+        (match Guard.File.read index_path with
         | body ->
           List.iteri
             (fun i k -> if k <> "" then Hashtbl.replace rank k i)
@@ -130,27 +124,6 @@ let key ~op ~digest ~fingerprint =
 
 (* ---- disk tier ---- *)
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    (try Sys.mkdir dir 0o755 with Sys_error _ -> ())
-  end
-
-(* Crash-safe: content lands in a dot-prefixed temp file first, then one
-   atomic rename. Readers only ever open the final name, so a leftover
-   temp (killed mid-write) is invisible. *)
-let write_atomic ~dir ~file content =
-  let tmp = Filename.concat dir ("." ^ file ^ ".tmp") in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc content;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp (Filename.concat dir file)
-
 (* Deleting the file before dropping the index entry is the crash-safe
    order: a crash in between leaves an index that merely overcounts
    until the next restart's scan, never a file the index forgot (which
@@ -192,7 +165,7 @@ let disk_find t key =
   | Some dir ->
     let path = Filename.concat dir (entry_file key) in
     if Sys.file_exists path then
-      match read_file path with
+      match Guard.File.read path with
       | v ->
         (* Refresh recency; adopt entries a sibling process wrote. *)
         (match Hashtbl.find_opt t.disk key with
@@ -214,8 +187,8 @@ let disk_store t key value =
     in
     if oversized then Obs.Metrics.incr "serve.cache.disk.oversized"
     else begin
-      mkdir_p dir;
-      write_atomic ~dir ~file:(entry_file key) value;
+      Guard.File.mkdir_p dir;
+      Guard.File.write_atomic ~dir ~file:(entry_file key) value;
       disk_note t key size;
       disk_evict_past_budget t dir;
       publish_disk_gauges t
@@ -289,8 +262,8 @@ let flush t =
       Hashtbl.fold (fun k e acc -> (e.dstamp, k) :: acc) t.disk []
       |> List.sort compare
     in
-    mkdir_p dir;
-    write_atomic ~dir ~file:index_file
+    Guard.File.mkdir_p dir;
+    Guard.File.write_atomic ~dir ~file:index_file
       (String.concat "" (List.map (fun (_, k) -> k ^ "\n") entries));
     Obs.Metrics.incr "serve.cache.disk.flush"
 

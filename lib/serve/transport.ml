@@ -192,15 +192,6 @@ let readable ~timeout_s c =
   | _ -> false
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
 
-let rec recv c =
-  if not (Queue.is_empty c.msgs) then Some (Queue.pop c.msgs)
-  else if c.eof then None
-  else begin
-    read_once c;
-    reframe c;
-    recv c
-  end
-
 type recv_result = Msgs of string list | Eof | Timeout
 
 (* [timeout_s] is a TOTAL budget for this call, not a per-read idle
@@ -421,7 +412,7 @@ let close_listener l =
     | Tcp _ -> ()
   end
 
-let connect addr =
+let connect_socket addr =
   Lazy.force ignore_sigpipe;
   let domain =
     match addr with Unix _ -> Unix.PF_UNIX | Tcp _ -> Unix.PF_INET
@@ -431,6 +422,10 @@ let connect addr =
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
+  fd
+
+let connect addr =
+  let fd = connect_socket addr in
   (match addr with
   | Tcp _ -> (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ())
   | Unix _ -> ());

@@ -80,6 +80,12 @@ val close_listener : listener -> unit
     is listening. *)
 val connect : addr -> conn
 
+(** [connect_socket addr] is the bare connected stream socket {!connect}
+    wraps: address resolution (an unresolvable host raises
+    [Unix_error (EINVAL, _, _)]) and connect, closing the socket on
+    failure. The wire fuzzer writes raw bytes to it. *)
+val connect_socket : addr -> Unix.file_descr
+
 (** [pair ?framing ()] is a connected in-process conn pair over a
     socketpair (default {!Newline} framing) — the full framing and
     read/write paths, including their fault-injection sites, without a
@@ -95,9 +101,6 @@ val pair : ?framing:framing -> unit -> conn * conn
     be framed (embedded newline under newline framing;
     > {!max_frame_bytes}). *)
 val send : ?timeout_s:float -> conn -> string list -> unit
-
-(** [recv c] blocks for the next message; [None] on eof. *)
-val recv : conn -> string option
 
 (** Bytes received but not yet forming a complete frame — non-zero when
     the peer stalled mid-frame (half a length prefix, an unterminated

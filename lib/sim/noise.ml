@@ -2,6 +2,8 @@ type ctx = {
   device : Hardware.Device.t;
   phys_of : int array;  (* compacted wire -> physical qubit *)
   rng : Random.State.t;
+  start : int array;  (* gate index -> ASAP start in dt *)
+  finish : int array;  (* gate index -> ASAP finish in dt *)
 }
 
 let depolarize_1q ctx st q p =
@@ -37,34 +39,21 @@ let relax ctx st q ~idle_dt =
     end
   end
 
-let gate_duration ctx kind =
-  match kind with
-  | Quantum.Gate.Cx (a, b) | Quantum.Gate.Cz (a, b) | Quantum.Gate.Rzz (_, a, b) ->
-    Hardware.Device.cx_duration ctx.device ctx.phys_of.(a) ctx.phys_of.(b)
-  | Quantum.Gate.Swap (a, b) ->
-    3 * Hardware.Device.cx_duration ctx.device ctx.phys_of.(a) ctx.phys_of.(b)
-  | k -> Quantum.Duration.of_kind Quantum.Duration.default k
-
+(* The schedule is fixed per circuit: each shot only tracks, per wire,
+   when its last gate finished, to size the idle window before the next. *)
 let run_shot ctx (c : Quantum.Circuit.t) =
   let st = State.init c.num_qubits in
   let creg = ref 0 in
-  let qfront = Array.make (max 1 c.num_qubits) 0 in
-  let cfront = Array.make (max 1 c.num_clbits) 0 in
-  Array.iter
-    (fun g ->
+  let last_finish = Array.make (max 1 c.num_qubits) 0 in
+  Array.iteri
+    (fun i g ->
       let kind = g.Quantum.Gate.kind in
       if not (Quantum.Gate.is_barrier kind) then begin
-        let qs = Quantum.Gate.qubits kind and cs = Quantum.Gate.clbits kind in
-        let start =
-          List.fold_left
-            (fun acc cb -> max acc cfront.(cb))
-            (List.fold_left (fun acc q -> max acc qfront.(q)) 0 qs)
-            cs
-        in
+        let qs = Quantum.Gate.qubits kind in
         (* Idle relaxation on each operand between its last op and now. *)
-        List.iter (fun q -> relax ctx st q ~idle_dt:(start - qfront.(q))) qs;
-        let dur = gate_duration ctx kind in
-        let finish = start + dur in
+        List.iter
+          (fun q -> relax ctx st q ~idle_dt:(ctx.start.(i) - last_finish.(q)))
+          qs;
         (match kind with
          | Quantum.Gate.One_q (_, q) ->
            State.apply_unitary st kind;
@@ -102,8 +91,7 @@ let run_shot ctx (c : Quantum.Circuit.t) =
          | Quantum.Gate.If_x (cb, q) ->
            if !creg land (1 lsl cb) <> 0 then State.apply_one_q st Quantum.Gate.X q
          | Quantum.Gate.Barrier _ -> ());
-        List.iter (fun q -> qfront.(q) <- finish) qs;
-        List.iter (fun cb -> cfront.(cb) <- finish) cs
+        List.iter (fun q -> last_finish.(q) <- ctx.finish.(i)) qs
       end)
     c.gates;
   !creg
@@ -116,7 +104,19 @@ let prepare circuit =
 
 let run ~device ~seed ~shots circuit =
   let compacted, phys_of = prepare circuit in
-  let ctx = { device; phys_of; rng = Random.State.make [| seed; 0x401 |] } in
+  (* Compaction renames wires but keeps the gate order, so the schedule
+     of the physical circuit indexes the compacted one's gates. *)
+  let n = Array.length circuit.Quantum.Circuit.gates in
+  let start = Array.make n 0 and finish = Array.make n 0 in
+  ignore
+    (Quantum.Circuit.schedule
+       ~on_gate:(fun i s f ->
+         start.(i) <- s;
+         finish.(i) <- f)
+       (Hardware.Device.gate_duration device)
+       circuit);
+  let rng = Random.State.make [| seed; 0x401 |] in
+  let ctx = { device; phys_of; rng; start; finish } in
   let counts = Counts.create ~num_clbits:compacted.Quantum.Circuit.num_clbits in
   for _ = 1 to shots do
     Counts.add counts (run_shot ctx compacted)

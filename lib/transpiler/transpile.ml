@@ -9,36 +9,8 @@ type stats = {
 
 type result = { physical : Quantum.Circuit.t; stats : stats }
 
-let physical_duration device (c : Quantum.Circuit.t) =
-  let qfront = Array.make (max 1 c.num_qubits) 0 in
-  let cfront = Array.make (max 1 c.num_clbits) 0 in
-  let total = ref 0 in
-  Array.iter
-    (fun g ->
-      let k = g.Quantum.Gate.kind in
-      if not (Quantum.Gate.is_barrier k) then begin
-        let qs = Quantum.Gate.qubits k and cs = Quantum.Gate.clbits k in
-        let dur =
-          match k with
-          | Quantum.Gate.Cx (a, b) | Quantum.Gate.Cz (a, b) | Quantum.Gate.Rzz (_, a, b)
-            ->
-            Hardware.Device.cx_duration device a b
-          | Quantum.Gate.Swap (a, b) -> 3 * Hardware.Device.cx_duration device a b
-          | k -> Quantum.Duration.of_kind Quantum.Duration.default k
-        in
-        let start =
-          List.fold_left
-            (fun acc cb -> max acc cfront.(cb))
-            (List.fold_left (fun acc q -> max acc qfront.(q)) 0 qs)
-            cs
-        in
-        let finish = start + dur in
-        List.iter (fun q -> qfront.(q) <- finish) qs;
-        List.iter (fun cb -> cfront.(cb) <- finish) cs;
-        if finish > !total then total := finish
-      end)
-    c.gates;
-  !total
+let physical_duration device c =
+  Quantum.Circuit.schedule (Hardware.Device.gate_duration device) c
 
 let stats_of device physical =
   {

@@ -14,8 +14,8 @@ type stats = {
 
 type result = { physical : Quantum.Circuit.t; stats : stats }
 
-(** Device-aware ASAP duration of a physical circuit (per-link CNOT
-    durations from calibration; SWAP = 3 CNOTs). *)
+(** Device-aware ASAP duration of a physical circuit:
+    {!Quantum.Circuit.schedule} under {!Hardware.Device.gate_duration}. *)
 val physical_duration : Hardware.Device.t -> Quantum.Circuit.t -> int
 
 (** Stats of an already-physical circuit. *)

@@ -51,29 +51,6 @@ type summary = {
 
 (* ---- raw socket plumbing ---- *)
 
-let sockaddr_of = function
-  | Serve.Transport.Unix path -> Unix.ADDR_UNIX path
-  | Serve.Transport.Tcp (host, port) ->
-    let inet =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    in
-    Unix.ADDR_INET (inet, port)
-
-let raw_connect addr =
-  let domain =
-    match addr with
-    | Serve.Transport.Unix _ -> Unix.PF_UNIX
-    | Serve.Transport.Tcp _ -> Unix.PF_INET
-  in
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  (match Unix.connect fd (sockaddr_of addr) with
-  | () -> ()
-  | exception e ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    raise e);
-  fd
-
 (* The daemon may close on us mid-write — that is the expected outcome
    of several attacks, not an error. *)
 let raw_send fd bytes =
@@ -159,7 +136,7 @@ let pick_attack rng =
    the daemon answered, for timeout accounting. *)
 let run_attack ~addr ~framing ~request_line ~stall_s rng attack =
   let well_formed = Serve.Transport.encode ~framing request_line in
-  let fd = raw_connect addr in
+  let fd = Serve.Transport.connect_socket addr in
   Fun.protect ~finally:(fun () -> raw_close fd)
     (fun () ->
       match attack with
@@ -339,36 +316,6 @@ let selftest ?(seed = 1) ?(cases = 50) ~transport () =
   | exception e ->
     finish ();
     raise e
-
-(* ---- the chaos-matrix probe ---- *)
-
-(* A two-message loopback exchange over a socketpair, exercising the
-   transport's read, frame-decode and write paths — and therefore the
-   wire.* injection sites, each at least twice, so every seed-derived
-   arming hit (1 or 2) lands inside one probe. Installed into the chaos
-   workload from here because fuzz cannot depend on serve (the
-   benchmark registry sits between them). *)
-let chaos_probe () =
-  let a, b = Serve.Transport.pair () in
-  Fun.protect
-    ~finally:(fun () ->
-      Serve.Transport.close a;
-      Serve.Transport.close b)
-    (fun () ->
-      Serve.Transport.send a [ "chaos-ping"; "chaos-pong" ];
-      (match Serve.Transport.recv_batch ~timeout_s:2.0 ~max:4 b with
-      | Serve.Transport.Msgs [ "chaos-ping"; "chaos-pong" ] -> ()
-      | Serve.Transport.Msgs _ | Serve.Transport.Eof | Serve.Transport.Timeout
-        ->
-        failwith "Wirefuzz: chaos probe lost its messages");
-      Serve.Transport.send b [ "chaos-ack" ];
-      match Serve.Transport.recv_batch ~timeout_s:2.0 ~max:4 a with
-      | Serve.Transport.Msgs [ "chaos-ack" ] -> ()
-      | Serve.Transport.Msgs _ | Serve.Transport.Eof | Serve.Transport.Timeout
-        ->
-        failwith "Wirefuzz: chaos probe lost its ack")
-
-let install_chaos_probe () = Fuzz.Chaos.set_wire_probe chaos_probe
 
 let pp_summary ppf s =
   Format.fprintf ppf "wire chaos: %d cases against %s, %d timeout rejections@."

@@ -71,15 +71,5 @@ val selftest :
   unit ->
   summary
 
-(** Register a wire probe with {!Fuzz.Chaos.set_wire_probe}: a
-    two-message loopback exchange over a {!Serve.Transport.pair}
-    socketpair, in which read, frame-decode and write each run at least
-    twice, so an armed wire.* injection site fires whether the seed
-    picked hit 1 or 2. The chaos matrix can only cover the wire.* catalog sites after this has
-    run; the guard test suite and the chaos CLI both call it first.
-    (It lives here, not in fuzz, because fuzz sits below serve in the
-    dependency order.) *)
-val install_chaos_probe : unit -> unit
-
 (** One line per failure plus totals. *)
 val pp_summary : Format.formatter -> summary -> unit

@@ -361,38 +361,34 @@ let test_parser_ok_roundtrip () =
 (* ---- chaos matrix ---- *)
 
 let chaos_benches () =
-  (* The wire.* sites live in Serve.Transport, above fuzz in the link
-     order; without the probe installed, the "every site fired" check
-     below would rightfully fail on them. *)
-  Wirefuzz.install_chaos_probe ();
   [ ("XOR_5", input_of "XOR_5"); ("QAOA5-0.3", input_of "QAOA5-0.3") ]
 
 let test_chaos_contained () =
-  let cells = Fuzz.Chaos.run ~seed:1 (chaos_benches ()) in
+  let cells = Chaos.run ~seed:1 (chaos_benches ()) in
   check int "full matrix"
     (2 * List.length Guard.Inject.sites)
     (List.length cells);
   List.iter
-    (fun (c : Fuzz.Chaos.cell) ->
-      match c.Fuzz.Chaos.outcome with
-      | Fuzz.Chaos.Uncontained why ->
+    (fun (c : Chaos.cell) ->
+      match c.Chaos.outcome with
+      | Chaos.Uncontained why ->
         Alcotest.failf "site %s escaped on %s: %s"
-          c.Fuzz.Chaos.site.Guard.Inject.name c.Fuzz.Chaos.bench why
-      | Fuzz.Chaos.Verify_failed why ->
+          c.Chaos.site.Guard.Inject.name c.Chaos.bench why
+      | Chaos.Verify_failed why ->
         Alcotest.failf "site %s let a refuted artifact through on %s: %s"
-          c.Fuzz.Chaos.site.Guard.Inject.name c.Fuzz.Chaos.bench why
+          c.Chaos.site.Guard.Inject.name c.Chaos.bench why
       | _ -> ())
     cells;
-  check bool "all contained" true (Fuzz.Chaos.all_contained cells);
+  check bool "all contained" true (Chaos.all_contained cells);
   (* the two benches together must reach every registered site *)
   check int "every site fired"
     (List.length Guard.Inject.sites)
-    (List.length (Fuzz.Chaos.sites_fired cells))
+    (List.length (Chaos.sites_fired cells))
 
 let test_chaos_deterministic () =
-  let render cells = Format.asprintf "%a" Fuzz.Chaos.pp_matrix cells in
-  let a = render (Fuzz.Chaos.run ~seed:1 (chaos_benches ())) in
-  let b = render (Fuzz.Chaos.run ~seed:1 (chaos_benches ())) in
+  let render cells = Format.asprintf "%a" Chaos.pp_matrix cells in
+  let a = render (Chaos.run ~seed:1 (chaos_benches ())) in
+  let b = render (Chaos.run ~seed:1 (chaos_benches ())) in
   check string "same seed, same matrix" a b
 
 (* ---- Guard.Gate: bounded-concurrency admission ---- *)

@@ -62,7 +62,7 @@ let test_registered_names_resolve () =
           true
           (C.digest e.Benchmarks.Suite.circuit = C.digest c)
       | None -> Alcotest.fail ("unregistered large benchmark " ^ name))
-    (L.names ())
+    (List.map (fun g -> g.L.name) (L.generators ()))
 
 (* ---- QASM-3 round-trip fixpoint at 100/500/1000 qubits ---- *)
 

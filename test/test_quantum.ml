@@ -62,23 +62,6 @@ let test_map_qubits_barrier_dedup () =
   in
   check (Alcotest.list int) "deduped" [ 0; 1; 5 ] (G.qubits k)
 
-let test_commutes_disjoint () =
-  check bool "disjoint" true (G.commutes (G.Cx (0, 1)) (G.Cx (2, 3)))
-
-let test_commutes_diagonal () =
-  check bool "rzz share qubit" true
-    (G.commutes (G.Rzz (0.3, 0, 1)) (G.Rzz (0.3, 1, 2)));
-  check bool "cz rz" true (G.commutes (G.Cz (0, 1)) (G.One_q (G.Rz 0.1, 1)))
-
-let test_commutes_negative () =
-  check bool "h vs cx sharing" false
-    (G.commutes (G.One_q (G.H, 0)) (G.Cx (0, 1)));
-  check bool "cx chain" false (G.commutes (G.Cx (0, 1)) (G.Cx (1, 2)))
-
-let test_commutes_cx_shared_control () =
-  check bool "shared control" true (G.commutes (G.Cx (0, 1)) (G.Cx (0, 2)));
-  check bool "shared target" true (G.commutes (G.Cx (0, 2)) (G.Cx (1, 2)))
-
 (* ---- Circuit ---- *)
 
 let test_circuit_counts () =
@@ -315,10 +298,6 @@ let () =
           Alcotest.test_case "map qubits" `Quick test_map_qubits;
           Alcotest.test_case "barrier rename dedups" `Quick
             test_map_qubits_barrier_dedup;
-          Alcotest.test_case "commutes disjoint" `Quick test_commutes_disjoint;
-          Alcotest.test_case "commutes diagonal" `Quick test_commutes_diagonal;
-          Alcotest.test_case "commutes negative" `Quick test_commutes_negative;
-          Alcotest.test_case "cx shared operands" `Quick test_commutes_cx_shared_control;
         ] );
       ( "circuit",
         [

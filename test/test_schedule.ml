@@ -95,6 +95,56 @@ let test_idle_reflects_reuse_serialization () =
   let idle = Quantum.Schedule.idle_fraction s ~num_qubits:2 in
   check bool "some wire idles" true (Array.exists (fun f -> f > 0.2) idle)
 
+(* Fuzz circuits with extra barriers and shared clbits: every gate lasts
+   its model duration (a barrier none) and starts exactly at the latest
+   finish of the earlier timed gates it shares a qubit wire or a clbit
+   with (0 if none), so wire and clbit order hold and nothing starts
+   late; the makespan is the latest finish and equals
+   [Circuit.duration]. *)
+let fuzz_cfg =
+  { Fuzz.Gen.default with Fuzz.Gen.w_barrier = 3; p_share_clbit = 0.4 }
+
+let prop_asap_on_fuzz_circuits =
+  QCheck.Test.make
+    ~name:"asap: makespan = duration, wire and clbit order (fuzz)" ~count:300
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let c = Fuzz.Gen.circuit fuzz_cfg (Exec.Prng.make seed) in
+      let s = Quantum.Schedule.asap c in
+      let e = s.Quantum.Schedule.entries in
+      let kind i = e.(i).Quantum.Schedule.gate.G.kind in
+      let timed i = not (G.is_barrier (kind i)) in
+      let overlap xs ys = List.exists (fun x -> List.mem x ys) xs in
+      let shares i j =
+        overlap (G.qubits (kind i)) (G.qubits (kind j))
+        || overlap (G.clbits (kind i)) (G.clbits (kind j))
+      in
+      let entry_ok j (ej : Quantum.Schedule.entry) =
+        let latest = ref 0 in
+        for i = 0 to j - 1 do
+          if timed i && shares i j then
+            latest := max !latest e.(i).Quantum.Schedule.finish_dt
+        done;
+        let dur =
+          if timed j then Quantum.Duration.of_kind model (kind j) else 0
+        in
+        ej.Quantum.Schedule.start_dt = !latest
+        && ej.Quantum.Schedule.finish_dt - ej.Quantum.Schedule.start_dt = dur
+      in
+      let last_finish =
+        Array.fold_left (fun m x -> max m x.Quantum.Schedule.finish_dt) 0 e
+      in
+      Array.for_all Fun.id (Array.mapi entry_ok e)
+      && s.Quantum.Schedule.makespan = last_finish
+      && s.Quantum.Schedule.makespan = Quantum.Circuit.duration model c)
+
+let to_alcotest t =
+  let (QCheck2.Test.Test cell) = t in
+  let name = QCheck2.Test.get_name cell in
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 0x5c4; Hashtbl.hash name |])
+    t
+
 let () =
   Alcotest.run "schedule"
     [
@@ -105,6 +155,7 @@ let () =
           Alcotest.test_case "parallel overlap" `Quick test_parallel_gates_overlap;
           Alcotest.test_case "busy and idle" `Quick test_busy_and_idle;
           Alcotest.test_case "empty" `Quick test_empty_circuit;
+          to_alcotest prop_asap_on_fuzz_circuits;
         ] );
       ( "timeline",
         [

@@ -655,9 +655,11 @@ let test_tcp_framing_roundtrip () =
           T.send client messages;
           List.iter
             (fun expected ->
-              match T.recv server with
-              | Some got -> check string "framed message intact" expected got
-              | None -> Alcotest.fail "eof before all messages")
+              match T.recv_batch ~max:1 server with
+              | T.Msgs [ got ] ->
+                check string "framed message intact" expected got
+              | T.Msgs _ | T.Eof | T.Timeout ->
+                Alcotest.fail "expected one message before eof")
             messages;
           (* And back, as one pipelined batch. *)
           T.send server messages;

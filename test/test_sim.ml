@@ -346,6 +346,64 @@ let test_noise_if_x_path () =
   check bool "corrected outcome dominates" true (sr > 0.8);
   check bool "noise leaves a residue" true (sr < 1.0)
 
+(* Byte-exact pins of [Noise.run]: the schedule (gate starts, idle
+   windows, device durations) and the RNG draw order both show up in the
+   counts, so any change to either moves these strings. Captured from
+   the noise model as it stands; re-pin only on a deliberate change. *)
+let render counts =
+  String.concat " "
+    (List.map
+       (fun (o, n) -> Printf.sprintf "%x:%d" o n)
+       (Sim.Counts.to_list counts))
+
+let pinned_bv10 =
+  "1f:1 33:1 3f:1 7f:2 fc:1 ff:2 10d:1 17f:1 1c9:1 1cf:2 1d7:1 1e7:4 1f3:3 "
+  ^ "1fc:1 1ff:42"
+
+let test_noise_pinned_bv10_sr () =
+  let c = Benchmarks.Bv.circuit 10 in
+  let p = (Caqr.Sr_caqr.regular (device ()) c).Caqr.Sr_caqr.physical in
+  check Alcotest.string "BV_10 / sr counts" pinned_bv10
+    (render (Sim.Noise.run ~device:(device ()) ~seed:3 ~shots:64 p))
+
+(* SWAPs (three-CNOT duration and error), a mid-circuit measure, a reset,
+   an If_x and a barrier, with idle gaps on every wire, on Mumbai links
+   0-1, 1-2, 1-4 and 2-3. *)
+let dynamic_physical () =
+  let b = B.create ~num_qubits:27 ~num_clbits:4 in
+  B.h b 0;
+  B.cx b 0 1;
+  B.swap b 1 2;
+  B.h b 4;
+  B.measure b 2 0;
+  B.reset b 2;
+  B.if_x b 0 3;
+  B.cx b 1 4;
+  B.barrier b [ 0; 1; 2; 3 ];
+  B.swap b 2 3;
+  B.rx b 0.7 2;
+  B.cx b 1 2;
+  B.measure b 1 1;
+  B.measure b 3 2;
+  B.measure b 4 3;
+  B.build b
+
+let pinned_dynamic = "0:33 1:49 2:6 3:2 4:7 5:5 8:48 9:39 a:3 b:3 c:2 d:3"
+
+(* At 10x noise, T1/T2 are ten times shorter, so idle windows drive the
+   outcome: a device duration that moves by one CNOT moves these counts. *)
+let pinned_dynamic_x10 =
+  "0:20 1:18 2:15 3:11 4:10 5:8 6:12 7:9 8:14 9:21 a:9 b:13 c:14 d:11 e:6 f:9"
+
+let test_noise_pinned_dynamic () =
+  let c = dynamic_physical () in
+  check Alcotest.string "dynamic circuit counts" pinned_dynamic
+    (render (Sim.Noise.run ~device:(device ()) ~seed:12 ~shots:200 c));
+  let noisy = Hardware.Device.with_noise_scale 10. (device ()) in
+  check Alcotest.string "dynamic circuit counts at 10x noise"
+    pinned_dynamic_x10
+    (render (Sim.Noise.run ~device:noisy ~seed:12 ~shots:200 c))
+
 let () =
   Alcotest.run "sim"
     [
@@ -390,5 +448,7 @@ let () =
           Alcotest.test_case "idle accumulates" `Quick test_longer_idle_means_more_error;
           Alcotest.test_case "reset under noise" `Quick test_noise_reset_path;
           Alcotest.test_case "conditional X under noise" `Quick test_noise_if_x_path;
+          Alcotest.test_case "pinned counts bv10 sr" `Quick test_noise_pinned_bv10_sr;
+          Alcotest.test_case "pinned counts dynamic" `Quick test_noise_pinned_dynamic;
         ] );
     ]
