@@ -918,7 +918,7 @@ type commute_row = {
 }
 
 let commute_gate_benchmark = "QAOA25-0.3"
-let commute_words_budget = 750_000.
+let commute_words_budget = 40_960.
 
 let commute_measurements () =
   List.filter_map

@@ -185,6 +185,7 @@ type workspace = {
   done_ : bool array;
   elig : bool array;  (* the vertex's reuse dependence is met *)
   prio : bool array;  (* the vertex is a reuse source *)
+  gate_u : int array;  (* the lower ends of a round's gates *)
   started : bool array;
   front : int array;
   events : int array;  (* the dry run's event record *)
@@ -211,6 +212,7 @@ let workspace t =
     done_ = Array.make n false;
     elig = Array.make n false;
     prio = Array.make n false;
+    gate_u = Array.make n 0;
     started = Array.make n false;
     front = Array.make n 0;
     events = Array.make (n + Galg.Graph.size t.g) 0;
@@ -290,12 +292,48 @@ let merge p ~src ~dst =
    occupant. A gateless vertex therefore finishes right after its
    predecessor, never at time 0 while an earlier occupant still holds
    the wire, and a vertex's gates are blocked until its predecessor is
-   done: a chain's vertices run strictly one after another.
+   done: a chain's vertices run strictly one after another. Finishing a
+   vertex makes its successor's gates eligible ([elig]) and may finish
+   the successor in turn. *)
+let rec finish ws on_finish q =
+  let src = ws.sprev.(q) in
+  if
+    (not ws.done_.(q))
+    && ws.rem.len.(q) = 0
+    && (src < 0 || ws.done_.(src))
+  then begin
+    ws.done_.(q) <- true;
+    on_finish q;
+    let succ = ws.snext.(q) in
+    if succ >= 0 then begin
+      ws.elig.(succ) <- true;
+      finish ws on_finish succ
+    end
+  end
 
-   Runs the round-by-round schedule of the links in [ws.snext]/[ws.sprev]
+(* Deletes [v] from [u]'s list, shifting the larger neighbours down. *)
+let remove (a : Galg.Matching.adj) u v =
+  let nbr = a.nbr in
+  let k = ref a.start.(u) and last = a.start.(u) + a.len.(u) - 1 in
+  while nbr.(!k) <> v do
+    incr k
+  done;
+  for i = !k to last - 1 do
+    nbr.(i) <- nbr.(i + 1)
+  done;
+  a.len.(u) <- a.len.(u) - 1
+
+(* Runs the round-by-round schedule of the links in [ws.snext]/[ws.sprev]
    on the remaining-edge adjacency, invoking [on_gate] on each gate of a
    round (ascending) and then [on_finish] on each vertex as it becomes
    done (cascading down its chain). Returns the number of rounds.
+
+   Step 2: gates whose reuse dependence is unresolved are not eligible
+   ([elig]). Step 3: maximum-weight matching; edges touching a pending
+   reuse source ([prio]) carry priority weight, and among those the
+   longest queues go first (LPT) — the heaviest wire bounds the
+   makespan, so letting a hub idle for a round directly stretches the
+   circuit.
 
    With a finite [limit] the run stops, returning [limit], once the
    rounds run plus the gates left on the busiest chain reach it: a
@@ -307,12 +345,13 @@ let run_schedule ws ~exact ~limit ~on_gate ~on_finish =
   let remaining = ws.rem in
   Array.blit t.adj.len 0 remaining.len 0 n;
   Array.blit t.adj.nbr 0 remaining.nbr 0 (Array.length t.adj.nbr);
-  let rem_deg = remaining.len in
-  let next = ws.snext and src_of = ws.sprev and done_ = ws.done_ in
+  let next = ws.snext and src_of = ws.sprev in
   let elig = ws.elig and prio = ws.prio and cid = ws.cid and cload = ws.cload in
-  Array.fill done_ 0 n false;
+  Array.fill ws.done_ 0 n false;
   Array.fill cload 0 n 0;
   for h = 0 to n - 1 do
+    elig.(h) <- src_of.(h) < 0;
+    prio.(h) <- next.(h) >= 0;
     if src_of.(h) < 0 then begin
       let q = ref h in
       while !q >= 0 do
@@ -322,75 +361,37 @@ let run_schedule ws ~exact ~limit ~on_gate ~on_finish =
       done
     end
   done;
-  let edges_left = ref (Galg.Graph.size t.g) in
-  let rec finish q =
-    if
-      (not done_.(q))
-      && rem_deg.(q) = 0
-      && (src_of.(q) < 0 || done_.(src_of.(q)))
-    then begin
-      done_.(q) <- true;
-      on_finish q;
-      if next.(q) >= 0 then finish next.(q)
-    end
-  in
   for q = 0 to n - 1 do
-    finish q
+    finish ws on_finish q
   done;
-  (* Step 2: gates whose reuse dependence is unresolved are not eligible
-     ([elig], refreshed every round). Step 3: maximum-weight matching;
-     edges touching a pending reuse source ([prio]) carry priority
-     weight, and among those the longest queues go first (LPT) — the
-     heaviest wire bounds the makespan, so letting a hub idle for a round
-     directly stretches the circuit. *)
-  for v = 0 to n - 1 do
-    prio.(v) <- next.(v) >= 0
-  done;
-  let eligible u v = elig.(u) && elig.(v) in
-  let priority u v = prio.(u) || prio.(v) in
-  let weight u v =
-    (if priority u v then 10000. else 0.)
-    +. float_of_int (rem_deg.(u) + rem_deg.(v))
-  in
-  let remove u v =
-    let { Galg.Matching.start; len; nbr } = remaining in
-    let k = ref start.(u) in
-    while nbr.(!k) <> v do
-      incr k
-    done;
-    Array.blit nbr (!k + 1) nbr !k (start.(u) + len.(u) - 1 - !k);
-    len.(u) <- len.(u) - 1
-  in
+  let edges_left = ref (Galg.Graph.size t.g) in
   let rounds = ref 0 and cut = ref false in
   while !edges_left > 0 && not !cut do
-    for v = 0 to n - 1 do
-      elig.(v) <- src_of.(v) < 0 || done_.(src_of.(v))
-    done;
     let mate =
-      if exact then
-        Galg.Matching.priority_into ws.work remaining ~keep:eligible ~priority
-      else Galg.Matching.greedy_into ws.work remaining ~keep:eligible ~weight
+      if exact then Galg.Matching.priority_into ws.work remaining ~elig ~prio
+      else Galg.Matching.greedy_into ws.work remaining ~elig ~prio
     in
-    let before = !edges_left in
+    (* The round's gates, ascending. *)
+    let gates = ref 0 in
     for u = 0 to n - 1 do
       if mate.(u) > u then begin
         on_gate u mate.(u);
-        decr edges_left
+        ws.gate_u.(!gates) <- u;
+        incr gates
       end
     done;
-    if !edges_left = before then
-      failwith "Commute.run_schedule: stuck (invalid reuse plan)";
+    if !gates = 0 then failwith "Commute.run_schedule: stuck (invalid reuse plan)";
+    edges_left := !edges_left - !gates;
     incr rounds;
-    for u = 0 to n - 1 do
+    for i = 0 to !gates - 1 do
+      let u = ws.gate_u.(i) in
       let v = mate.(u) in
-      if v > u then begin
-        remove u v;
-        remove v u;
-        cload.(cid.(u)) <- cload.(cid.(u)) - 1;
-        cload.(cid.(v)) <- cload.(cid.(v)) - 1;
-        finish u;
-        finish v
-      end
+      remove remaining u v;
+      remove remaining v u;
+      cload.(cid.(u)) <- cload.(cid.(u)) - 1;
+      cload.(cid.(v)) <- cload.(cid.(v)) - 1;
+      finish ws on_finish u;
+      finish ws on_finish v
     done;
     if limit < max_int then begin
       let busiest = ref 0 in
@@ -468,34 +469,42 @@ let shape_with ws p =
   { depth = !depth; used = !used; events = Array.sub events 0 !count }
 
 let emit_events ?(gamma = 0.7) ?(beta = 0.3) p events =
-  let n = p.t.n in
-  let b = Quantum.Circuit.Builder.create ~num_qubits:n ~num_clbits:n in
+  let n = p.t.n and head = p.head in
+  (* H, Rx and a measurement per vertex, a conditional X per link and an
+     Rzz per edge; every vertex's gates go on its chain's head wire. *)
+  let kinds =
+    Array.make ((4 * n) - p.usage + Galg.Graph.size p.t.g) (Quantum.Gate.Reset 0)
+  in
+  let len = ref 0 in
+  let add kind =
+    kinds.(!len) <- kind;
+    incr len
+  in
   let started = Array.make n false in
   let start q =
     if not started.(q) then begin
       started.(q) <- true;
-      Quantum.Circuit.Builder.h b q
+      add (Quantum.Gate.One_q (Quantum.Gate.H, head.(q)))
     end
   in
   let finish q =
     start q;
-    Quantum.Circuit.Builder.rx b (2. *. beta) q;
-    Quantum.Circuit.Builder.measure b q q;
+    add (Quantum.Gate.One_q (Quantum.Gate.Rx (2. *. beta), head.(q)));
+    add (Quantum.Gate.Measure (head.(q), q));
     (* Hand the wire to the next chain occupant with a conditional reset
        driven by the measurement just taken (Fig. 2 (b)). *)
-    if p.next.(q) >= 0 then Quantum.Circuit.Builder.if_x b q q
+    if p.next.(q) >= 0 then add (Quantum.Gate.If_x (q, head.(q)))
   in
   let gate u v =
     start u;
     start v;
-    Quantum.Circuit.Builder.rzz b gamma u v
+    add (Quantum.Gate.Rzz (gamma, head.(u), head.(v)))
   in
   Array.iter
     (fun e -> if e < n then finish e else gate ((e - n) / n) ((e - n) mod n))
     events;
-  let circuit = Quantum.Circuit.Builder.build b in
-  (* Collapse each chain onto its head wire. *)
-  Quantum.Circuit.map_qubits ~num_qubits:n (fun q -> p.head.(q)) circuit
+  assert (!len = Array.length kinds);
+  Quantum.Circuit.of_kind_array ~num_qubits:n ~num_clbits:n kinds
 
 let emit ?gamma ?beta p =
   emit_events ?gamma ?beta p (shape_with (workspace p.t) p).events
@@ -783,9 +792,15 @@ let sweep ?(mode = `Auto) ?gamma ?beta g =
   let t = tables g in
   let ws = workspace t in
   let emitted = ref 0 in
+  (* The dry run's depth and usage are the emitted circuit's. *)
   let make_step plan shape =
     incr emitted;
-    Engine.make_step (emit_events ?gamma ?beta plan shape.events) (pairs plan)
+    {
+      Engine.usage = shape.used;
+      circuit = emit_events ?gamma ?beta plan shape.events;
+      pairs = pairs plan;
+      depth = shape.depth;
+    }
   in
   let base =
     let plan = make_t t in

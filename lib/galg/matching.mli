@@ -13,19 +13,6 @@ type t = int array
     (O(V^3)). Works on general (non-bipartite) graphs. *)
 val blossom : Graph.t -> t
 
-(** Greedy maximal matching: scan edges by decreasing weight (ties by
-    lexicographic edge order) and take every edge whose endpoints are
-    free. [weight u v] must be symmetric. *)
-val greedy : weight:(int -> int -> float) -> Graph.t -> t
-
-(** Two-level maximum-weight matching for the CaQR scheduler. Edges with
-    [priority u v = true] carry weight [w >> 1]; others weight 1. Phase 1
-    computes a maximum matching of the priority subgraph (blossom); phase 2
-    extends it with a maximum matching of the non-priority edges induced on
-    the still-free vertices. This keeps every priority match — exactly the
-    bias the paper wants — while remaining polynomial. *)
-val priority_matching : priority:(int -> int -> bool) -> Graph.t -> t
-
 val cardinality : t -> int
 
 (** Check symmetry, range, and that matched pairs are actual edges. *)
@@ -36,10 +23,9 @@ val is_maximal : Graph.t -> t -> bool
 
 (** {2 Flat kernel}
 
-    {!blossom}, {!greedy} and {!priority_matching} are adapters over this
-    one implementation. Callers that match many rounds of a shrinking
-    graph (the commutable scheduler) drive it directly, without building
-    a {!Graph.t} per round. *)
+    {!blossom} is an adapter over this one implementation. Callers that
+    match many rounds of a shrinking graph (the commutable scheduler)
+    drive it directly, without building a {!Graph.t} per round. *)
 
 (** Flat adjacency: the neighbours of [v] are
     [nbr.(start.(v)) .. nbr.(start.(v) + len.(v) - 1)], in increasing
@@ -49,20 +35,46 @@ type adj = { start : int array; len : int array; nbr : int array }
 
 val adj_of_graph : Graph.t -> adj
 
-(** Scratch buffers for matching graphs with the vertex count and at
-    most the adjacency entries of the given {!adj}. *)
+(** Scratch buffers for one adjacency layout: [work a] serves [a] and
+    every adjacency obtained from it by deleting entries in place.
+
+    Nothing in it is refilled per augmenting-path search. The search
+    state ([used], parent and blossom base of each vertex), the LCA
+    marks and the blossom marks hold a vertex's value only while its
+    stamp equals the current search's, walk's or contraction's; stamps
+    come from one counter that only grows, so a call never reads a
+    stale mark, also after an earlier call on the same [work] raised. *)
 type work
 
 val work : adj -> work
 
-(** [priority_into w a ~keep ~priority] is {!priority_matching} on the
-    edges of [a] that satisfy [keep]. Both predicates are called with
-    [u < v]. The result is owned by [w] and overwritten by the next
-    call. *)
-val priority_into :
-  work -> adj -> keep:(int -> int -> bool) -> priority:(int -> int -> bool) -> t
+(** [priority_into w a ~elig ~prio] is the two-level matching the
+    CaQR scheduler runs each round. An edge of [a] is eligible when
+    [elig] holds at both endpoints, and a priority edge when [prio]
+    holds at either. One pass splits the eligible edges into the two
+    phase subgraphs. Phase 1 computes a maximum matching of the
+    priority edges (blossom); phase 2 extends it with a maximum
+    matching of the other eligible edges, running on the same mates
+    with the vertices phase 1 matched masked out. This keeps every
+    priority match, exactly the bias the paper wants, while remaining
+    polynomial.
 
-(** [greedy_into w a ~keep ~weight] is {!greedy} on the edges of [a]
-    that satisfy [keep]; same ownership as {!priority_into}. *)
-val greedy_into :
-  work -> adj -> keep:(int -> int -> bool) -> weight:(int -> int -> float) -> t
+    Each augmenting-path search runs one {!Guard.Budget.checkpoint}
+    and then one ["match.augment"] injection hit. Roots are tried in
+    ascending order, and a free vertex with no edge to an unmasked
+    vertex starts no search. So the searches, their order, their hits
+    and the resulting mates are those of blossom run on the two phase
+    subgraphs built as separate graphs, which is what the
+    closure-driven kernel this one replaced did ([test/matching_ref.ml]
+    keeps it as the oracle). The result is owned by [w] and overwritten
+    by the next call. *)
+val priority_into : work -> adj -> elig:bool array -> prio:bool array -> t
+
+(** [greedy_into w a ~elig ~prio] is a greedy maximal matching of the
+    eligible edges: it scans them by decreasing key and takes every edge
+    whose endpoints are free. The key is the priority flag, then the
+    sum [a.len.(u) + a.len.(v)]; ties keep lexicographic edge order (a
+    stable bucket sort). This is exactly the order of the float weight
+    [10000 + sum] per priority edge and [sum] per other edge that the
+    scheduler ranked by before. Same ownership as {!priority_into}. *)
+val greedy_into : work -> adj -> elig:bool array -> prio:bool array -> t

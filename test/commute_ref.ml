@@ -5,8 +5,10 @@
    candidate's chain-load bound is recomputed, and the sweep emits both
    generators' plans at every budget before keeping the shallower. The
    production sweep must reproduce its steps exactly. The greedy
-   matching the emit schedule uses is the list-based one it ran on, so
-   this oracle does not share the production matching kernel either. *)
+   matching the emit schedule uses is the list-based one it ran on and
+   the exact schedule's matching is the frozen copy in [Matching_ref],
+   so this oracle does not share the production matching kernel
+   either. *)
 
 open Caqr
 
@@ -147,7 +149,7 @@ let merge p ~src ~dst =
 let run_schedule ~exact p ~on_gate ~on_finish =
   let n = Galg.Graph.order p.g in
   let remaining = Galg.Matching.adj_of_graph p.g in
-  let work = Galg.Matching.work remaining in
+  let work = Matching_ref.work remaining in
   let rem_deg = remaining.Galg.Matching.len in
   let edges_left = ref (Galg.Graph.size p.g) in
   let src_of = Array.make n (-1) in
@@ -199,7 +201,7 @@ let run_schedule ~exact p ~on_gate ~on_finish =
   while !edges_left > 0 do
     let mate =
       if exact then
-        Galg.Matching.priority_into work remaining ~keep:eligible ~priority
+        Matching_ref.priority_into work remaining ~keep:eligible ~priority
       else greedy_into remaining ~keep:eligible ~weight
     in
     let before = !edges_left in

@@ -82,17 +82,69 @@ let test_table1 () =
       | Benchmarks.Suite.Regular -> ())
     (Benchmarks.Suite.table1 ())
 
+let qaoa name =
+  match (Benchmarks.Suite.find name).kind with
+  | Benchmarks.Suite.Commutable g -> g
+  | Benchmarks.Suite.Regular -> Alcotest.fail (name ^ " is commutable")
+
 (* One emission per returned step: the QAOA25-0.3 sweep keeps 10 rows. *)
 let test_emits_per_row () =
-  let g =
-    match (Benchmarks.Suite.find "QAOA25-0.3").kind with
-    | Benchmarks.Suite.Commutable g -> g
-    | Benchmarks.Suite.Regular -> Alcotest.fail "QAOA25-0.3 is commutable"
-  in
+  let g = qaoa "QAOA25-0.3" in
   Obs.Metrics.reset ();
   let steps = Caqr.Commute.sweep g in
   Alcotest.(check int) "rows" 10 (List.length steps);
   Alcotest.(check int) "commute.emits" 10 (Obs.Metrics.count "commute.emits")
+
+(* Counted work of one sweep per Table-1 QAOA graph: candidate schedules
+   run ([commute.schedule.runs]), candidates pruned by the chain-load
+   bound ([commute.schedule.pruned]) and circuits emitted
+   ([commute.emits]). Ties in the matchings decide rounds and rounds
+   decide which pair merges, so a kernel change that moves a mate moves
+   these. *)
+let schedule_pins =
+  [
+    ("QAOA5-0.3", (5, 16, 4));
+    ("QAOA10-0.3", (7, 115, 7));
+    ("QAOA15-0.3", (20, 225, 8));
+    ("QAOA20-0.3", (25, 315, 10));
+    ("QAOA25-0.3", (23, 387, 10));
+  ]
+
+let test_schedule_pins () =
+  List.iter
+    (fun (name, want) ->
+      Obs.Metrics.reset ();
+      ignore (Caqr.Commute.sweep (qaoa name));
+      let got =
+        ( Obs.Metrics.count "commute.schedule.runs",
+          Obs.Metrics.count "commute.schedule.pruned",
+          Obs.Metrics.count "commute.emits" )
+      in
+      Alcotest.(check (triple int int int))
+        (name ^ ": runs, pruned, emits")
+        want got)
+    schedule_pins
+
+(* Augmenting-path searches per sweep, each one [match.augment]
+   injection hit: the fault fires when armed at the last search and not
+   one past it. *)
+let augment_pins = [ ("QAOA5-0.3", 12); ("QAOA25-0.3", 2507) ]
+
+let fires name at_hit =
+  Guard.Inject.arm ~at_hit "match.augment";
+  Fun.protect ~finally:Guard.Inject.disarm @@ fun () ->
+  match Caqr.Commute.sweep (qaoa name) with
+  | _ -> false
+  | exception Guard.Error.Guard_error _ -> true
+
+let test_augment_pins () =
+  List.iter
+    (fun (name, searches) ->
+      Alcotest.(check bool) (name ^ ": fires at the last search") true
+        (fires name searches);
+      Alcotest.(check bool) (name ^ ": no search past it") false
+        (fires name (searches + 1)))
+    augment_pins
 
 let to_alcotest t =
   let (QCheck2.Test.Test cell) = t in
@@ -110,5 +162,8 @@ let () =
         [
           Alcotest.test_case "QAOA sweeps = reference" `Quick test_table1;
           Alcotest.test_case "one emit per row" `Quick test_emits_per_row;
+          Alcotest.test_case "schedule work pins" `Quick test_schedule_pins;
+          Alcotest.test_case "match.augment searches per sweep" `Quick
+            test_augment_pins;
         ] );
     ]

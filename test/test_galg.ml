@@ -171,27 +171,38 @@ let test_blossom_petersen_like () =
   let m = Galg.Matching.blossom g in
   check int "size 3" 3 (Galg.Matching.cardinality m)
 
+(* The flat kernel on a whole graph: every vertex eligible, [prio] the
+   priority vertices. *)
+let kernel f ~prio g =
+  let a = Galg.Matching.adj_of_graph g in
+  let elig = Array.make (Galg.Graph.order g) true in
+  Array.copy (f (Galg.Matching.work a) a ~elig ~prio)
+
+let no_prio g = Array.make (Galg.Graph.order g) false
+
 let test_blossom_beats_or_equals_greedy () =
-  (* On P4 a bad greedy (middle edge first) gets 1; blossom gets 2. *)
+  (* On P4 the middle edge has the largest degree sum, so greedy takes it
+     first and gets 1; blossom gets 2. *)
   let g = Galg.Graph.of_edges 4 [ (0, 1); (1, 2); (2, 3) ] in
-  let greedy =
-    Galg.Matching.greedy ~weight:(fun u v -> if (u, v) = (1, 2) then 2. else 1.) g
-  in
+  let greedy = kernel Galg.Matching.greedy_into ~prio:(no_prio g) g in
   let blossom = Galg.Matching.blossom g in
   check int "greedy trapped" 1 (Galg.Matching.cardinality greedy);
   check int "blossom optimal" 2 (Galg.Matching.cardinality blossom)
 
 let test_greedy_maximal () =
   let g = Galg.Graph.of_edges 5 [ (0, 1); (1, 2); (2, 3); (3, 4) ] in
-  let m = Galg.Matching.greedy ~weight:(fun _ _ -> 1.) g in
+  let m = kernel Galg.Matching.greedy_into ~prio:(no_prio g) g in
   check bool "valid" true (Galg.Matching.is_valid g m);
   check bool "maximal" true (Galg.Matching.is_maximal g m)
 
 let test_priority_matching_keeps_priority () =
-  (* Edge (0,1) is priority; the rest are not. The priority edge must be
-     matched even when a larger plain matching exists through vertex 1. *)
+  (* Vertex 0 is a priority vertex, so edge (0,1) is the one priority
+     edge. It must be matched even when a larger plain matching exists
+     through vertex 1. *)
   let g = Galg.Graph.of_edges 4 [ (0, 1); (1, 2); (2, 3) ] in
-  let m = Galg.Matching.priority_matching ~priority:(fun u v -> (u, v) = (0, 1) || (v, u) = (0, 1)) g in
+  let m =
+    kernel Galg.Matching.priority_into ~prio:[| true; false; false; false |] g
+  in
   check int "0 matched to 1" 1 m.(0);
   check int "2 matched to 3" 3 m.(2)
 

@@ -119,70 +119,158 @@ let prop_blossom_valid =
       let m = Galg.Matching.blossom g in
       Galg.Matching.is_valid g m && Galg.Matching.is_maximal g m)
 
+(* The flat kernel's vertex masks and the closures the frozen reference
+   ([Matching_ref]) takes for them: an edge is kept when both endpoints
+   are eligible, a priority edge when either endpoint is a priority
+   vertex, and weighted as the scheduler's float weight was: 10000 per
+   priority edge plus the endpoints' list lengths. *)
+let closures (a : Galg.Matching.adj) ~elig ~prio =
+  let keep u v = elig.(u) && elig.(v) in
+  let priority u v = prio.(u) || prio.(v) in
+  let weight u v =
+    (if priority u v then 10000. else 0.)
+    +. float_of_int (a.len.(u) + a.len.(v))
+  in
+  (keep, priority, weight)
+
 let prop_blossom_geq_greedy =
   QCheck.Test.make ~name:"matching: blossom >= greedy" ~count:100 arb_graph
     (fun spec ->
       let g = build_graph spec in
+      let n = Galg.Graph.order g in
+      let a = Galg.Matching.adj_of_graph g in
       let b = Galg.Matching.blossom g in
-      let gr = Galg.Matching.greedy ~weight:(fun _ _ -> 1.) g in
+      let gr =
+        Galg.Matching.greedy_into (Galg.Matching.work a) a
+          ~elig:(Array.make n true) ~prio:(Array.make n false)
+      in
       Galg.Matching.cardinality b >= Galg.Matching.cardinality gr)
 
 let prop_priority_valid =
   QCheck.Test.make ~name:"matching: priority matching valid" ~count:100 arb_graph
     (fun spec ->
       let g = build_graph spec in
-      let m = Galg.Matching.priority_matching ~priority:(fun u v -> (u + v) mod 2 = 0) g in
+      let n = Galg.Graph.order g in
+      let a = Galg.Matching.adj_of_graph g in
+      let m =
+        Galg.Matching.priority_into (Galg.Matching.work a) a
+          ~elig:(Array.make n true)
+          ~prio:(Array.init n (fun v -> v mod 2 = 0))
+      in
       Galg.Matching.is_valid g m)
 
 let prop_flat_kernel_filters =
   QCheck.Test.make ~name:"matching: flat kernel = adapters on the kept subgraph"
     ~count:100 arb_graph (fun spec ->
       let g = build_graph spec in
-      let keep u v = (u + (2 * v)) mod 3 <> 0 in
-      let priority u v = (u * v) mod 2 = 0 in
-      let weight u v = float_of_int ((u + v) mod 4) in
+      let n = Galg.Graph.order g in
+      let elig = Array.init n (fun v -> (2 * v) mod 3 <> 0) in
+      let prio = Array.init n (fun v -> v mod 2 = 0) in
+      let a = Galg.Matching.adj_of_graph g in
+      let keep, priority, weight = closures a ~elig ~prio in
       let kept =
-        Galg.Graph.of_edges (Galg.Graph.order g)
+        Galg.Graph.of_edges n
           (List.filter (fun (u, v) -> keep u v) (Galg.Graph.edges g))
       in
-      let a = Galg.Matching.adj_of_graph g in
       let w = Galg.Matching.work a in
       (* Two calls on one workspace: scratch reuse must not leak state. *)
-      let m1 = Array.copy (Galg.Matching.priority_into w a ~keep ~priority) in
-      let m2 = Array.copy (Galg.Matching.greedy_into w a ~keep ~weight) in
-      m1 = Galg.Matching.priority_matching ~priority kept
-      && m2 = Galg.Matching.greedy ~weight kept)
+      let m1 = Array.copy (Galg.Matching.priority_into w a ~elig ~prio) in
+      let m2 = Array.copy (Galg.Matching.greedy_into w a ~elig ~prio) in
+      m1 = Matching_ref.priority_matching ~priority kept
+      && m2 = Matching_ref.greedy ~weight kept)
 
-(* The flat kernel against references built without it: the
-   array-sorting greedy picks what the list-sorting one (kept in
-   Commute_ref) picks, ties included, and the two-phase priority
-   matching is blossom on the kept priority edges, then blossom on the
-   other kept edges between the vertices phase 1 left free. *)
+(* The flat kernel against references built without it: the greedy
+   picks what the list-sorting one (kept in Commute_ref) picks, ties
+   included, and the two-phase priority matching is the frozen blossom
+   on the kept priority edges, then on the other kept edges between the
+   vertices phase 1 left free. *)
 let prop_kernels_match_references =
   QCheck.Test.make ~name:"matching: greedy and priority kernels = references"
     ~count:100 arb_graph (fun spec ->
       let g = build_graph spec in
       let n = Galg.Graph.order g in
-      let keep u v = (u * 7) mod 5 <> 0 && (v * 7) mod 5 <> 0 in
-      let priority u v = u mod 3 = 0 || v mod 3 = 0 in
-      let weight u v = float_of_int ((u * v) mod 3) in
+      let elig = Array.init n (fun v -> (v * 7) mod 5 <> 0) in
+      let prio = Array.init n (fun v -> v mod 3 = 0) in
       let a = Galg.Matching.adj_of_graph g in
+      let keep, priority, weight = closures a ~elig ~prio in
       let w = Galg.Matching.work a in
-      let greedy = Array.copy (Galg.Matching.greedy_into w a ~keep ~weight) in
-      let prio = Array.copy (Galg.Matching.priority_into w a ~keep ~priority) in
+      let greedy = Array.copy (Galg.Matching.greedy_into w a ~elig ~prio) in
+      let prio_m = Array.copy (Galg.Matching.priority_into w a ~elig ~prio) in
       let sub p =
         Galg.Graph.of_edges n
           (List.filter (fun (u, v) -> keep u v && p u v) (Galg.Graph.edges g))
       in
-      let first = Galg.Matching.blossom (sub priority) in
+      let first = Matching_ref.blossom (sub priority) in
       let second =
-        Galg.Matching.blossom
+        Matching_ref.blossom
           (sub (fun u v ->
                (not (priority u v)) && first.(u) < 0 && first.(v) < 0))
       in
       greedy = Commute_ref.greedy_into a ~keep ~weight
-      && prio
+      && prio_m
          = Array.init n (fun v -> if first.(v) >= 0 then first.(v) else second.(v)))
+
+(* Random graphs of 2-40 vertices with random eligibility and priority
+   masks, in three shapes: free masks; every vertex a priority vertex,
+   so phase 2 has no edges; and a planted perfect matching of priority
+   edges (2i, 2i+1) with the odd vertices plain, so phase 1 matches
+   every vertex while phase 2 still has edges between odd vertices. *)
+type mask_case = {
+  mc_graph : Galg.Graph.t;
+  mc_shape : int;
+  mc_masks : (bool array * bool array) list;
+}
+
+let mask_case_gen =
+  QCheck.Gen.(
+    int_range 2 40 >>= fun n ->
+    int_bound 2 >>= fun shape ->
+    int_bound 1_000_000 >|= fun seed ->
+    let rs = Random.State.make [| seed |] in
+    let n = if shape = 2 then n + (n mod 2) else n in
+    let pct = Random.State.int rs 61 in
+    let edges = ref [] in
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        if Random.State.int rs 100 < pct || (shape = 2 && u mod 2 = 0 && v = u + 1)
+        then edges := (u, v) :: !edges
+      done
+    done;
+    let masks () =
+      match shape with
+      | 0 ->
+        ( Array.init n (fun _ -> Random.State.int rs 4 > 0),
+          Array.init n (fun _ -> Random.State.bool rs) )
+      | 1 -> (Array.init n (fun _ -> Random.State.int rs 4 > 0), Array.make n true)
+      | _ -> (Array.make n true, Array.init n (fun v -> v mod 2 = 0))
+    in
+    let m1 = masks () in
+    let m2 = masks () in
+    { mc_graph = Galg.Graph.of_edges n !edges; mc_shape = shape; mc_masks = [ m1; m2 ] })
+
+let prop_mask_kernel_frozen =
+  QCheck.Test.make ~name:"matching: mask kernel = frozen reference (2-40)"
+    ~count:300
+    (QCheck.make mask_case_gen ~print:(fun c ->
+         Format.asprintf "shape %d %a" c.mc_shape Galg.Graph.pp c.mc_graph))
+    (fun c ->
+      let g = c.mc_graph in
+      let a = Galg.Matching.adj_of_graph g in
+      (* One workspace for every call: a stale stamp would show as a
+         mate that a fresh reference workspace does not produce. *)
+      let w = Galg.Matching.work a in
+      List.for_all
+        (fun (elig, prio) ->
+          let keep, priority, weight = closures a ~elig ~prio in
+          let ref_work = Matching_ref.work a in
+          let p = Array.copy (Galg.Matching.priority_into w a ~elig ~prio) in
+          let p_ref = Matching_ref.priority_into ref_work a ~keep ~priority in
+          let same_p = p = p_ref in
+          let gr = Array.copy (Galg.Matching.greedy_into w a ~elig ~prio) in
+          let gr_ref = Matching_ref.greedy_into ref_work a ~keep ~weight in
+          same_p && gr = gr_ref
+          && (c.mc_shape <> 2 || Array.for_all (fun m -> m >= 0) p))
+        c.mc_masks)
 
 (* ---- Circuit / DAG properties ---- *)
 
@@ -646,6 +734,7 @@ let () =
             prop_priority_valid;
             prop_flat_kernel_filters;
             prop_kernels_match_references;
+            prop_mask_kernel_frozen;
           ] );
       ( "quantum",
         List.map to_alcotest
