@@ -60,8 +60,6 @@ let of_edges n es =
   List.iter (fun (u, v) -> add_edge g u v) es;
   g
 
-let copy g = { g with adj = Array.copy g.adj }
-
 let fold_vertices f g init =
   let acc = ref init in
   for v = 0 to g.n - 1 do
@@ -94,19 +92,6 @@ let is_connected g =
   else
     let dist = bfs_dist g 0 in
     Array.for_all (fun d -> d < max_int) dist
-
-let density g =
-  if g.n < 2 then 0.
-  else 2. *. float_of_int g.m /. (float_of_int g.n *. float_of_int (g.n - 1))
-
-let contract g u v =
-  check g u;
-  check g v;
-  if u <> v then begin
-    let nv = Iset.elements g.adj.(v) in
-    List.iter (fun w -> remove_edge g v w) nv;
-    List.iter (fun w -> if w <> u then add_edge g u w) nv
-  end
 
 let pp ppf g =
   Format.fprintf ppf "@[<hov 2>graph(n=%d, m=%d:" g.n g.m;

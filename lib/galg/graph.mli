@@ -40,9 +40,6 @@ val edges : t -> (int * int) list
 (** [of_edges n es] builds a graph from an edge list. *)
 val of_edges : int -> (int * int) list -> t
 
-(** Independent copy. *)
-val copy : t -> t
-
 (** Fold over vertices in increasing order. *)
 val fold_vertices : (int -> 'a -> 'a) -> t -> 'a -> 'a
 
@@ -54,13 +51,5 @@ val bfs_dist : t -> int -> int array
 val all_pairs_dist : t -> int array array
 
 val is_connected : t -> bool
-
-(** Density [2m / (n (n - 1))]; 0 for graphs with fewer than 2 vertices. *)
-val density : t -> float
-
-(** Merge vertex [v] into vertex [u]: every neighbor of [v] becomes a
-    neighbor of [u] (self loops dropped) and [v] becomes isolated. Models
-    qubit-reuse pair contraction in the interaction graph (paper Fig. 5). *)
-val contract : t -> int -> int -> unit
 
 val pp : Format.formatter -> t -> unit

@@ -79,8 +79,3 @@ let link t u v =
   | None -> invalid_arg "Calibration.link: not a coupling edge"
 
 let qubit t q = t.qubits.(q)
-
-let mean_cx_error t =
-  let sum = Hashtbl.fold (fun _ l acc -> acc +. l.cx_error) t.links 0. in
-  let n = Hashtbl.length t.links in
-  if n = 0 then 0. else sum /. float_of_int n

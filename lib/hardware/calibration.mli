@@ -30,6 +30,3 @@ val scale : factor:float -> t -> t
 
 val link : t -> int -> int -> link
 val qubit : t -> int -> qubit
-
-(** Average CNOT error over all links. *)
-val mean_cx_error : t -> float

@@ -1,4 +1,4 @@
-let circuit ?(measure = true) (problem : Maxcut.t) ~gammas ~betas =
+let circuit (problem : Maxcut.t) ~gammas ~betas =
   let p = Array.length gammas in
   if p <> Array.length betas then invalid_arg "Ansatz.circuit: layer mismatch";
   let n = Galg.Graph.order problem.Maxcut.graph in
@@ -14,10 +14,9 @@ let circuit ?(measure = true) (problem : Maxcut.t) ~gammas ~betas =
       Quantum.Circuit.Builder.rx b (2. *. betas.(layer)) q
     done
   done;
-  if measure then
-    for q = 0 to n - 1 do
-      Quantum.Circuit.Builder.measure b q q
-    done;
+  for q = 0 to n - 1 do
+    Quantum.Circuit.Builder.measure b q q
+  done;
   Quantum.Circuit.Builder.build b
 
 let reference problem =

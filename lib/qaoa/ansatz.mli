@@ -3,11 +3,10 @@
     phase-separation gates commute freely — the property QS-CaQR's
     commutable path exploits (paper §3.2.2). *)
 
-(** [circuit ?measure problem ~gammas ~betas] builds a [p]-layer ansatz,
-    [p = Array.length gammas = Array.length betas]. With [measure] (default
-    true), every qubit is measured into its own classical bit. *)
+(** [circuit problem ~gammas ~betas] builds a [p]-layer ansatz,
+    [p = Array.length gammas = Array.length betas], and measures every
+    qubit into its own classical bit. *)
 val circuit :
-  ?measure:bool ->
   Maxcut.t ->
   gammas:float array ->
   betas:float array ->

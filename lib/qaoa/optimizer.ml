@@ -4,7 +4,7 @@ type trace = {
   history : float list;
 }
 
-(* Shared bookkeeping: wrap the objective to record best-so-far. *)
+(* Wrap the objective to record the best-so-far value per evaluation. *)
 let recorder f =
   let best = ref infinity in
   let best_x = ref [||] in
@@ -24,80 +24,6 @@ let recorder f =
     { best_params = !best_x; best_value = !best; history = List.rev !hist }
   in
   (call, evals, result)
-
-let nelder_mead ~max_evals ~init ~step f =
-  let n = Array.length init in
-  let call, evals, result = recorder f in
-  let alpha = 1.0 and gamma = 2.0 and rho = 0.5 and sigma = 0.5 in
-  (* Initial simplex: init plus per-coordinate offsets. *)
-  let pts =
-    Array.init (n + 1) (fun i ->
-        let p = Array.copy init in
-        if i > 0 then p.(i - 1) <- p.(i - 1) +. step;
-        p)
-  in
-  let vals = Array.map call pts in
-  let order () =
-    let idx = Array.init (n + 1) Fun.id in
-    Array.sort (fun a b -> compare vals.(a) vals.(b)) idx;
-    idx
-  in
-  (try
-     while !evals < max_evals do
-       let idx = order () in
-       let best = idx.(0) and worst = idx.(n) and second_worst = idx.(n - 1) in
-       (* Centroid of all but the worst. *)
-       let centroid = Array.make n 0. in
-       Array.iteri
-         (fun rank i ->
-           if rank < n then
-             for d = 0 to n - 1 do
-               centroid.(d) <- centroid.(d) +. (pts.(i).(d) /. float_of_int n)
-             done)
-         idx;
-       let combine a wa b wb =
-         Array.init n (fun d -> (wa *. a.(d)) +. (wb *. b.(d)))
-       in
-       let reflected = combine centroid (1. +. alpha) pts.(worst) (-.alpha) in
-       let fr = call reflected in
-       if !evals >= max_evals then raise Exit;
-       if fr < vals.(best) then begin
-         let expanded = combine centroid (1. +. gamma) pts.(worst) (-.gamma) in
-         let fe = call expanded in
-         if fe < fr then begin
-           pts.(worst) <- expanded;
-           vals.(worst) <- fe
-         end
-         else begin
-           pts.(worst) <- reflected;
-           vals.(worst) <- fr
-         end
-       end
-       else if fr < vals.(second_worst) then begin
-         pts.(worst) <- reflected;
-         vals.(worst) <- fr
-       end
-       else begin
-         let contracted = combine centroid (1. -. rho) pts.(worst) rho in
-         let fc = call contracted in
-         if fc < vals.(worst) then begin
-           pts.(worst) <- contracted;
-           vals.(worst) <- fc
-         end
-         else
-           (* Shrink toward the best point. *)
-           Array.iteri
-             (fun rank i ->
-               if rank > 0 then begin
-                 pts.(i) <-
-                   combine pts.(idx.(0)) (1. -. sigma) pts.(i) sigma;
-                 if !evals < max_evals then vals.(i) <- call pts.(i)
-               end)
-             idx
-       end
-     done
-   with Exit -> ());
-  result ()
 
 (* Solve the n x n system [m] x = [b] by Gaussian elimination with partial
    pivoting; returns None on (near-)singularity. *)
@@ -152,54 +78,52 @@ let cobyla_lite ~max_evals ~init ~rho_start ~rho_end f =
   in
   let vals = Array.map call pts in
   let rho = ref rho_start in
-  (try
-     while !evals < max_evals && !rho > rho_end do
-       (* Fit f(x) ~ c + g . (x - x0) through the simplex (x0 = vertex 0):
-          n equations in the n gradient components. *)
-       let x0 = pts.(0) and f0 = vals.(0) in
-       let m =
-         Array.init n (fun i ->
-             Array.init n (fun d -> pts.(i + 1).(d) -. x0.(d)))
+  while !evals < max_evals && !rho > rho_end do
+    (* Fit f(x) ~ c + g . (x - x0) through the simplex (x0 = vertex 0):
+       n equations in the n gradient components. *)
+    let x0 = pts.(0) and f0 = vals.(0) in
+    let m =
+      Array.init n (fun i ->
+          Array.init n (fun d -> pts.(i + 1).(d) -. x0.(d)))
+    in
+    let b = Array.init n (fun i -> vals.(i + 1) -. f0) in
+    (match solve m b with
+     | None ->
+       (* Degenerate simplex: re-seed around the best vertex. *)
+       let best = ref 0 in
+       Array.iteri (fun i v -> if v < vals.(!best) then best := i) vals;
+       let bx = pts.(!best) in
+       Array.iteri
+         (fun i _ ->
+           if i > 0 then begin
+             let p = Array.copy bx in
+             p.(i - 1) <- p.(i - 1) +. !rho;
+             pts.(i) <- p;
+             if !evals < max_evals then vals.(i) <- call p
+           end)
+         pts;
+       pts.(0) <- Array.copy bx
+     | Some g ->
+       let gnorm =
+         sqrt (Array.fold_left (fun acc gi -> acc +. (gi *. gi)) 0. g)
        in
-       let b = Array.init n (fun i -> vals.(i + 1) -. f0) in
-       (match solve m b with
-        | None ->
-          (* Degenerate simplex: re-seed around the best vertex. *)
-          let best = ref 0 in
-          Array.iteri (fun i v -> if v < vals.(!best) then best := i) vals;
-          let bx = pts.(!best) in
-          Array.iteri
-            (fun i _ ->
-              if i > 0 then begin
-                let p = Array.copy bx in
-                p.(i - 1) <- p.(i - 1) +. !rho;
-                pts.(i) <- p;
-                if !evals < max_evals then vals.(i) <- call p
-              end)
-            pts;
-          pts.(0) <- Array.copy bx
-        | Some g ->
-          let gnorm =
-            sqrt (Array.fold_left (fun acc gi -> acc +. (gi *. gi)) 0. g)
-          in
-          if gnorm < 1e-12 then rho := !rho /. 2.
-          else begin
-            (* Step to the linear-model minimizer on the trust sphere. *)
-            let worst = ref 0 in
-            Array.iteri (fun i v -> if v > vals.(!worst) then worst := i) vals;
-            let best = ref 0 in
-            Array.iteri (fun i v -> if v < vals.(!best) then best := i) vals;
-            let candidate =
-              Array.init n (fun d ->
-                  pts.(!best).(d) -. (!rho *. g.(d) /. gnorm))
-            in
-            let fc = call candidate in
-            if fc < vals.(!worst) then begin
-              pts.(!worst) <- candidate;
-              vals.(!worst) <- fc
-            end
-            else rho := !rho /. 2.
-          end)
-     done
-   with Exit -> ());
+       if gnorm < 1e-12 then rho := !rho /. 2.
+       else begin
+         (* Step to the linear-model minimizer on the trust sphere. *)
+         let worst = ref 0 in
+         Array.iteri (fun i v -> if v > vals.(!worst) then worst := i) vals;
+         let best = ref 0 in
+         Array.iteri (fun i v -> if v < vals.(!best) then best := i) vals;
+         let candidate =
+           Array.init n (fun d ->
+               pts.(!best).(d) -. (!rho *. g.(d) /. gnorm))
+         in
+         let fc = call candidate in
+         if fc < vals.(!worst) then begin
+           pts.(!worst) <- candidate;
+           vals.(!worst) <- fc
+         end
+         else rho := !rho /. 2.
+       end)
+  done;
   result ()

@@ -1,10 +1,9 @@
-(** Derivative-free optimizers for the QAOA classical loop.
+(** Derivative-free optimizer for the QAOA classical loop.
 
-    The paper uses Qiskit's COBYLA; we provide [cobyla_lite], a
-    linear-approximation trust-region method in the same family, and
-    Nelder–Mead simplex as an alternative (DESIGN.md substitutions). Both
-    report the best objective value seen after each evaluation round, which
-    is what Figs. 15–16 plot. *)
+    The paper uses Qiskit's COBYLA; [cobyla_lite] is a
+    linear-approximation trust-region method in the same family
+    (DESIGN.md substitutions). It reports the best objective value seen
+    after each evaluation, which is what Figs. 15–16 plot. *)
 
 type trace = {
   best_params : float array;
@@ -12,10 +11,6 @@ type trace = {
   history : float list;
       (** best-so-far objective after each function evaluation, oldest first *)
 }
-
-(** [nelder_mead ~max_evals ~init ~step f] minimizes [f]. *)
-val nelder_mead :
-  max_evals:int -> init:float array -> step:float -> (float array -> float) -> trace
 
 (** [cobyla_lite ~max_evals ~init ~rho_start ~rho_end f]: keeps an [n+1]
     point simplex, fits a linear model through it, and steps to the model

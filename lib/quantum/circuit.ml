@@ -146,13 +146,6 @@ let map_qubits ~num_qubits f c =
   of_gate_kinds ~num_qubits ~num_clbits:c.num_clbits
     (Array.to_list (Array.map (fun g -> Gate.map_qubits f g.Gate.kind) c.gates))
 
-let append a b =
-  if a.num_qubits <> b.num_qubits || a.num_clbits <> b.num_clbits then
-    invalid_arg "Circuit.append: width mismatch";
-  of_gate_kinds ~num_qubits:a.num_qubits ~num_clbits:a.num_clbits
-    (Array.to_list (Array.map (fun g -> g.Gate.kind) a.gates)
-    @ Array.to_list (Array.map (fun g -> g.Gate.kind) b.gates))
-
 let compact_qubits c =
   let used = Array.make c.num_qubits false in
   Array.iter

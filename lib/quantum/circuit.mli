@@ -66,9 +66,6 @@ val interaction_graph : t -> Galg.Graph.t
 (** [map_qubits ~num_qubits f c] renames qubit wires. *)
 val map_qubits : num_qubits:int -> (int -> int) -> t -> t
 
-(** Append circuits (same widths required). *)
-val append : t -> t -> t
-
 (** Remove wires that carry no gate, compacting indices downward. Returns
     the compacted circuit and the old-to-new qubit index map ([-1] for
     dropped wires). *)

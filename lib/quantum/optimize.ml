@@ -119,8 +119,6 @@ let rec peephole c =
   let c', changed = peephole_once c in
   if changed then peephole c' else c'
 
-let removed c = Circuit.gate_count c - Circuit.gate_count (peephole c)
-
 (* loc.(w) is where wire w's state lives once SWAPs are dropped. After
    Swap (a, b) the original wire a holds what b held, so the elided
    location of a becomes the old location of b and vice versa. *)

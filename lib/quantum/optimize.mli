@@ -17,9 +17,6 @@
     increases and the output distribution is unchanged. *)
 val peephole : Circuit.t -> Circuit.t
 
-(** Number of gates removed by [peephole]. *)
-val removed : Circuit.t -> int
-
 (** [elide_swaps circuit] removes every SWAP by relabeling all later
     references to its two wires — the virtual-swap trick. The result has
     the same outcome distribution over clbits (a SWAP only permutes

@@ -1,7 +1,7 @@
 type entry = { gate : Gate.t; start_dt : int; finish_dt : int }
 type t = { entries : entry array; makespan : int }
 
-let asap ?(model = Duration.default) (c : Circuit.t) =
+let asap (c : Circuit.t) =
   let n = Array.length c.Circuit.gates in
   let start = Array.make n 0 and finish = Array.make n 0 in
   let makespan =
@@ -9,7 +9,7 @@ let asap ?(model = Duration.default) (c : Circuit.t) =
       ~on_gate:(fun i s f ->
         start.(i) <- s;
         finish.(i) <- f)
-      (Duration.of_kind model) c
+      (Duration.of_kind Duration.default) c
   in
   let entries =
     Array.mapi

@@ -1,5 +1,5 @@
-(** ASAP gate scheduling: start/finish times for every gate under a
-    duration model, plus an ASCII timeline for inspection.
+(** ASAP gate scheduling: start/finish times for every gate under the
+    default duration model, plus an ASCII timeline for inspection.
 
     The entries are recorded from {!Circuit.schedule}, the one wire-front
     scheduler behind every depth and duration number: a gate starts when
@@ -14,9 +14,9 @@ type entry = {
 
 type t = private { entries : entry array; makespan : int }
 
-(** [asap ?model circuit] (default model: {!Duration.default}).
-    Barriers get zero-length entries at their wires' front. *)
-val asap : ?model:Duration.t -> Circuit.t -> t
+(** [asap circuit] under {!Duration.default}. Barriers get zero-length
+    entries at their wires' front. *)
+val asap : Circuit.t -> t
 
 (** Per-qubit busy time in dt (sum of gate durations on that wire). *)
 val busy : t -> num_qubits:int -> int array

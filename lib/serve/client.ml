@@ -42,9 +42,13 @@ let call ~addr ?timeout_s lines =
    them); the jittered upper half decorrelates a thundering herd of
    clients all retrying the same restarted daemon. Pure and seeded, so
    a test (or [--seed]) gets the same schedule every run. *)
-let backoff_delays ~seed ?(base_s = 0.02) ?(cap_s = 0.3) attempts =
+let base_s = 0.02
+let cap_s = 0.3
+let max_attempts = 12
+
+let backoff_delays ~seed n =
   let rng = Exec.Prng.make seed in
-  List.init (max 0 attempts) (fun k ->
+  List.init (max 0 n) (fun k ->
       let ceiling = Float.min cap_s (base_s *. (2. ** float_of_int k)) in
       (ceiling /. 2.) +. Exec.Prng.float rng (ceiling /. 2.))
 
@@ -52,11 +56,10 @@ let backoff_delays ~seed ?(base_s = 0.02) ?(cap_s = 0.3) attempts =
    a failure must surface: re-sending a batch that may have been
    half-processed is not idempotent (anytime results are never cached,
    so a replay can legitimately answer differently). *)
-let call_retry ~addr ?(attempts = 12) ?(seed = 1) ?base_s ?cap_s ?timeout_s
-    lines =
+let call_retry ~addr ?(seed = 1) ?timeout_s lines =
   if lines = [] then []
   else begin
-    let delays = backoff_delays ~seed ?base_s ?cap_s (max 1 attempts - 1) in
+    let delays = backoff_delays ~seed (max_attempts - 1) in
     let rec connect = function
       | [] -> Transport.connect addr
       | d :: rest ->

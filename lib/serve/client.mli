@@ -11,25 +11,20 @@
     progress for that long — before every response arrived. *)
 val call : addr:Transport.addr -> ?timeout_s:float -> string list -> string list
 
-(** [backoff_delays ~seed ?base_s ?cap_s n] is the deterministic
-    equal-jitter exponential schedule {!call_retry} sleeps through:
-    [n] delays, the k-th drawn uniformly from the upper half of
-    [min cap_s (base_s * 2^k)] (defaults: 0.02 s base, 0.3 s cap). *)
-val backoff_delays :
-  seed:int -> ?base_s:float -> ?cap_s:float -> int -> float list
+(** [backoff_delays ~seed n] is the deterministic equal-jitter
+    exponential schedule {!call_retry} sleeps through: [n] delays, the
+    k-th drawn uniformly from the upper half of [min 0.3 (0.02 * 2^k)]
+    seconds. *)
+val backoff_delays : seed:int -> int -> float list
 
-(** [call_retry ~addr ?attempts ?seed ?base_s ?cap_s ?timeout_s lines]
-    — {!call}, retrying the {e connect phase only} (refused, reset, or
-    missing-socket errors: the daemon is still starting or restarting)
-    under {!backoff_delays}. A failure after any bytes were sent is
-    never retried: a half-processed batch is not idempotent. Defaults:
-    12 attempts, seed 1. *)
+(** [call_retry ~addr ?seed ?timeout_s lines] — {!call}, retrying the
+    {e connect phase only} (refused, reset, or missing-socket errors:
+    the daemon is still starting or restarting) up to 12 attempts under
+    {!backoff_delays}. A failure after any bytes were sent is never
+    retried: a half-processed batch is not idempotent. Default seed 1. *)
 val call_retry :
   addr:Transport.addr ->
-  ?attempts:int ->
   ?seed:int ->
-  ?base_s:float ->
-  ?cap_s:float ->
   ?timeout_s:float ->
   string list ->
   string list

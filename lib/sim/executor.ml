@@ -68,35 +68,38 @@ let only_final_measurements (c : Quantum.Circuit.t) =
     c.gates;
   !ok
 
+(* [wiring] is in execution order, so a left fold lets a later
+   measurement overwrite an earlier one on the same clbit. *)
+let read_off st ~creg wiring f =
+  Array.iteri
+    (fun basis p ->
+      if p > 1e-12 then
+        f
+          (List.fold_left
+             (fun acc (q, c) ->
+               let acc = acc land lnot (1 lsl c) in
+               if basis land (1 lsl q) <> 0 then acc lor (1 lsl c) else acc)
+             creg wiring)
+          p)
+    (State.probabilities st)
+
 let distribution ~seed circuit =
   let circuit = compact circuit in
   if not (only_final_measurements circuit) then run ~seed ~shots:4096 circuit
   else begin
-    let rng = Random.State.make [| seed |] in
     let st = State.init circuit.num_qubits in
-    (* clbit <- qubit wiring of the final measurements *)
+    (* (qubit, clbit) wiring of the final measurements, latest first *)
     let wiring = ref [] in
     Array.iter
       (fun g ->
         match g.Quantum.Gate.kind with
         | Quantum.Gate.Measure (q, c) -> wiring := (q, c) :: !wiring
-        | k -> apply_gate rng st (ref 0) k)
+        | k -> State.apply_unitary st k)
       circuit.gates;
-    let probs = State.probabilities st in
     let table = Hashtbl.create 64 in
-    Array.iteri
-      (fun basis p ->
-        if p > 1e-12 then begin
-          let outcome =
-            List.fold_left
-              (fun acc (q, c) ->
-                if basis land (1 lsl q) <> 0 then acc lor (1 lsl c) else acc)
-              0 !wiring
-          in
-          let cur = Option.value ~default:0. (Hashtbl.find_opt table outcome) in
-          Hashtbl.replace table outcome (cur +. p)
-        end)
-      probs;
+    read_off st ~creg:0 (List.rev !wiring) (fun outcome p ->
+        let cur = Option.value ~default:0. (Hashtbl.find_opt table outcome) in
+        Hashtbl.replace table outcome (cur +. p));
     Counts.of_probs ~num_clbits:circuit.num_clbits ~shots:1_000_000
       (Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [])
   end

@@ -21,6 +21,17 @@ val run : ?jobs:int -> seed:int -> shots:int -> Quantum.Circuit.t -> Counts.t
     {!distribution} computes it exactly instead of sampling. *)
 val only_final_measurements : Quantum.Circuit.t -> bool
 
+(** [read_off st ~creg wiring f] reads a trailing block of measurements
+    off [st] without collapsing it. [wiring] lists the block's
+    [(qubit, clbit)] pairs in execution order. For every basis state
+    whose probability [p] exceeds [1e-12], [f outcome p] is called, where
+    [outcome] is [creg] with each wired clbit set to its qubit's bit in
+    that basis state; a later measurement overwrites an earlier one on
+    the same clbit. *)
+val read_off :
+  State.t -> creg:int -> (int * int) list -> (int -> float -> unit) -> unit
+
 (** Exact outcome distribution for circuits whose only dynamic operations
-    are final measurements; falls back to 4096-shot sampling otherwise. *)
+    are final measurements (read off the final state by {!read_off});
+    falls back to 4096-shot sampling otherwise. *)
 val distribution : seed:int -> Quantum.Circuit.t -> Counts.t

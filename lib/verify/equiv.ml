@@ -1,12 +1,7 @@
-type config = {
-  max_qubits : int;
-  max_clbits : int;
-  max_branches : int;
-  tolerance : float;
-}
-
-let default =
-  { max_qubits = 12; max_clbits = 20; max_branches = 1 lsl 14; tolerance = 1e-6 }
+let max_qubits = 12
+let max_clbits = 20
+let max_branches = 1 lsl 14
+let tolerance = 1e-6
 
 exception Budget of string
 
@@ -14,20 +9,20 @@ exception Budget of string
    impossible outcomes computed in floats land around 1e-16). *)
 let prune = 1e-12
 
-let distribution ?(config = default) circuit =
+let distribution circuit =
   (* Routing SWAPs cost wires, not semantics: elide them first so a
      physical circuit compacts back toward its logical width. *)
   let circuit, _ =
     Quantum.Circuit.compact_qubits (Quantum.Optimize.elide_swaps circuit)
   in
-  if circuit.Quantum.Circuit.num_qubits > config.max_qubits then
+  if circuit.Quantum.Circuit.num_qubits > max_qubits then
     Error
       (Printf.sprintf "circuit is %d qubits wide (exact limit %d)"
-         circuit.Quantum.Circuit.num_qubits config.max_qubits)
-  else if circuit.Quantum.Circuit.num_clbits > config.max_clbits then
+         circuit.Quantum.Circuit.num_qubits max_qubits)
+  else if circuit.Quantum.Circuit.num_clbits > max_clbits then
     Error
       (Printf.sprintf "circuit has %d clbits (exact limit %d)"
-         circuit.Quantum.Circuit.num_clbits config.max_clbits)
+         circuit.Quantum.Circuit.num_clbits max_clbits)
   else begin
     let gates = circuit.Quantum.Circuit.gates in
     let n = Array.length gates in
@@ -51,22 +46,8 @@ let distribution ?(config = default) circuit =
         | Quantum.Gate.Measure (q, c) -> wiring := (q, c) :: !wiring
         | _ -> ()
       done;
-      (* Later measurements overwrite earlier ones on the same clbit;
-         [wiring] is in execution order, so a left fold gets that right. *)
-      let probs = Sim.State.probabilities st in
-      Array.iteri
-        (fun basis p ->
-          if p > prune then begin
-            let outcome =
-              List.fold_left
-                (fun acc (q, c) ->
-                  let acc = acc land lnot (1 lsl c) in
-                  if basis land (1 lsl q) <> 0 then acc lor (1 lsl c) else acc)
-                creg !wiring
-            in
-            dist.(outcome) <- dist.(outcome) +. (weight *. p)
-          end)
-        probs
+      Sim.Executor.read_off st ~creg !wiring (fun outcome p ->
+          dist.(outcome) <- dist.(outcome) +. (weight *. p))
     in
     let rec go st creg weight i =
       if weight <= prune then ()
@@ -105,11 +86,10 @@ let distribution ?(config = default) circuit =
       end
       else begin
         incr branches;
-        if !branches > config.max_branches then
+        if !branches > max_branches then
           raise
             (Budget
-               (Printf.sprintf "more than %d measurement branches"
-                  config.max_branches));
+               (Printf.sprintf "more than %d measurement branches" max_branches));
         let st1 = Sim.State.copy st in
         Sim.State.collapse st q 0;
         k st 0 (weight *. p0);
@@ -159,7 +139,7 @@ let marginalize dist shared =
   Array.iteri (fun i p -> out.(i land mask) <- out.(i land mask) +. p) dist;
   out
 
-let check ?(config = default) ~(original : Quantum.Circuit.t)
+let check ~(original : Quantum.Circuit.t)
     ~(transformed : Quantum.Circuit.t) () =
   let shared =
     min original.Quantum.Circuit.num_clbits transformed.Quantum.Circuit.num_clbits
@@ -169,7 +149,7 @@ let check ?(config = default) ~(original : Quantum.Circuit.t)
   else begin
     let original = compact_scratch_clbits ~keep:shared original in
     let transformed = compact_scratch_clbits ~keep:shared transformed in
-    match (distribution ~config original, distribution ~config transformed) with
+    match (distribution original, distribution transformed) with
     | Error why, _ -> Verdict.inconclusivef "original: %s" why
     | _, Error why -> Verdict.inconclusivef "transformed: %s" why
     | Ok d_o, Ok d_t ->
@@ -186,7 +166,7 @@ let check ?(config = default) ~(original : Quantum.Circuit.t)
             worst := i
           end)
         d_o;
-      if !l1 <= config.tolerance then Verdict.Equivalent
+      if !l1 <= tolerance then Verdict.Equivalent
       else
         Verdict.Inequivalent
           {

@@ -14,20 +14,16 @@
     conditional resets; those are marginalized out). This is exactly the
     §3.1 claim being validated: reuse preserves the program's outcome
     distribution, including the qubit relabeling induced by the pairs —
-    relabeling never shows up in clbit space. *)
+    relabeling never shows up in clbit space.
 
-type config = {
-  max_qubits : int;  (** refuse circuits wider than this after compaction (default 12) *)
-  max_clbits : int;  (** bound on the outcome-space exponent (default 20) *)
-  max_branches : int;  (** measurement-branch budget before giving up (default 16384) *)
-  tolerance : float;  (** L1 slack for float accumulation (default 1e-6) *)
-}
+    The budgets are fixed: at most 12 qubits after compaction, 20 clbits
+    and 16384 measurement branches per side. The distributions must agree
+    to an L1 distance of 1e-6 (float accumulation slack). *)
 
-(** [check ?config ~original ~transformed ()] compares exact
-    distributions on the shared clbits. [Inconclusive] when either side
-    exceeds the budgets. *)
+(** [check ~original ~transformed ()] compares exact distributions on
+    the shared clbits. [Inconclusive] when either side exceeds the
+    budgets. *)
 val check :
-  ?config:config ->
   original:Quantum.Circuit.t ->
   transformed:Quantum.Circuit.t ->
   unit ->

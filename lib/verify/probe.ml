@@ -1,13 +1,9 @@
-type config = {
-  probes : int;
-  shots : int;
-  tolerance : float;
-  max_qubits : int;
-  product_inputs : int list;
-}
+type config = { probes : int; product_inputs : int list }
 
-let default =
-  { probes = 4; shots = 512; tolerance = 0.; max_qubits = 22; product_inputs = [] }
+let default = { probes = 4; product_inputs = [] }
+let shots = 512
+let tolerance = 5. /. sqrt (float_of_int shots)
+let max_qubits = 22
 
 let prepend prefix (c : Quantum.Circuit.t) =
   if prefix = [] then c
@@ -37,7 +33,7 @@ let statistics counts shared =
 (* A side with only trailing measurements has a shot-independent
    distribution, so one exact pass beats sampling (and removes the
    sampling noise from that side of the comparison). *)
-let counts_of ~seed ~shots circuit =
+let counts_of ~seed circuit =
   if Sim.Executor.only_final_measurements circuit then
     Sim.Executor.distribution ~seed circuit
   else Sim.Executor.run ~seed ~shots circuit
@@ -68,17 +64,13 @@ let check ?(config = default) ~seed ~(original : Quantum.Circuit.t)
   in
   if shared = 0 then
     Verdict.Inconclusive "no classical output to compare (0 shared clbits)"
-  else if width original > config.max_qubits then
+  else if width original > max_qubits then
     Verdict.inconclusivef "original is %d qubits wide (probe limit %d)"
-      (width original) config.max_qubits
-  else if width transformed > config.max_qubits then
+      (width original) max_qubits
+  else if width transformed > max_qubits then
     Verdict.inconclusivef "transformed is %d qubits wide (probe limit %d)"
-      (width transformed) config.max_qubits
+      (width transformed) max_qubits
   else begin
-    let tol =
-      if config.tolerance > 0. then config.tolerance
-      else 5. /. sqrt (float_of_int config.shots)
-    in
     let verdict = ref Verdict.Equivalent in
     let probe = ref 0 in
     while Verdict.is_equivalent !verdict && !probe < config.probes do
@@ -91,18 +83,13 @@ let check ?(config = default) ~seed ~(original : Quantum.Circuit.t)
             (Random.State.make [| seed; i; 0x9e37 |])
             config.product_inputs
       in
-      let co =
-        counts_of ~seed:probe_seed ~shots:config.shots (prepend prefix original)
-      in
-      let ct =
-        counts_of ~seed:(probe_seed + 1) ~shots:config.shots
-          (prepend prefix transformed)
-      in
+      let co = counts_of ~seed:probe_seed (prepend prefix original) in
+      let ct = counts_of ~seed:(probe_seed + 1) (prepend prefix transformed) in
       let mo, xo = statistics co shared in
       let mt, xt = statistics ct shared in
       for b = 0 to shared - 1 do
         let diff = Float.abs (mo.(b) -. mt.(b)) in
-        if diff > tol && Verdict.is_equivalent !verdict then
+        if diff > tolerance && Verdict.is_equivalent !verdict then
           verdict :=
             Verdict.Inequivalent
               {
@@ -112,13 +99,13 @@ let check ?(config = default) ~seed ~(original : Quantum.Circuit.t)
                 detail =
                   Printf.sprintf
                     "probe %d: P(clbit %d = 1) differs by %.3f (tolerance %.3f)"
-                    i b diff tol;
+                    i b diff tolerance;
               }
       done;
       for b = 0 to shared - 1 do
         for b' = b + 1 to shared - 1 do
           let diff = Float.abs (xo.(b).(b') -. xt.(b).(b')) in
-          if diff > tol && Verdict.is_equivalent !verdict then
+          if diff > tolerance && Verdict.is_equivalent !verdict then
             verdict :=
               Verdict.Inequivalent
                 {
@@ -129,7 +116,7 @@ let check ?(config = default) ~seed ~(original : Quantum.Circuit.t)
                     Printf.sprintf
                       "probe %d: P(clbit %d <> clbit %d) differs by %.3f \
                        (tolerance %.3f)"
-                      i b b' diff tol;
+                      i b b' diff tolerance;
                 }
         done
       done;

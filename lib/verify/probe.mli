@@ -15,19 +15,22 @@
     in |0>, so probing it would test a statement the transform never
     claimed).
 
+    A sampled side takes 512 shots per probe, and every statistic must
+    agree to within [5 / sqrt 512] (about 0.22).
+
     Sound but incomplete: [Inequivalent] means a statistic diverged by
     more than the tolerance, [Equivalent] means every probe agreed. *)
 
 type config = {
   probes : int;  (** number of probe rounds (default 4) *)
-  shots : int;  (** shots per sampled side per probe (default 512) *)
-  tolerance : float;
-      (** statistic tolerance; [0.] picks [5/sqrt shots] (default 0.) *)
-  max_qubits : int;  (** refuse wider sides after compaction (default 22) *)
-  product_inputs : int list;  (** qubits eligible for input perturbation *)
+  product_inputs : int list;
+      (** qubits eligible for input perturbation (default none) *)
 }
 
 val default : config
+
+(** Sides wider than this after compaction are [Inconclusive] (22). *)
+val max_qubits : int
 
 (** [check ?config ~seed ~original ~transformed ()]. The same [seed]
     always yields the same verdict. *)

@@ -88,9 +88,8 @@ let run ?(seed = 1) level subject =
       let w = max (width original) (width transformed) in
       let config =
         {
-          Probe.default with
           Probe.probes = (if w > 16 then 1 else Probe.default.Probe.probes);
-          Probe.product_inputs =
+          product_inputs =
             (if product && w <= 16 then probe_inputs subject else []);
         }
       in
@@ -116,7 +115,7 @@ let run ?(seed = 1) level subject =
        transformed pair; combine keeps the Inconclusive from above so the
        verdict never overclaims. *)
     if
-      width subject.original > Probe.default.Probe.max_qubits
+      width subject.original > Probe.max_qubits
       && subject.logical != subject.original
     then
       comparisons :=

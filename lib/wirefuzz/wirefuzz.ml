@@ -195,11 +195,13 @@ let follow_up ~addr ~timeout_s =
   | exception Unix.Unix_error (e, _, _) ->
     Error ("connect/io: " ^ Unix.error_message e)
 
+(* Every liveness check gives up after this many seconds. *)
+let follow_up_timeout_s = 30.
+
 (* [run ~seed ~cases ~addr ()] attacks a live daemon at [addr].
    [stall_s] must exceed the daemon's connection deadline for the
-   slow-loris cell to provoke (and count) a request.timeout; the
-   follow-up timeout bounds every liveness check. *)
-let run ?(stall_s = 0.6) ?(follow_up_timeout_s = 30.) ~seed ~cases ~addr () =
+   slow-loris cell to provoke (and count) a request.timeout. *)
+let run ?(stall_s = 0.6) ~seed ~cases ~addr () =
   let framing = Serve.Transport.framing_of_addr addr in
   let master = Exec.Prng.make seed in
   (* Prime: first call computes (cache miss), second replays the hit —

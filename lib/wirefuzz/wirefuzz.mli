@@ -41,17 +41,16 @@ type summary = {
   failures : failure list;  (** empty = the daemon kept all three promises *)
 }
 
-(** [run ?stall_s ?follow_up_timeout_s ~seed ~cases ~addr ()] attacks a
-    daemon already listening on [addr]. [stall_s] (default 0.6) is how
-    long the slow-loris holds a partial frame — set it past the
-    daemon's [conn_timeout_ms] so the stall is answered with a
-    structured timeout, which [timeouts_seen] counts.
-    [follow_up_timeout_s] (default 30) bounds every liveness check.
+(** [run ?stall_s ~seed ~cases ~addr ()] attacks a daemon already
+    listening on [addr]. [stall_s] (default 0.6) is how long the
+    slow-loris holds a partial frame — set it past the daemon's
+    [conn_timeout_ms] so the stall is answered with a structured
+    timeout, which [timeouts_seen] counts. Every liveness check gives
+    up after 30 s.
     Raises [Failure] if the daemon is unreachable while priming the
     reference. *)
 val run :
   ?stall_s:float ->
-  ?follow_up_timeout_s:float ->
   seed:int ->
   cases:int ->
   addr:Serve.Transport.addr ->

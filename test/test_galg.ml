@@ -59,13 +59,6 @@ let test_edges_canonical () =
     [ (0, 2); (1, 2); (1, 3) ]
     (Galg.Graph.edges g)
 
-let test_copy_independent () =
-  let g = Galg.Graph.of_edges 3 [ (0, 1) ] in
-  let g' = Galg.Graph.copy g in
-  Galg.Graph.add_edge g' 1 2;
-  check int "original untouched" 1 (Galg.Graph.size g);
-  check int "copy grew" 2 (Galg.Graph.size g')
-
 let test_bfs_line () =
   let g = Galg.Graph.of_edges 4 [ (0, 1); (1, 2); (2, 3) ] in
   let d = Galg.Graph.bfs_dist g 0 in
@@ -90,26 +83,6 @@ let test_connectivity () =
     (Galg.Graph.is_connected (Galg.Graph.of_edges 3 [ (0, 1) ]));
   check bool "empty graph connected" true
     (Galg.Graph.is_connected (Galg.Graph.create 0))
-
-let test_density () =
-  let g = Galg.Graph.of_edges 4 [ (0, 1); (1, 2); (2, 3) ] in
-  check (Alcotest.float 1e-9) "density" 0.5 (Galg.Graph.density g)
-
-let test_contract () =
-  (* Star around 1; contracting 2 into 0 rewires 2's edge. *)
-  let g = Galg.Graph.of_edges 4 [ (1, 0); (1, 2); (1, 3) ] in
-  Galg.Graph.contract g 0 2;
-  check int "2 isolated" 0 (Galg.Graph.degree g 2);
-  check bool "0 keeps link to 1" true (Galg.Graph.has_edge g 0 1);
-  check int "no duplicate edge" 3 (Galg.Graph.degree g 1 + Galg.Graph.degree g 0)
-
-let test_contract_reduces_bv_star_degree () =
-  (* Paper Fig. 5: merging two leaves of the BV star lowers nothing, but
-     merging a leaf into another leaf keeps max degree; the star center
-     keeps its degree while leaves share wires. *)
-  let g = Galg.Graph.of_edges 5 [ (4, 0); (4, 1); (4, 2); (4, 3) ] in
-  Galg.Graph.contract g 0 1;
-  check int "center degree drops" 3 (Galg.Graph.degree g 4)
 
 (* ---- Coloring ---- *)
 
@@ -252,14 +225,10 @@ let () =
           Alcotest.test_case "remove edge" `Quick test_remove_edge;
           Alcotest.test_case "neighbors sorted" `Quick test_neighbors_sorted;
           Alcotest.test_case "edges canonical" `Quick test_edges_canonical;
-          Alcotest.test_case "copy independent" `Quick test_copy_independent;
           Alcotest.test_case "bfs line" `Quick test_bfs_line;
           Alcotest.test_case "bfs unreachable" `Quick test_bfs_unreachable;
           Alcotest.test_case "all pairs" `Quick test_all_pairs;
           Alcotest.test_case "connectivity" `Quick test_connectivity;
-          Alcotest.test_case "density" `Quick test_density;
-          Alcotest.test_case "contract" `Quick test_contract;
-          Alcotest.test_case "contract BV star" `Quick test_contract_reduces_bv_star_degree;
         ] );
       ( "coloring",
         [

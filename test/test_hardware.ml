@@ -80,7 +80,11 @@ let test_calibration_link_missing () =
 let test_ideal_calibration () =
   let g = Hardware.Topology.line 4 in
   let cal = Hardware.Calibration.ideal g in
-  check (Alcotest.float 0.) "zero error" 0. (Hardware.Calibration.mean_cx_error cal);
+  List.iter
+    (fun (u, v) ->
+      check (Alcotest.float 0.) "zero error" 0.
+        (Hardware.Calibration.link cal u v).Hardware.Calibration.cx_error)
+    (Galg.Graph.edges g);
   check (Alcotest.float 0.) "zero readout" 0.
     (Hardware.Calibration.qubit cal 0).Hardware.Calibration.readout_error
 

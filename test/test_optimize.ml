@@ -145,15 +145,6 @@ let test_optimizer_preserves_distribution () =
   let d1 = Sim.Executor.run ~seed:2 ~shots:2000 o in
   check bool "same distribution" true (Sim.Counts.tvd d0 d1 < 0.06)
 
-let test_removed_count () =
-  let c =
-    build (fun b ->
-        B.h b 0;
-        B.h b 0;
-        B.x b 1)
-  in
-  check int "removed" 2 (Quantum.Optimize.removed c)
-
 (* ---- Qasm parser ---- *)
 
 let roundtrip c =
@@ -263,7 +254,6 @@ let () =
           Alcotest.test_case "s sdg" `Quick test_s_sdg_cancels;
           Alcotest.test_case "dynamic blocks" `Quick test_dynamic_ops_block;
           Alcotest.test_case "distribution preserved" `Quick test_optimizer_preserves_distribution;
-          Alcotest.test_case "removed count" `Quick test_removed_count;
         ] );
       ( "qasm-parser",
         [

@@ -385,6 +385,49 @@ let prop_tvd_range =
       let t = Sim.Counts.tvd a b in
       t >= 0. && t <= 1. && Float.abs (t -. Sim.Counts.tvd b a) < 1e-12)
 
+(* A unitary prefix (as [circuit_gen]) followed by a block of final
+   measurements into at most three clbits, so that several measurements
+   usually write the same clbit. *)
+let arb_shared_measures =
+  QCheck.make
+    QCheck.Gen.(
+      triple circuit_gen (int_range 1 3)
+        (list_size (int_range 1 8) (pair (int_bound 100) (int_bound 100))))
+    ~print:(fun ((n, gs), k, ms) ->
+      Printf.sprintf "n=%d gates=%d clbits=%d measures=[%s]" n (List.length gs)
+        k
+        (String.concat ";"
+           (List.map
+              (fun (q, c) -> Printf.sprintf "%d->%d" (q mod n) (c mod k))
+              ms)))
+
+let prop_shared_clbit_last_write =
+  QCheck.Test.make
+    ~name:"sim: overwritten final measurements leave distribution unchanged"
+    ~count:100 arb_shared_measures (fun (((n, _) as spec), k, ms) ->
+      let ms = List.map (fun (q, c) -> (q mod n, c mod k)) ms in
+      let prefix =
+        Array.to_list
+          (Array.map
+             (fun g -> g.Quantum.Gate.kind)
+             (build_circuit spec).Quantum.Circuit.gates)
+      in
+      let build ms =
+        Quantum.Circuit.of_kinds ~num_qubits:n ~num_clbits:k
+          (prefix @ List.map (fun (q, c) -> Quantum.Gate.Measure (q, c)) ms)
+      in
+      (* Drop every measurement whose clbit a later one overwrites. *)
+      let rec last_writes = function
+        | [] -> []
+        | (q, c) :: rest ->
+          let rest = last_writes rest in
+          if List.exists (fun (_, c') -> c' = c) rest then rest
+          else (q, c) :: rest
+      in
+      Sim.Counts.equal
+        (Sim.Executor.distribution ~seed:1 (build ms))
+        (Sim.Executor.distribution ~seed:1 (build (last_writes ms))))
+
 (* ---- Reuse properties ---- *)
 
 let prop_predict_depth_exact =
@@ -746,7 +789,12 @@ let () =
           ] );
       ( "sim",
         List.map to_alcotest
-          [ prop_norm_preserved; prop_probabilities_sum; prop_tvd_range ] );
+          [
+            prop_norm_preserved;
+            prop_probabilities_sum;
+            prop_tvd_range;
+            prop_shared_clbit_last_write;
+          ] );
       ( "reuse",
         List.map to_alcotest
           [

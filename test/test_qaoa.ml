@@ -1,4 +1,4 @@
-(* Unit tests for max-cut, the QAOA ansatz, optimizers, and the driver. *)
+(* Unit tests for max-cut, the QAOA ansatz and the optimizer. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -84,12 +84,6 @@ let test_ansatz_beats_random_guess () =
 
 let sphere x = Array.fold_left (fun acc xi -> acc +. (xi *. xi)) 0. x
 
-let test_nelder_mead_sphere () =
-  let t =
-    Qaoa.Optimizer.nelder_mead ~max_evals:200 ~init:[| 2.; -1.5 |] ~step:0.5 sphere
-  in
-  check bool "near zero" true (t.Qaoa.Optimizer.best_value < 1e-3)
-
 let test_cobyla_sphere () =
   let t =
     Qaoa.Optimizer.cobyla_lite ~max_evals:200 ~init:[| 2.; -1.5 |] ~rho_start:0.5
@@ -115,34 +109,10 @@ let test_optimizer_respects_budget () =
     incr calls;
     sphere x
   in
-  ignore (Qaoa.Optimizer.nelder_mead ~max_evals:25 ~init:[| 1.; 2.; 3. |] ~step:0.3 f);
+  ignore
+    (Qaoa.Optimizer.cobyla_lite ~max_evals:25 ~init:[| 1.; 2.; 3. |]
+       ~rho_start:0.3 ~rho_end:1e-6 f);
   check bool "eval budget" true (!calls <= 30)
-
-(* ---- Driver ---- *)
-
-let test_driver_improves () =
-  let p = square () in
-  let evaluate c =
-    Qaoa.Maxcut.neg_expected_cut p (Sim.Executor.run ~seed:11 ~shots:800 c)
-  in
-  let run = Qaoa.Driver.optimize ~max_rounds:25 ~evaluate p in
-  (match run.Qaoa.Driver.rounds with
-   | first :: _ ->
-     check bool "improved" true
-       (run.Qaoa.Driver.best_energy <= first.Qaoa.Driver.energy)
-   | [] -> Alcotest.fail "no rounds");
-  check bool "sane energy" true
-    (run.Qaoa.Driver.best_energy >= -4. && run.Qaoa.Driver.best_energy < 0.)
-
-let test_driver_nelder_mead_variant () =
-  let p = triangle () in
-  let evaluate c =
-    Qaoa.Maxcut.neg_expected_cut p (Sim.Executor.run ~seed:12 ~shots:800 c)
-  in
-  let run =
-    Qaoa.Driver.optimize ~method_:Qaoa.Driver.Nelder_mead ~max_rounds:20 ~evaluate p
-  in
-  check bool "rounds recorded" true (List.length run.Qaoa.Driver.rounds >= 5)
 
 let () =
   Alcotest.run "qaoa"
@@ -164,14 +134,8 @@ let () =
         ] );
       ( "optimizer",
         [
-          Alcotest.test_case "nelder-mead sphere" `Quick test_nelder_mead_sphere;
           Alcotest.test_case "cobyla sphere" `Quick test_cobyla_sphere;
           Alcotest.test_case "history monotone" `Quick test_history_monotone;
           Alcotest.test_case "eval budget" `Quick test_optimizer_respects_budget;
-        ] );
-      ( "driver",
-        [
-          Alcotest.test_case "improves" `Quick test_driver_improves;
-          Alcotest.test_case "nelder-mead variant" `Quick test_driver_nelder_mead_variant;
         ] );
     ]

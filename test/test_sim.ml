@@ -234,6 +234,23 @@ let test_distribution_exact () =
   check bool "half-half" true
     (Float.abs (Sim.Counts.success_rate d 0 -. 0.5) < 0.01)
 
+let test_distribution_shared_clbit () =
+  (* Two final measurements write c[0]; the later one (q[0], always 0)
+     wins on every shot, and the exact distribution must agree. *)
+  let b = B.create ~num_qubits:2 ~num_clbits:1 in
+  B.x b 1;
+  B.measure b 1 0;
+  B.measure b 0 0;
+  let c = B.build b in
+  check bool "final measurements only" true
+    (Sim.Executor.only_final_measurements c);
+  check int "every shot reads 0" 64
+    (Sim.Counts.get (Sim.Executor.run ~seed:1 ~shots:64 c) 0);
+  let d = Sim.Executor.distribution ~seed:1 c in
+  check (Alcotest.list (Alcotest.pair int int)) "exact distribution reads 0"
+    [ (0, Sim.Counts.total d) ]
+    (Sim.Counts.to_list d)
+
 let test_executor_compacts_wide_circuits () =
   (* A 27-wire circuit using only wires 20 and 26 must simulate fine. *)
   let b = B.create ~num_qubits:27 ~num_clbits:2 in
@@ -438,6 +455,7 @@ let () =
           Alcotest.test_case "dynamic conditional" `Quick test_executor_dynamic_teleport_like;
           Alcotest.test_case "reset and reuse" `Quick test_executor_reset_reuse;
           Alcotest.test_case "exact distribution" `Quick test_distribution_exact;
+          Alcotest.test_case "shared clbit read-off" `Quick test_distribution_shared_clbit;
           Alcotest.test_case "wide circuit compaction" `Quick test_executor_compacts_wide_circuits;
         ] );
       ( "noise",

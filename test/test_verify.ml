@@ -61,6 +61,42 @@ let test_equiv_budget () =
   check bool "13 qubits exceed the exact budget" true
     (inconclusive (Verify.Equiv.check ~original:c ~transformed:c ()))
 
+let reason = function Verify.Inconclusive why -> why | _ -> "not inconclusive"
+
+(* [rounds] rounds of [h q[0]; measure q[0] -> c[i]]: every measurement
+   but the trailing one branches, so the branch count is 2^(rounds - 1). *)
+let coin_flips rounds =
+  let b = Quantum.Circuit.Builder.create ~num_qubits:1 ~num_clbits:rounds in
+  for i = 0 to rounds - 1 do
+    Quantum.Circuit.Builder.h b 0;
+    Quantum.Circuit.Builder.measure b 0 i
+  done;
+  Quantum.Circuit.Builder.build b
+
+let test_equiv_branch_budget () =
+  let c = coin_flips 15 in
+  check bool "15 rounds fit 16384 branches" true
+    (is_equivalent (Verify.Equiv.check ~original:c ~transformed:c ()));
+  let c = coin_flips 16 in
+  check Alcotest.string "16 rounds exceed the branch budget"
+    "original: more than 16384 measurement branches"
+    (reason (Verify.Equiv.check ~original:c ~transformed:c ()))
+
+let test_equiv_clbit_budget () =
+  let wide_creg k =
+    let b = Quantum.Circuit.Builder.create ~num_qubits:1 ~num_clbits:k in
+    Quantum.Circuit.Builder.x b 0;
+    Quantum.Circuit.Builder.measure b 0 (k - 1);
+    Quantum.Circuit.Builder.build b
+  in
+  let c = wide_creg 20 in
+  check bool "20 clbits fit" true
+    (is_equivalent (Verify.Equiv.check ~original:c ~transformed:c ()));
+  let c = wide_creg 21 in
+  check Alcotest.string "21 clbits exceed the clbit budget"
+    "original: circuit has 21 clbits (exact limit 20)"
+    (reason (Verify.Equiv.check ~original:c ~transformed:c ()))
+
 let test_equiv_elides_swaps () =
   (* A routed artifact is wider than its logical source only through
      SWAP traffic; elision must bring it back under the exact budget. *)
@@ -88,6 +124,21 @@ let test_probe_detects_flip () =
   in
   check bool "probes reject the flipped bit" true
     (is_inequivalent (Verify.Probe.check ~seed:3 ~original:c ~transformed:broken ()))
+
+let test_probe_shared_clbit () =
+  (* Both sides have only final measurements, so both are read off
+     exactly; on the left the later write to c[0] (q[0], always 0) wins. *)
+  let b = Quantum.Circuit.Builder.create ~num_qubits:2 ~num_clbits:1 in
+  Quantum.Circuit.Builder.x b 1;
+  Quantum.Circuit.Builder.measure b 1 0;
+  Quantum.Circuit.Builder.measure b 0 0;
+  let original = Quantum.Circuit.Builder.build b in
+  let transformed =
+    Quantum.Circuit.of_kinds ~num_qubits:1 ~num_clbits:1
+      [ Quantum.Gate.Measure (0, 0) ]
+  in
+  check bool "later measurement wins" true
+    (is_equivalent (Verify.Probe.check ~seed:3 ~original ~transformed ()))
 
 (* ---------------------------------------------------------- structural *)
 
@@ -320,12 +371,15 @@ let () =
           Alcotest.test_case "accepts reuse" `Quick test_equiv_accepts_reuse;
           Alcotest.test_case "detects flip" `Quick test_equiv_detects_flip;
           Alcotest.test_case "budget" `Quick test_equiv_budget;
+          Alcotest.test_case "branch budget" `Quick test_equiv_branch_budget;
+          Alcotest.test_case "clbit budget" `Quick test_equiv_clbit_budget;
           Alcotest.test_case "elides swaps" `Quick test_equiv_elides_swaps;
         ] );
       ( "probe",
         [
           Alcotest.test_case "accepts reuse" `Quick test_probe_accepts_reuse;
           Alcotest.test_case "detects flip" `Quick test_probe_detects_flip;
+          Alcotest.test_case "shared clbit" `Quick test_probe_shared_clbit;
         ] );
       ( "structural",
         [
