@@ -760,7 +760,7 @@ let engines_exp () =
 (* The incremental sweep must reproduce the reference sweep exactly
    while doing a fraction of the analysis work.  The comparison runs
    both over every regular benchmark and writes BENCH_caqr.json (schema
-   caqr-bench/8) for CI to archive. Next to the timer ratio each row
+   caqr-bench/9) for CI to archive. Next to the timer ratio each row
    carries counted work, which repeats exactly from run to run: the
    analyses derived per sweep (fresh + incremental), the DFS nodes and
    the part of them credited instead of walked again at each found node
@@ -1000,6 +1000,47 @@ let root_analyze_words () =
   end;
   words
 
+(* The routing path's counted-work gate: minor words of compact plus
+   [Transpile.run] over the sweep rows of QAOA25-0.3 (the rows
+   [qs-min-depth] and [qs-best-fidelity] route), at most
+   [route_words_budget]. The rows are routed once before the count, so
+   it leaves out first-use set-up. *)
+let route_gate_benchmark = "QAOA25-0.3"
+let route_words_budget = 80_058.
+
+let route_words () =
+  let e = Benchmarks.Suite.find route_gate_benchmark in
+  let device =
+    Hardware.Device.heavy_hex_for e.Benchmarks.Suite.circuit.Quantum.Circuit.num_qubits
+  in
+  let circuits =
+    List.map (fun (s : Caqr.Engine.step) -> s.circuit)
+      (Caqr.Pipeline.steps (Benchmarks.Suite.input e))
+  in
+  let route_all () =
+    List.fold_left
+      (fun gates c ->
+        let r = Transpiler.Transpile.run device (fst (Quantum.Circuit.compact_qubits c)) in
+        gates + Quantum.Circuit.gate_count r.Transpiler.Transpile.physical)
+      0 circuits
+  in
+  ignore (route_all ());
+  let words0 = Gc.minor_words () in
+  let gates = route_all () in
+  let words = Gc.minor_words () -. words0 in
+  let per_gate = words /. float_of_int (max 1 gates) in
+  if words <= route_words_budget then
+    Printf.printf
+      "=> %s routing (%d rows, %d physical gates): %.0f minor words, %.1f per gate (budget %.0f)\n"
+      route_gate_benchmark (List.length circuits) gates words per_gate route_words_budget
+  else begin
+    incr structural_violations;
+    Printf.printf
+      "!! PERF VIOLATION: %s routing allocates %.0f minor words (budget %.0f)\n%!"
+      route_gate_benchmark words route_words_budget
+  end;
+  (words, per_gate)
+
 let perf () =
   section "perf" "incremental vs reference sweep (BENCH_caqr.json)";
   let ratio num den = num /. Float.max 1e-9 den in
@@ -1060,12 +1101,13 @@ let perf () =
      Printf.printf "!! PERF VIOLATION: no %s sweep measured\n%!"
        qs_gate_benchmark);
   let root_words = root_analyze_words () in
+  let route_words, route_per_gate = route_words () in
   let all_identical = List.for_all (fun (_, _, _, id, _, _) -> id) rows in
   Printf.printf "=> engines agree on every sweep: %b\n" all_identical;
   if not all_identical then incr structural_violations;
   let commute = commute_report () in
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"caqr-bench/8\",\"suite\":[";
+  Buffer.add_string b "{\"schema\":\"caqr-bench/9\",\"suite\":[";
   List.iteri
     (fun i (e, inc, fresh, identical, work, speedup) ->
       if i > 0 then Buffer.add_char b ',';
@@ -1085,6 +1127,11 @@ let perf () =
     (Printf.sprintf
        "],\"headline\":{\"largest_benchmark\":%S,\"analyze_work_ratio\":%.3f,\"wall_speedup\":%.3f,\"minor_words_ratio\":%.3f}"
        le.Benchmarks.Suite.name lwork lspeed lwords);
+  (* caqr-bench/9: the routing path's minor words and their gate. *)
+  Buffer.add_string b
+    (Printf.sprintf
+       ",\"route_words_budget\":{\"benchmark\":%S,\"minor_words\":%.0f,\"words_per_gate\":%.1f,\"budget\":%.0f}"
+       route_gate_benchmark route_words route_per_gate route_words_budget);
   (* caqr-bench/8: suite rows carry [resumed_nodes] where they carried
      the memo tree's [cache_hits]/[cache_misses].
      caqr-bench/7: one root analysis's minor words and their gate. *)

@@ -31,18 +31,23 @@ let empty ~num_qubits ~num_clbits =
   if num_qubits < 0 || num_clbits < 0 then invalid_arg "Circuit.empty";
   { num_qubits; num_clbits; gates = [||] }
 
-let of_kinds ~num_qubits ~num_clbits kinds =
-  List.iter (check_kind ~num_qubits ~num_clbits) kinds;
+(* Numbers the first [len] kinds 0.. without checking them: every caller
+   has checked each kind once already. *)
+let number ~num_qubits ~num_clbits kinds len =
   let gates =
-    Array.of_list (List.mapi (fun id kind -> { Gate.id; kind }) kinds)
+    if len = 0 then [||] else Array.make len { Gate.id = 0; kind = kinds.(0) }
   in
+  for id = 1 to len - 1 do
+    gates.(id) <- { Gate.id; kind = kinds.(id) }
+  done;
   { num_qubits; num_clbits; gates }
 
 let of_kind_array ~num_qubits ~num_clbits kinds =
   Array.iter (check_kind ~num_qubits ~num_clbits) kinds;
-  { num_qubits;
-    num_clbits;
-    gates = Array.mapi (fun id kind -> { Gate.id; kind }) kinds }
+  number ~num_qubits ~num_clbits kinds (Array.length kinds)
+
+let of_kinds ~num_qubits ~num_clbits kinds =
+  of_kind_array ~num_qubits ~num_clbits (Array.of_list kinds)
 
 let gate_count c = Array.length c.gates
 
@@ -139,29 +144,41 @@ let interaction_graph c =
     c.gates;
   g
 
-let of_gate_kinds ~num_qubits ~num_clbits kinds =
-  of_kinds ~num_qubits ~num_clbits kinds
-
 let map_qubits ~num_qubits f c =
-  of_gate_kinds ~num_qubits ~num_clbits:c.num_clbits
-    (Array.to_list (Array.map (fun g -> Gate.map_qubits f g.Gate.kind) c.gates))
+  of_kind_array ~num_qubits ~num_clbits:c.num_clbits
+    (Array.map (fun g -> Gate.map_qubits f g.Gate.kind) c.gates)
 
+(* The renamed kinds need no range check: every used wire maps below the
+   compacted width. A gate no wire of which moves keeps its record. *)
 let compact_qubits c =
   let used = Array.make c.num_qubits false in
-  Array.iter
-    (fun g -> List.iter (fun q -> used.(q) <- true) (Gate.qubits g.Gate.kind))
-    c.gates;
+  for i = 0 to Array.length c.gates - 1 do
+    match c.gates.(i).Gate.kind with
+    | Gate.One_q (_, q) | Gate.Reset q | Gate.Measure (q, _) | Gate.If_x (_, q)
+      ->
+      used.(q) <- true
+    | Gate.Cx (a, b) | Gate.Cz (a, b) | Gate.Rzz (_, a, b) | Gate.Swap (a, b) ->
+      used.(a) <- true;
+      used.(b) <- true
+    | Gate.Barrier qs -> List.iter (fun q -> used.(q) <- true) qs
+  done;
   let remap = Array.make c.num_qubits (-1) in
   let next = ref 0 in
-  Array.iteri
-    (fun q u ->
-      if u then begin
-        remap.(q) <- !next;
-        incr next
-      end)
-    used;
-  let c' = map_qubits ~num_qubits:!next (fun q -> remap.(q)) c in
-  (c', remap)
+  for q = 0 to c.num_qubits - 1 do
+    if used.(q) then begin
+      remap.(q) <- !next;
+      incr next
+    end
+  done;
+  let rename q = remap.(q) in
+  let gates =
+    Array.map
+      (fun g ->
+        let kind = Gate.map_qubits rename g.Gate.kind in
+        if kind == g.Gate.kind then g else { g with Gate.kind })
+      c.gates
+  in
+  ({ c with num_qubits = !next; gates }, remap)
 
 let measure_all c =
   let nc = max c.num_clbits c.num_qubits in
@@ -169,7 +186,7 @@ let measure_all c =
     Array.to_list (Array.map (fun g -> g.Gate.kind) c.gates)
     @ List.map (fun q -> Gate.Measure (q, q)) (active_qubits c)
   in
-  of_gate_kinds ~num_qubits:c.num_qubits ~num_clbits:nc kinds
+  of_kinds ~num_qubits:c.num_qubits ~num_clbits:nc kinds
 
 (* ---- content digest ----
 
@@ -224,14 +241,22 @@ module Builder = struct
   type nonrec t = {
     num_qubits : int;
     num_clbits : int;
-    mutable rev_kinds : Gate.kind list;
+    mutable kinds : Gate.kind array;
+    mutable len : int;
   }
 
-  let create ~num_qubits ~num_clbits = { num_qubits; num_clbits; rev_kinds = [] }
+  let create ~num_qubits ~num_clbits =
+    { num_qubits; num_clbits; kinds = [||]; len = 0 }
 
   let add b kind =
     check_kind ~num_qubits:b.num_qubits ~num_clbits:b.num_clbits kind;
-    b.rev_kinds <- kind :: b.rev_kinds
+    if b.len = Array.length b.kinds then begin
+      let bigger = Array.make (max 16 (2 * b.len)) kind in
+      Array.blit b.kinds 0 bigger 0 b.len;
+      b.kinds <- bigger
+    end;
+    b.kinds.(b.len) <- kind;
+    b.len <- b.len + 1
 
   let h b q = add b (Gate.One_q (Gate.H, q))
   let x b q = add b (Gate.One_q (Gate.X, q))
@@ -248,6 +273,5 @@ module Builder = struct
   let barrier b qs = add b (Gate.Barrier qs)
 
   let build b : circuit =
-    of_gate_kinds ~num_qubits:b.num_qubits ~num_clbits:b.num_clbits
-      (List.rev b.rev_kinds)
+    number ~num_qubits:b.num_qubits ~num_clbits:b.num_clbits b.kinds b.len
 end

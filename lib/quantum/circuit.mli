@@ -84,11 +84,15 @@ val measure_all : t -> t
     circuit-identity third of its cache key. *)
 val digest : t -> string
 
+(** Gate-by-gate construction into a growable kind array. *)
 module Builder : sig
   type circuit := t
   type t
 
   val create : num_qubits:int -> num_clbits:int -> t
+
+  (** Appends a gate. Raises [Invalid_argument], adding nothing, if an
+      operand is out of range. *)
   val add : t -> Gate.kind -> unit
   val h : t -> int -> unit
   val x : t -> int -> unit
@@ -103,5 +107,9 @@ module Builder : sig
   val reset : t -> int -> unit
   val if_x : t -> int -> int -> unit
   val barrier : t -> int list -> unit
+
+  (** The gates added so far, numbered 0.. in order; equal to
+      {!of_kinds} of the added kinds. Each gate was checked by [add], so
+      none is checked again. *)
   val build : t -> circuit
 end

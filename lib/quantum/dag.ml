@@ -13,10 +13,10 @@ type t = {
 
 (* Predecessors are appended gate by gate into one growing buffer (a
    gate's dependences all point at earlier gates, so gate [i]'s slice is
-   complete once [i] is read), deduplicated within the slice. Successor
-   slices are filled from the last gate down, so each lists its
-   successors latest first: the router and SR-CaQR visit successors in
-   that order. *)
+   complete once [i] is read), deduplicated within the slice: qubit wires
+   first, in operand order, then classical bits. Successor slices are
+   filled from the last gate down, so each lists its successors latest
+   first: the router and SR-CaQR visit successors in that order. *)
 let build (c : Circuit.t) =
   let n = Array.length c.gates in
   let last_q = Array.make (max 1 c.num_qubits) (-1) in
@@ -40,24 +40,29 @@ let build (c : Circuit.t) =
       end
     end
   in
-  Array.iter
-    (fun g ->
-      let i = g.Gate.id in
-      let k = g.Gate.kind in
-      pred_start.(i) <- !len;
-      (* A barrier orders every wire it spans like any gate; callers
-         that weight nodes give it zero cost. *)
-      List.iter
-        (fun q ->
-          add_dep last_q.(q) i;
-          last_q.(q) <- i)
-        (Gate.qubits k);
-      List.iter
-        (fun cb ->
-          add_dep last_c.(cb) i;
-          last_c.(cb) <- i)
-        (Gate.clbits k))
-    c.gates;
+  let on_qubit q i =
+    add_dep last_q.(q) i;
+    last_q.(q) <- i
+  in
+  let on_clbit cb i =
+    add_dep last_c.(cb) i;
+    last_c.(cb) <- i
+  in
+  for i = 0 to n - 1 do
+    pred_start.(i) <- !len;
+    (* A barrier orders every wire it spans like any gate; callers
+       that weight nodes give it zero cost. *)
+    match c.gates.(i).Gate.kind with
+    | Gate.One_q (_, q) | Gate.Reset q -> on_qubit q i
+    | Gate.Cx (a, b) | Gate.Cz (a, b) | Gate.Rzz (_, a, b) | Gate.Swap (a, b) ->
+      on_qubit a i;
+      on_qubit b i
+    | Gate.Measure (q, cb) | Gate.If_x (cb, q) ->
+      on_qubit q i;
+      on_clbit cb i
+    | Gate.Barrier qs ->
+      List.iter (fun q -> on_qubit q i) qs
+  done;
   pred_start.(n) <- !len;
   let pred_ids = Array.sub !buf 0 !len in
   let succ_start = Array.make (n + 1) 0 in

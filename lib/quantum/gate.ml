@@ -49,15 +49,35 @@ let is_barrier = function
   | One_q _ | Cx _ | Cz _ | Rzz _ | Swap _ | Measure _ | Reset _ | If_x _ ->
     false
 
-let map_qubits f = function
-  | One_q (g, q) -> One_q (g, f q)
-  | Cx (a, b) -> Cx (f a, f b)
-  | Cz (a, b) -> Cz (f a, f b)
-  | Rzz (th, a, b) -> Rzz (th, f a, f b)
-  | Swap (a, b) -> Swap (f a, f b)
-  | Measure (q, c) -> Measure (f q, c)
-  | Reset q -> Reset (f q)
-  | If_x (c, q) -> If_x (c, f q)
+(* A kind whose operands all map to themselves is returned as is, so a
+   rename that moves nothing (most of a compaction, say) allocates
+   nothing. *)
+let map_qubits f k =
+  match k with
+  | One_q (g, q) ->
+    let q' = f q in
+    if q' = q then k else One_q (g, q')
+  | Cx (a, b) ->
+    let a' = f a and b' = f b in
+    if a' = a && b' = b then k else Cx (a', b')
+  | Cz (a, b) ->
+    let a' = f a and b' = f b in
+    if a' = a && b' = b then k else Cz (a', b')
+  | Rzz (th, a, b) ->
+    let a' = f a and b' = f b in
+    if a' = a && b' = b then k else Rzz (th, a', b')
+  | Swap (a, b) ->
+    let a' = f a and b' = f b in
+    if a' = a && b' = b then k else Swap (a', b')
+  | Measure (q, c) ->
+    let q' = f q in
+    if q' = q then k else Measure (q', c)
+  | Reset q ->
+    let q' = f q in
+    if q' = q then k else Reset q'
+  | If_x (c, q) ->
+    let q' = f q in
+    if q' = q then k else If_x (c, q')
   | Barrier qs ->
     (* A barrier's wire list is a set: a non-injective rename (e.g. the
        reuse transform rewiring dst onto src) must not leave duplicates

@@ -48,7 +48,9 @@ val is_dynamic : kind -> bool
 
 val is_barrier : kind -> bool
 
-(** [map_qubits f kind] renames qubit operands. *)
+(** [map_qubits f kind] renames qubit operands. A kind none of whose
+    operands moves is returned itself, unallocated (a barrier excepted:
+    its renamed wire list is always rebuilt, sorted and deduplicated). *)
 val map_qubits : (int -> int) -> kind -> kind
 
 val pp : Format.formatter -> t -> unit

@@ -45,79 +45,92 @@ let is_trivial = function
     trivial_angle th
   | _ -> false
 
-let peephole_once (c : Circuit.t) =
-  let n = Array.length c.Circuit.gates in
-  let kept : Gate.kind option array =
-    Array.map (fun g -> Some g.Gate.kind) c.Circuit.gates
-  in
-  (* Per-wire top-of-stack gate index, with per-gate saved predecessors so
-     a cancellation can restore the previous top. -2 marks a dynamic/
-     barrier block (no cancellation across it). *)
-  let top = Array.make (max 1 c.Circuit.num_qubits) (-1) in
-  let prevs = Array.make n [] in
+(* The wires of a cancellable gate (one-qubit or two-qubit unitaries);
+   [wire_b] is [-1] for a one-qubit gate. A fused kind keeps its wires. *)
+let wire_a = function
+  | Gate.One_q (_, q) -> q
+  | Gate.Cx (a, _) | Gate.Cz (a, _) | Gate.Rzz (_, a, _) | Gate.Swap (a, _) -> a
+  | Gate.Measure _ | Gate.Reset _ | Gate.If_x _ | Gate.Barrier _ -> -1
+
+let wire_b = function
+  | Gate.Cx (_, b) | Gate.Cz (_, b) | Gate.Rzz (_, _, b) | Gate.Swap (_, b) -> b
+  | Gate.One_q _ | Gate.Measure _ | Gate.Reset _ | Gate.If_x _ | Gate.Barrier _
+    ->
+    -1
+
+(* One pass over the live gates of [kinds]. [top.(q)] is wire [q]'s
+   top-of-stack gate index (-1 none, -2 a dynamic/barrier block: no
+   cancellation across it); [prev_a]/[prev_b] save the tops a gate's
+   push replaced, so a cancellation can restore them. A fusion rewrites
+   the surviving gate's kind in place. Returns whether anything changed;
+   allocates only fused kinds. *)
+let peephole_pass kinds alive top prev_a prev_b =
+  Array.fill top 0 (Array.length top) (-1);
   let changed = ref false in
-  for i = 0 to n - 1 do
-    match kept.(i) with
-    | None -> ()
-    | Some kind ->
-      let qs = Gate.qubits kind in
-      if Gate.is_barrier kind || Gate.is_dynamic kind then
-        List.iter (fun q -> top.(q) <- -2) qs
-      else begin
+  let drop i =
+    Bytes.set alive i '\000';
+    changed := true
+  in
+  let cancel_with j i =
+    (* Drop both gates and restore j's saved predecessors. *)
+    drop j;
+    drop i;
+    top.(wire_a kinds.(j)) <- prev_a.(j);
+    let b = wire_b kinds.(j) in
+    if b >= 0 then top.(b) <- prev_b.(j)
+  in
+  for i = 0 to Array.length kinds - 1 do
+    if Bytes.get alive i <> '\000' then
+      match kinds.(i) with
+      | Gate.Measure (q, _) | Gate.Reset q | Gate.If_x (_, q) -> top.(q) <- -2
+      | Gate.Barrier qs -> List.iter (fun q -> top.(q) <- -2) qs
+      | kind ->
+        let a = wire_a kind and b = wire_b kind in
         (* The candidate predecessor must be the top on every wire. *)
         let j =
-          match qs with
-          | [] -> -1
-          | q :: rest ->
-            let t = top.(q) in
-            if t >= 0 && List.for_all (fun q' -> top.(q') = t) rest then t
-            else -1
+          let t = top.(a) in
+          if t >= 0 && (b < 0 || top.(b) = t) then t else -1
         in
-        let cancel_with j =
-          (* Drop both gates and restore j's saved predecessors. *)
-          kept.(j) <- None;
-          kept.(i) <- None;
-          changed := true;
-          List.iter (fun (q, p) -> top.(q) <- p) prevs.(j)
-        in
-        let push () =
-          prevs.(i) <- List.map (fun q -> (q, top.(q))) qs;
-          List.iter (fun q -> top.(q) <- i) qs
-        in
-        let predecessor_kind j =
-          match kept.(j) with Some k -> k | None -> assert false
-        in
-        if j >= 0 && inverse_pair (predecessor_kind j) kind then cancel_with j
-        else if j >= 0 then begin
-          match fuse (predecessor_kind j) kind with
+        if j >= 0 && inverse_pair kinds.(j) kind then cancel_with j i
+        else
+          match if j >= 0 then fuse kinds.(j) kind else None with
+          | Some fused when is_trivial fused -> cancel_with j i
           | Some fused ->
-            changed := true;
-            if is_trivial fused then cancel_with j
-            else begin
-              kept.(j) <- Some fused;
-              kept.(i) <- None
-            end
-          | None -> if is_trivial kind then begin
-              kept.(i) <- None;
-              changed := true
-            end
-            else push ()
-        end
-        else if is_trivial kind then begin
-          kept.(i) <- None;
-          changed := true
-        end
-        else push ()
-      end
+            kinds.(j) <- fused;
+            drop i
+          | None when is_trivial kind -> drop i
+          | None ->
+            (* Push: save the tops this gate covers. *)
+            prev_a.(i) <- top.(a);
+            if b >= 0 then prev_b.(i) <- top.(b);
+            top.(a) <- i;
+            if b >= 0 then top.(b) <- i
   done;
-  let kinds = List.filter_map Fun.id (Array.to_list kept) in
-  ( Circuit.of_kinds ~num_qubits:c.Circuit.num_qubits
-      ~num_clbits:c.Circuit.num_clbits kinds,
-    !changed )
+  !changed
 
-let rec peephole c =
-  let c', changed = peephole_once c in
-  if changed then peephole c' else c'
+(* The passes run over one kind array with an alive byte per gate until
+   one changes nothing; the circuit is built once, from the live kinds. *)
+let peephole (c : Circuit.t) =
+  let n = Array.length c.Circuit.gates in
+  let kinds = Array.map (fun g -> g.Gate.kind) c.Circuit.gates in
+  let alive = Bytes.make n '\001' in
+  let top = Array.make (max 1 c.Circuit.num_qubits) (-1) in
+  let prev_a = Array.make n (-1) and prev_b = Array.make n (-1) in
+  if not (peephole_pass kinds alive top prev_a prev_b) then c
+  else begin
+    while peephole_pass kinds alive top prev_a prev_b do
+      ()
+    done;
+    let live = ref 0 in
+    for i = 0 to n - 1 do
+      if Bytes.get alive i <> '\000' then begin
+        kinds.(!live) <- kinds.(i);
+        incr live
+      end
+    done;
+    Circuit.of_kind_array ~num_qubits:c.Circuit.num_qubits
+      ~num_clbits:c.Circuit.num_clbits (Array.sub kinds 0 !live)
+  end
 
 (* loc.(w) is where wire w's state lives once SWAPs are dropped. After
    Swap (a, b) the original wire a holds what b held, so the elided

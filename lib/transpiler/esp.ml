@@ -1,38 +1,60 @@
+(* Survival factors multiply in gate order, one [for] loop each with an
+   unboxed accumulator. *)
 let gate_factor device (c : Quantum.Circuit.t) =
-  Array.fold_left
-    (fun acc g ->
-      match g.Quantum.Gate.kind with
-      | Quantum.Gate.One_q (_, q) | Quantum.Gate.If_x (_, q) ->
-        let cal =
-          Hardware.Calibration.qubit device.Hardware.Device.calibration q
-        in
-        acc *. (1. -. cal.Hardware.Calibration.one_q_error)
-      | Quantum.Gate.Cx (a, b) | Quantum.Gate.Cz (a, b) | Quantum.Gate.Rzz (_, a, b)
-        ->
-        acc *. (1. -. Float.min 0.5 (Hardware.Device.cx_error device a b))
-      | Quantum.Gate.Swap (a, b) ->
-        let e = Float.min 0.5 (Hardware.Device.cx_error device a b) in
-        acc *. ((1. -. e) ** 3.)
-      | Quantum.Gate.Measure (q, _) | Quantum.Gate.Reset q ->
-        acc *. (1. -. Hardware.Device.readout_error device q)
-      | Quantum.Gate.Barrier _ -> acc)
-    1. c.Quantum.Circuit.gates
+  let calibration = device.Hardware.Device.calibration in
+  let acc = ref 1. in
+  for i = 0 to Array.length c.gates - 1 do
+    match c.gates.(i).Quantum.Gate.kind with
+    | Quantum.Gate.One_q (_, q) | Quantum.Gate.If_x (_, q) ->
+      let cal = Hardware.Calibration.qubit calibration q in
+      acc := !acc *. (1. -. cal.Hardware.Calibration.one_q_error)
+    | Quantum.Gate.Cx (a, b) | Quantum.Gate.Cz (a, b) | Quantum.Gate.Rzz (_, a, b)
+      ->
+      acc := !acc *. (1. -. Float.min 0.5 (Hardware.Device.cx_error device a b))
+    | Quantum.Gate.Swap (a, b) ->
+      let e = Float.min 0.5 (Hardware.Device.cx_error device a b) in
+      acc := !acc *. ((1. -. e) ** 3.)
+    | Quantum.Gate.Measure (q, _) | Quantum.Gate.Reset q ->
+      acc := !acc *. (1. -. Hardware.Device.readout_error device q)
+    | Quantum.Gate.Barrier _ -> ()
+  done;
+  !acc
 
 let decoherence_factor device (c : Quantum.Circuit.t) =
   (* Per-wire busy spans under the device-aware ASAP schedule; each active
      qubit damps over the total circuit duration (a qubit idles exposed
      even after its gates finish until it is measured or the circuit
      ends — conservative but monotone in duration, which is what version
-     ranking needs). *)
+     ranking needs). Active qubits (touched by a non-barrier gate) damp
+     in ascending order. *)
   let duration = float_of_int (Transpile.physical_duration device c) in
-  List.fold_left
-    (fun acc q ->
-      let cal = Hardware.Calibration.qubit device.Hardware.Device.calibration q in
+  let active = Bytes.make c.num_qubits '\000' in
+  for i = 0 to Array.length c.gates - 1 do
+    match c.gates.(i).Quantum.Gate.kind with
+    | Quantum.Gate.One_q (_, q)
+    | Quantum.Gate.Reset q
+    | Quantum.Gate.Measure (q, _)
+    | Quantum.Gate.If_x (_, q) ->
+      Bytes.set active q '\001'
+    | Quantum.Gate.Cx (a, b)
+    | Quantum.Gate.Cz (a, b)
+    | Quantum.Gate.Rzz (_, a, b)
+    | Quantum.Gate.Swap (a, b) ->
+      Bytes.set active a '\001';
+      Bytes.set active b '\001'
+    | Quantum.Gate.Barrier _ -> ()
+  done;
+  let calibration = device.Hardware.Device.calibration in
+  let acc = ref 1. in
+  for q = 0 to c.num_qubits - 1 do
+    if Bytes.get active q <> '\000' then begin
+      let cal = Hardware.Calibration.qubit calibration q in
       let t1 = cal.Hardware.Calibration.t1_dt in
       let t2 = cal.Hardware.Calibration.t2_dt in
-      if t1 = infinity then acc
-      else acc *. exp (-.duration /. t1) *. exp (-.duration /. t2))
-    1.
-    (Quantum.Circuit.active_qubits c)
+      if t1 <> infinity then
+        acc := !acc *. exp (-.duration /. t1) *. exp (-.duration /. t2)
+    end
+  done;
+  !acc
 
 let of_circuit device c = gate_factor device c *. decoherence_factor device c

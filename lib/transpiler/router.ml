@@ -24,18 +24,28 @@ let route device layout (circuit : Quantum.Circuit.t) =
   let nl = circuit.num_qubits in
   (* Logical endpoints of each two-qubit gate; -1 for the other gates. *)
   let qa = Array.make n (-1) and qb = Array.make n (-1) in
-  Array.iteri
-    (fun i g ->
-      let k = g.Quantum.Gate.kind in
-      if Quantum.Gate.is_two_q k then
-        match Quantum.Gate.qubits k with
-        | [ a; b ] ->
-          qa.(i) <- a;
-          qb.(i) <- b
-        | _ -> ())
-    circuit.gates;
+  for i = 0 to n - 1 do
+    match circuit.gates.(i).Quantum.Gate.kind with
+    | Quantum.Gate.Cx (a, b)
+    | Quantum.Gate.Cz (a, b)
+    | Quantum.Gate.Rzz (_, a, b)
+    | Quantum.Gate.Swap (a, b) ->
+      qa.(i) <- a;
+      qb.(i) <- b
+    | _ -> ()
+  done;
   let indeg = Array.init n (Quantum.Dag.in_degree adj) in
-  let frontier = ref (List.filter (fun i -> indeg.(i) = 0) (List.init n Fun.id)) in
+  (* The frontier is a stack of dependence-free gates, [frontier.(0 ..
+     !n_frontier - 1)], visited from the top down; a completed gate
+     pushes the successors it frees. Each gate is pushed once. *)
+  let frontier = Array.make (max 1 n) 0 and n_frontier = ref 0 in
+  let push i =
+    frontier.(!n_frontier) <- i;
+    incr n_frontier
+  in
+  for i = n - 1 downto 0 do
+    if indeg.(i) = 0 then push i
+  done;
   let out =
     Quantum.Circuit.Builder.create
       ~num_qubits:(Hardware.Device.num_qubits device)
@@ -46,13 +56,14 @@ let route device layout (circuit : Quantum.Circuit.t) =
     for e = adj.succ_start.(i) to adj.succ_start.(i + 1) - 1 do
       let j = adj.succ_ids.(e) in
       indeg.(j) <- indeg.(j) - 1;
-      if indeg.(j) = 0 then frontier := j :: !frontier
+      if indeg.(j) = 0 then push j
     done
   in
   let executable i = qa.(i) < 0 || dist.(l2p.(qa.(i))).(l2p.(qb.(i))) = 1 in
+  let phys q = l2p.(q) in
   let emit i =
-    let k = Quantum.Gate.map_qubits (fun q -> l2p.(q)) circuit.gates.(i).Quantum.Gate.kind in
-    Quantum.Circuit.Builder.add out k;
+    Quantum.Circuit.Builder.add out
+      (Quantum.Gate.map_qubits phys circuit.gates.(i).Quantum.Gate.kind);
     complete i
   in
   (* The pairs a candidate SWAP is scored on: the blocked front pairs and
@@ -69,19 +80,22 @@ let route device layout (circuit : Quantum.Circuit.t) =
   let inc_other = Array.make inc_cap 0 and inc_next = Array.make inc_cap 0 in
   let inc_front = Array.make inc_cap false in
   let n_inc = ref 0 in
-  let seen = Array.make n (-1) and bfs = Queue.create () in
+  (* The walk's queue: the frontier plus at most every DAG edge once per
+     walk, as each node is expanded once. *)
+  let seen = Array.make n (-1) in
+  let queue = Array.make (max 1 (n + Array.length adj.succ_ids)) 0 in
   let collections = ref 0 in
+  let add_inc l other front =
+    let e = !n_inc in
+    inc_other.(e) <- other;
+    inc_front.(e) <- front;
+    inc_next.(e) <- inc_head.(l);
+    inc_head.(l) <- e;
+    n_inc := e + 1
+  in
   let link a b front =
-    let add l other =
-      let e = !n_inc in
-      inc_other.(e) <- other;
-      inc_front.(e) <- front;
-      inc_next.(e) <- inc_head.(l);
-      inc_head.(l) <- e;
-      n_inc := e + 1
-    in
-    add a b;
-    add b a
+    add_inc a b front;
+    add_inc b a front
   in
   let collect () =
     for k = 0 to !n_front - 1 do
@@ -94,23 +108,27 @@ let route device layout (circuit : Quantum.Circuit.t) =
     done;
     n_inc := 0;
     n_front := 0;
-    List.iter
-      (fun i ->
-        if qa.(i) >= 0 then begin
-          front_a.(!n_front) <- qa.(i);
-          front_b.(!n_front) <- qb.(i);
-          incr n_front;
-          link qa.(i) qb.(i) true
-        end)
-      !frontier;
+    for f = !n_frontier - 1 downto 0 do
+      let i = frontier.(f) in
+      if qa.(i) >= 0 then begin
+        front_a.(!n_front) <- qa.(i);
+        front_b.(!n_front) <- qb.(i);
+        incr n_front;
+        link qa.(i) qb.(i) true
+      end
+    done;
     (* Nodes are marked seen when popped, as a node reached along two
        paths is queued twice. *)
     incr collections;
     n_look := 0;
-    Queue.clear bfs;
-    List.iter (fun i -> Queue.add i bfs) !frontier;
-    while (not (Queue.is_empty bfs)) && !n_look < lookahead_window do
-      let i = Queue.pop bfs in
+    let head = ref 0 and tail = ref 0 in
+    for f = !n_frontier - 1 downto 0 do
+      queue.(!tail) <- frontier.(f);
+      incr tail
+    done;
+    while !head < !tail && !n_look < lookahead_window do
+      let i = queue.(!head) in
+      incr head;
       if seen.(i) <> !collections then begin
         seen.(i) <- !collections;
         if qa.(i) >= 0 then begin
@@ -120,7 +138,8 @@ let route device layout (circuit : Quantum.Circuit.t) =
           link qa.(i) qb.(i) false
         end;
         for e = adj.succ_start.(i) to adj.succ_start.(i + 1) - 1 do
-          Queue.add adj.succ_ids.(e) bfs
+          queue.(!tail) <- adj.succ_ids.(e);
+          incr tail
         done
       end
     done
@@ -153,18 +172,28 @@ let route device layout (circuit : Quantum.Circuit.t) =
       e := inc_next.(!e)
     done
   in
-  (* Stalled SWAPs, newest first: emitted once a gate routes, undone if
-     the release valve fires. *)
-  let pending = ref [] and stalled = ref 0 in
+  (* Stalled SWAPs, oldest first, as pairs [pend.(2k)], [pend.(2k + 1)]:
+     emitted once a gate routes, undone newest first if the release valve
+     fires. *)
+  let pend = ref (Array.make 64 0) and n_pend = ref 0 and stalled = ref 0 in
   let swap p1 p2 =
     Guard.Inject.hit "route.swap";
     Layout.apply_swap layout p1 p2;
-    pending := (p1, p2) :: !pending
+    if (2 * !n_pend) + 2 > Array.length !pend then begin
+      let bigger = Array.make (2 * Array.length !pend) 0 in
+      Array.blit !pend 0 bigger 0 (2 * !n_pend);
+      pend := bigger
+    end;
+    !pend.(2 * !n_pend) <- p1;
+    !pend.((2 * !n_pend) + 1) <- p2;
+    incr n_pend
   in
   let flush () =
-    List.iter (fun (p1, p2) -> Quantum.Circuit.Builder.swap out p1 p2) (List.rev !pending);
-    swaps := !swaps + List.length !pending;
-    pending := [];
+    for k = 0 to !n_pend - 1 do
+      Quantum.Circuit.Builder.swap out !pend.(2 * k) !pend.((2 * k) + 1)
+    done;
+    swaps := !swaps + !n_pend;
+    n_pend := 0;
     stalled := 0
   in
   let stall_limit = stall_factor * Hardware.Device.num_qubits device in
@@ -173,8 +202,10 @@ let route device layout (circuit : Quantum.Circuit.t) =
      blocked front pair together along a shortest path. *)
   let release () =
     incr valves;
-    List.iter (fun (p1, p2) -> Layout.apply_swap layout p1 p2) !pending;
-    pending := [];
+    for k = !n_pend - 1 downto 0 do
+      Layout.apply_swap layout !pend.(2 * k) !pend.((2 * k) + 1)
+    done;
+    n_pend := 0;
     stalled := 0;
     let pair_dist k = dist.(l2p.(front_a.(k))).(l2p.(front_b.(k))) in
     let closest = ref 0 in
@@ -185,9 +216,15 @@ let route device layout (circuit : Quantum.Circuit.t) =
     while dist.(l2p.(a)).(l2p.(b)) > 1 do
       let pa = l2p.(a) and pb = l2p.(b) in
       let closer = dist.(pa).(pb) - 1 in
-      match List.find_opt (fun p -> dist.(p).(pb) = closer) (Array.to_list nbrs.(pa)) with
-      | Some p -> swap pa p
-      | None -> invalid_arg "Router.route: front pair on disconnected qubits"
+      (* The first neighbour of [pa], in table order, one step closer. *)
+      let ns = nbrs.(pa) in
+      let j = ref 0 in
+      while !j < Array.length ns && dist.(ns.(!j)).(pb) <> closer do
+        incr j
+      done;
+      if !j = Array.length ns then
+        invalid_arg "Router.route: front pair on disconnected qubits";
+      swap pa ns.(!j)
     done
   in
   let last1 = ref (-1) and last2 = ref (-1) in
@@ -200,7 +237,8 @@ let route device layout (circuit : Quantum.Circuit.t) =
     Guard.Budget.ticker ~stage:"transpiler.router" ~site:"route.swap"
       ~limit:swap_budget ()
   in
-  while !frontier <> [] do
+  let ready = Array.make (max 1 n) 0 in
+  while !n_frontier > 0 do
     tick ();
     if not !progress then begin
       (* Blocked: every frontier gate is a non-adjacent two-qubit gate. *)
@@ -213,10 +251,12 @@ let route device layout (circuit : Quantum.Circuit.t) =
       if !stalled >= stall_limit then release ()
       else begin
         (* Candidates are the edges at each front pair's qubits, in
-           frontier order; the first strictly best score wins. *)
+           frontier order (a pair's first qubit, then its second); the
+           first strictly best score wins. *)
         let best1 = ref (-1) and best2 = ref (-1) and best_s = ref 0. in
         let best_front = ref 0 and best_look = ref 0 in
-        let consider l1 =
+        for c = 0 to (2 * !n_front) - 1 do
+          let l1 = if c land 1 = 0 then front_a.(c lsr 1) else front_b.(c lsr 1) in
           let p1 = l2p.(l1) in
           let ns = nbrs.(p1) in
           for j = 0 to Array.length ns - 1 do
@@ -244,10 +284,6 @@ let route device layout (circuit : Quantum.Circuit.t) =
               end
             end
           done
-        in
-        for k = 0 to !n_front - 1 do
-          consider front_a.(k);
-          consider front_b.(k)
         done;
         if !best1 >= 0 then begin
           swap !best1 !best2;
@@ -265,15 +301,35 @@ let route device layout (circuit : Quantum.Circuit.t) =
       end
     end;
     progress := false;
-    while List.exists executable !frontier do
-      let ready, blocked = List.partition executable !frontier in
-      progress := true;
-      dirty := true;
-      last1 := -1;
-      last2 := -1;
-      flush ();
-      frontier := blocked;
-      List.iter emit ready
+    (* Split the frontier in place: blocked gates stay on the stack in
+       order, ready ones go to [ready] bottom up and are emitted top
+       down. Repeat while a split finds a ready gate. *)
+    let split = ref true in
+    while !split do
+      let n_ready = ref 0 and n_blocked = ref 0 in
+      for f = 0 to !n_frontier - 1 do
+        let i = frontier.(f) in
+        if executable i then begin
+          ready.(!n_ready) <- i;
+          incr n_ready
+        end
+        else begin
+          frontier.(!n_blocked) <- i;
+          incr n_blocked
+        end
+      done;
+      if !n_ready = 0 then split := false
+      else begin
+        progress := true;
+        dirty := true;
+        last1 := -1;
+        last2 := -1;
+        flush ();
+        n_frontier := !n_blocked;
+        for r = !n_ready - 1 downto 0 do
+          emit ready.(r)
+        done
+      end
     done
   done;
   Obs.Metrics.incr ~by:!pair_scores "route.pair_scores";

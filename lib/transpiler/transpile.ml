@@ -12,16 +12,43 @@ type result = { physical : Quantum.Circuit.t; stats : stats }
 let physical_duration device c =
   Quantum.Circuit.schedule (Hardware.Device.gate_duration device) c
 
-let stats_of device physical =
+(* Active qubits (wires some non-barrier gate touches), SWAPs and
+   two-qubit unitaries in one pass; a SWAP is 3 CNOTs, so it counts 2
+   two-qubit gates on top of its own. *)
+let stats_of device (physical : Quantum.Circuit.t) =
+  let used = Bytes.make physical.num_qubits '\000' in
+  let qubits_used = ref 0 and swaps = ref 0 and two_q = ref 0 in
+  let use q =
+    if Bytes.get used q = '\000' then begin
+      Bytes.set used q '\001';
+      incr qubits_used
+    end
+  in
+  Array.iter
+    (fun (g : Quantum.Gate.t) ->
+      match g.kind with
+      | Quantum.Gate.One_q (_, q)
+      | Quantum.Gate.Reset q
+      | Quantum.Gate.Measure (q, _)
+      | Quantum.Gate.If_x (_, q) ->
+        use q
+      | Quantum.Gate.Cx (a, b) | Quantum.Gate.Cz (a, b) | Quantum.Gate.Rzz (_, a, b) ->
+        use a;
+        use b;
+        incr two_q
+      | Quantum.Gate.Swap (a, b) ->
+        use a;
+        use b;
+        incr swaps;
+        two_q := !two_q + 3
+      | Quantum.Gate.Barrier _ -> ())
+    physical.gates;
   {
-    qubits_used = List.length (Quantum.Circuit.active_qubits physical);
+    qubits_used = !qubits_used;
     depth = Quantum.Circuit.depth physical;
     duration_dt = physical_duration device physical;
-    swaps = Quantum.Circuit.swap_count physical;
-    two_q =
-      Quantum.Circuit.two_q_count physical
-      + (2 * Quantum.Circuit.swap_count physical);
-    (* a SWAP is 3 CNOTs: count the 2 extra *)
+    swaps = !swaps;
+    two_q = !two_q;
     gate_count = Quantum.Circuit.gate_count physical;
   }
 

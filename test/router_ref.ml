@@ -13,7 +13,7 @@ let lookahead_weight = 0.5
 
 let route device layout (circuit : Quantum.Circuit.t) =
   let layout = Layout.copy layout in
-  let dag = Quantum.Dag.build circuit in
+  let dag = Dag_ref.build circuit in
   let n = Quantum.Dag.num_nodes dag in
   let indeg = Array.init n (Quantum.Dag.in_degree dag) in
   let done_ = Array.make n false in

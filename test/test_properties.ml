@@ -341,6 +341,31 @@ let prop_compact_preserves_gates =
       let c', _ = Quantum.Circuit.compact_qubits c in
       Quantum.Circuit.gate_count c' = Quantum.Circuit.gate_count c)
 
+(* [Builder.build] equals [of_kinds] of the added kinds, ids included,
+   and a gate with an out-of-range qubit or clbit raises at [add],
+   leaving the builder as it was. *)
+let prop_builder_matches_of_kinds =
+  QCheck.Test.make ~name:"circuit: builder = of_kinds, range checked at add"
+    ~count:200 QCheck.(int_bound 1_000_000) (fun seed ->
+      let c = Fuzz.Gen.circuit Fuzz.Gen.default (Exec.Prng.make seed) in
+      let num_qubits = c.Quantum.Circuit.num_qubits in
+      let num_clbits = c.Quantum.Circuit.num_clbits in
+      let kinds = Array.to_list (Array.map (fun g -> g.Quantum.Gate.kind) c.gates) in
+      let b = Quantum.Circuit.Builder.create ~num_qubits ~num_clbits in
+      List.iter (Quantum.Circuit.Builder.add b) kinds;
+      let raises k =
+        match Quantum.Circuit.Builder.add b k with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      let bad_qubit = raises (Quantum.Gate.Cx (0, num_qubits)) in
+      let bad_clbit = raises (Quantum.Gate.Measure (0, num_clbits)) in
+      let built = Quantum.Circuit.Builder.build b in
+      let expected = Quantum.Circuit.of_kinds ~num_qubits ~num_clbits kinds in
+      bad_qubit && bad_clbit && built = expected
+      && Array.for_all2 (fun (g : Quantum.Gate.t) (h : Quantum.Gate.t) -> g.id = h.id)
+           built.gates expected.gates)
+
 (* ---- Simulator properties ---- *)
 
 let prop_norm_preserved =
@@ -786,6 +811,7 @@ let () =
             prop_dag_edges_forward;
             prop_reachability_matches_dfs;
             prop_compact_preserves_gates;
+            prop_builder_matches_of_kinds;
           ] );
       ( "sim",
         List.map to_alcotest

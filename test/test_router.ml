@@ -2,18 +2,24 @@
    same physical circuit, SWAP count and final layout wherever the
    reference finishes, on random dynamic circuits and on every circuit
    the compiler routes for Table 1 and the large corpus; and the release
-   valve that ends the reference's livelocks. *)
+   valve that ends the reference's livelocks. The passes around the
+   router (peephole, initial layout, DAG, stats, ESP) are checked
+   against frozen copies of the implementations they replaced. *)
 
 (* Routes [circuit] the way [Transpile.run] does (peephole, initial
-   layout) with both routers. The reference is [None] when it trips its
-   step budget; the router under test must always finish. *)
+   layout) twice: through the library, and through the frozen reference
+   peephole, layout and router, so a divergent pass shows. The reference
+   is [None] when it trips its step budget; the library must always
+   finish. *)
 let route_both device circuit =
-  let circuit = Quantum.Optimize.peephole circuit in
-  let layout = Transpiler.Layout.initial device circuit in
   let expected =
+    let circuit = Optimize_ref.peephole circuit in
+    let layout = Layout_ref.initial device circuit in
     try Some (Router_ref.route device layout circuit)
     with Guard.Error.Budget_exceeded _ -> None
   in
+  let circuit = Quantum.Optimize.peephole circuit in
+  let layout = Transpiler.Layout.initial device circuit in
   (expected, Transpiler.Router.route device layout circuit)
 
 let same (a : Transpiler.Router.result) (b : Transpiler.Router.result) =
@@ -22,11 +28,21 @@ let same (a : Transpiler.Router.result) (b : Transpiler.Router.result) =
   && a.final_layout.Transpiler.Layout.l2p = b.final_layout.Transpiler.Layout.l2p
   && a.final_layout.Transpiler.Layout.p2l = b.final_layout.Transpiler.Layout.p2l
 
+(* One-pass stats and loop ESP equal the multi-pass definitions, the ESP
+   bit for bit. *)
+let check_metrics what device physical =
+  Alcotest.(check bool) (what ^ ": stats") true
+    (Transpiler.Transpile.stats_of device physical = Stats_ref.stats_of device physical);
+  Alcotest.(check int64) (what ^ ": esp bits")
+    (Int64.bits_of_float (Stats_ref.of_circuit device physical))
+    (Int64.bits_of_float (Transpiler.Esp.of_circuit device physical))
+
 let check_same what device circuit =
   match route_both device circuit with
   | Some expected, got ->
     Alcotest.(check int) (what ^ ": swaps") expected.swaps_added got.swaps_added;
-    Alcotest.(check bool) (what ^ ": identical") true (same expected got)
+    Alcotest.(check bool) (what ^ ": identical") true (same expected got);
+    check_metrics what device got.physical
   | None, _ -> Alcotest.failf "%s: the reference router did not finish" what
 
 (* ---- Property: random dynamic circuits ---- *)
@@ -62,6 +78,53 @@ let prop_matches_reference =
       match route_both devices.(d) circuit with
       | Some expected, got -> same expected got
       | None, _ -> true)
+
+(* ---- Properties: each pass against its frozen reference ---- *)
+
+(* A fuzz circuit with each gate repeated with probability 1/2, so
+   inverse pairs cancel, rotations fuse, and cancellations uncover
+   earlier gates that cancel in turn. *)
+let stuttered config seed =
+  let rng = Exec.Prng.make seed in
+  let c = Fuzz.Gen.circuit config rng in
+  let kinds =
+    Array.fold_right
+      (fun (g : Quantum.Gate.t) acc ->
+        if Exec.Prng.int rng 2 = 0 then g.kind :: g.kind :: acc else g.kind :: acc)
+      c.gates []
+  in
+  Quantum.Circuit.of_kinds ~num_qubits:c.num_qubits ~num_clbits:c.num_clbits kinds
+
+let arb_circuit =
+  QCheck.make
+    ~print:(fun (seed, w, st) -> Printf.sprintf "seed=%d wide=%b stutter=%b" seed w st)
+    QCheck.Gen.(triple (int_bound 1_000_000) bool bool)
+
+let circuit_of (seed, w, st) =
+  let config = if w then wide else Fuzz.Gen.default in
+  if st then stuttered config seed else Fuzz.Gen.circuit config (Exec.Prng.make seed)
+
+let prop_peephole =
+  QCheck.Test.make ~name:"peephole = reference" ~count:500 arb_circuit (fun case ->
+      let c = circuit_of case in
+      (* The digest reads fused angles bit for bit. *)
+      String.equal
+        (Quantum.Circuit.digest (Optimize_ref.peephole c))
+        (Quantum.Circuit.digest (Quantum.Optimize.peephole c)))
+
+let prop_layout =
+  QCheck.Test.make ~name:"layout = reference" ~count:300
+    (QCheck.pair arb_circuit (QCheck.int_bound (Array.length devices - 1)))
+    (fun (case, d) ->
+      let c = circuit_of case in
+      let a = Layout_ref.initial devices.(d) c in
+      let b = Transpiler.Layout.initial devices.(d) c in
+      a.l2p = b.l2p && a.p2l = b.p2l)
+
+let prop_dag =
+  QCheck.Test.make ~name:"dag arrays = reference" ~count:300 arb_circuit (fun case ->
+      let c = circuit_of case in
+      Dag_ref.build c = Quantum.Dag.build c)
 
 (* ---- Fixed leg: everything Table 1 and the large corpus route ---- *)
 
@@ -131,6 +194,7 @@ let () =
   Alcotest.run "router"
     [
       ("reference", [ to_alcotest prop_matches_reference ]);
+      ("passes", List.map to_alcotest [ prop_peephole; prop_layout; prop_dag ]);
       ( "corpus",
         [
           Alcotest.test_case "table1 sweep steps" `Quick test_table1_sweeps;
