@@ -760,7 +760,7 @@ let engines_exp () =
 (* The incremental sweep must reproduce the reference sweep exactly
    while doing a fraction of the analysis work.  The comparison runs
    both over every regular benchmark and writes BENCH_caqr.json (schema
-   caqr-bench/9) for CI to archive. Next to the timer ratio each row
+   caqr-bench/10) for CI to archive. Next to the timer ratio each row
    carries counted work, which repeats exactly from run to run: the
    analyses derived per sweep (fresh + incremental), the DFS nodes and
    the part of them credited instead of walked again at each found node
@@ -1008,15 +1008,15 @@ let root_analyze_words () =
 let route_gate_benchmark = "QAOA25-0.3"
 let route_words_budget = 80_058.
 
-let route_words () =
+(* The device and sweep rows of [route_gate_benchmark]. *)
+let gate_rows () =
   let e = Benchmarks.Suite.find route_gate_benchmark in
-  let device =
-    Hardware.Device.heavy_hex_for e.Benchmarks.Suite.circuit.Quantum.Circuit.num_qubits
-  in
-  let circuits =
+  ( Hardware.Device.heavy_hex_for e.Benchmarks.Suite.circuit.Quantum.Circuit.num_qubits,
     List.map (fun (s : Caqr.Engine.step) -> s.circuit)
-      (Caqr.Pipeline.steps (Benchmarks.Suite.input e))
-  in
+      (Caqr.Pipeline.steps (Benchmarks.Suite.input e)) )
+
+let route_words () =
+  let device, circuits = gate_rows () in
   let route_all () =
     List.fold_left
       (fun gates c ->
@@ -1038,6 +1038,39 @@ let route_words () =
     Printf.printf
       "!! PERF VIOLATION: %s routing allocates %.0f minor words (budget %.0f)\n%!"
       route_gate_benchmark words route_words_budget
+  end;
+  (words, per_gate)
+
+(* The SR mapper's counted-work gate: minor words of [Sr_caqr.regular]
+   over the same sweep rows of QAOA25-0.3 (the commutable SR path maps a
+   few of them), at most [sr_words_budget], after one warm pass: 61,204
+   expected (14.5 per physical gate), 3,094,184 while each placement
+   scanned every gate for partners and each SWAP built lists, a hash
+   table and a queue. *)
+let sr_words_budget = 67_325.
+
+let sr_words () =
+  let device, circuits = gate_rows () in
+  let map_all () =
+    List.fold_left
+      (fun gates c ->
+        gates + Quantum.Circuit.gate_count (Caqr.Sr_caqr.regular device c).physical)
+      0 circuits
+  in
+  ignore (map_all ());
+  let words0 = Gc.minor_words () in
+  let gates = map_all () in
+  let words = Gc.minor_words () -. words0 in
+  let per_gate = words /. float_of_int (max 1 gates) in
+  if words <= sr_words_budget then
+    Printf.printf
+      "=> %s SR mapping (%d rows, %d physical gates): %.0f minor words, %.1f per gate (budget %.0f)\n"
+      route_gate_benchmark (List.length circuits) gates words per_gate sr_words_budget
+  else begin
+    incr structural_violations;
+    Printf.printf
+      "!! PERF VIOLATION: %s SR mapping allocates %.0f minor words (budget %.0f)\n%!"
+      route_gate_benchmark words sr_words_budget
   end;
   (words, per_gate)
 
@@ -1102,12 +1135,13 @@ let perf () =
        qs_gate_benchmark);
   let root_words = root_analyze_words () in
   let route_words, route_per_gate = route_words () in
+  let sr_words, sr_per_gate = sr_words () in
   let all_identical = List.for_all (fun (_, _, _, id, _, _) -> id) rows in
   Printf.printf "=> engines agree on every sweep: %b\n" all_identical;
   if not all_identical then incr structural_violations;
   let commute = commute_report () in
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"caqr-bench/9\",\"suite\":[";
+  Buffer.add_string b "{\"schema\":\"caqr-bench/10\",\"suite\":[";
   List.iteri
     (fun i (e, inc, fresh, identical, work, speedup) ->
       if i > 0 then Buffer.add_char b ',';
@@ -1127,6 +1161,11 @@ let perf () =
     (Printf.sprintf
        "],\"headline\":{\"largest_benchmark\":%S,\"analyze_work_ratio\":%.3f,\"wall_speedup\":%.3f,\"minor_words_ratio\":%.3f}"
        le.Benchmarks.Suite.name lwork lspeed lwords);
+  (* caqr-bench/10: the SR mapper's minor words and their gate. *)
+  Buffer.add_string b
+    (Printf.sprintf
+       ",\"sr_words_budget\":{\"benchmark\":%S,\"minor_words\":%.0f,\"words_per_gate\":%.1f,\"budget\":%.0f}"
+       route_gate_benchmark sr_words sr_per_gate sr_words_budget);
   (* caqr-bench/9: the routing path's minor words and their gate. *)
   Buffer.add_string b
     (Printf.sprintf

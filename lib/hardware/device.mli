@@ -39,6 +39,11 @@ val adjacent : t -> int -> int -> bool
 val distance : t -> int -> int -> int
 val neighbors : t -> int -> int list
 
+(** [link_index t u v] is the position of [v] in [nbrs.(u)], so the
+    link's data is [nbr_error.(u).(i)] and [nbr_duration.(u).(i)]; -1
+    when [u] and [v] are not adjacent. Allocates nothing. *)
+val link_index : t -> int -> int -> int
+
 (** CNOT duration in dt on a link (falls back to the default model when the
     qubits are not adjacent — callers route first). *)
 val cx_duration : t -> int -> int -> int

@@ -75,12 +75,19 @@ let mid_circuit_measurements c =
     c.gates;
   !n
 
+(* Matches on the kind, so no operand list is built per gate. *)
 let active_qubits c =
   let used = Array.make c.num_qubits false in
   Array.iter
     (fun g ->
-      if not (Gate.is_barrier g.Gate.kind) then
-        List.iter (fun q -> used.(q) <- true) (Gate.qubits g.Gate.kind))
+      match g.Gate.kind with
+      | Gate.One_q (_, q) | Gate.Reset q | Gate.Measure (q, _) | Gate.If_x (_, q)
+        ->
+        used.(q) <- true
+      | Gate.Cx (a, b) | Gate.Cz (a, b) | Gate.Rzz (_, a, b) | Gate.Swap (a, b) ->
+        used.(a) <- true;
+        used.(b) <- true
+      | Gate.Barrier _ -> ())
     c.gates;
   let acc = ref [] in
   for q = c.num_qubits - 1 downto 0 do

@@ -1,5 +1,14 @@
 (* Survival factors multiply in gate order, one [for] loop each with an
-   unboxed accumulator. *)
+   unboxed accumulator. A link's CNOT error (1 when the qubits are not
+   adjacent) is capped at 0.5; it is read from the device's link table
+   in place, as a float returned across a module boundary is boxed. *)
+let[@inline] capped_link_error device a b =
+  match Hardware.Device.link_index device a b with
+  | -1 -> 0.5
+  | k ->
+    let e = device.Hardware.Device.nbr_error.(a).(k) in
+    if e < 0.5 then e else 0.5
+
 let gate_factor device (c : Quantum.Circuit.t) =
   let calibration = device.Hardware.Device.calibration in
   let acc = ref 1. in
@@ -10,12 +19,12 @@ let gate_factor device (c : Quantum.Circuit.t) =
       acc := !acc *. (1. -. cal.Hardware.Calibration.one_q_error)
     | Quantum.Gate.Cx (a, b) | Quantum.Gate.Cz (a, b) | Quantum.Gate.Rzz (_, a, b)
       ->
-      acc := !acc *. (1. -. Float.min 0.5 (Hardware.Device.cx_error device a b))
+      acc := !acc *. (1. -. capped_link_error device a b)
     | Quantum.Gate.Swap (a, b) ->
-      let e = Float.min 0.5 (Hardware.Device.cx_error device a b) in
-      acc := !acc *. ((1. -. e) ** 3.)
+      acc := !acc *. ((1. -. capped_link_error device a b) ** 3.)
     | Quantum.Gate.Measure (q, _) | Quantum.Gate.Reset q ->
-      acc := !acc *. (1. -. Hardware.Device.readout_error device q)
+      let cal = Hardware.Calibration.qubit calibration q in
+      acc := !acc *. (1. -. cal.Hardware.Calibration.readout_error)
     | Quantum.Gate.Barrier _ -> ()
   done;
   !acc

@@ -3,8 +3,8 @@
    reference finishes, on random dynamic circuits and on every circuit
    the compiler routes for Table 1 and the large corpus; and the release
    valve that ends the reference's livelocks. The passes around the
-   router (peephole, initial layout, DAG, stats, ESP) are checked
-   against frozen copies of the implementations they replaced. *)
+   router (peephole, initial layout, DAG, stats, ESP, active qubits) are
+   checked against frozen copies of the implementations they replaced. *)
 
 (* Routes [circuit] the way [Transpile.run] does (peephole, initial
    layout) twice: through the library, and through the frozen reference
@@ -126,6 +126,33 @@ let prop_dag =
       let c = circuit_of case in
       Dag_ref.build c = Quantum.Dag.build c)
 
+(* ESP of a circuit that is not routed reads the capped error of
+   non-adjacent pairs, which no routed circuit has. *)
+let prop_esp_unrouted =
+  QCheck.Test.make ~name:"esp = reference on unrouted circuits" ~count:300
+    (QCheck.pair arb_circuit (QCheck.int_bound (Array.length devices - 1)))
+    (fun (case, d) ->
+      let c = circuit_of case in
+      Int64.equal
+        (Int64.bits_of_float (Stats_ref.of_circuit devices.(d) c))
+        (Int64.bits_of_float (Transpiler.Esp.of_circuit devices.(d) c)))
+
+(* The list-walking definition [Circuit.active_qubits] replaced: qubits
+   of every non-barrier gate's operand list. *)
+let active_qubits_ref (c : Quantum.Circuit.t) =
+  let used = Array.make c.num_qubits false in
+  Array.iter
+    (fun (g : Quantum.Gate.t) ->
+      if not (Quantum.Gate.is_barrier g.kind) then
+        List.iter (fun q -> used.(q) <- true) (Quantum.Gate.qubits g.kind))
+    c.gates;
+  List.filter (fun q -> used.(q)) (List.init c.num_qubits Fun.id)
+
+let prop_active_qubits =
+  QCheck.Test.make ~name:"active qubits = reference" ~count:300 arb_circuit (fun case ->
+      let c = circuit_of case in
+      active_qubits_ref c = Quantum.Circuit.active_qubits c)
+
 (* ---- Fixed leg: everything Table 1 and the large corpus route ---- *)
 
 let device_for (e : Benchmarks.Suite.entry) =
@@ -194,7 +221,7 @@ let () =
   Alcotest.run "router"
     [
       ("reference", [ to_alcotest prop_matches_reference ]);
-      ("passes", List.map to_alcotest [ prop_peephole; prop_layout; prop_dag ]);
+      ("passes", List.map to_alcotest [ prop_peephole; prop_layout; prop_dag; prop_esp_unrouted; prop_active_qubits ]);
       ( "corpus",
         [
           Alcotest.test_case "table1 sweep steps" `Quick test_table1_sweeps;

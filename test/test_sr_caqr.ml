@@ -99,6 +99,141 @@ let test_line_device_fallback () =
   let d = Sim.Executor.run ~seed:4 ~shots:48 r.Caqr.Sr_caqr.physical in
   check int "secret" 48 (Sim.Counts.get d (Benchmarks.Bv.expected_output 6))
 
+(* ---- The flat mapper against its list-based reference (Sr_ref) ---- *)
+
+(* What a compile shows: the physical circuit's QASM, SWAPs, width and
+   reuses, or the error it raised. *)
+let outcome f =
+  match f () with
+  | (physical, swaps, used, reuses) ->
+    Ok (Quantum.Qasm.to_string physical, swaps, used, reuses)
+  | exception e -> Error (Guard.Error.to_string (Guard.Error.of_exn ~stage:"test" e))
+
+let of_sr (r : Caqr.Sr_caqr.result) = (r.physical, r.swaps_added, r.qubits_used, r.reuses)
+let of_ref (r : Sr_ref.result) = (r.physical, r.swaps_added, r.qubits_used, r.reuses)
+let sr device c = outcome (fun () -> of_sr (Caqr.Sr_caqr.regular device c))
+let sr_ref device c = outcome (fun () -> of_ref (Sr_ref.regular device c))
+
+let check_same what expected got =
+  match (expected, got) with
+  | Ok (qasm, swaps, used, reuses), Ok (qasm', swaps', used', reuses') ->
+    check int (what ^ ": swaps") swaps swaps';
+    check int (what ^ ": qubits used") used used';
+    check int (what ^ ": reuses") reuses reuses';
+    check bool (what ^ ": physical circuit") true (String.equal qasm qasm')
+  | Error e, Error e' -> check Alcotest.string (what ^ ": error") e e'
+  | Ok _, Error e -> Alcotest.failf "%s: only the mapper raised: %s" what e
+  | Error e, Ok _ -> Alcotest.failf "%s: only the reference raised: %s" what e
+
+let devices =
+  [|
+    mumbai;
+    Hardware.Device.ideal (Hardware.Topology.line 16);
+    Hardware.Device.ideal (Hardware.Topology.grid ~rows:4 ~cols:4);
+    Hardware.Device.with_noise_scale 2. (Hardware.Device.heavy_hex_for 40);
+  |]
+
+(* Up to 12 qubits and 120 gates, with barriers, mid-circuit measurement,
+   resets and conditional X. *)
+let fuzz_config = { Fuzz.Gen.default with max_qubits = 12; max_gates = 120 }
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"sr = reference on Fuzz.Gen circuits" ~count:1000
+    (QCheck.make
+       ~print:(fun (seed, d) -> Printf.sprintf "seed=%d device=%d" seed d)
+       QCheck.Gen.(pair (int_bound 1_000_000) (int_bound (Array.length devices - 1))))
+    (fun (seed, d) ->
+      let c = Fuzz.Gen.circuit fuzz_config (Exec.Prng.make seed) in
+      sr_ref devices.(d) c = sr devices.(d) c)
+
+(* Barriers of one and two wires ahead of every other gate on them: the
+   mapper dispatches on the operand count, so a two-wire barrier takes
+   the two-qubit placement (the wire with more gates left first, the
+   other next to it). *)
+let test_barriers () =
+  let module B = Quantum.Circuit.Builder in
+  let build f =
+    let b = B.create ~num_qubits:6 ~num_clbits:6 in
+    f b;
+    B.build b
+  in
+  let cases =
+    [
+      ( "1-wire barrier",
+        build (fun b ->
+            B.barrier b [ 3 ];
+            B.h b 3;
+            B.cx b 3 0;
+            B.cx b 0 5;
+            B.measure b 3 3) );
+      ( "2-wire barrier",
+        build (fun b ->
+            B.barrier b [ 1; 4 ];
+            B.cx b 4 2;
+            B.cx b 1 2;
+            B.cx b 1 5;
+            B.measure b 1 1;
+            B.measure b 4 4) );
+      ( "2-wire barrier, uneven load",
+        build (fun b ->
+            B.barrier b [ 0; 5 ];
+            B.cx b 5 1;
+            B.cx b 5 2;
+            B.cx b 5 3;
+            B.cx b 0 4;
+            B.barrier b [ 2; 3 ];
+            B.measure b 5 5) );
+      ( "mixed barriers",
+        build (fun b ->
+            B.barrier b [ 2 ];
+            B.barrier b [ 0; 1 ];
+            B.barrier b [ 1; 3; 4 ];
+            B.cx b 0 3;
+            B.cx b 2 4;
+            B.barrier b [ 0; 4 ];
+            B.cx b 1 2) );
+    ]
+  in
+  Array.iteri
+    (fun d device ->
+      List.iter
+        (fun (what, c) ->
+          let what = Printf.sprintf "%s on device %d" what d in
+          check_same what (sr_ref device c) (sr device c))
+        cases)
+    devices
+
+let device_for (c : Quantum.Circuit.t) = Hardware.Device.heavy_hex_for c.num_qubits
+
+(* Every Table-1 input and sweep row, [commutable] on the QAOA graphs, and
+   two large circuits. *)
+let test_corpus () =
+  List.iter
+    (fun (e : Benchmarks.Suite.entry) ->
+      let device = device_for e.circuit in
+      (match e.kind with
+       | Regular -> check_same e.name (sr_ref device e.circuit) (sr device e.circuit)
+       | Commutable g ->
+         check_same (e.name ^ " commutable")
+           (outcome (fun () -> of_ref (Sr_ref.commutable device g)))
+           (outcome (fun () -> of_sr (Caqr.Sr_caqr.commutable device g))));
+      List.iteri
+        (fun i (s : Caqr.Engine.step) ->
+          check_same (Printf.sprintf "%s row %d" e.name i) (sr_ref device s.circuit)
+            (sr device s.circuit))
+        (Caqr.Pipeline.steps (Benchmarks.Suite.input e)))
+    (Benchmarks.Suite.table1 ());
+  List.iter
+    (fun name ->
+      let c = (Benchmarks.Suite.find name).circuit in
+      check_same name (sr_ref (device_for c) c) (sr (device_for c) c))
+    [ "cuccaro-64"; "qft-layered-100" ]
+
+let to_alcotest t =
+  let (QCheck2.Test.Test cell) = t in
+  let name = QCheck2.Test.get_name cell in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5a9; Hashtbl.hash name |]) t
+
 let () =
   Alcotest.run "sr_caqr"
     [
@@ -116,5 +251,11 @@ let () =
         [
           Alcotest.test_case "compiles" `Quick test_commutable_compiles;
           Alcotest.test_case "energy preserved" `Slow test_commutable_energy_preserved;
+        ] );
+      ( "reference",
+        [
+          to_alcotest prop_matches_reference;
+          Alcotest.test_case "1- and 2-wire barriers" `Quick test_barriers;
+          Alcotest.test_case "table1, sweep rows, large" `Quick test_corpus;
         ] );
     ]
