@@ -760,7 +760,7 @@ let engines_exp () =
 (* The incremental sweep must reproduce the reference sweep exactly
    while doing a fraction of the analysis work.  The comparison runs
    both over every regular benchmark and writes BENCH_caqr.json (schema
-   caqr-bench/10) for CI to archive. Next to the timer ratio each row
+   caqr-bench/11) for CI to archive. Next to the timer ratio each row
    carries counted work, which repeats exactly from run to run: the
    analyses derived per sweep (fresh + incremental), the DFS nodes and
    the part of them credited instead of walked again at each found node
@@ -972,9 +972,61 @@ let commute_report () =
   rows
 
 (* The QS search's counted-work gate: minor words per incremental
-   [Qs_caqr.sweep] of Multiply_13, at most [qs_words_budget]. *)
+   [Qs_caqr.sweep] of Multiply_13, at most [qs_words_budget], 10% over
+   the 35,535 it allocates on one in-place analysis cursor per search
+   (233,804 when every DFS child copied its parent's analysis). *)
 let qs_gate_benchmark = "Multiply_13"
-let qs_words_budget = 830_000.
+let qs_words_budget = 39_089.
+
+(* The static verifier's counted-work gate: minor words of one
+   [Verify.run Static] on Multiply_13's [qs-max-reuse] artifact, at most
+   [verify_words_budget], 10% over the 1,861 it allocates, after
+   one warm run (76,927 while [check_pairs] rebuilt a [Quantum.Dag],
+   list successor arrays and a set-based Kahn per pair, and the
+   single-circuit checks built operand lists per gate). *)
+let verify_words_budget = 2_048.
+
+let verify_words () =
+  let c = (Benchmarks.Suite.find qs_gate_benchmark).Benchmarks.Suite.circuit in
+  let device = Hardware.Device.heavy_hex_for c.Quantum.Circuit.num_qubits in
+  let artifact = Caqr.Qs_caqr.max_reuse_anytime c in
+  let report =
+    Caqr.Pipeline.compile device Caqr.Pipeline.Qs_max_reuse
+      (Caqr.Pipeline.Regular c)
+  in
+  let subject =
+    {
+      Verify.original = c;
+      logical = report.Caqr.Pipeline.logical;
+      physical = report.Caqr.Pipeline.physical;
+      device;
+      pairs =
+        Option.map
+          (List.map (fun (p : Caqr.Reuse.pair) ->
+               { Verify.Structural.src = p.Caqr.Reuse.src; dst = p.Caqr.Reuse.dst }))
+          artifact.Caqr.Engine.pairs;
+      commutable = None;
+    }
+  in
+  ignore (Verify.run Verify.Static subject);
+  let words0 = Gc.minor_words () in
+  let verdict = Verify.run Verify.Static subject in
+  let words = Gc.minor_words () -. words0 in
+  if not (Verify.Verdict.is_equivalent verdict) then begin
+    incr structural_violations;
+    Printf.printf "!! VIOLATION: %s qs-max-reuse artifact fails static verification\n%!"
+      qs_gate_benchmark
+  end;
+  if words <= verify_words_budget then
+    Printf.printf "=> %s static verification: %.0f minor words (budget %.0f)\n"
+      qs_gate_benchmark words verify_words_budget
+  else begin
+    incr structural_violations;
+    Printf.printf
+      "!! PERF VIOLATION: %s static verification allocates %.0f minor words (budget %.0f)\n%!"
+      qs_gate_benchmark words verify_words_budget
+  end;
+  words
 
 (* The root analysis's counted-work gate: minor words of one
    [Reuse.analyze] of cuccaro-256, at most [root_words_budget]. The
@@ -1133,6 +1185,17 @@ let perf () =
      incr structural_violations;
      Printf.printf "!! PERF VIOLATION: no %s sweep measured\n%!"
        qs_gate_benchmark);
+  let qs_words =
+    match
+      List.find_opt
+        (fun ((e : Benchmarks.Suite.entry), _, _, _, _, _) ->
+          e.Benchmarks.Suite.name = qs_gate_benchmark)
+        rows
+    with
+    | Some (_, inc, _, _, _, _) -> inc.er_minor_words
+    | None -> nan
+  in
+  let verify_words = verify_words () in
   let root_words = root_analyze_words () in
   let route_words, route_per_gate = route_words () in
   let sr_words, sr_per_gate = sr_words () in
@@ -1141,7 +1204,7 @@ let perf () =
   if not all_identical then incr structural_violations;
   let commute = commute_report () in
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"caqr-bench/10\",\"suite\":[";
+  Buffer.add_string b "{\"schema\":\"caqr-bench/11\",\"suite\":[";
   List.iteri
     (fun i (e, inc, fresh, identical, work, speedup) ->
       if i > 0 then Buffer.add_char b ',';
@@ -1161,6 +1224,11 @@ let perf () =
     (Printf.sprintf
        "],\"headline\":{\"largest_benchmark\":%S,\"analyze_work_ratio\":%.3f,\"wall_speedup\":%.3f,\"minor_words_ratio\":%.3f}"
        le.Benchmarks.Suite.name lwork lspeed lwords);
+  (* caqr-bench/11: the static verifier's minor words and their gate. *)
+  Buffer.add_string b
+    (Printf.sprintf
+       ",\"verify_words_budget\":{\"benchmark\":%S,\"minor_words\":%.0f,\"budget\":%.0f}"
+       qs_gate_benchmark verify_words verify_words_budget);
   (* caqr-bench/10: the SR mapper's minor words and their gate. *)
   Buffer.add_string b
     (Printf.sprintf
@@ -1178,10 +1246,12 @@ let perf () =
     (Printf.sprintf
        ",\"root_analyze\":{\"benchmark\":%S,\"minor_words\":%.0f,\"budget\":%.0f}"
        root_gate_benchmark root_words root_words_budget);
-  (* caqr-bench/6: the QS search's minor-words gate. *)
+  (* caqr-bench/6: the QS search's minor-words gate; caqr-bench/11:
+     [minor_words] is the sweep's, next to the [budget]. *)
   Buffer.add_string b
-    (Printf.sprintf ",\"qs_words_budget\":{\"benchmark\":%S,\"minor_words\":%.0f}"
-       qs_gate_benchmark qs_words_budget);
+    (Printf.sprintf
+       ",\"qs_words_budget\":{\"benchmark\":%S,\"minor_words\":%.0f,\"budget\":%.0f}"
+       qs_gate_benchmark qs_words qs_words_budget);
   (* caqr-bench/5: the commutable sweep kernel per QAOA graph. *)
   Buffer.add_string b ",\"commute\":[";
   List.iteri

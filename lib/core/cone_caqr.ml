@@ -15,8 +15,9 @@
 
    "Recycling wire h for qubit p" is precisely a CaQR reuse pair
    (src = h, dst = p): validity is delegated to [Reuse.valid] (the
-   paper's Conditions 1-2 on the *current*, incrementally-updated
-   analysis), so the heuristic can never commit an unsound splice. Among
+   paper's Conditions 1-2 on the *current* node of the analysis cursor,
+   which each committed pair links in place), so the heuristic can never
+   commit an unsound splice. Among
    the valid free wires the one with the smallest predicted depth wins,
    ties to the lowest wire id — the whole run is a pure function of the
    input circuit. *)
@@ -27,14 +28,14 @@ let cone_of analysis active q =
 let run c =
   Obs.Metrics.incr "cone.runs";
   Obs.Metrics.time "time.cone" @@ fun () ->
-  let a0 = Reuse.analyze c in
-  let active = Reuse.active_qubits a0 in
+  let analysis = Reuse.analyze c in
+  let active = Reuse.active_qubits analysis in
   let k = c.Quantum.Circuit.num_qubits in
   (* Cones are a property of the *input* dependence structure; computing
      them once up front keeps the measurement order stable while the
      walk rewrites the circuit underneath. *)
   let cones = Array.make (max 1 k) [] in
-  List.iter (fun q -> cones.(q) <- cone_of a0 active q) active;
+  List.iter (fun q -> cones.(q) <- cone_of analysis active q) active;
   let order =
     List.sort
       (fun a b -> compare (List.length cones.(a), a) (List.length cones.(b), b))
@@ -45,7 +46,6 @@ let run c =
      claim recycled wires first. *)
   let rank = Array.make (max 1 k) max_int in
   List.iteri (fun i q -> rank.(q) <- i) order;
-  let analysis = ref a0 in
   let allocated = Array.make (max 1 k) false in
   let host = Array.init (max 1 k) Fun.id in
   let free = ref [] (* retired wires, oldest retiree first *) in
@@ -59,9 +59,9 @@ let run c =
         List.fold_left
           (fun best h ->
             let pr = { Reuse.src = h; dst = p } in
-            if not (Reuse.valid !analysis pr) then best
+            if not (Reuse.valid analysis pr) then best
             else
-              let key = (Reuse.predict_depth !analysis pr, h) in
+              let key = (Reuse.predict_depth analysis pr, h) in
               match best with
               | Some (k0, _) when k0 <= key -> best
               | _ -> Some (key, h))
@@ -71,14 +71,14 @@ let run c =
       | Some (_, h) ->
         free := List.filter (fun x -> x <> h) !free;
         let pr = { Reuse.src = h; dst = p } in
-        analysis := Reuse.apply_incremental !analysis pr;
+        Reuse.link analysis pr;
         pairs := pr :: !pairs;
         host.(p) <- h;
         Obs.Metrics.incr "cone.reuses"
       | None -> host.(p) <- p
     end
   in
-  (* Commit-so-far: every pair in [pairs] was applied to [analysis]
+  (* Commit-so-far: every pair in [pairs] was linked into [analysis]
      before the next budget poll, so a wall-clock trip mid-walk leaves a
      consistent (circuit, pairs) prefix — returned as an [Anytime]
      partial result instead of thrown away. *)
@@ -107,5 +107,6 @@ let run c =
           frontier_left = unallocated;
         }
   in
-  Engine.of_pairs ~quality ~width:(Reuse.usage !analysis)
-    (Reuse.circuit !analysis) (List.rev !pairs)
+  Reuse.flush analysis;
+  Engine.of_pairs ~quality ~width:(Reuse.usage analysis)
+    (Reuse.circuit analysis) (List.rev !pairs)

@@ -9,8 +9,9 @@
    can keep going beats one that dead-ends), all ties broken by lowest
    qubit id so the run is deterministic. The winning chain is committed
    link by link onto its head wire; every link is revalidated against
-   the incrementally updated analysis (folding earlier links can
-   invalidate later ones — invalid links are skipped, never forced).
+   the analysis cursor, which each committed link moves in place
+   (folding earlier links can invalidate later ones — invalid links are
+   skipped, never forced).
    The first link comes straight out of [valid_pairs], so every round
    commits at least one pair and the loop terminates.
 
@@ -67,12 +68,12 @@ let run c =
   Obs.Metrics.incr "gidnet.runs";
   Obs.Metrics.time "time.gidnet" @@ fun () ->
   let k = max 1 c.Quantum.Circuit.num_qubits in
-  let analysis = ref (Reuse.analyze c) in
+  let analysis = Reuse.analyze c in
   let pairs = ref [] in
   let tick = Guard.Budget.ticker ~stage:"core.gidnet" ~site:"gidnet.chain" () in
   let pending = ref 0 in
   let rec rounds () =
-    let cands = Reuse.valid_pairs !analysis in
+    let cands = Reuse.valid_pairs analysis in
     if cands <> [] then begin
       pending := List.length cands;
       tick ();
@@ -81,8 +82,8 @@ let run c =
         List.iter
           (fun x ->
             let pr = { Reuse.src = host; dst = x } in
-            if Reuse.valid !analysis pr then begin
-              analysis := Reuse.apply_incremental !analysis pr;
+            if Reuse.valid analysis pr then begin
+              Reuse.link analysis pr;
               pairs := pr :: !pairs;
               Obs.Metrics.incr "gidnet.reuses"
             end)
@@ -102,5 +103,6 @@ let run c =
       Quality.Anytime
         { steps_done = List.length !pairs; frontier_left = !pending }
   in
-  Engine.of_pairs ~quality ~width:(Reuse.usage !analysis)
-    (Reuse.circuit !analysis) (List.rev !pairs)
+  Reuse.flush analysis;
+  Engine.of_pairs ~quality ~width:(Reuse.usage analysis)
+    (Reuse.circuit analysis) (List.rev !pairs)

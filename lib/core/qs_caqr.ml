@@ -7,8 +7,8 @@ let default_opts = { budget = 400; order = Both }
 
    Two active qubits that reach each other (some gate on each reaches a
    gate on the other) can never share a wire: a pair between them fails
-   Condition 2 in either direction, and {!Reuse.apply_incremental} only
-   grows reach — merging dst into src unions their rows and columns — so
+   Condition 2 in either direction, and {!Reuse.link} only grows
+   reach — merging dst into src unions their rows and columns — so
    once mutual, the wires hosting them stay mutual. Every clique of the
    mutual-reach relation therefore needs that many distinct wires, and
    any search for fewer qubits must fail. The largest clique is found by
@@ -70,17 +70,27 @@ let width_floor circuit = floor_of_analysis (Reuse.analyze circuit)
    DFS hands it to the caller's [found], lowers the target below it and
    carries on under it. Nothing is re-walked, so nothing is memoized.
 
+   A search walks one {!Reuse.analysis} cursor: a DFS links a child on
+   descent and unlinks it on backtrack, so the walk derives no analysis
+   record per node. Anything that outlives the cursor's visit to a node
+   keeps that node's pair path, which is immutable, and builds its
+   circuit from the path by {!Reuse.replay}.
+
    A search state belongs to one descent or one single search and is
    shared with nothing else. It holds the anytime incumbent, which the
    DFS updates at every node it derives. *)
 
 type state = {
   circuit : Quantum.Circuit.t;
-  (* The incumbent: the derived node of least usage ([None]: the input
-     itself), as its analysis and its applied pairs (newest first), and
-     that usage; the nodes derived so far; and the candidate branches
-     not yet tried on the live DFS stack. *)
-  mutable best : (Reuse.analysis * Reuse.pair list) option;
+  (* The search's cursor, once a search has begun. *)
+  mutable cursor : Reuse.analysis option;
+  (* The incumbent: the derived node of least usage, as its applied
+     pairs (newest first; [[]]: the input itself) and, on a circuit with
+     barriers, where the cursor holds each node's circuit anyway, that
+     circuit; then that usage; the nodes derived so far; and the
+     candidate branches not yet tried on the live DFS stack. *)
+  mutable best : Reuse.pair list;
+  mutable best_built : Quantum.Circuit.t option;
   mutable width : int;
   mutable steps : int;
   mutable frontier : int;
@@ -89,7 +99,9 @@ type state = {
 let new_state circuit =
   {
     circuit;
-    best = None;
+    cursor = None;
+    best = [];
+    best_built = None;
     width = Reuse.qubit_usage circuit;
     steps = 0;
     frontier = 0;
@@ -100,9 +112,9 @@ let new_state circuit =
    critical-path rule; [Chain] reuses the earliest-finishing wire first,
    which builds serial chains (the paper's Fig. 1 construction) and
    keeps merge options open for deep reductions. Either way a node's
-   candidates are one flat array of pair codes ({!Reuse.ranked}), local
-   to its DFS frame ([Both] searches with [Score] first, then
-   [Chain]). *)
+   candidates are one slice of pair codes on an int stack the DFS owns
+   ({!Reuse.push_ranked}), pushed by its frame and popped when the
+   frame returns ([Both] searches with [Score] first, then [Chain]). *)
 let rank = function Score | Both -> Reuse.By_depth | Chain -> Reuse.By_chain
 
 (* ---- Transposition replay ----
@@ -120,8 +132,9 @@ let rank = function Score | Both -> Reuse.By_depth | Chain -> Reuse.By_chain
    [Exhausted] with the nodes it counted. Every node of such a subtree
    had a usage above the target of its time, and targets only fall, so
    met again the subtree is exhausted again after exactly as many nodes:
-   the DFS credits that count to the node cap instead of deriving it.
-   Past [table_cap] entries subtrees are simply explored. *)
+   the DFS credits that count to the node cap instead of linking the
+   cursor through it again. Past [table_cap] entries subtrees are simply
+   explored. *)
 
 (* A DFS node's wire-chain state: [next.(q)] is the original qubit that
    follows [q] on its wire, or -1. [hash] is maintained incrementally by
@@ -148,90 +161,99 @@ let link_hash tail dst =
    under its ordering explored) or [Cut] by the node cap. *)
 type outcome = Stopped | Exhausted | Cut
 
-(* [dfs st root order budget target found] searches down from [root].
-   At a node whose usage is at most [!target] it calls [found analysis
-   path nodes] ([nodes]: the DFS's node count there), which returns
-   whether to carry on below the node; [false] stops the DFS. Returns
-   how the DFS ended and its count. *)
-let dfs st root order budget target found =
-  let nodes = ref 0 in
-  let transpose = Reuse.splice_is_local root in
+(* [dfs st cur order budget target found] searches down from the
+   cursor's node, the root. At a node whose usage is at most [!target]
+   it calls [found path nodes] ([nodes]: the DFS's node count there),
+   which returns whether to carry on below the node; [false] stops the
+   DFS. Returns how the DFS ended and its count, with the cursor back at
+   the root.
+
+   The node count and the replay counts accumulate here and reach
+   {!Obs.Metrics} once, when the DFS ends — by a return or by a
+   [Guard.Budget] trip — with the cursor's link count ({!Reuse.flush}):
+   one registry update per DFS instead of one per node. *)
+let dfs st cur order budget target found =
+  let nodes = ref 0 and replays = ref 0 and replayed = ref 0 in
+  let transpose = Reuse.splice_is_local cur in
   let table = Transpositions.create 256 in
   let k = st.circuit.Quantum.Circuit.num_qubits in
   (* [tail.(w)]: the last original qubit on wire [w]'s chain *)
   let next = Array.make k (-1) and tail = Array.init k Fun.id in
   let hash = ref 0 in
   let rank = rank order in
+  let cands = Reuse.stack () in
   let replay counted =
-    Obs.Metrics.incr "qs.search.replays";
+    incr replays;
     let credit = min counted (budget + 1 - !nodes) in
-    Obs.Metrics.incr ~by:credit "qs.search.nodes";
-    Obs.Metrics.incr ~by:credit "qs.search.replayed_nodes";
+    replayed := !replayed + credit;
     nodes := !nodes + credit;
     if !nodes > budget then Cut else Exhausted
   in
-  let rec visit analysis path =
-    if Reuse.usage analysis <= !target && not (found analysis path !nodes)
-    then Stopped
+  let rec visit path =
+    if Reuse.usage cur <= !target && not (found path !nodes) then Stopped
     else if !nodes > budget then Cut
     else begin
-      let cands = Reuse.ranked analysis rank in
-      let n = Array.length cands in
+      let base = cands.Reuse.len in
+      let n = Reuse.push_ranked cur rank cands in
       st.frontier <- st.frontier + n;
-      (* A frame that returns early takes its untried branches along. *)
-      let rec attempt i =
-        if i = n then Exhausted
-        else begin
-          incr nodes;
-          Obs.Metrics.incr "qs.search.nodes";
-          Guard.Inject.hit "qs.search";
-          Guard.Budget.checkpoint ~stage:"core.qs" ~site:"qs.search";
-          if !nodes > budget then begin
-            st.frontier <- st.frontier - (n - i);
-            Cut
-          end
-          else begin
-            st.frontier <- st.frontier - 1;
-            let code = cands.(i) in
-            let src = code / k and dst = code mod k in
-            let t = tail.(src) in
-            let link = link_hash t dst in
-            next.(t) <- dst;
-            tail.(src) <- tail.(dst);
-            hash := !hash lxor link;
-            let stored =
-              if transpose then
-                Transpositions.find_opt table { State.hash = !hash; next }
-              else None
-            in
-            let r =
-              match stored with
-              | Some counted -> replay counted
-              | None -> expand analysis path { Reuse.src; dst }
-            in
-            next.(t) <- -1;
-            tail.(src) <- t;
-            hash := !hash lxor link;
-            match r with
-            | Exhausted -> attempt (i + 1)
-            | Stopped | Cut ->
-              st.frontier <- st.frontier - (n - i - 1);
-              r
-          end
-        end
-      in
-      attempt 0
+      let r = attempt path base n 0 in
+      cands.Reuse.len <- base;
+      r
     end
-  and expand analysis path p =
-    let child = Reuse.apply_incremental analysis p and path = p :: path in
-    let usage = Reuse.usage child in
+  (* Candidate [i] of the frame whose [n] candidates start at [base].
+     A frame that returns early takes its untried branches along. *)
+  and attempt path base n i =
+    if i = n then Exhausted
+    else begin
+      incr nodes;
+      Guard.Inject.hit "qs.search";
+      Guard.Budget.checkpoint ~stage:"core.qs" ~site:"qs.search";
+      if !nodes > budget then begin
+        st.frontier <- st.frontier - (n - i);
+        Cut
+      end
+      else begin
+        st.frontier <- st.frontier - 1;
+        let code = cands.Reuse.items.(base + i) in
+        let src = code / k and dst = code mod k in
+        let t = tail.(src) in
+        let link = link_hash t dst in
+        next.(t) <- dst;
+        tail.(src) <- tail.(dst);
+        hash := !hash lxor link;
+        let stored =
+          if transpose then
+            Transpositions.find_opt table { State.hash = !hash; next }
+          else None
+        in
+        let r =
+          match stored with
+          | Some counted -> replay counted
+          | None -> expand path { Reuse.src; dst }
+        in
+        next.(t) <- -1;
+        tail.(src) <- t;
+        hash := !hash lxor link;
+        match r with
+        | Exhausted -> attempt path base n (i + 1)
+        | Stopped | Cut ->
+          st.frontier <- st.frontier - (n - i - 1);
+          r
+      end
+    end
+  and expand path p =
+    Reuse.link cur p;
+    let path = p :: path in
+    let usage = Reuse.usage cur in
     st.steps <- st.steps + 1;
     if usage < st.width then begin
-      st.best <- Some (child, path);
+      st.best <- path;
+      st.best_built <- (if transpose then None else Some (Reuse.circuit cur));
       st.width <- usage
     end;
     let start = !nodes in
-    let r = visit child path in
+    let r = visit path in
+    Reuse.unlink cur;
     (match r with
      | Exhausted when transpose && Transpositions.length table < table_cap ->
        Transpositions.add table
@@ -240,11 +262,23 @@ let dfs st root order budget target found =
      | Exhausted | Stopped | Cut -> ());
     r
   in
-  let r = visit root [] in
+  (* A counter is bumped wherever the per-node bumps it replaces would
+     have been: a replay that credits no node still shows its keys. *)
+  let publish () =
+    if !nodes > 0 || !replays > 0 then
+      Obs.Metrics.incr ~by:!nodes "qs.search.nodes";
+    if !replays > 0 then begin
+      Obs.Metrics.incr ~by:!replays "qs.search.replays";
+      Obs.Metrics.incr ~by:!replayed "qs.search.replayed_nodes"
+    end;
+    Reuse.flush cur
+  in
+  let r = Fun.protect ~finally:publish (fun () -> visit []) in
   (r, !nodes)
 
 (* [search st opts ~target ~found] looks for [target] qubits. At each
-   node that meets the target it calls [found analysis path], which
+   node that meets the target it calls [found cur path] (the cursor at
+   the node, and the node's pairs, newest first), which
    returns whether to go on deeper: the search then looks for one qubit
    fewer than the node uses. A target below 1 ends it, and so does one
    below the width floor, which cannot be reached, without expanding a
@@ -260,16 +294,17 @@ let dfs st root order budget target found =
    ["qs.search.resumed_nodes"] too. *)
 let search st opts ~target ~found =
   Obs.Metrics.time "time.search" @@ fun () ->
-  let root = Reuse.analyze st.circuit in
-  let floor = floor_of_analysis root in
+  let cur = Reuse.analyze st.circuit in
+  st.cursor <- Some cur;
+  let floor = floor_of_analysis cur in
   let opens t =
     Obs.Metrics.incr "qs.searches";
     t >= floor || (Obs.Metrics.incr "qs.search.floor_skips"; false)
   in
   let target = ref target and failed = ref 0 in
-  let on_found analysis path nodes =
-    let t = Reuse.usage analysis - 1 in
-    if found analysis path && t >= 1 && opens t then begin
+  let on_found path nodes =
+    let t = Reuse.usage cur - 1 in
+    if found cur path && t >= 1 && opens t then begin
       target := t;
       Obs.Metrics.incr ~by:(!failed + nodes) "qs.search.nodes";
       Obs.Metrics.incr ~by:(!failed + nodes) "qs.search.resumed_nodes";
@@ -278,7 +313,7 @@ let search st opts ~target ~found =
     else false
   in
   if opens !target then
-    let dfs order = dfs st root order opts.budget target on_found in
+    let dfs order = dfs st cur order opts.budget target on_found in
     match opts.order with
     | (Score | Chain) as order -> ignore (dfs order)
     | Both -> (
@@ -294,22 +329,23 @@ let search st opts ~target ~found =
 let descend st opts on_found =
   let first = Reuse.qubit_usage st.circuit - 1 in
   if first >= 1 then
-    search st opts ~target:first ~found:(fun analysis path ->
-        on_found analysis path;
+    search st opts ~target:first ~found:(fun cur path ->
+        on_found cur path;
         true)
 
-(* The first node that meets [target], as its analysis and path. *)
+(* The first node that meets [target], as its circuit (built while the
+   cursor stands there), usage and path. *)
 let search_once st opts target =
   let hit = ref None in
-  search st opts ~target ~found:(fun analysis path ->
-      hit := Some (analysis, path);
+  search st opts ~target ~found:(fun cur path ->
+      hit := Some (Reuse.circuit cur, Reuse.usage cur, path);
       false);
   !hit
 
 let sweep ?(opts = default_opts) circuit =
   let steps = ref [ Engine.make_step circuit [] ] in
-  descend (new_state circuit) opts (fun analysis path ->
-      let step = Engine.make_step (Reuse.circuit analysis) (List.rev path) in
+  descend (new_state circuit) opts (fun cur path ->
+      let step = Engine.make_step (Reuse.circuit cur) (List.rev path) in
       steps := step :: !steps);
   List.rev !steps
 
@@ -319,14 +355,14 @@ let sweep ?(opts = default_opts) circuit =
 let reduce_once circuit =
   let target = Reuse.qubit_usage circuit - 1 in
   match search_once (new_state circuit) default_opts target with
-  | Some (analysis, [ pair ]) -> Some (pair, Reuse.circuit analysis)
+  | Some (c, _, [ pair ]) -> Some (pair, c)
   | Some _ | None -> None
 
 (* ---- Anytime search: the quality/time dial ----
 
    The search above, read through its best-so-far incumbent: every DFS
    node with fewer active qubits than the incumbent becomes the
-   incumbent (its analysis, so no circuit is built per node). A
+   incumbent (its pair path, so no circuit is built per node). A
    wall-clock [Guard.Budget] trip returns the incumbent tagged [Anytime]
    instead of letting the failure escape, so the degradation ladder
    never has to throw partial work away. A replayed subtree derives no
@@ -339,12 +375,15 @@ let reduce_once circuit =
    every run — so it stays [Exact]: callers (the serve cache in
    particular) rely on [Exact] meaning deadline-independent. *)
 
-(* The incumbent's circuit is built only when it is returned. *)
+(* The incumbent's circuit is built only when it is returned, by
+   replaying its pairs from the cursor's root. *)
 let incumbent ?quality st =
-  let c, pairs =
-    match st.best with
-    | Some (analysis, path) -> (Reuse.circuit analysis, List.rev path)
-    | None -> (st.circuit, [])
+  let pairs = List.rev st.best in
+  let c =
+    match (st.best_built, st.cursor) with
+    | Some c, _ -> c
+    | None, Some cur -> Reuse.replay cur pairs
+    | None, None -> st.circuit
   in
   Engine.of_pairs ?quality ~width:st.width c pairs
 
@@ -366,9 +405,7 @@ let max_reuse ?opts circuit = (max_reuse_anytime ?opts circuit).Engine.circuit
 let search_anytime ?(opts = default_opts) ~target circuit =
   let st = new_state circuit in
   match search_once st opts target with
-  | Some (analysis, path) ->
-    Some
-      (Engine.of_pairs ~width:(Reuse.usage analysis)
-         (Reuse.circuit analysis) (List.rev path))
+  | Some (c, usage, path) ->
+    Some (Engine.of_pairs ~width:usage c (List.rev path))
   | None -> None
   | exception Guard.Error.Budget_exceeded _ -> Some (anytime_return st)

@@ -41,9 +41,10 @@ val reduce_once : Quantum.Circuit.t -> (Reuse.pair * Quantum.Circuit.t) option
     per candidate ordering: at a node that meets the target the row is
     recorded, the target drops below it and the DFS carries on under
     the node, since a fresh search for the lower target would walk the
-    same nodes to reach it. Each DFS child's analysis derives from its
-    parent via {!Reuse.apply_incremental}, which builds no circuit (only
-    each row's circuit is built, by {!Reuse.circuit}). On a barrier-free
+    same nodes to reach it. A search walks one {!Reuse.analysis} cursor,
+    which {!Reuse.link} moves to a DFS child in place and
+    {!Reuse.unlink} moves back, building no circuit (only each row's
+    circuit is built, by {!Reuse.circuit}). On a barrier-free
     circuit a transposition table goes with each DFS: a subtree already
     exhausted through any pair order that applies the same reuse links
     is credited to the node cap by its node count instead of being

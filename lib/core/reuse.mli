@@ -11,29 +11,39 @@
 
 type pair = { src : int; dst : int }
 
-(** A node of the reuse search: a root circuit plus the reuse links
-    applied to it since. {!analyze} builds a root: the root's flat
-    tables (gate kinds, DAG adjacency, each qubit's first and last gate,
-    which final measurements may drive a reset), which every analysis
-    derived from it shares read-only, and the qubit-level reach relation
-    as bitset rows. Those rows come from one reverse sweep over the DAG
-    — a gate's row is its own wires OR'd with its successors' rows, a
-    wire's row the OR of its gates' rows — in O(n·k/63) word operations
-    for n gates on k qubits, where the paper's §3.4 gate-level closure
-    costs O(n^2). {!apply_incremental} derives a child that owns only
-    what a link changes: the wire chains, the unit-depth schedules and
-    the reach rows. No circuit is built for it until {!circuit} is
-    read. *)
+(** The reuse search's cursor: a root circuit plus the reuse links
+    applied to it since, updated in place. {!analyze} builds a cursor at
+    the root: the root's flat tables (gate kinds, DAG adjacency, each
+    qubit's first and last gate, which final measurements may drive a
+    reset), which every node the cursor visits shares read-only, and the
+    qubit-level reach relation as bitset rows. Those rows come from one
+    reverse sweep over the DAG — a gate's row is its own wires OR'd with
+    its successors' rows, a wire's row the OR of its gates' rows — in
+    O(n·k/63) word operations for n gates on k qubits, where the paper's
+    §3.4 gate-level closure costs O(n^2). {!link} moves the cursor to a
+    child by updating only what a link changes — the wire chains, the
+    unit-depth schedules and the reach rows — and {!unlink} moves it
+    back. Every reader below reads the cursor's current node. A cursor
+    belongs to one walk; nothing may keep it as a snapshot of a node,
+    since the next move changes what it reads. *)
 type analysis
 
 val analyze : Quantum.Circuit.t -> analysis
 
-(** The circuit an analysis describes. A root returns its input; a
-    derived analysis builds its circuit on the first read, by replaying
-    the emission rule of {!emit} link by link from the root (bumping
-    ["reuse.materialized"]), and keeps it. The result equals iterated
-    {!apply} along the same pairs. *)
+(** The circuit of the cursor's current node. At the root it is the
+    input; below, it is built on the first read at that node, by
+    replaying the emission rule of {!emit} link by link from the root
+    (bumping ["reuse.materialized"]), and kept until the cursor moves.
+    The result equals iterated {!apply} along the same pairs. *)
 val circuit : analysis -> Quantum.Circuit.t
+
+(** [replay a pairs] is the circuit of [a]'s root with [pairs] applied in
+    order, wherever the cursor stands: iterated {!apply}, built on a
+    barrier-free circuit from the root's tables by the rule of {!circuit}
+    ([pairs = []] is the root's circuit itself). A search keeps only the
+    pair path of a node it may return, and builds its circuit this
+    way. *)
+val replay : analysis -> pair list -> Quantum.Circuit.t
 
 (** Number of active qubits, read off the analysis. Equals
     [qubit_usage (circuit a)]. *)
@@ -104,40 +114,71 @@ val apply : Quantum.Circuit.t -> pair -> Quantum.Circuit.t
     pair. *)
 val emit : analysis -> pair -> Quantum.Circuit.t
 
-(** [apply_incremental analysis pair] is an analysis of
-    [apply (circuit analysis) pair] that builds no circuit. On a
-    barrier-free circuit the reset splice [last src gate -> (measure ->)
-    conditional X -> first dst gate] is the only new dependence, so:
+(** [link a pair] moves the cursor to the child that applies [pair],
+    the node of [apply (circuit a) pair], without building a circuit. On
+    a barrier-free circuit the reset splice [last src gate -> (measure
+    ->) conditional X -> first dst gate] is the only new dependence, so
+    the update is in place:
     - the reach rows update in O(k^2 / 63) word operations,
-      [R'(a,b) = R(a,b) or (R(a,src) and R(dst,b))], then merges [dst]'s
+      [R'(a,b) = R(a,b) or (R(a,src) and R(dst,b))], then merge [dst]'s
       row and column into [src]'s;
     - earliest finishes rise only below the splice and longest tails
       only above it, and each side is relaxed outward from the splice
-      over just the gates whose value changes;
+      over just the gates whose value changes, each raised cell
+      recorded on an undo trail;
     - depth rises along every wire, so a wire's finish, start and tail
       read off its first and last gate in O(1).
-    The result is observably identical to a fresh {!analyze} of the
-    transformed circuit (property-tested in [test/test_incremental.ml]).
-    With barriers it is that fresh analysis. Raises [Invalid_argument]
-    on an invalid pair. *)
-val apply_incremental : analysis -> pair -> analysis
+    The parent's reach rows and critical path are saved per depth in
+    buffers that grow to the deepest link, so a walk allocates nothing
+    per link once its buffers are sized. Every reader then answers as a
+    fresh {!analyze} of the transformed circuit would (property-tested in
+    [test/test_incremental.ml]). With barriers the child is that fresh
+    analysis, pushed over its parent. Raises [Invalid_argument] on an
+    invalid pair. *)
+val link : analysis -> pair -> unit
+
+(** [unlink a] moves the cursor back to the parent of its node,
+    restoring every field exactly as it was before the matching {!link}.
+    Raises [Invalid_argument] at the root. *)
+val unlink : analysis -> unit
+
+(** [flush a] adds the in-place links [a] made since the last flush to
+    the ["reuse.analyze.incremental"] counter, and the time they took to
+    the ["time.analyze"] timer: a walk publishes its count once instead
+    of taking the registry's lock per link. (An {!unlink} is
+    backtracking; its time is the caller's.) *)
+val flush : analysis -> unit
 
 (** [splice_is_local a]: the circuit has no barriers, so a reset splice
-    adds dependences through src's and dst's gates only. It is then the
-    fast path of {!apply_incremental}, and the set of applied reuse
-    links fixes a descendant's DAG up to gate renumbering. Every
-    analysis derived from a barrier-free one is barrier-free. *)
+    adds dependences through src's and dst's gates only. {!link} then
+    works in place, and the set of applied reuse links fixes a node's
+    DAG up to gate renumbering. Every node below a barrier-free root is
+    barrier-free. *)
 val splice_is_local : analysis -> bool
 
-(** Candidate orders for {!ranked}: [By_depth] by {!predict_depth};
-    [By_chain] by {!src_finish_depth}, then {!dst_start_depth}. *)
+(** The cursor's current node as named copies of its state — the wire
+    chains ["prev"], ["next"], ["tail"], the schedules ["ef"], ["tl"],
+    ["cp_depth"], the reach rows ["qreach"] and ["usage"] — for tests
+    that compare a walk field by field. *)
+val fields : analysis -> (string * int array) list
+
+(** Candidate orders for {!push_ranked}: [By_depth] by
+    {!predict_depth}; [By_chain] by {!src_finish_depth}, then
+    {!dst_start_depth}. *)
 type rank = By_depth | By_chain
 
-(** [ranked analysis rank] is every valid pair, encoded as
-    [src * num_qubits + dst], in ascending key order with ties in
-    {!valid_pairs} order — the search's candidate list as one flat int
-    array, with no tuple or record per pair. *)
-val ranked : analysis -> rank -> int array
+(** A growable int stack: [items.(0)] to [items.(len - 1)]. A growing
+    push replaces [items], so a reader indexes [items] afresh. *)
+type stack = { mutable items : int array; mutable len : int }
+
+val stack : unit -> stack
+
+(** [push_ranked a rank st] pushes every valid pair of the cursor's node,
+    encoded as [src * num_qubits + dst], onto [st], in ascending key
+    order with ties in {!valid_pairs} order, and returns how many it
+    pushed — a DFS frame's candidates as one slice of an int stack the
+    walk owns, with no tuple, record or array per node. *)
+val push_ranked : analysis -> rank -> stack -> int
 
 (** Number of active qubits (the "qubit usage" the paper reports). *)
 val qubit_usage : Quantum.Circuit.t -> int

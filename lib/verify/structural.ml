@@ -2,165 +2,324 @@ type pair = { src : int; dst : int }
 
 (* ---------------------------------------------------- well-formedness *)
 
+(* Operands are read by matching on the gate kind, so a gate costs no
+   list. Within a gate the checks run in the order qubits, clbits, equal
+   wires, clbit reads; only the first failure is reported. *)
 let check_wellformed (c : Quantum.Circuit.t) =
   let written = Array.make (max 1 c.num_clbits) false in
   let bad = ref None in
   let fail fmt = Printf.ksprintf (fun s -> if !bad = None then bad := Some s) fmt in
-  Array.iteri
-    (fun i (g : Quantum.Gate.t) ->
-      let kind = g.Quantum.Gate.kind in
-      List.iter
-        (fun q ->
-          if q < 0 || q >= c.num_qubits then
-            fail "gate %d: qubit %d out of range (%d wires)" i q c.num_qubits)
-        (Quantum.Gate.qubits kind);
-      List.iter
-        (fun cb ->
-          if cb < 0 || cb >= c.num_clbits then
-            fail "gate %d: clbit %d out of range (%d clbits)" i cb c.num_clbits)
-        (Quantum.Gate.clbits kind);
-      (match Quantum.Gate.qubits kind with
-       | [ a; b ] when a = b -> fail "gate %d: two-qubit gate on equal wires q%d" i a
-       | _ -> ());
-      match kind with
-      | Quantum.Gate.Measure (_, cb) ->
-        if cb >= 0 && cb < c.num_clbits then written.(cb) <- true
-      | Quantum.Gate.If_x (cb, q) ->
-        if cb >= 0 && cb < c.num_clbits && not written.(cb) then
-          fail
-            "gate %d: conditional X on q%d reads clbit %d before any \
-             measurement writes it (measure/init order swapped?)"
-            i q cb
-      | _ -> ())
-    c.gates;
+  let qubit i q =
+    if q < 0 || q >= c.num_qubits then
+      fail "gate %d: qubit %d out of range (%d wires)" i q c.num_qubits
+  in
+  let clbit i cb =
+    if cb < 0 || cb >= c.num_clbits then
+      fail "gate %d: clbit %d out of range (%d clbits)" i cb c.num_clbits
+  in
+  let equal_wires i a b =
+    if a = b then fail "gate %d: two-qubit gate on equal wires q%d" i a
+  in
+  let rec barrier i = function
+    | [] -> ()
+    | q :: rest ->
+      qubit i q;
+      barrier i rest
+  in
+  for i = 0 to Array.length c.gates - 1 do
+    match c.gates.(i).Quantum.Gate.kind with
+    | Quantum.Gate.One_q (_, q) | Quantum.Gate.Reset q -> qubit i q
+    | Quantum.Gate.Cx (a, b)
+    | Quantum.Gate.Cz (a, b)
+    | Quantum.Gate.Rzz (_, a, b)
+    | Quantum.Gate.Swap (a, b) ->
+      qubit i a;
+      qubit i b;
+      equal_wires i a b
+    | Quantum.Gate.Measure (q, cb) ->
+      qubit i q;
+      clbit i cb;
+      if cb >= 0 && cb < c.num_clbits then written.(cb) <- true
+    | Quantum.Gate.If_x (cb, q) ->
+      qubit i q;
+      clbit i cb;
+      if cb >= 0 && cb < c.num_clbits && not written.(cb) then
+        fail
+          "gate %d: conditional X on q%d reads clbit %d before any \
+           measurement writes it (measure/init order swapped?)"
+          i q cb
+    | Quantum.Gate.Barrier qs -> (
+      barrier i qs;
+      match qs with [ a; b ] -> equal_wires i a b | _ -> ())
+  done;
   match !bad with None -> Verdict.Equivalent | Some s -> Verdict.violation s
 
 (* ------------------------------------------------------ regular pairs *)
 
-(* The non-barrier gates on wires [src] and [dst], in execution order,
-   from one scan of the gate array. *)
-let wire_gates (c : Quantum.Circuit.t) src dst =
-  let on_src = ref [] and on_dst = ref [] in
-  for i = Array.length c.gates - 1 downto 0 do
-    let kind = c.gates.(i).Quantum.Gate.kind in
-    if not (Quantum.Gate.is_barrier kind) then begin
-      let qs = Quantum.Gate.qubits kind in
-      if List.mem src qs then on_src := i :: !on_src;
-      if List.mem dst qs then on_dst := i :: !on_dst
-    end
-  done;
-  (!on_src, !on_dst)
+(* The checker re-derives the transform itself and steps from pair k to
+   pair k+1 on flat arrays, sized once for the longest circuit of the
+   sequence (each pair adds a measure and a conditional X):
 
-(* Independent re-derivation of the transform, used only to step the
-   condition checks from pair k to pair k+1. Kahn emission with a dummy
-   reset node between src's gates and dst's gates; always allocates a
-   fresh scratch clbit (the compiler's existing-clbit optimization does
-   not change the dependence structure the conditions read). *)
-let apply_pair (c : Quantum.Circuit.t) dag (on_src, on_dst) { src; dst } =
-  let n = Quantum.Dag.num_nodes dag in
-  let dummy = n in
-  let succs = Array.make (n + 1) [] in
-  let indeg = Array.make (n + 1) 0 in
-  let add_edge u v =
-    succs.(u) <- v :: succs.(u);
-    indeg.(v) <- indeg.(v) + 1
+   - the circuit is a kind array; node [n] past its [n] gates is the
+     dummy reset node that pair k splices between src's gates and dst's;
+   - its dependence DAG is CSR successor arrays, built by two scans in
+     gate order over each gate's wires — qubit q is wire q, clbit c is
+     wire [num_qubits + c] — with the dummy's edges added: an edge joins
+     consecutive gates on a wire, barriers included, so every edge
+     between gates points forward;
+   - [mark] holds per gate: 1 it is a non-barrier gate on src, 2 on dst,
+     4 it descends from a gate on dst;
+   - the transform is Kahn's emission with least-id priority, on an int
+     heap; the dummy emits a measure of src onto a fresh scratch clbit
+     and a conditional X driven by it (the compiler's reuse of an
+     existing final measurement does not change the dependence
+     structure the conditions read), and dst's gates move onto src.
+
+   Nothing here calls into the compiler's own [Reuse] analysis, so a bug
+   in the compiler's condition checking cannot hide itself. *)
+
+let wire_flag q ~src ~dst =
+  (if q = src then 1 else 0) lor if q = dst then 2 else 0
+
+let check_sequence ~(original : Quantum.Circuit.t) pairs =
+  let nq = original.num_qubits in
+  let npairs = List.length pairs in
+  let cap = Array.length original.gates + (2 * npairs) + 1 in
+  let kinds = ref (Array.make cap (Quantum.Gate.Barrier []))
+  and spare = ref (Array.make cap (Quantum.Gate.Barrier [])) in
+  Array.iteri (fun i g -> !kinds.(i) <- g.Quantum.Gate.kind) original.gates;
+  let n = ref (Array.length original.gates)
+  and nc = ref original.num_clbits in
+  let mark = Bytes.make cap '\000' in
+  let flags v = Char.code (Bytes.unsafe_get mark v) in
+  let flag v f = Bytes.unsafe_set mark v (Char.unsafe_chr (flags v lor f)) in
+  let indeg = Array.make cap 0
+  and succ_start = Array.make (cap + 1) 0
+  and fill = Array.make cap 0
+  and succ_ids = ref (Array.make (2 * cap) 0)
+  and heap = Array.make cap 0
+  and last = Array.make (nq + original.num_clbits + npairs) (-1) in
+  (* One edge per wire from its previous gate to gate [i]: counted into
+     [fill] on the first scan, stored on the second. *)
+  let storing = ref false in
+  let dep i w =
+    let p = last.(w) in
+    if p >= 0 && p <> i then
+      if !storing then begin
+        !succ_ids.(fill.(p)) <- i;
+        fill.(p) <- fill.(p) + 1;
+        indeg.(i) <- indeg.(i) + 1
+      end
+      else fill.(p) <- fill.(p) + 1;
+    last.(w) <- i
   in
-  for i = 0 to n - 1 do
-    Quantum.Dag.iter_succs (add_edge i) dag i
-  done;
-  List.iter (fun g -> add_edge g dummy) on_src;
-  List.iter (fun g -> add_edge dummy g) on_dst;
-  let scratch = c.num_clbits in
-  let rename q = if q = dst then src else q in
-  let module Iset = Set.Make (Int) in
-  let ready = ref Iset.empty in
-  for i = 0 to n do
-    if indeg.(i) = 0 then ready := Iset.add i !ready
-  done;
-  let rev = ref [] in
-  let emitted = ref 0 in
-  while not (Iset.is_empty !ready) do
-    let i = Iset.min_elt !ready in
-    ready := Iset.remove i !ready;
-    incr emitted;
-    if i = dummy then
-      rev :=
-        Quantum.Gate.If_x (scratch, src)
-        :: Quantum.Gate.Measure (src, scratch)
-        :: !rev
-    else
-      rev :=
-        Quantum.Gate.map_qubits rename c.gates.(i).Quantum.Gate.kind :: !rev;
-    List.iter
-      (fun j ->
-        indeg.(j) <- indeg.(j) - 1;
-        if indeg.(j) = 0 then ready := Iset.add j !ready)
-      succs.(i)
-  done;
-  if !emitted <> n + 1 then None
-  else
-    Some
-      (Quantum.Circuit.of_kinds ~num_qubits:c.num_qubits
-         ~num_clbits:(c.num_clbits + 1) (List.rev !rev))
-
-(* Condition 2 by one forward walk: gates are stored in execution order,
-   so a scan in gate order marks every descendant of dst's gates once
-   their predecessors are marked; then no gate on src may be marked. *)
-let depends_on dag ~on_src ~on_dst =
-  let below = Bytes.make (Quantum.Dag.num_nodes dag) '\000' in
-  let mark g = Bytes.set below g '\001' in
-  let marked g = Bytes.get below g <> '\000' in
-  List.iter mark on_dst;
-  for i = 0 to Quantum.Dag.num_nodes dag - 1 do
-    if marked i then Quantum.Dag.iter_succs mark dag i
-  done;
-  List.exists marked on_src
-
-(* Two ascending gate lists share a gate. *)
-let rec shares_gate a b =
-  match (a, b) with
-  | x :: a', y :: b' -> x = y || if x < y then shares_gate a' b else shares_gate a b'
-  | _ -> false
-
-let check_one_pair (c : Quantum.Circuit.t) dag (on_src, on_dst) k { src; dst } =
-  if src = dst || src < 0 || dst < 0 || src >= c.num_qubits || dst >= c.num_qubits
-  then Verdict.violationf "pair %d (q%d -> q%d): operands invalid" k src dst
-  else if on_src = [] || on_dst = [] then
-    Verdict.violationf "pair %d (q%d -> q%d): a wire carries no gate" k src dst
-  else if
-    (* Barriers are scheduling directives, not interactions: a barrier
-       spanning both wires constrains ordering (checked by Condition 2
-       through the DAG below) but does not couple them. *)
-    shares_gate on_src on_dst
-  then
-    Verdict.violationf
-      "pair %d (q%d -> q%d): Condition 1 fails — a gate couples both wires" k
-      src dst
-  else if depends_on dag ~on_src ~on_dst then
-    Verdict.violationf
-      "pair %d (q%d -> q%d): Condition 2 fails — a gate on q%d \
-       transitively depends on a gate on q%d"
-      k src dst src dst
-  else Verdict.Equivalent
-
-let check_pairs ~(original : Quantum.Circuit.t) pairs =
-  let rec go c k = function
+  let rec barrier_deps i = function
+    | [] -> ()
+    | q :: rest ->
+      dep i q;
+      barrier_deps i rest
+  in
+  let deps i =
+    match !kinds.(i) with
+    | Quantum.Gate.One_q (_, q) | Quantum.Gate.Reset q -> dep i q
+    | Quantum.Gate.Cx (a, b)
+    | Quantum.Gate.Cz (a, b)
+    | Quantum.Gate.Rzz (_, a, b)
+    | Quantum.Gate.Swap (a, b) ->
+      dep i a;
+      dep i b
+    | Quantum.Gate.Measure (q, cb) | Quantum.Gate.If_x (cb, q) ->
+      dep i q;
+      dep i (nq + cb)
+    | Quantum.Gate.Barrier qs -> barrier_deps i qs
+  in
+  let scan () =
+    Array.fill last 0 (Array.length last) (-1);
+    for i = 0 to !n - 1 do
+      deps i
+    done
+  in
+  (* Gate [i]'s wire flags for the pair: 1 on src, 2 on dst. *)
+  let on_wire i src dst =
+    match !kinds.(i) with
+    | Quantum.Gate.One_q (_, q)
+    | Quantum.Gate.Reset q
+    | Quantum.Gate.Measure (q, _)
+    | Quantum.Gate.If_x (_, q) ->
+      wire_flag q ~src ~dst
+    | Quantum.Gate.Cx (a, b)
+    | Quantum.Gate.Cz (a, b)
+    | Quantum.Gate.Rzz (_, a, b)
+    | Quantum.Gate.Swap (a, b) ->
+      wire_flag a ~src ~dst lor wire_flag b ~src ~dst
+    | Quantum.Gate.Barrier _ -> 0
+  in
+  let size = ref 0 in
+  let push v =
+    let i = ref !size in
+    incr size;
+    while !i > 0 && heap.((!i - 1) / 2) > v do
+      heap.(!i) <- heap.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    heap.(!i) <- v
+  in
+  let pop () =
+    let top = heap.(0) in
+    decr size;
+    let v = heap.(!size) in
+    let i = ref 0 and continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= !size then continue := false
+      else begin
+        let c = if l + 1 < !size && heap.(l + 1) < heap.(l) then l + 1 else l in
+        if heap.(c) < v then begin
+          heap.(!i) <- heap.(c);
+          i := c
+        end
+        else continue := false
+      end
+    done;
+    heap.(!i) <- v;
+    top
+  in
+  (* The DAG of the current circuit plus the dummy node [!n], in CSR. *)
+  let build () =
+    let d = !n in
+    Array.fill fill 0 (d + 1) 0;
+    Array.fill indeg 0 (d + 1) 0;
+    storing := false;
+    scan ();
+    for g = 0 to d - 1 do
+      if flags g land 1 <> 0 then fill.(g) <- fill.(g) + 1;
+      if flags g land 2 <> 0 then fill.(d) <- fill.(d) + 1
+    done;
+    succ_start.(0) <- 0;
+    for v = 0 to d do
+      succ_start.(v + 1) <- succ_start.(v) + fill.(v);
+      fill.(v) <- succ_start.(v)
+    done;
+    if succ_start.(d + 1) > Array.length !succ_ids then
+      succ_ids := Array.make (2 * succ_start.(d + 1)) 0;
+    storing := true;
+    scan ();
+    for g = 0 to d - 1 do
+      if flags g land 1 <> 0 then begin
+        !succ_ids.(fill.(g)) <- d;
+        fill.(g) <- fill.(g) + 1;
+        indeg.(d) <- indeg.(d) + 1
+      end;
+      if flags g land 2 <> 0 then begin
+        !succ_ids.(fill.(d)) <- g;
+        fill.(d) <- fill.(d) + 1;
+        indeg.(g) <- indeg.(g) + 1
+      end
+    done
+  in
+  (* Condition 2 by one forward walk: gates are in execution order, so a
+     scan in gate order marks every descendant of dst's gates once their
+     predecessors are marked; then no gate on src may be marked. The
+     dummy, past the last gate, is never scanned. *)
+  let depends () =
+    let d = !n in
+    let hit = ref false in
+    for g = 0 to d - 1 do
+      if flags g land 2 <> 0 then flag g 4;
+      if flags g land 4 <> 0 then
+        for e = succ_start.(g) to succ_start.(g + 1) - 1 do
+          flag !succ_ids.(e) 4
+        done;
+      if flags g land 5 = 5 then hit := true
+    done;
+    !hit
+  in
+  (* Kahn's emission; false when a cycle leaves nodes unemitted. *)
+  let apply { src; dst } =
+    let d = !n in
+    let out = !spare in
+    let scratch = !nc in
+    let rename q = if q = dst then src else q in
+    for v = 0 to d do
+      if indeg.(v) = 0 then push v
+    done;
+    let len = ref 0 and emitted = ref 0 in
+    while !size > 0 do
+      let v = pop () in
+      incr emitted;
+      if v = d then begin
+        out.(!len) <- Quantum.Gate.Measure (src, scratch);
+        out.(!len + 1) <- Quantum.Gate.If_x (scratch, src);
+        len := !len + 2
+      end
+      else begin
+        out.(!len) <- Quantum.Gate.map_qubits rename !kinds.(v);
+        incr len
+      end;
+      for e = succ_start.(v) to succ_start.(v + 1) - 1 do
+        let w = !succ_ids.(e) in
+        indeg.(w) <- indeg.(w) - 1;
+        if indeg.(w) = 0 then push w
+      done
+    done;
+    if !emitted <> d + 1 then false
+    else begin
+      spare := !kinds;
+      kinds := out;
+      n := !len;
+      nc := scratch + 1;
+      true
+    end
+  in
+  let rec go k = function
     | [] -> Verdict.Equivalent
-    | p :: rest ->
-      let dag = Quantum.Dag.build c in
-      let wires = wire_gates c p.src p.dst in
-      (match check_one_pair c dag wires k p with
-       | Verdict.Equivalent ->
-         (match apply_pair c dag wires p with
-          | Some c' -> go c' (k + 1) rest
-          | None ->
+    | ({ src; dst } as p) :: rest ->
+      if src = dst || src < 0 || dst < 0 || src >= nq || dst >= nq then
+        Verdict.violationf "pair %d (q%d -> q%d): operands invalid" k src dst
+      else begin
+        let on_src = ref 0 and on_dst = ref 0 and coupled = ref false in
+        Bytes.fill mark 0 cap '\000';
+        for g = 0 to !n - 1 do
+          let f = on_wire g src dst in
+          if f land 1 <> 0 then incr on_src;
+          if f land 2 <> 0 then incr on_dst;
+          if f = 3 then coupled := true;
+          flag g f
+        done;
+        if !on_src = 0 || !on_dst = 0 then
+          Verdict.violationf "pair %d (q%d -> q%d): a wire carries no gate" k
+            src dst
+        else if
+          (* Barriers are scheduling directives, not interactions: a
+             barrier spanning both wires constrains ordering (checked by
+             Condition 2 through the DAG below) but does not couple
+             them. *)
+          !coupled
+        then
+          Verdict.violationf
+            "pair %d (q%d -> q%d): Condition 1 fails — a gate couples both \
+             wires"
+            k src dst
+        else begin
+          build ();
+          if depends () then
+            Verdict.violationf
+              "pair %d (q%d -> q%d): Condition 2 fails — a gate on q%d \
+               transitively depends on a gate on q%d"
+              k src dst src dst
+          else if apply p then go (k + 1) rest
+          else
             Verdict.violationf
               "pair %d (q%d -> q%d): applying the reuse closes a dependence \
                cycle"
-              k p.src p.dst)
-       | v -> v)
+              k src dst
+        end
+      end
   in
-  go original 0 pairs
+  go 0 pairs
+
+let check_pairs ~original pairs =
+  if pairs = [] then Verdict.Equivalent else check_sequence ~original pairs
 
 (* --------------------------------------------------- commutable pairs *)
 
@@ -269,18 +428,20 @@ let check_coupling device (c : Quantum.Circuit.t) =
   let fail fmt = Printf.ksprintf (fun s -> if !bad = None then bad := Some s) fmt in
   if c.num_qubits > nd then
     fail "circuit spans %d wires but the device has %d qubits" c.num_qubits nd;
-  Array.iteri
-    (fun i (g : Quantum.Gate.t) ->
-      let kind = g.Quantum.Gate.kind in
-      if Quantum.Gate.is_two_q kind then
-        match Quantum.Gate.qubits kind with
-        | [ a; b ] ->
-          if a >= nd || b >= nd then
-            fail "gate %d: wire beyond the device (q%d, q%d)" i a b
-          else if not (Hardware.Device.adjacent device a b) then
-            fail "gate %d: two-qubit gate on uncoupled qubits q%d and q%d" i a b
-        | _ -> ())
-    c.gates;
+  for i = 0 to Array.length c.gates - 1 do
+    match c.gates.(i).Quantum.Gate.kind with
+    | Quantum.Gate.Cx (a, b)
+    | Quantum.Gate.Cz (a, b)
+    | Quantum.Gate.Rzz (_, a, b)
+    | Quantum.Gate.Swap (a, b) ->
+      if a >= nd || b >= nd then
+        fail "gate %d: wire beyond the device (q%d, q%d)" i a b
+      else if not (Hardware.Device.adjacent device a b) then
+        fail "gate %d: two-qubit gate on uncoupled qubits q%d and q%d" i a b
+    | Quantum.Gate.One_q _ | Quantum.Gate.Measure _ | Quantum.Gate.Reset _
+    | Quantum.Gate.If_x _ | Quantum.Gate.Barrier _ ->
+      ()
+  done;
   match !bad with None -> Verdict.Equivalent | Some s -> Verdict.violation s
 
 (* -------------------------------------------------------- accounting *)

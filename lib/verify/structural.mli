@@ -2,12 +2,12 @@
     size and catch the cheap-to-catch bugs first (paper §3.1 conditions,
     device legality, classical-register accounting).
 
-    Everything here re-derives its facts from the circuits and the raw
-    gate DAG ({!Quantum.Dag}): Condition 2 is one forward walk in gate
-    order that marks every descendant of [dst]'s gates, O(n + edges) per
-    pair. It deliberately does not call into the
-    compiler's own [Reuse] analysis, so a bug in the compiler's
-    condition checking cannot hide itself. *)
+    Everything here re-derives its facts from the circuits: the pair
+    checker builds each step's gate DAG itself, as flat arrays, and
+    Condition 2 is one forward walk in gate order that marks every
+    descendant of [dst]'s gates, O(n + edges) per pair. It deliberately
+    does not call into the compiler's own [Reuse] analysis, so a bug in
+    the compiler's condition checking cannot hide itself. *)
 
 (** A claimed reuse pair, in the §3.1 sense: qubit [src] finishes, is
     measured and reset, and then hosts every gate of [dst]. Mirrors the

@@ -1,7 +1,10 @@
 (* The incremental analysis engine must be invisible from the outside:
-   [Reuse.apply_incremental] has to agree with a fresh [Reuse.analyze]
-   of the transformed circuit on every observable, and [Qs_caqr.sweep]
-   has to reproduce the reference search [Fuzz.Qs_ref.sweep] exactly. *)
+   the cursor moved by [Reuse.link] has to agree with a fresh
+   [Reuse.analyze] of the transformed circuit on every observable, and
+   with the persistent engine it replaced ([Reuse_ref]) field by field,
+   [Reuse.unlink] has to restore its parent exactly, and
+   [Qs_caqr.sweep] has to reproduce the reference search
+   [Fuzz.Qs_ref.sweep] exactly. *)
 
 (* Per-property seeded state, as in test_properties.ml: seeding from the
    name keeps runs reproducible without correlating the properties. *)
@@ -83,21 +86,22 @@ let same_analysis inc fresh =
             = Caqr.Reuse.dst_start_depth fresh p)
        valid
 
-let prop_incremental_matches_fresh =
-  QCheck.Test.make ~name:"reuse: apply_incremental = fresh analyze" ~count:80
+let prop_link_matches_fresh =
+  QCheck.Test.make ~name:"cursor: link = fresh analyze" ~count:80
     arb_spec (fun (cspec, choices) ->
-      let rec go a = function
+      let a = Caqr.Reuse.analyze (build_measured cspec) in
+      let rec go = function
         | [] -> true
         | k :: rest -> (
           match Caqr.Reuse.valid_pairs a with
           | [] -> true
           | pairs ->
             let p = List.nth pairs (k mod List.length pairs) in
-            let a' = Caqr.Reuse.apply_incremental a p in
             let fresh = Caqr.Reuse.analyze (Caqr.Reuse.apply (Caqr.Reuse.circuit a) p) in
-            same_analysis a' fresh && go a' rest)
+            Caqr.Reuse.link a p;
+            same_analysis a fresh && go rest)
       in
-      go (Caqr.Reuse.analyze (build_measured cspec)) choices)
+      go choices)
 
 (* ---- derived circuits: barrier-free dynamic circuits ----
 
@@ -111,18 +115,21 @@ let prop_incremental_matches_fresh =
 
 let barrier_free = { Fuzz.Gen.default with Fuzz.Gen.w_barrier = 0; max_qubits = 8 }
 
-(* One chain to the end: the derived analyses, root first, each with the
-   pair that produced it. [pick] chooses among the valid pairs. *)
+(* One chain to the end: the cursor, left at the chain's last node, and
+   the pairs it linked, oldest first. [pick] chooses among the valid
+   pairs. *)
 let chain_to_end pick c =
-  let rec go a acc =
+  let a = Caqr.Reuse.analyze c in
+  let rec go acc =
     match Caqr.Reuse.valid_pairs a with
     | [] -> List.rev acc
     | pairs ->
       let p = List.nth pairs (pick (List.length pairs)) in
-      let a' = Caqr.Reuse.apply_incremental a p in
-      go a' ((a', p) :: acc)
+      Caqr.Reuse.link a p;
+      go (p :: acc)
   in
-  go (Caqr.Reuse.analyze c) []
+  let pairs = go [] in
+  (a, pairs)
 
 let generated seed =
   let rng = Exec.Prng.make seed in
@@ -140,44 +147,61 @@ let iterated c pairs =
             (c', c' :: acc))
           (c, []) pairs))
 
-let prop_generated_incremental_matches_fresh =
+let prop_generated_link_matches_fresh =
   QCheck.Test.make
-    ~name:"reuse: apply_incremental = fresh analyze (barrier-free fuzz)"
+    ~name:"cursor: link = fresh analyze, barrier-free fuzz"
     ~count:80 (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
     (fun seed ->
       let c, pick = generated seed in
-      let rec check parent = function
+      let a = Caqr.Reuse.analyze c in
+      let rec walk parent =
+        match Caqr.Reuse.valid_pairs a with
         | [] -> true
-        | (a', p) :: rest ->
+        | pairs ->
+          let p = List.nth pairs (pick (List.length pairs)) in
           let child = Caqr.Reuse.apply parent p in
-          same_analysis a' (Caqr.Reuse.analyze child)
-          && qasm (Caqr.Reuse.circuit a') = qasm child
-          && check child rest
+          Caqr.Reuse.link a p;
+          same_analysis a (Caqr.Reuse.analyze child)
+          && qasm (Caqr.Reuse.circuit a) = qasm child
+          && walk child
       in
-      check c (chain_to_end pick c))
+      walk c)
 
-(* The properties above read each parent's circuit before its child's.
-   A circuit is built from the root along the node's links, so reading a
-   descendant first, then every ancestor back to the root, gives the
-   same circuits; each is built once, and read again from its cache. *)
+(* The properties above read each node's circuit on the way down. A
+   circuit is built from the root along the node's links, so reading a
+   descendant's first, then every ancestor's back to the root (unlinking
+   on the way up), gives the same circuits; each is built once, and read
+   again from the cursor's cache while it stays put. [Reuse.replay]
+   builds the same circuits from the pair paths alone. *)
 let test_descendant_before_ancestor () =
   let fresh_links = ref 0 and reused_links = ref 0 in
   for seed = 1 to 60 do
     let c, pick = generated seed in
-    let steps = chain_to_end pick c in
-    let expected = iterated c (List.map snd steps) in
+    let a, pairs = chain_to_end pick c in
+    let expected = iterated c pairs in
     Obs.Metrics.reset ();
-    List.iter2
-      (fun (a, _) e ->
+    List.iter
+      (fun e ->
         Alcotest.(check string)
           (Printf.sprintf "seed %d: circuit" seed)
-          (qasm e) (qasm (Caqr.Reuse.circuit a)))
-      (List.rev steps) (List.rev expected);
-    List.iter (fun (a, _) -> ignore (Caqr.Reuse.circuit a)) steps;
+          (qasm e) (qasm (Caqr.Reuse.circuit a));
+        ignore (Caqr.Reuse.circuit a);
+        Caqr.Reuse.unlink a)
+      (List.rev expected);
     Alcotest.(check int)
       (Printf.sprintf "seed %d: each circuit built once" seed)
-      (List.length steps)
+      (List.length pairs)
       (Obs.Metrics.count "reuse.materialized");
+    Alcotest.(check string)
+      (Printf.sprintf "seed %d: back at the root" seed)
+      (qasm c) (qasm (Caqr.Reuse.circuit a));
+    List.iteri
+      (fun i e ->
+        Alcotest.(check string)
+          (Printf.sprintf "seed %d: replayed path %d" seed (i + 1))
+          (qasm e)
+          (qasm (Caqr.Reuse.replay a (List.filteri (fun j _ -> j <= i) pairs))))
+      expected;
     ignore
       (List.fold_left
          (fun (prev : Quantum.Circuit.t) (e : Quantum.Circuit.t) ->
@@ -191,6 +215,85 @@ let test_descendant_before_ancestor () =
     (!fresh_links > 0);
   Alcotest.(check bool) "some splices reuse a final measurement" true
     (!reused_links > 0)
+
+(* ---- the cursor against the persistent engine it replaced ----
+
+   A random walk of links and unlinks on a generated dynamic circuit
+   (barriers and shared clbits included, so both the in-place path and
+   the fresh-rebuild path run), with a stack of [Reuse_ref] analyses
+   moved alongside: after every move each field of the cursor's node
+   and both candidate orders equal the reference analysis's, and an
+   unlink gives back exactly the fields read before the matching link. *)
+
+let ranked_of a rank =
+  (* an entry below the slice, as a DFS frame sees its parents', and
+     room for one more, so the push also grows the stack *)
+  let st = { Caqr.Reuse.items = [| -1; 0 |]; len = 1 } in
+  let n = Caqr.Reuse.push_ranked a rank st in
+  Array.sub st.Caqr.Reuse.items (st.Caqr.Reuse.len - n) n
+
+let ref_fields (r : Reuse_ref.analysis) =
+  [
+    ("prev", r.Reuse_ref.prev);
+    ("next", r.Reuse_ref.next);
+    ("tail", r.Reuse_ref.tail);
+    ("ef", r.Reuse_ref.ef);
+    ("tl", r.Reuse_ref.tl);
+    ("cp_depth", [| r.Reuse_ref.cp_depth |]);
+    ("qreach", r.Reuse_ref.qreach);
+    ("usage", [| r.Reuse_ref.usage |]);
+  ]
+
+let ref_pair ({ Caqr.Reuse.src; dst } : Caqr.Reuse.pair) =
+  { Reuse_ref.src; dst }
+
+let agrees a r =
+  Caqr.Reuse.fields a = ref_fields r
+  && ranked_of a Caqr.Reuse.By_depth = Reuse_ref.ranked r Reuse_ref.By_depth
+  && ranked_of a Caqr.Reuse.By_chain = Reuse_ref.ranked r Reuse_ref.By_chain
+  && List.map ref_pair (Caqr.Reuse.valid_pairs a) = Reuse_ref.valid_pairs r
+
+let walk_agrees cfg seed =
+  let rng = Exec.Prng.make seed in
+  let c = Fuzz.Gen.circuit cfg rng in
+  let a = Caqr.Reuse.analyze c in
+  (* the reference analyses from the root to the cursor's node, and the
+     cursor's fields before each link, deepest first *)
+  let refs = ref [ Reuse_ref.analyze c ] and saved = ref [] in
+  let ok = ref (agrees a (List.hd !refs)) in
+  for _ = 1 to 24 do
+    let pairs = Caqr.Reuse.valid_pairs a in
+    let down = pairs <> [] && (!saved = [] || Exec.Prng.int rng 3 <> 0) in
+    if down then begin
+      let p = List.nth pairs (Exec.Prng.int rng (List.length pairs)) in
+      saved := Caqr.Reuse.fields a :: !saved;
+      Caqr.Reuse.link a p;
+      refs := Reuse_ref.apply_incremental (List.hd !refs) (ref_pair p) :: !refs
+    end
+    else if !saved <> [] then begin
+      Caqr.Reuse.unlink a;
+      refs := List.tl !refs;
+      ok := !ok && Caqr.Reuse.fields a = List.hd !saved;
+      saved := List.tl !saved
+    end;
+    ok := !ok && agrees a (List.hd !refs)
+  done;
+  (* the circuit of the node the walk ends on *)
+  !ok
+  && qasm (Caqr.Reuse.circuit a) = qasm (Reuse_ref.circuit (List.hd !refs))
+
+let prop_walk_matches_reference ~cfg ~label =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "cursor: link/unlink walk = reference (%s)" label)
+    ~count:150
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (walk_agrees cfg)
+
+(* Unlinking at the root is refused. *)
+let test_unlink_at_root () =
+  let a = Caqr.Reuse.analyze (Fuzz.Gen.circuit barrier_free (Exec.Prng.make 7)) in
+  Alcotest.check_raises "root" (Invalid_argument "Reuse.unlink: no link to undo")
+    (fun () -> Caqr.Reuse.unlink a)
 
 (* ---- emission: the stable-partition [Reuse.emit] against a Kahn
    emission on a sorted set ----
@@ -493,11 +596,17 @@ let () =
     [
       ( "analysis",
         [
-          to_alcotest prop_incremental_matches_fresh;
-          to_alcotest prop_generated_incremental_matches_fresh;
+          to_alcotest prop_link_matches_fresh;
+          to_alcotest prop_generated_link_matches_fresh;
           Alcotest.test_case "descendant circuit before ancestor's" `Quick
             test_descendant_before_ancestor;
           to_alcotest prop_emit_matches_reference;
+          to_alcotest
+            (prop_walk_matches_reference ~cfg:Fuzz.Gen.default
+               ~label:"with barriers");
+          to_alcotest
+            (prop_walk_matches_reference ~cfg:barrier_free ~label:"barrier-free");
+          Alcotest.test_case "unlink at the root" `Quick test_unlink_at_root;
         ] );
       ( "engines",
         [

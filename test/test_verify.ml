@@ -360,6 +360,168 @@ let test_qaoa25_never_inequivalent () =
   | Some v -> check bool "qaoa25 degrades honestly" false (is_inequivalent v)
   | None -> Alcotest.fail "verification missing"
 
+(* ----------------------------------------- flat vs reference verifier *)
+
+(* [Verify.Structural] against the list-based verifier it replaced
+   ([Structural_ref], frozen): the same verdict, message included, on
+   generated dynamic circuits (barriers, mid-circuit measures, shared
+   clbits), on every pair certificate the reuse engines return for them,
+   and on those certificates mutated into invalid sequences. *)
+
+let to_ref ps =
+  List.map
+    (fun (p : Verify.Structural.pair) ->
+      { Structural_ref.src = p.Verify.Structural.src; dst = p.Verify.Structural.dst })
+    ps
+
+let pairs_agree original ps =
+  Verify.Structural.check_pairs ~original ps
+  = Structural_ref.check_pairs ~original (to_ref ps)
+
+let of_reuse ps =
+  List.map
+    (fun (p : Caqr.Reuse.pair) ->
+      { Verify.Structural.src = p.Caqr.Reuse.src; dst = p.Caqr.Reuse.dst })
+    ps
+
+(* The certificates of every engine that names one. *)
+let certificates c =
+  let device = Hardware.Device.heavy_hex_for c.Quantum.Circuit.num_qubits in
+  List.filter_map
+    (fun (_, engine) ->
+      match (engine device (Caqr.Engine.Regular c)).Caqr.Engine.pairs with
+      | Some ps -> Some (of_reuse ps)
+      | None -> None)
+    Caqr.Pipeline.engines
+  @ List.map
+      (fun (s : Caqr.Engine.step) -> of_reuse s.Caqr.Engine.pairs)
+      (Caqr.Qs_caqr.sweep c)
+
+(* Invalid variants of a certificate: shuffled, reversed, a dst hosted
+   twice, an operand out of range, and a pair on two coupled wires (or
+   on one wire). *)
+let mutations rng (c : Quantum.Circuit.t) ps =
+  let nq = c.Quantum.Circuit.num_qubits in
+  let arr = Array.of_list ps in
+  let shuffled = Array.copy arr in
+  for i = Array.length shuffled - 1 downto 1 do
+    let j = Exec.Prng.int rng (i + 1) in
+    let t = shuffled.(i) in
+    shuffled.(i) <- shuffled.(j);
+    shuffled.(j) <- t
+  done;
+  let pick () = arr.(Exec.Prng.int rng (Array.length arr)) in
+  let coupled =
+    Array.fold_left
+      (fun acc g ->
+        match g.Quantum.Gate.kind with
+        | Quantum.Gate.Cx (a, b) | Quantum.Gate.Cz (a, b) ->
+          { Verify.Structural.src = a; dst = b } :: acc
+        | _ -> acc)
+      [] c.Quantum.Circuit.gates
+  in
+  let some_coupled =
+    match coupled with
+    | [] -> { Verify.Structural.src = 0; dst = 0 }
+    | l -> List.nth l (Exec.Prng.int rng (List.length l))
+  in
+  let at = Exec.Prng.int rng (Array.length arr + 1) in
+  let insert p = List.filteri (fun i _ -> i < at) ps @ (p :: List.filteri (fun i _ -> i >= at) ps) in
+  [ Array.to_list shuffled; List.rev ps ]
+  @ (if arr = [||] then []
+     else
+       let p = pick () and q = pick () in
+       [
+         ps @ [ { p with Verify.Structural.src = q.Verify.Structural.src } ];
+         insert { p with Verify.Structural.src = (p.Verify.Structural.dst + 1) mod max 1 nq };
+       ])
+  @ [
+      insert { Verify.Structural.src = nq; dst = 0 };
+      insert { Verify.Structural.src = 0; dst = -1 };
+      insert some_coupled;
+      [ some_coupled ];
+    ]
+
+let prop_pairs_match_reference =
+  QCheck.Test.make ~name:"structural: check_pairs = reference" ~count:120
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Exec.Prng.make seed in
+      let c = Fuzz.Gen.circuit Fuzz.Gen.default rng in
+      List.for_all
+        (fun ps ->
+          pairs_agree c ps
+          && List.for_all (pairs_agree c) (mutations rng c ps))
+        (certificates c))
+
+(* Gate-level mutations for the single-circuit checks: the circuit with
+   one gate moved to the front (a conditional X can then read its clbit
+   before any measurement writes it). *)
+let moved_to_front rng (c : Quantum.Circuit.t) =
+  let kinds = Array.to_list (Array.map (fun g -> g.Quantum.Gate.kind) c.Quantum.Circuit.gates) in
+  match kinds with
+  | [] -> c
+  | _ ->
+    let i = Exec.Prng.int rng (List.length kinds) in
+    Quantum.Circuit.of_kinds ~num_qubits:c.Quantum.Circuit.num_qubits
+      ~num_clbits:c.Quantum.Circuit.num_clbits
+      (List.nth kinds i :: List.filteri (fun j _ -> j <> i) kinds)
+
+let prop_circuit_checks_match_reference =
+  QCheck.Test.make
+    ~name:"structural: wellformed, coupling = reference" ~count:200
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Exec.Prng.make seed in
+      let c = Fuzz.Gen.circuit Fuzz.Gen.default rng in
+      List.for_all
+        (fun c ->
+          Verify.Structural.check_wellformed c = Structural_ref.check_wellformed c
+          && List.for_all
+               (fun device ->
+                 Verify.Structural.check_coupling device c
+                 = Structural_ref.check_coupling device c)
+               [ Hardware.Device.heavy_hex_for 3; mumbai ])
+        [ c; moved_to_front rng c; moved_to_front rng c ])
+
+(* The mutations above must reach every verdict the pair checker can
+   return, or the agreement shows little. *)
+let test_pairs_reference_covers_verdicts () =
+  let seen = Hashtbl.create 8 in
+  for seed = 1 to 200 do
+    let rng = Exec.Prng.make seed in
+    let c = Fuzz.Gen.circuit Fuzz.Gen.default rng in
+    List.iter
+      (fun ps ->
+        List.iter
+          (fun ps ->
+            let key =
+              match Verify.Structural.check_pairs ~original:c ps with
+              | Verify.Equivalent -> "equivalent"
+              | Verify.Inequivalent { Verify.Verdict.detail; _ } ->
+                List.find
+                  (fun k ->
+                    let n = String.length k and m = String.length detail in
+                    let rec at i = i + n <= m && (String.sub detail i n = k || at (i + 1)) in
+                    at 0)
+                  [ "operands invalid"; "carries no gate"; "Condition 1"; "Condition 2"; "cycle" ]
+              | Verify.Inconclusive _ -> "inconclusive"
+            in
+            Hashtbl.replace seen key ())
+          (ps :: mutations rng c ps))
+      (certificates c)
+  done;
+  List.iter
+    (fun k -> check bool ("reached: " ^ k) true (Hashtbl.mem seen k))
+    [ "equivalent"; "operands invalid"; "carries no gate"; "Condition 1"; "Condition 2" ]
+
+let to_alcotest t =
+  let (QCheck2.Test.Test cell) = t in
+  let name = QCheck2.Test.get_name cell in
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 0xca9; Hashtbl.hash name |])
+    t
+
 let () =
   Alcotest.run "verify"
     [
@@ -390,6 +552,10 @@ let () =
           Alcotest.test_case "condition 2" `Quick test_structural_condition2;
           Alcotest.test_case "coupling" `Quick test_structural_coupling;
           Alcotest.test_case "accounting" `Quick test_structural_accounting;
+          to_alcotest prop_pairs_match_reference;
+          to_alcotest prop_circuit_checks_match_reference;
+          Alcotest.test_case "reference agreement covers every verdict" `Quick
+            test_pairs_reference_covers_verdicts;
         ] );
       ( "injected-bug",
         [
