@@ -14,68 +14,96 @@
         fresh one; then retire the measured qubit's wire into the pool.
 
    "Recycling wire h for qubit p" is precisely a CaQR reuse pair
-   (src = h, dst = p): validity is delegated to [Reuse.valid] (the
+   (src = h, dst = p): validity is delegated to [Reuse.valid_srcs] (the
    paper's Conditions 1-2 on the *current* node of the analysis cursor,
    which each committed pair links in place), so the heuristic can never
-   commit an unsound splice. Among
-   the valid free wires the one with the smallest predicted depth wins,
-   ties to the lowest wire id — the whole run is a pure function of the
-   input circuit. *)
+   commit an unsound splice. Among the valid free wires the one with the
+   smallest predicted depth wins, ties to the lowest wire id — the whole
+   run is a pure function of the input circuit, and the pool's own order
+   never matters.
 
-let cone_of analysis active q =
-  List.filter (fun p -> Reuse.reaches analysis p q) active
+   Everything is per-run int arrays: the cones are one flat table of
+   members in rank order, the order is an int-key sort, and the pool is
+   an int set (members plus each wire's slot, -1 outside). *)
 
 let run c =
   Obs.Metrics.incr "cone.runs";
   Obs.Metrics.time "time.cone" @@ fun () ->
   let analysis = Reuse.analyze c in
-  let active = Reuse.active_qubits analysis in
-  let k = c.Quantum.Circuit.num_qubits in
+  let k = max 1 c.Quantum.Circuit.num_qubits in
+  let active = Array.of_list (Reuse.active_qubits analysis) in
+  let m = Array.length active in
   (* Cones are a property of the *input* dependence structure; computing
      them once up front keeps the measurement order stable while the
-     walk rewrites the circuit underneath. *)
-  let cones = Array.make (max 1 k) [] in
-  List.iter (fun q -> cones.(q) <- cone_of analysis active q) active;
-  let order =
-    List.sort
-      (fun a b -> compare (List.length cones.(a), a) (List.length cones.(b), b))
-      active
-  in
-  (* Rank in the measurement order: cone members allocate in the order
-     their own measurements will complete, so the earliest retirees
-     claim recycled wires first. *)
-  let rank = Array.make (max 1 k) max_int in
-  List.iteri (fun i q -> rank.(q) <- i) order;
-  let allocated = Array.make (max 1 k) false in
-  let host = Array.init (max 1 k) Fun.id in
-  let free = ref [] (* retired wires, oldest retiree first *) in
-  let pairs = ref [] in
+     walk rewrites the circuit underneath. Cone sizes are the input's
+     reach columns; the order packs (size, id) into one int key. *)
+  let size = Array.make k 0 in
+  for j = 0 to m - 1 do
+    let q = active.(j) in
+    for i = 0 to m - 1 do
+      if Reuse.reaches analysis active.(i) q then size.(q) <- size.(q) + 1
+    done
+  done;
+  let order = Array.map (fun q -> (size.(q) * k) + q) active in
+  Array.sort Int.compare order;
+  Array.iteri (fun i key -> order.(i) <- key mod k) order;
+  (* Cone members in rank order: cone members allocate in the order their
+     own measurements will complete, so the earliest retirees claim
+     recycled wires first. Cone [i] (of [order.(i)]) is
+     [members.(start.(i)) .. members.(start.(i + 1) - 1)]. *)
+  let start = Array.make (m + 1) 0 in
+  for i = 0 to m - 1 do
+    start.(i + 1) <- start.(i) + size.(order.(i))
+  done;
+  let members = Array.make (max 1 start.(m)) 0 in
+  for i = 0 to m - 1 do
+    let q = order.(i) and at = ref start.(i) in
+    for j = 0 to m - 1 do
+      if Reuse.reaches analysis order.(j) q then begin
+        members.(!at) <- order.(j);
+        incr at
+      end
+    done
+  done;
+  let allocated = Array.make k false in
+  let host = Array.init k Fun.id in
+  (* the free pool: retired wires, [slot.(h)] their place in [pool] *)
+  let pool = Array.make k 0 and slot = Array.make k (-1) in
+  let pooled = ref 0 in
+  let row = Array.make k 0 in
+  let pairs = ref [] and reuses = ref 0 and unallocated = ref m in
   let tick = Guard.Budget.ticker ~stage:"core.cone" ~site:"cone.alloc" () in
   let allocate p =
     if not allocated.(p) then begin
       tick ();
       allocated.(p) <- true;
-      let best =
-        List.fold_left
-          (fun best h ->
-            let pr = { Reuse.src = h; dst = p } in
-            if not (Reuse.valid analysis pr) then best
-            else
-              let key = (Reuse.predict_depth analysis pr, h) in
-              match best with
-              | Some (k0, _) when k0 <= key -> best
-              | _ -> Some (key, h))
-          None !free
-      in
-      match best with
-      | Some (_, h) ->
-        free := List.filter (fun x -> x <> h) !free;
+      decr unallocated;
+      (* the valid srcs ascend, so the strict [<] keeps the lowest id *)
+      let n = Reuse.valid_srcs analysis p row in
+      let best = ref (-1) and best_depth = ref max_int in
+      for i = 0 to n - 1 do
+        let h = row.(i) in
+        if slot.(h) >= 0 then begin
+          let d = Reuse.predict_depth analysis { Reuse.src = h; dst = p } in
+          if d < !best_depth then begin
+            best := h;
+            best_depth := d
+          end
+        end
+      done;
+      let h = !best in
+      if h >= 0 then begin
+        let last = pool.(!pooled - 1) in
+        pool.(slot.(h)) <- last;
+        slot.(last) <- slot.(h);
+        slot.(h) <- -1;
+        decr pooled;
         let pr = { Reuse.src = h; dst = p } in
-        Reuse.link analysis pr;
+        Reuse.commit analysis pr;
         pairs := pr :: !pairs;
-        host.(p) <- h;
-        Obs.Metrics.incr "cone.reuses"
-      | None -> host.(p) <- p
+        incr reuses;
+        host.(p) <- h
+      end
     end
   in
   (* Commit-so-far: every pair in [pairs] was linked into [analysis]
@@ -84,29 +112,26 @@ let run c =
      partial result instead of thrown away. *)
   let quality =
     match
-      List.iter
-        (fun q ->
-          let members =
-            List.sort (fun a b -> compare (rank.(a), a) (rank.(b), b)) cones.(q)
-          in
-          List.iter allocate members;
-          (* [q]'s cone is complete: its wire is measured-then-reset and
-             rejoins the pool for the next allocation. *)
-          free := !free @ [ host.(q) ])
-        order
+      for i = 0 to m - 1 do
+        for j = start.(i) to start.(i + 1) - 1 do
+          allocate members.(j)
+        done;
+        (* [order.(i)]'s cone is complete: its wire is measured-then-reset and
+           rejoins the pool for the next allocation. *)
+        let h = host.(order.(i)) in
+        if slot.(h) < 0 then begin
+          pool.(!pooled) <- h;
+          slot.(h) <- !pooled;
+          incr pooled
+        end
+      done
     with
     | () -> Quality.Exact
     | exception Guard.Error.Budget_exceeded _ ->
       Obs.Metrics.incr "cone.anytime.returns";
-      let unallocated =
-        List.length (List.filter (fun q -> not allocated.(q)) active)
-      in
-      Quality.Anytime
-        {
-          steps_done = List.length !pairs;
-          frontier_left = unallocated;
-        }
+      Quality.Anytime { steps_done = !reuses; frontier_left = !unallocated }
   in
+  if !reuses > 0 then Obs.Metrics.incr ~by:!reuses "cone.reuses";
   Reuse.flush analysis;
   Engine.of_pairs ~quality ~width:(Reuse.usage analysis)
     (Reuse.circuit analysis) (List.rev !pairs)

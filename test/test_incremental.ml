@@ -289,6 +289,58 @@ let prop_walk_matches_reference ~cfg ~label =
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
     (walk_agrees cfg)
 
+(* A commit moves the cursor exactly as a link does, and links above it
+   still unlink; only the commit itself cannot be undone. The walk
+   commits, links and unlinks at random on one cursor and moves a second
+   one by links alone. *)
+let commit_walk_agrees cfg seed =
+  let rng = Exec.Prng.make seed in
+  let c = Fuzz.Gen.circuit cfg rng in
+  let a = Caqr.Reuse.analyze c and b = Caqr.Reuse.analyze c in
+  let above = ref 0 and committed = ref false in
+  let ok = ref true in
+  for _ = 1 to 24 do
+    let pairs = Caqr.Reuse.valid_pairs a in
+    let pick () = List.nth pairs (Exec.Prng.int rng (List.length pairs)) in
+    (match Exec.Prng.int rng 3 with
+     | 0 when pairs <> [] ->
+       let p = pick () in
+       Caqr.Reuse.commit a p;
+       Caqr.Reuse.link b p;
+       above := 0;
+       committed := true
+     | 1 when pairs <> [] ->
+       let p = pick () in
+       Caqr.Reuse.link a p;
+       Caqr.Reuse.link b p;
+       incr above
+     | _ when !above > 0 ->
+       Caqr.Reuse.unlink a;
+       Caqr.Reuse.unlink b;
+       decr above
+     | _ -> ());
+    ok := !ok && Caqr.Reuse.fields a = Caqr.Reuse.fields b
+  done;
+  !ok
+  && qasm (Caqr.Reuse.circuit a) = qasm (Caqr.Reuse.circuit b)
+  &&
+  (for _ = 1 to !above do
+     Caqr.Reuse.unlink a
+   done;
+   match Caqr.Reuse.unlink a with
+   | () -> false
+   | exception Invalid_argument m ->
+     m
+     = if !committed then "Reuse.unlink: the link is committed"
+       else "Reuse.unlink: no link to undo")
+
+let prop_commit_walk ~cfg ~label =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "cursor: commit walk = link walk (%s)" label)
+    ~count:150
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (commit_walk_agrees cfg)
+
 (* Unlinking at the root is refused. *)
 let test_unlink_at_root () =
   let a = Caqr.Reuse.analyze (Fuzz.Gen.circuit barrier_free (Exec.Prng.make 7)) in
@@ -607,6 +659,9 @@ let () =
           to_alcotest
             (prop_walk_matches_reference ~cfg:barrier_free ~label:"barrier-free");
           Alcotest.test_case "unlink at the root" `Quick test_unlink_at_root;
+          to_alcotest
+            (prop_commit_walk ~cfg:Fuzz.Gen.default ~label:"with barriers");
+          to_alcotest (prop_commit_walk ~cfg:barrier_free ~label:"barrier-free");
         ] );
       ( "engines",
         [
