@@ -760,7 +760,7 @@ let engines_exp () =
 (* The incremental sweep must reproduce the reference sweep exactly
    while doing a fraction of the analysis work.  The comparison runs
    both over every regular benchmark and writes BENCH_caqr.json (schema
-   caqr-bench/11) for CI to archive. Next to the timer ratio each row
+   caqr-bench/12) for CI to archive. Next to the timer ratio each row
    carries counted work, which repeats exactly from run to run: the
    analyses derived per sweep (fresh + incremental), the DFS nodes and
    the part of them credited instead of walked again at each found node
@@ -973,7 +973,7 @@ let commute_report () =
 
 (* The QS search's counted-work gate: minor words per incremental
    [Qs_caqr.sweep] of Multiply_13, at most [qs_words_budget], 10% over
-   the 35,535 it allocates on one in-place analysis cursor per search
+   the 35,537 it allocates on one in-place analysis cursor per search
    (233,804 when every DFS child copied its parent's analysis). *)
 let qs_gate_benchmark = "Multiply_13"
 let qs_words_budget = 39_089.
@@ -1126,6 +1126,40 @@ let sr_words () =
   end;
   (words, per_gate)
 
+(* The pair engines' counted-work gates: minor words of one
+   [Gidnet_caqr.run] and one [Cone_caqr.run] on rand-dyn-100, after one
+   warm run, at most [gidnet_words_budget] and [cone_words_budget], 10%
+   over what the flat engines allocate (the list-based engines they
+   replaced, kept as test/gidnet_ref.ml and test/cone_ref.ml, allocated
+   3,397,854 and 71,107). *)
+let pair_gate_benchmark = "rand-dyn-100"
+let gidnet_words_budget = 13_405.
+let cone_words_budget = 14_824.
+
+let pair_engine_words () =
+  let c =
+    (Option.get (Benchmarks.Large.find_opt pair_gate_benchmark)).Benchmarks.Large.build ()
+  in
+  let gate name run budget =
+    ignore (run c);
+    let words0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (run c));
+    let words = Gc.minor_words () -. words0 in
+    if words <= budget then
+      Printf.printf "=> %s %s run: %.0f minor words (budget %.0f)\n" pair_gate_benchmark
+        name words budget
+    else begin
+      incr structural_violations;
+      Printf.printf
+        "!! PERF VIOLATION: %s %s run allocates %.0f minor words (budget %.0f)\n%!"
+        pair_gate_benchmark name words budget
+    end;
+    words
+  in
+  let gidnet = gate "GidNET" Caqr.Gidnet_caqr.run gidnet_words_budget in
+  let cone = gate "cone" Caqr.Cone_caqr.run cone_words_budget in
+  (gidnet, cone)
+
 let perf () =
   section "perf" "incremental vs reference sweep (BENCH_caqr.json)";
   let ratio num den = num /. Float.max 1e-9 den in
@@ -1199,12 +1233,13 @@ let perf () =
   let root_words = root_analyze_words () in
   let route_words, route_per_gate = route_words () in
   let sr_words, sr_per_gate = sr_words () in
+  let gidnet_words, cone_words = pair_engine_words () in
   let all_identical = List.for_all (fun (_, _, _, id, _, _) -> id) rows in
   Printf.printf "=> engines agree on every sweep: %b\n" all_identical;
   if not all_identical then incr structural_violations;
   let commute = commute_report () in
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"caqr-bench/11\",\"suite\":[";
+  Buffer.add_string b "{\"schema\":\"caqr-bench/12\",\"suite\":[";
   List.iteri
     (fun i (e, inc, fresh, identical, work, speedup) ->
       if i > 0 then Buffer.add_char b ',';
@@ -1224,6 +1259,11 @@ let perf () =
     (Printf.sprintf
        "],\"headline\":{\"largest_benchmark\":%S,\"analyze_work_ratio\":%.3f,\"wall_speedup\":%.3f,\"minor_words_ratio\":%.3f}"
        le.Benchmarks.Suite.name lwork lspeed lwords);
+  (* caqr-bench/12: the pair engines' minor words and their gates. *)
+  Buffer.add_string b
+    (Printf.sprintf
+       ",\"pair_engine_words\":{\"benchmark\":%S,\"gidnet\":{\"minor_words\":%.0f,\"budget\":%.0f},\"cone\":{\"minor_words\":%.0f,\"budget\":%.0f}}"
+       pair_gate_benchmark gidnet_words gidnet_words_budget cone_words cone_words_budget);
   (* caqr-bench/11: the static verifier's minor words and their gate. *)
   Buffer.add_string b
     (Printf.sprintf
