@@ -760,7 +760,7 @@ let engines_exp () =
 (* The incremental sweep must reproduce the reference sweep exactly
    while doing a fraction of the analysis work.  The comparison runs
    both over every regular benchmark and writes BENCH_caqr.json (schema
-   caqr-bench/12) for CI to archive. Next to the timer ratio each row
+   caqr-bench/13) for CI to archive. Next to the timer ratio each row
    carries counted work, which repeats exactly from run to run: the
    analyses derived per sweep (fresh + incremental), the DFS nodes and
    the part of them credited instead of walked again at each found node
@@ -1160,6 +1160,48 @@ let pair_engine_words () =
   let cone = gate "cone" Caqr.Cone_caqr.run cone_words_budget in
   (gidnet, cone)
 
+(* Inline-request resolution's counted-work gate: the minor words the
+   daemon spends on an inline QASM-3 request before any engine runs —
+   parse, digest and [Device.heavy_hex_for] — on one fixed 36-qubit
+   [rand_dyn] source, after one warm call, at most
+   [serve_resolve_budget]: 1,974 expected (the returned 132-gate circuit
+   and its construction, most of it), 55,545 while each width rebuilt
+   its device (30,224, 22.5k of them in the list-based all-pairs BFS),
+   the parser copied and re-split every statement (16,712) and the
+   digest formatted each gate with [Printf] (8,609). *)
+let resolve_gate_qubits = 36
+let serve_resolve_budget = 2_171.
+
+let serve_resolve_words () =
+  let src =
+    Quantum.Qasm.to_string
+      (Benchmarks.Large.rand_dyn ~seed:resolve_gate_qubits resolve_gate_qubits)
+  in
+  let resolve () =
+    match Quantum.Qasm_parser.parse src with
+    | Ok c ->
+      ignore (Sys.opaque_identity (Quantum.Circuit.digest c));
+      ignore
+        (Sys.opaque_identity (Hardware.Device.heavy_hex_for c.Quantum.Circuit.num_qubits));
+      Quantum.Circuit.gate_count c
+    | Error e -> failwith e.Guard.Error.detail
+  in
+  ignore (resolve ());
+  let words0 = Gc.minor_words () in
+  let gates = resolve () in
+  let words = Gc.minor_words () -. words0 in
+  if words <= serve_resolve_budget then
+    Printf.printf
+      "=> rand-dyn-%d inline resolution (%d gates, %d bytes): %.0f minor words (budget %.0f)\n"
+      resolve_gate_qubits gates (String.length src) words serve_resolve_budget
+  else begin
+    incr structural_violations;
+    Printf.printf
+      "!! PERF VIOLATION: rand-dyn-%d inline resolution allocates %.0f minor words (budget %.0f)\n%!"
+      resolve_gate_qubits words serve_resolve_budget
+  end;
+  (gates, words)
+
 let perf () =
   section "perf" "incremental vs reference sweep (BENCH_caqr.json)";
   let ratio num den = num /. Float.max 1e-9 den in
@@ -1234,12 +1276,13 @@ let perf () =
   let route_words, route_per_gate = route_words () in
   let sr_words, sr_per_gate = sr_words () in
   let gidnet_words, cone_words = pair_engine_words () in
+  let resolve_gates, resolve_words = serve_resolve_words () in
   let all_identical = List.for_all (fun (_, _, _, id, _, _) -> id) rows in
   Printf.printf "=> engines agree on every sweep: %b\n" all_identical;
   if not all_identical then incr structural_violations;
   let commute = commute_report () in
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"caqr-bench/12\",\"suite\":[";
+  Buffer.add_string b "{\"schema\":\"caqr-bench/13\",\"suite\":[";
   List.iteri
     (fun i (e, inc, fresh, identical, work, speedup) ->
       if i > 0 then Buffer.add_char b ',';
@@ -1259,6 +1302,11 @@ let perf () =
     (Printf.sprintf
        "],\"headline\":{\"largest_benchmark\":%S,\"analyze_work_ratio\":%.3f,\"wall_speedup\":%.3f,\"minor_words_ratio\":%.3f}"
        le.Benchmarks.Suite.name lwork lspeed lwords);
+  (* caqr-bench/13: inline-request resolution's minor words and its gate. *)
+  Buffer.add_string b
+    (Printf.sprintf
+       ",\"serve_resolve_words\":{\"source\":\"rand-dyn-%d\",\"gates\":%d,\"minor_words\":%.0f,\"budget\":%.0f}"
+       resolve_gate_qubits resolve_gates resolve_words serve_resolve_budget);
   (* caqr-bench/12: the pair engines' minor words and their gates. *)
   Buffer.add_string b
     (Printf.sprintf

@@ -9,7 +9,7 @@ type qubit = {
 
 type t = { links : (int * int, link) Hashtbl.t; qubits : qubit array }
 
-let key u v = if u < v then (u, v) else (v, u)
+let key (u : int) v = if u < v then (u, v) else (v, u)
 
 let synthetic ~seed g =
   let rng = Random.State.make [| seed; 0xca1 |] in

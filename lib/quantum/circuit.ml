@@ -205,38 +205,84 @@ let measure_all c =
    representations of the same circuit — built gate by gate, rebuilt by
    a transformation, or re-parsed from the canonical QASM-3 emission —
    digest identically. The "circuit/1" tag versions the serialization
-   itself. *)
+   itself. Integers and bit patterns are written straight into the
+   buffer, with no format string or intermediate string per gate. *)
+let rec add_digits b n =
+  (* [n <= 0]: writes the digits of [-n], so [min_int] needs no case. *)
+  if n <= -10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+(* [string_of_int], written in place. *)
+let add_int b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_digits b n
+  end
+  else add_digits b (-n)
+
+(* The bit pattern as [Printf "%Lx"] renders it: lowercase hex, no
+   leading zeros. *)
+let add_angle b th =
+  let bits = Int64.bits_of_float th in
+  let top = ref 15 in
+  while !top > 0 && Int64.(to_int (shift_right_logical bits (4 * !top))) land 15 = 0 do
+    decr top
+  done;
+  for k = !top downto 0 do
+    Buffer.add_char b
+      "0123456789abcdef".[Int64.(to_int (shift_right_logical bits (4 * k))) land 15]
+  done
+
 let canon_buf b c =
-  Buffer.add_string b
-    (Printf.sprintf "circuit/1 q=%d c=%d\n" c.num_qubits c.num_clbits);
-  let angle th = Printf.sprintf "%Lx" (Int64.bits_of_float th) in
-  let one_q : Gate.one_q -> string = function
-    | H -> "h" | X -> "x" | Y -> "y" | Z -> "z" | S -> "s" | Sdg -> "sdg"
-    | T -> "t" | Tdg -> "tdg" | Sx -> "sx"
-    | Rx th -> "rx " ^ angle th
-    | Ry th -> "ry " ^ angle th
-    | Rz th -> "rz " ^ angle th
-    | Phase th -> "p " ^ angle th
+  Buffer.add_string b "circuit/1 q=";
+  add_int b c.num_qubits;
+  Buffer.add_string b " c=";
+  add_int b c.num_clbits;
+  Buffer.add_char b '\n';
+  let one_q : Gate.one_q -> unit = function
+    | H -> Buffer.add_string b "h" | X -> Buffer.add_string b "x"
+    | Y -> Buffer.add_string b "y" | Z -> Buffer.add_string b "z"
+    | S -> Buffer.add_string b "s" | Sdg -> Buffer.add_string b "sdg"
+    | T -> Buffer.add_string b "t" | Tdg -> Buffer.add_string b "tdg"
+    | Sx -> Buffer.add_string b "sx"
+    | Rx th -> Buffer.add_string b "rx "; add_angle b th
+    | Ry th -> Buffer.add_string b "ry "; add_angle b th
+    | Rz th -> Buffer.add_string b "rz "; add_angle b th
+    | Phase th -> Buffer.add_string b "p "; add_angle b th
   in
-  Array.iter
-    (fun (g : Gate.t) ->
-      (match g.Gate.kind with
-       | Gate.One_q (u, q) -> Buffer.add_string b (Printf.sprintf "%s %d" (one_q u) q)
-       | Gate.Cx (a, q) -> Buffer.add_string b (Printf.sprintf "cx %d %d" a q)
-       | Gate.Cz (a, q) -> Buffer.add_string b (Printf.sprintf "cz %d %d" a q)
-       | Gate.Rzz (th, a, q) ->
-         Buffer.add_string b (Printf.sprintf "rzz %s %d %d" (angle th) a q)
-       | Gate.Swap (a, q) -> Buffer.add_string b (Printf.sprintf "swap %d %d" a q)
-       | Gate.Measure (q, cb) ->
-         Buffer.add_string b (Printf.sprintf "measure %d %d" q cb)
-       | Gate.Reset q -> Buffer.add_string b (Printf.sprintf "reset %d" q)
-       | Gate.If_x (cb, q) ->
-         Buffer.add_string b (Printf.sprintf "if_x %d %d" cb q)
-       | Gate.Barrier qs ->
-         Buffer.add_string b
-           ("barrier " ^ String.concat " " (List.map string_of_int qs)));
-      Buffer.add_char b '\n')
-    c.gates
+  let op name a q =
+    Buffer.add_string b name;
+    add_int b a;
+    Buffer.add_char b ' ';
+    add_int b q
+  in
+  for i = 0 to Array.length c.gates - 1 do
+    (match c.gates.(i).Gate.kind with
+     | Gate.One_q (u, q) ->
+       one_q u;
+       Buffer.add_char b ' ';
+       add_int b q
+     | Gate.Cx (a, q) -> op "cx " a q
+     | Gate.Cz (a, q) -> op "cz " a q
+     | Gate.Rzz (th, a, q) ->
+       Buffer.add_string b "rzz ";
+       add_angle b th;
+       op " " a q
+     | Gate.Swap (a, q) -> op "swap " a q
+     | Gate.Measure (q, cb) -> op "measure " q cb
+     | Gate.Reset q ->
+       Buffer.add_string b "reset ";
+       add_int b q
+     | Gate.If_x (cb, q) -> op "if_x " cb q
+     | Gate.Barrier qs ->
+       Buffer.add_string b "barrier ";
+       List.iteri
+         (fun j q ->
+           if j > 0 then Buffer.add_char b ' ';
+           add_int b q)
+         qs);
+    Buffer.add_char b '\n'
+  done
 
 let digest c =
   let b = Buffer.create (64 + (16 * Array.length c.gates)) in

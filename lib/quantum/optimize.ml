@@ -7,6 +7,10 @@ let trivial_angle th =
   let m = Float.rem th two_pi in
   Float.abs m < 1e-12 || Float.abs (Float.abs m -. two_pi) < 1e-12
 
+(* The unordered wire pairs {a1, b1} and {a2, b2} are equal; compares
+   ints, not tuples. *)
+let same_wires (a1 : int) b1 a2 b2 = (a1 = a2 && b1 = b2) || (a1 = b2 && b1 = a2)
+
 let inverse_pair a b =
   match (a, b) with
   | Gate.One_q (ga, q), Gate.One_q (gb, q') when q = q' -> (
@@ -16,10 +20,9 @@ let inverse_pair a b =
     | Gate.T, Gate.Tdg | Gate.Tdg, Gate.T -> true
     | _ -> false)
   | Gate.Cx (c1, t1), Gate.Cx (c2, t2) -> c1 = c2 && t1 = t2
-  | Gate.Cz (a1, b1), Gate.Cz (a2, b2) ->
-    (a1, b1) = (a2, b2) || (a1, b1) = (b2, a2)
-  | Gate.Swap (a1, b1), Gate.Swap (a2, b2) ->
-    (a1, b1) = (a2, b2) || (a1, b1) = (b2, a2)
+  | Gate.Cz (a1, b1), Gate.Cz (a2, b2) | Gate.Swap (a1, b1), Gate.Swap (a2, b2)
+    ->
+    same_wires a1 b1 a2 b2
   | _ -> false
 
 (* [fuse a b] is [Some kind] when b absorbs into a as a same-axis
@@ -35,7 +38,7 @@ let fuse a b =
   | Gate.One_q (Gate.Phase t1, q), Gate.One_q (Gate.Phase t2, q') when q = q' ->
     Some (Gate.One_q (Gate.Phase (t1 +. t2), q))
   | Gate.Rzz (t1, a1, b1), Gate.Rzz (t2, a2, b2)
-    when (a1, b1) = (a2, b2) || (a1, b1) = (b2, a2) ->
+    when same_wires a1 b1 a2 b2 ->
     Some (Gate.Rzz (t1 +. t2, a1, b1))
   | _ -> None
 

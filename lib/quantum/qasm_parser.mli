@@ -10,7 +10,11 @@
     - [OPENQASM ...;] and [include ...;] headers (ignored), [//] comments.
 
     Angles accept float literals and [pi] expressions ([pi/2], [2*pi],
-    [-pi]). *)
+    [-pi]).
+
+    One pass scans the text; a statement already in normal form (no
+    comment, newline or double space inside) is read in place, so a
+    parse allocates little beyond the circuit it returns. *)
 
 (** [parse text] parses a program. On unsupported or malformed input the
     structured error's [detail] pinpoints the statement with a 1-based

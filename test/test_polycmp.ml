@@ -51,15 +51,6 @@ let allowed =
       "caml_equal",
       "the failure collector tests !bad = None and pairs = [], a few times \
        per check" );
-    ( "Optimize",
-      "caml_equal",
-      "gate matching compares wire-pair tuples when two gates may cancel" );
-    ( "Device",
-      "caml_equal",
-      "index_of scans a neighbour row with a polymorphic =" );
-    ( "Calibration",
-      "caml_lessthan",
-      "key orders an edge's endpoints with a polymorphic <, per lookup" );
   ]
 
 (* The build root: the test binary sits in <root>/test. *)
