@@ -143,7 +143,10 @@ let rank = function Score | Both -> Reuse.By_depth | Chain -> Reuse.By_chain
 module State = struct
   type t = { hash : int; next : int array }
 
-  let equal a b = a.hash = b.hash && a.next = b.next
+  let equal a b =
+    a.hash = b.hash
+    && Array.length a.next = Array.length b.next
+    && Array.for_all2 Int.equal a.next b.next
   let hash s = s.hash
 end
 

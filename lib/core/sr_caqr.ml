@@ -549,7 +549,7 @@ let commutable ?gamma ?beta device problem_graph =
     |> Option.get
   in
   let candidates =
-    List.sort_uniq compare
+    List.sort_uniq Int.compare
       [ 0; Array.length arr / 2; Array.length arr - 1 ]
     |> List.map (fun i -> arr.(i))
   in
@@ -564,7 +564,8 @@ let commutable ?gamma ?beta device problem_graph =
     (fun best r ->
       match best with
       | Some b
-        when (b.swaps_added, b.qubits_used) <= (r.swaps_added, r.qubits_used) ->
+        when b.swaps_added < r.swaps_added
+             || (b.swaps_added = r.swaps_added && b.qubits_used <= r.qubits_used) ->
         best
       | _ -> Some r)
     None compiled

@@ -39,6 +39,10 @@ val mumbai : t
     every call and not kept. A returned device must never be mutated. *)
 val heavy_hex_for : int -> t
 
+(** 327: the widest device {!heavy_hex_for} keeps. The compilation
+    service refuses inline programs wider than this. *)
+val memo_max_width : int
+
 (** Ideal (noise-free) device over a coupling graph. *)
 val ideal : Galg.Graph.t -> t
 

@@ -153,6 +153,12 @@ let resolve_input t (req : Protocol.request) =
        Error (usage_error ~site:"request.input" "unknown benchmark %S" name))
   | None, Some src ->
     (match Quantum.Qasm_parser.parse src with
+     | Ok c when c.Quantum.Circuit.num_qubits > Hardware.Device.memo_max_width ->
+       (* Refused before any device (and its distance table) is built. *)
+       Error
+         (usage_error ~site:"request.input"
+            "inline program declares %d qubits (limit %d)" c.Quantum.Circuit.num_qubits
+            Hardware.Device.memo_max_width)
      | Ok c ->
        Ok ("qasm3", Caqr.Pipeline.Regular c, c, "regular:" ^ Quantum.Circuit.digest c)
      | Error e -> Error e)

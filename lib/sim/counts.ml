@@ -10,10 +10,15 @@ let add t outcome =
 let total t = t.total
 let get t outcome = Option.value ~default:0 (Hashtbl.find_opt t.table outcome)
 
-let to_list t =
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.table [])
+(* Outcomes are distinct keys, so ordering by outcome alone is total. *)
+let by_outcome (a, _) (b, _) = Int.compare a b
 
-let equal a b = a.num_clbits = b.num_clbits && to_list a = to_list b
+let to_list t =
+  List.sort by_outcome (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.table [])
+
+let equal a b =
+  a.num_clbits = b.num_clbits
+  && List.equal (fun (k, v) (k', v') -> k = k' && v = v') (to_list a) (to_list b)
 
 (* Per-outcome addition: associative and commutative with [create] as
    identity, which is what lets the execution pool merge per-batch shot
@@ -35,7 +40,7 @@ let to_probs t =
   else
     let s = float_of_int t.total in
     Hashtbl.fold (fun k v acc -> (k, float_of_int v /. s) :: acc) t.table []
-    |> List.sort compare
+    |> List.sort by_outcome
 
 let of_probs ~num_clbits ~shots probs =
   let t = create ~num_clbits in
@@ -52,7 +57,7 @@ let of_probs ~num_clbits ~shots probs =
 let tvd a b =
   let pa = to_probs a and pb = to_probs b in
   let keys =
-    List.sort_uniq compare (List.map fst pa @ List.map fst pb)
+    List.sort_uniq Int.compare (List.map fst pa @ List.map fst pb)
   in
   let find k l = Option.value ~default:0. (List.assoc_opt k l) in
   (* Clamp: float summation can overshoot the [0, 1] bound by an ulp. *)

@@ -40,9 +40,10 @@ let relax ctx st q ~idle_dt =
   end
 
 (* The schedule is fixed per circuit: each shot only tracks, per wire,
-   when its last gate finished, to size the idle window before the next. *)
-let run_shot ctx (c : Quantum.Circuit.t) =
-  let st = State.init c.num_qubits in
+   when its last gate finished, to size the idle window before the next.
+   [st] is the run's one state, set back to |0...0> here. *)
+let run_shot ctx st (c : Quantum.Circuit.t) =
+  State.clear st;
   let creg = ref 0 in
   let last_finish = Array.make (max 1 c.num_qubits) 0 in
   Array.iteri
@@ -118,9 +119,12 @@ let run ~device ~seed ~shots circuit =
   let rng = Random.State.make [| seed; 0x401 |] in
   let ctx = { device; phys_of; rng; start; finish } in
   let counts = Counts.create ~num_clbits:compacted.Quantum.Circuit.num_clbits in
-  for _ = 1 to shots do
-    Counts.add counts (run_shot ctx compacted)
-  done;
+  if shots > 0 then begin
+    let st = State.init compacted.Quantum.Circuit.num_qubits in
+    for _ = 1 to shots do
+      Counts.add counts (run_shot ctx st compacted)
+    done
+  end;
   counts
 
 let tvd_vs_ideal ~device ~seed ~shots circuit =

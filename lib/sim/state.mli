@@ -48,9 +48,18 @@ val apply_unitary : t -> Quantum.Gate.kind -> unit
 (** Apply a Pauli (for noise injection): 0 = I, 1 = X, 2 = Y, 3 = Z. *)
 val apply_pauli : t -> int -> int -> unit
 
-(** Deep copy — branch-enumeration checkers fork the state at each
-    measurement instead of sampling it. *)
-val copy : t -> t
+(** [clear st] sets [st] back to |0...0>. *)
+val clear : t -> unit
+
+(** [blit ~src ~dst] copies [src]'s amplitudes into [dst], which must be
+    as wide. The outcome-tree walker saves a branching node's state this
+    way and restores it for the second outcome. *)
+val blit : src:t -> dst:t -> unit
+
+(** Kernel calls that read or wrote all of [st]'s amplitudes since
+    {!make}: one per gate, {!prob_one}, {!collapse}, {!clear}, {!read_off}
+    and {!blit} (counted on [dst]). *)
+val passes : t -> int
 
 (** [collapse st q outcome] projects qubit [q] onto [outcome] and
     renormalizes, regardless of how unlikely the outcome was (callers
@@ -65,3 +74,14 @@ val reset : Random.State.t -> t -> int -> unit
 
 (** Probability that qubit [q] reads 1. *)
 val prob_one : t -> int -> float
+
+(** [read_off st ~creg ~wiring ~weight dist] reads a trailing block of
+    measurements off [st] without collapsing it. [wiring] holds the
+    block's (qubit, clbit) pairs flat, [|q0; c0; q1; c1; ...|], in
+    execution order. For every basis state whose probability [p] exceeds
+    [1e-12], [weight *. p] is added to [dist.(outcome)], where [outcome]
+    is [creg] with each wired clbit set to its qubit's bit in that basis
+    state; a later measurement overwrites an earlier one on the same
+    clbit. *)
+val read_off :
+  t -> creg:int -> wiring:int array -> weight:float -> float array -> unit

@@ -3,12 +3,6 @@ let max_clbits = 20
 let max_branches = 1 lsl 14
 let tolerance = 1e-6
 
-exception Budget of string
-
-(* Probability mass below this is a dead branch (Born probabilities of
-   impossible outcomes computed in floats land around 1e-16). *)
-let prune = 1e-12
-
 let distribution circuit =
   (* Routing SWAPs cost wires, not semantics: elide them first so a
      physical circuit compacts back toward its logical width. *)
@@ -23,84 +17,7 @@ let distribution circuit =
     Error
       (Printf.sprintf "circuit has %d clbits (exact limit %d)"
          circuit.Quantum.Circuit.num_clbits max_clbits)
-  else begin
-    let gates = circuit.Quantum.Circuit.gates in
-    let n = Array.length gates in
-    let dist = Array.make (1 lsl circuit.Quantum.Circuit.num_clbits) 0. in
-    let branches = ref 1 in
-    (* suffix_final.(i): every gate from i on is a measurement or barrier,
-       so the remaining circuit can be read off the state vector at once. *)
-    let suffix_final = Array.make (n + 1) true in
-    for i = n - 1 downto 0 do
-      suffix_final.(i) <-
-        suffix_final.(i + 1)
-        &&
-        match gates.(i).Quantum.Gate.kind with
-        | Quantum.Gate.Measure _ | Quantum.Gate.Barrier _ -> true
-        | _ -> false
-    done;
-    let read_off st creg weight i =
-      let wiring = ref [] in
-      for j = n - 1 downto i do
-        match gates.(j).Quantum.Gate.kind with
-        | Quantum.Gate.Measure (q, c) -> wiring := (q, c) :: !wiring
-        | _ -> ()
-      done;
-      Sim.Executor.read_off st ~creg !wiring (fun outcome p ->
-          dist.(outcome) <- dist.(outcome) +. (weight *. p))
-    in
-    let rec go st creg weight i =
-      if weight <= prune then ()
-      else if i >= n then dist.(creg) <- dist.(creg) +. weight
-      else if suffix_final.(i) then read_off st creg weight i
-      else begin
-        match gates.(i).Quantum.Gate.kind with
-        | Quantum.Gate.If_x (c, q) ->
-          if creg land (1 lsl c) <> 0 then Sim.State.apply_one_q st Quantum.Gate.X q;
-          go st creg weight (i + 1)
-        | Quantum.Gate.Measure (q, c) ->
-          branch st q weight (fun st outcome w ->
-              let creg' =
-                let cleared = creg land lnot (1 lsl c) in
-                if outcome = 1 then cleared lor (1 lsl c) else cleared
-              in
-              go st creg' w (i + 1))
-        | Quantum.Gate.Reset q ->
-          branch st q weight (fun st outcome w ->
-              if outcome = 1 then Sim.State.apply_one_q st Quantum.Gate.X q;
-              go st creg w (i + 1))
-        | kind ->
-          Sim.State.apply_unitary st kind;
-          go st creg weight (i + 1)
-      end
-    and branch st q weight k =
-      let p1 = Sim.State.prob_one st q in
-      let p0 = 1. -. p1 in
-      if p1 *. weight <= prune then begin
-        Sim.State.collapse st q 0;
-        k st 0 (weight *. p0)
-      end
-      else if p0 *. weight <= prune then begin
-        Sim.State.collapse st q 1;
-        k st 1 (weight *. p1)
-      end
-      else begin
-        incr branches;
-        if !branches > max_branches then
-          raise
-            (Budget
-               (Printf.sprintf "more than %d measurement branches" max_branches));
-        let st1 = Sim.State.copy st in
-        Sim.State.collapse st q 0;
-        k st 0 (weight *. p0);
-        Sim.State.collapse st1 q 1;
-        k st1 1 (weight *. p1)
-      end
-    in
-    match go (Sim.State.init circuit.Quantum.Circuit.num_qubits) 0 1. 0 with
-    | () -> Ok dist
-    | exception Budget why -> Error why
-  end
+  else Sim.Executor.exact ~max_branches circuit
 
 (* Scratch clbits above the compared range only need distinct names, so
    renumber the used ones densely. SR artifacts declare one scratch per

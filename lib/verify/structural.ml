@@ -8,7 +8,7 @@ type pair = { src : int; dst : int }
 let check_wellformed (c : Quantum.Circuit.t) =
   let written = Array.make (max 1 c.num_clbits) false in
   let bad = ref None in
-  let fail fmt = Printf.ksprintf (fun s -> if !bad = None then bad := Some s) fmt in
+  let fail fmt = Printf.ksprintf (fun s -> if Option.is_none !bad then bad := Some s) fmt in
   let qubit i q =
     if q < 0 || q >= c.num_qubits then
       fail "gate %d: qubit %d out of range (%d wires)" i q c.num_qubits
@@ -78,7 +78,7 @@ let check_wellformed (c : Quantum.Circuit.t) =
    Nothing here calls into the compiler's own [Reuse] analysis, so a bug
    in the compiler's condition checking cannot hide itself. *)
 
-let wire_flag q ~src ~dst =
+let wire_flag (q : int) ~src ~dst =
   (if q = src then 1 else 0) lor if q = dst then 2 else 0
 
 let check_sequence ~(original : Quantum.Circuit.t) pairs =
@@ -319,14 +319,16 @@ let check_sequence ~(original : Quantum.Circuit.t) pairs =
   go 0 pairs
 
 let check_pairs ~original pairs =
-  if pairs = [] then Verdict.Equivalent else check_sequence ~original pairs
+  match pairs with
+  | [] -> Verdict.Equivalent
+  | _ -> check_sequence ~original pairs
 
 (* --------------------------------------------------- commutable pairs *)
 
 let check_commutable_pairs ~graph pairs =
   let n = Galg.Graph.order graph in
   let bad = ref None in
-  let fail fmt = Printf.ksprintf (fun s -> if !bad = None then bad := Some s) fmt in
+  let fail fmt = Printf.ksprintf (fun s -> if Option.is_none !bad then bad := Some s) fmt in
   let seen_src = Array.make (max 1 n) false in
   let seen_dst = Array.make (max 1 n) false in
   List.iteri
@@ -425,7 +427,7 @@ let check_commutable_pairs ~graph pairs =
 let check_coupling device (c : Quantum.Circuit.t) =
   let nd = Hardware.Device.num_qubits device in
   let bad = ref None in
-  let fail fmt = Printf.ksprintf (fun s -> if !bad = None then bad := Some s) fmt in
+  let fail fmt = Printf.ksprintf (fun s -> if Option.is_none !bad then bad := Some s) fmt in
   if c.num_qubits > nd then
     fail "circuit spans %d wires but the device has %d qubits" c.num_qubits nd;
   for i = 0 to Array.length c.gates - 1 do
@@ -468,7 +470,7 @@ let check_accounting ~(logical : Quantum.Circuit.t)
     let bad = ref None in
     Array.iteri
       (fun cb w ->
-        if !bad = None && got.(cb) <> w then
+        if Option.is_none !bad && got.(cb) <> w then
           bad :=
             Some
               (Printf.sprintf

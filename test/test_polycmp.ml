@@ -27,7 +27,7 @@ let primitives =
   ]
 
 (* The libraries the rule covers, by archive path under the build's
-   root: lib/{core,transpiler,verify,quantum,hardware}. *)
+   root: lib/{core,transpiler,verify,quantum,hardware,sim}. *)
 let archives =
   [
     "lib/core/caqr.a";
@@ -35,23 +35,12 @@ let archives =
     "lib/verify/verify.a";
     "lib/quantum/quantum.a";
     "lib/hardware/hardware.a";
+    "lib/sim/sim.a";
   ]
 
-(* (module, primitive, reason) *)
-let allowed =
-  [
-    ( "Qs_caqr",
-      "caml_equal",
-      "State.equal compares the transposition key's int array with =, once \
-       per table probe" );
-    ( "Sr_caqr",
-      "caml_lessequal",
-      "the commutable pick orders (swaps, width) tuples, once per sweep row" );
-    ( "Structural",
-      "caml_equal",
-      "the failure collector tests !bad = None and pairs = [], a few times \
-       per check" );
-  ]
+(* (module, primitive, reason); empty since every covered module
+   compares ints, floats and strings with typed operators. *)
+let allowed : (string * string * string) list = []
 
 (* The build root: the test binary sits in <root>/test. *)
 let build_root = Filename.dirname (Filename.dirname Sys.executable_name)

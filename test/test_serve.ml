@@ -486,6 +486,20 @@ let test_handler_qasm3_input () =
     (contains r2 "\"cache\":\"hit\"");
   check string "identical result" (result_part r1) (result_part r2)
 
+(* An inline program wider than the widest kept device is refused
+   before a device is built: a 2000-qubit distance table alone would be
+   4M words. *)
+let test_handler_inline_too_wide () =
+  let t = server () in
+  let req = {|{"op":"compile","qasm3":"OPENQASM 3.0;\nqubit[2000] q;\nh q[0];"}|} in
+  let before = Gc.allocated_bytes () in
+  let r, _ = Serve.Server.handle_line t req in
+  let allocated = Gc.allocated_bytes () -. before in
+  check bool "refused" true (contains r "\"ok\":false");
+  check bool "request.input error" true (contains r "request.input");
+  check bool "names the limit" true (contains r "limit 327");
+  check bool "no distance table" true (allocated < 1e6)
+
 let test_handler_stats_and_shutdown () =
   let t = server () in
   ignore (Serve.Server.handle_line t {|{"op":"compile","bench":"BV_10"}|});
@@ -1296,6 +1310,8 @@ let () =
             test_handler_verify_and_simulate;
           Alcotest.test_case "inline qasm3 content addressing" `Quick
             test_handler_qasm3_input;
+          Alcotest.test_case "inline width above the device cap" `Quick
+            test_handler_inline_too_wide;
           Alcotest.test_case "stats and shutdown" `Quick
             test_handler_stats_and_shutdown;
           Alcotest.test_case "batch keeps order" `Quick test_handler_batch_order;
