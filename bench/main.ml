@@ -760,7 +760,7 @@ let engines_exp () =
 (* The incremental sweep must reproduce the reference sweep exactly
    while doing a fraction of the analysis work.  The comparison runs
    both over every regular benchmark and writes BENCH_caqr.json (schema
-   caqr-bench/13) for CI to archive. Next to the timer ratio each row
+   caqr-bench/14) for CI to archive. Next to the timer ratio each row
    carries counted work, which repeats exactly from run to run: the
    analyses derived per sweep (fresh + incremental), the DFS nodes and
    the part of them credited instead of walked again at each found node
@@ -1202,6 +1202,50 @@ let serve_resolve_words () =
   end;
   (gates, words)
 
+(* The outcome-tree walker's counted-work gate: minor words of one
+   256-shot [Sim.Executor.run] plus one exact [Verify.Equiv.check] of
+   QAOA10-0.3's baseline artifact against its logical circuit, after one
+   warm call, at most [sim_words_budget], 10% over the 37,914 they
+   allocate, with the state-vector passes the walks made
+   (["sim.amplitude_passes"], 9,173). *)
+let sim_gate_benchmark = "QAOA10-0.3"
+let sim_words_budget = 41_712.
+
+let sim_words () =
+  let e = Benchmarks.Suite.find sim_gate_benchmark in
+  let c = e.Benchmarks.Suite.circuit in
+  let device = Hardware.Device.heavy_hex_for c.Quantum.Circuit.num_qubits in
+  let report =
+    Caqr.Pipeline.compile device Caqr.Pipeline.Baseline (Benchmarks.Suite.input e)
+  in
+  let physical = report.Caqr.Pipeline.physical in
+  let run () =
+    ignore (Sys.opaque_identity (Sim.Executor.run ~jobs:1 ~seed:1 ~shots:256 physical));
+    Verify.Equiv.check ~original:report.Caqr.Pipeline.logical ~transformed:physical ()
+  in
+  ignore (run ());
+  Obs.Metrics.reset ();
+  let words0 = Gc.minor_words () in
+  let verdict = run () in
+  let words = Gc.minor_words () -. words0 in
+  let passes = Obs.Metrics.count "sim.amplitude_passes" in
+  if not (Verify.Verdict.is_equivalent verdict) then begin
+    incr structural_violations;
+    Printf.printf "!! VIOLATION: %s baseline artifact fails the exact check\n%!"
+      sim_gate_benchmark
+  end;
+  if words <= sim_words_budget then
+    Printf.printf
+      "=> %s 256-shot simulate + exact check: %.0f minor words (budget %.0f), %d amplitude passes\n"
+      sim_gate_benchmark words sim_words_budget passes
+  else begin
+    incr structural_violations;
+    Printf.printf
+      "!! PERF VIOLATION: %s simulate + exact check allocates %.0f minor words (budget %.0f)\n%!"
+      sim_gate_benchmark words sim_words_budget
+  end;
+  (words, passes)
+
 let perf () =
   section "perf" "incremental vs reference sweep (BENCH_caqr.json)";
   let ratio num den = num /. Float.max 1e-9 den in
@@ -1277,12 +1321,13 @@ let perf () =
   let sr_words, sr_per_gate = sr_words () in
   let gidnet_words, cone_words = pair_engine_words () in
   let resolve_gates, resolve_words = serve_resolve_words () in
+  let sim_words, sim_passes = sim_words () in
   let all_identical = List.for_all (fun (_, _, _, id, _, _) -> id) rows in
   Printf.printf "=> engines agree on every sweep: %b\n" all_identical;
   if not all_identical then incr structural_violations;
   let commute = commute_report () in
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"caqr-bench/13\",\"suite\":[";
+  Buffer.add_string b "{\"schema\":\"caqr-bench/14\",\"suite\":[";
   List.iteri
     (fun i (e, inc, fresh, identical, work, speedup) ->
       if i > 0 then Buffer.add_char b ',';
@@ -1302,6 +1347,11 @@ let perf () =
     (Printf.sprintf
        "],\"headline\":{\"largest_benchmark\":%S,\"analyze_work_ratio\":%.3f,\"wall_speedup\":%.3f,\"minor_words_ratio\":%.3f}"
        le.Benchmarks.Suite.name lwork lspeed lwords);
+  (* caqr-bench/14: the outcome-tree walker's minor words and its gate. *)
+  Buffer.add_string b
+    (Printf.sprintf
+       ",\"sim_words_budget\":{\"benchmark\":%S,\"minor_words\":%.0f,\"amplitude_passes\":%d,\"budget\":%.0f}"
+       sim_gate_benchmark sim_words sim_passes sim_words_budget);
   (* caqr-bench/13: inline-request resolution's minor words and its gate. *)
   Buffer.add_string b
     (Printf.sprintf
