@@ -111,11 +111,21 @@ let save w depth i creg =
   w.saved_gate.(depth) <- i;
   w.saved_creg.(depth) <- creg
 
+(* Sampled mode polls the deadline at every branching node and before
+   every replay, so a deadline stops a batch partway through its walk,
+   as it stopped the per-shot loop between two shots. Exact mode polls
+   none, as the branch recursion it replaced polled none. *)
+let poll w site =
+  match w.mode with
+  | Sampled _ -> Guard.Budget.checkpoint ~stage:"sim.executor" ~site
+  | Exact _ -> ()
+
 (* Bring the working state back to the node before gate [i] at [depth]. *)
 let restore w depth i =
   let slots = Array.length w.saved in
   if depth < slots then State.blit ~src:(Option.get w.saved.(depth)) ~dst:w.st
   else begin
+    poll w "sim.replay";
     Obs.Metrics.incr "sim.replays";
     let from =
       if slots = 0 then begin
@@ -178,6 +188,7 @@ and branch w creg i lo hi weight depth =
     | Quantum.Gate.Measure (q, _) | Quantum.Gate.Reset q -> q
     | _ -> invalid_arg "Executor.branch: not a measurement or reset"
   in
+  poll w "sim.branch";
   let p1 = State.prob_one w.st q in
   match w.mode with
   | Exact e ->
@@ -261,12 +272,7 @@ let run ?jobs ~seed ~shots circuit =
   if shots <= 0 then Counts.create ~num_clbits:circuit.num_clbits
   else begin
     let per_shot =
-      Array.fold_left
-        (fun k g ->
-          match g.Quantum.Gate.kind with
-          | Quantum.Gate.Measure _ | Quantum.Gate.Reset _ -> k + 1
-          | _ -> k)
-        0 circuit.gates
+      snd (ordinals (Array.map (fun g -> g.Quantum.Gate.kind) circuit.gates))
     in
     let batches = (shots + shots_per_batch - 1) / shots_per_batch in
     let sizes =
@@ -285,6 +291,17 @@ let run ?jobs ~seed ~shots circuit =
 
 (* ---- Exact distributions ---- *)
 
+(* The (qubit, clbit) pairs of the measurements in [gates] from [from]
+   on, flat and in execution order, as {!State.outcome} reads them. *)
+let wiring (gates : Quantum.Gate.t array) ~from =
+  let pairs = ref [] in
+  for i = Array.length gates - 1 downto from do
+    match gates.(i).kind with
+    | Quantum.Gate.Measure (q, cb) -> pairs := q :: cb :: !pairs
+    | _ -> ()
+  done;
+  Array.of_list !pairs
+
 let exact ~max_branches (c : Quantum.Circuit.t) =
   (* The trailing block of measurements (barriers may sit between them)
      is read off the final state in one pass. *)
@@ -299,17 +316,9 @@ let exact ~max_branches (c : Quantum.Circuit.t) =
   do
     decr read_from
   done;
-  let wiring =
-    Array.to_list (Array.sub c.gates !read_from (n - !read_from))
-    |> List.concat_map (fun g ->
-           match g.Quantum.Gate.kind with
-           | Quantum.Gate.Measure (q, cb) -> [ q; cb ]
-           | _ -> [])
-    |> Array.of_list
-  in
   let dist = Array.make (1 lsl c.num_clbits) 0. in
   let w =
-    walker c ~read_from:!read_from ~wiring
+    walker c ~read_from:!read_from ~wiring:(wiring c.gates ~from:!read_from)
       (Exact { dist; max_branches; branches = 1 })
   in
   match walk w ~shots:0 with
@@ -336,29 +345,18 @@ let distribution ~seed circuit =
   if not (only_final_measurements circuit) then run ~seed ~shots:4096 circuit
   else begin
     let st = State.init circuit.num_qubits in
-    (* (qubit, clbit) wiring of the final measurements, latest first *)
-    let wiring = ref [] in
     Array.iter
       (fun g ->
         match g.Quantum.Gate.kind with
-        | Quantum.Gate.Measure (q, c) -> wiring := (q, c) :: !wiring
+        | Quantum.Gate.Measure _ -> ()
         | k -> State.apply_unitary st k)
       circuit.gates;
-    (* [wiring] is in execution order once reversed, so the left fold
-       lets a later measurement overwrite an earlier one on the same
-       clbit. *)
-    let wiring = List.rev !wiring in
+    let wiring = wiring circuit.gates ~from:0 in
     let table = Hashtbl.create 64 in
     Array.iteri
       (fun basis p ->
         if p > 1e-12 then begin
-          let outcome =
-            List.fold_left
-              (fun acc (q, c) ->
-                let acc = acc land lnot (1 lsl c) in
-                if basis land (1 lsl q) <> 0 then acc lor (1 lsl c) else acc)
-              0 wiring
-          in
+          let outcome = State.outcome ~creg:0 ~wiring basis in
           let cur = Option.value ~default:0. (Hashtbl.find_opt table outcome) in
           Hashtbl.replace table outcome (cur +. p)
         end)

@@ -30,9 +30,12 @@
     draws one uniform per measurement or reset, in gate order, shot
     after shot, before the walk; the walk then routes every group of
     shots to the outcome its draws select ([u < P(1)] reads 1). So the
-    counts are those of simulating the shots one by one, and the
-    ["sim.shot"] fault site and the deadline checkpoint still run once
-    per shot, as each shot's draws are taken. *)
+    counts are those of simulating the shots one by one. The
+    ["sim.shot"] fault site and a deadline checkpoint run once per shot,
+    as its draws are taken; the walk polls the deadline again at every
+    branching node (site ["sim.branch"]) and before every replay
+    (["sim.replay"]), so a deadline that passes mid-batch stops the batch
+    within one node's gates. *)
 val run : ?jobs:int -> seed:int -> shots:int -> Quantum.Circuit.t -> Counts.t
 
 (** [exact ~max_branches circuit] is [circuit]'s outcome distribution,
@@ -42,7 +45,8 @@ val run : ?jobs:int -> seed:int -> shots:int -> Quantum.Circuit.t -> Counts.t
     trailing block of measurements (and barriers) is read off the final
     state in one pass rather than branched on. [Error] when more than
     [max_branches] nodes branch both ways (counting the root as one).
-    The circuit is simulated as given, not compacted. *)
+    The circuit is simulated as given, not compacted, and the walk polls
+    no deadline. *)
 val exact :
   max_branches:int -> Quantum.Circuit.t -> (float array, string) result
 

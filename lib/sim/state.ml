@@ -269,21 +269,24 @@ let reset rng st q =
 (* [wiring] holds the block's (qubit, clbit) pairs flat, in execution
    order, so a later measurement overwrites an earlier one on the same
    clbit. *)
+let outcome ~creg ~wiring basis =
+  let outcome = ref creg in
+  let k = ref 0 in
+  while !k < Array.length wiring do
+    let bit = 1 lsl wiring.(!k + 1) in
+    let cleared = !outcome land lnot bit in
+    outcome := if basis land (1 lsl wiring.(!k)) <> 0 then cleared lor bit else cleared;
+    k := !k + 2
+  done;
+  !outcome
+
 let read_off st ~creg ~wiring ~weight dist =
   st.passes <- st.passes + 1;
   let re = st.re and im = st.im in
   for basis = 0 to Array.length re - 1 do
     let p = (re.(basis) *. re.(basis)) +. (im.(basis) *. im.(basis)) in
     if p > 1e-12 then begin
-      let outcome = ref creg in
-      let k = ref 0 in
-      while !k < Array.length wiring do
-        let bit = 1 lsl wiring.(!k + 1) in
-        let cleared = !outcome land lnot bit in
-        outcome :=
-          if basis land (1 lsl wiring.(!k)) <> 0 then cleared lor bit else cleared;
-        k := !k + 2
-      done;
-      dist.(!outcome) <- dist.(!outcome) +. (weight *. p)
+      let outcome = outcome ~creg ~wiring basis in
+      dist.(outcome) <- dist.(outcome) +. (weight *. p)
     end
   done

@@ -75,13 +75,17 @@ val reset : Random.State.t -> t -> int -> unit
 (** Probability that qubit [q] reads 1. *)
 val prob_one : t -> int -> float
 
-(** [read_off st ~creg ~wiring ~weight dist] reads a trailing block of
-    measurements off [st] without collapsing it. [wiring] holds the
+(** [outcome ~creg ~wiring basis] is the classical register a block of
+    measurements leaves when the qubits read [basis]. [wiring] holds the
     block's (qubit, clbit) pairs flat, [|q0; c0; q1; c1; ...|], in
-    execution order. For every basis state whose probability [p] exceeds
-    [1e-12], [weight *. p] is added to [dist.(outcome)], where [outcome]
-    is [creg] with each wired clbit set to its qubit's bit in that basis
-    state; a later measurement overwrites an earlier one on the same
-    clbit. *)
+    execution order; the result is [creg] with each wired clbit set to
+    its qubit's bit in [basis], a later measurement overwriting an
+    earlier one on the same clbit. *)
+val outcome : creg:int -> wiring:int array -> int -> int
+
+(** [read_off st ~creg ~wiring ~weight dist] reads a trailing block of
+    measurements off [st] without collapsing it: for every basis state
+    whose probability [p] exceeds [1e-12], [weight *. p] is added to
+    [dist.(outcome ~creg ~wiring basis)]. *)
 val read_off :
   t -> creg:int -> wiring:int array -> weight:float -> float array -> unit

@@ -100,6 +100,32 @@ let test_deadline_trips_sim () =
   in
   check string "site" "sim.shot" err.Guard.Error.site
 
+(* A deadline that passes after a batch's draws, while its outcome tree
+   is walked: 16 qubits and eight measured levels, each behind a layer
+   of rotations on every wire, make the walk of 256 shots last about a
+   second (0.85 s on one 2-vCPU core), against a draw phase of
+   microseconds. The walk must poll the
+   deadline itself and stop, at a branching node, long before it ends. *)
+let test_deadline_trips_sim_walk () =
+  let n = 16 and levels = 8 in
+  let layer k =
+    List.init n (fun q -> Quantum.Gate.One_q (Rx (0.3 +. (0.01 *. float_of_int (k + q))), q))
+  in
+  let c =
+    Quantum.Circuit.of_kinds ~num_qubits:n ~num_clbits:levels
+      (List.concat
+         (List.init levels (fun k ->
+              layer k @ [ Quantum.Gate.One_q (H, k); Quantum.Gate.Measure (k, k) ])))
+  in
+  let t0 = Unix.gettimeofday () in
+  let err =
+    expect_budget_trip "executor walk under a 50 ms deadline" (fun () ->
+        Guard.Budget.scoped (Guard.Budget.make ~ms:50 ()) (fun () ->
+            Sim.Executor.run ~jobs:1 ~seed:1 ~shots:256 c))
+  in
+  check string "tripped inside the walk" "sim.branch" err.Guard.Error.site;
+  check bool "stopped soon after the deadline" true (Unix.gettimeofday () -. t0 < 0.5)
+
 let test_deadline_restored () =
   check bool "disarmed before" false (Guard.Budget.has_deadline ());
   (try
@@ -458,6 +484,8 @@ let () =
             test_deadline_trips_router;
           Alcotest.test_case "deadline trips sim" `Quick
             test_deadline_trips_sim;
+          Alcotest.test_case "executor deadline trips inside a batch's walk" `Quick
+            test_deadline_trips_sim_walk;
           Alcotest.test_case "deadline restored" `Quick test_deadline_restored;
           Alcotest.test_case "sim qubit cap" `Quick test_sim_qubit_cap;
         ] );

@@ -111,12 +111,11 @@ let test_branch_budget () =
   check bool "same error" true
     (same_dist expected (Sim.Executor.exact ~max_branches:Equiv_ref.max_branches c))
 
-(* 21 qubits leave room for two saved states under the cap (2^22
-   amplitudes), so the three branching levels below rebuild the deepest
-   nodes by replaying their outcome paths. The barrier keeps all 21
-   wires through compaction in [Executor.run]. *)
-let wide () =
-  let levels = 3 and n = 21 in
+(* [levels] measured levels on [n] wires, with an X on a spare wire
+   conditioned on each outcome and a trailing block that measures the
+   spare wires. The barrier keeps all [n] wires through compaction in
+   [Executor.run]. *)
+let wide ~n ~levels =
   Quantum.Circuit.of_kinds ~num_qubits:n ~num_clbits:levels
     ((Quantum.Gate.Barrier (List.init n Fun.id)
       :: List.concat
@@ -128,17 +127,34 @@ let wide () =
                 ])))
     @ List.init levels (fun k -> Quantum.Gate.Measure (levels + k, k)))
 
-let test_replay () =
-  let c = wide () in
+(* [c]'s walks replay and give what the frozen references give on
+   [reference]. *)
+let check_replays ~shots ~reference c =
   Obs.Metrics.reset ();
   let got = Sim.Executor.exact ~max_branches:Equiv_ref.max_branches c in
   check bool "exact replays" true (Obs.Metrics.count "sim.replays" > 0);
-  check bool "exact = branch recursion" true (same_dist (Equiv_ref.walk c) got);
+  check bool "exact = branch recursion" true (same_dist (Equiv_ref.walk reference) got);
   Obs.Metrics.reset ();
-  let got = Sim.Executor.run ~jobs:1 ~seed:5 ~shots:16 c in
+  let got = Sim.Executor.run ~jobs:1 ~seed:5 ~shots c in
   check bool "sampled replays" true (Obs.Metrics.count "sim.replays" > 0);
   check bool "sampled = per-shot loop" true
-    (same_counts (Executor_ref.run ~jobs:1 ~seed:5 ~shots:16 c) got)
+    (same_counts (Executor_ref.run ~jobs:1 ~seed:5 ~shots reference) got)
+
+(* 21 qubits leave room for two saved states under the cap (2^22
+   amplitudes), so the three branching levels rebuild the deepest nodes
+   by replaying their outcome paths from a saved ancestor. *)
+let test_replay () =
+  let c = wide ~n:21 ~levels:3 in
+  check_replays ~shots:16 ~reference:c c
+
+(* 23 qubits (128 MiB a state) leave room for none: every second child
+   is rebuilt by replaying its path from |0...0>, the outcome of the
+   first level included. The references copy a state per branch and
+   per shot, so they run on the 4-wire twin instead: the other 19 wires
+   hold only zero amplitudes, and every kernel sums in index order, so
+   they change no bit of any probability. *)
+let test_replay_from_zero () =
+  check_replays ~shots:8 ~reference:(wide ~n:4 ~levels:2) (wide ~n:23 ~levels:2)
 
 let to_alcotest t =
   let (QCheck2.Test.Test cell) = t in
@@ -153,5 +169,7 @@ let () =
           to_alcotest prop_walker;
           Alcotest.test_case "branch budget" `Quick test_branch_budget;
           Alcotest.test_case "replay past the saved-state cap" `Quick test_replay;
+          Alcotest.test_case "replay from |0...0> with no saved state" `Quick
+            test_replay_from_zero;
         ] );
     ]
