@@ -1052,13 +1052,16 @@ let root_analyze_words () =
   end;
   words
 
-(* The routing path's counted-work gate: minor words of compact plus
-   [Transpile.run] over the sweep rows of QAOA25-0.3 (the rows
-   [qs-min-depth] and [qs-best-fidelity] route), at most
-   [route_words_budget]. The rows are routed once before the count, so
-   it leaves out first-use set-up. *)
+(* The routing path's counted-work gate: minor words of
+   [Transpile.run_compact] (compact plus [Transpile.run]) over the sweep
+   rows of QAOA25-0.3 (the rows [qs-min-depth] and [qs-best-fidelity]
+   route), at most [route_words_budget]. The rows are routed once before
+   the count, so it leaves out first-use set-up and reads the domain's
+   warm routing workspace: what remains is the returned circuits and
+   stats (72,775 words while every route allocated its own buffers and
+   the compacted input). Budget: 10% over the measured 25,157. *)
 let route_gate_benchmark = "QAOA25-0.3"
-let route_words_budget = 80_058.
+let route_words_budget = 27_673.
 
 (* The device and sweep rows of [route_gate_benchmark]. *)
 let gate_rows () =
@@ -1072,7 +1075,7 @@ let route_words () =
   let route_all () =
     List.fold_left
       (fun gates c ->
-        let r = Transpiler.Transpile.run device (fst (Quantum.Circuit.compact_qubits c)) in
+        let r = Transpiler.Transpile.run_compact device c in
         gates + Quantum.Circuit.gate_count r.Transpiler.Transpile.physical)
       0 circuits
   in
@@ -1246,6 +1249,43 @@ let sim_words () =
   end;
   (words, passes)
 
+(* The large-corpus QS gate: minor and major words of one
+   [Qs_caqr.max_reuse_anytime] of qaoa-powerlaw-250 at a 25-node cap per
+   search, both orderings, with the DFS nodes it counts, after one warm
+   call and from an empty minor heap, so counts repeat within 0.01%. The
+   Table-1 gates run on circuits of at most 25 qubits; this one sees
+   what only a 250-qubit search pays for (the candidate sort and the
+   reach rows, most of the major words). Budgets: 10% over the largest
+   of three counts, 234,572 minor and 8,514,451 major words (377 nodes,
+   width 225). *)
+let large_qs_benchmark = "qaoa-powerlaw-250"
+let large_qs_opts = { Caqr.Qs_caqr.budget = 25; order = Caqr.Qs_caqr.Both }
+let large_qs_minor_budget = 258_029.
+let large_qs_major_budget = 9_365_896.
+
+let large_qs_words () =
+  let c = (Option.get (Benchmarks.Large.find_opt large_qs_benchmark)).Benchmarks.Large.build () in
+  let run () = Caqr.Qs_caqr.max_reuse_anytime ~opts:large_qs_opts c in
+  ignore (run ());
+  Obs.Metrics.reset ();
+  Gc.minor ();
+  let minor0, _, major0 = Gc.counters () in
+  let a = run () in
+  let minor1, _, major1 = Gc.counters () in
+  let minor = minor1 -. minor0 and major = major1 -. major0 in
+  let nodes = Obs.Metrics.count "qs.search.nodes" in
+  let within = minor <= large_qs_minor_budget && major <= large_qs_major_budget in
+  Printf.printf
+    "=> %s QS search (budget %d, both orders; width %d, %d nodes): %.0f minor words (budget %.0f), %.0f major words (budget %.0f)\n"
+    large_qs_benchmark large_qs_opts.budget a.Caqr.Engine.width nodes minor
+    large_qs_minor_budget major large_qs_major_budget;
+  if not within then begin
+    incr structural_violations;
+    Printf.printf "!! PERF VIOLATION: %s QS search allocates over its budget\n%!"
+      large_qs_benchmark
+  end;
+  (nodes, a.Caqr.Engine.width, minor, major)
+
 let perf () =
   section "perf" "incremental vs reference sweep (BENCH_caqr.json)";
   let ratio num den = num /. Float.max 1e-9 den in
@@ -1322,12 +1362,13 @@ let perf () =
   let gidnet_words, cone_words = pair_engine_words () in
   let resolve_gates, resolve_words = serve_resolve_words () in
   let sim_words, sim_passes = sim_words () in
+  let lqs_nodes, lqs_width, lqs_minor, lqs_major = large_qs_words () in
   let all_identical = List.for_all (fun (_, _, _, id, _, _) -> id) rows in
   Printf.printf "=> engines agree on every sweep: %b\n" all_identical;
   if not all_identical then incr structural_violations;
   let commute = commute_report () in
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"caqr-bench/14\",\"suite\":[";
+  Buffer.add_string b "{\"schema\":\"caqr-bench/15\",\"suite\":[";
   List.iteri
     (fun i (e, inc, fresh, identical, work, speedup) ->
       if i > 0 then Buffer.add_char b ',';
@@ -1347,6 +1388,14 @@ let perf () =
     (Printf.sprintf
        "],\"headline\":{\"largest_benchmark\":%S,\"analyze_work_ratio\":%.3f,\"wall_speedup\":%.3f,\"minor_words_ratio\":%.3f}"
        le.Benchmarks.Suite.name lwork lspeed lwords);
+  (* caqr-bench/15: the large-corpus QS search's nodes, minor and major
+     words and their gates; [route_words_budget] reads the warm routing
+     workspace. *)
+  Buffer.add_string b
+    (Printf.sprintf
+       ",\"large_qs_words\":{\"benchmark\":%S,\"node_budget\":%d,\"width\":%d,\"nodes\":%d,\"minor_words\":%.0f,\"minor_budget\":%.0f,\"major_words\":%.0f,\"major_budget\":%.0f}"
+       large_qs_benchmark large_qs_opts.budget lqs_width lqs_nodes lqs_minor
+       large_qs_minor_budget lqs_major large_qs_major_budget);
   (* caqr-bench/14: the outcome-tree walker's minor words and its gate. *)
   Buffer.add_string b
     (Printf.sprintf

@@ -205,14 +205,8 @@ let make_report strategy logical ~physical ~stats ~reuse_pairs ~quality =
     degraded = [];
   }
 
-(* Route a logical circuit (retired wires left empty) with the baseline
-   mapper. *)
-let route device logical =
-  let compacted, _ = Quantum.Circuit.compact_qubits logical in
-  Transpiler.Transpile.run device compacted
-
 let finish device strategy logical ~reuse_pairs ~quality =
-  let r = route device logical in
+  let r = Transpiler.Transpile.run_compact device logical in
   make_report strategy logical ~physical:r.Transpiler.Transpile.physical
     ~stats:r.Transpiler.Transpile.stats ~reuse_pairs ~quality
 
@@ -243,7 +237,7 @@ type sweep_row = {
 let sweep_stats ?(jobs = 1) device input =
   Exec.Pool.map ~jobs:(max 1 jobs)
     (fun (step : Engine.step) ->
-      let r = route device step.circuit in
+      let r = Transpiler.Transpile.run_compact device step.circuit in
       {
         step;
         physical = r.Transpiler.Transpile.physical;

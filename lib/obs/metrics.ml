@@ -70,13 +70,17 @@ type snapshot = {
   timings : (string * float) list;
 }
 
+(* Key order, then value order, as [compare] on the pairs. *)
+let by_key compare_value (k1, v1) (k2, v2) =
+  match String.compare k1 k2 with 0 -> compare_value v1 v2 | c -> c
+
 let snapshot () =
   protected @@ fun () ->
   let dump tbl read = Hashtbl.fold (fun k r acc -> (k, read r) :: acc) tbl [] in
   {
-    counters = List.sort compare (dump counters ( ! ));
-    gauges = List.sort compare (dump gauges ( ! ));
-    timings = List.sort compare (dump timers ( ! ));
+    counters = List.sort (by_key Int.compare) (dump counters ( ! ));
+    gauges = List.sort (by_key Int.compare) (dump gauges ( ! ));
+    timings = List.sort (by_key Float.compare) (dump timers ( ! ));
   }
 
 let pp ppf s =

@@ -42,9 +42,14 @@ let number ~num_qubits ~num_clbits kinds len =
   done;
   { num_qubits; num_clbits; gates }
 
+let of_kind_prefix ~num_qubits ~num_clbits kinds len =
+  for i = 0 to len - 1 do
+    check_kind ~num_qubits ~num_clbits kinds.(i)
+  done;
+  number ~num_qubits ~num_clbits kinds len
+
 let of_kind_array ~num_qubits ~num_clbits kinds =
-  Array.iter (check_kind ~num_qubits ~num_clbits) kinds;
-  number ~num_qubits ~num_clbits kinds (Array.length kinds)
+  of_kind_prefix ~num_qubits ~num_clbits kinds (Array.length kinds)
 
 let of_kinds ~num_qubits ~num_clbits kinds =
   of_kind_array ~num_qubits ~num_clbits (Array.of_list kinds)
@@ -155,28 +160,34 @@ let map_qubits ~num_qubits f c =
   of_kind_array ~num_qubits ~num_clbits:c.num_clbits
     (Array.map (fun g -> Gate.map_qubits f g.Gate.kind) c.gates)
 
-(* The renamed kinds need no range check: every used wire maps below the
-   compacted width. A gate no wire of which moves keeps its record. *)
-let compact_qubits c =
-  let used = Array.make c.num_qubits false in
+(* A wire is used when any gate, a barrier included, touches it. *)
+let compaction c remap =
+  Array.fill remap 0 c.num_qubits (-1);
+  let use q = remap.(q) <- 0 in
   for i = 0 to Array.length c.gates - 1 do
     match c.gates.(i).Gate.kind with
     | Gate.One_q (_, q) | Gate.Reset q | Gate.Measure (q, _) | Gate.If_x (_, q)
       ->
-      used.(q) <- true
+      use q
     | Gate.Cx (a, b) | Gate.Cz (a, b) | Gate.Rzz (_, a, b) | Gate.Swap (a, b) ->
-      used.(a) <- true;
-      used.(b) <- true
-    | Gate.Barrier qs -> List.iter (fun q -> used.(q) <- true) qs
+      use a;
+      use b
+    | Gate.Barrier qs -> List.iter use qs
   done;
-  let remap = Array.make c.num_qubits (-1) in
   let next = ref 0 in
   for q = 0 to c.num_qubits - 1 do
-    if used.(q) then begin
+    if remap.(q) = 0 then begin
       remap.(q) <- !next;
       incr next
     end
   done;
+  !next
+
+(* The renamed kinds need no range check: every used wire maps below the
+   compacted width. A gate no wire of which moves keeps its record. *)
+let compact_qubits c =
+  let remap = Array.make c.num_qubits (-1) in
+  let width = compaction c remap in
   let rename q = remap.(q) in
   let gates =
     Array.map
@@ -185,7 +196,7 @@ let compact_qubits c =
         if kind == g.Gate.kind then g else { g with Gate.kind })
       c.gates
   in
-  ({ c with num_qubits = !next; gates }, remap)
+  ({ c with num_qubits = width; gates }, remap)
 
 let measure_all c =
   let nc = max c.num_clbits c.num_qubits in

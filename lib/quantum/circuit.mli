@@ -23,6 +23,12 @@ val of_kinds : num_qubits:int -> num_clbits:int -> Gate.kind list -> t
     array is not retained. *)
 val of_kind_array : num_qubits:int -> num_clbits:int -> Gate.kind array -> t
 
+(** [of_kind_prefix ~num_qubits ~num_clbits kinds len] is {!of_kind_array}
+    of the first [len] kinds, for callers whose buffer is longer than
+    the circuit. The buffer is not retained. *)
+val of_kind_prefix :
+  num_qubits:int -> num_clbits:int -> Gate.kind array -> int -> t
+
 val gate_count : t -> int
 
 (** Number of two-qubit unitaries (Swap counts as one gate here). *)
@@ -70,6 +76,10 @@ val map_qubits : num_qubits:int -> (int -> int) -> t -> t
     the compacted circuit and the old-to-new qubit index map ([-1] for
     dropped wires). *)
 val compact_qubits : t -> t * int array
+
+(** [compaction c remap] writes [compact_qubits c]'s index map into
+    [remap.(0 .. num_qubits - 1)] and returns the compacted width. *)
+val compaction : t -> int array -> int
 
 (** Append measurement of every active qubit [q] into classical bit [q]. *)
 val measure_all : t -> t

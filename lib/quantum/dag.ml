@@ -11,31 +11,72 @@ type t = {
   succ_ids : int array;
 }
 
-(* Predecessors are appended gate by gate into one growing buffer (a
-   gate's dependences all point at earlier gates, so gate [i]'s slice is
-   complete once [i] is read), deduplicated within the slice: qubit wires
-   first, in operand order, then classical bits. Successor slices are
-   filled from the last gate down, so each lists its successors latest
-   first: the router and SR-CaQR visit successors in that order. *)
-let build (c : Circuit.t) =
+type scratch = {
+  last_q : int Scratch.t;
+  last_c : int Scratch.t;
+  pred_start : int Scratch.t;
+  pred_ids : int Scratch.t;
+  succ_start : int Scratch.t;
+  succ_ids : int Scratch.t;
+  fill : int Scratch.t;
+}
+
+let scratch ?(keep = true) () =
+  let ints init = Scratch.make ~keep init in
+  {
+    last_q = ints (-1);
+    last_c = ints (-1);
+    pred_start = ints 0;
+    pred_ids = ints 0;
+    succ_start = ints 0;
+    succ_ids = ints 0;
+    fill = ints 0;
+  }
+
+(* Serves every [build]: it keeps nothing, so it is never written. *)
+let one_shot = scratch ~keep:false ()
+
+(* Each qubit or clbit operand adds at most one dependence, so the
+   operand count bounds the edge count. *)
+let operand_count (c : Circuit.t) =
+  let total = ref 0 in
+  for i = 0 to Array.length c.gates - 1 do
+    total :=
+      !total
+      +
+      match c.gates.(i).Gate.kind with
+      | Gate.One_q _ | Gate.Reset _ -> 1
+      | Gate.Cx _ | Gate.Cz _ | Gate.Rzz _ | Gate.Swap _ | Gate.Measure _
+      | Gate.If_x _ ->
+        2
+      | Gate.Barrier qs -> List.length qs
+  done;
+  !total
+
+(* Predecessors are appended gate by gate into one buffer of a slot per
+   operand (a gate's dependences all point at earlier gates, so gate
+   [i]'s slice is complete once [i] is read), deduplicated within the
+   slice: qubit wires first, in operand order, then classical bits.
+   Successor slices are filled from the last gate down, so each lists
+   its successors latest first: the router and SR-CaQR visit successors
+   in that order. Every buffer element read is written first. *)
+let build_in s (c : Circuit.t) =
   let n = Array.length c.gates in
-  let last_q = Array.make (max 1 c.num_qubits) (-1) in
-  let last_c = Array.make (max 1 c.num_clbits) (-1) in
-  let pred_start = Array.make (n + 1) 0 in
-  let buf = ref (Array.make (max 16 (2 * n)) 0) and len = ref 0 in
+  let last_q = Scratch.get s.last_q c.num_qubits in
+  Array.fill last_q 0 c.num_qubits (-1);
+  let last_c = Scratch.get s.last_c c.num_clbits in
+  Array.fill last_c 0 c.num_clbits (-1);
+  let pred_start = Scratch.get s.pred_start (n + 1) in
+  let pred_ids = Scratch.get s.pred_ids (operand_count c) in
+  let len = ref 0 in
   let add_dep src dst =
     if src >= 0 && src <> dst then begin
       let dup = ref false in
       for e = pred_start.(dst) to !len - 1 do
-        if !buf.(e) = src then dup := true
+        if pred_ids.(e) = src then dup := true
       done;
       if not !dup then begin
-        if !len = Array.length !buf then begin
-          let bigger = Array.make (2 * !len) 0 in
-          Array.blit !buf 0 bigger 0 !len;
-          buf := bigger
-        end;
-        !buf.(!len) <- src;
+        pred_ids.(!len) <- src;
         incr len
       end
     end
@@ -64,14 +105,18 @@ let build (c : Circuit.t) =
       List.iter (fun q -> on_qubit q i) qs
   done;
   pred_start.(n) <- !len;
-  let pred_ids = Array.sub !buf 0 !len in
-  let succ_start = Array.make (n + 1) 0 in
-  Array.iter (fun p -> succ_start.(p + 1) <- succ_start.(p + 1) + 1) pred_ids;
+  let succ_start = Scratch.get s.succ_start (n + 1) in
+  Array.fill succ_start 0 (n + 1) 0;
+  for e = 0 to !len - 1 do
+    let p = pred_ids.(e) in
+    succ_start.(p + 1) <- succ_start.(p + 1) + 1
+  done;
   for i = 1 to n do
     succ_start.(i) <- succ_start.(i) + succ_start.(i - 1)
   done;
-  let succ_ids = Array.make !len 0 in
-  let fill = Array.sub succ_start 0 (max 1 n) in
+  let succ_ids = Scratch.get s.succ_ids !len in
+  let fill = Scratch.get s.fill n in
+  Array.blit succ_start 0 fill 0 n;
   for i = n - 1 downto 0 do
     for e = pred_start.(i) to pred_start.(i + 1) - 1 do
       let p = pred_ids.(e) in
@@ -81,16 +126,24 @@ let build (c : Circuit.t) =
   done;
   { pred_start; pred_ids; succ_start; succ_ids }
 
-let num_nodes t = Array.length t.pred_start - 1
-let in_degree t i = t.pred_start.(i + 1) - t.pred_start.(i)
+(* A one-shot build's buffers are exactly as long as asked for save the
+   predecessor buffer, which is cut to the edges. *)
+let build c =
+  let t = build_in one_shot c in
+  let edges = t.pred_start.(Array.length c.Circuit.gates) in
+  if Array.length t.pred_ids = edges then t
+  else { t with pred_ids = Array.sub t.pred_ids 0 edges }
 
-let iter_succs f t i =
+let num_nodes (t : t) = Array.length t.pred_start - 1
+let in_degree (t : t) i = t.pred_start.(i + 1) - t.pred_start.(i)
+
+let iter_succs f (t : t) i =
   for e = t.succ_start.(i) to t.succ_start.(i + 1) - 1 do
     f t.succ_ids.(e)
   done
 
-let critical_nodes ~weight t =
-  let { pred_start; pred_ids; _ } = t in
+let critical_nodes ~weight (t : t) =
+  let ({ pred_start; pred_ids; _ } : t) = t in
   let n = num_nodes t in
   (* Earliest finish per node under [weight], and the largest of them. *)
   let finish = Array.make n 0 in

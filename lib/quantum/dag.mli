@@ -22,6 +22,20 @@ type t = {
 
 val build : Circuit.t -> t
 
+(** The build's working and result arrays, kept across calls. *)
+type scratch
+
+(** Empty buffers; with [~keep:false] they keep nothing
+    ({!Scratch.make}). *)
+val scratch : ?keep:bool -> unit -> scratch
+
+(** [build_in s c] is [build c] on [s]'s buffers, for a caller that
+    drops the graph before it builds the next one. Its arrays are [s]'s
+    and may be longer than the graph: read nodes [0 ..
+    Circuit.gate_count c - 1] only ({!num_nodes} does not apply), and
+    the next [build_in s] overwrites them. *)
+val build_in : scratch -> Circuit.t -> t
+
 val num_nodes : t -> int
 val in_degree : t -> int -> int
 

@@ -67,8 +67,8 @@ let wire_b = function
    push replaced, so a cancellation can restore them. A fusion rewrites
    the surviving gate's kind in place. Returns whether anything changed;
    allocates only fused kinds. *)
-let peephole_pass kinds alive top prev_a prev_b =
-  Array.fill top 0 (Array.length top) (-1);
+let peephole_pass n nq kinds alive top prev_a prev_b =
+  Array.fill top 0 nq (-1);
   let changed = ref false in
   let drop i =
     Bytes.set alive i '\000';
@@ -82,7 +82,7 @@ let peephole_pass kinds alive top prev_a prev_b =
     let b = wire_b kinds.(j) in
     if b >= 0 then top.(b) <- prev_b.(j)
   in
-  for i = 0 to Array.length kinds - 1 do
+  for i = 0 to n - 1 do
     if Bytes.get alive i <> '\000' then
       match kinds.(i) with
       | Gate.Measure (q, _) | Gate.Reset q | Gate.If_x (_, q) -> top.(q) <- -2
@@ -111,17 +111,45 @@ let peephole_pass kinds alive top prev_a prev_b =
   done;
   !changed
 
+type scratch = {
+  kinds : Gate.kind Scratch.t;
+  alive : Scratch.bytes;
+  top : int Scratch.t;
+  prev_a : int Scratch.t;
+  prev_b : int Scratch.t;
+}
+
+let scratch ?(keep = true) () =
+  {
+    kinds = Scratch.make ~keep (Gate.Barrier []);
+    alive = Scratch.bytes ~keep ();
+    top = Scratch.make ~keep (-1);
+    prev_a = Scratch.make ~keep (-1);
+    prev_b = Scratch.make ~keep (-1);
+  }
+
+(* Serves every [peephole]: it keeps nothing, so it is never written. *)
+let one_shot = scratch ~keep:false ()
+
 (* The passes run over one kind array with an alive byte per gate until
-   one changes nothing; the circuit is built once, from the live kinds. *)
-let peephole (c : Circuit.t) =
-  let n = Array.length c.Circuit.gates in
-  let kinds = Array.map (fun g -> g.Gate.kind) c.Circuit.gates in
-  let alive = Bytes.make n '\001' in
-  let top = Array.make (max 1 c.Circuit.num_qubits) (-1) in
-  let prev_a = Array.make n (-1) and prev_b = Array.make n (-1) in
-  if not (peephole_pass kinds alive top prev_a prev_b) then c
+   one changes nothing; the circuit is built once, from the live kinds.
+   Every buffer element a pass reads is written first: the kinds and
+   alive bytes here, [top] at the start of each pass, a saved top when
+   its gate is pushed. *)
+let peephole_in s (c : Circuit.t) =
+  let n = Array.length c.Circuit.gates and nq = c.Circuit.num_qubits in
+  let kinds = Scratch.get s.kinds n in
+  for i = 0 to n - 1 do
+    kinds.(i) <- c.Circuit.gates.(i).Gate.kind
+  done;
+  let alive = Scratch.get_bytes s.alive n in
+  Bytes.fill alive 0 n '\001';
+  let top = Scratch.get s.top nq in
+  let prev_a = Scratch.get s.prev_a n and prev_b = Scratch.get s.prev_b n in
+  let pass () = peephole_pass n nq kinds alive top prev_a prev_b in
+  if not (pass ()) then c
   else begin
-    while peephole_pass kinds alive top prev_a prev_b do
+    while pass () do
       ()
     done;
     let live = ref 0 in
@@ -131,9 +159,10 @@ let peephole (c : Circuit.t) =
         incr live
       end
     done;
-    Circuit.of_kind_array ~num_qubits:c.Circuit.num_qubits
-      ~num_clbits:c.Circuit.num_clbits (Array.sub kinds 0 !live)
+    Circuit.of_kind_prefix ~num_qubits:nq ~num_clbits:c.Circuit.num_clbits kinds !live
   end
+
+let peephole c = peephole_in one_shot c
 
 (* loc.(w) is where wire w's state lives once SWAPs are dropped. After
    Swap (a, b) the original wire a holds what b held, so the elided

@@ -14,8 +14,22 @@
     barriers for their wires. Runs to a fixpoint. *)
 
 (** [peephole circuit] returns the optimized circuit; gate count never
-    increases and the output distribution is unchanged. *)
+    increases and the output distribution is unchanged. It returns
+    [circuit] itself when nothing changes. *)
 val peephole : Circuit.t -> Circuit.t
+
+(** The pass's working arrays (a kind and an alive byte per gate, two
+    saved wire tops per gate, a top per wire), kept across calls. *)
+type scratch
+
+(** Empty buffers; with [~keep:false] they keep nothing
+    ({!Scratch.make}). *)
+val scratch : ?keep:bool -> unit -> scratch
+
+(** [peephole_in s circuit] is [peephole circuit] on [s]'s buffers; the
+    result shares none of them. [peephole] is [peephole_in] on fresh
+    scratch. *)
+val peephole_in : scratch -> Circuit.t -> Circuit.t
 
 (** [elide_swaps circuit] removes every SWAP by relabeling all later
     references to its two wires — the virtual-swap trick. The result has

@@ -71,6 +71,16 @@ let scan_disk t =
         | exception Sys_error _ -> ());
         (try Sys.remove index_path with Sys_error _ -> ())
       end;
+      (* Ranked files first, by rank; then by mtime; the key breaks
+         ties. *)
+      let compare_order (u1, r1, m1, k1) (u2, r2, m2, k2) =
+        match Int.compare u1 u2 with
+        | 0 -> (
+          match Int.compare r1 r2 with
+          | 0 -> ( match Float.compare m1 m2 with 0 -> String.compare k1 k2 | c -> c)
+          | c -> c)
+        | c -> c
+      in
       let order (k, _, mtime) =
         match Hashtbl.find_opt rank k with
         | Some i -> (0, i, 0., k)
@@ -86,7 +96,7 @@ let scan_disk t =
                match Unix.stat (Filename.concat dir f) with
                | st -> Some (file_key f, st.Unix.st_size, st.Unix.st_mtime)
                | exception Unix.Unix_error _ -> None)
-        |> List.sort (fun a b -> compare (order a) (order b))
+        |> List.sort (fun a b -> compare_order (order a) (order b))
       in
       List.iter
         (fun (key, size, _) ->
@@ -260,7 +270,8 @@ let flush t =
   | Some dir ->
     let entries =
       Hashtbl.fold (fun k e acc -> (e.dstamp, k) :: acc) t.disk []
-      |> List.sort compare
+      |> List.sort (fun (s1, k1) (s2, k2) ->
+             match Int.compare s1 s2 with 0 -> String.compare k1 k2 | c -> c)
     in
     Guard.File.mkdir_p dir;
     Guard.File.write_atomic ~dir ~file:index_file

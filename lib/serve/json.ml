@@ -73,6 +73,7 @@ let parse s =
   let pos = ref 0 in
   let bad msg = raise (Bad (msg, !pos)) in
   let peek () = if !pos < n then Some s.[!pos] else None in
+  let at c = !pos < n && Char.equal s.[!pos] c in
   let advance () = incr pos in
   let expect c =
     match peek () with
@@ -186,10 +187,10 @@ let parse s =
       done;
       if !pos = d0 then bad "expected digit"
     in
-    if peek () = Some '-' then advance ();
+    if at '-' then advance ();
     digits ();
     let is_float = ref false in
-    if peek () = Some '.' then begin
+    if at '.' then begin
       is_float := true;
       advance ();
       digits ()
@@ -215,7 +216,7 @@ let parse s =
     | Some '{' ->
       advance ();
       skip_ws ();
-      if peek () = Some '}' then begin
+      if at '}' then begin
         advance ();
         Obj []
       end
@@ -241,7 +242,7 @@ let parse s =
     | Some '[' ->
       advance ();
       skip_ws ();
-      if peek () = Some ']' then begin
+      if at ']' then begin
         advance ();
         List []
       end

@@ -15,6 +15,22 @@ type t = {
     Raises [Invalid_argument] if the device is too small. *)
 val initial : Hardware.Device.t -> Quantum.Circuit.t -> t
 
+(** The placement's working arrays and its result, kept across calls. *)
+type scratch
+
+(** Empty buffers; with [~keep:false] they keep nothing
+    ({!Quantum.Scratch.make}). *)
+val scratch : ?keep:bool -> unit -> scratch
+
+(** [initial_in s device circuit ~wire ~width] places the [width]
+    logical qubits [wire] names: wire [q] of [circuit] is logical qubit
+    [wire.(q)], distinct for the wires some gate touches. [initial] is
+    the identity [wire] on fresh scratch. The result's arrays are [s]'s
+    (indices past [width] and the device's size are not part of it)
+    until the next [initial_in s]. *)
+val initial_in :
+  scratch -> Hardware.Device.t -> Quantum.Circuit.t -> wire:int array -> width:int -> t
+
 (** Identity layout on the first [n] physical qubits. *)
 val trivial : Hardware.Device.t -> int -> t
 

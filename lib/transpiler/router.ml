@@ -12,33 +12,87 @@ let lookahead_weight = 0.5
    artifact is 44 SWAPs, so the valve only ever fires on a livelock. *)
 let stall_factor = 10
 
-let route device layout (circuit : Quantum.Circuit.t) =
-  let layout = Layout.copy layout in
+type scratch = {
+  dag : Quantum.Dag.scratch;
+  qa_buf : int Quantum.Scratch.t;
+  qb_buf : int Quantum.Scratch.t;
+  indeg_buf : int Quantum.Scratch.t;
+  frontier_buf : int Quantum.Scratch.t;
+  ready_buf : int Quantum.Scratch.t;
+  front_a_buf : int Quantum.Scratch.t;
+  front_b_buf : int Quantum.Scratch.t;
+  look_a_buf : int Quantum.Scratch.t;
+  look_b_buf : int Quantum.Scratch.t;
+  inc_head_buf : int Quantum.Scratch.t;
+  inc_other_buf : int Quantum.Scratch.t;
+  inc_next_buf : int Quantum.Scratch.t;
+  inc_front_buf : bool Quantum.Scratch.t;
+  seen_buf : int Quantum.Scratch.t;
+  queue_buf : int Quantum.Scratch.t;
+  pend_buf : int Quantum.Scratch.t;
+  out_buf : Quantum.Gate.kind Quantum.Scratch.t;
+}
+
+let scratch ?(keep = true) () =
+  let ints () = Quantum.Scratch.make ~keep 0 in
+  {
+    dag = Quantum.Dag.scratch ~keep ();
+    qa_buf = ints ();
+    qb_buf = ints ();
+    indeg_buf = ints ();
+    frontier_buf = ints ();
+    ready_buf = ints ();
+    front_a_buf = ints ();
+    front_b_buf = ints ();
+    look_a_buf = ints ();
+    look_b_buf = ints ();
+    inc_head_buf = ints ();
+    inc_other_buf = ints ();
+    inc_next_buf = ints ();
+    inc_front_buf = Quantum.Scratch.make ~keep false;
+    seen_buf = ints ();
+    queue_buf = ints ();
+    pend_buf = ints ();
+    out_buf = Quantum.Scratch.make ~keep (Quantum.Gate.Barrier []);
+  }
+
+(* Serves every [route]: it keeps nothing, so it is never written. *)
+let one_shot = scratch ~keep:false ()
+
+(* Every buffer element read is written first: the per-gate and
+   per-qubit arrays here, the stacks and pair tables as they fill, so a
+   call that raised leaves nothing the next call reads. *)
+let route_in s device layout ~wire ~width:nl (circuit : Quantum.Circuit.t) =
+  let module Scratch = Quantum.Scratch in
   (* [apply_swap] updates these arrays in place. *)
   let l2p = layout.Layout.l2p and p2l = layout.Layout.p2l in
   let dist = device.Hardware.Device.dist in
   let nbrs = device.Hardware.Device.nbrs in
   let nbr_error = device.Hardware.Device.nbr_error in
-  let adj = Quantum.Dag.build circuit in
-  let n = Quantum.Dag.num_nodes adj in
-  let nl = circuit.num_qubits in
+  let adj = Quantum.Dag.build_in s.dag circuit in
+  let n = Quantum.Circuit.gate_count circuit in
   (* Logical endpoints of each two-qubit gate; -1 for the other gates. *)
-  let qa = Array.make n (-1) and qb = Array.make n (-1) in
+  let qa = Scratch.get s.qa_buf n and qb = Scratch.get s.qb_buf n in
   for i = 0 to n - 1 do
     match circuit.gates.(i).Quantum.Gate.kind with
     | Quantum.Gate.Cx (a, b)
     | Quantum.Gate.Cz (a, b)
     | Quantum.Gate.Rzz (_, a, b)
     | Quantum.Gate.Swap (a, b) ->
-      qa.(i) <- a;
-      qb.(i) <- b
-    | _ -> ()
+      qa.(i) <- wire.(a);
+      qb.(i) <- wire.(b)
+    | _ ->
+      qa.(i) <- -1;
+      qb.(i) <- -1
   done;
-  let indeg = Array.init n (Quantum.Dag.in_degree adj) in
+  let indeg = Scratch.get s.indeg_buf n in
+  for i = 0 to n - 1 do
+    indeg.(i) <- Quantum.Dag.in_degree adj i
+  done;
   (* The frontier is a stack of dependence-free gates, [frontier.(0 ..
      !n_frontier - 1)], visited from the top down; a completed gate
      pushes the successors it frees. Each gate is pushed once. *)
-  let frontier = Array.make (max 1 n) 0 and n_frontier = ref 0 in
+  let frontier = Scratch.get s.frontier_buf n and n_frontier = ref 0 in
   let push i =
     frontier.(!n_frontier) <- i;
     incr n_frontier
@@ -46,10 +100,12 @@ let route device layout (circuit : Quantum.Circuit.t) =
   for i = n - 1 downto 0 do
     if indeg.(i) = 0 then push i
   done;
-  let out =
-    Quantum.Circuit.Builder.create
-      ~num_qubits:(Hardware.Device.num_qubits device)
-      ~num_clbits:circuit.num_clbits
+  (* The output kinds, [out.(0 .. !n_out - 1)]. *)
+  let out = ref (Scratch.get s.out_buf (max 16 (n + (n lsr 1)))) and n_out = ref 0 in
+  let add kind =
+    if !n_out = Array.length !out then out := Scratch.grow s.out_buf !out !n_out;
+    !out.(!n_out) <- kind;
+    incr n_out
   in
   let swaps = ref 0 in
   let complete i =
@@ -60,10 +116,9 @@ let route device layout (circuit : Quantum.Circuit.t) =
     done
   in
   let executable i = qa.(i) < 0 || dist.(l2p.(qa.(i))).(l2p.(qb.(i))) = 1 in
-  let phys q = l2p.(q) in
+  let phys q = l2p.(wire.(q)) in
   let emit i =
-    Quantum.Circuit.Builder.add out
-      (Quantum.Gate.map_qubits phys circuit.gates.(i).Quantum.Gate.kind);
+    add (Quantum.Gate.map_qubits phys circuit.gates.(i).Quantum.Gate.kind);
     complete i
   in
   (* The pairs a candidate SWAP is scored on: the blocked front pairs and
@@ -72,18 +127,22 @@ let route device layout (circuit : Quantum.Circuit.t) =
      collected once per stall. [inc_*] is a per-logical-qubit incidence
      list over both: entry [e] of qubit [l] names the pair's other qubit
      [inc_other.(e)] and whether it is a front pair. *)
-  let front_a = Array.make (max 1 nl) 0 and front_b = Array.make (max 1 nl) 0 in
-  let look_a = Array.make lookahead_window 0 and look_b = Array.make lookahead_window 0 in
+  let front_a = Scratch.get s.front_a_buf nl and front_b = Scratch.get s.front_b_buf nl in
+  let look_a = Scratch.get s.look_a_buf lookahead_window in
+  let look_b = Scratch.get s.look_b_buf lookahead_window in
   let n_front = ref 0 and n_look = ref 0 in
   let inc_cap = (2 * nl) + (2 * lookahead_window) in
-  let inc_head = Array.make (max 1 nl) (-1) in
-  let inc_other = Array.make inc_cap 0 and inc_next = Array.make inc_cap 0 in
-  let inc_front = Array.make inc_cap false in
+  let inc_head = Scratch.get s.inc_head_buf nl in
+  Array.fill inc_head 0 nl (-1);
+  let inc_other = Scratch.get s.inc_other_buf inc_cap in
+  let inc_next = Scratch.get s.inc_next_buf inc_cap in
+  let inc_front = Scratch.get s.inc_front_buf inc_cap in
   let n_inc = ref 0 in
   (* The walk's queue: the frontier plus at most every DAG edge once per
      walk, as each node is expanded once. *)
-  let seen = Array.make n (-1) in
-  let queue = Array.make (max 1 (n + Array.length adj.succ_ids)) 0 in
+  let seen = Scratch.get s.seen_buf n in
+  Array.fill seen 0 n (-1);
+  let queue = Scratch.get s.queue_buf (n + adj.pred_start.(n)) in
   let collections = ref 0 in
   let add_inc l other front =
     let e = !n_inc in
@@ -175,22 +234,19 @@ let route device layout (circuit : Quantum.Circuit.t) =
   (* Stalled SWAPs, oldest first, as pairs [pend.(2k)], [pend.(2k + 1)]:
      emitted once a gate routes, undone newest first if the release valve
      fires. *)
-  let pend = ref (Array.make 64 0) and n_pend = ref 0 and stalled = ref 0 in
+  let pend = ref (Scratch.get s.pend_buf 64) and n_pend = ref 0 and stalled = ref 0 in
   let swap p1 p2 =
     Guard.Inject.hit "route.swap";
     Layout.apply_swap layout p1 p2;
-    if (2 * !n_pend) + 2 > Array.length !pend then begin
-      let bigger = Array.make (2 * Array.length !pend) 0 in
-      Array.blit !pend 0 bigger 0 (2 * !n_pend);
-      pend := bigger
-    end;
+    if (2 * !n_pend) + 2 > Array.length !pend then
+      pend := Scratch.grow s.pend_buf !pend (2 * !n_pend);
     !pend.(2 * !n_pend) <- p1;
     !pend.((2 * !n_pend) + 1) <- p2;
     incr n_pend
   in
   let flush () =
     for k = 0 to !n_pend - 1 do
-      Quantum.Circuit.Builder.swap out !pend.(2 * k) !pend.((2 * k) + 1)
+      add (Quantum.Gate.Swap (!pend.(2 * k), !pend.((2 * k) + 1)))
     done;
     swaps := !swaps + !n_pend;
     n_pend := 0;
@@ -237,7 +293,7 @@ let route device layout (circuit : Quantum.Circuit.t) =
     Guard.Budget.ticker ~stage:"transpiler.router" ~site:"route.swap"
       ~limit:swap_budget ()
   in
-  let ready = Array.make (max 1 n) 0 in
+  let ready = Scratch.get s.ready_buf n in
   while !n_frontier > 0 do
     tick ();
     if not !progress then begin
@@ -334,4 +390,17 @@ let route device layout (circuit : Quantum.Circuit.t) =
   done;
   Obs.Metrics.incr ~by:!pair_scores "route.pair_scores";
   if !valves > 0 then Obs.Metrics.incr ~by:!valves "route.release_valve";
-  { physical = Quantum.Circuit.Builder.build out; swaps_added = !swaps; final_layout = layout }
+  let physical =
+    Quantum.Circuit.of_kind_prefix
+      ~num_qubits:(Hardware.Device.num_qubits device)
+      ~num_clbits:circuit.num_clbits !out !n_out
+  in
+  (physical, !swaps)
+
+let route device layout (circuit : Quantum.Circuit.t) =
+  let layout = Layout.copy layout in
+  let nl = circuit.num_qubits in
+  let physical, swaps_added =
+    route_in one_shot device layout ~wire:(Array.init nl Fun.id) ~width:nl circuit
+  in
+  { physical; swaps_added; final_layout = layout }

@@ -17,6 +17,29 @@ type result = {
 }
 
 (** [route device layout circuit] routes a logical circuit. The layout is
-    not mutated. All logical wires must be mapped. Re-entrant: all scratch
-    state is local to the call. *)
+    not mutated. All logical wires must be mapped. Re-entrant: it runs
+    {!route_in} on a copy of the layout and fresh scratch. *)
 val route : Hardware.Device.t -> Layout.t -> Quantum.Circuit.t -> result
+
+(** The router's working arrays (the DAG, per-gate endpoint, in-degree
+    and stamp arrays, the frontier, pair tables and lookahead queue, the
+    stalled SWAPs) and its output kinds, kept across calls. *)
+type scratch
+
+(** Empty buffers; with [~keep:false] they keep nothing
+    ({!Quantum.Scratch.make}). *)
+val scratch : ?keep:bool -> unit -> scratch
+
+(** [route_in s device layout ~wire ~width circuit] routes [circuit] on
+    [s]'s buffers and returns the physical circuit and the SWAPs added.
+    Wire [q] of [circuit] is logical qubit [wire.(q)] of the [width]
+    that [layout] places, and [layout] is moved in place to the final
+    layout. The physical circuit shares nothing with [s]. *)
+val route_in :
+  scratch ->
+  Hardware.Device.t ->
+  Layout.t ->
+  wire:int array ->
+  width:int ->
+  Quantum.Circuit.t ->
+  Quantum.Circuit.t * int

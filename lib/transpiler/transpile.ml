@@ -52,14 +52,68 @@ let stats_of device (physical : Quantum.Circuit.t) =
     gate_count = Quantum.Circuit.gate_count physical;
   }
 
-let run device circuit =
+(* The routing path's buffers, one set per domain: the wire map, the
+   peephole's, the layout's and the router's. [busy] is set while a
+   route runs on them, so a nested route takes fresh ones. *)
+type workspace = {
+  wire : int Quantum.Scratch.t;
+  peephole : Quantum.Optimize.scratch;
+  layout : Layout.scratch;
+  router : Router.scratch;
+  mutable busy : bool;
+}
+
+let workspace () =
+  {
+    wire = Quantum.Scratch.make 0;
+    peephole = Quantum.Optimize.scratch ();
+    layout = Layout.scratch ();
+    router = Router.scratch ();
+    busy = false;
+  }
+
+let domain_workspace = Domain.DLS.new_key workspace
+
+(* With [compact], wire [q] is logical qubit [Circuit.compaction]'s
+   [q], so idle wires get no position; otherwise every wire is its own
+   logical qubit. *)
+let route_on ws ~compact device (circuit : Quantum.Circuit.t) =
+  let nq = circuit.num_qubits in
+  let wire = Quantum.Scratch.get ws.wire nq in
+  let width =
+    if compact then Quantum.Circuit.compaction circuit wire
+    else begin
+      for q = 0 to nq - 1 do
+        wire.(q) <- q
+      done;
+      nq
+    end
+  in
+  (* Qiskit-O3-style gate-level cleanup before routing. *)
+  let circuit = Quantum.Optimize.peephole_in ws.peephole circuit in
+  let layout = Layout.initial_in ws.layout device circuit ~wire ~width in
+  let physical, _ = Router.route_in ws.router device layout ~wire ~width circuit in
+  { physical; stats = stats_of device physical }
+
+let route ~compact device circuit =
   Obs.Metrics.incr "transpile.runs";
   Obs.Metrics.time "time.route" @@ fun () ->
-  (* Qiskit-O3-style gate-level cleanup before routing. *)
-  let circuit = Quantum.Optimize.peephole circuit in
-  let layout = Layout.initial device circuit in
-  let routed = Router.route device layout circuit in
-  { physical = routed.Router.physical; stats = stats_of device routed.Router.physical }
+  let ws = Domain.DLS.get domain_workspace in
+  if ws.busy then route_on (workspace ()) ~compact device circuit
+  else begin
+    ws.busy <- true;
+    match route_on ws ~compact device circuit with
+    | r ->
+      ws.busy <- false;
+      r
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      ws.busy <- false;
+      Printexc.raise_with_backtrace e bt
+  end
+
+let run device circuit = route ~compact:false device circuit
+let run_compact device circuit = route ~compact:true device circuit
 
 let pp_stats ppf s =
   Format.fprintf ppf "qubits=%d depth=%d duration=%ddt swaps=%d 2q=%d gates=%d"

@@ -21,7 +21,28 @@ val physical_duration : Hardware.Device.t -> Quantum.Circuit.t -> int
 (** Stats of an already-physical circuit. *)
 val stats_of : Hardware.Device.t -> Quantum.Circuit.t -> stats
 
-(** [run device circuit] lays out and routes a logical circuit. *)
+(** [run device circuit] lays out and routes a logical circuit.
+
+    Memory: the peephole, layout and router work on buffers kept per
+    domain ([Domain.DLS]) and reused by the next route on that domain;
+    only the returned circuit and stats are allocated for the caller,
+    and they share nothing with the buffers. A buffer grows to the
+    largest circuit the domain has routed but is kept only up to
+    {!Quantum.Scratch.retain_max} elements (16,384 words, 128 KiB): a
+    larger circuit routes on buffers dropped on return. The 37 kept
+    buffers therefore hold at most 37 × 128 KiB = 4.6 MiB per domain,
+    and a few KiB after Table-1 sized circuits; the kind buffers also
+    keep the last routes' gate kinds reachable until a later route
+    overwrites them. Every route refills what it reads, so a route
+    that raised (a tripped budget, an injected fault) leaves nothing
+    the next one sees. A route nested in another on the same domain
+    uses fresh buffers. *)
 val run : Hardware.Device.t -> Quantum.Circuit.t -> result
+
+(** [run_compact device circuit] is
+    [run device (fst (Quantum.Circuit.compact_qubits circuit))] without
+    building the compacted circuit: the layout places only the wires a
+    gate touches. *)
+val run_compact : Hardware.Device.t -> Quantum.Circuit.t -> result
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -83,7 +83,14 @@ let check ~(original : Quantum.Circuit.t)
             worst := i
           end)
         d_o;
-      if !l1 <= tolerance then Verdict.Equivalent
+      (* A NaN or infinite probability (say, from a NaN rotation angle)
+         makes the distance unusable and may leave no worst outcome. *)
+      if not (Float.is_finite !l1) then
+        Verdict.inconclusivef
+          "exact distributions are not finite (L1 distance %.3e over %d shared \
+           clbits)"
+          !l1 shared
+      else if !l1 <= tolerance then Verdict.Equivalent
       else
         Verdict.Inequivalent
           {

@@ -22,7 +22,8 @@
 
 (** [check ~original ~transformed ()] compares exact distributions on
     the shared clbits. [Inconclusive] when either side exceeds the
-    budgets. *)
+    budgets, or when the L1 distance is not finite (a NaN or infinite
+    probability, e.g. from a NaN rotation angle). *)
 val check :
   original:Quantum.Circuit.t ->
   transformed:Quantum.Circuit.t ->

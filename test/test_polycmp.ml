@@ -27,7 +27,7 @@ let primitives =
   ]
 
 (* The libraries the rule covers, by archive path under the build's
-   root: lib/{core,transpiler,verify,quantum,hardware,sim}. *)
+   root: lib/{core,transpiler,verify,quantum,hardware,sim,galg,serve,obs}. *)
 let archives =
   [
     "lib/core/caqr.a";
@@ -36,6 +36,9 @@ let archives =
     "lib/quantum/quantum.a";
     "lib/hardware/hardware.a";
     "lib/sim/sim.a";
+    "lib/galg/galg.a";
+    "lib/serve/serve.a";
+    "lib/obs/obs.a";
   ]
 
 (* (module, primitive, reason); empty since every covered module

@@ -212,6 +212,160 @@ let test_cuccaro_valve () =
   Alcotest.(check bool) "reference livelocks" true
     (fst (route_both device logical) = None)
 
+(* ---- Workspace: warm buffers = fresh buffers = reference ---- *)
+
+(* One set of kernel buffers reused by every case of the property, as a
+   domain's workspace is reused by every route on it. *)
+let warm_peephole = Quantum.Optimize.scratch ()
+let warm_layout = Transpiler.Layout.scratch ()
+let warm_router = Transpiler.Router.scratch ()
+
+(* Routes like [route_both]'s library leg, on the warm buffers; the
+   final layout is copied out of them. *)
+let route_warm device (circuit : Quantum.Circuit.t) =
+  let nl = circuit.num_qubits in
+  let wire = Array.init nl Fun.id in
+  let circuit = Quantum.Optimize.peephole_in warm_peephole circuit in
+  let layout = Transpiler.Layout.initial_in warm_layout device circuit ~wire ~width:nl in
+  let physical, swaps_added =
+    Transpiler.Router.route_in warm_router device layout ~wire ~width:nl circuit
+  in
+  {
+    Transpiler.Router.physical;
+    swaps_added;
+    final_layout =
+      {
+        Transpiler.Layout.l2p = Array.sub layout.l2p 0 nl;
+        p2l = Array.sub layout.p2l 0 (Hardware.Device.num_qubits device);
+      };
+  }
+
+let same_result (a : Transpiler.Transpile.result) (b : Transpiler.Transpile.result) =
+  String.equal (Quantum.Circuit.digest a.physical) (Quantum.Circuit.digest b.physical)
+  && a.stats = b.stats
+
+(* [Transpile.run] and [run_compact] on this domain's workspace, against
+   the fresh one-shot passes. *)
+let domain_matches_fresh device (circuit : Quantum.Circuit.t) (fresh : Transpiler.Router.result) =
+  let expected =
+    { Transpiler.Transpile.physical = fresh.physical;
+      stats = Transpiler.Transpile.stats_of device fresh.physical }
+  in
+  same_result (Transpiler.Transpile.run device circuit) expected
+  && same_result
+       (Transpiler.Transpile.run_compact device circuit)
+       (Transpiler.Transpile.run device (fst (Quantum.Circuit.compact_qubits circuit)))
+
+let warm_case device circuit =
+  let expected, fresh = route_both device circuit in
+  let warm = route_warm device circuit in
+  same fresh warm
+  && (match expected with Some e -> same e warm | None -> true)
+  && domain_matches_fresh device circuit fresh
+
+(* Each case routes a wide circuit, then a small one, on the same
+   buffers, so every route finds them filled by a different size. *)
+let prop_workspace =
+  QCheck.Test.make ~name:"warm workspace = fresh = reference, sizes interleaved"
+    ~count:1000
+    (QCheck.pair arb_circuit (QCheck.int_bound (Array.length devices - 1)))
+    (fun ((seed, _, st), d) ->
+      let device = devices.(d) in
+      warm_case device (circuit_of (seed, true, st))
+      && warm_case device (circuit_of (seed + 1, false, not st)))
+
+let qaoa25_rows () =
+  let e = Benchmarks.Suite.find "QAOA25-0.3" in
+  ( device_for e,
+    List.map (fun (s : Caqr.Engine.step) -> s.circuit)
+      (Caqr.Pipeline.steps (Benchmarks.Suite.input e)) )
+
+(* Results keep their bytes while later routes reuse the buffers. *)
+let test_no_alias () =
+  let kept =
+    List.concat_map
+      (fun name ->
+        let e = Benchmarks.Suite.find name in
+        let device = device_for e in
+        List.map
+          (fun (s : Caqr.Engine.step) ->
+            let r = Transpiler.Transpile.run_compact device s.circuit in
+            (r, Quantum.Qasm.to_string r.physical, r.stats))
+          (Caqr.Pipeline.steps (Benchmarks.Suite.input e)))
+      [ "QAOA25-0.3"; "Multiply_13"; "QAOA5-0.3"; "QAOA20-0.3" ]
+  in
+  List.iteri
+    (fun i ((r : Transpiler.Transpile.result), qasm, stats) ->
+      Alcotest.(check string) (Printf.sprintf "route %d bytes" i) qasm
+        (Quantum.Qasm.to_string r.physical);
+      Alcotest.(check bool) (Printf.sprintf "route %d stats" i) true (r.stats = stats))
+    kept
+
+(* A route that raised half way leaves buffers the next route must not
+   read: after an injected fault and after a deadline trip inside the
+   SWAP loop, the next routes equal fresh ones. *)
+let test_after_raise () =
+  let device, rows = qaoa25_rows () in
+  let big = List.nth rows 0 and small = List.nth rows (List.length rows - 1) in
+  let fresh c =
+    let c = fst (Quantum.Circuit.compact_qubits c) in
+    let r = snd (route_both device c) in
+    { Transpiler.Transpile.physical = r.physical;
+      stats = Transpiler.Transpile.stats_of device r.physical }
+  in
+  let fresh_big = fresh big and fresh_small = fresh small in
+  Alcotest.(check bool) "big row swaps" true (fresh_big.stats.swaps > 10);
+  let check_next what =
+    Alcotest.(check bool) (what ^ ": small row") true
+      (same_result (Transpiler.Transpile.run_compact device small) fresh_small);
+    Alcotest.(check bool) (what ^ ": big row") true
+      (same_result (Transpiler.Transpile.run_compact device big) fresh_big)
+  in
+  Guard.Inject.arm ~at_hit:5 "route.swap";
+  (match Transpiler.Transpile.run_compact device big with
+   | exception Guard.Error.Guard_error _ -> ()
+   | _ -> Alcotest.fail "the armed route.swap fault did not fire");
+  Guard.Inject.disarm ();
+  check_next "after a fault";
+  Guard.Inject.arm ~at_hit:5 ~mode:(Guard.Inject.Delay_ms 30) "route.swap";
+  (match
+     Guard.Budget.scoped (Guard.Budget.make ~ms:10 ()) (fun () ->
+         Transpiler.Transpile.run_compact device big)
+   with
+   | exception Guard.Error.Budget_exceeded e ->
+     Alcotest.(check string) "tripped in the router" "route.swap" e.Guard.Error.site
+   | _ -> Alcotest.fail "the deadline did not trip");
+  Guard.Inject.disarm ();
+  check_next "after a deadline trip"
+
+(* The tradeoff strategies route every sweep row: on one warm domain at
+   jobs 1, on fresh spawned domains otherwise. *)
+let test_tradeoff_jobs () =
+  List.iter
+    (fun name ->
+      let e = Benchmarks.Suite.find name in
+      let device = device_for e in
+      List.iter
+        (fun strategy ->
+          let at jobs =
+            let r =
+              Caqr.Pipeline.compile
+                ~options:{ Caqr.Pipeline.default with jobs }
+                device strategy (Benchmarks.Suite.input e)
+            in
+            (Quantum.Qasm.to_string r.physical, r.stats)
+          in
+          let one = at 1 in
+          List.iter
+            (fun jobs ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %s jobs %d = jobs 1" name
+                   (Caqr.Pipeline.strategy_name strategy) jobs)
+                true (at jobs = one))
+            [ 2; 4 ])
+        [ Caqr.Pipeline.Qs_min_depth; Caqr.Pipeline.Qs_best_fidelity ])
+    [ "QAOA25-0.3"; "Multiply_13" ]
+
 let to_alcotest t =
   let (QCheck2.Test.Test cell) = t in
   let name = QCheck2.Test.get_name cell in
@@ -229,4 +383,11 @@ let () =
           Alcotest.test_case "large baselines" `Quick test_large_baselines;
         ] );
       ("valve", [ Alcotest.test_case "cuccaro-128 qs artifact routes" `Quick test_cuccaro_valve ]);
+      ( "workspace",
+        [
+          to_alcotest prop_workspace;
+          Alcotest.test_case "results outlive later routes" `Quick test_no_alias;
+          Alcotest.test_case "routes after a raise equal fresh ones" `Quick test_after_raise;
+          Alcotest.test_case "tradeoff strategies at jobs 1, 2, 4" `Quick test_tradeoff_jobs;
+        ] );
     ]

@@ -469,6 +469,19 @@ let test_handler_verify_and_simulate () =
   check bool "simulation results cache too" true (contains s' "\"cache\":\"hit\"");
   check string "and replay byte-identically" (result_part s) (result_part s')
 
+(* An inline program with a NaN angle: the exact check cannot decide,
+   and the daemon answers with that verdict instead of an internal
+   error. *)
+let test_handler_verify_nan_angle () =
+  let t = server () in
+  let v, _ =
+    Serve.Server.handle_line t
+      {|{"op":"verify","level":"exact","strategy":"baseline","qasm3":"OPENQASM 3.0;\nqubit[2] q;\nbit[2] c;\nry(nan) q[0];\nc[0] = measure q[0];\nreset q[1];"}|}
+  in
+  check bool "verify answers" true (contains v "\"ok\":true");
+  check bool "with an inconclusive verdict" true
+    (contains v "\"verdict\":\"inconclusive: exact distributions are not finite")
+
 let test_handler_qasm3_input () =
   let t = server () in
   let qasm =
@@ -1308,6 +1321,7 @@ let () =
             test_handler_deadline_clamped;
           Alcotest.test_case "verify and simulate" `Quick
             test_handler_verify_and_simulate;
+          Alcotest.test_case "verify a NaN angle" `Quick test_handler_verify_nan_angle;
           Alcotest.test_case "inline qasm3 content addressing" `Quick
             test_handler_qasm3_input;
           Alcotest.test_case "inline width above the device cap" `Quick

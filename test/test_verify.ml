@@ -105,6 +105,40 @@ let test_equiv_elides_swaps () =
   check bool "routed bv10 verifies exactly" true
     (is_equivalent (Verify.Equiv.check ~original:c ~transformed:physical ()))
 
+(* A NaN rotation angle before a measurement, then a reset: the reset's
+   branch weights are NaN, so the distribution holds NaN and the exact
+   checker says it cannot decide instead of raising. *)
+let nan_circuit () =
+  Quantum.Circuit.of_kinds ~num_qubits:2 ~num_clbits:2
+    Quantum.Gate.[ One_q (Ry Float.nan, 0); Measure (0, 0); Reset 1 ]
+
+let test_equiv_nan_angle () =
+  let c = nan_circuit () in
+  let report =
+    Caqr.Pipeline.compile
+      ~options:{ Caqr.Pipeline.default with verify = Some Verify.Exact }
+      mumbai Caqr.Pipeline.Baseline (Caqr.Pipeline.Regular c)
+  in
+  let subject =
+    {
+      Verify.original = c;
+      logical = report.Caqr.Pipeline.logical;
+      physical = report.Caqr.Pipeline.physical;
+      device = mumbai;
+      pairs = None;
+      commutable = None;
+    }
+  in
+  List.iter
+    (fun (what, v) ->
+      check bool (what ^ " is inconclusive on a non-finite distance") true
+        (String.starts_with ~prefix:"exact distributions are not finite" (reason v)))
+    [
+      ("Equiv.check", Verify.Equiv.check ~original:c ~transformed:report.physical ());
+      ("Verify.run Exact", Verify.run Verify.Exact subject);
+      ("the compile's verification", Option.get report.Caqr.Pipeline.verification);
+    ]
+
 (* --------------------------------------------------------------- probe *)
 
 let test_probe_accepts_reuse () =
@@ -536,6 +570,7 @@ let () =
           Alcotest.test_case "branch budget" `Quick test_equiv_branch_budget;
           Alcotest.test_case "clbit budget" `Quick test_equiv_clbit_budget;
           Alcotest.test_case "elides swaps" `Quick test_equiv_elides_swaps;
+          Alcotest.test_case "nan angle" `Quick test_equiv_nan_angle;
         ] );
       ( "probe",
         [
