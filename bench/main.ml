@@ -972,9 +972,10 @@ let commute_report () =
   rows
 
 (* The QS search's counted-work gate: minor words per incremental
-   [Qs_caqr.sweep] of Multiply_13, at most [qs_words_budget], 10% over
-   the 35,537 it allocates on one in-place analysis cursor per search
-   (233,804 when every DFS child copied its parent's analysis). *)
+   [Qs_caqr.sweep] of Multiply_13, at most [qs_words_budget], set 10%
+   over the 35,537 it once allocated on one in-place analysis cursor per
+   search; it allocates 36,245 now (233,804 when every DFS child copied
+   its parent's analysis). *)
 let qs_gate_benchmark = "Multiply_13"
 let qs_words_budget = 39_089.
 
@@ -1059,9 +1060,9 @@ let root_analyze_words () =
    the count, so it leaves out first-use set-up and reads the domain's
    warm routing workspace: what remains is the returned circuits and
    stats (72,775 words while every route allocated its own buffers and
-   the compacted input). Budget: 10% over the measured 25,157. *)
+   the compacted input). Budget: 10% over the measured 25,007. *)
 let route_gate_benchmark = "QAOA25-0.3"
-let route_words_budget = 27_673.
+let route_words_budget = 27_508.
 
 (* The device and sweep rows of [route_gate_benchmark]. *)
 let gate_rows () =
@@ -1098,11 +1099,11 @@ let route_words () =
 
 (* The SR mapper's counted-work gate: minor words of [Sr_caqr.regular]
    over the same sweep rows of QAOA25-0.3 (the commutable SR path maps a
-   few of them), at most [sr_words_budget], after one warm pass: 61,204
-   expected (14.5 per physical gate), 3,094,184 while each placement
+   few of them), at most [sr_words_budget], after one warm pass: 59,537
+   expected (14.1 per physical gate), 3,094,184 while each placement
    scanned every gate for partners and each SWAP built lists, a hash
    table and a queue. *)
-let sr_words_budget = 67_325.
+let sr_words_budget = 65_491.
 
 let sr_words () =
   let device, circuits = gate_rows () in
@@ -1132,12 +1133,12 @@ let sr_words () =
 (* The pair engines' counted-work gates: minor words of one
    [Gidnet_caqr.run] and one [Cone_caqr.run] on rand-dyn-100, after one
    warm run, at most [gidnet_words_budget] and [cone_words_budget], 10%
-   over what the flat engines allocate (the list-based engines they
-   replaced, kept as test/gidnet_ref.ml and test/cone_ref.ml, allocated
-   3,397,854 and 71,107). *)
+   over what the flat engines allocate, 8,978 and 10,268 (the list-based
+   engines they replaced, kept as test/gidnet_ref.ml and
+   test/cone_ref.ml, allocated 3,397,854 and 71,107). *)
 let pair_gate_benchmark = "rand-dyn-100"
-let gidnet_words_budget = 13_405.
-let cone_words_budget = 14_824.
+let gidnet_words_budget = 9_876.
+let cone_words_budget = 11_295.
 
 let pair_engine_words () =
   let c =
@@ -1256,12 +1257,12 @@ let sim_words () =
    Table-1 gates run on circuits of at most 25 qubits; this one sees
    what only a 250-qubit search pays for (the candidate sort and the
    reach rows, most of the major words). Budgets: 10% over the largest
-   of three counts, 234,572 minor and 8,514,451 major words (377 nodes,
+   of three counts, 224,280 minor and 8,513,326 major words (377 nodes,
    width 225). *)
 let large_qs_benchmark = "qaoa-powerlaw-250"
 let large_qs_opts = { Caqr.Qs_caqr.budget = 25; order = Caqr.Qs_caqr.Both }
-let large_qs_minor_budget = 258_029.
-let large_qs_major_budget = 9_365_896.
+let large_qs_minor_budget = 246_708.
+let large_qs_major_budget = 9_364_659.
 
 let large_qs_words () =
   let c = (Option.get (Benchmarks.Large.find_opt large_qs_benchmark)).Benchmarks.Large.build () in

@@ -200,6 +200,10 @@ let reach_rows (adj : Quantum.Dag.t) ~qa ~qb ~k ~words =
   done;
   qreach
 
+let touch first last i q =
+  if first.(q) < 0 then first.(q) <- i;
+  last.(q) <- i
+
 (* A fresh analysis of [circuit]: its root tables and the root node's
    state. *)
 let root_state circuit =
@@ -212,28 +216,25 @@ let root_state circuit =
   let first = Array.make k (-1) and last = Array.make k (-1) in
   let users = Array.make circuit.Quantum.Circuit.num_clbits 0 in
   let barriers = ref false in
-  let touch i q =
-    if first.(q) < 0 then first.(q) <- i;
-    last.(q) <- i
-  in
-  Array.iteri
-    (fun i g ->
-      let kind = g.Quantum.Gate.kind in
-      if Quantum.Gate.is_barrier kind then barriers := true
-      else begin
-        (match Quantum.Gate.qubits kind with
-         | [ a ] ->
-           qa.(i) <- a;
-           touch i a
-         | [ a; b ] ->
-           qa.(i) <- a;
-           qb.(i) <- b;
-           touch i a;
-           touch i b
-         | _ -> ());
-        List.iter (fun c -> users.(c) <- users.(c) + 1) (Quantum.Gate.clbits kind)
-      end)
-    gates;
+  for i = 0 to n - 1 do
+    match gates.(i).Quantum.Gate.kind with
+    | Quantum.Gate.Barrier _ -> barriers := true
+    | Quantum.Gate.One_q (_, a) | Quantum.Gate.Reset a ->
+      qa.(i) <- a;
+      touch first last i a
+    | Quantum.Gate.Cx (a, b)
+    | Quantum.Gate.Cz (a, b)
+    | Quantum.Gate.Rzz (_, a, b)
+    | Quantum.Gate.Swap (a, b) ->
+      qa.(i) <- a;
+      qb.(i) <- b;
+      touch first last i a;
+      touch first last i b
+    | Quantum.Gate.Measure (a, c) | Quantum.Gate.If_x (c, a) ->
+      qa.(i) <- a;
+      touch first last i a;
+      users.(c) <- users.(c) + 1
+  done;
   let final_clbit = Array.make k (-1) in
   let usage = ref 0 in
   for q = 0 to k - 1 do

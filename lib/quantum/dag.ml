@@ -12,29 +12,22 @@ type t = {
 }
 
 type scratch = {
-  last_q : int Scratch.t;
-  last_c : int Scratch.t;
+  last : int Scratch.t;
   pred_start : int Scratch.t;
   pred_ids : int Scratch.t;
   succ_start : int Scratch.t;
   succ_ids : int Scratch.t;
-  fill : int Scratch.t;
 }
 
-let scratch ?(keep = true) () =
-  let ints init = Scratch.make ~keep init in
+let scratch () =
+  let ints init = Scratch.make init in
   {
-    last_q = ints (-1);
-    last_c = ints (-1);
+    last = ints (-1);
     pred_start = ints 0;
     pred_ids = ints 0;
     succ_start = ints 0;
     succ_ids = ints 0;
-    fill = ints 0;
   }
-
-(* Serves every [build]: it keeps nothing, so it is never written. *)
-let one_shot = scratch ~keep:false ()
 
 (* Each qubit or clbit operand adds at most one dependence, so the
    operand count bounds the edge count. *)
@@ -53,83 +46,92 @@ let operand_count (c : Circuit.t) =
   done;
   !total
 
+(* Gate [i] on wire [w], whose last gate so far is [last.(w)], appends
+   that gate to [i]'s predecessor slice (filled up to [len]) unless it
+   is already there, and returns the slice's new end. *)
+let depend last pred_start pred_ids len w i =
+  let src = last.(w) in
+  last.(w) <- i;
+  if src < 0 || src = i then len
+  else begin
+    let e = ref pred_start.(i) in
+    while !e < len && pred_ids.(!e) <> src do
+      incr e
+    done;
+    if !e < len then len
+    else begin
+      pred_ids.(len) <- src;
+      len + 1
+    end
+  end
+
+let rec depend_all last pred_start pred_ids len qs i =
+  match qs with
+  | [] -> len
+  | q :: qs ->
+    let len = depend last pred_start pred_ids len q i in
+    depend_all last pred_start pred_ids len qs i
+
 (* Predecessors are appended gate by gate into one buffer of a slot per
    operand (a gate's dependences all point at earlier gates, so gate
    [i]'s slice is complete once [i] is read), deduplicated within the
    slice: qubit wires first, in operand order, then classical bits.
-   Successor slices are filled from the last gate down, so each lists
-   its successors latest first: the router and SR-CaQR visit successors
-   in that order. Every buffer element read is written first. *)
+   Successor slices are filled from their ends in gate order, so each
+   lists its successors latest first: the router and SR-CaQR visit
+   successors in that order. Every buffer element read is written
+   first. *)
 let build_in s (c : Circuit.t) =
   let n = Array.length c.gates in
-  let last_q = Scratch.get s.last_q c.num_qubits in
-  Array.fill last_q 0 c.num_qubits (-1);
-  let last_c = Scratch.get s.last_c c.num_clbits in
-  Array.fill last_c 0 c.num_clbits (-1);
+  (* The last gate on qubit [q] is [last.(q)], on clbit [cb]
+     [last.(nq + cb)]. *)
+  let nq = c.num_qubits in
+  let last = Scratch.get s.last (nq + c.num_clbits) in
+  Array.fill last 0 (nq + c.num_clbits) (-1);
   let pred_start = Scratch.get s.pred_start (n + 1) in
   let pred_ids = Scratch.get s.pred_ids (operand_count c) in
   let len = ref 0 in
-  let add_dep src dst =
-    if src >= 0 && src <> dst then begin
-      let dup = ref false in
-      for e = pred_start.(dst) to !len - 1 do
-        if pred_ids.(e) = src then dup := true
-      done;
-      if not !dup then begin
-        pred_ids.(!len) <- src;
-        incr len
-      end
-    end
-  in
-  let on_qubit q i =
-    add_dep last_q.(q) i;
-    last_q.(q) <- i
-  in
-  let on_clbit cb i =
-    add_dep last_c.(cb) i;
-    last_c.(cb) <- i
-  in
   for i = 0 to n - 1 do
     pred_start.(i) <- !len;
     (* A barrier orders every wire it spans like any gate; callers
        that weight nodes give it zero cost. *)
-    match c.gates.(i).Gate.kind with
-    | Gate.One_q (_, q) | Gate.Reset q -> on_qubit q i
-    | Gate.Cx (a, b) | Gate.Cz (a, b) | Gate.Rzz (_, a, b) | Gate.Swap (a, b) ->
-      on_qubit a i;
-      on_qubit b i
-    | Gate.Measure (q, cb) | Gate.If_x (cb, q) ->
-      on_qubit q i;
-      on_clbit cb i
-    | Gate.Barrier qs ->
-      List.iter (fun q -> on_qubit q i) qs
+    len :=
+      match c.gates.(i).Gate.kind with
+      | Gate.One_q (_, q) | Gate.Reset q -> depend last pred_start pred_ids !len q i
+      | Gate.Cx (a, b) | Gate.Cz (a, b) | Gate.Rzz (_, a, b) | Gate.Swap (a, b) ->
+        let len = depend last pred_start pred_ids !len a i in
+        depend last pred_start pred_ids len b i
+      | Gate.Measure (q, cb) | Gate.If_x (cb, q) ->
+        let len = depend last pred_start pred_ids !len q i in
+        depend last pred_start pred_ids len (nq + cb) i
+      | Gate.Barrier qs -> depend_all last pred_start pred_ids !len qs i
   done;
   pred_start.(n) <- !len;
+  (* [succ_start.(p)] counts up to the end of [p]'s slice, then back
+     down to its start as the slice fills. *)
   let succ_start = Scratch.get s.succ_start (n + 1) in
   Array.fill succ_start 0 (n + 1) 0;
   for e = 0 to !len - 1 do
     let p = pred_ids.(e) in
-    succ_start.(p + 1) <- succ_start.(p + 1) + 1
+    succ_start.(p) <- succ_start.(p) + 1
   done;
-  for i = 1 to n do
+  for i = 1 to n - 1 do
     succ_start.(i) <- succ_start.(i) + succ_start.(i - 1)
   done;
+  succ_start.(n) <- !len;
   let succ_ids = Scratch.get s.succ_ids !len in
-  let fill = Scratch.get s.fill n in
-  Array.blit succ_start 0 fill 0 n;
-  for i = n - 1 downto 0 do
+  for i = 0 to n - 1 do
     for e = pred_start.(i) to pred_start.(i + 1) - 1 do
       let p = pred_ids.(e) in
-      succ_ids.(fill.(p)) <- i;
-      fill.(p) <- fill.(p) + 1
+      succ_start.(p) <- succ_start.(p) - 1;
+      succ_ids.(succ_start.(p)) <- i
     done
   done;
   { pred_start; pred_ids; succ_start; succ_ids }
 
-(* A one-shot build's buffers are exactly as long as asked for save the
-   predecessor buffer, which is cut to the edges. *)
+(* Fresh buffers are exactly as long as asked for save the predecessor
+   buffer, which is cut to the edges. *)
 let build c =
-  let t = build_in one_shot c in
+  let t = build_in (scratch ()) c in
   let edges = t.pred_start.(Array.length c.Circuit.gates) in
   if Array.length t.pred_ids = edges then t
   else { t with pred_ids = Array.sub t.pred_ids 0 edges }

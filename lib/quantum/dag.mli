@@ -25,9 +25,8 @@ val build : Circuit.t -> t
 (** The build's working and result arrays, kept across calls. *)
 type scratch
 
-(** Empty buffers; with [~keep:false] they keep nothing
-    ({!Scratch.make}). *)
-val scratch : ?keep:bool -> unit -> scratch
+(** Empty buffers. *)
+val scratch : unit -> scratch
 
 (** [build_in s c] is [build c] on [s]'s buffers, for a caller that
     drops the graph before it builds the next one. Its arrays are [s]'s

@@ -119,23 +119,21 @@ type scratch = {
   prev_b : int Scratch.t;
 }
 
-let scratch ?(keep = true) () =
+let scratch () =
   {
-    kinds = Scratch.make ~keep (Gate.Barrier []);
-    alive = Scratch.bytes ~keep ();
-    top = Scratch.make ~keep (-1);
-    prev_a = Scratch.make ~keep (-1);
-    prev_b = Scratch.make ~keep (-1);
+    kinds = Scratch.make (Gate.Barrier []);
+    alive = Scratch.bytes ();
+    top = Scratch.make (-1);
+    prev_a = Scratch.make (-1);
+    prev_b = Scratch.make (-1);
   }
-
-(* Serves every [peephole]: it keeps nothing, so it is never written. *)
-let one_shot = scratch ~keep:false ()
 
 (* The passes run over one kind array with an alive byte per gate until
    one changes nothing; the circuit is built once, from the live kinds.
    Every buffer element a pass reads is written first: the kinds and
    alive bytes here, [top] at the start of each pass, a saved top when
-   its gate is pushed. *)
+   its gate is pushed. The kinds are cleared on return, so the buffer
+   holds none of the circuit's values. *)
 let peephole_in s (c : Circuit.t) =
   let n = Array.length c.Circuit.gates and nq = c.Circuit.num_qubits in
   let kinds = Scratch.get s.kinds n in
@@ -147,22 +145,26 @@ let peephole_in s (c : Circuit.t) =
   let top = Scratch.get s.top nq in
   let prev_a = Scratch.get s.prev_a n and prev_b = Scratch.get s.prev_b n in
   let pass () = peephole_pass n nq kinds alive top prev_a prev_b in
-  if not (pass ()) then c
-  else begin
-    while pass () do
-      ()
-    done;
-    let live = ref 0 in
-    for i = 0 to n - 1 do
-      if Bytes.get alive i <> '\000' then begin
-        kinds.(!live) <- kinds.(i);
-        incr live
-      end
-    done;
-    Circuit.of_kind_prefix ~num_qubits:nq ~num_clbits:c.Circuit.num_clbits kinds !live
-  end
+  let result =
+    if not (pass ()) then c
+    else begin
+      while pass () do
+        ()
+      done;
+      let live = ref 0 in
+      for i = 0 to n - 1 do
+        if Bytes.get alive i <> '\000' then begin
+          kinds.(!live) <- kinds.(i);
+          incr live
+        end
+      done;
+      Circuit.of_kind_prefix ~num_qubits:nq ~num_clbits:c.Circuit.num_clbits kinds !live
+    end
+  in
+  Scratch.clear s.kinds n;
+  result
 
-let peephole c = peephole_in one_shot c
+let peephole c = peephole_in (scratch ()) c
 
 (* loc.(w) is where wire w's state lives once SWAPs are dropped. After
    Swap (a, b) the original wire a holds what b held, so the elided

@@ -22,9 +22,8 @@ val peephole : Circuit.t -> Circuit.t
     saved wire tops per gate, a top per wire), kept across calls. *)
 type scratch
 
-(** Empty buffers; with [~keep:false] they keep nothing
-    ({!Scratch.make}). *)
-val scratch : ?keep:bool -> unit -> scratch
+(** Empty buffers. *)
+val scratch : unit -> scratch
 
 (** [peephole_in s circuit] is [peephole circuit] on [s]'s buffers; the
     result shares none of them. [peephole] is [peephole_in] on fresh

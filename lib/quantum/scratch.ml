@@ -1,14 +1,14 @@
 let retain_max = 1 lsl 14
 
-type 'a t = { mutable kept : 'a array; init : 'a; keep : bool }
+type 'a t = { mutable kept : 'a array; init : 'a }
 
-let make ?(keep = true) init = { kept = [||]; init; keep }
+let make init = { kept = [||]; init }
 
 let get b n =
   if n <= Array.length b.kept then b.kept
   else begin
     let a = Array.make n b.init in
-    if b.keep && n <= retain_max then b.kept <- a;
+    if n <= retain_max then b.kept <- a;
     a
   end
 
@@ -17,14 +17,16 @@ let grow b a len =
   Array.blit a 0 bigger 0 len;
   bigger
 
-type bytes = { mutable kept_bytes : Bytes.t; keep_bytes : bool }
+let clear b n = Array.fill b.kept 0 (min n (Array.length b.kept)) b.init
 
-let bytes ?(keep = true) () = { kept_bytes = Bytes.empty; keep_bytes = keep }
+type bytes = { mutable kept_bytes : Bytes.t }
+
+let bytes () = { kept_bytes = Bytes.empty }
 
 let get_bytes b n =
   if n <= Bytes.length b.kept_bytes then b.kept_bytes
   else begin
     let s = Bytes.create n in
-    if b.keep_bytes && n <= 8 * retain_max then b.kept_bytes <- s;
+    if n <= 8 * retain_max then b.kept_bytes <- s;
     s
   end

@@ -18,10 +18,8 @@ val retain_max : int
 type 'a t
 
 (** [make x] is an empty buffer whose new arrays are filled with [x].
-    With [~keep:false] it keeps nothing: every {!get} is a new array of
-    exactly the length asked for and the buffer is never written, so one
-    such buffer can serve every one-shot call on every domain. *)
-val make : ?keep:bool -> 'a -> 'a t
+    Its first {!get} is a new array of exactly the length asked for. *)
+val make : 'a -> 'a t
 
 (** [get b n] is an array of length at least [n]. *)
 val get : 'a t -> int -> 'a array
@@ -30,9 +28,15 @@ val get : 'a t -> int -> 'a array
     [len] elements are [a]'s: a growable stack's next backing array. *)
 val grow : 'a t -> 'a array -> int -> 'a array
 
+(** [clear b n] overwrites the first [n] elements of the array [b]
+    keeps with [b]'s fill value, so values a kernel stored there (boxed
+    gate kinds, say) stop being reachable through [b]. It allocates
+    nothing. *)
+val clear : 'a t -> int -> unit
+
 type bytes
 
-val bytes : ?keep:bool -> unit -> bytes
+val bytes : unit -> bytes
 
 (** [get_bytes b n] is a byte string of length at least [n]. *)
 val get_bytes : bytes -> int -> Bytes.t

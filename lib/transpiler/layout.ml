@@ -20,10 +20,10 @@ type scratch = {
   p2l_buf : int Quantum.Scratch.t;
 }
 
-let scratch ?(keep = true) () =
-  let ints init = Quantum.Scratch.make ~keep init in
+let scratch () =
+  let ints init = Quantum.Scratch.make init in
   {
-    adj = Quantum.Scratch.bytes ~keep ();
+    adj = Quantum.Scratch.bytes ();
     degree = ints 0;
     count = ints 0;
     order = ints 0;
@@ -31,10 +31,6 @@ let scratch ?(keep = true) () =
     l2p_buf = ints (-1);
     p2l_buf = ints (-1);
   }
-
-(* Serves every [initial]: it keeps nothing, so it is never written and
-   the layout it returns is the caller's own. *)
-let one_shot = scratch ~keep:false ()
 
 (* Interaction graph as an [nl * nl] adjacency byte matrix (an edge per
    distinct pair of logical qubits some two-qubit gate couples) and a
@@ -123,7 +119,7 @@ let initial_in s device (circuit : Quantum.Circuit.t) ~wire ~width:nl =
 
 let initial device (circuit : Quantum.Circuit.t) =
   let nl = circuit.num_qubits in
-  initial_in one_shot device circuit ~wire:(Array.init nl Fun.id) ~width:nl
+  initial_in (scratch ()) device circuit ~wire:(Array.init nl Fun.id) ~width:nl
 
 let copy t = { l2p = Array.copy t.l2p; p2l = Array.copy t.p2l }
 

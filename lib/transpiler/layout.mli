@@ -18,9 +18,8 @@ val initial : Hardware.Device.t -> Quantum.Circuit.t -> t
 (** The placement's working arrays and its result, kept across calls. *)
 type scratch
 
-(** Empty buffers; with [~keep:false] they keep nothing
-    ({!Quantum.Scratch.make}). *)
-val scratch : ?keep:bool -> unit -> scratch
+(** Empty buffers. *)
+val scratch : unit -> scratch
 
 (** [initial_in s device circuit ~wire ~width] places the [width]
     logical qubits [wire] names: wire [q] of [circuit] is logical qubit

@@ -33,10 +33,10 @@ type scratch = {
   out_buf : Quantum.Gate.kind Quantum.Scratch.t;
 }
 
-let scratch ?(keep = true) () =
-  let ints () = Quantum.Scratch.make ~keep 0 in
+let scratch () =
+  let ints () = Quantum.Scratch.make 0 in
   {
-    dag = Quantum.Dag.scratch ~keep ();
+    dag = Quantum.Dag.scratch ();
     qa_buf = ints ();
     qb_buf = ints ();
     indeg_buf = ints ();
@@ -49,19 +49,17 @@ let scratch ?(keep = true) () =
     inc_head_buf = ints ();
     inc_other_buf = ints ();
     inc_next_buf = ints ();
-    inc_front_buf = Quantum.Scratch.make ~keep false;
+    inc_front_buf = Quantum.Scratch.make false;
     seen_buf = ints ();
     queue_buf = ints ();
     pend_buf = ints ();
-    out_buf = Quantum.Scratch.make ~keep (Quantum.Gate.Barrier []);
+    out_buf = Quantum.Scratch.make (Quantum.Gate.Barrier []);
   }
-
-(* Serves every [route]: it keeps nothing, so it is never written. *)
-let one_shot = scratch ~keep:false ()
 
 (* Every buffer element read is written first: the per-gate and
    per-qubit arrays here, the stacks and pair tables as they fill, so a
-   call that raised leaves nothing the next call reads. *)
+   call that raised leaves nothing the next call reads. The output kinds
+   are cleared on return. *)
 let route_in s device layout ~wire ~width:nl (circuit : Quantum.Circuit.t) =
   let module Scratch = Quantum.Scratch in
   (* [apply_swap] updates these arrays in place. *)
@@ -395,12 +393,13 @@ let route_in s device layout ~wire ~width:nl (circuit : Quantum.Circuit.t) =
       ~num_qubits:(Hardware.Device.num_qubits device)
       ~num_clbits:circuit.num_clbits !out !n_out
   in
+  Quantum.Scratch.clear s.out_buf !n_out;
   (physical, !swaps)
 
 let route device layout (circuit : Quantum.Circuit.t) =
   let layout = Layout.copy layout in
   let nl = circuit.num_qubits in
   let physical, swaps_added =
-    route_in one_shot device layout ~wire:(Array.init nl Fun.id) ~width:nl circuit
+    route_in (scratch ()) device layout ~wire:(Array.init nl Fun.id) ~width:nl circuit
   in
   { physical; swaps_added; final_layout = layout }

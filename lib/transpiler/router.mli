@@ -26,9 +26,8 @@ val route : Hardware.Device.t -> Layout.t -> Quantum.Circuit.t -> result
     stalled SWAPs) and its output kinds, kept across calls. *)
 type scratch
 
-(** Empty buffers; with [~keep:false] they keep nothing
-    ({!Quantum.Scratch.make}). *)
-val scratch : ?keep:bool -> unit -> scratch
+(** Empty buffers. *)
+val scratch : unit -> scratch
 
 (** [route_in s device layout ~wire ~width circuit] routes [circuit] on
     [s]'s buffers and returns the physical circuit and the SWAPs added.

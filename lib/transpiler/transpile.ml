@@ -53,14 +53,12 @@ let stats_of device (physical : Quantum.Circuit.t) =
   }
 
 (* The routing path's buffers, one set per domain: the wire map, the
-   peephole's, the layout's and the router's. [busy] is set while a
-   route runs on them, so a nested route takes fresh ones. *)
+   peephole's, the layout's and the router's. *)
 type workspace = {
   wire : int Quantum.Scratch.t;
   peephole : Quantum.Optimize.scratch;
   layout : Layout.scratch;
   router : Router.scratch;
-  mutable busy : bool;
 }
 
 let workspace () =
@@ -69,7 +67,6 @@ let workspace () =
     peephole = Quantum.Optimize.scratch ();
     layout = Layout.scratch ();
     router = Router.scratch ();
-    busy = false;
   }
 
 let domain_workspace = Domain.DLS.new_key workspace
@@ -98,19 +95,7 @@ let route_on ws ~compact device (circuit : Quantum.Circuit.t) =
 let route ~compact device circuit =
   Obs.Metrics.incr "transpile.runs";
   Obs.Metrics.time "time.route" @@ fun () ->
-  let ws = Domain.DLS.get domain_workspace in
-  if ws.busy then route_on (workspace ()) ~compact device circuit
-  else begin
-    ws.busy <- true;
-    match route_on ws ~compact device circuit with
-    | r ->
-      ws.busy <- false;
-      r
-    | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      ws.busy <- false;
-      Printexc.raise_with_backtrace e bt
-  end
+  route_on (Domain.DLS.get domain_workspace) ~compact device circuit
 
 let run device circuit = route ~compact:false device circuit
 let run_compact device circuit = route ~compact:true device circuit

@@ -31,12 +31,16 @@ val stats_of : Hardware.Device.t -> Quantum.Circuit.t -> stats
     {!Quantum.Scratch.retain_max} elements (16,384 words, 128 KiB): a
     larger circuit routes on buffers dropped on return. The 37 kept
     buffers therefore hold at most 37 × 128 KiB = 4.6 MiB per domain,
-    and a few KiB after Table-1 sized circuits; the kind buffers also
-    keep the last routes' gate kinds reachable until a later route
-    overwrites them. Every route refills what it reads, so a route
-    that raised (a tripped budget, an injected fault) leaves nothing
-    the next one sees. A route nested in another on the same domain
-    uses fresh buffers. *)
+    and a few KiB after Table-1 sized circuits. The two gate-kind
+    buffers (the peephole's input kinds and the router's output kinds)
+    are cleared before a route returns, so a finished route leaves no
+    gate kind reachable through them. A route that raised (a tripped
+    budget, an injected fault) skips that clearing: up to 2 × 16,384
+    of its kinds, with whatever angles and barrier lists they hold,
+    stay reachable until later routes on that domain overwrite them (a
+    route clears as many kinds as it wrote). Every
+    route refills what it reads, so a route that raised leaves nothing
+    the next one sees. *)
 val run : Hardware.Device.t -> Quantum.Circuit.t -> result
 
 (** [run_compact device circuit] is

@@ -338,6 +338,31 @@ let test_after_raise () =
   Guard.Inject.disarm ();
   check_next "after a deadline trip"
 
+(* A finished route clears the peephole's input kinds and the router's
+   output kinds, so neither the input circuit's gate kinds nor the
+   physical circuit's stay reachable through the domain's workspace once
+   the caller drops them. *)
+let[@inline never] route_and_watch watch device =
+  let angle = Sys.opaque_identity 0.3 in
+  let kinds =
+    Quantum.Gate.[| One_q (Rz angle, 0); Cx (0, 2); One_q (Rx angle, 1); Cx (1, 2) |]
+  in
+  let c = Quantum.Circuit.of_kind_array ~num_qubits:3 ~num_clbits:0 kinds in
+  let r = Transpiler.Transpile.run device c in
+  Weak.set watch 0 (Some c.Quantum.Circuit.gates.(0).Quantum.Gate.kind);
+  Weak.set watch 1 (Some r.physical.Quantum.Circuit.gates.(0).Quantum.Gate.kind);
+  Weak.set watch 2
+    (Some r.physical.Quantum.Circuit.gates.(Quantum.Circuit.gate_count r.physical - 1)
+            .Quantum.Gate.kind)
+
+let test_kinds_released () =
+  let watch = Weak.create 3 in
+  route_and_watch watch (Hardware.Device.ideal (Hardware.Topology.line 3));
+  Gc.full_major ();
+  for i = 0 to 2 do
+    Alcotest.(check bool) (Printf.sprintf "kind %d collected" i) false (Weak.check watch i)
+  done
+
 (* The tradeoff strategies route every sweep row: on one warm domain at
    jobs 1, on fresh spawned domains otherwise. *)
 let test_tradeoff_jobs () =
@@ -388,6 +413,7 @@ let () =
           to_alcotest prop_workspace;
           Alcotest.test_case "results outlive later routes" `Quick test_no_alias;
           Alcotest.test_case "routes after a raise equal fresh ones" `Quick test_after_raise;
+          Alcotest.test_case "finished routes release gate kinds" `Quick test_kinds_released;
           Alcotest.test_case "tradeoff strategies at jobs 1, 2, 4" `Quick test_tradeoff_jobs;
         ] );
     ]
